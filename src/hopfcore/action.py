@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .convolution import (
-    CoefficientRing,
     ConvElement,
-    RingFlags,
     leading,
     prime_witness,
     semiprime_witness,
@@ -39,126 +37,13 @@ from .linalg import (
     Vector,
     complement,
     is_zero_vec,
-    rat,
     unit_vec,
     zero_vec,
 )
 from .monoid import MultiIndex
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
-
-
-def _mono_label(names: Sequence[str], exps: Sequence[int]) -> str:
-    parts = [
-        (n if k == 1 else f"{n}^{k}") for n, k in zip(names, exps) if k
-    ]
-    return "*".join(parts) if parts else "1"
-
-
-class DeskAlgebra:
-    """A finite-dimensional algebra (total table) or a commutative
-    polynomial algebra truncated at a total degree bound (partial table)."""
-
-    def __init__(self, kind, labels, degrees, one_vec, **extra):
-        self.kind = kind
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.degrees = tuple(degrees)
-        self.one_vec = tuple(one_vec)
-        self.__dict__.update(extra)
-
-    @classmethod
-    def polynomial(cls, variables: Sequence[str], bound: int) -> "DeskAlgebra":
-        names = tuple(str(v) for v in variables)
-        if len(set(names)) != len(names):
-            raise InputFormatError("duplicate variable names")
-        import itertools
-
-        monos = [
-            e
-            for e in itertools.product(*(range(bound + 1) for _ in names))
-            if sum(e) <= bound
-        ]
-        monos.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-        index = {e: t for t, e in enumerate(monos)}
-        labels = [_mono_label(names, e) for e in monos]
-        one = unit_vec(len(monos), index[(0,) * len(names)])
-        return cls(
-            "polynomial",
-            labels,
-            [sum(e) for e in monos],
-            one,
-            variables=names,
-            bound=bound,
-            monomials=tuple(monos),
-            index=index,
-        )
-
-    @classmethod
-    def finite(
-        cls,
-        labels: Sequence[str],
-        one_label: str,
-        table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
-    ) -> "DeskAlgebra":
-        labels = tuple(str(s) for s in labels)
-        pos = {s: i for i, s in enumerate(labels)}
-        if one_label not in pos:
-            raise InputFormatError(f"unit label {one_label!r} not in basis")
-        normalized = {
-            key: tuple((k, rat(c)) for k, c in val if c) for key, val in table.items()
-        }
-        return cls(
-            "finite",
-            labels,
-            [0] * len(labels),
-            unit_vec(len(labels), pos[one_label]),
-            table=normalized,
-        )
-
-    def monomial_index(self, exps: Sequence[int]) -> int:
-        try:
-            return self.index[tuple(int(x) for x in exps)]
-        except (AttributeError, KeyError):
-            raise InputFormatError(f"monomial {tuple(exps)} outside the algebra")
-
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [Q0] * self.dim
-        if self.kind == "polynomial":
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                ei = self.monomials[i]
-                for j, b in enumerate(v):
-                    if not b:
-                        continue
-                    target = tuple(x + y for x, y in zip(ei, self.monomials[j]))
-                    if sum(target) > self.bound:
-                        raise TruncationError(
-                            f"product degree {sum(target)} exceeds bound {self.bound}"
-                        )
-                    out[self.index[target]] += a * b
-        else:
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                for j, b in enumerate(v):
-                    if not b:
-                        continue
-                    ab = a * b
-                    for k, c in self.table.get((i, j), ()):
-                        out[k] += ab * c
-        return tuple(out)
-
-    def element_str(self, v: Vector) -> str:
-        from .linalg import rat_str
-
-        parts = [
-            (label if c == 1 else f"{rat_str(c)}*{label}")
-            for label, c in zip(self.labels, v)
-            if c
-        ]
-        return " + ".join(parts) if parts else "0"
+from .table import PolynomialAlgebra, TableAlgebra, monomial_label
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +53,7 @@ class DeskAlgebra:
 class IdealOracle:
     """Membership, normal forms, and quotient coordinates for an ideal."""
 
-    algebra: DeskAlgebra
+    algebra: TableAlgebra
 
     def contains(self, v: Vector) -> bool:
         raise NotImplementedError
@@ -188,7 +73,7 @@ class IdealOracle:
 
     @property
     def is_unit(self) -> bool:
-        return self.contains(self.algebra.one_vec)
+        return self.contains(self.algebra.unit_vector())
 
     @property
     def is_zero(self) -> bool:
@@ -206,8 +91,8 @@ class MonomialIdeal(IdealOracle):
     """Ideal generated by monomials in a truncated polynomial algebra;
     membership is coefficientwise divisibility."""
 
-    def __init__(self, algebra: DeskAlgebra, generators: Sequence[Sequence[int]]):
-        if algebra.kind != "polynomial":
+    def __init__(self, algebra: PolynomialAlgebra, generators: Sequence[Sequence[int]]):
+        if not isinstance(algebra, PolynomialAlgebra):
             raise InputFormatError("monomial ideals need a polynomial algebra")
         self.algebra = algebra
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
@@ -239,7 +124,7 @@ class MonomialIdeal(IdealOracle):
 
     @property
     def normal_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.labels[t] for t in self._normal)
+        return tuple(self.algebra.basis_labels[t] for t in self._normal)
 
     def quotient_coords(self, v: Vector) -> Vector:
         return tuple(v[t] for t in self._normal)
@@ -254,15 +139,15 @@ class MonomialIdeal(IdealOracle):
         if not self.generators:
             return "(0)"
         names = self.algebra.variables
-        return "(" + ", ".join(_mono_label(names, g) for g in self.generators) + ")"
+        return "(" + ", ".join(monomial_label(names, g) for g in self.generators) + ")"
 
 
 class PrincipalIdeal(IdealOracle):
     """Ideal generated by one polynomial; membership by exact division
     against its degree-lex leading term."""
 
-    def __init__(self, algebra: DeskAlgebra, element: Vector):
-        if algebra.kind != "polynomial":
+    def __init__(self, algebra: PolynomialAlgebra, element: Vector):
+        if not isinstance(algebra, PolynomialAlgebra):
             raise InputFormatError("principal ideals need a polynomial algebra")
         if is_zero_vec(element):
             raise InputFormatError("principal generator must be nonzero")
@@ -321,7 +206,7 @@ class PrincipalIdeal(IdealOracle):
 
     @property
     def normal_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.labels[t] for t in self._normal)
+        return tuple(self.algebra.basis_labels[t] for t in self._normal)
 
     def quotient_coords(self, v: Vector) -> Vector:
         reduced = self.reduce(v)
@@ -334,15 +219,15 @@ class PrincipalIdeal(IdealOracle):
         return tuple(out)
 
     def describe(self) -> str:
-        return f"({self.algebra.element_str(self.generator)})"
+        return f"({self.algebra.format(self.generator)})"
 
 
 class SubspaceIdeal(IdealOracle):
     """An ideal of a finite-dimensional algebra given as a subspace;
     two-sidedness is validated on the basis at construction."""
 
-    def __init__(self, algebra: DeskAlgebra, subspace: Subspace):
-        if algebra.kind != "finite":
+    def __init__(self, algebra: TableAlgebra, subspace: Subspace):
+        if isinstance(algebra, PolynomialAlgebra):
             raise InputFormatError("subspace ideals need a finite-dimensional algebra")
         if subspace.ambient_dim != algebra.dim:
             raise InputFormatError("subspace dimension mismatch")
@@ -366,7 +251,7 @@ class SubspaceIdeal(IdealOracle):
     @property
     def normal_labels(self) -> tuple[str, ...]:
         return tuple(
-            self.algebra.labels[p] for p in self._complement.pivots
+            self.algebra.basis_labels[p] for p in self._complement.pivots
         )
 
     def quotient_coords(self, v: Vector) -> Vector:
@@ -386,30 +271,40 @@ class SubspaceIdeal(IdealOracle):
         return f"subspace ideal of dim {self.subspace.dim}"
 
 
-def quotient_ring(
-    ideal: IdealOracle, flags: RingFlags, name: Optional[str] = None
-) -> "QuotientRing":
-    return QuotientRing(ideal, flags, name)
+class QuotientAlgebra(TableAlgebra):
+    """A/I on the normal basis of an ideal oracle.  The table holds the
+    class of the product of every two lifted normal basis vectors; a pair
+    whose lifted product truncates is left out, so multiplying through it
+    raises TruncationError exactly as the product in A does."""
 
-
-class QuotientRing(CoefficientRing):
-    """A/I on the normal-form basis of the ideal oracle; multiplication may
-    raise TruncationError when the ambient product does."""
-
-    def __init__(self, ideal: IdealOracle, flags: RingFlags, name=None):
-        self.ideal = ideal
-        labels = ideal.normal_labels
-        one = ideal.quotient_coords(ideal.algebra.one_vec)
+    def __init__(self, ideal: IdealOracle):
+        algebra = ideal.algebra
+        n = ideal.quotient_dim
+        lifts = [ideal.lift(unit_vec(n, p)) for p in range(n)]
+        table = {}
+        for p, lp in enumerate(lifts):
+            for q, lq in enumerate(lifts):
+                try:
+                    prod = algebra.mul(lp, lq)
+                except TruncationError:
+                    continue
+                coords = ideal.quotient_coords(prod)
+                table[(p, q)] = [(k, c) for k, c in enumerate(coords) if c]
         super().__init__(
-            name or f"A/{ideal.describe()}", labels, {}, one, flags
+            ideal.normal_labels,
+            table,
+            ideal.quotient_coords(algebra.unit_vector()),
+            degree_bound=algebra.degree_bound,
+            name=f"A/{ideal.describe()}",
         )
-
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        prod = self.ideal.algebra.mul(self.ideal.lift(u), self.ideal.lift(v))
-        return self.ideal.quotient_coords(prod)
+        self.ideal = ideal
 
     def project(self, v: Vector) -> Vector:
         return self.ideal.quotient_coords(v)
+
+
+def quotient_ring(ideal: IdealOracle) -> QuotientAlgebra:
+    return QuotientAlgebra(ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +318,7 @@ class ModuleAlgebraAction:
     def __init__(
         self,
         host: PBWStructure,
-        algebra: DeskAlgebra,
+        algebra: TableAlgebra,
         gen_ops: Mapping[str, QMatrix],
     ):
         ids = set(host.gens.ids)
@@ -470,10 +365,11 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     host, alg = action.host, action.algebra
     data = host.data
 
+    one = alg.unit_vector()
     for gid, _ in host.gens.generators:
         eps = data.counit_of(host.lifts[gid])
-        image = action.gen_ops[gid].apply(alg.one_vec)
-        expected = tuple(eps * c for c in alg.one_vec)
+        image = action.gen_ops[gid].apply(one)
+        expected = tuple(eps * c for c in one)
         rep.add(
             "unit-law",
             gid,
@@ -505,7 +401,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                 if lhs != rhs:
                     bad += 1
                     if not witness:
-                        witness = f"{alg.labels[a]},{alg.labels[b]}"
+                        witness = f"{alg.basis_labels[a]},{alg.basis_labels[b]}"
         rep.add(
             "product-law",
             gid,
@@ -533,7 +429,9 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     return rep
 
 
-def conv_map(action: ModuleAlgebraAction, ring: QuotientRing, a: Vector) -> ConvElement:
+def conv_map(
+    action: ModuleAlgebraAction, ring: QuotientAlgebra, a: Vector
+) -> ConvElement:
     """The element (index -> class of the image of a) of the convolution
     algebra over A/I; its kernel over all of A is the stable core."""
     values = {}
@@ -612,7 +510,7 @@ def hcore(
 def core_primeness_probe(
     action: ModuleAlgebraAction,
     ideal: IdealOracle,
-    ring: QuotientRing,
+    ring: QuotientAlgebra,
     core: Subspace,
     mode: str,
     bound: int,
@@ -643,19 +541,21 @@ def core_primeness_probe(
                 witness = semiprime_witness(images[i])
                 rep.add(
                     "semiprime-witness",
-                    alg.labels[i],
+                    alg.basis_labels[i],
                     PASS,
                     f"r={ring.format(witness.r)}",
                 )
             except TruncationError:
-                rep.add("semiprime-witness", alg.labels[i], INCONCLUSIVE, "truncated")
+                rep.add(
+                    "semiprime-witness", alg.basis_labels[i], INCONCLUSIVE, "truncated"
+                )
             except NoWitnessFound as exc:
-                rep.add("semiprime-witness", alg.labels[i], FAIL, str(exc))
+                rep.add("semiprime-witness", alg.basis_labels[i], FAIL, str(exc))
         return rep
 
     for ti, i in enumerate(candidates):
         for j in candidates[ti:]:
-            subject = f"{alg.labels[i]},{alg.labels[j]}"
+            subject = f"{alg.basis_labels[i]},{alg.basis_labels[j]}"
             if mode == "domain":
                 li, lj = leading(images[i]), leading(images[j])
                 total = action.host.gens.add(li.index, lj.index)

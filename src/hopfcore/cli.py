@@ -32,9 +32,10 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, QMatrix, Subspace, rat, rat_str
+from .linalg import Q0, QMatrix, Subspace, rat, rat_str, unit_vec
 from .pbw import PBWStructure, extract_generators, lift_generators
 from .report import FAIL, INCONCLUSIVE, PASS, Report
+from .table import PolynomialAlgebra, TableAlgebra, parse_table
 
 SCHEMA = 1
 
@@ -57,7 +58,7 @@ def load_instance(path: str, degree: Optional[int]) -> coalgebra.FilteredBialgeb
     return coalgebra.instance_from_json(_load_json(path), degree)
 
 
-def _poly_vector(algebra: action_mod.DeskAlgebra, terms) -> tuple:
+def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
     coords = [Q0] * algebra.dim
     for term in terms:
         exps = [0] * len(algebra.variables)
@@ -69,12 +70,12 @@ def _poly_vector(algebra: action_mod.DeskAlgebra, terms) -> tuple:
     return tuple(coords)
 
 
-def _operator_matrix(algebra: action_mod.DeskAlgebra, spec) -> QMatrix:
+def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
     if isinstance(spec, list):
         return QMatrix([[rat(x) for x in row] for row in spec])
     if not isinstance(spec, Mapping) or spec.get("kind") != "operator":
         raise InputFormatError("operator spec must be a matrix or an operator object")
-    if algebra.kind != "polynomial":
+    if not isinstance(algebra, PolynomialAlgebra):
         raise InputFormatError("operator sugar needs a polynomial algebra")
     nvars = len(algebra.variables)
     columns = []
@@ -96,7 +97,7 @@ def _operator_matrix(algebra: action_mod.DeskAlgebra, spec) -> QMatrix:
             if not scale:
                 continue
             target = tuple(a - b + m for a, b, m in zip(alpha, beta, mu))
-            if sum(target) > algebra.bound:
+            if sum(target) > algebra.degree_bound:
                 raise InputFormatError(
                     "operator raises degree beyond the algebra truncation"
                 )
@@ -105,26 +106,24 @@ def _operator_matrix(algebra: action_mod.DeskAlgebra, spec) -> QMatrix:
     return QMatrix.from_columns(columns)
 
 
-def _algebra_from_json(obj: Mapping) -> action_mod.DeskAlgebra:
+def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     kind = obj.get("kind")
     if kind == "polynomial":
-        return action_mod.DeskAlgebra.polynomial(obj["variables"], int(obj["bound"]))
+        return PolynomialAlgebra(obj["variables"], int(obj["bound"]))
     if kind == "finite":
         labels = [str(s) for s in obj["basis"]]
         pos = {s: i for i, s in enumerate(labels)}
-        table = {}
-        for a, row in obj.get("mult", {}).items():
-            for b, combo in row.items():
-                table[(pos[a], pos[b])] = [(pos[k], rat(c)) for k, c in combo.items()]
-        return action_mod.DeskAlgebra.finite(labels, obj["one"], table)
+        one = obj["one"]
+        if one not in pos:
+            raise InputFormatError(f"unit label {one!r} not in basis")
+        table = parse_table(obj.get("mult", {}), pos)
+        return TableAlgebra.finite(labels, table, unit_vec(len(labels), pos[one]))
     raise InputFormatError(f"unknown algebra kind {kind!r}")
 
 
-def _ideal_from_json(
-    algebra: action_mod.DeskAlgebra, obj: Mapping
-) -> action_mod.IdealOracle:
+def _ideal_from_json(algebra: TableAlgebra, obj: Mapping) -> action_mod.IdealOracle:
     kind = obj.get("kind")
-    if algebra.kind == "polynomial":
+    if isinstance(algebra, PolynomialAlgebra):
         nvars = len(algebra.variables)
 
         def exps_of(mono: Mapping) -> list[int]:
@@ -360,7 +359,7 @@ def cmd_verify(args) -> int:
 # conv
 
 
-def _resolve_ring(name: str) -> convolution.CoefficientRing:
+def _resolve_ring(name: str) -> TableAlgebra:
     if name in ("q", "m2q", "qxq", "qx2"):
         return convolution.builtin_ring(name)
     return convolution.ring_from_tables(_load_json(name))
@@ -443,7 +442,7 @@ def cmd_conv(args) -> int:
                 report.add("semiprime-witness", f"trial {trial}", FAIL, str(exc))
 
     if not ring.flags.is_prime:
-        refuter = _prime_refuter(ring)
+        refuter = convolution.prime_refuter(ring)
         if refuter is None:
             report.add("prime-refutation", ring.name, FAIL, "no refuting pair found")
         else:
@@ -458,11 +457,11 @@ def cmd_conv(args) -> int:
                     "prime-refutation",
                     ring.name,
                     PASS,
-                    f"pair ({ring.labels[a]},{ring.labels[b]})",
+                    f"pair ({ring.label(a)},{ring.label(b)})",
                 )
 
     if not ring.flags.is_semiprime:
-        nil = _semiprime_refuter(ring)
+        nil = convolution.semiprime_refuter(ring)
         if nil is None:
             report.add("nilpotent", ring.name, FAIL, "no refuting element found")
         else:
@@ -472,7 +471,7 @@ def cmd_conv(args) -> int:
                 "nilpotent",
                 ring.name,
                 PASS if ok else FAIL,
-                f"pullback of {ring.labels[nil]} squares to zero",
+                f"pullback of {ring.label(nil)} squares to zero",
             )
 
     status, code = _status_and_code(report)
@@ -496,28 +495,6 @@ def cmd_conv(args) -> int:
     }
     _emit(payload, args.out)
     return code
-
-
-def _prime_refuter(ring) -> Optional[tuple[int, int]]:
-    basis = [ring.basis_vec(i) for i in range(ring.dim)]
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            if all(
-                ring.is_zero(ring.mul(ring.mul(basis[i], r), basis[j]))
-                for r in basis
-            ):
-                return (i, j)
-    return None
-
-
-def _semiprime_refuter(ring) -> Optional[int]:
-    basis = [ring.basis_vec(i) for i in range(ring.dim)]
-    for i in range(ring.dim):
-        if all(
-            ring.is_zero(ring.mul(ring.mul(basis[i], r), basis[i])) for r in basis
-        ):
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +532,7 @@ def cmd_hcore(args) -> int:
         "dims_by_cap": list(result.dims),
         "stabilized": result.stabilized,
         "dim": result.core.dim,
-        "basis": [algebra.element_str(row) for row in result.core.basis],
+        "basis": [algebra.format(row) for row in result.core.basis],
         "ideal": ideal.describe(),
     }
     report.add(
@@ -565,12 +542,7 @@ def cmd_hcore(args) -> int:
         f"dim {result.core.dim}, stabilized={result.stabilized}",
     )
 
-    flags = convolution.RingFlags(
-        is_prime="prime" in properties or "completely_prime" in properties,
-        is_semiprime=bool(properties),
-        is_domain="completely_prime" in properties,
-    )
-    ring = action_mod.quotient_ring(ideal, flags)
+    ring = action_mod.quotient_ring(ideal)
     mode_map = {
         "completely_prime": "domain",
         "prime": "prime",
@@ -656,17 +628,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except HopfcoreError as exc:
+        is_input = isinstance(exc, InputFormatError)
         _emit(
             {
                 "command": args.command,
                 "schema": SCHEMA,
                 "error": str(exc),
-                "status": "input-error",
+                "status": "input-error" if is_input else "fail",
             },
             args.out,
         )
-        return 2
+        return 2 if is_input else 1
 
 
 def entry() -> None:

@@ -46,36 +46,21 @@ from .linalg import (
     unit_vec,
 )
 from .report import FAIL, PASS, SKIP, Report
+from .table import (
+    SparseVec,
+    TableAlgebra,
+    exponent_table,
+    graded_monomials,
+    parse_table,
+    sparse,
+)
 
-SparseVec = tuple[tuple[int, Fraction], ...]
 TensorMap = dict[tuple[int, int], Fraction]
 
 
-def _sparse(entries: Iterable[tuple[int, Fraction]]) -> SparseVec:
-    merged: dict[int, Fraction] = {}
-    for k, c in entries:
-        merged[k] = merged.get(k, Q0) + c
-    return tuple((k, c) for k, c in sorted(merged.items()) if c)
-
-
-def _sparse_from_vec(v: Vector) -> SparseVec:
-    return tuple((k, c) for k, c in enumerate(v) if c)
-
-
-class FilteredBialgebraData:
-    """Basis-indexed structure constants of a truncated bialgebra."""
-
-    __slots__ = (
-        "basis_labels",
-        "degree_bound",
-        "unit_index",
-        "filtration_hint",
-        "_mult",
-        "_comult",
-        "_counit",
-        "_antipode",
-        "_label_pos",
-    )
+class FilteredBialgebraData(TableAlgebra):
+    """Basis-indexed structure constants of a truncated bialgebra: the
+    product table plus comultiplication, counit and optional antipode."""
 
     def __init__(
         self,
@@ -88,20 +73,16 @@ class FilteredBialgebraData:
         antipode: Optional[Mapping[int, Iterable[tuple[int, Fraction]]]] = None,
         filtration_hint: Optional[Sequence[int]] = None,
     ):
-        labels = tuple(str(s) for s in basis_labels)
-        if len(set(labels)) != len(labels):
-            raise InputFormatError("basis labels are not unique")
-        dim = len(labels)
+        dim = len(basis_labels)
+        one = unit_vec(dim, unit_index)
+        super().__init__(basis_labels, mult, one, filtration_hint, int(degree_bound))
         if not (0 <= unit_index < dim):
             raise InputFormatError("unit index out of range")
         if len(comult) != dim:
             raise InputFormatError("comultiplication table must cover every basis element")
         if degree_bound < 1:
             raise InputFormatError("degree bound must be positive")
-        self.basis_labels = labels
-        self.degree_bound = int(degree_bound)
         self.unit_index = int(unit_index)
-        self._mult = {key: _sparse(val) for key, val in mult.items()}
         self._comult = tuple(
             tuple(sorted((j, k, c) for j, k, c in row if c)) for row in comult
         )
@@ -109,50 +90,22 @@ class FilteredBialgebraData:
         if len(self._counit) != dim:
             raise InputFormatError("counit must be a functional on the basis")
         self._antipode = (
-            {int(i): _sparse(v) for i, v in antipode.items()}
+            {int(i): sparse(v) for i, v in antipode.items()}
             if antipode is not None
             else None
         )
-        self.filtration_hint = (
-            tuple(int(d) for d in filtration_hint)
-            if filtration_hint is not None
-            else None
-        )
-        self._label_pos = {s: i for i, s in enumerate(labels)}
 
-    # -- basic accessors ---------------------------------------------------
+    # the bialgebra's name for the product, which perfbench traces
+    multiply = TableAlgebra.mul
 
     @property
-    def dim(self) -> int:
-        return len(self.basis_labels)
-
-    def label(self, i: int) -> str:
-        return self.basis_labels[i]
-
-    def position(self, label: str) -> int:
-        try:
-            return self._label_pos[label]
-        except KeyError:
-            raise InputFormatError(f"unknown basis label {label!r}") from None
-
-    def unit_vector(self) -> Vector:
-        return unit_vec(self.dim, self.unit_index)
+    def filtration_hint(self) -> Optional[tuple[int, ...]]:
+        """The declared degrees of the basis, if the tables carry them."""
+        return self.degrees
 
     @property
     def has_antipode(self) -> bool:
         return self._antipode is not None
-
-    def has_product(self, i: int, j: int) -> bool:
-        return (i, j) in self._mult
-
-    def product_terms(self, i: int, j: int) -> SparseVec:
-        try:
-            return self._mult[(i, j)]
-        except KeyError:
-            raise TruncationError(
-                f"product {self.label(i)} * {self.label(j)} exceeds the "
-                f"truncation bound {self.degree_bound}"
-            ) from None
 
     def comult_terms(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
         return self._comult[i]
@@ -163,19 +116,6 @@ class FilteredBialgebraData:
         return self._antipode.get(i, ())
 
     # -- linear extensions ---------------------------------------------------
-
-    def multiply(self, u: Vector, v: Vector) -> Vector:
-        out = [Q0] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in self.product_terms(i, j):
-                    out[k] += ab * c
-        return tuple(out)
 
     def comult_map(self, v: Vector) -> TensorMap:
         out: TensorMap = {}
@@ -643,7 +583,7 @@ def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
     """The filtration of the associated graded object is the degree
     filtration."""
     rep = Report("coradically-graded")
-    degrees = gr.filtration_hint
+    degrees = gr.degrees
     if degrees is None:
         rep.add("coradically-graded", "-", FAIL, "missing degree labels")
         return rep
@@ -737,7 +677,7 @@ def verify_gr_facts(
 def _in_primitive_set(
     gr: FilteredBialgebraData, v: Vector, n: int
 ) -> tuple[bool, str]:
-    degrees = gr.filtration_hint
+    degrees = gr.degrees
     assert degrees is not None
     if max((degrees[k] for k, c in enumerate(v) if c), default=0) > n:
         return False, "element outside the level"
@@ -758,7 +698,7 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
     """Sampled closure of the primitivity-defect levels under products and
     sums in the associated graded object."""
     rep = Report("level-closure")
-    degrees = gr.filtration_hint
+    degrees = gr.degrees
     assert degrees is not None
     bound = gr.degree_bound
 
@@ -802,20 +742,6 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _monomial_label(parts: Sequence[tuple[str, int]], divided: bool) -> str:
-    if not parts:
-        return "1"
-    out = []
-    for name, k in parts:
-        if k == 1:
-            out.append(name)
-        elif divided:
-            out.append(f"{name}^({k})")
-        else:
-            out.append(f"{name}^{k}")
-    return "*".join(out)
 
 
 def _straighten(
@@ -899,17 +825,8 @@ def build_ueg(
                 f"Jacobi identity fails on ({names[i]},{names[j]},{names[k]})"
             )
 
-    monos = [
-        e
-        for e in itertools.product(*(range(degree_bound + 1) for _ in range(g)))
-        if sum(e) <= degree_bound
-    ]
-    monos.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+    monos, labels = graded_monomials(names, degree_bound, divided=True)
     index = {e: t for t, e in enumerate(monos)}
-    labels = [
-        _monomial_label([(names[i], e[i]) for i in range(g) if e[i]], divided=True)
-        for e in monos
-    ]
 
     def word_of(e: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(
@@ -979,33 +896,9 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
     if degree_bound < 2:
         raise InputFormatError("the x,y,w instance needs degree bound >= 2")
     D = degree_bound
-    monos = [
-        (a, b, c)
-        for a in range(D + 1)
-        for b in range(D + 1)
-        for c in range(D // 2 + 1)
-        if a + b + 2 * c <= D
-    ]
-    monos.sort(key=lambda e: (e[0] + e[1] + 2 * e[2], (-e[0], -e[1], -e[2])))
+    monos, labels = graded_monomials(("x", "y", "w"), D, weights=(1, 1, 2))
     index = {e: t for t, e in enumerate(monos)}
-
-    def weight(e):
-        return e[0] + e[1] + 2 * e[2]
-
-    labels = [
-        _monomial_label(
-            [(n, k) for n, k in zip(("x", "y", "w"), e) if k], divided=False
-        )
-        for e in monos
-    ]
-
-    mult = {}
-    for ti, ei in enumerate(monos):
-        for tj, ej in enumerate(monos):
-            if weight(ei) + weight(ej) > D:
-                continue
-            target = tuple(x + y for x, y in zip(ei, ej))
-            mult[(ti, tj)] = [(index[target], Q1)]
+    degrees = [a + b + 2 * c for a, b, c in monos]
 
     comult = []
     for (a, b, c) in monos:
@@ -1026,7 +919,7 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
                         row[key] = row.get(key, Q0) + Fraction(ca * cb * cc)
         comult.append([(j, k, v) for (j, k), v in sorted(row.items())])
 
-    counit = [Q1 if weight(e) == 0 else Q0 for e in monos]
+    counit = [Q1 if d == 0 else Q0 for d in degrees]
 
     antipode = {}
     for t, (a, b, c) in enumerate(monos):
@@ -1040,12 +933,12 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
     return FilteredBialgebraData(
         basis_labels=labels,
         degree_bound=D,
-        mult=mult,
+        mult=exponent_table(monos, degrees, D),
         comult=comult,
         counit=counit,
         unit_index=index[(0, 0, 0)],
         antipode=antipode,
-        filtration_hint=[weight(e) for e in monos],
+        filtration_hint=degrees,
     )
 
 
@@ -1101,9 +994,9 @@ def instance_to_json(data: FilteredBialgebraData) -> dict:
             labels[i]: {labels[k]: rat_str(c) for k, c in terms}
             for i, terms in sorted(data._antipode.items())
         }
-    if data.filtration_hint is not None:
+    if data.degrees is not None:
         out["tables"]["degrees"] = {
-            labels[i]: d for i, d in enumerate(data.filtration_hint)
+            labels[i]: d for i, d in enumerate(data.degrees)
         }
     return out
 
@@ -1113,12 +1006,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         labels = [str(s) for s in tables["basis"]]
         pos = {s: i for i, s in enumerate(labels)}
         unit = pos[tables["unit"]]
-        mult = {}
-        for a, row in tables["mult"].items():
-            for b, combo in row.items():
-                mult[(pos[a], pos[b])] = [
-                    (pos[k], rat(c)) for k, c in combo.items()
-                ]
+        mult = parse_table(tables["mult"], pos)
         comult = [[] for _ in labels]
         for a, terms in tables["comult"].items():
             comult[pos[a]] = [(pos[j], pos[k], rat(c)) for j, k, c in terms]
@@ -1169,11 +1057,16 @@ def instance_from_json(
                 "raw instances carry fixed tables; the degree bound cannot be overridden"
             )
         bound = degree_override
+    if bound < 1:
+        raise InputFormatError(f"degree bound must be positive, got {bound}")
     if kind == "ueg":
         lie = obj.get("lie")
         if not isinstance(lie, Mapping) or "generators" not in lie:
             raise InputFormatError('ueg instances need a "lie" table with generators')
-        return build_ueg(lie["generators"], lie.get("brackets", {}), bound)
+        gens = lie["generators"]
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise InputFormatError('ueg "generators" must be a list of strings')
+        return build_ueg(gens, lie.get("brackets", {}), bound)
     if kind == "xyw":
         return build_xyw(bound)
     if kind == "raw":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
     HostMismatch,
@@ -27,10 +27,11 @@ from .errors import (
     TruncationError,
     ZeroElement,
 )
-from .linalg import Q0, Q1, Vector, add_vec, is_zero_vec, rat, rat_str, unit_vec, zero_vec
+from .linalg import Q0, Q1, Vector, add_vec, is_zero_vec, rat
 from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, PASS, Report
+from .table import TableAlgebra, parse_table
 
 
 @dataclass(frozen=True)
@@ -40,77 +41,17 @@ class RingFlags:
     is_domain: Optional[bool] = None
 
 
-class CoefficientRing:
-    """Finite-dimensional algebra over Q given by a basis and a total
-    multiplication table, with declared primeness flags."""
-
-    def __init__(
-        self,
-        name: str,
-        labels: Iterable[str],
-        table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
-        one: Vector,
-        flags: RingFlags,
-    ):
-        self.name = name
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self._table = {
-            key: tuple((k, rat(c)) for k, c in val if c) for key, val in table.items()
-        }
-        self.one = tuple(rat(c) for c in one)
-        self.flags = flags
-
-    def zero(self) -> Vector:
-        return zero_vec(self.dim)
-
-    def basis_vec(self, i: int) -> Vector:
-        return unit_vec(self.dim, i)
-
-    def is_zero(self, v: Vector) -> bool:
-        return is_zero_vec(v)
-
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [Q0] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in self._table.get((i, j), ()):
-                    out[k] += ab * c
-        return tuple(out)
-
-    def format(self, v: Vector) -> str:
-        parts = [
-            (f"{rat_str(c)}*{label}" if c != 1 else label)
-            for label, c in zip(self.labels, v)
-            if c
-        ]
-        return " + ".join(parts) if parts else "0"
-
-    def same_as(self, other: "CoefficientRing") -> bool:
-        return self is other or (
-            self.name == other.name and self.labels == other.labels
-        )
-
-    def __repr__(self):
-        return f"CoefficientRing({self.name}, dim={self.dim})"
-
-
-def ring_q() -> CoefficientRing:
-    return CoefficientRing(
-        "q",
+def ring_q() -> TableAlgebra:
+    return TableAlgebra.finite(
         ("1",),
         {(0, 0): [(0, Q1)]},
         (Q1,),
+        "q",
         RingFlags(is_prime=True, is_semiprime=True, is_domain=True),
     )
 
 
-def ring_m2q() -> CoefficientRing:
+def ring_m2q() -> TableAlgebra:
     labels = ("E11", "E12", "E21", "E22")
     table = {}
     for a in range(2):
@@ -119,31 +60,31 @@ def ring_m2q() -> CoefficientRing:
                 for d in range(2):
                     if b == c:
                         table[(2 * a + b, 2 * c + d)] = [(2 * a + d, Q1)]
-    return CoefficientRing(
-        "m2q",
+    return TableAlgebra.finite(
         labels,
         table,
         (Q1, Q0, Q0, Q1),
+        "m2q",
         RingFlags(is_prime=True, is_semiprime=True, is_domain=False),
     )
 
 
-def ring_qxq() -> CoefficientRing:
-    return CoefficientRing(
-        "qxq",
+def ring_qxq() -> TableAlgebra:
+    return TableAlgebra.finite(
         ("e1", "e2"),
         {(0, 0): [(0, Q1)], (1, 1): [(1, Q1)]},
         (Q1, Q1),
+        "qxq",
         RingFlags(is_prime=False, is_semiprime=True, is_domain=False),
     )
 
 
-def ring_qx2() -> CoefficientRing:
-    return CoefficientRing(
-        "qx2",
+def ring_qx2() -> TableAlgebra:
+    return TableAlgebra.finite(
         ("1", "x"),
-        {(0, 0): [(0, Q1)], (0, 1): [(1, Q1)], (1, 0): [(1, Q1)], (1, 1): []},
+        {(0, 0): [(0, Q1)], (0, 1): [(1, Q1)], (1, 0): [(1, Q1)]},
         (Q1, Q0),
+        "qx2",
         RingFlags(is_prime=False, is_semiprime=False, is_domain=False),
     )
 
@@ -154,10 +95,10 @@ _BUILTIN_FACTORIES = {
     "qxq": ring_qxq,
     "qx2": ring_qx2,
 }
-_BUILTIN_CACHE: dict[str, CoefficientRing] = {}
+_BUILTIN_CACHE: dict[str, TableAlgebra] = {}
 
 
-def builtin_ring(name: str) -> CoefficientRing:
+def builtin_ring(name: str) -> TableAlgebra:
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:
@@ -169,14 +110,11 @@ def builtin_ring(name: str) -> CoefficientRing:
     return _BUILTIN_CACHE[name]
 
 
-def ring_from_tables(obj: Mapping) -> CoefficientRing:
+def ring_from_tables(obj: Mapping) -> TableAlgebra:
     try:
         labels = [str(s) for s in obj["basis"]]
         pos = {s: i for i, s in enumerate(labels)}
-        table = {}
-        for a, row in obj["mult"].items():
-            for b, combo in row.items():
-                table[(pos[a], pos[b])] = [(pos[k], rat(c)) for k, c in combo.items()]
+        table = parse_table(obj["mult"], pos)
         one = [Q0] * len(labels)
         for a, c in obj["one"].items():
             one[pos[a]] = rat(c)
@@ -186,14 +124,41 @@ def ring_from_tables(obj: Mapping) -> CoefficientRing:
             is_semiprime=flags_obj.get("semiprime"),
             is_domain=flags_obj.get("domain"),
         )
-        return CoefficientRing(
-            str(obj.get("name", "user")), labels, table, tuple(one), flags
+        return TableAlgebra.finite(
+            labels, table, tuple(one), str(obj.get("name", "user")), flags
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed ring table: {exc}") from exc
 
 
-def ring_check(ring: CoefficientRing) -> Report:
+def _annihilates(ring: TableAlgebra, a: Vector, b: Vector) -> bool:
+    """a r b = 0 for every basis element r."""
+    return all(
+        ring.is_zero(ring.mul(ring.mul(a, ring.basis_vec(r)), b))
+        for r in range(ring.dim)
+    )
+
+
+def prime_refuter(ring: TableAlgebra) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j) with e_i R e_j = 0, which refutes
+    primeness, or None."""
+    for i in range(ring.dim):
+        for j in range(ring.dim):
+            if _annihilates(ring, ring.basis_vec(i), ring.basis_vec(j)):
+                return (i, j)
+    return None
+
+
+def semiprime_refuter(ring: TableAlgebra) -> Optional[int]:
+    """The first basis element e_i with e_i R e_i = 0, which refutes
+    semiprimeness, or None."""
+    for i in range(ring.dim):
+        if _annihilates(ring, ring.basis_vec(i), ring.basis_vec(i)):
+            return i
+    return None
+
+
+def ring_check(ring: TableAlgebra) -> Report:
     """Validate associativity and unit laws on the basis, then confirm or
     refute the declared flags by bounded scans (zero-divisor pairs, a.R.b
     annihilation, a.R.a annihilation)."""
@@ -212,8 +177,9 @@ def ring_check(ring: CoefficientRing) -> Report:
                     assoc_ok = False
     rep.add("associativity", ring.name, PASS if assoc_ok else FAIL)
 
+    one = ring.unit_vector()
     unit_ok = all(
-        ring.mul(ring.one, b) == b and ring.mul(b, ring.one) == b for b in basis
+        ring.mul(one, b) == b and ring.mul(b, one) == b for b in basis
     )
     rep.add("unit-law", ring.name, PASS if unit_ok else FAIL)
 
@@ -231,51 +197,30 @@ def ring_check(ring: CoefficientRing) -> Report:
             "flag-domain",
             ring.name,
             FAIL,
-            f"zero divisors {ring.labels[zero_pair[0]]},{ring.labels[zero_pair[1]]}",
+            f"zero divisors {ring.label(zero_pair[0])},{ring.label(zero_pair[1])}",
         )
     else:
         detail = (
-            f"refuted by {ring.labels[zero_pair[0]]},{ring.labels[zero_pair[1]]}"
+            f"refuted by {ring.label(zero_pair[0])},{ring.label(zero_pair[1])}"
             if domain_refuted
             else "no zero divisors among basis pairs"
         )
         rep.add("flag-domain", ring.name, PASS, detail)
 
-    def middle_witness(a: Vector, b: Vector) -> Optional[Vector]:
-        for r in basis:
-            if not ring.is_zero(ring.mul(ring.mul(a, r), b)):
-                return r
-        return None
-
-    prime_refuter = None
-    for i in range(dim):
-        for j in range(dim):
-            if middle_witness(basis[i], basis[j]) is None:
-                prime_refuter = (i, j)
-                break
-        if prime_refuter:
-            break
-    prime_refuted = prime_refuter is not None
-    if bool(ring.flags.is_prime) == (not prime_refuted):
+    pair = prime_refuter(ring)
+    if bool(ring.flags.is_prime) == (pair is None):
         detail = (
-            f"refuted by pair {ring.labels[prime_refuter[0]]},{ring.labels[prime_refuter[1]]}"
-            if prime_refuted
+            f"refuted by pair {ring.label(pair[0])},{ring.label(pair[1])}"
+            if pair is not None
             else "witness for every basis pair"
         )
         rep.add("flag-prime", ring.name, PASS, detail)
     else:
         rep.add("flag-prime", ring.name, FAIL, "declared flag contradicts scan")
 
-    semi_refuter = None
-    for i in range(dim):
-        if middle_witness(basis[i], basis[i]) is None:
-            semi_refuter = i
-            break
-    semi_refuted = semi_refuter is not None
-    if bool(ring.flags.is_semiprime) == (not semi_refuted):
-        detail = (
-            f"refuted by {ring.labels[semi_refuter]}" if semi_refuted else ""
-        )
+    nil = semiprime_refuter(ring)
+    if bool(ring.flags.is_semiprime) == (nil is None):
+        detail = f"refuted by {ring.label(nil)}" if nil is not None else ""
         rep.add("flag-semiprime", ring.name, PASS, detail)
     else:
         rep.add("flag-semiprime", ring.name, FAIL, "declared flag contradicts scan")
@@ -301,7 +246,7 @@ class ConvElement:
     def __init__(
         self,
         host: PBWStructure,
-        ring: CoefficientRing,
+        ring: TableAlgebra,
         values: Mapping[MultiIndex, Vector],
     ):
         self.host = host
@@ -339,13 +284,13 @@ class ConvElement:
         return f"ConvElement({body}{'...' if len(self._map) > 4 else ''})"
 
 
-def unit_conv(host: PBWStructure, ring: CoefficientRing) -> ConvElement:
+def unit_conv(host: PBWStructure, ring: TableAlgebra) -> ConvElement:
     """The convolution unit: 1 of the ring at the zero index."""
-    return ConvElement(host, ring, {ZERO_INDEX: ring.one})
+    return ConvElement(host, ring, {ZERO_INDEX: ring.unit_vector()})
 
 
 def counit_pullback(
-    host: PBWStructure, ring: CoefficientRing, r: Vector
+    host: PBWStructure, ring: TableAlgebra, r: Vector
 ) -> ConvElement:
     """The map taking value r at the zero index and 0 elsewhere."""
     return ConvElement(host, ring, {ZERO_INDEX: r})
@@ -440,7 +385,7 @@ class Witness:
     proof: LeadingTerm
 
 
-def _witness_candidates(ring: CoefficientRing) -> list[Vector]:
+def _witness_candidates(ring: TableAlgebra) -> list[Vector]:
     singles = [ring.basis_vec(i) for i in range(ring.dim)]
     pairs = [
         add_vec(ring.basis_vec(i), ring.basis_vec(j))
@@ -488,7 +433,7 @@ def semiprime_witness(s: ConvElement) -> Witness:
 
 def random_conv_element(
     host: PBWStructure,
-    ring: CoefficientRing,
+    ring: TableAlgebra,
     rng,
     max_degree: int,
     max_terms: int = 3,

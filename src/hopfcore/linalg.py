@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InnerNotContained
+from .errors import InnerNotContained, InputFormatError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -28,7 +28,10 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise InputFormatError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -71,10 +74,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 def is_zero_vec(v: Vector) -> bool:
     return all(a == 0 for a in v)
-
-
-def vec_str(v: Vector) -> str:
-    return "(" + ", ".join(rat_str(a) for a in v) + ")"
 
 
 def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
@@ -151,9 +150,6 @@ class QMatrix:
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([self.column(j) for j in range(self.ncols)], self.nrows)
 
     def rref(self) -> "QMatrix":
         reduced, _ = _rref_rows(self.rows, self.ncols)
@@ -289,19 +285,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
-
-    def coords_of(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v on the echelon basis, or None if v is outside."""
-        coords = tuple(v[p] for p in self.pivots)
-        rebuilt = [Q0] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        rebuilt[j] += c * row[j]
-        if tuple(rebuilt) != tuple(v):
-            return None
-        return coords
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(self.basis + other.basis, self.ambient_dim)

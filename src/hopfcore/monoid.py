@@ -55,13 +55,6 @@ class MultiIndex:
     def is_zero(self) -> bool:
         return not self.entries
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(value for _, value in self.entries)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "1"
@@ -119,10 +112,6 @@ class GeneratorSet:
         except KeyError:
             raise ForeignGenerator(f"unknown generator id {gid!r}") from None
 
-    def degree_of(self, gid: str) -> int:
-        self.position(gid)
-        return self._deg[gid]
-
     def delta(self, gid: str) -> MultiIndex:
         self.position(gid)
         return MultiIndex(((gid, 1),))
@@ -143,15 +132,6 @@ class GeneratorSet:
         out = dict(m.entries)
         for gid, k in n.entries:
             out[gid] = out.get(gid, 0) + k
-        return MultiIndex.make(out)
-
-    def sub(self, m: MultiIndex, n: MultiIndex) -> MultiIndex:
-        """Pointwise difference; raises ValueError if any entry goes negative."""
-        self._check(m)
-        self._check(n)
-        out = dict(m.entries)
-        for gid, k in n.entries:
-            out[gid] = out.get(gid, 0) - k
         return MultiIndex.make(out)
 
     def degree(self, m: MultiIndex) -> int:
@@ -193,11 +173,6 @@ class GeneratorSet:
 
     def sort(self, items: Iterable[MultiIndex]) -> list[MultiIndex]:
         return sorted(items, key=functools.cmp_to_key(self.compare))
-
-    def dominates(self, m: MultiIndex, n: MultiIndex) -> bool:
-        """Pointwise n <= m."""
-        mm = dict(m.entries)
-        return all(mm.get(gid, 0) >= k for gid, k in n.entries)
 
     def splittings(self, m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
         """All pairs (i, j) with i + j = m, pointwise."""

@@ -31,6 +31,7 @@ from .linalg import (
     QMatrix,
     Subspace,
     Vector,
+    complement,
     rat_str,
     scale_vec,
     sub_vec,
@@ -51,7 +52,7 @@ def extract_generators(
     is validated by comparing dim gr(d) with the number of weighted-degree-d
     monomials in the extracted generators, for every d up to the bound.
     """
-    degrees = gr.filtration_hint
+    degrees = gr.degrees
     if degrees is None:
         raise NotPolynomial("graded instance carries no degree labels")
     dim = gr.dim
@@ -75,9 +76,7 @@ def extract_generators(
                     row[k] = c
                 decomposable.append(tuple(row))
         dec = Subspace.from_vectors(decomposable, dim)
-        from .linalg import complement as _complement
-
-        fresh = _complement(dec, layer)
+        fresh = complement(dec, layer)
         for row, pivot in zip(fresh.basis, fresh.pivots):
             name = gr.label(pivot)
             if name in vectors:

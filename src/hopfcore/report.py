@@ -17,10 +17,6 @@ class CheckLine:
     status: str
     detail: str = ""
 
-    def text(self) -> str:
-        base = f"{self.status} {self.check} {self.subject}"
-        return f"{base} :: {self.detail}" if self.detail else base
-
     def as_json(self) -> dict:
         return {
             "check": self.check,
@@ -54,9 +50,6 @@ class Report:
 
     def failures(self) -> list[CheckLine]:
         return [line for line in self.lines if line.status == FAIL]
-
-    def text(self) -> str:
-        return "\n".join(line.text() for line in self.lines)
 
     def as_json(self) -> dict:
         return {

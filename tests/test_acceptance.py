@@ -34,7 +34,6 @@ from hopfcore.convolution import (
     semiprime_witness,
 )
 from hopfcore.action import (
-    DeskAlgebra,
     ModuleAlgebraAction,
     MonomialIdeal,
     PrincipalIdeal,
@@ -42,11 +41,11 @@ from hopfcore.action import (
     hcore,
     quotient_ring,
 )
-from hopfcore.convolution import RingFlags
 from hopfcore.errors import NoWitnessFound, TruncationError
 from hopfcore.linalg import QMatrix, Subspace, unit_vec
 from hopfcore.monoid import EQUAL, GREATER, LESS, GeneratorSet, MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure
+from hopfcore.table import PolynomialAlgebra
 from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS
 
 
@@ -268,7 +267,7 @@ def test_acceptance_6_witnesses():
 
 def _sl2_setup():
     host = _fresh_sl2()
-    algebra = DeskAlgebra.polynomial(["x", "y"], 8)
+    algebra = PolynomialAlgebra(["x", "y"], 8)
     act = ModuleAlgebraAction(host, algebra, _sl2_operators(algebra))
     ideal = PrincipalIdeal(algebra, unit_vec(algebra.dim, algebra.index[(1, 0)]))
     return host, algebra, act, ideal
@@ -283,9 +282,7 @@ def test_acceptance_7_hcore_and_probe():
         for small, large in zip(chain.by_cap[1:], chain.by_cap):
             assert large.contains_subspace(small)
 
-        ring = quotient_ring(
-            ideal, RingFlags(is_prime=True, is_semiprime=True, is_domain=True)
-        )
+        ring = quotient_ring(ideal)
         probe = core_primeness_probe(act, ideal, ring, chain.core, "domain", 3)
         assert probe.counts["FAIL"] == 0
         assert probe.counts["PASS"] > 0

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from hopfcore.action import (
-    DeskAlgebra,
     ModuleAlgebraAction,
     MonomialIdeal,
     PrincipalIdeal,
@@ -17,11 +16,12 @@ from hopfcore.action import (
     verify_module_algebra,
 )
 from hopfcore.coalgebra import build_ueg
-from hopfcore.convolution import RingFlags, convolve, u_star
+from hopfcore.convolution import convolve, u_star
 from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
 from hopfcore.linalg import QMatrix, Subspace, unit_vec, zero_vec
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure
+from hopfcore.table import PolynomialAlgebra, TableAlgebra
 
 
 def mi(**kw):
@@ -41,7 +41,7 @@ def operator(algebra, image_of_monomial):
 
 @pytest.fixture(scope="module")
 def qxy():
-    return DeskAlgebra.polynomial(["x", "y"], 8)
+    return PolynomialAlgebra(["x", "y"], 8)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def ideal_x(qxy):
 @pytest.fixture(scope="module")
 def dq_action():
     host = PBWStructure.from_bialgebra(build_ueg(["d"], {}, 4))
-    A = DeskAlgebra.polynomial(["x"], 8)
+    A = PolynomialAlgebra(["x"], 8)
     d = operator(A, lambda e: [((e[0] - 1,), F(e[0]))] if e[0] else [])
     return ModuleAlgebraAction(host, A, {"d": d})
 
@@ -79,15 +79,15 @@ def test_polynomial_algebra_truncation(qxy):
 
 
 def test_finite_algebra():
-    A = DeskAlgebra.finite(
+    A = TableAlgebra.finite(
         ["1", "u"],
-        "1",
         {
             (0, 0): [(0, F(1))],
             (0, 1): [(1, F(1))],
             (1, 0): [(1, F(1))],
             (1, 1): [(0, F(1))],
         },
+        unit_vec(2, 0),
     )
     u = unit_vec(2, 1)
     assert A.mul(u, u) == unit_vec(2, 0)
@@ -142,15 +142,15 @@ def test_principal_ideal_division(qxy):
 
 
 def test_subspace_ideal_two_sidedness():
-    A = DeskAlgebra.finite(
+    A = TableAlgebra.finite(
         ["1", "u"],
-        "1",
         {
             (0, 0): [(0, F(1))],
             (0, 1): [(1, F(1))],
             (1, 0): [(1, F(1))],
             (1, 1): [],
         },
+        unit_vec(2, 0),
     )
     ok = SubspaceIdeal(A, Subspace.from_vectors([[0, 1]], 2))
     assert ok.contains(unit_vec(2, 1))
@@ -159,12 +159,70 @@ def test_subspace_ideal_two_sidedness():
 
 
 def test_quotient_ring_arithmetic(qxy, ideal_x):
-    ring = quotient_ring(ideal_x, RingFlags(is_domain=True))
+    ring = quotient_ring(ideal_x)
     y = ring.project(unit_vec(qxy.dim, qxy.index[(0, 1)]))
     y2 = ring.mul(y, y)
     assert y2 == ring.project(unit_vec(qxy.dim, qxy.index[(0, 2)]))
     x = ring.project(unit_vec(qxy.dim, qxy.index[(1, 0)]))
     assert ring.is_zero(x)
+
+
+
+def _upper_triangular():
+    """Upper triangular 2x2 matrices on E11, E12, E22."""
+    return TableAlgebra.finite(
+        ["E11", "E12", "E22"],
+        {
+            (0, 0): [(0, F(1))],
+            (0, 1): [(1, F(1))],
+            (1, 2): [(1, F(1))],
+            (2, 2): [(2, F(1))],
+        },
+        (F(1), F(0), F(1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_ideal",
+    [
+        lambda: MonomialIdeal(PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]),
+        lambda: PrincipalIdeal(
+            PolynomialAlgebra(["x", "y"], 4),
+            tuple(F(1) if i == 1 else (F(-1) if i == 2 else F(0)) for i in range(15)),
+        ),
+        lambda: SubspaceIdeal(
+            _upper_triangular(), Subspace.from_vectors([[0, 1, 0]], 3)
+        ),
+        lambda: SubspaceIdeal(
+            _upper_triangular(), Subspace.from_vectors([[1, 1, 0], [0, 1, 0]], 3)
+        ),
+    ],
+    ids=["monomial", "principal", "subspace", "subspace-2"],
+)
+def test_quotient_table_matches_lifted_products(make_ideal):
+    """Every product in A/I is the class of the product of the lifts, and
+    truncates on exactly the pairs where the lifted product does."""
+    ideal = make_ideal()
+    algebra = ideal.algebra
+    ring = quotient_ring(ideal)
+    n = ideal.quotient_dim
+    assert ring.basis_labels == ideal.normal_labels
+    truncated = 0
+    for p in range(n):
+        for q in range(n):
+            ep, eq = unit_vec(n, p), unit_vec(n, q)
+            try:
+                expected = ideal.quotient_coords(
+                    algebra.mul(ideal.lift(ep), ideal.lift(eq))
+                )
+            except TruncationError:
+                truncated += 1
+                with pytest.raises(TruncationError):
+                    ring.mul(ep, eq)
+                continue
+            assert ring.mul(ep, eq) == expected
+    polynomial = isinstance(algebra, PolynomialAlgebra)
+    assert (truncated > 0) == polynomial
 
 
 # -- actions ---------------------------------------------------------------------
@@ -215,12 +273,12 @@ def test_act_divided_derivative(dq_action):
 
 def test_act_sl2_example(sl2_action, qxy):
     img = sl2_action.act(mi(e=1), unit_vec(qxy.dim, qxy.index[(0, 2)]))
-    assert qxy.element_str(img) == "2*x*y"
+    assert qxy.format(img) == "2*x*y"
     assert sl2_action.act(ZERO_INDEX, unit_vec(qxy.dim, 5)) == unit_vec(qxy.dim, 5)
 
 
 def test_xyw_action_module_law(xyw):
-    A = DeskAlgebra.polynomial(["u"], 8)
+    A = PolynomialAlgebra(["u"], 8)
     d1 = operator(A, lambda e: [((e[0] - 1,), F(e[0]))] if e[0] else [])
     d2 = operator(
         A,
@@ -236,25 +294,25 @@ def test_xyw_action_module_law(xyw):
 def test_conv_map_examples(dq_action):
     A = dq_action.algebra
     ideal = MonomialIdeal(A, [(1,)])
-    ring = quotient_ring(ideal, RingFlags(is_domain=True))
+    ring = quotient_ring(ideal)
     r = conv_map(dq_action, ring, unit_vec(A.dim, A.index[(1,)]))
     assert r.value(ZERO_INDEX) == ring.zero()
     assert not ring.is_zero(r.value(mi(d=1)))
-    one = conv_map(dq_action, ring, A.one_vec)
+    one = conv_map(dq_action, ring, A.unit_vector())
     assert one.support() == [ZERO_INDEX]
-    assert u_star(one) == ring.project(A.one_vec)
+    assert u_star(one) == ring.project(A.unit_vector())
 
 
 def test_conv_map_kills_stable_ideal(sl2_action, qxy):
     # (x, y) is stable under degree-preserving operators
     ideal = MonomialIdeal(qxy, [(1, 0), (0, 1)])
-    ring = quotient_ring(ideal, RingFlags())
+    ring = quotient_ring(ideal)
     r = conv_map(sl2_action, ring, unit_vec(qxy.dim, qxy.index[(2, 1)]))
     assert r.is_zero
 
 
 def test_conv_map_is_algebra_map(sl2_action, qxy, ideal_x):
-    ring = quotient_ring(ideal_x, RingFlags(is_domain=True))
+    ring = quotient_ring(ideal_x)
     rng = random.Random(53)
     low = [i for i in range(qxy.dim) if qxy.degrees[i] <= 2]
     for _ in range(10):
@@ -302,7 +360,7 @@ def test_hcore_sl2_chain(sl2_action, ideal_x, qxy):
     # monomial x^4 survives order-3 operators, and nothing survives order 4
     assert result.dims == (10, 6, 3, 1, 0)
     assert result.core.dim == 0
-    assert [qxy.element_str(r) for r in result.by_cap[3].basis] == ["x^4"]
+    assert [qxy.format(r) for r in result.by_cap[3].basis] == ["x^4"]
     assert result.stabilized_at is None
 
 
@@ -390,7 +448,7 @@ def test_core_is_ideal(sl2_action, qxy, ideal_x):
 
 
 def test_domain_probe_sl2(sl2_action, ideal_x):
-    ring = quotient_ring(ideal_x, RingFlags(is_domain=True, is_prime=True, is_semiprime=True))
+    ring = quotient_ring(ideal_x)
     core = hcore(sl2_action, ideal_x, 4, 4).core
     rep = core_primeness_probe(sl2_action, ideal_x, ring, core, "domain", 3)
     assert rep.passed
@@ -400,7 +458,7 @@ def test_domain_probe_sl2(sl2_action, ideal_x):
 def test_domain_probe_dq(dq_action):
     A = dq_action.algebra
     ideal = MonomialIdeal(A, [(1,)])
-    ring = quotient_ring(ideal, RingFlags(is_domain=True))
+    ring = quotient_ring(ideal)
     core = hcore(dq_action, ideal, 4, 4).core
     assert core.dim == 0
     rep = core_primeness_probe(dq_action, ideal, ring, core, "domain", 3)
@@ -408,7 +466,7 @@ def test_domain_probe_dq(dq_action):
 
 
 def test_prime_and_semiprime_probes(sl2_action, ideal_x):
-    ring = quotient_ring(ideal_x, RingFlags(is_domain=True, is_prime=True, is_semiprime=True))
+    ring = quotient_ring(ideal_x)
     core = hcore(sl2_action, ideal_x, 4, 4).core
     assert core_primeness_probe(sl2_action, ideal_x, ring, core, "prime", 2).passed
     assert core_primeness_probe(sl2_action, ideal_x, ring, core, "semiprime", 2).passed
@@ -416,7 +474,7 @@ def test_prime_and_semiprime_probes(sl2_action, ideal_x):
 
 def test_degenerate_ideal_skipped(sl2_action, qxy):
     unit = MonomialIdeal(qxy, [(0, 0)])
-    ring = quotient_ring(unit, RingFlags())
+    ring = quotient_ring(unit)
     rep = core_primeness_probe(
         sl2_action, unit, ring, Subspace.full(qxy.dim), "domain", 2
     )

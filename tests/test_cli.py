@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from hopfcore import convolution
 from hopfcore.cli import main
-from conftest import FIXTURES
+from hopfcore.errors import ProbeAnomaly
+from conftest import FIXTURES, ROOT
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -305,3 +310,75 @@ def test_reports_are_deterministic(tmp_path, argv):
     main([*argv, "--out", str(out1)])
     main([*argv, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("instance", {"kind": "ueg", "degree_bound": 3,
+                      "lie": {**UEG_HEIS, "brackets": {"x": {"y": {"z": "1/0"}}}}}),
+        ("instance", {"kind": "ueg", "degree_bound": -3, "lie": UEG_HEIS}),
+        ("instance", {"kind": "ueg", "degree_bound": 3,
+                      "lie": {**UEG_HEIS, "generators": "xyz"}}),
+        ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
+                  "mult": {"1": {"1": {"1": "1/0"}}},
+                  "flags": {"prime": True, "semiprime": True, "domain": True}}),
+        ("action", {"algebra": {"kind": "polynomial", "variables": ["x"], "bound": 4},
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1/0", "derivatives": {"x": 1}}]}},
+                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}),
+        ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
+                  "mult": {"1": 5}, "flags": {}}),
+        ("action", {"algebra": {"kind": "finite", "basis": ["1"], "one": "1",
+                                "mult": {"1": 5}},
+                    "generators": {"d": [["0"]]}, "ideal": {"kind": "zero"}}),
+    ],
+    ids=["bracket-zero-denominator", "negative-bound", "generators-string",
+         "ring-zero-denominator", "operator-zero-denominator",
+         "ring-table-row-not-object", "algebra-table-row-not-object"],
+)
+def test_malformed_input_reports(tmp_path, kind, payload):
+    """Malformed input ends in exit 2 with a JSON report, never a traceback."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "instance": ["verify", "--instance", str(path)],
+        "ring": ["conv", "--instance", str(INSTANCES / "dq.json"), "--ring", str(path)],
+        "action": [
+            "hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)
+        ],
+    }[kind]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcore.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["status"] == "input-error"
+    assert "Traceback" not in proc.stderr
+
+
+def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
+    """A HopfcoreError other than an input error is reported with exit 1."""
+
+    def anomaly(s, t):
+        raise ProbeAnomaly("leading term mismatch")
+
+    monkeypatch.setattr(convolution, "prime_witness", anomaly)
+    code, rep = run(
+        tmp_path, "conv", "--instance", str(INSTANCES / "heis.json"),
+        "--ring", "m2q", "--trials", "5",
+    )
+    assert code == 1
+    assert rep == {
+        "command": "conv",
+        "schema": 1,
+        "error": "leading term mismatch",
+        "status": "fail",
+    }

@@ -11,10 +11,12 @@ from hopfcore.convolution import (
     convolve,
     counit_pullback,
     leading,
+    prime_refuter,
     prime_witness,
     random_conv_element,
     ring_check,
     ring_from_tables,
+    semiprime_refuter,
     semiprime_witness,
     u_star,
     unit_conv,
@@ -65,13 +67,35 @@ def test_ring_check_flags_correction():
     assert any(l.check == "flag-prime" for l in rep.failures())
 
 
+
+@pytest.mark.parametrize(
+    "name, pair, nil",
+    [("q", None, None), ("m2q", None, None), ("qxq", (0, 1), None), ("qx2", (1, 1), 1)],
+)
+def test_refuters(name, pair, nil):
+    """The refuter scans, and the ring_check details that report them."""
+    ring = builtin_ring(name)
+    assert prime_refuter(ring) == pair
+    assert semiprime_refuter(ring) == nil
+    details = {line.check: line.detail for line in ring_check(ring).lines}
+    if pair is not None:
+        a, b = ring.label(pair[0]), ring.label(pair[1])
+        assert details["flag-prime"] == f"refuted by pair {a},{b}"
+    else:
+        assert details["flag-prime"] == "witness for every basis pair"
+    if nil is not None:
+        assert details["flag-semiprime"] == f"refuted by {ring.label(nil)}"
+    else:
+        assert details["flag-semiprime"] == ""
+
+
 # -- convolution --------------------------------------------------------------
 
 
 def test_unit_convolution_identity(qt):
     q = builtin_ring("q")
     u = unit_conv(qt, q)
-    assert u.value(ZERO_INDEX) == q.one
+    assert u.value(ZERO_INDEX) == q.unit_vector()
     assert u.value(mi(t=1)) == q.zero()
     assert convolve(u, u) == u
     f = ConvElement(qt, q, {mi(t=1): (F(3),), mi(t=2): (F(-1),)})
@@ -132,7 +156,7 @@ def test_u_star_multiplicative(heis):
 
 def test_leading_examples(qt, heis):
     q = builtin_ring("q")
-    assert leading(unit_conv(qt, q)) == LeadingTerm(ZERO_INDEX, q.one)
+    assert leading(unit_conv(qt, q)) == LeadingTerm(ZERO_INDEX, q.unit_vector())
     f = ConvElement(qt, q, {mi(t=1): (F(4),), mi(t=2): (F(9),)})
     assert leading(f) == LeadingTerm(mi(t=1), (F(4),))
     with pytest.raises(ZeroElement):
@@ -212,7 +236,7 @@ def test_prime_witness_domain_case(heis):
     s = random_conv_element(heis, q, rng, 2)
     t = random_conv_element(heis, q, rng, 2)
     w = prime_witness(s, t)
-    assert w.r == q.one
+    assert w.r == q.unit_vector()
     expected = q.mul(q.mul(leading(s).value, w.r), leading(t).value)
     assert w.proof.value == expected
 
