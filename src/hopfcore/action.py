@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .convolution import (
@@ -32,15 +31,17 @@ from .errors import (
 )
 from .linalg import (
     Q0,
+    Q1,
     QMatrix,
     Subspace,
     Vector,
     complement,
     is_zero_vec,
+    to_dense,
+    to_sparse,
     unit_vec,
-    zero_vec,
 )
-from .monoid import MultiIndex
+from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
 from .table import PolynomialAlgebra, TableAlgebra, monomial_label
@@ -311,9 +312,35 @@ def quotient_ring(ideal: IdealOracle) -> QuotientAlgebra:
 # actions
 
 
+SparseColumn = dict[int, Fraction]
+
+
+def apply_columns(
+    op: Sequence[SparseColumn], v: Mapping[int, Fraction]
+) -> SparseColumn:
+    """The image of the sparse vector v under the operator with sparse
+    columns op; cancellation may leave zero entries."""
+    out: SparseColumn = {}
+    for j, x in v.items():
+        _add_scaled(out, x, op[j])
+    return out
+
+
+def _add_scaled(acc: SparseColumn, c: Fraction, v: Mapping[int, Fraction]) -> None:
+    for k, x in v.items():
+        acc[k] = acc.get(k, Q0) + c * x
+
+
+def _nonzero(v: SparseColumn) -> SparseColumn:
+    return {k: c for k, c in v.items() if c}
+
+
 class ModuleAlgebraAction:
     """Operators for the generator lifts, extended to every basis monomial
-    as the increasing-order divided composition."""
+    as the increasing-order divided composition.
+
+    Each operator is held by its sparse columns: column j is the image of
+    the basis vector e_j as {index: coefficient}, without zeros."""
 
     def __init__(
         self,
@@ -334,27 +361,40 @@ class ModuleAlgebraAction:
         self.host = host
         self.algebra = algebra
         self.gen_ops = dict(gen_ops)
-        self._matrices: dict[MultiIndex, QMatrix] = {}
+        self._gen_columns = {
+            gid: [to_sparse(op.column(j)) for j in range(algebra.dim)]
+            for gid, op in gen_ops.items()
+        }
+        self._columns: dict[MultiIndex, list[SparseColumn]] = {
+            ZERO_INDEX: [{j: Q1} for j in range(algebra.dim)]
+        }
 
-    def act_matrix(self, m: MultiIndex) -> QMatrix:
-        cached = self._matrices.get(m)
+    def columns(self, m: MultiIndex) -> list[SparseColumn]:
+        """The sparse columns of the operator of e_m.  With g the first
+        generator of m and k its multiplicity, the operator of e_m is
+        (1/k) g composed with the operator of e_(m - g)."""
+        cached = self._columns.get(m)
         if cached is not None:
             return cached
-        out = QMatrix.identity(self.algebra.dim)
-        for gid, _ in self.host.gens.generators:
-            k = m.mult(gid)
-            if not k:
-                continue
-            block = self.gen_ops[gid]
-            power = block
-            for _ in range(k - 1):
-                power = power @ block
-            out = out @ power.scale(Fraction(1, factorial(k)))
-        self._matrices[m] = out
+        gid = next(g for g, _ in self.host.gens.generators if m.mult(g))
+        k = m.mult(gid)
+        rest = self.columns(MultiIndex.make({**dict(m.entries), gid: k - 1}))
+        op, scale = self._gen_columns[gid], Fraction(1, k)
+        out = [
+            {r: c * scale for r, c in apply_columns(op, col).items() if c}
+            for col in rest
+        ]
+        self._columns[m] = out
         return out
 
+    def act_matrix(self, m: MultiIndex) -> QMatrix:
+        """The operator of e_m as a dense matrix, built from its columns."""
+        dim = self.algebra.dim
+        return QMatrix.from_columns([to_dense(col, dim) for col in self.columns(m)])
+
     def act(self, m: MultiIndex, v: Vector) -> Vector:
-        return self.act_matrix(m).apply(v)
+        image = apply_columns(self.columns(m), to_sparse(v))
+        return to_dense(image, self.algebra.dim)
 
 
 def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
@@ -364,11 +404,12 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     rep = Report("module-algebra")
     host, alg = action.host, action.algebra
     data = host.data
+    gens = host.gens
 
     one = alg.unit_vector()
-    for gid, _ in host.gens.generators:
+    for gid, _ in gens.generators:
         eps = data.counit_of(host.lifts[gid])
-        image = action.gen_ops[gid].apply(one)
+        image = action.act(gens.delta(gid), one)
         expected = tuple(eps * c for c in one)
         rep.add(
             "unit-law",
@@ -377,28 +418,30 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             "" if image == expected else "operator does not kill 1",
         )
 
-    for gid, _ in host.gens.generators:
-        terms = host.expand_comult(host.gens.delta(gid))
+    for gid, _ in gens.generators:
+        act_g = action.columns(gens.delta(gid))
+        terms = [
+            (action.columns(i), action.columns(j), c)
+            for i, j, c in host.expand_comult(gens.delta(gid))
+        ]
         checked = skipped = bad = 0
         witness = ""
         for a in range(alg.dim):
-            ea = unit_vec(alg.dim, a)
             for b in range(alg.dim):
-                eb = unit_vec(alg.dim, b)
+                # a pair is skipped when e_a e_b, or a product of the
+                # supports of the images, lies past the truncation
                 try:
-                    prod = alg.mul(ea, eb)
-                    lhs = action.act(host.gens.delta(gid), prod)
-                    rhs = zero_vec(alg.dim)
-                    for i, j, c in terms:
-                        piece = alg.mul(action.act(i, ea), action.act(j, eb))
-                        rhs = tuple(
-                            x + c * y for x, y in zip(rhs, piece)
-                        )
+                    lhs: SparseColumn = {}
+                    for k, c in alg.product_terms(a, b):
+                        _add_scaled(lhs, c, act_g[k])
+                    rhs: SparseColumn = {}
+                    for left, right, c in terms:
+                        _add_scaled(rhs, c, alg.mul_sparse(left[a], right[b]))
                 except TruncationError:
                     skipped += 1
                     continue
                 checked += 1
-                if lhs != rhs:
+                if _nonzero(lhs) != _nonzero(rhs):
                     bad += 1
                     if not witness:
                         witness = f"{alg.basis_labels[a]},{alg.basis_labels[b]}"
@@ -410,22 +453,22 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             + (f", first failure at {witness}" if witness else ""),
         )
 
-    gens = host.gens
     for gid, dg in gens.generators:
         for hid, dh in gens.generators:
             if dg + dh > data.degree_bound:
                 continue
             prod = data.multiply(host.lifts[gid], host.lifts[hid])
             expansion = host.pbw_coords(prod)
-            expected = QMatrix.zeros(alg.dim, alg.dim)
-            for idx, c in expansion.items():
-                expected = expected.add(action.act_matrix(idx).scale(c))
-            actual = action.gen_ops[gid] @ action.gen_ops[hid]
-            rep.add(
-                "relation-compatibility",
-                f"{gid},{hid}",
-                PASS if actual == expected else FAIL,
-            )
+            op_g = action.columns(gens.delta(gid))
+            ok = True
+            for j, col_h in enumerate(action.columns(gens.delta(hid))):
+                expected: SparseColumn = {}
+                for idx, c in expansion.items():
+                    _add_scaled(expected, c, action.columns(idx)[j])
+                if _nonzero(apply_columns(op_g, col_h)) != _nonzero(expected):
+                    ok = False
+                    break
+            rep.add("relation-compatibility", f"{gid},{hid}", PASS if ok else FAIL)
     return rep
 
 
@@ -496,8 +539,10 @@ def hcore(
 
     for d in range(conv_cap + 1):
         for m in by_degree.get(d, []):
-            mat = action.act_matrix(m)
-            images = [ideal.quotient_coords(mat.column(c)) for c in cols]
+            columns = action.columns(m)
+            images = [
+                ideal.quotient_coords(to_dense(columns[c], alg.dim)) for c in cols
+            ]
             for pos in range(ideal.quotient_dim):
                 row = tuple(images[t][pos] for t in range(len(cols)))
                 if not is_zero_vec(row):

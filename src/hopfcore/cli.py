@@ -109,7 +109,16 @@ def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
 def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     kind = obj.get("kind")
     if kind == "polynomial":
-        return PolynomialAlgebra(obj["variables"], int(obj["bound"]))
+        variables, bound = obj["variables"], obj["bound"]
+        if not isinstance(variables, list) or not all(
+            isinstance(v, str) for v in variables
+        ):
+            raise InputFormatError('polynomial "variables" must be a list of strings')
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+            raise InputFormatError(
+                f'polynomial "bound" must be an integer >= 0, got {bound!r}'
+            )
+        return PolynomialAlgebra(variables, bound)
     if kind == "finite":
         labels = [str(s) for s in obj["basis"]]
         pos = {s: i for i, s in enumerate(labels)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InnerNotContained, InputFormatError
 
@@ -52,6 +52,18 @@ def zero_vec(n: int) -> Vector:
 
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(Q1 if j == i else Q0 for j in range(n))
+
+
+def to_sparse(v: Vector) -> dict[int, Fraction]:
+    """The nonzero coordinates of v as {index: coefficient}."""
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def to_dense(entries: Mapping[int, Fraction], n: int) -> Vector:
+    out = [Q0] * n
+    for i, a in entries.items():
+        out[i] = a
+    return tuple(out)
 
 
 def add_vec(u: Vector, v: Vector) -> Vector:
@@ -199,14 +211,6 @@ class QMatrix:
                     if y:
                         acc[c] += x * y
         return QMatrix(out, other.ncols)
-
-    def scale(self, c: Fraction) -> "QMatrix":
-        return QMatrix([scale_vec(r, c) for r in self.rows], self.ncols)
-
-    def add(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            [add_vec(a, b) for a, b in zip(self.rows, other.rows)], self.ncols
-        )
 
     def inverse(self) -> "QMatrix":
         n = self.nrows

@@ -146,6 +146,9 @@ class PBWStructure:
         self._comult_cache: dict[
             MultiIndex, list[tuple[MultiIndex, MultiIndex, Fraction]]
         ] = {}
+        self._transposed: Optional[
+            dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Fraction]]]
+        ] = None
 
     @classmethod
     def from_bialgebra(cls, data: FilteredBialgebraData) -> "PBWStructure":
@@ -297,6 +300,20 @@ class PBWStructure:
             out.append((left, right, c))
         self._comult_cache[m] = out
         return out
+
+    def transposed_comult(
+        self,
+    ) -> dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Fraction]]]:
+        """The structure constants of Delta read by tensor pair: (i, j) ->
+        [(n, c)] for every term c e_i (x) e_j of Delta(e_n), n in index
+        order.  Built once, from expand_comult over every index."""
+        if self._transposed is None:
+            table: dict = {}
+            for n in self.indices:
+                for i, j, c in self.expand_comult(n):
+                    table.setdefault((i, j), []).append((n, c))
+            self._transposed = table
+        return self._transposed
 
     def check_split_expansion(self, m: MultiIndex) -> Report:
         """Every expansion term is either a splitting of m with coefficient

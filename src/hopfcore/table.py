@@ -17,7 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
-from .linalg import Q0, Q1, Vector, is_zero_vec, rat, rat_str, unit_vec, zero_vec
+from .linalg import (
+    Q0, Q1, Vector, is_zero_vec, rat, rat_str, to_dense, to_sparse, unit_vec, zero_vec
+)
 
 SparseVec = tuple[tuple[int, Fraction], ...]
 Table = Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]]
@@ -173,21 +175,27 @@ class TableAlgebra:
                 f"truncation bound {self.degree_bound}"
             ) from None
 
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [Q0] * self.dim
+    def mul_sparse(
+        self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]
+    ) -> dict[int, Fraction]:
+        """The product of two sparse vectors {index: coefficient} without
+        zero coefficients; the result may hold zeros from cancellation.
+        Raises TruncationError when a pair of support elements has no
+        product within the truncation."""
+        out: dict[int, Fraction] = {}
         table = self._mult
-        right = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in right:
+        for i, a in u.items():
+            for j, b in v.items():
                 terms = table.get((i, j))
                 if terms is None:
                     terms = self.product_terms(i, j)  # raises TruncationError
                 ab = a * b
                 for k, c in terms:
-                    out[k] += ab * c
-        return tuple(out)
+                    out[k] = out.get(k, Q0) + ab * c
+        return out
+
+    def mul(self, u: Vector, v: Vector) -> Vector:
+        return to_dense(self.mul_sparse(to_sparse(u), to_sparse(v)), self.dim)
 
     def format(self, v: Vector) -> str:
         parts = [

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from hopfcore import build_ueg, build_xyw
+from hopfcore.coalgebra import instance_from_json
 from hopfcore.pbw import PBWStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -41,3 +42,18 @@ def fixtures_dir():
 def load_fixture(name):
     with open(FIXTURES / name, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+@pytest.fixture(scope="session")
+def host_at():
+    """The PBW structure of a fixture instance at a given degree bound,
+    built once per (instance, degree)."""
+    cache = {}
+
+    def get(name, degree):
+        if (name, degree) not in cache:
+            data = instance_from_json(load_fixture(f"instances/{name}.json"), degree)
+            cache[name, degree] = PBWStructure.from_bialgebra(data)
+        return cache[name, degree]
+
+    return get

@@ -15,6 +15,7 @@ from hopfcore.action import (
     conv_map,
     verify_module_algebra,
 )
+from hopfcore import cli
 from hopfcore.coalgebra import build_ueg
 from hopfcore.convolution import convolve, u_star
 from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
@@ -22,6 +23,7 @@ from hopfcore.linalg import QMatrix, Subspace, unit_vec, zero_vec
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
+from conftest import load_fixture
 
 
 def mi(**kw):
@@ -255,6 +257,88 @@ def test_module_algebra_fails_on_bad_unit(sl2, qxy):
     )
     rep = verify_module_algebra(act)
     assert any(l.check == "unit-law" and l.subject == "e" for l in rep.failures())
+
+
+def test_module_algebra_product_law_failure_lines(sl2, qxy, sl2_action):
+    # e = x*y*d^2/dy^2 kills 1 but is no derivation: e(y*y) = 2xy, e(y) = 0
+    bad_e = operator(
+        qxy,
+        lambda ab: [((ab[0] + 1, ab[1] - 1), F(ab[1] * (ab[1] - 1)))] if ab[1] >= 2 else [],
+    )
+    act = ModuleAlgebraAction(sl2, qxy, {**sl2_action.gen_ops, "e": bad_e})
+    lines = [
+        (l.check, l.subject, l.status, l.detail)
+        for l in verify_module_algebra(act).lines
+        if l.check in ("product-law", "relation-compatibility")
+    ]
+    law = "checked 495, skipped 1530"
+    assert lines == [
+        ("product-law", "e", "FAIL", law + ", first failure at y,y"),
+        ("product-law", "f", "PASS", law),
+        ("product-law", "h", "PASS", law),
+    ] + [
+        ("relation-compatibility", f"{g},{h}", "FAIL" if (g, h) == ("f", "e") else "PASS", "")
+        for g in "efh"
+        for h in "efh"
+    ]
+
+
+def test_module_algebra_skips_truncated_images(sl2, qxy, sl2_action):
+    # e = x^2 d/dy raises the degree: a pair is skipped when e_a e_b or a
+    # product of image supports lies past degree 8
+    raising_e = operator(
+        qxy,
+        lambda ab: [((ab[0] + 2, ab[1] - 1), F(ab[1]))] if ab[1] and sum(ab) < 8 else [],
+    )
+    act = ModuleAlgebraAction(sl2, qxy, {**sl2_action.gen_ops, "e": raising_e})
+    lines = {
+        (l.check, l.subject): (l.status, l.detail)
+        for l in verify_module_algebra(act).lines
+    }
+    assert lines["product-law", "e"] == ("PASS", "checked 355, skipped 1670")
+    assert lines["product-law", "f"] == ("PASS", "checked 495, skipped 1530")
+    failing = [key for key, (status, _) in lines.items() if status == "FAIL"]
+    assert failing == [("relation-compatibility", "f,e"), ("relation-compatibility", "h,e")]
+
+
+@pytest.mark.parametrize(
+    "action_name, host_name",
+    [("sl2_qxy_ix", "sl2"), ("dq_qx_ix", "dq"), ("xyw_qu", "xyw")],
+)
+def test_act_matches_dense_oracle(host_at, action_name, host_name):
+    """act_matrix and act against the product of dense generator powers,
+    each divided by k!, in generator order, for every index up to degree 6."""
+    sympy = pytest.importorskip("sympy")
+    host = host_at(host_name, 6)
+    spec = load_fixture(f"actions/{action_name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    ops = {
+        gid: cli._operator_matrix(algebra, op)
+        for gid, op in spec["generators"].items()
+    }
+    action = ModuleAlgebraAction(host, algebra, ops)
+
+    def dense(op):
+        return sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in op.rows]
+        )
+
+    n = algebra.dim
+    powers = {}
+    for gid, op in ops.items():
+        g = dense(op)
+        powers[gid, 0] = sympy.eye(n)
+        for k in range(1, 7):
+            powers[gid, k] = powers[gid, k - 1] * g / k
+    assert host.gens.degree(host.indices[-1]) == 6
+    for m in host.indices:
+        oracle = sympy.eye(n)
+        for gid, _ in host.gens.generators:
+            oracle = oracle * powers[gid, m.mult(gid)]
+        expected = [[F(int(x.p), int(x.q)) for x in row] for row in oracle.tolist()]
+        assert [list(row) for row in action.act_matrix(m).rows] == expected
+        for c in range(n):
+            assert list(action.act(m, unit_vec(n, c))) == [row[c] for row in expected]
 
 
 def test_act_divided_derivative(dq_action):

@@ -335,10 +335,19 @@ UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
         ("action", {"algebra": {"kind": "finite", "basis": ["1"], "one": "1",
                                 "mult": {"1": 5}},
                     "generators": {"d": [["0"]]}, "ideal": {"kind": "zero"}}),
+        ("action", {"algebra": {"kind": "polynomial", "variables": "x", "bound": 4},
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1", "derivatives": {"x": 1}}]}},
+                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}),
+        ("action", {"algebra": {"kind": "polynomial", "variables": ["x"], "bound": -1},
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1", "derivatives": {"x": 1}}]}},
+                    "ideal": {"kind": "zero"}}),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
-         "ring-table-row-not-object", "algebra-table-row-not-object"],
+         "ring-table-row-not-object", "algebra-table-row-not-object",
+         "polynomial-variables-string", "polynomial-negative-bound"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload):
     """Malformed input ends in exit 2 with a JSON report, never a traceback."""
@@ -362,6 +371,32 @@ def test_malformed_input_reports(tmp_path, kind, payload):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "input-error"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "algebra, field",
+    [
+        ({"kind": "polynomial", "variables": "x", "bound": 4}, '"variables"'),
+        ({"kind": "polynomial", "variables": ["x", 1], "bound": 4}, '"variables"'),
+        ({"kind": "polynomial", "variables": ["x"], "bound": -1}, '"bound"'),
+        ({"kind": "polynomial", "variables": ["x"], "bound": "4"}, '"bound"'),
+    ],
+    ids=["variables-string", "variables-not-strings", "bound-negative", "bound-string"],
+)
+def test_polynomial_algebra_errors_name_the_field(tmp_path, algebra, field):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({
+        "algebra": algebra,
+        "generators": {"d": {"kind": "operator", "terms": [
+            {"coeff": "1", "derivatives": {"x": 1}}]}},
+        "ideal": {"kind": "zero"},
+    }))
+    out = tmp_path / "report.json"
+    argv = ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)]
+    assert main([*argv, "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "input-error"
+    assert field in report["error"]
 
 
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):

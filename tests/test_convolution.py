@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hopfcore.action import MonomialIdeal, quotient_ring
 from hopfcore.convolution import (
     ConvElement,
     LeadingTerm,
@@ -29,6 +30,7 @@ from hopfcore.errors import (
     ZeroElement,
 )
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
+from hopfcore.table import PolynomialAlgebra
 
 
 def mi(**kw):
@@ -149,6 +151,66 @@ def test_u_star_multiplicative(heis):
         f = random_conv_element(heis, m2, rng, 2)
         g = random_conv_element(heis, m2, rng, 2)
         assert u_star(convolve(f, g)) == m2.mul(u_star(f), u_star(g))
+
+
+def _by_definition(f, g):
+    """(f * g)(e_n) = sum of c f(e_i) g(e_j) over the terms c e_i (x) e_j
+    of Delta(e_n), index by index."""
+    host, ring = f.host, f.ring
+    values = {}
+    for n in host.indices:
+        acc = ring.zero()
+        for i, j, c in host.expand_comult(n):
+            fi, gj = f.value(i), g.value(j)
+            if ring.is_zero(fi) or ring.is_zero(gj):
+                continue
+            acc = tuple(a + c * x for a, x in zip(acc, ring.mul(fi, gj)))
+        values[n] = acc
+    return ConvElement(host, ring, values)
+
+
+@pytest.mark.parametrize("host_name", ["sl2", "heis", "xyw"])
+def test_convolve_matches_definition(host_at, host_name):
+    host = host_at(host_name, 6)
+    rng = random.Random(f"convolve/{host_name}")
+    for ring_name in ("q", "m2q", "qxq", "qx2"):
+        ring = builtin_ring(ring_name)
+        for _ in range(8):
+            f = random_conv_element(host, ring, rng, 4, 4)
+            g = random_conv_element(host, ring, rng, 3, 4)
+            product = convolve(f, g)
+            assert product == _by_definition(f, g)
+            # values come out in host-index order
+            assert list(product._map) == [n for n in host.indices if n in product._map]
+
+
+def test_convolve_truncating_quotient_ring(host_at):
+    # Q[x] truncated at degree 2 modulo the zero ideal: the lifted
+    # products x * x^2, x^2 * x and x^2 * x^2 truncate
+    ring = quotient_ring(MonomialIdeal(PolynomialAlgebra(["x"], 2), []))
+    assert ring.basis_labels == ("1", "x", "x^2")
+    host = host_at("heis", 6)
+    rng = random.Random(7)
+
+    def below_x2(f):
+        return ConvElement(host, ring, {m: (v[0], v[1], F(0)) for m, v in f._map.items()})
+
+    raised = agreed = 0
+    for trial in range(30):
+        f = random_conv_element(host, ring, rng, 3)
+        g = random_conv_element(host, ring, rng, 3)
+        if trial % 2:
+            f, g = below_x2(f), below_x2(g)
+        try:
+            expected = _by_definition(f, g)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                convolve(f, g)
+            raised += 1
+        else:
+            assert convolve(f, g) == expected
+            agreed += 1
+    assert raised and agreed
 
 
 # -- leading terms -------------------------------------------------------------
