@@ -35,7 +35,7 @@ from .errors import (
 from .linalg import Q0, QMatrix, Subspace, rat, rat_str, unit_vec
 from .pbw import PBWStructure, extract_generators, lift_generators
 from .report import FAIL, INCONCLUSIVE, PASS, Report
-from .table import PolynomialAlgebra, TableAlgebra, parse_table
+from .table import PolynomialAlgebra, TableAlgebra, parse_table, string_list
 
 SCHEMA = 1
 
@@ -109,18 +109,15 @@ def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
 def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     kind = obj.get("kind")
     if kind == "polynomial":
-        variables, bound = obj["variables"], obj["bound"]
-        if not isinstance(variables, list) or not all(
-            isinstance(v, str) for v in variables
-        ):
-            raise InputFormatError('polynomial "variables" must be a list of strings')
+        variables = string_list(obj["variables"], 'polynomial "variables"')
+        bound = obj["bound"]
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise InputFormatError(
                 f'polynomial "bound" must be an integer >= 0, got {bound!r}'
             )
         return PolynomialAlgebra(variables, bound)
     if kind == "finite":
-        labels = [str(s) for s in obj["basis"]]
+        labels = string_list(obj["basis"], 'finite algebra "basis"')
         pos = {s: i for i, s in enumerate(labels)}
         one = obj["one"]
         if one not in pos:

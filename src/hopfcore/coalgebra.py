@@ -53,6 +53,7 @@ from .table import (
     graded_monomials,
     parse_table,
     sparse,
+    string_list,
 )
 
 TensorMap = dict[tuple[int, int], Fraction]
@@ -520,9 +521,15 @@ def _primitivity_defect_ok(
     every basis element of the shipped instances."""
     for (p, q), c in tmap.items():
         dp, dq = degrees[p], degrees[q]
-        if dp + dq > n or dp > n - 1 or dq > n - 1:
+        if _illegal_bidegree(dp, dq, n):
             return False, f"illegal entry at bidegree ({dp},{dq}) coeff {rat_str(c)}"
     return True, ""
+
+
+def _illegal_bidegree(dp: int, dq: int, n: int) -> bool:
+    """Whether a split tensor entry of bidegree (dp, dq) lies outside
+    sum_{i=1}^{n-1} C_i (x) C_{n-i}."""
+    return dp + dq > n or dp > n - 1 or dq > n - 1
 
 
 def check_primitivity_defects(
@@ -675,23 +682,26 @@ def verify_gr_facts(
 
 
 def _in_primitive_set(
-    gr: FilteredBialgebraData, v: Vector, n: int
-) -> tuple[bool, str]:
+    gr: FilteredBialgebraData, v: Mapping[int, Fraction], n: int
+) -> bool:
+    """Whether the sparse element v of level n passes
+    ``_primitivity_defect_ok``: its defect Delta(v) - v (x) 1 - 1 (x) v
+    is computed only on the entries that check rejects."""
     degrees = gr.degrees
     assert degrees is not None
-    if max((degrees[k] for k, c in enumerate(v) if c), default=0) > n:
-        return False, "element outside the level"
-    tmap = gr.comult_map(v)
-    for k, c in enumerate(v):
-        if not c:
-            continue
-        for key in ((0, k), (k, 0)):
-            val = tmap.get(key, Q0) - c
-            if val:
-                tmap[key] = val
-            else:
-                tmap.pop(key, None)
-    return _primitivity_defect_ok(degrees, {k: c for k, c in tmap.items() if c}, n)
+    v = {k: c for k, c in v.items() if c}
+    if max((degrees[k] for k in v), default=0) > n:
+        return False
+
+    defect: TensorMap = {}
+    for k, c in v.items():
+        for p, q, cc in gr.comult_terms(k):
+            if _illegal_bidegree(degrees[p], degrees[q], n):
+                defect[(p, q)] = defect.get((p, q), Q0) + c * cc
+        for p, q in ((0, k), (k, 0)):
+            if _illegal_bidegree(degrees[p], degrees[q], n):
+                defect[(p, q)] = defect.get((p, q), Q0) - c
+    return not any(defect.values())
 
 
 def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
@@ -702,34 +712,29 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
     assert degrees is not None
     bound = gr.degree_bound
 
-    def random_level_element(n: int) -> Vector:
-        coords = [Q0] * gr.dim
-        nonzero = False
+    def random_level_element(n: int) -> dict[int, Fraction]:
+        coords: dict[int, Fraction] = {}
         for k in range(gr.dim):
             if degrees[k] <= n:
                 c = rng.randint(-2, 2)
                 if c:
                     coords[k] = Fraction(c)
-                    nonzero = True
-        if not nonzero:
-            coords[0] = Q1
-        return tuple(coords)
+        return coords or {0: Q1}
 
     for trial in range(samples):
         n = rng.randint(1, bound)
         m = rng.randint(1, bound)
         b = random_level_element(n)
         c = random_level_element(m)
-        ok_b, _ = _in_primitive_set(gr, b, n)
-        ok_c, _ = _in_primitive_set(gr, c, m)
+        ok_b = _in_primitive_set(gr, b, n)
+        ok_c = _in_primitive_set(gr, c, m)
         checks = [("membership", ok_b and ok_c)]
         if n + m <= bound:
-            prod = gr.multiply(b, c)
-            ok_prod, _ = _in_primitive_set(gr, prod, n + m)
-            checks.append(("product", ok_prod))
-        total = tuple(x + y for x, y in zip(b, c))
-        ok_sum, _ = _in_primitive_set(gr, total, max(n, m))
-        checks.append(("sum", ok_sum))
+            checks.append(("product", _in_primitive_set(gr, gr.mul_sparse(b, c), n + m)))
+        total = dict(b)
+        for k, y in c.items():
+            total[k] = total.get(k, Q0) + y
+        checks.append(("sum", _in_primitive_set(gr, total, max(n, m))))
         bad = [name for name, ok in checks if not ok]
         rep.add(
             "level-closure",
@@ -1003,7 +1008,7 @@ def instance_to_json(data: FilteredBialgebraData) -> dict:
 
 def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraData:
     try:
-        labels = [str(s) for s in tables["basis"]]
+        labels = string_list(tables["basis"], 'raw "basis"')
         pos = {s: i for i, s in enumerate(labels)}
         unit = pos[tables["unit"]]
         mult = parse_table(tables["mult"], pos)
@@ -1063,9 +1068,7 @@ def instance_from_json(
         lie = obj.get("lie")
         if not isinstance(lie, Mapping) or "generators" not in lie:
             raise InputFormatError('ueg instances need a "lie" table with generators')
-        gens = lie["generators"]
-        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-            raise InputFormatError('ueg "generators" must be a list of strings')
+        gens = string_list(lie["generators"], 'ueg "generators"')
         return build_ueg(gens, lie.get("brackets", {}), bound)
     if kind == "xyw":
         return build_xyw(bound)

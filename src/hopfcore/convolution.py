@@ -31,7 +31,7 @@ from .linalg import Q0, Q1, Vector, add_vec, is_zero_vec, rat
 from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, PASS, Report
-from .table import TableAlgebra, parse_table
+from .table import TableAlgebra, parse_table, string_list
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def builtin_ring(name: str) -> TableAlgebra:
 
 def ring_from_tables(obj: Mapping) -> TableAlgebra:
     try:
-        labels = [str(s) for s in obj["basis"]]
+        labels = string_list(obj["basis"], 'ring "basis"')
         pos = {s: i for i, s in enumerate(labels)}
         table = parse_table(obj["mult"], pos)
         one = [Q0] * len(labels)

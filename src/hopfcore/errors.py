@@ -21,6 +21,11 @@ class InnerNotContained(HopfcoreError):
     """complement() called with inner not contained in outer."""
 
 
+class NoConstrainedComplement(HopfcoreError):
+    """complement() found a chosen vector violating the constraint and no
+    inner vector to correct it with."""
+
+
 class TruncationError(HopfcoreError):
     """A value of degree beyond the truncation bound would be required."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InnerNotContained, InputFormatError
+from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -68,16 +68,6 @@ def to_dense(entries: Mapping[int, Fraction], n: int) -> Vector:
 
 def add_vec(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(v: Vector, c: Fraction) -> Vector:
-    if c == 0:
-        return zero_vec(len(v))
-    return tuple(c * a for a in v)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -337,9 +327,9 @@ def complement(
     chosen vector w with constraint(w) != 0 is corrected by a multiple of the
     first inner basis vector on which the constraint does not vanish; the
     correction keeps W a complement and makes the constraint vanish on it.
-    If no such inner vector exists the violating vectors are kept as-is
-    (the constrained complement does not exist; callers relying on the
-    constraint should arrange an adjuster inside inner).
+    If some chosen vector violates the constraint and no such inner vector
+    exists, the constrained complement does not exist and
+    NoConstrainedComplement is raised.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -349,18 +339,17 @@ def complement(
         )
     inner_pivots = set(inner.pivots)
     rows = [r for r, p in zip(outer.basis, outer.pivots) if p not in inner_pivots]
-    if constraint is not None and rows:
-        adjuster = None
-        for r in inner.basis:
-            if dot(constraint, r):
-                adjuster = r
-                break
-        if adjuster is not None:
-            denom = dot(constraint, adjuster)
-            rows = [
-                sub_vec(r, scale_vec(adjuster, dot(constraint, r) / denom))
-                if dot(constraint, r)
-                else r
-                for r in rows
-            ]
+    if constraint is not None and any(dot(constraint, r) for r in rows):
+        adjuster = next((r for r in inner.basis if dot(constraint, r)), None)
+        if adjuster is None:
+            raise NoConstrainedComplement(
+                f"no complement of inner (dim {inner.dim}) in outer "
+                f"(dim {outer.dim}) lies in the kernel of the constraint"
+            )
+        denom = dot(constraint, adjuster)
+        corrected = []
+        for r in rows:
+            f = dot(constraint, r) / denom
+            corrected.append(tuple(a - f * b for a, b in zip(r, adjuster)) if f else r)
+        rows = corrected
     return Subspace.from_vectors(rows, outer.ambient_dim)

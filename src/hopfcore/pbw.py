@@ -32,11 +32,11 @@ from .linalg import (
     Subspace,
     Vector,
     complement,
+    is_zero_vec,
     rat_str,
-    scale_vec,
-    sub_vec,
+    to_dense,
+    to_sparse,
     unit_vec,
-    zero_vec,
 )
 from .monoid import GeneratorSet, MultiIndex
 from .report import FAIL, PASS, Report
@@ -140,7 +140,8 @@ class PBWStructure:
         self.lifts = lifts
         self.indices: list[MultiIndex] = gens.enumerate_up_to(data.degree_bound)
         self.index_pos = {m: t for t, m in enumerate(self.indices)}
-        self._monomials: dict[MultiIndex, Vector] = {}
+        self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
+        self._monomials: dict[MultiIndex, dict[int, Fraction]] = {}
         self.basis_change: dict[int, QMatrix] = {}
         self._raw_to_pbw: Optional[list[dict[int, Fraction]]] = None
         self._comult_cache: dict[
@@ -161,9 +162,10 @@ class PBWStructure:
 
     # -- monomials -----------------------------------------------------------
 
-    def pbw_monomial(self, m: MultiIndex) -> Vector:
-        """e_m, computed left to right in increasing generator order with the
-        divided scaling 1/m(g)! applied per generator block."""
+    def sparse_monomial(self, m: MultiIndex) -> dict[int, Fraction]:
+        """e_m as its nonzero raw coordinates, computed left to right in
+        increasing generator order with the divided scaling 1/m(g)! applied
+        per generator block; cached."""
         cached = self._monomials.get(m)
         if cached is not None:
             return cached
@@ -171,17 +173,22 @@ class PBWStructure:
             raise TruncationError(
                 f"monomial of degree {self.gens.degree(m)} exceeds the bound"
             )
-        v = self.data.unit_vector()
+        v = to_sparse(self.data.unit_vector())
         for gid, _ in self.gens.generators:
             k = m.mult(gid)
             if not k:
                 continue
-            lift = self.lifts[gid]
+            lift = self._sparse_lifts[gid]
             for _ in range(k):
-                v = self.data.multiply(v, lift)
-            v = scale_vec(v, Fraction(1, factorial(k)))
+                v = _nonzero(self.data.mul_sparse(v, lift))
+            scale = Fraction(1, factorial(k))
+            v = {i: a * scale for i, a in v.items()}
         self._monomials[m] = v
         return v
+
+    def pbw_monomial(self, m: MultiIndex) -> Vector:
+        """e_m as a dense vector: a view of ``sparse_monomial``."""
+        return to_dense(self.sparse_monomial(m), self.data.dim)
 
     # -- basis change ----------------------------------------------------------
 
@@ -256,10 +263,14 @@ class PBWStructure:
         for gid in set(n.support) | set(m.support):
             a, b = n.mult(gid), m.mult(gid)
             c *= Fraction(factorial(a + b), factorial(a) * factorial(b))
-        prod = self.data.multiply(self.pbw_monomial(n), self.pbw_monomial(m))
-        defect = sub_vec(prod, scale_vec(self.pbw_monomial(total), c))
+        prod = self.data.mul_sparse(
+            self.sparse_monomial(n), self.sparse_monomial(m)
+        )
+        for k, a in self.sparse_monomial(total).items():
+            prod[k] = prod.get(k, Q0) - c * a
+        defect = to_dense(prod, self.data.dim)
         if deg == 0:
-            ok = defect == zero_vec(self.data.dim)
+            ok = is_zero_vec(defect)
         else:
             ok = self.filt.layers[deg - 1].contains(defect)
         if not ok:
@@ -358,45 +369,35 @@ class PBWStructure:
 
     # -- closure of spans -------------------------------------------------------
 
-    def span_up_to(self, m: MultiIndex) -> list[MultiIndex]:
-        """All indices <= m in the well-order."""
-        return [i for i in self.indices if self.gens.le(i, m)]
-
     def check_span_closure(self, rng, samples: int) -> Report:
         """Sampled check that products of elements supported below n and m
         expand with support below n + m."""
         rep = Report("span-closure")
-        small = [
-            m
-            for m in self.indices
-            if 2 * self.gens.degree(m) <= self.data.degree_bound
-        ]
+        bound = self.data.degree_bound
+        # indices ascend in the well-order, which compares degrees first, so
+        # "every index <= m" and "every index of degree <= d" are prefixes
+        small = self.indices[: self.gens.count_up_to(bound // 2)]
+
+        def sample_elem(top: MultiIndex) -> dict[int, Fraction]:
+            v: dict[int, Fraction] = {}
+            for i in self.indices[: self.index_pos[top] + 1]:
+                c = rng.randint(-2, 2)
+                if c:
+                    for k, a in self.sparse_monomial(i).items():
+                        v[k] = v.get(k, Q0) + c * a
+            return _nonzero(v)
+
         for trial in range(samples):
             n = small[rng.randrange(len(small))]
-            choices = [
-                m
-                for m in self.indices
-                if self.gens.degree(m) + self.gens.degree(n)
-                <= self.data.degree_bound
+            choices = self.indices[
+                : self.gens.count_up_to(bound - self.gens.degree(n))
             ]
             m = choices[rng.randrange(len(choices))]
-            total = self.gens.add(n, m)
-
-            def sample_elem(top: MultiIndex) -> Vector:
-                v = zero_vec(self.data.dim)
-                for i in self.span_up_to(top):
-                    c = rng.randint(-2, 2)
-                    if c:
-                        v = tuple(
-                            x + Fraction(c) * y
-                            for x, y in zip(v, self.pbw_monomial(i))
-                        )
-                return v
-
+            top = self.index_pos[self.gens.add(n, m)]
             u, w = sample_elem(n), sample_elem(m)
-            prod = self.data.multiply(u, w)
-            support = self.pbw_coords(prod)
-            bad = [i for i in support if not self.gens.le(i, total)]
+            prod = self.data.mul_sparse(u, w)
+            support = self.pbw_coords(to_dense(prod, self.data.dim))
+            bad = [i for i in support if self.index_pos[i] > top]
             rep.add(
                 "span-closure",
                 f"trial {trial} (n={n}, m={m})",
@@ -404,3 +405,7 @@ class PBWStructure:
                 f"escaped at {bad[0]}" if bad else "",
             )
         return rep
+
+
+def _nonzero(v: dict[int, Fraction]) -> dict[int, Fraction]:
+    return {k: a for k, a in v.items() if a}

@@ -33,6 +33,15 @@ def sparse(entries: Iterable[tuple[int, Fraction]]) -> SparseVec:
     return tuple((k, c) for k, c in sorted(merged.items()) if c)
 
 
+def string_list(value, field: str) -> list[str]:
+    """A JSON list of strings (basis labels, variable or generator names).
+    Anything else, a bare string included, raises InputFormatError naming
+    the field."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputFormatError(f"{field} must be a list of strings")
+    return value
+
+
 def parse_table(nested: Mapping, pos: Mapping[str, int]) -> dict:
     """A JSON product table {a: {b: {k: "c"}}} as (i, j) -> [(k, c)].
     Unknown labels raise KeyError and a level that is not an object

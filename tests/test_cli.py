@@ -8,7 +8,7 @@ import pytest
 from hopfcore import convolution
 from hopfcore.cli import main
 from hopfcore.errors import ProbeAnomaly
-from conftest import FIXTURES, ROOT
+from conftest import FIXTURES, ROOT, load_fixture
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -313,6 +313,7 @@ def test_reports_are_deterministic(tmp_path, argv):
 
 
 UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
+DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "1"}}}
 
 
 @pytest.mark.parametrize(
@@ -343,11 +344,25 @@ UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
                     "generators": {"d": {"kind": "operator", "terms": [
                         {"coeff": "1", "derivatives": {"x": 1}}]}},
                     "ideal": {"kind": "zero"}}),
+        ("action", {"algebra": {"kind": "finite", "basis": "1t", "one": "1",
+                                "mult": DUAL_NUMBERS_MULT},
+                    "generators": {"d": [["0", "0"], ["0", "0"]]},
+                    "ideal": {"kind": "zero"}}),
+        ("ring", {"name": "bad", "basis": "1t", "one": {"1": "1"},
+                  "mult": DUAL_NUMBERS_MULT,
+                  "flags": {"prime": False, "semiprime": False, "domain": False}}),
+        ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
+            "basis": "1s", "unit": "1",
+            "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
+            "comult": {"1": [["1", "1", "1"]],
+                       "s": [["s", "1", "1"], ["1", "s", "1"], ["1", "1", "-1"]]},
+            "counit": {"1": "1", "s": "1"}}}),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
          "ring-table-row-not-object", "algebra-table-row-not-object",
-         "polynomial-variables-string", "polynomial-negative-bound"],
+         "polynomial-variables-string", "polynomial-negative-bound",
+         "finite-basis-string", "ring-basis-string", "raw-basis-string"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload):
     """Malformed input ends in exit 2 with a JSON report, never a traceback."""
@@ -397,6 +412,25 @@ def test_polynomial_algebra_errors_name_the_field(tmp_path, algebra, field):
     report = json.loads(out.read_text())
     assert report["status"] == "input-error"
     assert field in report["error"]
+
+
+def test_splitting_without_counit_adjuster_fails_the_pipeline(tmp_path):
+    """With eps(1) = 0 no complement of C_0 in C_1 lies in the kernel of the
+    counit; verify reports that as a pipeline FAIL line instead of going on
+    with a splitting that ignores the counit."""
+    instance = load_fixture("instances/shifted_line.json")
+    instance["tables"]["counit"] = {"s": "1"}
+    path = tmp_path / "eps0.json"
+    path.write_text(json.dumps(instance))
+    code, rep = run(tmp_path, "verify", "--instance", str(path), "--trials", "3")
+    assert code == 1
+    assert rep["checks"][-1] == {
+        "check": "pipeline",
+        "detail": "no complement of inner (dim 1) in outer (dim 2) lies in the "
+                  "kernel of the constraint",
+        "status": "FAIL",
+        "subject": "construction",
+    }
 
 
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcore.errors import InnerNotContained
+from hopfcore.errors import InnerNotContained, NoConstrainedComplement
 from hopfcore.linalg import (
     QMatrix,
     Subspace,
@@ -131,15 +131,22 @@ def test_complement_with_constraint_adjusts():
     assert solutions == {w.basis}
 
 
-def test_complement_constraint_fallback():
-    # no inner vector can absorb the violation: the unconstrained complement
-    # is returned even though the functional does not vanish on it
+def test_complement_constraint_without_adjuster_raises():
+    # no inner vector can absorb the violation, so no complement satisfies
+    # the constraint: an error, not the unconstrained complement
     inner = Subspace.zero(2)
     outer = Subspace.from_vectors([[1, 1]], 2)
     constraint = vec([1, 1])
-    w = complement(inner, outer, constraint)
-    assert w == outer
-    assert dot(constraint, w.basis[0]) != 0
+    with pytest.raises(NoConstrainedComplement):
+        complement(inner, outer, constraint)
+    # inner nonzero but annihilated by the constraint: still no adjuster
+    inner = Subspace.from_vectors([[1, -1, 0]], 3)
+    outer = Subspace.from_vectors([[1, -1, 0], [0, 1, 0]], 3)
+    with pytest.raises(NoConstrainedComplement):
+        complement(inner, outer, vec([1, 1, 0]))
+    # a constraint that already vanishes on the complement needs no adjuster
+    w = complement(inner, outer, vec([0, 0, 1]))
+    assert inner.sum(w) == outer
 
 
 @settings(max_examples=60)
