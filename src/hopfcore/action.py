@@ -387,11 +387,6 @@ class ModuleAlgebraAction:
         self._columns[m] = out
         return out
 
-    def act_matrix(self, m: MultiIndex) -> QMatrix:
-        """The operator of e_m as a dense matrix, built from its columns."""
-        dim = self.algebra.dim
-        return QMatrix.from_columns([to_dense(col, dim) for col in self.columns(m)])
-
     def act(self, m: MultiIndex, v: Vector) -> Vector:
         image = apply_columns(self.columns(m), to_sparse(v))
         return to_dense(image, self.algebra.dim)

@@ -28,12 +28,11 @@ from .errors import (
     HopfcoreError,
     InputFormatError,
     NoWitnessFound,
-    NotExhaustive,
     ExpansionViolation,
     TruncationError,
 )
 from .linalg import Q0, QMatrix, Subspace, rat, rat_str, unit_vec
-from .pbw import PBWStructure, extract_generators, lift_generators
+from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .table import PolynomialAlgebra, TableAlgebra, parse_table, string_list
 
@@ -178,17 +177,51 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _status_and_code(report: Report) -> tuple[str, int]:
+EXIT_CODES = {"ok": 0, "fail": 1, "input-error": 2, "inconclusive": 3}
+
+
+def _status(report: Report) -> str:
     counts = report.counts
     if counts[FAIL]:
-        return "fail", 1
+        return "fail"
     if counts[INCONCLUSIVE]:
-        return "inconclusive", 3
-    return "ok", 0
+        return "inconclusive"
+    return "ok"
 
 
-def _config(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
+def _error_status(exc: Exception) -> str:
+    return "input-error" if isinstance(exc, InputFormatError) else "fail"
+
+
+def _finish(
+    args, keys, report: Report, error: Optional[Exception] = None, **extra
+) -> int:
+    """Write a command's report: its configuration (the argument values
+    named by keys), its check lines and their status, the error that
+    stopped it if any, and the command's own blocks in extra."""
+    status = _status(report) if error is None else _error_status(error)
+    if error is not None:
+        extra["error"] = str(error)
+    payload = {
+        "command": args.command,
+        "schema": SCHEMA,
+        "config": {key: getattr(args, key) for key in keys},
+        "checks": [line.as_json() for line in report.lines],
+        "summary": report.counts,
+        "status": status,
+        **extra,
+    }
+    _emit(payload, args.out)
+    return EXIT_CODES[status]
+
+
+def _error(args, exc: Exception, status: str = "input-error") -> int:
+    """Write the bare report of a command stopped before its checks."""
+    _emit(
+        {"command": args.command, "schema": SCHEMA, "error": str(exc), "status": status},
+        args.out,
+    )
+    return EXIT_CODES[status]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +229,12 @@ def _config(args, keys) -> dict:
 
 
 def cmd_build(args) -> int:
+    """Load, check the axioms, then run the construction pipeline with a
+    recorder: the report's stages are the pipeline's record and its checks
+    the reports those stages returned."""
     report = Report("build")
     stages: list[dict] = []
-    info: dict = {}
+    done: dict = {}
 
     def stage(name: str, fn):
         try:
@@ -207,91 +243,40 @@ def cmd_build(args) -> int:
             stages.append({"stage": name, "status": "fail", "detail": str(exc)})
             raise
         stages.append({"stage": name, "status": "ok", "detail": ""})
+        if isinstance(result, Report):
+            report.extend(result)
+        done[name] = result
         return result
 
+    error = None
     try:
         data = stage("load", lambda: load_instance(args.instance, args.degree))
-        info["dim"] = data.dim
-        info["degree_bound"] = data.degree_bound
-
-        axioms = stage("verify_axioms", lambda: coalgebra.verify_axioms(data))
-        report.extend(axioms)
-        if not axioms.passed:
+        if not stage("verify_axioms", lambda: coalgebra.verify_axioms(data)).passed:
             raise InputFormatError("bialgebra axioms fail; see checks")
-
-        filt_or_err = stage(
-            "coradical_filtration", lambda: _tolerant_filtration(data)
-        )
-
-        def connected():
-            filt, err = filt_or_err
-            if err is not None:
-                raise err
-            return filt
-
-        filt = stage("check_connected", connected)
-        info["layer_dims"] = list(filt.dims)
-        info["connected"] = True
-
-        split = stage("graded_splitting", lambda: coalgebra.graded_splitting(filt, data))
-        dims: dict[int, int] = {}
-        for d in split.degrees:
-            dims[d] = dims.get(d, 0) + 1
-        info["splitting_dims"] = [dims.get(d, 0) for d in range(data.degree_bound + 1)]
-
-        gr = stage("gr_structure", lambda: coalgebra.gr_structure(split))
-        report.extend(
-            stage("verify_gr_facts", lambda: coalgebra.verify_gr_facts(gr, data, filt, split))
-        )
-
-        gens, gr_gens = stage("extract_generators", lambda: extract_generators(gr))
-        lifts = stage("lift_generators", lambda: lift_generators(split, gens, gr_gens))
-        pbw = PBWStructure(data, filt, split, gr, gens, gr_gens, lifts)
-        info["generators"] = pbw.gens.to_json()
-        info["index_counts"] = [
-            pbw.gens.count_exact(d) for d in range(data.degree_bound + 1)
-        ]
-
-        report.extend(stage("verify_basis", pbw.verify_all_bases))
-        info["basis_dims"] = [
-            pbw.basis_change[n].nrows for n in range(data.degree_bound + 1)
-        ]
+        PBWStructure.from_bialgebra(data, stage)
     except HopfcoreError as exc:
-        is_input = isinstance(exc, InputFormatError)
-        payload = {
-            "command": "build",
-            "schema": SCHEMA,
-            "config": _config(args, ("instance", "degree", "seed")),
-            "stages": stages,
-            "instance": info,
-            "checks": [line.as_json() for line in report.lines],
-            "summary": report.counts,
-            "status": "input-error" if is_input else "fail",
-            "error": str(exc),
-        }
-        _emit(payload, args.out)
-        return 2 if is_input else 1
+        error = exc
 
-    status, code = _status_and_code(report)
-    payload = {
-        "command": "build",
-        "schema": SCHEMA,
-        "config": _config(args, ("instance", "degree", "seed")),
-        "stages": stages,
-        "instance": info,
-        "checks": [line.as_json() for line in report.lines],
-        "summary": report.counts,
-        "status": status,
-    }
-    _emit(payload, args.out)
-    return code
-
-
-def _tolerant_filtration(data):
-    try:
-        return coalgebra.coradical_filtration(data), None
-    except NotExhaustive as exc:
-        return None, exc
+    info: dict = {}
+    if "load" in done:
+        bound = done["load"].degree_bound
+        info["dim"] = done["load"].dim
+        info["degree_bound"] = bound
+    if "check_connected" in done:
+        info["layer_dims"] = list(done["check_connected"].dims)
+        info["connected"] = True
+    if "graded_splitting" in done:
+        degrees = done["graded_splitting"].degrees
+        info["splitting_dims"] = [degrees.count(d) for d in range(bound + 1)]
+    if "lift_generators" in done:
+        gens, _ = done["extract_generators"]
+        info["generators"] = gens.to_json()
+        info["index_counts"] = [gens.count_exact(d) for d in range(bound + 1)]
+    if "verify_basis" in done:
+        # verify_basis raises unless every layer has a basis of monomials
+        info["basis_dims"] = info["layer_dims"]
+    keys = ("instance", "degree", "seed")
+    return _finish(args, keys, report, error, stages=stages, instance=info)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +288,7 @@ def cmd_verify(args) -> int:
     try:
         data = load_instance(args.instance, args.degree)
     except InputFormatError as exc:
-        _emit({"command": "verify", "schema": SCHEMA, "error": str(exc), "status": "input-error"}, args.out)
-        return 2
+        return _error(args, exc)
 
     report.extend(coalgebra.verify_axioms(data))
 
@@ -348,17 +332,7 @@ def cmd_verify(args) -> int:
         report.extend(pbw.check_span_closure(rng, args.trials))
         report.extend(coalgebra.check_level_closure(pbw.gr, rng, args.trials))
 
-    status, code = _status_and_code(report)
-    payload = {
-        "command": "verify",
-        "schema": SCHEMA,
-        "config": _config(args, ("instance", "degree", "seed", "trials")),
-        "checks": [line.as_json() for line in report.lines],
-        "summary": report.counts,
-        "status": status,
-    }
-    _emit(payload, args.out)
-    return code
+    return _finish(args, ("instance", "degree", "seed", "trials"), report)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +352,7 @@ def cmd_conv(args) -> int:
         ring = _resolve_ring(args.ring)
         pbw = PBWStructure.from_bialgebra(data)
     except HopfcoreError as exc:
-        _emit({"command": "conv", "schema": SCHEMA, "error": str(exc), "status": "input-error"}, args.out)
-        return 2
+        return _error(args, exc)
 
     report.extend(convolution.ring_check(ring))
     rng = random.Random(args.seed)
@@ -480,27 +453,13 @@ def cmd_conv(args) -> int:
                 f"pullback of {ring.label(nil)} squares to zero",
             )
 
-    status, code = _status_and_code(report)
-    payload = {
-        "command": "conv",
-        "schema": SCHEMA,
-        "config": _config(
-            args, ("instance", "degree", "ring", "seed", "trials", "support_cap")
-        ),
-        "ring": {
-            "name": ring.name,
-            "flags": {
-                "prime": ring.flags.is_prime,
-                "semiprime": ring.flags.is_semiprime,
-                "domain": ring.flags.is_domain,
-            },
-        },
-        "checks": [line.as_json() for line in report.lines],
-        "summary": report.counts,
-        "status": status,
+    flags = {
+        "prime": ring.flags.is_prime,
+        "semiprime": ring.flags.is_semiprime,
+        "domain": ring.flags.is_domain,
     }
-    _emit(payload, args.out)
-    return code
+    keys = ("instance", "degree", "ring", "seed", "trials", "support_cap")
+    return _finish(args, keys, report, ring={"name": ring.name, "flags": flags})
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +478,14 @@ def cmd_hcore(args) -> int:
             for gid, op in spec.get("generators", {}).items()
         }
         act = action_mod.ModuleAlgebraAction(pbw, algebra, gen_ops)
-        ideal_spec = _load_json(args.ideal)["ideal"] if args.ideal else spec["ideal"]
-        ideal = _ideal_from_json(algebra, ideal_spec)
-        properties = list(
-            (_load_json(args.ideal) if args.ideal else spec).get(
-                "ideal_properties", []
-            )
+        source = _load_json(args.ideal) if args.ideal else spec
+        ideal = _ideal_from_json(algebra, source["ideal"])
+        properties = string_list(
+            source.get("ideal_properties", []), '"ideal_properties"'
         )
         core_cap = int(spec.get("core_degree_cap", data.degree_bound))
     except (HopfcoreError, KeyError, TypeError, ValueError) as exc:
-        _emit({"command": "hcore", "schema": SCHEMA, "error": str(exc), "status": "input-error"}, args.out)
-        return 2
+        return _error(args, exc)
 
     report.extend(action_mod.verify_module_algebra(act))
 
@@ -565,21 +521,8 @@ def cmd_hcore(args) -> int:
             )
         )
 
-    status, code = _status_and_code(report)
-    payload = {
-        "command": "hcore",
-        "schema": SCHEMA,
-        "config": _config(
-            args,
-            ("instance", "degree", "action", "ideal", "seed", "probe_bound"),
-        ),
-        "core": core_info,
-        "checks": [line.as_json() for line in report.lines],
-        "summary": report.counts,
-        "status": status,
-    }
-    _emit(payload, args.out)
-    return code
+    keys = ("instance", "degree", "action", "ideal", "seed", "probe_bound")
+    return _finish(args, keys, report, core=core_info)
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +578,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except HopfcoreError as exc:
-        is_input = isinstance(exc, InputFormatError)
-        _emit(
-            {
-                "command": args.command,
-                "schema": SCHEMA,
-                "error": str(exc),
-                "status": "input-error" if is_input else "fail",
-            },
-            args.out,
-        )
-        return 2 if is_input else 1
+        return _error(args, exc, _error_status(exc))
 
 
 def entry() -> None:

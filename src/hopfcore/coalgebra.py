@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Optional, Sequence
@@ -304,8 +305,9 @@ def _filtration_step(
 
 
 def coradical_filtration(data: FilteredBialgebraData) -> CoradicalFiltration:
-    """Ascending filtration from C_0 = span{1}; raises NotExhaustive if it
-    stalls below the full truncated space."""
+    """Ascending filtration from C_0 = span{1}, up to the bound or to the
+    layer where it stalls below the full truncated space; the
+    connectedness step ``require_connected`` tells the two apart."""
     dim = data.dim
     base = Subspace.from_vectors([data.unit_vector()], dim)
     layers = [base]
@@ -316,25 +318,32 @@ def coradical_filtration(data: FilteredBialgebraData) -> CoradicalFiltration:
             continue
         nxt = _filtration_step(data, prev, base)
         if nxt.dim == prev.dim:
-            raise NotExhaustive(
-                f"filtration stalls at dimension {prev.dim} of {dim} "
-                f"(layer dims so far: {[s.dim for s in layers]})"
-            )
+            break
         layers.append(nxt)
-    if layers[-1].dim != dim:
-        raise NotExhaustive(
-            f"filtration reaches dimension {layers[-1].dim} of {dim} at the bound"
-        )
     return CoradicalFiltration(tuple(layers))
+
+
+def require_connected(
+    filt: CoradicalFiltration, degree_bound: int
+) -> CoradicalFiltration:
+    """The filtration itself if it exhausts the truncated space; raises
+    NotExhaustive, saying where it stopped, otherwise."""
+    if filt.exhaustive:
+        return filt
+    top = filt.layers[-1]
+    if len(filt.layers) <= degree_bound:
+        raise NotExhaustive(
+            f"filtration stalls at dimension {top.dim} of {top.ambient_dim} "
+            f"(layer dims so far: {list(filt.dims)})"
+        )
+    raise NotExhaustive(
+        f"filtration reaches dimension {top.dim} of {top.ambient_dim} at the bound"
+    )
 
 
 def check_connected(data: FilteredBialgebraData) -> bool:
     """True iff the filtration from span{1} exhausts the truncated space."""
-    try:
-        coradical_filtration(data)
-    except NotExhaustive:
-        return False
-    return True
+    return coradical_filtration(data).exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +353,8 @@ def check_connected(data: FilteredBialgebraData) -> bool:
 @dataclass(frozen=True)
 class GradedSplitting:
     """Homogeneous components H(n) with C_n = H(0) + ... + H(n), the basis
-    change onto the splitting basis, and the degree-preserving part of the
-    comultiplication."""
+    change onto the splitting basis, and the comultiplication of every
+    splitting vector in split coordinates."""
 
     data: FilteredBialgebraData
     components: tuple[Subspace, ...]
@@ -353,11 +362,26 @@ class GradedSplitting:
     degrees: tuple[int, ...]
     labels: tuple[str, ...]
     to_split_units: tuple[dict[int, Fraction], ...]
-    delta: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+    comult: tuple[TensorMap, ...]
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def delta(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+        """The degree-preserving part of ``comult``."""
+        degrees = self.degrees
+        return tuple(
+            tuple(
+                sorted(
+                    (p, q, c)
+                    for (p, q), c in tmap.items()
+                    if degrees[p] + degrees[q] == degrees[k]
+                )
+            )
+            for k, tmap in enumerate(self.comult)
+        )
 
     def to_split(self, v: Vector) -> Vector:
         out = [Q0] * self.dim
@@ -380,17 +404,23 @@ class GradedSplitting:
         return tuple(out)
 
     def split_tensor(self, tmap: TensorMap) -> TensorMap:
-        out: TensorMap = {}
-        for (a, b), c in tmap.items():
-            for p, cp in self.to_split_units[a].items():
-                ccp = c * cp
-                for q, cq in self.to_split_units[b].items():
-                    key = (p, q)
-                    out[key] = out.get(key, Q0) + ccp * cq
-        return {key: c for key, c in out.items() if c}
+        return _split_tensor(self.to_split_units, tmap)
 
     def max_degree(self, coords: Vector) -> int:
         return max((self.degrees[k] for k, c in enumerate(coords) if c), default=0)
+
+
+def _split_tensor(
+    units: Sequence[Mapping[int, Fraction]], tmap: TensorMap
+) -> TensorMap:
+    out: TensorMap = {}
+    for (a, b), c in tmap.items():
+        for p, cp in units[a].items():
+            ccp = c * cp
+            for q, cq in units[b].items():
+                key = (p, q)
+                out[key] = out.get(key, Q0) + ccp * cq
+    return {key: c for key, c in out.items() if c}
 
 
 def graded_splitting(
@@ -422,36 +452,14 @@ def graded_splitting(
         {k: inv.rows[k][j] for k in range(len(vectors)) if inv.rows[k][j]}
         for j in range(data.dim)
     )
-
-    split = GradedSplitting(
+    return GradedSplitting(
         data=data,
         components=tuple(comps),
         vectors=tuple(vectors),
         degrees=tuple(degrees),
         labels=tuple(labels),
         to_split_units=units,
-        delta=(),
-    )
-    delta_rows = []
-    for k, vector in enumerate(vectors):
-        n = degrees[k]
-        tmap = split.split_tensor(data.comult_map(vector))
-        kept = tuple(
-            sorted(
-                (p, q, c)
-                for (p, q), c in tmap.items()
-                if degrees[p] + degrees[q] == n
-            )
-        )
-        delta_rows.append(kept)
-    return GradedSplitting(
-        data=data,
-        components=split.components,
-        vectors=split.vectors,
-        degrees=split.degrees,
-        labels=split.labels,
-        to_split_units=split.to_split_units,
-        delta=tuple(delta_rows),
+        comult=tuple(_split_tensor(units, data.comult_map(v)) for v in vectors),
     )
 
 
@@ -563,9 +571,8 @@ def check_delta_consistency(split: GradedSplitting) -> Report:
     """The comultiplication agrees with its degree-preserving part modulo
     components of strictly smaller total degree."""
     rep = Report("delta-consistency")
-    for k, vector in enumerate(split.vectors):
-        n = split.degrees[k]
-        tmap = split.split_tensor(split.data.comult_map(vector))
+    for k, n in enumerate(split.degrees):
+        tmap = dict(split.comult[k])
         for p, q, c in split.delta[k]:
             val = tmap.get((p, q), Q0) - c
             if val:
@@ -595,7 +602,7 @@ def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
         rep.add("coradically-graded", "-", FAIL, "missing degree labels")
         return rep
     try:
-        filt = coradical_filtration(gr)
+        filt = require_connected(coradical_filtration(gr), gr.degree_bound)
     except NotExhaustive as exc:
         rep.add("coradically-graded", "-", FAIL, str(exc))
         return rep
@@ -1014,6 +1021,13 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         mult = parse_table(tables["mult"], pos)
         comult = [[] for _ in labels]
         for a, terms in tables["comult"].items():
+            # a string term would unpack character by character
+            for term in terms:
+                if not isinstance(term, list):
+                    raise InputFormatError(
+                        f"comultiplication term of {a!r} must be a list "
+                        f"[left, right, coeff], got {term!r}"
+                    )
             comult[pos[a]] = [(pos[j], pos[k], rat(c)) for j, k, c in terms]
         counit = [Q0] * len(labels)
         for a, c in tables.get("counit", {}).items():

@@ -27,7 +27,7 @@ from .errors import (
     TruncationError,
     ZeroElement,
 )
-from .linalg import Q0, Q1, Vector, add_vec, is_zero_vec, rat
+from .linalg import Q0, Q1, Vector, is_zero_vec, rat
 from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, PASS, Report
@@ -390,7 +390,7 @@ class Witness:
 def _witness_candidates(ring: TableAlgebra) -> list[Vector]:
     singles = [ring.basis_vec(i) for i in range(ring.dim)]
     pairs = [
-        add_vec(ring.basis_vec(i), ring.basis_vec(j))
+        tuple(Q1 if k in (i, j) else Q0 for k in range(ring.dim))
         for i in range(ring.dim)
         for j in range(i + 1, ring.dim)
     ]

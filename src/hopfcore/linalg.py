@@ -66,10 +66,6 @@ def to_dense(entries: Mapping[int, Fraction], n: int) -> Vector:
     return tuple(out)
 
 
-def add_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Q0)
 
@@ -142,10 +138,6 @@ class QMatrix:
         return cls([unit_vec(n, i) for i in range(n)], n)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([zero_vec(ncols) for _ in range(nrows)], ncols)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> "QMatrix":
         n = len(cols[0])
         return cls([tuple(c[i] for c in cols) for i in range(n)], len(cols))
@@ -175,32 +167,6 @@ class QMatrix:
                 v[p] = -reduced[i][free]
             basis.append(tuple(v))
         return Subspace.from_vectors(basis, self.ncols)
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product (v as a column)."""
-        out = [Q0] * self.nrows
-        for c, x in enumerate(v):
-            if not x:
-                continue
-            for r, row in enumerate(self.rows):
-                if row[c]:
-                    out[r] += row[c] * x
-        return tuple(out)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = [[Q0] * other.ncols for _ in range(self.nrows)]
-        for r, row in enumerate(self.rows):
-            acc = out[r]
-            for k, x in enumerate(row):
-                if not x:
-                    continue
-                orow = other.rows[k]
-                for c, y in enumerate(orow):
-                    if y:
-                        acc[c] += x * y
-        return QMatrix(out, other.ncols)
 
     def inverse(self) -> "QMatrix":
         n = self.nrows
@@ -307,14 +273,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
-
-
-def rref(m: QMatrix) -> QMatrix:
-    return m.rref()
-
-
-def kernel(m: QMatrix) -> Subspace:
-    return m.kernel()
 
 
 def complement(

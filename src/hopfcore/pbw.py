@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import Callable, Optional
 
 from .coalgebra import (
     CoradicalFiltration,
@@ -23,6 +23,8 @@ from .coalgebra import (
     coradical_filtration,
     gr_structure,
     graded_splitting,
+    require_connected,
+    verify_gr_facts,
 )
 from .errors import BasisDefect, NotPolynomial, ExpansionViolation, TruncationError
 from .linalg import (
@@ -152,13 +154,29 @@ class PBWStructure:
         ] = None
 
     @classmethod
-    def from_bialgebra(cls, data: FilteredBialgebraData) -> "PBWStructure":
-        filt = coradical_filtration(data)
-        split = graded_splitting(filt, data)
-        gr = gr_structure(split)
-        gens, gr_gens = extract_generators(gr)
-        lifts = lift_generators(split, gens, gr_gens)
-        return cls(data, filt, split, gr, gens, gr_gens, lifts)
+    def from_bialgebra(
+        cls, data: FilteredBialgebraData, stage: Optional[Callable] = None
+    ) -> "PBWStructure":
+        """Run the construction pipeline on a bialgebra: filtration,
+        connectedness, splitting, associated graded algebra, generators and
+        their lifts.  A recorder ``stage(name, step)`` that returns
+        ``step()`` sees every step by name; with one, the checks
+        ``verify_gr_facts`` (after the associated graded algebra) and
+        ``verify_basis`` (at the end) run as steps too, and their reports
+        reach the recorder as the steps' results."""
+        run = stage or (lambda name, step: step())
+        filt = run("coradical_filtration", lambda: coradical_filtration(data))
+        run("check_connected", lambda: require_connected(filt, data.degree_bound))
+        split = run("graded_splitting", lambda: graded_splitting(filt, data))
+        gr = run("gr_structure", lambda: gr_structure(split))
+        if stage is not None:
+            stage("verify_gr_facts", lambda: verify_gr_facts(gr, data, filt, split))
+        gens, gr_gens = run("extract_generators", lambda: extract_generators(gr))
+        lifts = run("lift_generators", lambda: lift_generators(split, gens, gr_gens))
+        pbw = cls(data, filt, split, gr, gens, gr_gens, lifts)
+        if stage is not None:
+            stage("verify_basis", pbw.verify_all_bases)
+        return pbw
 
     # -- monomials -----------------------------------------------------------
 

@@ -357,12 +357,24 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
             "comult": {"1": [["1", "1", "1"]],
                        "s": [["s", "1", "1"], ["1", "s", "1"], ["1", "1", "-1"]]},
             "counit": {"1": "1", "s": "1"}}}),
+        ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
+            "basis": ["1", "s"], "unit": "1",
+            "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
+            "comult": {"1": ["111"],
+                       "s": [["s", "1", "1"], ["1", "s", "1"], ["1", "1", "-1"]]},
+            "counit": {"1": "1", "s": "1"}}}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "ideal_properties": "completely_prime"}),
+        ("ideal", {"ideal": {"kind": "monomial", "generators": [{"x": 1}]},
+                   "ideal_properties": "prime"}),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
          "ring-table-row-not-object", "algebra-table-row-not-object",
          "polynomial-variables-string", "polynomial-negative-bound",
-         "finite-basis-string", "ring-basis-string", "raw-basis-string"],
+         "finite-basis-string", "ring-basis-string", "raw-basis-string",
+         "raw-comult-term-string", "ideal-properties-string",
+         "ideal-file-properties-string"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload):
     """Malformed input ends in exit 2 with a JSON report, never a traceback."""
@@ -373,6 +385,10 @@ def test_malformed_input_reports(tmp_path, kind, payload):
         "ring": ["conv", "--instance", str(INSTANCES / "dq.json"), "--ring", str(path)],
         "action": [
             "hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)
+        ],
+        "ideal": [
+            "hcore", "--instance", str(INSTANCES / "dq.json"),
+            "--action", str(ACTIONS / "dq_qx_ix.json"), "--ideal", str(path),
         ],
     }[kind]
     env = dict(os.environ)

@@ -18,6 +18,7 @@ from hopfcore.coalgebra import (
     graded_splitting,
     instance_from_json,
     instance_to_json,
+    require_connected,
     verify_axioms,
     verify_gr_facts,
 )
@@ -135,8 +136,9 @@ def test_filtration_xyw():
 
 
 def test_filtration_grouplike_not_exhaustive():
+    data = build_grouplike()
     with pytest.raises(NotExhaustive):
-        coradical_filtration(build_grouplike())
+        require_connected(coradical_filtration(data), data.degree_bound)
     assert check_connected(build_grouplike()) is False
     assert check_connected(build_xyw(2)) is True
 
@@ -167,6 +169,33 @@ def test_splitting_xyw_level_two(xyw):
     comp = xyw.split.components[2]
     labels = {xyw.data.label(p) for p in comp.pivots}
     assert labels == {"x^2", "x*y", "y^2", "w"}
+
+
+def test_splitting_delta_drops_lower_terms():
+    # s = t^(3) + t^(2) in the divided-power coalgebra on t: Delta(s) carries
+    # t (x) t, of total degree 2 < 3, which the degree-preserving part drops
+    data = instance_from_json({
+        "kind": "raw", "degree_bound": 3, "tables": {
+            "basis": ["1", "t", "t2", "s"], "unit": "1",
+            "mult": {"1": {a: {a: "1"} for a in ("1", "t", "t2", "s")}},
+            "comult": {
+                "1": [["1", "1", "1"]],
+                "t": [["t", "1", "1"], ["1", "t", "1"]],
+                "t2": [["t2", "1", "1"], ["t", "t", "1"], ["1", "t2", "1"]],
+                "s": [["s", "1", "1"], ["t2", "t", "1"], ["t", "t2", "1"],
+                      ["1", "s", "1"], ["t", "t", "1"]],
+            },
+            "counit": {"1": "1"},
+        },
+    })
+    split = graded_splitting(coradical_filtration(data), data)
+    assert split.labels == ("1", "t", "t2", "s")
+    assert check_delta_consistency(split).passed
+    # the check reads the stored tensors without changing them
+    assert split.comult[3] == {
+        (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1,
+    }
+    assert split.delta[3] == ((0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1))
 
 
 def test_splitting_counit_adjustment():
