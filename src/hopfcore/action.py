@@ -37,6 +37,7 @@ from .linalg import (
     Vector,
     complement,
     is_zero_vec,
+    kernel,
     to_dense,
     to_sparse,
     unit_vec,
@@ -515,18 +516,12 @@ def hcore(
             f"conv cap {conv_cap} exceeds the host bound {host.data.degree_bound}"
         )
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
-    col_pos = {c: t for t, c in enumerate(cols)}
-    rows: list[Vector] = []
+    rows: list[dict[int, Fraction]] = []
     cores: list[Subspace] = []
 
     def embed(small: Subspace) -> Subspace:
-        vectors = []
-        for row in small.basis:
-            big = [Q0] * alg.dim
-            for t, c in enumerate(row):
-                big[cols[t]] = c
-            vectors.append(big)
-        return Subspace.from_vectors(vectors, alg.dim)
+        vectors = [{cols[t]: c for t, c in enumerate(row) if c} for row in small.basis]
+        return Subspace.from_sparse(vectors, alg.dim)
 
     by_degree: dict[int, list[MultiIndex]] = {}
     for m in host.indices:
@@ -535,14 +530,16 @@ def hcore(
     for d in range(conv_cap + 1):
         for m in by_degree.get(d, []):
             columns = action.columns(m)
-            images = [
-                ideal.quotient_coords(to_dense(columns[c], alg.dim)) for c in cols
-            ]
-            for pos in range(ideal.quotient_dim):
-                row = tuple(images[t][pos] for t in range(len(cols)))
-                if not is_zero_vec(row):
-                    rows.append(row)
-        cores.append(embed(QMatrix(rows, len(cols)).kernel()))
+            by_pos: dict[int, dict[int, Fraction]] = {}
+            for t, c in enumerate(cols):
+                if not columns[c]:
+                    continue
+                image = ideal.quotient_coords(to_dense(columns[c], alg.dim))
+                for pos, x in enumerate(image):
+                    if x:
+                        by_pos.setdefault(pos, {})[t] = x
+            rows.extend(by_pos[pos] for pos in sorted(by_pos))
+        cores.append(embed(kernel(rows, len(cols))))
     stabilized = len(cores) >= 2 and cores[-1] == cores[-2]
     return HCoreResult(cores[-1], tuple(cores), stabilized)
 

@@ -38,12 +38,15 @@ from .errors import (
 from .linalg import (
     Q0,
     Q1,
-    QMatrix,
     Subspace,
     Vector,
     complement,
+    inverse,
+    kernel,
     rat,
     rat_str,
+    to_dense,
+    to_sparse,
     unit_vec,
 )
 from .report import FAIL, PASS, SKIP, Report
@@ -284,7 +287,7 @@ def _filtration_step(
     dim = data.dim
     qprev = prev.quotient_unit_sparse()
     qbase = base.quotient_unit_sparse()
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for t in range(dim):
         for j, k, c in data.comult_terms(t):
             pj = qprev[j]
@@ -298,10 +301,9 @@ def _filtration_step(
                 for b, cb in pk.items():
                     row = rows.get((a, b))
                     if row is None:
-                        row = rows[(a, b)] = [Q0] * dim
-                    row[t] += cac * cb
-    mat = QMatrix([rows[key] for key in sorted(rows)], dim)
-    return mat.kernel()
+                        row = rows[(a, b)] = {}
+                    row[t] = row.get(t, Q0) + cac * cb
+    return kernel([rows[key] for key in sorted(rows)], dim)
 
 
 def coradical_filtration(data: FilteredBialgebraData) -> CoradicalFiltration:
@@ -383,14 +385,28 @@ class GradedSplitting:
             for k, tmap in enumerate(self.comult)
         )
 
+    @cached_property
+    def sparse_vectors(self) -> tuple[dict[int, Fraction], ...]:
+        return tuple(to_sparse(v) for v in self.vectors)
+
+    def to_split_sparse(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Split coordinates of a sparse raw vector, without zeros."""
+        out: dict[int, Fraction] = {}
+        for j, a in v.items():
+            if a:
+                for k, c in self.to_split_units[j].items():
+                    out[k] = out.get(k, Q0) + a * c
+        return {k: c for k, c in out.items() if c}
+
+    def product(self, a: int, b: int) -> dict[int, Fraction]:
+        """Split coordinates of the product of splitting vectors a and b;
+        raises TruncationError when the product leaves the truncation."""
+        return self.to_split_sparse(
+            self.data.mul_sparse(self.sparse_vectors[a], self.sparse_vectors[b])
+        )
+
     def to_split(self, v: Vector) -> Vector:
-        out = [Q0] * self.dim
-        for j, a in enumerate(v):
-            if not a:
-                continue
-            for k, c in self.to_split_units[j].items():
-                out[k] += a * c
-        return tuple(out)
+        return to_dense(self.to_split_sparse(to_sparse(v)), self.dim)
 
     def from_split(self, coords: Vector) -> Vector:
         out = [Q0] * self.data.dim
@@ -446,12 +462,10 @@ def graded_splitting(
             used.add(name)
             labels.append(name)
 
-    basis_matrix = QMatrix.from_columns(vectors)
-    inv = basis_matrix.inverse()
-    units = tuple(
-        {k: inv.rows[k][j] for k in range(len(vectors)) if inv.rows[k][j]}
-        for j in range(data.dim)
-    )
+    # to_split_units[j] is column j of the inverse of the matrix whose
+    # columns are the splitting vectors, i.e. row j of the inverse of its
+    # transpose, whose rows are the splitting vectors
+    units = tuple(inverse([to_sparse(v) for v in vectors], data.dim))
     return GradedSplitting(
         data=data,
         components=tuple(comps),
@@ -477,16 +491,14 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
             target = degrees[a] + degrees[b]
             if target > bound:
                 continue
-            prod = data.multiply(split.vectors[a], split.vectors[b])
-            coords = split.to_split(prod)
-            for k, c in enumerate(coords):
-                if c and degrees[k] > target:
-                    raise HopfcoreError(
-                        f"product {split.labels[a]} * {split.labels[b]} escapes "
-                        f"filtration degree {target}"
-                    )
+            coords = split.product(a, b)
+            if any(degrees[k] > target for k in coords):
+                raise HopfcoreError(
+                    f"product {split.labels[a]} * {split.labels[b]} escapes "
+                    f"filtration degree {target}"
+                )
             mult[(a, b)] = tuple(
-                (k, c) for k, c in enumerate(coords) if c and degrees[k] == target
+                (k, c) for k, c in coords.items() if degrees[k] == target
             )
     counit = unit_vec(dim, 0)
     antipode = None
@@ -607,9 +619,8 @@ def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
         rep.add("coradically-graded", "-", FAIL, str(exc))
         return rep
     for n, layer in enumerate(filt.layers):
-        expected = Subspace.from_vectors(
-            [unit_vec(gr.dim, k) for k in range(gr.dim) if degrees[k] <= n],
-            gr.dim,
+        expected = Subspace.from_sparse(
+            [{k: Q1} for k in range(gr.dim) if degrees[k] <= n], gr.dim
         )
         rep.add(
             "coradically-graded",
@@ -643,11 +654,11 @@ def verify_gr_facts(
             if n + m > bound:
                 continue
             try:
-                prod = data.multiply(split.vectors[a], split.vectors[b])
+                coords = split.product(a, b)
             except TruncationError:
                 skipped[(n, m)] = skipped.get((n, m), 0) + 1
                 continue
-            if split.max_degree(split.to_split(prod)) > n + m:
+            if max((degrees[k] for k in coords), default=0) > n + m:
                 by_pair.setdefault((n, m), []).append(
                     f"{split.labels[a]}*{split.labels[b]}"
                 )

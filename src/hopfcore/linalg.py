@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Vectors are tuples of ``fractions.Fraction`` and matrices store immutable
-row tuples; no floating point enters anywhere.  Subspaces are kept in
-reduced row echelon form, which is a canonical representative: two
+row tuples; no floating point enters anywhere.  Row reduction is sparse:
+``rank``, ``kernel`` and ``inverse`` take rows as {column: coefficient}
+maps, and one echelon keyed by pivot column reduces them, so the work
+follows the nonzero entries rather than the matrix shape.  Subspaces are
+kept in reduced row echelon form, which is a canonical representative: two
 subspaces are equal iff their stored bases are equal tuples.
 """
 
@@ -16,6 +19,7 @@ from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -74,51 +78,87 @@ def is_zero_vec(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Reduced row echelon of a list of rows; returns (rows, pivot columns).
+def _sub_scaled(row: SparseRow, f: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for c, x in other.items():
+        v = row.get(c, Q0) - f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
-    Zero rows are dropped from the result.
+
+def _rref_rows(rows: Sequence[Mapping[int, Fraction]], ncols: int):
+    """Reduced row echelon form of sparse rows {column: coefficient};
+    returns (rows, pivot columns), the rows nonzero, in ascending pivot
+    order and with ascending keys.
+
+    Each row is reduced against the stored rows by its leading column until
+    it vanishes (and is dropped) or its lead is a new pivot (and it is
+    stored, scaled to lead 1).  One back-substitution pass in descending
+    pivot order then clears the pivot columns of every stored row.
     """
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    piv_r = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(piv_r, len(work)):
-            if work[r][col]:
-                pr = r
+    echelon: dict[int, SparseRow] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        while row:
+            lead = min(row)
+            stored = echelon.get(lead)
+            if stored is None:
+                a = row[lead]
+                if a != 1:
+                    inv = Q1 / a
+                    row = {c: x * inv for c, x in row.items()}
+                echelon[lead] = row
                 break
-        if pr is None:
-            continue
-        work[piv_r], work[pr] = work[pr], work[piv_r]
-        lead = work[piv_r][col]
-        if lead != 1:
-            work[piv_r] = [x / lead for x in work[piv_r]]
-        prow = work[piv_r]
-        for r in range(len(work)):
-            if r == piv_r:
-                continue
-            f = work[r][col]
-            if f:
-                row = work[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] -= f * prow[c]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(work):
-            break
-    out = [tuple(work[i]) for i in range(len(pivots))]
-    return out, tuple(pivots)
+            _sub_scaled(row, row[lead], stored)
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        row = echelon[p]
+        for q in [c for c in row if c != p and c in echelon]:
+            _sub_scaled(row, row[q], echelon[q])
+    reduced = [dict(sorted(echelon[p].items())) for p in pivots]
+    return reduced, tuple(pivots)
+
+
+def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
+    return len(_rref_rows(rows, ncols)[0])
+
+
+def kernel(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> "Subspace":
+    """Right kernel {v : row . v = 0 for every row} of sparse rows, as a
+    canonical subspace: one vector per free column f of the echelon, e_f
+    minus the echelon rows' entries in column f at their pivots."""
+    reduced, pivots = _rref_rows(rows, ncols)
+    pivset = set(pivots)
+    basis = {f: {f: Q1} for f in range(ncols) if f not in pivset}
+    for p, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return Subspace.from_sparse(list(basis.values()), ncols)
+
+
+def inverse(rows: Sequence[Mapping[int, Fraction]], n: int) -> list[SparseRow]:
+    """The rows of the inverse of the n x n matrix with the given sparse
+    rows, by reducing [M | I] to [I | M^-1].  Raises ValueError if M is
+    singular.  Row j of the inverse of M^T is column j of the inverse of M,
+    so callers holding a matrix by its columns pass those as rows."""
+    aug = [{**row, n + i: Q1} for i, row in enumerate(rows)]
+    reduced, pivots = _rref_rows(aug, 2 * n)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return [{c - n: x for c, x in row.items() if c >= n} for row in reduced]
 
 
 class QMatrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q.  Entries are stored as given: callers
+    coerce input with ``rat`` or ``vec`` first."""
 
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        rs = tuple(tuple(rat(x) for x in r) for r in rows)
+        rs = tuple(tuple(r) for r in rows)
         if rs:
             ncols = len(rs[0]) if ncols is None else ncols
             for r in rs:
@@ -145,38 +185,26 @@ class QMatrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
+    def _sparse_rows(self) -> list[SparseRow]:
+        return [to_sparse(r) for r in self.rows]
+
     def rref(self) -> "QMatrix":
-        reduced, _ = _rref_rows(self.rows, self.ncols)
+        reduced, _ = _rref_rows(self._sparse_rows(), self.ncols)
         pad = [zero_vec(self.ncols)] * (self.nrows - len(reduced))
-        return QMatrix(list(reduced) + pad, self.ncols)
+        return QMatrix([to_dense(r, self.ncols) for r in reduced] + pad, self.ncols)
 
     def rank(self) -> int:
-        return len(_rref_rows(self.rows, self.ncols)[0])
+        return rank(self._sparse_rows(), self.ncols)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical subspace."""
-        reduced, pivots = _rref_rows(self.rows, self.ncols)
-        pivset = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivset:
-                continue
-            v = [Q0] * self.ncols
-            v[free] = Q1
-            for i, p in enumerate(pivots):
-                v[p] = -reduced[i][free]
-            basis.append(tuple(v))
-        return Subspace.from_vectors(basis, self.ncols)
+        return kernel(self._sparse_rows(), self.ncols)
 
     def inverse(self) -> "QMatrix":
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        aug = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(self.rows)]
-        reduced, pivots = _rref_rows(aug, 2 * n)
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return QMatrix([r[n:] for r in reduced], n)
+        return QMatrix([to_dense(r, n) for r in inverse(self._sparse_rows(), n)], n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,8 +235,17 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
+        return cls.from_sparse([to_sparse(r) for r in rows], ambient_dim)
+
+    @classmethod
+    def from_sparse(
+        cls, rows: Sequence[Mapping[int, Fraction]], ambient_dim: int
+    ) -> "Subspace":
+        """The span of sparse vectors {index: coefficient}."""
         reduced, pivots = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, tuple(reduced), pivots)
+        return cls(
+            ambient_dim, tuple(to_dense(r, ambient_dim) for r in reduced), pivots
+        )
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -216,9 +253,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            [unit_vec(ambient_dim, i) for i in range(ambient_dim)], ambient_dim
-        )
+        return cls.from_sparse([{i: Q1} for i in range(ambient_dim)], ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -247,7 +282,8 @@ class Subspace:
         return all(self.contains(r) for r in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.basis + other.basis, self.ambient_dim)
+        rows = [to_sparse(r) for r in self.basis + other.basis]
+        return Subspace.from_sparse(rows, self.ambient_dim)
 
     def quotient_unit_sparse(self) -> list[dict[int, Fraction]]:
         """For each ambient coordinate vector e_j, the nonzero coordinates of
@@ -296,18 +332,24 @@ def complement(
             f"inner (dim {inner.dim}) is not contained in outer (dim {outer.dim})"
         )
     inner_pivots = set(inner.pivots)
-    rows = [r for r, p in zip(outer.basis, outer.pivots) if p not in inner_pivots]
-    if constraint is not None and any(dot(constraint, r) for r in rows):
+    rows = [
+        to_sparse(r) for r, p in zip(outer.basis, outer.pivots) if p not in inner_pivots
+    ]
+    if constraint is not None and any(_dot_sparse(constraint, r) for r in rows):
         adjuster = next((r for r in inner.basis if dot(constraint, r)), None)
         if adjuster is None:
             raise NoConstrainedComplement(
                 f"no complement of inner (dim {inner.dim}) in outer "
                 f"(dim {outer.dim}) lies in the kernel of the constraint"
             )
-        denom = dot(constraint, adjuster)
-        corrected = []
+        adjuster = to_sparse(adjuster)
+        denom = _dot_sparse(constraint, adjuster)
         for r in rows:
-            f = dot(constraint, r) / denom
-            corrected.append(tuple(a - f * b for a, b in zip(r, adjuster)) if f else r)
-        rows = corrected
-    return Subspace.from_vectors(rows, outer.ambient_dim)
+            f = _dot_sparse(constraint, r) / denom
+            if f:
+                _sub_scaled(r, f, adjuster)
+    return Subspace.from_sparse(rows, outer.ambient_dim)
+
+
+def _dot_sparse(u: Vector, v: Mapping[int, Fraction]) -> Fraction:
+    return sum((u[i] * a for i, a in v.items()), Q0)

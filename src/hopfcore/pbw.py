@@ -34,11 +34,12 @@ from .linalg import (
     Subspace,
     Vector,
     complement,
+    inverse,
     is_zero_vec,
+    rank,
     rat_str,
     to_dense,
     to_sparse,
-    unit_vec,
 )
 from .monoid import GeneratorSet, MultiIndex
 from .report import FAIL, PASS, Report
@@ -64,20 +65,15 @@ def extract_generators(
         level = [k for k in range(dim) if degrees[k] == d]
         if not level:
             continue
-        layer = Subspace.from_vectors([unit_vec(dim, k) for k in level], dim)
-        decomposable = []
-        for a in range(dim):
-            if not (0 < degrees[a] < d):
-                continue
-            for b in range(dim):
-                if degrees[a] + degrees[b] != d or degrees[b] == 0:
-                    continue
-                terms = gr.product_terms(a, b)
-                row = [Q0] * dim
-                for k, c in terms:
-                    row[k] = c
-                decomposable.append(tuple(row))
-        dec = Subspace.from_vectors(decomposable, dim)
+        layer = Subspace.from_sparse([{k: Q1} for k in level], dim)
+        decomposable = [
+            dict(gr.product_terms(a, b))
+            for a in range(dim)
+            if 0 < degrees[a] < d
+            for b in range(dim)
+            if degrees[a] + degrees[b] == d and degrees[b] != 0
+        ]
+        dec = Subspace.from_sparse(decomposable, dim)
         fresh = complement(dec, layer)
         for row, pivot in zip(fresh.basis, fresh.pivots):
             name = gr.label(pivot)
@@ -227,10 +223,10 @@ class PBWStructure:
             if not layer.contains(v):
                 raise BasisDefect(f"degree {n}: e_{m} escapes the layer")
             rows.append(v)
-        mat = QMatrix(rows, self.data.dim)
-        if mat.rank() != len(idx):
+        sparse_rows = [self.sparse_monomial(m) for m in idx]
+        if rank(sparse_rows, self.data.dim) != len(idx):
             raise BasisDefect(f"degree {n}: monomials are dependent")
-        self.basis_change[n] = mat
+        self.basis_change[n] = QMatrix(rows, self.data.dim)
         rep.add("basis", f"degree {n}", PASS, f"dim {len(idx)}")
         return rep
 
@@ -246,14 +242,11 @@ class PBWStructure:
         top = self.data.degree_bound
         if top not in self.basis_change:
             self.verify_all_bases()
-        full = QMatrix.from_columns(
-            [self.pbw_monomial(m) for m in self.indices]
+        # row j of the inverse of the matrix whose rows are the monomials
+        # expands e_j on them
+        self._raw_to_pbw = inverse(
+            [self.sparse_monomial(m) for m in self.indices], self.data.dim
         )
-        inv = full.inverse()
-        self._raw_to_pbw = [
-            {k: inv.rows[k][j] for k in range(len(self.indices)) if inv.rows[k][j]}
-            for j in range(self.data.dim)
-        ]
 
     def pbw_coords(self, v: Vector) -> dict[MultiIndex, Fraction]:
         """Exact expansion of a raw vector on the monomial basis."""

@@ -1,0 +1,229 @@
+"""The shared front end against the dense code the sparse echelon replaced.
+
+``dense_rref_rows`` is the earlier dense elimination loop, and the helpers
+below rebuild the filtration, the pivot-greedy complement, the splitting's
+inverse, the associated graded product table and the stable-core chain the
+way the earlier code did: every condition row, matrix and product densified
+first.  The sparse pipeline must give the same layers, splitting vectors,
+split coordinates, gr tables and core chains.
+"""
+
+import pytest
+
+from hopfcore import cli
+from hopfcore.action import ModuleAlgebraAction, hcore
+from hopfcore.coalgebra import (
+    coradical_filtration,
+    gr_structure,
+    graded_splitting,
+    instance_from_json,
+)
+from hopfcore.linalg import Q0, Q1, dot, unit_vec
+from hopfcore.table import SparseVec
+from conftest import load_fixture
+
+
+def dense_rref_rows(rows, ncols):
+    work = [list(r) for r in rows if any(r)]
+    pivots = []
+    piv_r = 0
+    for col in range(ncols):
+        pr = None
+        for r in range(piv_r, len(work)):
+            if work[r][col]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        work[piv_r], work[pr] = work[pr], work[piv_r]
+        lead = work[piv_r][col]
+        if lead != 1:
+            work[piv_r] = [x / lead for x in work[piv_r]]
+        prow = work[piv_r]
+        for r in range(len(work)):
+            if r == piv_r:
+                continue
+            f = work[r][col]
+            if f:
+                row = work[r]
+                for c in range(col, ncols):
+                    if prow[c]:
+                        row[c] -= f * prow[c]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(work):
+            break
+    return tuple(tuple(work[i]) for i in range(len(pivots))), tuple(pivots)
+
+
+def dense_kernel(rows, ncols):
+    reduced, pivots = dense_rref_rows(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Q0] * ncols
+        v[free] = Q1
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][free]
+        basis.append(v)
+    return dense_rref_rows(basis, ncols)
+
+
+def quotient_units(basis, pivots, dim):
+    rank_of = {p: i for i, p in enumerate(pivots)}
+    out = []
+    for j in range(dim):
+        if j in rank_of:
+            row = basis[rank_of[j]]
+            out.append({a: -row[a] for a in range(dim) if a not in rank_of and row[a]})
+        else:
+            out.append({j: Q1})
+    return out
+
+
+def dense_filtration(data):
+    """Layers as (basis, pivots) from span{1} until they stall or reach
+    the bound."""
+    dim = data.dim
+    base = dense_rref_rows([data.unit_vector()], dim)
+    qbase = quotient_units(*base, dim)
+    layers = [base]
+    for _ in range(data.degree_bound):
+        prev = layers[-1]
+        if len(prev[0]) == dim:
+            layers.append(prev)
+            continue
+        qprev = quotient_units(*prev, dim)
+        rows = {}
+        for t in range(dim):
+            for j, k, c in data.comult_terms(t):
+                for a, ca in qprev[j].items():
+                    for b, cb in qbase[k].items():
+                        rows.setdefault((a, b), [Q0] * dim)[t] += c * ca * cb
+        nxt = dense_kernel([rows[key] for key in sorted(rows)], dim)
+        if len(nxt[0]) == len(prev[0]):
+            break
+        layers.append(nxt)
+    return layers
+
+
+def dense_complement(inner, outer, constraint):
+    rows = [r for r, p in zip(*outer) if p not in inner[1]]
+    if any(dot(constraint, r) for r in rows):
+        adjuster = next(r for r in inner[0] if dot(constraint, r))
+        denom = dot(constraint, adjuster)
+        rows = [
+            tuple(a - dot(constraint, r) / denom * b for a, b in zip(r, adjuster))
+            for r in rows
+        ]
+    return dense_rref_rows(rows, len(constraint))[0]
+
+
+def dense_split_units(vectors, dim):
+    """Column j of the inverse of the matrix whose columns are the vectors,
+    from the dense rref of [B | I]."""
+    aug = [
+        [v[i] for v in vectors] + list(unit_vec(dim, i)) for i in range(dim)
+    ]
+    reduced, _ = dense_rref_rows(aug, 2 * dim)
+    return tuple(
+        {k: reduced[k][dim + j] for k in range(dim) if reduced[k][dim + j]}
+        for j in range(dim)
+    )
+
+
+def dense_gr_table(split) -> dict[tuple[int, int], SparseVec]:
+    degrees, bound = split.degrees, split.data.degree_bound
+    table = {}
+    for a in range(split.dim):
+        for b in range(split.dim):
+            target = degrees[a] + degrees[b]
+            if target > bound:
+                continue
+            prod = split.data.multiply(split.vectors[a], split.vectors[b])
+            coords = split.to_split(prod)
+            table[(a, b)] = tuple(
+                (k, c) for k, c in enumerate(coords) if c and degrees[k] == target
+            )
+    return table
+
+
+def dense_hcore_chain(action, ideal, core_cap, conv_cap):
+    host, alg = action.host, action.algebra
+    cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
+    rows, chain = [], []
+    for d in range(conv_cap + 1):
+        for m in host.indices:
+            if host.gens.degree(m) != d:
+                continue
+            dense = [
+                ideal.quotient_coords(tuple(action.columns(m)[c].get(i, Q0)
+                                            for i in range(alg.dim)))
+                for c in cols
+            ]
+            for pos in range(ideal.quotient_dim):
+                row = tuple(dense[t][pos] for t in range(len(cols)))
+                if any(row):
+                    rows.append(row)
+        small, pivots = dense_kernel(rows, len(cols))
+        chain.append(
+            (
+                tuple(
+                    tuple(row[cols.index(i)] if i in cols else Q0 for i in range(alg.dim))
+                    for row in small
+                ),
+                tuple(cols[p] for p in pivots),
+            )
+        )
+    return chain
+
+
+def _data(name, degree):
+    return instance_from_json(load_fixture(f"instances/{name}.json"), degree)
+
+
+@pytest.mark.parametrize(
+    "name, degree",
+    [("sl2", 8), ("xyw", 8), ("heis", 7), ("grouplike", None), ("shifted_line", None)],
+)
+def test_front_end_matches_dense_oracle(name, degree):
+    data = _data(name, degree)
+    filt = coradical_filtration(data)
+    oracle = dense_filtration(data)
+    assert [(layer.basis, layer.pivots) for layer in filt.layers] == oracle
+    if not filt.exhaustive:
+        assert name == "grouplike"  # the stall: nothing past the filtration
+        return
+
+    split = graded_splitting(filt, data)
+    vectors = [oracle[0][0][0]]
+    for n in range(1, len(oracle)):
+        vectors += dense_complement(oracle[n - 1], oracle[n], data.counit)
+    assert list(split.vectors) == vectors
+    assert split.to_split_units == dense_split_units(vectors, data.dim)
+
+    gr = gr_structure(split)
+    table = dense_gr_table(split)
+    assert {key: gr.product_terms(*key) for key in table} == table
+    assert all(gr.has_product(*key) == (key in table)
+               for key in ((a, b) for a in range(gr.dim) for b in range(gr.dim)))
+
+
+@pytest.mark.parametrize(
+    "action_name, host_name, degree",
+    [("sl2_qxy_ix", "sl2", 6), ("dq_qx_ix", "dq", 8), ("xyw_qu", "xyw", 8)],
+)
+def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degree):
+    host = host_at(host_name, degree)
+    spec = load_fixture(f"actions/{action_name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    ops = {gid: cli._operator_matrix(algebra, op) for gid, op in spec["generators"].items()}
+    action = ModuleAlgebraAction(host, algebra, ops)
+    ideal = cli._ideal_from_json(algebra, spec["ideal"])
+    cap = spec["core_degree_cap"]
+    result = hcore(action, ideal, cap, degree)
+    chain = dense_hcore_chain(action, ideal, cap, degree)
+    assert [(core.basis, core.pivots) for core in result.by_cap] == chain
+    assert len({core.dim for core in result.by_cap}) > 1  # the chain moves
+

@@ -1,3 +1,5 @@
+import importlib.util
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +12,12 @@ from hopfcore.linalg import (
     Subspace,
     complement,
     dot,
+    inverse,
+    kernel,
+    rank,
     rat,
     rat_str,
+    to_sparse,
     unit_vec,
     vec,
 )
@@ -185,3 +191,133 @@ def test_quotient_unit_sparse_membership():
     assert in_s(vec([1, 0, 2]))
     assert in_s(vec([1, 1, 1]))
     assert not in_s(unit_vec(3, 2))
+
+
+# -- differential test against sympy ------------------------------------------
+
+needs_sympy = pytest.mark.skipif(
+    importlib.util.find_spec("sympy") is None, reason="sympy is not installed"
+)
+
+
+def _random_matrices():
+    """Seeded rational matrices: tall stacks of duplicate, scaled and summed
+    rows with zero rows mixed in, the zero matrix, and squares, some made
+    singular by a dependent row."""
+    rng = random.Random(7)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    out = [("zero", [[F(0)] * 4 for _ in range(3)]), ("empty-row", [[F(0)] * 5])]
+    for i in range(25):
+        ncols = rng.randint(1, 8)
+        base = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(ncols, 3 * ncols + 3)):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([F(0)] * ncols)
+            elif kind < 0.6:
+                s = F(rng.choice((1, -1, 2, -3)), rng.choice((1, 5)))
+                rows.append([s * x for x in rng.choice(base)])
+            else:
+                a, b = rng.choice(base), rng.choice(base)
+                rows.append([x + 2 * y for x, y in zip(a, b)])
+        out.append((f"tall-{i}", rows))
+    for i in range(20):
+        n = rng.randint(1, 7)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if i % 2 and n > 1:
+            a, b = rng.sample(range(n), 2)
+            rows[a] = [F(3, 2) * x - y for x, y in zip(rows[b], rows[(b + 1) % n])]
+        out.append((f"square-{i}", rows))
+    return out
+
+
+MATRICES = _random_matrices()
+
+
+def _sym(rows):
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _frac_rows(m):
+    return [tuple(F(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows)]
+
+
+def _sym_rref(rows, ncols):
+    """Nonzero rows and pivots of sympy's rref of the stacked rows."""
+    if not rows:
+        return (), ()
+    reduced, pivots = _sym(rows).rref()
+    return tuple(_frac_rows(reduced)[: len(pivots)]), tuple(pivots)
+
+
+@needs_sympy
+@pytest.mark.parametrize("name, rows", MATRICES, ids=[n for n, _ in MATRICES])
+def test_rank_kernel_rref_against_sympy(name, rows):
+    ncols = len(rows[0])
+    m = QMatrix(rows)
+    sym = _sym(rows)
+    assert m.rank() == rank([to_sparse(r) for r in rows], ncols) == sym.rank()
+    reduced, pivots = _sym_rref(rows, ncols)
+    space = Subspace.from_vectors(rows, ncols)
+    assert (space.basis, space.pivots) == (reduced, pivots)
+    assert m.rref().rows[: len(pivots)] == reduced
+    # the kernel in sympy's own canonical form: rref of its nullspace basis
+    null = [tuple(v) for v in sym.nullspace()]
+    null_rows = [[F(int(x.p), int(x.q)) for x in v] for v in null]
+    k = m.kernel()
+    assert k == kernel([to_sparse(r) for r in rows], ncols)
+    assert (k.basis, k.pivots) == _sym_rref(null_rows, ncols)
+
+
+@needs_sympy
+@pytest.mark.parametrize(
+    "name, rows",
+    [c for c in MATRICES if c[0].startswith(("square", "zero"))],
+    ids=[n for n, _ in MATRICES if n.startswith(("square", "zero"))],
+)
+def test_inverse_against_sympy(name, rows):
+    n = len(rows[0])
+    sym = _sym(rows) if len(rows) == n else None
+    if sym is None or sym.det() == 0:
+        with pytest.raises(ValueError):
+            QMatrix(rows).inverse()
+        return
+    expected = _frac_rows(sym.inv())
+    assert list(QMatrix(rows).inverse().rows) == expected
+    got = inverse([to_sparse(r) for r in rows], n)
+    assert [tuple(row.get(j, F(0)) for j in range(n)) for row in got] == expected
+
+
+@needs_sympy
+@pytest.mark.parametrize("name, rows", MATRICES[2:], ids=[n for n, _ in MATRICES[2:]])
+def test_complement_against_sympy(name, rows):
+    """The pivot-greedy complement, with and without a counit-like
+    constraint, rebuilt from sympy's rref of inner and outer."""
+    ncols = len(rows[0])
+    rng = random.Random(name)
+    inner_rows = rows[: len(rows) // 2]
+    inner, outer = Subspace.from_vectors(inner_rows, ncols), Subspace.from_vectors(rows, ncols)
+    in_basis, in_piv = _sym_rref(inner_rows, ncols)
+    out_basis, out_piv = _sym_rref(rows, ncols)
+    chosen = [r for r, p in zip(out_basis, out_piv) if p not in in_piv]
+    assert complement(inner, outer).basis == _sym_rref(chosen, ncols)[0]
+
+    constraint = tuple(F(rng.randint(-2, 2)) for _ in range(ncols))
+    adjuster = next((r for r in in_basis if dot(constraint, r)), None)
+    if adjuster is None and any(dot(constraint, r) for r in chosen):
+        with pytest.raises(NoConstrainedComplement):
+            complement(inner, outer, constraint)
+        return
+    if adjuster is not None:
+        chosen = [
+            tuple(a - dot(constraint, r) / dot(constraint, adjuster) * b
+                  for a, b in zip(r, adjuster))
+            for r in chosen
+        ]
+    assert complement(inner, outer, constraint).basis == _sym_rref(chosen, ncols)[0]

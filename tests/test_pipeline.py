@@ -187,15 +187,26 @@ def test_verify_reports_the_construction_failure(tmp_path, monkeypatch, case):
 
 
 def test_verify_basis_defect_stops_verify(tmp_path, monkeypatch):
-    # verify checks the bases itself, then needs them for the expansions,
-    # where the defect stops the run
+    # verify reports the defect as its basis line and skips the two checks
+    # that expand on the monomial basis; every other line is the clean run's,
+    # except level closure, whose random draws no longer follow span closure's
+    _, clean = _run(tmp_path, "verify", *_instance_args(tmp_path, "heis.json"))
     _inject(monkeypatch, "verify_all_bases", errors.BasisDefect)
     code, rep = _run(tmp_path, "verify", *_instance_args(tmp_path, "heis.json"))
-    assert rep == {
-        "command": "verify", "schema": 1, "status": "fail",
-        "error": "injected at verify_all_bases",
-    }
-    assert code == 1
+    moved = {"basis", "split-expansion", "span-closure", "level-closure"}
+    kept = [c for c in clean["checks"] if c["check"] not in moved]
+    assert kept and [c for c in rep["checks"] if c["check"] not in moved] == kept
+    assert [c for c in rep["checks"] if c["check"] in moved - {"level-closure"}] == [
+        {"check": "basis", "subject": "-", "status": "FAIL",
+         "detail": "injected at verify_all_bases"},
+        {"check": "split-expansion", "subject": "-", "status": "SKIP",
+         "detail": "no monomial basis"},
+        {"check": "span-closure", "subject": "-", "status": "SKIP",
+         "detail": "no monomial basis"},
+    ]
+    assert any(c["check"] == "level-closure" for c in rep["checks"])
+    assert "error" not in rep
+    assert (rep["status"], code) == ("fail", 1)
 
 
 def test_load_failure(tmp_path):
