@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -153,14 +153,29 @@ class FilteredBialgebraData(TableAlgebra):
 # axiom verification
 
 
-def _tensor3_eq(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    return all(a.get(k, Q0) == b.get(k, Q0) for k in keys)
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return lcm(*(c.denominator for c in values))
+
+
+def _scaled(c: Fraction, d: int) -> int:
+    """d * c as an int, for d a multiple of c's denominator."""
+    return c.numerator * (d // c.denominator)
 
 
 def verify_axioms(data: FilteredBialgebraData) -> Report:
     """Check counit laws, coassociativity, unit laws, and multiplicativity
-    of the comultiplication and counit wherever truncation permits."""
+    of the comultiplication and counit wherever truncation permits.
+
+    The laws are compared in ``int`` arithmetic.  With dc, de and dm the
+    least common denominators of the comultiplication coefficients, the
+    counit and the product table, the tables are scaled once to integers
+    C = dc*Delta, E = de*eps and M = dm*m, and each law compares sides
+    that carry the same factor: the counit law sum(C*E) against dc*de at
+    i and 0 elsewhere; coassociativity, dc^2 on both sides;
+    counit-multiplicativity de * sum(M*E) against dm * E_i * E_j; and
+    comult-multiplicativity dc*dm * Delta(e_i e_j) in C and M (factor
+    dc^2*dm^2) against Delta(e_i)Delta(e_j) in C and M (the same factor).
+    The unit law reads the exact product table."""
     rep = Report("axioms")
     dim = data.dim
     eps = data.counit
@@ -170,31 +185,42 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
     else:
         rep.add("counit-unit", data.label(data.unit_index), PASS)
 
+    dc = _common_denominator(c for row in data._comult for _, _, c in row)
+    de = _common_denominator(eps)
+    dm = _common_denominator(c for terms in data._mult.values() for _, c in terms)
+    comult = [tuple((j, k, _scaled(c, dc)) for j, k, c in row) for row in data._comult]
+    counit = [_scaled(e, de) for e in eps]
+    mult = {
+        key: tuple((k, _scaled(c, dm)) for k, c in terms)
+        for key, terms in data._mult.items()
+    }
+
     for i in range(dim):
-        left = [Q0] * dim
-        right = [Q0] * dim
-        for j, k, c in data.comult_terms(i):
-            if eps[j]:
-                left[k] += c * eps[j]
-            if eps[k]:
-                right[j] += c * eps[k]
-        ok = tuple(left) == unit_vec(dim, i) and tuple(right) == unit_vec(dim, i)
+        left = [0] * dim
+        right = [0] * dim
+        for j, k, c in comult[i]:
+            if counit[j]:
+                left[k] += c * counit[j]
+            if counit[k]:
+                right[j] += c * counit[k]
+        expected = [0] * dim
+        expected[i] = dc * de
+        ok = left == expected and right == expected
         rep.add("counit", data.label(i), PASS if ok else FAIL)
 
     for i in range(dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, k, c in data.comult_terms(i):
-            for a, b, c2 in data.comult_terms(j):
+        diff: dict[tuple[int, int, int], int] = {}
+        for j, k, c in comult[i]:
+            for a, b, c2 in comult[j]:
                 key = (a, b, k)
-                lhs[key] = lhs.get(key, Q0) + c * c2
-            for a, b, c2 in data.comult_terms(k):
+                diff[key] = diff.get(key, 0) + c * c2
+            for a, b, c2 in comult[k]:
                 key = (j, a, b)
-                rhs[key] = rhs.get(key, Q0) + c * c2
+                diff[key] = diff.get(key, 0) - c * c2
         rep.add(
             "coassociativity",
             data.label(i),
-            PASS if _tensor3_eq(lhs, rhs) else FAIL,
+            FAIL if any(diff.values()) else PASS,
         )
 
     u = data.unit_index
@@ -212,46 +238,41 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
                 break
         rep.add("unit-law", data.label(i), PASS if ok else FAIL, detail)
 
-    pairs = sorted(key for key in data._mult)
-    for i, j in pairs:
-        prod = data.product_terms(i, j)
-        eps_prod = sum((c * eps[k] for k, c in prod if eps[k]), Q0)
+    dcm = dc * dm
+    for i, j in sorted(mult):
+        prod = mult[i, j]
+        subject = f"{data.label(i)},{data.label(j)}"
+        eps_prod = sum(c * counit[k] for k, c in prod)
         rep.add(
             "counit-multiplicative",
-            f"{data.label(i)},{data.label(j)}",
-            PASS if eps_prod == eps[i] * eps[j] else FAIL,
+            subject,
+            PASS if de * eps_prod == dm * counit[i] * counit[j] else FAIL,
         )
 
-        lhs: TensorMap = {}
-        for k, c in prod:
-            for a, b, c2 in data.comult_terms(k):
-                key = (a, b)
-                lhs[key] = lhs.get(key, Q0) + c * c2
-        rhs: TensorMap = {}
-        skipped = False
-        for a, b, c1 in data.comult_terms(i):
-            if skipped:
-                break
-            for a2, b2, c2 in data.comult_terms(j):
-                if not (data.has_product(a, a2) and data.has_product(b, b2)):
-                    skipped = True
-                    break
-                cc = c1 * c2
-                for kl, cl in data.product_terms(a, a2):
-                    for kr, cr in data.product_terms(b, b2):
-                        key = (kl, kr)
-                        rhs[key] = rhs.get(key, Q0) + cc * cl * cr
-        subject = f"{data.label(i)},{data.label(j)}"
-        if skipped:
+        factors = [
+            (mult.get((a, a2)), mult.get((b, b2)), c1 * c2)
+            for a, b, c1 in comult[i]
+            for a2, b2, c2 in comult[j]
+        ]
+        if any(left is None or right is None for left, right, _ in factors):
             rep.add("comult-multiplicative", subject, SKIP, "tensor factor truncated")
-        else:
-            lhs = {k: c for k, c in lhs.items() if c}
-            rhs = {k: c for k, c in rhs.items() if c}
-            rep.add(
-                "comult-multiplicative",
-                subject,
-                PASS if lhs == rhs else FAIL,
-            )
+            continue
+        diff: dict[tuple[int, int], int] = {}
+        for k, c in prod:
+            for a, b, c2 in comult[k]:
+                key = (a, b)
+                diff[key] = diff.get(key, 0) + dcm * c * c2
+        for left, right, cc in factors:
+            for kl, cl in left:
+                ccl = cc * cl
+                for kr, cr in right:
+                    key = (kl, kr)
+                    diff[key] = diff.get(key, 0) - ccl * cr
+        rep.add(
+            "comult-multiplicative",
+            subject,
+            FAIL if any(diff.values()) else PASS,
+        )
     return rep
 
 
@@ -361,6 +382,7 @@ class GradedSplitting:
     data: FilteredBialgebraData
     components: tuple[Subspace, ...]
     vectors: tuple[Vector, ...]
+    sparse_vectors: tuple[dict[int, Fraction], ...]
     degrees: tuple[int, ...]
     labels: tuple[str, ...]
     to_split_units: tuple[dict[int, Fraction], ...]
@@ -384,10 +406,6 @@ class GradedSplitting:
             )
             for k, tmap in enumerate(self.comult)
         )
-
-    @cached_property
-    def sparse_vectors(self) -> tuple[dict[int, Fraction], ...]:
-        return tuple(to_sparse(v) for v in self.vectors)
 
     def to_split_sparse(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Split coordinates of a sparse raw vector, without zeros."""
@@ -465,11 +483,13 @@ def graded_splitting(
     # to_split_units[j] is column j of the inverse of the matrix whose
     # columns are the splitting vectors, i.e. row j of the inverse of its
     # transpose, whose rows are the splitting vectors
-    units = tuple(inverse([to_sparse(v) for v in vectors], data.dim))
+    sparse_vectors = tuple(to_sparse(v) for v in vectors)
+    units = tuple(inverse(sparse_vectors, data.dim))
     return GradedSplitting(
         data=data,
         components=tuple(comps),
         vectors=tuple(vectors),
+        sparse_vectors=sparse_vectors,
         degrees=tuple(degrees),
         labels=tuple(labels),
         to_split_units=units,

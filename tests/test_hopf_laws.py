@@ -1,0 +1,103 @@
+"""Associativity and the antipode law of the built tables.
+
+Neither law is checked when an instance loads: the ueg and xyw builders
+satisfy both by construction, and these tests pin that at several degrees.
+The helpers compare exact sides and return the first failing triple or
+basis element; the broken raw instances show that they can fail.
+"""
+
+import copy
+
+import pytest
+
+from hopfcore.coalgebra import build_xyw, instance_from_json, instance_to_json
+from hopfcore.errors import TruncationError
+from hopfcore.linalg import Q1
+from conftest import load_fixture
+
+
+def first_associativity_failure(data):
+    """The first basis triple (i, j, k), as labels, with (e_i e_j) e_k !=
+    e_i (e_j e_k); triples where either side leaves the truncation are
+    not compared."""
+    for i, j in sorted(data._mult):
+        for k in range(data.dim):
+            if not data.has_product(j, k):
+                continue
+            try:
+                left = data.mul_sparse(dict(data.product_terms(i, j)), {k: Q1})
+                right = data.mul_sparse({i: Q1}, dict(data.product_terms(j, k)))
+            except TruncationError:
+                continue
+            diff = dict(left)
+            for t, c in right.items():
+                diff[t] = diff.get(t, 0) - c
+            if any(diff.values()):
+                return tuple(data.label(t) for t in (i, j, k))
+    return None
+
+
+def first_antipode_failure(data):
+    """The first basis element h, as a label, with m(S (x) id)Delta(h) or
+    m(id (x) S)Delta(h) different from eps(h) 1."""
+    unit = data.unit_index
+    for h in range(data.dim):
+        expected = {unit: data.counit[h]} if data.counit[h] else {}
+        for side in ("left", "right"):
+            total = {}
+            for j, k, c in data.comult_terms(h):
+                if side == "left":
+                    prod = data.mul_sparse(dict(data.antipode_terms(j)), {k: c})
+                else:
+                    prod = data.mul_sparse({j: c}, dict(data.antipode_terms(k)))
+                for t, x in prod.items():
+                    total[t] = total.get(t, 0) + x
+            if {t: x for t, x in total.items() if x} != expected:
+                return data.label(h)
+    return None
+
+
+def instance(name, degree=None):
+    return instance_from_json(load_fixture(f"instances/{name}.json"), degree)
+
+
+@pytest.mark.parametrize("degree", range(2, 7))
+@pytest.mark.parametrize("name", ["dq", "heis", "sl2"])
+def test_ueg_tables_are_hopf(name, degree):
+    data = instance(name, degree)
+    assert first_associativity_failure(data) is None
+    assert first_antipode_failure(data) is None
+
+
+@pytest.mark.parametrize("degree", range(2, 7))
+def test_xyw_tables_are_hopf(degree):
+    data = build_xyw(degree)
+    assert first_associativity_failure(data) is None
+    assert first_antipode_failure(data) is None
+
+
+def test_raw_fixtures_are_hopf():
+    for name in ("grouplike", "shifted_line"):
+        data = instance(name)
+        assert first_associativity_failure(data) is None
+        assert first_antipode_failure(data) is None
+
+
+def test_antipode_helper_rejects_wrong_shifted_line_antipode():
+    # Delta(s) = s (x) 1 + 1 (x) s - 1 (x) 1, so S(s) = 2 - s; with
+    # S(s) = -s the law reads -1 = eps(s) = 1 at s
+    obj = copy.deepcopy(load_fixture("instances/shifted_line.json"))
+    obj["tables"]["antipode"]["s"] = {"s": "-1"}
+    assert first_antipode_failure(instance_from_json(obj)) == "s"
+
+
+def test_antipode_helper_flags_xyw_corrupt_at_x_squared():
+    # the corrupt Delta(x^2) carries 3 x (x) x instead of 2 x (x) x
+    assert first_antipode_failure(instance("xyw_corrupt")) == "x^2"
+
+
+def test_associativity_helper_flags_a_changed_product():
+    # with x * y = 2 xy, x(xy) = 2 x^2y but (xx)y = x^2y
+    obj = instance_to_json(build_xyw(3))
+    obj["tables"]["mult"]["x"]["y"] = {"x*y": "2"}
+    assert first_associativity_failure(instance_from_json(obj)) == ("x", "x", "y")
