@@ -33,9 +33,11 @@ from .linalg import (
     Q0,
     Q1,
     QMatrix,
+    Scalar,
     Subspace,
     Vector,
     complement,
+    exact,
     is_zero_vec,
     kernel,
     to_dense,
@@ -174,14 +176,14 @@ class PrincipalIdeal(IdealOracle):
     def reduce(self, v: Vector) -> Vector:
         alg = self.algebra
         work = {t: c for t, c in enumerate(v) if c}
-        remainder: dict[int, Fraction] = {}
+        remainder: dict[int, Scalar] = {}
         while work:
             t = max(work, key=self._order_key)
             c = work.pop(t)
             exps = alg.monomials[t]
             if all(x >= y for x, y in zip(exps, self._lt_exps)):
                 q = tuple(x - y for x, y in zip(exps, self._lt_exps))
-                scale = c / self._lt_coeff
+                scale = exact(Fraction(c) / self._lt_coeff)
                 for s, gc in enumerate(self.generator):
                     if not gc:
                         continue
@@ -313,11 +315,11 @@ def quotient_ring(ideal: IdealOracle) -> QuotientAlgebra:
 # actions
 
 
-SparseColumn = dict[int, Fraction]
+SparseColumn = dict[int, Scalar]
 
 
 def apply_columns(
-    op: Sequence[SparseColumn], v: Mapping[int, Fraction]
+    op: Sequence[SparseColumn], v: Mapping[int, Scalar]
 ) -> SparseColumn:
     """The image of the sparse vector v under the operator with sparse
     columns op; cancellation may leave zero entries."""
@@ -327,7 +329,7 @@ def apply_columns(
     return out
 
 
-def _add_scaled(acc: SparseColumn, c: Fraction, v: Mapping[int, Fraction]) -> None:
+def _add_scaled(acc: SparseColumn, c: Scalar, v: Mapping[int, Scalar]) -> None:
     for k, x in v.items():
         acc[k] = acc.get(k, Q0) + c * x
 
@@ -382,7 +384,7 @@ class ModuleAlgebraAction:
         rest = self.columns(MultiIndex.make({**dict(m.entries), gid: k - 1}))
         op, scale = self._gen_columns[gid], Fraction(1, k)
         out = [
-            {r: c * scale for r, c in apply_columns(op, col).items() if c}
+            {r: exact(c * scale) for r, c in apply_columns(op, col).items() if c}
             for col in rest
         ]
         self._columns[m] = out
@@ -516,7 +518,7 @@ def hcore(
             f"conv cap {conv_cap} exceeds the host bound {host.data.degree_bound}"
         )
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Scalar]] = []
     cores: list[Subspace] = []
 
     def embed(small: Subspace) -> Subspace:
@@ -530,7 +532,7 @@ def hcore(
     for d in range(conv_cap + 1):
         for m in by_degree.get(d, []):
             columns = action.columns(m)
-            by_pos: dict[int, dict[int, Fraction]] = {}
+            by_pos: dict[int, dict[int, Scalar]] = {}
             for t, c in enumerate(cols):
                 if not columns[c]:
                     continue

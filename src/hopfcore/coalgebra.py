@@ -38,9 +38,11 @@ from .errors import (
 from .linalg import (
     Q0,
     Q1,
+    Scalar,
     Subspace,
     Vector,
     complement,
+    exact,
     inverse,
     kernel,
     rat,
@@ -60,7 +62,7 @@ from .table import (
     string_list,
 )
 
-TensorMap = dict[tuple[int, int], Fraction]
+TensorMap = dict[tuple[int, int], Scalar]
 
 
 class FilteredBialgebraData(TableAlgebra):
@@ -71,11 +73,11 @@ class FilteredBialgebraData(TableAlgebra):
         self,
         basis_labels: Sequence[str],
         degree_bound: int,
-        mult: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
-        comult: Sequence[Iterable[tuple[int, int, Fraction]]],
+        mult: Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]],
+        comult: Sequence[Iterable[tuple[int, int, Scalar]]],
         counit: Sequence,
         unit_index: int,
-        antipode: Optional[Mapping[int, Iterable[tuple[int, Fraction]]]] = None,
+        antipode: Optional[Mapping[int, Iterable[tuple[int, Scalar]]]] = None,
         filtration_hint: Optional[Sequence[int]] = None,
     ):
         dim = len(basis_labels)
@@ -89,7 +91,7 @@ class FilteredBialgebraData(TableAlgebra):
             raise InputFormatError("degree bound must be positive")
         self.unit_index = int(unit_index)
         self._comult = tuple(
-            tuple(sorted((j, k, c) for j, k, c in row if c)) for row in comult
+            tuple(sorted((j, k, exact(c)) for j, k, c in row if c)) for row in comult
         )
         self._counit = tuple(rat(c) for c in counit)
         if len(self._counit) != dim:
@@ -112,7 +114,7 @@ class FilteredBialgebraData(TableAlgebra):
     def has_antipode(self) -> bool:
         return self._antipode is not None
 
-    def comult_terms(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
+    def comult_terms(self, i: int) -> tuple[tuple[int, int, Scalar], ...]:
         return self._comult[i]
 
     def antipode_terms(self, i: int) -> SparseVec:
@@ -132,7 +134,7 @@ class FilteredBialgebraData(TableAlgebra):
                 out[key] = out.get(key, Q0) + a * c
         return {key: c for key, c in out.items() if c}
 
-    def counit_of(self, v: Vector) -> Fraction:
+    def counit_of(self, v: Vector) -> Scalar:
         return sum((a * e for a, e in zip(v, self._counit) if a and e), Q0)
 
     @property
@@ -153,11 +155,11 @@ class FilteredBialgebraData(TableAlgebra):
 # axiom verification
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
+def _common_denominator(values: Iterable[Scalar]) -> int:
     return lcm(*(c.denominator for c in values))
 
 
-def _scaled(c: Fraction, d: int) -> int:
+def _scaled(c: Scalar, d: int) -> int:
     """d * c as an int, for d a multiple of c's denominator."""
     return c.numerator * (d // c.denominator)
 
@@ -308,7 +310,7 @@ def _filtration_step(
     dim = data.dim
     qprev = prev.quotient_unit_sparse()
     qbase = base.quotient_unit_sparse()
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for t in range(dim):
         for j, k, c in data.comult_terms(t):
             pj = qprev[j]
@@ -382,10 +384,10 @@ class GradedSplitting:
     data: FilteredBialgebraData
     components: tuple[Subspace, ...]
     vectors: tuple[Vector, ...]
-    sparse_vectors: tuple[dict[int, Fraction], ...]
+    sparse_vectors: tuple[dict[int, Scalar], ...]
     degrees: tuple[int, ...]
     labels: tuple[str, ...]
-    to_split_units: tuple[dict[int, Fraction], ...]
+    to_split_units: tuple[dict[int, Scalar], ...]
     comult: tuple[TensorMap, ...]
 
     @property
@@ -393,7 +395,7 @@ class GradedSplitting:
         return len(self.vectors)
 
     @cached_property
-    def delta(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+    def delta(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
         """The degree-preserving part of ``comult``."""
         degrees = self.degrees
         return tuple(
@@ -407,16 +409,16 @@ class GradedSplitting:
             for k, tmap in enumerate(self.comult)
         )
 
-    def to_split_sparse(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def to_split_sparse(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """Split coordinates of a sparse raw vector, without zeros."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for j, a in v.items():
             if a:
                 for k, c in self.to_split_units[j].items():
                     out[k] = out.get(k, Q0) + a * c
         return {k: c for k, c in out.items() if c}
 
-    def product(self, a: int, b: int) -> dict[int, Fraction]:
+    def product(self, a: int, b: int) -> dict[int, Scalar]:
         """Split coordinates of the product of splitting vectors a and b;
         raises TruncationError when the product leaves the truncation."""
         return self.to_split_sparse(
@@ -445,7 +447,7 @@ class GradedSplitting:
 
 
 def _split_tensor(
-    units: Sequence[Mapping[int, Fraction]], tmap: TensorMap
+    units: Sequence[Mapping[int, Scalar]], tmap: TensorMap
 ) -> TensorMap:
     out: TensorMap = {}
     for (a, b), c in tmap.items():
@@ -720,7 +722,7 @@ def verify_gr_facts(
 
 
 def _in_primitive_set(
-    gr: FilteredBialgebraData, v: Mapping[int, Fraction], n: int
+    gr: FilteredBialgebraData, v: Mapping[int, Scalar], n: int
 ) -> bool:
     """Whether the sparse element v of level n passes
     ``_primitivity_defect_ok``: its defect Delta(v) - v (x) 1 - 1 (x) v
@@ -750,13 +752,13 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
     assert degrees is not None
     bound = gr.degree_bound
 
-    def random_level_element(n: int) -> dict[int, Fraction]:
-        coords: dict[int, Fraction] = {}
+    def random_level_element(n: int) -> dict[int, Scalar]:
+        coords: dict[int, Scalar] = {}
         for k in range(gr.dim):
             if degrees[k] <= n:
                 c = rng.randint(-2, 2)
                 if c:
-                    coords[k] = Fraction(c)
+                    coords[k] = c
         return coords or {0: Q1}
 
     for trial in range(samples):
@@ -789,9 +791,9 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
 
 def _straighten(
     word: tuple[int, ...],
-    bracket: Mapping[tuple[int, int], dict[int, Fraction]],
+    bracket: Mapping[tuple[int, int], dict[int, Scalar]],
     memo: dict,
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[tuple[int, ...], Scalar]:
     """Rewrite a word in the generators as a combination of nondecreasing
     words using x_j x_i = x_i x_j + [x_j, x_i] for j > i."""
     if all(word[t] <= word[t + 1] for t in range(len(word) - 1)):
@@ -801,7 +803,7 @@ def _straighten(
         return cached
     p = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
     head, a, b, tail = word[:p], word[p], word[p + 1], word[p + 2 :]
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for w, c in _straighten(head + (b, a) + tail, bracket, memo).items():
         out[w] = out.get(w, Q0) + c
     for k, ck in bracket.get((a, b), {}).items():
@@ -830,7 +832,7 @@ def build_ueg(
     pos = {g: i for i, g in enumerate(names)}
     g = len(names)
 
-    bracket: dict[tuple[int, int], dict[int, Fraction]] = {}
+    bracket: dict[tuple[int, int], dict[int, Scalar]] = {}
     for a, row in brackets.items():
         for b, combo in row.items():
             if a not in pos or b not in pos:
@@ -854,11 +856,11 @@ def build_ueg(
                     )
                 bracket[key] = table
 
-    def brk(i: int, j: int) -> dict[int, Fraction]:
+    def brk(i: int, j: int) -> dict[int, Scalar]:
         return bracket.get((i, j), {})
 
     for i, j, k in itertools.combinations(range(g), 3):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in brk(x, y).items():
                 for l, cl in brk(m, z).items():
@@ -889,13 +891,13 @@ def build_ueg(
         return out
 
     memo: dict = {}
-    mult: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    mult: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for ti, ei in enumerate(monos):
         for tj, ej in enumerate(monos):
             if sum(ei) + sum(ej) > degree_bound:
                 continue
             scale = Fraction(1, divfact(ei) * divfact(ej))
-            entry: dict[int, Fraction] = {}
+            entry: dict[int, Scalar] = {}
             for w, c in _straighten(word_of(ei) + word_of(ej), bracket, memo).items():
                 e = exps_of(w)
                 entry[index[e]] = entry.get(index[e], Q0) + c * scale * divfact(e)
@@ -914,7 +916,7 @@ def build_ueg(
     for t, e in enumerate(monos):
         sign = Q1 if sum(e) % 2 == 0 else -Q1
         scale = Fraction(1, divfact(e))
-        entry: dict[int, Fraction] = {}
+        entry: dict[int, Scalar] = {}
         for w, c in _straighten(tuple(reversed(word_of(e))), bracket, memo).items():
             ew = exps_of(w)
             entry[index[ew]] = entry.get(index[ew], Q0) + sign * c * scale * divfact(ew)
@@ -945,7 +947,7 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
 
     comult = []
     for (a, b, c) in monos:
-        row: dict[tuple[int, int], Fraction] = {}
+        row: dict[tuple[int, int], Scalar] = {}
         for i in range(a + 1):
             ca = comb(a, i)
             for j in range(b + 1):
@@ -959,16 +961,16 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
                         left = (i + r, j, p)
                         right = (a - i, b - j + r, q)
                         key = (index[left], index[right])
-                        row[key] = row.get(key, Q0) + Fraction(ca * cb * cc)
+                        row[key] = row.get(key, Q0) + ca * cb * cc
         comult.append([(j, k, v) for (j, k), v in sorted(row.items())])
 
     counit = [Q1 if d == 0 else Q0 for d in degrees]
 
     antipode = {}
     for t, (a, b, c) in enumerate(monos):
-        entry: dict[int, Fraction] = {}
+        entry: dict[int, Scalar] = {}
         for s in range(c + 1):
-            coeff = Fraction(comb(c, s)) * (Q1 if (a + b + c - s) % 2 == 0 else -Q1)
+            coeff = comb(c, s) * (Q1 if (a + b + c - s) % 2 == 0 else -Q1)
             target = (a + s, b + s, c - s)
             entry[index[target]] = entry.get(index[target], Q0) + coeff
         antipode[t] = [(k, v) for k, v in sorted(entry.items()) if v]

@@ -15,7 +15,6 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     TruncationError,
     ZeroElement,
 )
-from .linalg import Q0, Q1, Vector, is_zero_vec, rat
+from .linalg import Q0, Q1, Scalar, Vector, is_zero_vec, rat
 from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, PASS, Report
@@ -307,7 +306,7 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
         raise RingMismatch(f"{f.ring.name} vs {g.ring.name}")
     host, ring = f.host, f.ring
     table = host.transposed_comult()
-    acc: dict[MultiIndex, list[Fraction]] = {}
+    acc: dict[MultiIndex, list[Scalar]] = {}
     for i, fv in f._map.items():
         for j, gv in g._map.items():
             targets = table.get((i, j))
@@ -448,7 +447,7 @@ def random_conv_element(
     chosen = rng.sample(candidates, count)
     values = {}
     for m in chosen:
-        coords = [Fraction(rng.randint(-2, 2)) for _ in range(ring.dim)]
+        coords = [rng.randint(-2, 2) for _ in range(ring.dim)]
         if all(c == 0 for c in coords):
             coords[rng.randrange(ring.dim)] = Q1
         values[m] = tuple(coords)

@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``fractions.Fraction`` and matrices store immutable
-row tuples; no floating point enters anywhere.  Row reduction is sparse:
+Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
+The two mix exactly, compare and hash equal, and integral arithmetic stays
+in ``int``.  Every place that creates a scalar by division or parsing
+passes it through ``exact``, and division is always by a ``Fraction``, so
+no floating point enters anywhere.  Vectors are tuples of scalars and
+matrices store immutable row tuples.  Row reduction is sparse:
 ``rank``, ``kernel`` and ``inverse`` take rows as {column: coefficient}
 maps, and one echelon keyed by pivot column reduces them, so the work
 follows the nonzero entries rather than the matrix shape.  Subspaces are
@@ -12,34 +16,39 @@ subspaces are equal iff their stored bases are equal tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
 
 Rational = Fraction
-Vector = tuple[Fraction, ...]
-SparseRow = dict[int, Fraction]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
+SparseRow = dict[int, Scalar]
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Q0 = 0
+Q1 = 1
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def exact(x: Scalar) -> Scalar:
+    """x in normal form: an integral value as its ``int``."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def rat(value: int | str | Fraction) -> Scalar:
+    """Coerce an int, Fraction, or "p/q" string to an exact scalar."""
+    if isinstance(value, (int, Fraction)):
+        return exact(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return exact(Fraction(value.strip()))
         except ZeroDivisionError:
             raise InputFormatError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(value: Fraction) -> str:
+def rat_str(value: Scalar) -> str:
     """Render a rational as "p" or "p/q" (q > 0, lowest terms)."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -58,19 +67,19 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
-def to_sparse(v: Vector) -> dict[int, Fraction]:
+def to_sparse(v: Vector) -> dict[int, Scalar]:
     """The nonzero coordinates of v as {index: coefficient}."""
     return {i: a for i, a in enumerate(v) if a}
 
 
-def to_dense(entries: Mapping[int, Fraction], n: int) -> Vector:
+def to_dense(entries: Mapping[int, Scalar], n: int) -> Vector:
     out = [Q0] * n
     for i, a in entries.items():
         out[i] = a
     return tuple(out)
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
+def dot(u: Vector, v: Vector) -> Scalar:
     return sum((a * b for a, b in zip(u, v) if a and b), Q0)
 
 
@@ -78,17 +87,17 @@ def is_zero_vec(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def _sub_scaled(row: SparseRow, f: Fraction, other: Mapping[int, Fraction]) -> None:
+def _sub_scaled(row: SparseRow, f: Scalar, other: Mapping[int, Scalar]) -> None:
     """row -= f * other in place, dropping the entries that cancel."""
     for c, x in other.items():
         v = row.get(c, Q0) - f * x
         if v:
-            row[c] = v
+            row[c] = exact(v)
         else:
             del row[c]
 
 
-def _rref_rows(rows: Sequence[Mapping[int, Fraction]], ncols: int):
+def _rref_rows(rows: Sequence[Mapping[int, Scalar]], ncols: int):
     """Reduced row echelon form of sparse rows {column: coefficient};
     returns (rows, pivot columns), the rows nonzero, in ascending pivot
     order and with ascending keys.
@@ -100,15 +109,15 @@ def _rref_rows(rows: Sequence[Mapping[int, Fraction]], ncols: int):
     """
     echelon: dict[int, SparseRow] = {}
     for given in rows:
-        row = {c: x for c, x in given.items() if x}
+        row = {c: exact(x) for c, x in given.items() if x}
         while row:
             lead = min(row)
             stored = echelon.get(lead)
             if stored is None:
                 a = row[lead]
                 if a != 1:
-                    inv = Q1 / a
-                    row = {c: x * inv for c, x in row.items()}
+                    inv = Fraction(1) / a
+                    row = {c: exact(x * inv) for c, x in row.items()}
                 echelon[lead] = row
                 break
             _sub_scaled(row, row[lead], stored)
@@ -121,11 +130,11 @@ def _rref_rows(rows: Sequence[Mapping[int, Fraction]], ncols: int):
     return reduced, tuple(pivots)
 
 
-def rank(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> int:
+def rank(rows: Sequence[Mapping[int, Scalar]], ncols: int) -> int:
     return len(_rref_rows(rows, ncols)[0])
 
 
-def kernel(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> "Subspace":
+def kernel(rows: Sequence[Mapping[int, Scalar]], ncols: int) -> "Subspace":
     """Right kernel {v : row . v = 0 for every row} of sparse rows, as a
     canonical subspace: one vector per free column f of the echelon, e_f
     minus the echelon rows' entries in column f at their pivots."""
@@ -139,7 +148,7 @@ def kernel(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> "Subspace":
     return Subspace.from_sparse(list(basis.values()), ncols)
 
 
-def inverse(rows: Sequence[Mapping[int, Fraction]], n: int) -> list[SparseRow]:
+def inverse(rows: Sequence[Mapping[int, Scalar]], n: int) -> list[SparseRow]:
     """The rows of the inverse of the n x n matrix with the given sparse
     rows, by reducing [M | I] to [I | M^-1].  Raises ValueError if M is
     singular.  Row j of the inverse of M^T is column j of the inverse of M,
@@ -239,7 +248,7 @@ class Subspace:
 
     @classmethod
     def from_sparse(
-        cls, rows: Sequence[Mapping[int, Fraction]], ambient_dim: int
+        cls, rows: Sequence[Mapping[int, Scalar]], ambient_dim: int
     ) -> "Subspace":
         """The span of sparse vectors {index: coefficient}."""
         reduced, pivots = _rref_rows(rows, ambient_dim)
@@ -259,33 +268,37 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def nonpivots(self) -> tuple[int, ...]:
-        pivset = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivset)
+    @cached_property
+    def rows_by_pivot(self) -> dict[int, SparseRow]:
+        """The basis as sparse rows, keyed by pivot in ascending order."""
+        return {p: to_sparse(r) for p, r in zip(self.pivots, self.basis)}
+
+    def reduce_sparse(self, v: Mapping[int, Scalar]) -> SparseRow:
+        """Residual of the sparse vector v after subtracting its projection
+        along the basis, without zeros.  A basis row vanishes at every other
+        pivot, so the rows to subtract are those at the pivots v hits."""
+        out = {c: x for c, x in v.items() if x}
+        rows = self.rows_by_pivot
+        for p in [c for c in out if c in rows]:
+            _sub_scaled(out, out[p], rows[p])
+        return out
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after subtracting its projection along the basis."""
-        out = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = out[p]
-            if c:
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        out[j] -= c * row[j]
-        return tuple(out)
+        return to_dense(self.reduce_sparse(to_sparse(v)), self.ambient_dim)
 
-    def contains(self, v: Vector) -> bool:
-        return is_zero_vec(self.reduce(v))
+    def contains(self, v: Vector | Mapping[int, Scalar]) -> bool:
+        """Membership of v, dense or sparse {index: coefficient}."""
+        return not self.reduce_sparse(v if isinstance(v, Mapping) else to_sparse(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return all(self.contains(r) for r in other.rows_by_pivot.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         rows = [to_sparse(r) for r in self.basis + other.basis]
         return Subspace.from_sparse(rows, self.ambient_dim)
 
-    def quotient_unit_sparse(self) -> list[dict[int, Fraction]]:
+    def quotient_unit_sparse(self) -> list[dict[int, Scalar]]:
         """For each ambient coordinate vector e_j, the nonzero coordinates of
         its class modulo this subspace, keyed by non-pivot position.
 
@@ -293,13 +306,11 @@ class Subspace:
         non-pivot positions; membership in the subspace is exactly vanishing
         of all these coordinates.
         """
-        rank_of = {p: i for i, p in enumerate(self.pivots)}
-        nonpiv = self.nonpivots
-        out: list[dict[int, Fraction]] = []
+        rows = self.rows_by_pivot
+        out: list[dict[int, Scalar]] = []
         for j in range(self.ambient_dim):
-            if j in rank_of:
-                row = self.basis[rank_of[j]]
-                out.append({a: -row[a] for a in nonpiv if row[a]})
+            if j in rows:
+                out.append({a: -x for a, x in rows[j].items() if a != j})
             else:
                 out.append({j: Q1})
         return out
@@ -345,11 +356,11 @@ def complement(
         adjuster = to_sparse(adjuster)
         denom = _dot_sparse(constraint, adjuster)
         for r in rows:
-            f = _dot_sparse(constraint, r) / denom
+            f = exact(Fraction(_dot_sparse(constraint, r)) / denom)
             if f:
                 _sub_scaled(r, f, adjuster)
     return Subspace.from_sparse(rows, outer.ambient_dim)
 
 
-def _dot_sparse(u: Vector, v: Mapping[int, Fraction]) -> Fraction:
+def _dot_sparse(u: Vector, v: Mapping[int, Scalar]) -> Scalar:
     return sum((u[i] * a for i, a in v.items()), Q0)

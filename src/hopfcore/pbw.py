@@ -13,7 +13,7 @@ terms; all of that is machine-checked here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Optional
 
 from .coalgebra import (
@@ -31,11 +31,12 @@ from .linalg import (
     Q0,
     Q1,
     QMatrix,
+    Scalar,
     Subspace,
     Vector,
     complement,
+    exact,
     inverse,
-    is_zero_vec,
     rank,
     rat_str,
     to_dense,
@@ -139,14 +140,14 @@ class PBWStructure:
         self.indices: list[MultiIndex] = gens.enumerate_up_to(data.degree_bound)
         self.index_pos = {m: t for t, m in enumerate(self.indices)}
         self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
-        self._monomials: dict[MultiIndex, dict[int, Fraction]] = {}
+        self._monomials: dict[MultiIndex, dict[int, Scalar]] = {}
         self.basis_change: dict[int, QMatrix] = {}
-        self._raw_to_pbw: Optional[list[dict[int, Fraction]]] = None
+        self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
         self._comult_cache: dict[
-            MultiIndex, list[tuple[MultiIndex, MultiIndex, Fraction]]
+            MultiIndex, list[tuple[MultiIndex, MultiIndex, Scalar]]
         ] = {}
         self._transposed: Optional[
-            dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Fraction]]]
+            dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Scalar]]]
         ] = None
 
     @classmethod
@@ -176,7 +177,7 @@ class PBWStructure:
 
     # -- monomials -----------------------------------------------------------
 
-    def sparse_monomial(self, m: MultiIndex) -> dict[int, Fraction]:
+    def sparse_monomial(self, m: MultiIndex) -> dict[int, Scalar]:
         """e_m as its nonzero raw coordinates, computed left to right in
         increasing generator order with the divided scaling 1/m(g)! applied
         per generator block; cached."""
@@ -196,7 +197,7 @@ class PBWStructure:
             for _ in range(k):
                 v = _nonzero(self.data.mul_sparse(v, lift))
             scale = Fraction(1, factorial(k))
-            v = {i: a * scale for i, a in v.items()}
+            v = {i: exact(a * scale) for i, a in v.items()}
         self._monomials[m] = v
         return v
 
@@ -219,14 +220,14 @@ class PBWStructure:
             )
         rows = []
         for m in idx:
-            v = self.pbw_monomial(m)
+            v = self.sparse_monomial(m)
             if not layer.contains(v):
                 raise BasisDefect(f"degree {n}: e_{m} escapes the layer")
             rows.append(v)
-        sparse_rows = [self.sparse_monomial(m) for m in idx]
-        if rank(sparse_rows, self.data.dim) != len(idx):
+        dim = self.data.dim
+        if rank(rows, dim) != len(idx):
             raise BasisDefect(f"degree {n}: monomials are dependent")
-        self.basis_change[n] = QMatrix(rows, self.data.dim)
+        self.basis_change[n] = QMatrix([to_dense(r, dim) for r in rows], dim)
         rep.add("basis", f"degree {n}", PASS, f"dim {len(idx)}")
         return rep
 
@@ -248,10 +249,10 @@ class PBWStructure:
             [self.sparse_monomial(m) for m in self.indices], self.data.dim
         )
 
-    def pbw_coords(self, v: Vector) -> dict[MultiIndex, Fraction]:
+    def pbw_coords(self, v: Vector) -> dict[MultiIndex, Scalar]:
         """Exact expansion of a raw vector on the monomial basis."""
         self._ensure_full_basis()
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for j, a in enumerate(v):
             if not a:
                 continue
@@ -263,7 +264,7 @@ class PBWStructure:
 
     def structure_constant(
         self, n: MultiIndex, m: MultiIndex
-    ) -> tuple[Fraction, Vector]:
+    ) -> tuple[Scalar, Vector]:
         """Multinomial leading coefficient and the defect
         e_n e_m - c e_{n+m}, asserted to lie one filtration layer down."""
         total = self.gens.add(n, m)
@@ -273,26 +274,25 @@ class PBWStructure:
         c = Q1
         for gid in set(n.support) | set(m.support):
             a, b = n.mult(gid), m.mult(gid)
-            c *= Fraction(factorial(a + b), factorial(a) * factorial(b))
+            c *= comb(a + b, a)
         prod = self.data.mul_sparse(
             self.sparse_monomial(n), self.sparse_monomial(m)
         )
         for k, a in self.sparse_monomial(total).items():
             prod[k] = prod.get(k, Q0) - c * a
-        defect = to_dense(prod, self.data.dim)
         if deg == 0:
-            ok = is_zero_vec(defect)
+            ok = not any(prod.values())
         else:
-            ok = self.filt.layers[deg - 1].contains(defect)
+            ok = self.filt.layers[deg - 1].contains(prod)
         if not ok:
             raise BasisDefect(f"defect of e_{n} e_{m} escapes layer {deg - 1}")
-        return c, defect
+        return c, to_dense(prod, self.data.dim)
 
     # -- comultiplication --------------------------------------------------------
 
     def expand_comult(
         self, m: MultiIndex
-    ) -> list[tuple[MultiIndex, MultiIndex, Fraction]]:
+    ) -> list[tuple[MultiIndex, MultiIndex, Scalar]]:
         """Delta(e_m) on the monomial (x) monomial basis, sorted by the
         well-order on both tensor positions."""
         cached = self._comult_cache.get(m)
@@ -302,7 +302,7 @@ class PBWStructure:
             raise TruncationError("index degree exceeds the bound")
         self._ensure_full_basis()
         tmap = self.data.comult_map(self.pbw_monomial(m))
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Scalar] = {}
         for (a, b), coeff in tmap.items():
             for i, ci in self._raw_to_pbw[a].items():
                 cc = coeff * ci
@@ -319,13 +319,13 @@ class PBWStructure:
                 raise ExpansionViolation(
                     f"term e_{left} (x) e_{right} of Delta(e_{m}) exceeds degree {deg_m}"
                 )
-            out.append((left, right, c))
+            out.append((left, right, exact(c)))
         self._comult_cache[m] = out
         return out
 
     def transposed_comult(
         self,
-    ) -> dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Fraction]]]:
+    ) -> dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Scalar]]]:
         """The structure constants of Delta read by tensor pair: (i, j) ->
         [(n, c)] for every term c e_i (x) e_j of Delta(e_n), n in index
         order.  Built once, from expand_comult over every index."""
@@ -389,8 +389,8 @@ class PBWStructure:
         # "every index <= m" and "every index of degree <= d" are prefixes
         small = self.indices[: self.gens.count_up_to(bound // 2)]
 
-        def sample_elem(top: MultiIndex) -> dict[int, Fraction]:
-            v: dict[int, Fraction] = {}
+        def sample_elem(top: MultiIndex) -> dict[int, Scalar]:
+            v: dict[int, Scalar] = {}
             for i in self.indices[: self.index_pos[top] + 1]:
                 c = rng.randint(-2, 2)
                 if c:
@@ -418,5 +418,5 @@ class PBWStructure:
         return rep
 
 
-def _nonzero(v: dict[int, Fraction]) -> dict[int, Fraction]:
+def _nonzero(v: dict[int, Scalar]) -> dict[int, Scalar]:
     return {k: a for k, a in v.items() if a}

@@ -13,24 +13,25 @@ every pair, empty products included.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
 from .linalg import (
-    Q0, Q1, Vector, is_zero_vec, rat, rat_str, to_dense, to_sparse, unit_vec, zero_vec
+    Q0, Q1, Scalar, Vector, exact, is_zero_vec, rat, rat_str, to_dense, to_sparse,
+    unit_vec, zero_vec,
 )
 
-SparseVec = tuple[tuple[int, Fraction], ...]
-Table = Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]]
+SparseVec = tuple[tuple[int, Scalar], ...]
+Table = Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]]
 
 
-def sparse(entries: Iterable[tuple[int, Fraction]]) -> SparseVec:
-    """Merge repeated keys, drop zeros, sort by key."""
-    merged: dict[int, Fraction] = {}
+def sparse(entries: Iterable[tuple[int, Scalar]]) -> SparseVec:
+    """Merge repeated keys, drop zeros, sort by key; integral values
+    become ``int``."""
+    merged: dict[int, Scalar] = {}
     for k, c in entries:
         merged[k] = merged.get(k, Q0) + c
-    return tuple((k, c) for k, c in sorted(merged.items()) if c)
+    return tuple((k, exact(c)) for k, c in sorted(merged.items()) if c)
 
 
 def string_list(value, field: str) -> list[str]:
@@ -185,13 +186,13 @@ class TableAlgebra:
             ) from None
 
     def mul_sparse(
-        self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]
-    ) -> dict[int, Fraction]:
+        self, u: Mapping[int, Scalar], v: Mapping[int, Scalar]
+    ) -> dict[int, Scalar]:
         """The product of two sparse vectors {index: coefficient} without
         zero coefficients; the result may hold zeros from cancellation.
         Raises TruncationError when a pair of support elements has no
         product within the truncation."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         table = self._mult
         for i, a in u.items():
             for j, b in v.items():

@@ -5,8 +5,13 @@ below rebuild the filtration, the pivot-greedy complement, the splitting's
 inverse, the associated graded product table and the stable-core chain the
 way the earlier code did: every condition row, matrix and product densified
 first.  The sparse pipeline must give the same layers, splitting vectors,
-split coordinates, gr tables and core chains.
+split coordinates, gr tables and core chains, and ``Subspace.reduce`` the
+same residuals as the earlier dense ``dense_reduce``.  Division goes
+through ``Fraction``, since the pipeline hands over ``int`` scalars.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,7 +43,7 @@ def dense_rref_rows(rows, ncols):
         work[piv_r], work[pr] = work[pr], work[piv_r]
         lead = work[piv_r][col]
         if lead != 1:
-            work[piv_r] = [x / lead for x in work[piv_r]]
+            work[piv_r] = [Fraction(x) / lead for x in work[piv_r]]
         prow = work[piv_r]
         for r in range(len(work)):
             if r == piv_r:
@@ -114,7 +119,8 @@ def dense_complement(inner, outer, constraint):
         adjuster = next(r for r in inner[0] if dot(constraint, r))
         denom = dot(constraint, adjuster)
         rows = [
-            tuple(a - dot(constraint, r) / denom * b for a, b in zip(r, adjuster))
+            tuple(a - Fraction(dot(constraint, r)) / denom * b
+                  for a, b in zip(r, adjuster))
             for r in rows
         ]
     return dense_rref_rows(rows, len(constraint))[0]
@@ -179,6 +185,40 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
     return chain
 
 
+def dense_reduce(space, v):
+    """Residual of v: at each pivot in turn, subtract the multiple of the
+    basis row that clears it, over every coordinate."""
+    out = list(v)
+    for row, p in zip(space.basis, space.pivots):
+        c = out[p]
+        if c:
+            for j in range(space.ambient_dim):
+                if row[j]:
+                    out[j] -= c * row[j]
+    return tuple(out)
+
+
+def assert_reduce_matches_dense(spaces, vectors):
+    for space in spaces:
+        for v in vectors:
+            residual = space.reduce(v)
+            assert residual == dense_reduce(space, v)
+            assert space.contains(v) == (not any(residual))
+            assert space.contains({j: x for j, x in enumerate(v) if x}) == (
+                not any(residual)
+            )
+
+
+def sample_vectors(dim, seed):
+    """Every coordinate vector and a few seeded integer and rational
+    combinations."""
+    rng = random.Random(seed)
+    out = [unit_vec(dim, j) for j in range(dim)]
+    for _ in range(6):
+        out.append(tuple(rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(dim)))
+    return out
+
+
 def _data(name, degree):
     return instance_from_json(load_fixture(f"instances/{name}.json"), degree)
 
@@ -192,6 +232,7 @@ def test_front_end_matches_dense_oracle(name, degree):
     filt = coradical_filtration(data)
     oracle = dense_filtration(data)
     assert [(layer.basis, layer.pivots) for layer in filt.layers] == oracle
+    assert_reduce_matches_dense(filt.layers, sample_vectors(data.dim, name))
     if not filt.exhaustive:
         assert name == "grouplike"  # the stall: nothing past the filtration
         return
@@ -225,5 +266,6 @@ def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degre
     result = hcore(action, ideal, cap, degree)
     chain = dense_hcore_chain(action, ideal, cap, degree)
     assert [(core.basis, core.pivots) for core in result.by_cap] == chain
+    assert_reduce_matches_dense(result.by_cap, sample_vectors(algebra.dim, action_name))
     assert len({core.dim for core in result.by_cap}) > 1  # the chain moves
 

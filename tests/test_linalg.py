@@ -176,6 +176,47 @@ def test_complement_dimensions(rows_a, rows_b):
         assert not inner.contains(row)
 
 
+# -- int rows against Fraction rows -------------------------------------------
+
+int_matrix = st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+def _typed(rows):
+    """The scalars of sparse or dense rows with their types."""
+    items = (r.values() if isinstance(r, dict) else r for r in rows)
+    return [(x, type(x)) for row in items for x in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrix)
+def test_int_and_fraction_rows_agree(rows):
+    """The echelon normalises its input, so int and Fraction rows give the
+    same results down to the type of every scalar, and no float."""
+    ncols = len(rows[0])
+    as_int = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    as_frac = [{c: F(x) for c, x in r.items()} for r in as_int]
+    assert rank(as_int, ncols) == rank(as_frac, ncols)
+    for build in (kernel, Subspace.from_sparse):
+        a, b = build(as_int, ncols), build(as_frac, ncols)
+        assert a == b and _typed(a.basis) == _typed(b.basis)
+        assert {t for _, t in _typed(a.basis)} <= {int, F}
+    if len(rows) == ncols:
+        try:
+            inv = inverse(as_int, ncols)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse(as_frac, ncols)
+            return
+        assert _typed(inv) == _typed(inverse(as_frac, ncols))
+        assert {t for _, t in _typed(inv)} <= {int, F}
+
+
 def test_quotient_unit_sparse_membership():
     s = Subspace.from_vectors([[1, 0, 2], [0, 1, -1]], 3)
     q = s.quotient_unit_sparse()

@@ -1,0 +1,181 @@
+"""The scalar convention: an exact scalar is an ``int`` when it is integral
+and a ``Fraction`` otherwise, and no float appears anywhere.
+
+Every stored scalar of the pipeline, from the input tables through the
+filtration, splitting, associated graded algebra, divided-power monomials,
+comultiplication expansions, coefficient rings, convolutions and stable
+cores, is walked and checked to be an ``int`` or a ``Fraction``.  At the
+places that create scalars (``rat``, ``table.sparse``, the echelon and
+``expand_comult``) an integral value is moreover an ``int``.
+"""
+
+import random
+from collections.abc import Mapping
+from fractions import Fraction
+
+import pytest
+
+from hopfcore import cli
+from hopfcore.action import ModuleAlgebraAction, PrincipalIdeal, hcore
+from hopfcore.coalgebra import coradical_filtration, instance_from_json
+from hopfcore.convolution import (
+    builtin_ring,
+    convolve,
+    random_conv_element,
+    ring_from_tables,
+)
+from hopfcore.errors import HopfcoreError
+from hopfcore.linalg import QMatrix, Subspace, inverse, kernel, rat
+from hopfcore.monoid import MultiIndex
+from hopfcore.pbw import PBWStructure
+from hopfcore.table import PolynomialAlgebra, sparse
+from conftest import FIXTURES, load_fixture
+
+INSTANCES = sorted(p.stem for p in (FIXTURES / "instances").glob("*.json"))
+ACTIONS = [("sl2_qxy_ix", "sl2", 6), ("dq_qx_ix", "dq", 8), ("xyw_qu", "xyw", 8)]
+HALF_RING = {
+    "name": "half",
+    "basis": ["1", "h"],
+    "one": {"1": "1"},
+    "mult": {"1": {"1": {"1": "1"}, "h": {"h": "1"}},
+             "h": {"1": {"h": "1"}, "h": {"1": "1/4"}}},
+}
+
+
+def scalars(obj):
+    """Every scalar held in obj: the values of mappings and the entries of
+    tuples and lists, through Subspaces and QMatrices; multi-indices are
+    labels, not scalars."""
+    if isinstance(obj, (int, Fraction, float)):
+        yield obj
+    elif isinstance(obj, Mapping):
+        for value in obj.values():
+            yield from scalars(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from scalars(value)
+    elif isinstance(obj, Subspace):
+        yield from scalars(obj.basis)
+    elif isinstance(obj, QMatrix):
+        yield from scalars(obj.rows)
+    elif not isinstance(obj, MultiIndex):
+        raise TypeError(f"unexpected {type(obj).__name__} among scalars")
+
+
+def assert_exact(obj):
+    """No float: every scalar is an int or a Fraction."""
+    kinds = {type(x) for x in scalars(obj)}
+    assert kinds <= {int, Fraction}, kinds
+
+
+def assert_normal(obj):
+    """Exact and in normal form: no Fraction with denominator 1."""
+    assert_exact(obj)
+    bad = [x for x in scalars(obj) if type(x) is Fraction and x.denominator == 1]
+    assert not bad, bad[:3]
+
+
+def _data(name):
+    return instance_from_json(load_fixture(f"instances/{name}.json"))
+
+
+# -- unit cases -------------------------------------------------------------------
+
+
+def test_rat_normal_form():
+    assert rat("3") == 3 and type(rat("3")) is int
+    assert type(rat("6/3")) is int and rat("6/3") == 2
+    assert type(rat(Fraction(4, 2))) is int and rat(Fraction(4, 2)) == 2
+    assert type(rat(7)) is int
+    assert rat("1/2") == Fraction(1, 2) and type(rat("1/2")) is Fraction
+    with pytest.raises(TypeError):
+        rat(0.5)
+
+
+def test_echelon_divides_exactly():
+    space = Subspace.from_sparse([{0: 2, 1: 1}], 2)
+    assert space.basis == ((1, Fraction(1, 2)),)
+    assert [type(x) for x in space.basis[0]] == [int, Fraction]
+    assert inverse([{0: 2}], 1) == [{0: Fraction(1, 2)}]
+    assert_normal(Subspace.from_sparse([{0: Fraction(2), 1: Fraction(4)}], 2).basis)
+    assert_normal(kernel([{0: 3, 1: 6}, {1: Fraction(3, 3)}], 3).basis)
+
+
+def test_sparse_normal_form():
+    merged = sparse([(1, Fraction(1, 2)), (0, Fraction(6, 3)), (1, Fraction(1, 2))])
+    assert merged == ((0, 2), (1, 1))
+    assert_normal(merged)
+
+
+def test_principal_reduction_divides_exactly():
+    """3y^2 modulo (2y^2 + x) leaves -3x/2: the division by the integral
+    leading coefficient is exact."""
+    alg = PolynomialAlgebra(["x", "y"], 3)
+    gen = [0] * alg.dim
+    gen[alg.monomial_index([0, 2])], gen[alg.monomial_index([1, 0])] = 2, 1
+    ideal = PrincipalIdeal(alg, tuple(gen))
+    y2 = [0] * alg.dim
+    y2[alg.monomial_index([0, 2])] = 3
+    residual = ideal.reduce(tuple(y2))
+    assert residual[alg.monomial_index([1, 0])] == Fraction(-3, 2)
+    assert_exact(residual)
+    assert ideal.contains(tuple(2 * c for c in gen))
+
+
+# -- the pipeline ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_pipeline_scalars_are_exact(name):
+    data = _data(name)
+    assert_normal([data._mult, data._comult, data.counit, data.unit_vector()])
+    if data.has_antipode:
+        assert_normal(data._antipode)
+    filt = coradical_filtration(data)
+    assert_normal(filt.layers)
+    try:
+        pbw = PBWStructure.from_bialgebra(data)
+    except HopfcoreError:
+        assert name in ("grouplike", "xyw_corrupt")
+        return
+    split = pbw.split
+    assert_normal([split.vectors, split.sparse_vectors, split.to_split_units])
+    assert_exact(split.comult)
+    gr = pbw.gr
+    assert_normal([gr._mult, gr._comult, gr._antipode or {}, pbw.gr_gens])
+    assert_exact(pbw.lifts)
+    assert_normal([pbw.sparse_monomial(m) for m in pbw.indices])
+    assert_normal([pbw.expand_comult(m) for m in pbw.indices])
+    assert_normal(pbw.transposed_comult())
+    pbw.verify_all_bases()
+    assert_normal(pbw.basis_change)
+    assert_exact([pbw.structure_constant(n, m) for n in pbw.indices[:4]
+                  for m in pbw.indices[:4]
+                  if pbw.gens.degree(n) + pbw.gens.degree(m) <= data.degree_bound])
+
+
+@pytest.mark.parametrize("name", ["sl2", "xyw", "qt"])
+def test_rings_and_convolutions_are_exact(name):
+    pbw = PBWStructure.from_bialgebra(_data(name))
+    rings = [builtin_ring(r) for r in ("q", "m2q", "qxq", "qx2")]
+    rings.append(ring_from_tables(HALF_RING))
+    rng = random.Random(name)
+    for ring in rings:
+        assert_normal([ring._mult, ring.unit_vector()])
+        bound = pbw.data.degree_bound // 2
+        f, g = (random_conv_element(pbw, ring, rng, bound) for _ in range(2))
+        assert_exact([f._map, g._map, convolve(f, g)._map, convolve(g, f)._map])
+
+
+@pytest.mark.parametrize("action_name, host_name, degree", ACTIONS)
+def test_hcore_chain_is_exact(host_at, action_name, host_name, degree):
+    host = host_at(host_name, degree)
+    spec = load_fixture(f"actions/{action_name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    ops = {gid: cli._operator_matrix(algebra, op) for gid, op in spec["generators"].items()}
+    action = ModuleAlgebraAction(host, algebra, ops)
+    ideal = cli._ideal_from_json(algebra, spec["ideal"])
+    result = hcore(action, ideal, spec["core_degree_cap"], degree)
+    assert_normal([result.core, result.by_cap])
+    assert_exact([action.columns(m) for m in host.indices])
+    assert_exact(algebra._mult)
