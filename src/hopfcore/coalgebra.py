@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -873,35 +873,33 @@ def build_ueg(
     monos, labels = graded_monomials(names, degree_bound, divided=True)
     index = {e: t for t, e in enumerate(monos)}
 
-    def word_of(e: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            itertools.chain.from_iterable((i,) * e[i] for i in range(g))
-        )
+    # a nondecreasing word in the generators names one monomial
+    words = [
+        tuple(itertools.chain.from_iterable((i,) * e[i] for i in range(g)))
+        for e in monos
+    ]
+    word_pos = {w: t for t, w in enumerate(words)}
+    degrees = [sum(e) for e in monos]
+    divfacts = [prod(map(factorial, e)) for e in monos]
 
-    def exps_of(word: tuple[int, ...]) -> tuple[int, ...]:
-        e = [0] * g
-        for t in word:
-            e[t] += 1
-        return tuple(e)
-
-    def divfact(e: tuple[int, ...]) -> int:
-        out = 1
-        for x in e:
-            out *= factorial(x)
-        return out
+    def divided(c: Scalar, denom: int) -> Scalar:
+        return exact(Fraction(c, denom))
 
     memo: dict = {}
     mult: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for ti, ei in enumerate(monos):
-        for tj, ej in enumerate(monos):
-            if sum(ei) + sum(ej) > degree_bound:
+    for ti, wi in enumerate(words):
+        for tj, wj in enumerate(words):
+            if degrees[ti] + degrees[tj] > degree_bound:
                 continue
-            scale = Fraction(1, divfact(ei) * divfact(ej))
+            # e_i e_j = (x^ei x^ej) / (ei! ej!), and x^e = e! e_e
             entry: dict[int, Scalar] = {}
-            for w, c in _straighten(word_of(ei) + word_of(ej), bracket, memo).items():
-                e = exps_of(w)
-                entry[index[e]] = entry.get(index[e], Q0) + c * scale * divfact(e)
-            mult[(ti, tj)] = [(k, c) for k, c in sorted(entry.items()) if c]
+            for w, c in _straighten(wi + wj, bracket, memo).items():
+                t = word_pos[w]
+                entry[t] = entry.get(t, Q0) + c * divfacts[t]
+            denom = divfacts[ti] * divfacts[tj]
+            mult[(ti, tj)] = [
+                (k, divided(c, denom)) for k, c in sorted(entry.items()) if c
+            ]
 
     comult = []
     for e in monos:
@@ -911,16 +909,17 @@ def build_ueg(
             row.append((index[left], index[right], Q1))
         comult.append(row)
 
-    counit = [Q1 if sum(e) == 0 else Q0 for e in monos]
+    counit = [Q1 if d == 0 else Q0 for d in degrees]
     antipode = {}
-    for t, e in enumerate(monos):
-        sign = Q1 if sum(e) % 2 == 0 else -Q1
-        scale = Fraction(1, divfact(e))
+    for t, word in enumerate(words):
+        sign = Q1 if degrees[t] % 2 == 0 else -Q1
         entry: dict[int, Scalar] = {}
-        for w, c in _straighten(tuple(reversed(word_of(e))), bracket, memo).items():
-            ew = exps_of(w)
-            entry[index[ew]] = entry.get(index[ew], Q0) + sign * c * scale * divfact(ew)
-        antipode[t] = [(k, c) for k, c in sorted(entry.items()) if c]
+        for w, c in _straighten(tuple(reversed(word)), bracket, memo).items():
+            k = word_pos[w]
+            entry[k] = entry.get(k, Q0) + sign * c * divfacts[k]
+        antipode[t] = [
+            (k, divided(c, divfacts[t])) for k, c in sorted(entry.items()) if c
+        ]
 
     return FilteredBialgebraData(
         basis_labels=labels,
@@ -930,7 +929,7 @@ def build_ueg(
         counit=counit,
         unit_index=index[(0,) * g],
         antipode=antipode,
-        filtration_hint=[sum(e) for e in monos],
+        filtration_hint=degrees,
     )
 
 

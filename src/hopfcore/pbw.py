@@ -139,6 +139,12 @@ class PBWStructure:
         self.lifts = lifts
         self.indices: list[MultiIndex] = gens.enumerate_up_to(data.degree_bound)
         self.index_pos = {m: t for t, m in enumerate(self.indices)}
+        # the indices ascend by degree: _prefix[d] of them have degree <= d
+        self._prefix = [0] * (data.degree_bound + 1)
+        for m in self.indices:
+            self._prefix[gens.degree(m)] += 1
+        for d in range(1, len(self._prefix)):
+            self._prefix[d] += self._prefix[d - 1]
         self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
         self._monomials: dict[MultiIndex, dict[int, Scalar]] = {}
         self.basis_change: dict[int, QMatrix] = {}
@@ -147,7 +153,7 @@ class PBWStructure:
             MultiIndex, list[tuple[MultiIndex, MultiIndex, Scalar]]
         ] = {}
         self._transposed: Optional[
-            dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Scalar]]]
+            dict[tuple[int, int], list[tuple[int, Scalar]]]
         ] = None
 
     @classmethod
@@ -174,6 +180,13 @@ class PBWStructure:
         if stage is not None:
             stage("verify_basis", pbw.verify_all_bases)
         return pbw
+
+    def count_up_to(self, d: int) -> int:
+        """The number of indices of degree <= d: the length of the prefix
+        of ``indices`` they form."""
+        if d < 0:
+            return 0
+        return self._prefix[min(d, len(self._prefix) - 1)]
 
     # -- monomials -----------------------------------------------------------
 
@@ -323,17 +336,17 @@ class PBWStructure:
         self._comult_cache[m] = out
         return out
 
-    def transposed_comult(
-        self,
-    ) -> dict[tuple[MultiIndex, MultiIndex], list[tuple[MultiIndex, Scalar]]]:
-        """The structure constants of Delta read by tensor pair: (i, j) ->
-        [(n, c)] for every term c e_i (x) e_j of Delta(e_n), n in index
-        order.  Built once, from expand_comult over every index."""
+    def transposed_comult(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
+        """The structure constants of Delta read by tensor pair, on positions
+        in ``indices``: (i, j) -> [(n, c)] for every term c e_i (x) e_j of
+        Delta(e_n), n ascending.  Built once, from expand_comult over every
+        index."""
         if self._transposed is None:
+            pos = self.index_pos
             table: dict = {}
-            for n in self.indices:
-                for i, j, c in self.expand_comult(n):
-                    table.setdefault((i, j), []).append((n, c))
+            for n, m in enumerate(self.indices):
+                for i, j, c in self.expand_comult(m):
+                    table.setdefault((pos[i], pos[j]), []).append((n, c))
             self._transposed = table
         return self._transposed
 
@@ -387,7 +400,7 @@ class PBWStructure:
         bound = self.data.degree_bound
         # indices ascend in the well-order, which compares degrees first, so
         # "every index <= m" and "every index of degree <= d" are prefixes
-        small = self.indices[: self.gens.count_up_to(bound // 2)]
+        small = self.indices[: self.count_up_to(bound // 2)]
 
         def sample_elem(top: MultiIndex) -> dict[int, Scalar]:
             v: dict[int, Scalar] = {}
@@ -400,9 +413,7 @@ class PBWStructure:
 
         for trial in range(samples):
             n = small[rng.randrange(len(small))]
-            choices = self.indices[
-                : self.gens.count_up_to(bound - self.gens.degree(n))
-            ]
+            choices = self.indices[: self.count_up_to(bound - self.gens.degree(n))]
             m = choices[rng.randrange(len(choices))]
             top = self.index_pos[self.gens.add(n, m)]
             u, w = sample_elem(n), sample_elem(m)

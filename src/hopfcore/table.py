@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
 from .linalg import (
-    Q0, Q1, Scalar, Vector, exact, is_zero_vec, rat, rat_str, to_dense, to_sparse,
+    Q0, Q1, Scalar, Vector, exact, is_zero_vec, rat, rat_str,
     unit_vec, zero_vec,
 )
 
@@ -205,7 +205,22 @@ class TableAlgebra:
         return out
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        return to_dense(self.mul_sparse(to_sparse(u), to_sparse(v)), self.dim)
+        """The product of two dense vectors, accumulated in the order of
+        ``mul_sparse``; raises TruncationError like it."""
+        out = [Q0] * self.dim
+        table = self._mult
+        right = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in right:
+                terms = table.get((i, j))
+                if terms is None:
+                    terms = self.product_terms(i, j)  # raises TruncationError
+                ab = a * b
+                for k, c in terms:
+                    out[k] += ab * c
+        return tuple(out)
 
     def format(self, v: Vector) -> str:
         parts = [

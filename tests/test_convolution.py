@@ -181,7 +181,8 @@ def test_convolve_matches_definition(host_at, host_name):
             product = convolve(f, g)
             assert product == _by_definition(f, g)
             # values come out in host-index order
-            assert list(product._map) == [n for n in host.indices if n in product._map]
+            support = [n for n, _ in product.terms()]
+            assert support == [n for n in host.indices if n in support]
 
 
 def test_convolve_truncating_quotient_ring(host_at):
@@ -193,7 +194,7 @@ def test_convolve_truncating_quotient_ring(host_at):
     rng = random.Random(7)
 
     def below_x2(f):
-        return ConvElement(host, ring, {m: (v[0], v[1], F(0)) for m, v in f._map.items()})
+        return ConvElement(host, ring, {m: (v[0], v[1], F(0)) for m, v in f.terms()})
 
     raised = agreed = 0
     for trial in range(30):
@@ -268,6 +269,31 @@ def test_leading_law_truncation(heis):
     g = ConvElement(heis, q, {mi(y=3): (F(1),)})
     with pytest.raises(TruncationError):
         check_leading_law(f, g)
+
+
+def test_leading_law_flags_a_broken_product(heis, monkeypatch):
+    """A product with a term below the leading sum, or a wrong value at
+    it, fails the law."""
+    from hopfcore import convolution
+
+    q = builtin_ring("q")
+    f = ConvElement(heis, q, {mi(x=1): (F(2),)})
+    g = ConvElement(heis, q, {mi(y=1): (F(3),)})
+    real = convolution.convolve
+    # the index just below the leading sum x + y
+    below = heis.indices[heis.indices.index(mi(x=1, y=1)) - 1]
+    for extra, clauses in (
+        ({below: (F(1),)}, (False, True, False)),
+        ({mi(x=1, y=1): (F(5),)}, (True, False, False)),
+    ):
+        monkeypatch.setattr(
+            convolution,
+            "convolve",
+            lambda a, b: ConvElement(heis, q, {**dict(real(a, b).terms()), **extra}),
+        )
+        out = check_leading_law(f, g)
+        assert (out.vanishing_ok, out.leading_value_ok, out.leading_term_ok) == clauses
+        assert not out.passed
 
 
 def test_leading_law_random_all_rings(heis):

@@ -1,0 +1,253 @@
+"""The position-keyed convolution layer against the code it replaced.
+
+The oracle below is the earlier convolution layer: elements are
+``{MultiIndex: value}`` maps, the transposed comultiplication is keyed by
+pairs of multi-indices, leading indices are found with
+``GeneratorSet.min_of``, random elements sample the multi-indices
+themselves, and ring products go through ``to_sparse``/``mul_sparse``/
+``to_dense``.  The library must draw the same elements from the same rng
+state, and give the same products, leading terms, leading-law outcomes and
+witnesses, on sl2, heis and xyw at degree 6 over the four built-in rings and
+a quotient ring whose lifted products truncate.  ``TableAlgebra.mul`` must
+equal the sparse round trip in value and scalar type and raise
+``TruncationError`` on the same pairs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hopfcore.action import MonomialIdeal, quotient_ring
+from hopfcore.convolution import (
+    ConvElement,
+    LeadingLawOutcome,
+    LeadingTerm,
+    builtin_ring,
+    check_leading_law,
+    convolve,
+    leading,
+    prime_witness,
+    random_conv_element,
+    ring_from_tables,
+)
+from hopfcore.errors import NoWitnessFound, TruncationError
+from hopfcore.linalg import Q0, Q1, to_dense, to_sparse
+from hopfcore.monoid import ZERO_INDEX
+from hopfcore.table import PolynomialAlgebra
+
+HOSTS = ["sl2", "heis", "xyw"]
+RINGS = ["q", "m2q", "qxq", "qx2", "trunc"]
+HALF_RING = {
+    "name": "half",
+    "basis": ["1", "h"],
+    "one": {"1": "1"},
+    "mult": {"1": {"1": {"1": "1"}, "h": {"h": "1"}},
+             "h": {"1": {"h": "1"}, "h": {"1": "1/4"}}},
+}
+
+
+def ring_named(name):
+    if name == "trunc":
+        # Q[x] truncated at degree 2 modulo the zero ideal: x * x^2,
+        # x^2 * x and x^2 * x^2 truncate
+        return quotient_ring(MonomialIdeal(PolynomialAlgebra(["x"], 2), []))
+    if name == "half":
+        return ring_from_tables(HALF_RING)
+    return builtin_ring(name)
+
+
+# -- the earlier code -----------------------------------------------------------
+
+
+def oracle_mul(ring, u, v):
+    return to_dense(ring.mul_sparse(to_sparse(u), to_sparse(v)), ring.dim)
+
+
+def oracle_random(host, ring, rng, max_degree, max_terms=3):
+    candidates = host.indices[: host.gens.count_up_to(max_degree)]
+    count = rng.randint(1, min(max_terms, len(candidates)))
+    chosen = rng.sample(candidates, count)
+    values = {}
+    for m in chosen:
+        coords = [rng.randint(-2, 2) for _ in range(ring.dim)]
+        if all(c == 0 for c in coords):
+            coords[rng.randrange(ring.dim)] = Q1
+        values[m] = tuple(coords)
+    return values
+
+
+def oracle_transposed(host):
+    table = {}
+    for n in host.indices:
+        for i, j, c in host.expand_comult(n):
+            table.setdefault((i, j), []).append((n, c))
+    return table
+
+
+def oracle_convolve(host, ring, table, f, g):
+    acc = {}
+    for i, fv in f.items():
+        for j, gv in g.items():
+            targets = table.get((i, j))
+            if targets is None:
+                continue
+            term = oracle_mul(ring, fv, gv)
+            for n, c in targets:
+                value = acc.get(n)
+                if value is None:
+                    acc[n] = [c * x for x in term]
+                else:
+                    for k, x in enumerate(term):
+                        if x:
+                            value[k] += c * x
+    order = host.index_pos
+    return {
+        n: tuple(acc[n])
+        for n in sorted(acc, key=order.__getitem__)
+        if any(acc[n])
+    }
+
+
+def oracle_leading(host, f):
+    idx = host.gens.min_of(f.keys())
+    return LeadingTerm(idx, f[idx])
+
+
+def oracle_leading_law(host, ring, table, f, g):
+    lf, lg = oracle_leading(host, f), oracle_leading(host, g)
+    total = host.gens.add(lf.index, lg.index)
+    if host.gens.degree(total) > host.data.degree_bound:
+        raise TruncationError("leading sum degree exceeds the bound")
+    prod = oracle_convolve(host, ring, table, f, g)
+    vanish = not any(host.gens.lt(n, total) for n in prod)
+    expected = oracle_mul(ring, lf.value, lg.value)
+    value_ok = prod.get(total, ring.zero()) == expected
+    nonzero = not ring.is_zero(expected)
+    term_ok = None
+    if nonzero:
+        term_ok = bool(prod) and oracle_leading(host, prod) == LeadingTerm(
+            total, expected
+        )
+    return LeadingLawOutcome(lf, lg, vanish, value_ok, nonzero, term_ok)
+
+
+def oracle_prime_witness(host, ring, table, s, t):
+    ls, lt = oracle_leading(host, s), oracle_leading(host, t)
+    total = host.gens.add(ls.index, lt.index)
+    if host.gens.degree(total) > host.data.degree_bound:
+        raise TruncationError("leading sum degree exceeds the bound")
+    dim = ring.dim
+    candidates = [ring.basis_vec(i) for i in range(dim)] + [
+        tuple(Q1 if k in (i, j) else Q0 for k in range(dim))
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    ]
+    for r in candidates:
+        value = oracle_mul(ring, oracle_mul(ring, ls.value, r), lt.value)
+        if ring.is_zero(value):
+            continue
+        u = {ZERO_INDEX: r}
+        su = oracle_convolve(host, ring, table, s, u)
+        proof = oracle_leading(host, oracle_convolve(host, ring, table, su, t))
+        return r, u, proof
+    raise NoWitnessFound("no middle factor")
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except (TruncationError, NoWitnessFound) as exc:
+        return type(exc)
+
+
+# -- the comparisons --------------------------------------------------------------
+
+
+def compare(host, ring, table, f, g, seen):
+    """The library on f and g against the oracle on their terms."""
+    f0, g0 = dict(f.terms()), dict(g.terms())
+    assert leading(f) == oracle_leading(host, f0)
+    assert leading(g) == oracle_leading(host, g0)
+
+    expected = outcome(oracle_convolve, host, ring, table, f0, g0)
+    product = outcome(convolve, f, g)
+    if isinstance(expected, dict):
+        assert product.terms() == list(expected.items())
+    else:
+        assert product is expected
+
+    assert outcome(check_leading_law, f, g) == outcome(
+        oracle_leading_law, host, ring, table, f0, g0
+    )
+
+    witness = outcome(prime_witness, f, g)
+    expected = outcome(oracle_prime_witness, host, ring, table, f0, g0)
+    if isinstance(expected, tuple):
+        r, u, proof = expected
+        assert (witness.r, witness.u.terms(), witness.proof) == (
+            r, list(u.items()), proof
+        )
+        seen.add("witness")
+    else:
+        assert witness is expected
+        seen.add(expected)
+
+
+@pytest.mark.parametrize("host_name", HOSTS)
+def test_kernels_match_oracle(host_at, host_name):
+    host = host_at(host_name, 6)
+    table = oracle_transposed(host)
+    seen = set()
+    for ring_name in RINGS:
+        ring = ring_named(ring_name)
+        rng = random.Random(f"oracle/{host_name}/{ring_name}")
+        twin = random.Random(f"oracle/{host_name}/{ring_name}")
+        for trial in range(9):
+            # a leading sum past degree 6 truncates from cap 4 on
+            cap, terms = ((2, 4), (3, 3), (4, 2))[trial % 3]
+            f = random_conv_element(host, ring, rng, cap, terms)
+            g = random_conv_element(host, ring, rng, cap, terms)
+            f0 = oracle_random(host, ring, twin, cap, terms)
+            g0 = oracle_random(host, ring, twin, cap, terms)
+            # the same rng state draws the same elements, in the well-order
+            assert rng.getstate() == twin.getstate()
+            assert f.terms() == sorted(f0.items(), key=lambda e: host.index_pos[e[0]])
+            assert g == ConvElement(host, ring, g0)
+            compare(host, ring, table, f, g, seen)
+        # basis values, which annihilate each other in qxq and qx2
+        m, n = host.indices[1], host.indices[-1]
+        for a in range(ring.dim):
+            for b in range(ring.dim):
+                f = ConvElement(host, ring, {m: ring.basis_vec(a), n: ring.unit_vector()})
+                g = ConvElement(host, ring, {m: ring.basis_vec(b)})
+                compare(host, ring, table, f, g, seen)
+    assert seen == {"witness", TruncationError, NoWitnessFound}
+
+
+def typed(v):
+    return [(type(x), x) for x in v]
+
+
+@pytest.mark.parametrize("ring_name", RINGS + ["half"])
+def test_table_mul_matches_sparse_round_trip(ring_name):
+    ring = ring_named(ring_name)
+    rng = random.Random(f"mul/{ring_name}")
+    vectors = [ring.basis_vec(i) for i in range(ring.dim)]
+    vectors += [
+        tuple(rng.choice((0, 1, -2, Fraction(1, 2), Fraction(-3, 4)))
+              for _ in range(ring.dim))
+        for _ in range(8)
+    ]
+    truncated = 0
+    for u in vectors:
+        for v in vectors:
+            expected = outcome(oracle_mul, ring, u, v)
+            got = outcome(ring.mul, u, v)
+            if expected is TruncationError:
+                truncated += 1
+                assert got is TruncationError
+            else:
+                assert typed(got) == typed(expected)
+    assert bool(truncated) == (ring_name == "trunc")
