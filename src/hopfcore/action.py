@@ -32,8 +32,8 @@ from .errors import (
 from .linalg import (
     Q0,
     Q1,
-    QMatrix,
     Scalar,
+    SparseRow,
     Subspace,
     Vector,
     complement,
@@ -237,11 +237,12 @@ class SubspaceIdeal(IdealOracle):
             raise InputFormatError("subspace dimension mismatch")
         self.algebra = algebra
         self.subspace = subspace
-        for row in subspace.basis:
+        for row in subspace.rows:
             for i in range(algebra.dim):
-                e = unit_vec(algebra.dim, i)
-                if not subspace.contains(algebra.mul(e, row)) or not subspace.contains(
-                    algebra.mul(row, e)
+                e = {i: Q1}
+                if not (
+                    subspace.contains(algebra.mul_sparse(e, row))
+                    and subspace.contains(algebra.mul_sparse(row, e))
                 ):
                     raise InputFormatError("subspace is not a two-sided ideal")
         self._complement = complement(subspace, Subspace.full(algebra.dim))
@@ -264,11 +265,10 @@ class SubspaceIdeal(IdealOracle):
 
     def lift(self, coords: Vector) -> Vector:
         out = [Q0] * self.algebra.dim
-        for c, row in zip(coords, self._complement.basis):
+        for c, row in zip(coords, self._complement.rows):
             if c:
-                for j in range(self.algebra.dim):
-                    if row[j]:
-                        out[j] += c * row[j]
+                for j, x in row.items():
+                    out[j] += c * x
         return tuple(out)
 
     def describe(self) -> str:
@@ -315,26 +315,21 @@ def quotient_ring(ideal: IdealOracle) -> QuotientAlgebra:
 # actions
 
 
-SparseColumn = dict[int, Scalar]
-
-
-def apply_columns(
-    op: Sequence[SparseColumn], v: Mapping[int, Scalar]
-) -> SparseColumn:
+def apply_columns(op: Sequence[SparseRow], v: Mapping[int, Scalar]) -> SparseRow:
     """The image of the sparse vector v under the operator with sparse
     columns op; cancellation may leave zero entries."""
-    out: SparseColumn = {}
+    out: SparseRow = {}
     for j, x in v.items():
         _add_scaled(out, x, op[j])
     return out
 
 
-def _add_scaled(acc: SparseColumn, c: Scalar, v: Mapping[int, Scalar]) -> None:
+def _add_scaled(acc: SparseRow, c: Scalar, v: Mapping[int, Scalar]) -> None:
     for k, x in v.items():
         acc[k] = acc.get(k, Q0) + c * x
 
 
-def _nonzero(v: SparseColumn) -> SparseColumn:
+def _nonzero(v: SparseRow) -> SparseRow:
     return {k: c for k, c in v.items() if c}
 
 
@@ -349,7 +344,7 @@ class ModuleAlgebraAction:
         self,
         host: PBWStructure,
         algebra: TableAlgebra,
-        gen_ops: Mapping[str, QMatrix],
+        gen_ops: Mapping[str, Sequence[SparseRow]],
     ):
         ids = set(host.gens.ids)
         for gid in gen_ops:
@@ -359,20 +354,16 @@ class ModuleAlgebraAction:
         if missing:
             raise InputFormatError(f"missing operators for {sorted(missing)}")
         for gid, op in gen_ops.items():
-            if op.nrows != algebra.dim or op.ncols != algebra.dim:
+            if len(op) != algebra.dim or any(k >= algebra.dim for c in op for k in c):
                 raise InputFormatError(f"operator for {gid!r} has the wrong shape")
         self.host = host
         self.algebra = algebra
         self.gen_ops = dict(gen_ops)
-        self._gen_columns = {
-            gid: [to_sparse(op.column(j)) for j in range(algebra.dim)]
-            for gid, op in gen_ops.items()
-        }
-        self._columns: dict[MultiIndex, list[SparseColumn]] = {
+        self._columns: dict[MultiIndex, list[SparseRow]] = {
             ZERO_INDEX: [{j: Q1} for j in range(algebra.dim)]
         }
 
-    def columns(self, m: MultiIndex) -> list[SparseColumn]:
+    def columns(self, m: MultiIndex) -> list[SparseRow]:
         """The sparse columns of the operator of e_m.  With g the first
         generator of m and k its multiplicity, the operator of e_m is
         (1/k) g composed with the operator of e_(m - g)."""
@@ -382,7 +373,7 @@ class ModuleAlgebraAction:
         gid = next(g for g, _ in self.host.gens.generators if m.mult(g))
         k = m.mult(gid)
         rest = self.columns(MultiIndex.make({**dict(m.entries), gid: k - 1}))
-        op, scale = self._gen_columns[gid], Fraction(1, k)
+        op, scale = self.gen_ops[gid], Fraction(1, k)
         out = [
             {r: exact(c * scale) for r, c in apply_columns(op, col).items() if c}
             for col in rest
@@ -429,10 +420,10 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                 # a pair is skipped when e_a e_b, or a product of the
                 # supports of the images, lies past the truncation
                 try:
-                    lhs: SparseColumn = {}
+                    lhs: SparseRow = {}
                     for k, c in alg.product_terms(a, b):
                         _add_scaled(lhs, c, act_g[k])
-                    rhs: SparseColumn = {}
+                    rhs: SparseRow = {}
                     for left, right, c in terms:
                         _add_scaled(rhs, c, alg.mul_sparse(left[a], right[b]))
                 except TruncationError:
@@ -460,7 +451,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             op_g = action.columns(gens.delta(gid))
             ok = True
             for j, col_h in enumerate(action.columns(gens.delta(hid))):
-                expected: SparseColumn = {}
+                expected: SparseRow = {}
                 for idx, c in expansion.items():
                     _add_scaled(expected, c, action.columns(idx)[j])
                 if _nonzero(apply_columns(op_g, col_h)) != _nonzero(expected):
@@ -522,7 +513,7 @@ def hcore(
     cores: list[Subspace] = []
 
     def embed(small: Subspace) -> Subspace:
-        vectors = [{cols[t]: c for t, c in enumerate(row) if c} for row in small.basis]
+        vectors = [{cols[t]: c for t, c in row.items()} for row in small.rows]
         return Subspace.from_sparse(vectors, alg.dim)
 
     by_degree: dict[int, list[MultiIndex]] = {}

@@ -31,7 +31,7 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, QMatrix, Subspace, rat, rat_str, unit_vec
+from .linalg import Q0, SparseRow, Subspace, exact, rat, rat_str, unit_vec
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
 from .table import PolynomialAlgebra, TableAlgebra, parse_table, string_list
@@ -57,11 +57,19 @@ def load_instance(path: str, degree: Optional[int]) -> coalgebra.FilteredBialgeb
     return coalgebra.instance_from_json(_load_json(path), degree)
 
 
+def _object(value, what: str) -> Mapping:
+    """value, which the input format requires to be a JSON object."""
+    if not isinstance(value, Mapping):
+        raise InputFormatError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
     coords = [Q0] * algebra.dim
     for term in terms:
+        term = _object(term, "a term")
         exps = [0] * len(algebra.variables)
-        for var, k in term.get("monomial", {}).items():
+        for var, k in _object(term.get("monomial", {}), "a monomial").items():
             if var not in algebra.variables:
                 raise InputFormatError(f"unknown variable {var!r}")
             exps[algebra.variables.index(var)] = int(k)
@@ -69,9 +77,18 @@ def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
     return tuple(coords)
 
 
-def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
+def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
+    """The sparse columns of the operator of generator gid, spelled as a
+    dim x dim matrix (a list of rows) or as a ``"kind": "operator"`` object
+    of terms monomial * derivatives."""
+    dim = algebra.dim
     if isinstance(spec, list):
-        return QMatrix([[rat(x) for x in row] for row in spec])
+        rows = [[rat(x) for x in row] for row in spec]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InputFormatError("inconsistent row lengths")
+        if len(rows) != dim or len(rows[0]) != dim:
+            raise InputFormatError(f"operator for {gid!r} has the wrong shape")
+        return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(dim)]
     if not isinstance(spec, Mapping) or spec.get("kind") != "operator":
         raise InputFormatError("operator spec must be a matrix or an operator object")
     if not isinstance(algebra, PolynomialAlgebra):
@@ -79,14 +96,15 @@ def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
     nvars = len(algebra.variables)
     columns = []
     for alpha in algebra.monomials:
-        image = [Q0] * algebra.dim
+        image: SparseRow = {}
         for term in spec.get("terms", []):
+            term = _object(term, "an operator term")
             coeff = rat(term.get("coeff", "1"))
             mu = [0] * nvars
             beta = [0] * nvars
-            for var, k in term.get("monomial", {}).items():
+            for var, k in _object(term.get("monomial", {}), "a monomial").items():
                 mu[algebra.variables.index(var)] = int(k)
-            for var, k in term.get("derivatives", {}).items():
+            for var, k in _object(term.get("derivatives", {}), '"derivatives"').items():
                 beta[algebra.variables.index(var)] = int(k)
             if any(a < b for a, b in zip(alpha, beta)):
                 continue
@@ -100,13 +118,14 @@ def _operator_matrix(algebra: TableAlgebra, spec) -> QMatrix:
                 raise InputFormatError(
                     "operator raises degree beyond the algebra truncation"
                 )
-            image[algebra.index[target]] += scale
-        columns.append(tuple(image))
-    return QMatrix.from_columns(columns)
+            t = algebra.index[target]
+            image[t] = image.get(t, Q0) + scale
+        columns.append({t: exact(c) for t, c in sorted(image.items()) if c})
+    return columns
 
 
 def _algebra_from_json(obj: Mapping) -> TableAlgebra:
-    kind = obj.get("kind")
+    kind = _object(obj, '"algebra"').get("kind")
     if kind == "polynomial":
         variables = string_list(obj["variables"], 'polynomial "variables"')
         bound = obj["bound"]
@@ -126,14 +145,14 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     raise InputFormatError(f"unknown algebra kind {kind!r}")
 
 
-def _ideal_from_json(algebra: TableAlgebra, obj: Mapping) -> action_mod.IdealOracle:
-    kind = obj.get("kind")
+def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
+    kind = _object(obj, '"ideal"').get("kind")
     if isinstance(algebra, PolynomialAlgebra):
         nvars = len(algebra.variables)
 
         def exps_of(mono: Mapping) -> list[int]:
             exps = [0] * nvars
-            for var, k in mono.items():
+            for var, k in _object(mono, "a monomial").items():
                 if var not in algebra.variables:
                     raise InputFormatError(f"unknown variable {var!r}")
                 exps[algebra.variables.index(var)] = int(k)
@@ -354,6 +373,8 @@ def _resolve_ring(name: str) -> TableAlgebra:
 def cmd_conv(args) -> int:
     report = Report("conv")
     try:
+        if args.support_cap is not None and args.support_cap < 0:
+            raise InputFormatError(f"--support-cap must be >= 0, got {args.support_cap}")
         data = load_instance(args.instance, args.degree)
         ring = _resolve_ring(args.ring)
         pbw = PBWStructure.from_bialgebra(data)
@@ -480,8 +501,8 @@ def cmd_hcore(args) -> int:
         spec = _load_json(args.action)
         algebra = _algebra_from_json(spec["algebra"])
         gen_ops = {
-            gid: _operator_matrix(algebra, op)
-            for gid, op in spec.get("generators", {}).items()
+            gid: _operator_columns(algebra, gid, op)
+            for gid, op in _object(spec.get("generators", {}), '"generators"').items()
         }
         act = action_mod.ModuleAlgebraAction(pbw, algebra, gen_ops)
         source = _load_json(args.ideal) if args.ideal else spec

@@ -468,13 +468,13 @@ def graded_splitting(
     for n in range(1, len(filt.layers)):
         comps.append(complement(filt.layers[n - 1], filt.layers[n], data.counit))
 
-    vectors: list[Vector] = []
+    sparse_vectors: list[dict[int, Scalar]] = []
     degrees: list[int] = []
     labels: list[str] = []
     used: set[str] = set()
     for n, comp in enumerate(comps):
-        for row, pivot in zip(comp.basis, comp.pivots):
-            vectors.append(row)
+        for row, pivot in zip(comp.rows, comp.pivots):
+            sparse_vectors.append(row)
             degrees.append(n)
             name = data.label(pivot)
             if name in used:
@@ -485,13 +485,13 @@ def graded_splitting(
     # to_split_units[j] is column j of the inverse of the matrix whose
     # columns are the splitting vectors, i.e. row j of the inverse of its
     # transpose, whose rows are the splitting vectors
-    sparse_vectors = tuple(to_sparse(v) for v in vectors)
+    vectors = tuple(to_dense(v, data.dim) for v in sparse_vectors)
     units = tuple(inverse(sparse_vectors, data.dim))
     return GradedSplitting(
         data=data,
         components=tuple(comps),
-        vectors=tuple(vectors),
-        sparse_vectors=sparse_vectors,
+        vectors=vectors,
+        sparse_vectors=tuple(sparse_vectors),
         degrees=tuple(degrees),
         labels=tuple(labels),
         to_split_units=units,

@@ -4,19 +4,19 @@ Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
 The two mix exactly, compare and hash equal, and integral arithmetic stays
 in ``int``.  Every place that creates a scalar by division or parsing
 passes it through ``exact``, and division is always by a ``Fraction``, so
-no floating point enters anywhere.  Vectors are tuples of scalars and
-matrices store immutable row tuples.  Row reduction is sparse:
-``rank``, ``kernel`` and ``inverse`` take rows as {column: coefficient}
-maps, and one echelon keyed by pivot column reduces them, so the work
-follows the nonzero entries rather than the matrix shape.  Subspaces are
-kept in reduced row echelon form, which is a canonical representative: two
-subspaces are equal iff their stored bases are equal tuples.
+no floating point enters anywhere.  Vectors are tuples of scalars or sparse
+rows {column: coefficient} without zeros; matrices exist only as lists of
+sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
+``inverse`` take sparse rows, and one echelon keyed by pivot column reduces
+them, so the work follows the nonzero entries rather than the matrix shape.
+Subspaces are kept in reduced row echelon form, which is a canonical
+representative: two subspaces are equal iff their pivots and sparse echelon
+rows are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -77,10 +77,6 @@ def to_dense(entries: Mapping[int, Scalar], n: int) -> Vector:
     for i, a in entries.items():
         out[i] = a
     return tuple(out)
-
-
-def dot(u: Vector, v: Vector) -> Scalar:
-    return sum((a * b for a, b in zip(u, v) if a and b), Q0)
 
 
 def is_zero_vec(v: Vector) -> bool:
@@ -160,83 +156,18 @@ def inverse(rows: Sequence[Mapping[int, Scalar]], n: int) -> list[SparseRow]:
     return [{c - n: x for c, x in row.items() if c >= n} for row in reduced]
 
 
-class QMatrix:
-    """Immutable dense matrix over Q.  Entries are stored as given: callers
-    coerce input with ``rat`` or ``vec`` first."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        rs = tuple(tuple(r) for r in rows)
-        if rs:
-            ncols = len(rs[0]) if ncols is None else ncols
-            for r in rs:
-                if len(r) != ncols:
-                    raise ValueError("inconsistent row lengths")
-        elif ncols is None:
-            raise ValueError("column count required for an empty matrix")
-        self.rows: tuple[Vector, ...] = rs
-        self.ncols: int = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([unit_vec(n, i) for i in range(n)], n)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "QMatrix":
-        n = len(cols[0])
-        return cls([tuple(c[i] for c in cols) for i in range(n)], len(cols))
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
-    def _sparse_rows(self) -> list[SparseRow]:
-        return [to_sparse(r) for r in self.rows]
-
-    def rref(self) -> "QMatrix":
-        reduced, _ = _rref_rows(self._sparse_rows(), self.ncols)
-        pad = [zero_vec(self.ncols)] * (self.nrows - len(reduced))
-        return QMatrix([to_dense(r, self.ncols) for r in reduced] + pad, self.ncols)
-
-    def rank(self) -> int:
-        return rank(self._sparse_rows(), self.ncols)
-
-    def kernel(self) -> "Subspace":
-        """Right kernel {v : self @ v = 0} as a canonical subspace."""
-        return kernel(self._sparse_rows(), self.ncols)
-
-    def inverse(self) -> "QMatrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        return QMatrix([to_dense(r, n) for r in inverse(self._sparse_rows(), n)], n)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.rows)
-        return f"QMatrix[{self.nrows}x{self.ncols}: {body}]"
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held by its reduced-echelon basis (canonical)."""
+    """A subspace of Q^n held by its reduced row echelon form (canonical):
+    the pivot columns in ascending order and, for each, its echelon row as
+    a sparse row with ascending keys."""
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    rows: tuple[SparseRow, ...]
+
+    # the rows are dicts; nothing hashes a subspace
+    __hash__ = None
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":
@@ -252,9 +183,7 @@ class Subspace:
     ) -> "Subspace":
         """The span of sparse vectors {index: coefficient}."""
         reduced, pivots = _rref_rows(rows, ambient_dim)
-        return cls(
-            ambient_dim, tuple(to_dense(r, ambient_dim) for r in reduced), pivots
-        )
+        return cls(ambient_dim, pivots, tuple(reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -266,21 +195,21 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    @cached_property
-    def rows_by_pivot(self) -> dict[int, SparseRow]:
-        """The basis as sparse rows, keyed by pivot in ascending order."""
-        return {p: to_sparse(r) for p, r in zip(self.pivots, self.basis)}
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The echelon rows as dense vectors, for reports."""
+        return tuple(to_dense(r, self.ambient_dim) for r in self.rows)
 
     def reduce_sparse(self, v: Mapping[int, Scalar]) -> SparseRow:
         """Residual of the sparse vector v after subtracting its projection
         along the basis, without zeros.  A basis row vanishes at every other
-        pivot, so the rows to subtract are those at the pivots v hits."""
+        pivot, so one pass subtracts the rows at the pivots v hits."""
         out = {c: x for c, x in v.items() if x}
-        rows = self.rows_by_pivot
-        for p in [c for c in out if c in rows]:
-            _sub_scaled(out, out[p], rows[p])
+        for p, row in zip(self.pivots, self.rows):
+            if p in out:
+                _sub_scaled(out, out[p], row)
         return out
 
     def reduce(self, v: Vector) -> Vector:
@@ -292,11 +221,10 @@ class Subspace:
         return not self.reduce_sparse(v if isinstance(v, Mapping) else to_sparse(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows_by_pivot.values())
+        return all(self.contains(r) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        rows = [to_sparse(r) for r in self.basis + other.basis]
-        return Subspace.from_sparse(rows, self.ambient_dim)
+        return Subspace.from_sparse(self.rows + other.rows, self.ambient_dim)
 
     def quotient_unit_sparse(self) -> list[dict[int, Scalar]]:
         """For each ambient coordinate vector e_j, the nonzero coordinates of
@@ -306,7 +234,7 @@ class Subspace:
         non-pivot positions; membership in the subspace is exactly vanishing
         of all these coordinates.
         """
-        rows = self.rows_by_pivot
+        rows = dict(zip(self.pivots, self.rows))
         out: list[dict[int, Scalar]] = []
         for j in range(self.ambient_dim):
             if j in rows:
@@ -343,17 +271,14 @@ def complement(
             f"inner (dim {inner.dim}) is not contained in outer (dim {outer.dim})"
         )
     inner_pivots = set(inner.pivots)
-    rows = [
-        to_sparse(r) for r, p in zip(outer.basis, outer.pivots) if p not in inner_pivots
-    ]
+    rows = [dict(r) for r, p in zip(outer.rows, outer.pivots) if p not in inner_pivots]
     if constraint is not None and any(_dot_sparse(constraint, r) for r in rows):
-        adjuster = next((r for r in inner.basis if dot(constraint, r)), None)
+        adjuster = next((r for r in inner.rows if _dot_sparse(constraint, r)), None)
         if adjuster is None:
             raise NoConstrainedComplement(
                 f"no complement of inner (dim {inner.dim}) in outer "
                 f"(dim {outer.dim}) lies in the kernel of the constraint"
             )
-        adjuster = to_sparse(adjuster)
         denom = _dot_sparse(constraint, adjuster)
         for r in rows:
             f = exact(Fraction(_dot_sparse(constraint, r)) / denom)

@@ -30,7 +30,6 @@ from .errors import BasisDefect, NotPolynomial, ExpansionViolation, TruncationEr
 from .linalg import (
     Q0,
     Q1,
-    QMatrix,
     Scalar,
     Subspace,
     Vector,
@@ -76,12 +75,12 @@ def extract_generators(
         ]
         dec = Subspace.from_sparse(decomposable, dim)
         fresh = complement(dec, layer)
-        for row, pivot in zip(fresh.basis, fresh.pivots):
+        for row, pivot in zip(fresh.rows, fresh.pivots):
             name = gr.label(pivot)
             if name in vectors:
                 name = f"{name}@{d}"
             gens.append((name, d))
-            vectors[name] = row
+            vectors[name] = to_dense(row, dim)
 
     genset = GeneratorSet(gens)
     for d in range(gr.degree_bound + 1):
@@ -118,7 +117,7 @@ def lift_generators(
 
 class PBWStructure:
     """Generator lifts, cached ordered divided-power monomials, and the
-    change of basis onto the raw basis, with the membership checks."""
+    expansion of raw vectors on them, with the membership checks."""
 
     def __init__(
         self,
@@ -147,7 +146,7 @@ class PBWStructure:
             self._prefix[d] += self._prefix[d - 1]
         self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
         self._monomials: dict[MultiIndex, dict[int, Scalar]] = {}
-        self.basis_change: dict[int, QMatrix] = {}
+        self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
         self._comult_cache: dict[
             MultiIndex, list[tuple[MultiIndex, MultiIndex, Scalar]]
@@ -222,8 +221,7 @@ class PBWStructure:
 
     def verify_basis(self, n: int) -> Report:
         """The monomials of degree <= n form a basis of the n-th filtration
-        layer; stores the change-of-basis matrix.  Raises BasisDefect on any
-        failure."""
+        layer.  Raises BasisDefect on any failure."""
         rep = Report("basis")
         layer = self.filt.layers[n]
         idx = [m for m in self.indices if self.gens.degree(m) <= n]
@@ -237,10 +235,8 @@ class PBWStructure:
             if not layer.contains(v):
                 raise BasisDefect(f"degree {n}: e_{m} escapes the layer")
             rows.append(v)
-        dim = self.data.dim
-        if rank(rows, dim) != len(idx):
+        if rank(rows, self.data.dim) != len(idx):
             raise BasisDefect(f"degree {n}: monomials are dependent")
-        self.basis_change[n] = QMatrix([to_dense(r, dim) for r in rows], dim)
         rep.add("basis", f"degree {n}", PASS, f"dim {len(idx)}")
         return rep
 
@@ -248,13 +244,13 @@ class PBWStructure:
         rep = Report("basis")
         for n in range(self.data.degree_bound + 1):
             rep.extend(self.verify_basis(n))
+        self._bases_verified = True
         return rep
 
     def _ensure_full_basis(self) -> None:
         if self._raw_to_pbw is not None:
             return
-        top = self.data.degree_bound
-        if top not in self.basis_change:
+        if not self._bases_verified:
             self.verify_all_bases()
         # row j of the inverse of the matrix whose rows are the monomials
         # expands e_j on them

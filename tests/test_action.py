@@ -19,7 +19,7 @@ from hopfcore import cli
 from hopfcore.coalgebra import build_ueg
 from hopfcore.convolution import convolve, u_star
 from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
-from hopfcore.linalg import QMatrix, Subspace, to_dense, unit_vec, zero_vec
+from hopfcore.linalg import Subspace, kernel, to_dense, to_sparse, unit_vec, zero_vec
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
@@ -31,14 +31,17 @@ def mi(**kw):
 
 
 def operator(algebra, image_of_monomial):
+    """The sparse columns of the operator sending each monomial to the
+    given (exponents, coefficient) terms."""
     cols = []
     for exps in algebra.monomials:
-        img = [F(0)] * algebra.dim
+        img = {}
         for target, coeff in image_of_monomial(exps):
             if coeff:
-                img[algebra.index[target]] += coeff
-        cols.append(tuple(img))
-    return QMatrix.from_columns(cols)
+                t = algebra.index[target]
+                img[t] = img.get(t, F(0)) + coeff
+        cols.append({t: c for t, c in sorted(img.items()) if c})
+    return cols
 
 
 @pytest.fixture(scope="module")
@@ -236,11 +239,19 @@ def test_module_algebra_verifies(sl2_action, dq_action):
 
 
 def test_action_rejects_unknown_and_missing_operators(sl2, qxy):
-    zero = QMatrix([zero_vec(qxy.dim)] * qxy.dim)
+    zero = [{} for _ in range(qxy.dim)]
     with pytest.raises(ForeignGenerator):
         ModuleAlgebraAction(sl2, qxy, {"e": zero, "f": zero, "h": zero, "zz": zero})
     with pytest.raises(InputFormatError):
         ModuleAlgebraAction(sl2, qxy, {"e": zero})
+
+
+def test_action_rejects_misshapen_operators(sl2, qxy):
+    zero = [{} for _ in range(qxy.dim)]
+    # one column short, and a column with an entry past the last row
+    for bad in (zero[1:], [{qxy.dim: 1}] + zero[1:]):
+        with pytest.raises(InputFormatError, match="wrong shape"):
+            ModuleAlgebraAction(sl2, qxy, {"e": bad, "f": zero, "h": zero})
 
 
 def test_module_algebra_fails_on_bad_unit(sl2, qxy):
@@ -251,8 +262,8 @@ def test_module_algebra_fails_on_bad_unit(sl2, qxy):
         qxy,
         {
             "e": bad,
-            "f": QMatrix([zero_vec(qxy.dim)] * qxy.dim),
-            "h": QMatrix([zero_vec(qxy.dim)] * qxy.dim),
+            "f": [{} for _ in range(qxy.dim)],
+            "h": [{} for _ in range(qxy.dim)],
         },
     )
     rep = verify_module_algebra(act)
@@ -313,17 +324,21 @@ def test_act_matches_dense_oracle(host_at, action_name, host_name):
     spec = load_fixture(f"actions/{action_name}.json")
     algebra = cli._algebra_from_json(spec["algebra"])
     ops = {
-        gid: cli._operator_matrix(algebra, op)
+        gid: cli._operator_columns(algebra, gid, op)
         for gid, op in spec["generators"].items()
     }
     action = ModuleAlgebraAction(host, algebra, ops)
 
-    def dense(op):
-        return sympy.Matrix(
-            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in op.rows]
-        )
-
     n = algebra.dim
+
+    def dense(op):
+        # op holds the sparse columns: entry (i, j) is op[j][i]
+        def entry(i, j):
+            x = op[j].get(i, 0)
+            return sympy.Rational(x.numerator, x.denominator)
+
+        return sympy.Matrix(n, n, entry)
+
     powers = {}
     for gid, op in ops.items():
         g = dense(op)
@@ -451,8 +466,6 @@ def test_hcore_sl2_chain(sl2_action, ideal_x, qxy):
 
 def test_hcore_oracle_intersection(sl2_action, ideal_x, qxy):
     # independent route: intersect the kernels of the per-index conditions
-    from hopfcore.linalg import QMatrix as QM
-
     host = sl2_action.host
     cols = [i for i in range(qxy.dim) if qxy.degrees[i] <= 3]
     current = Subspace.full(len(cols))
@@ -466,7 +479,7 @@ def test_hcore_oracle_intersection(sl2_action, ideal_x, qxy):
             for c in cols:
                 row.append(ideal_x.quotient_coords(to_dense(columns[c], qxy.dim))[pos])
             rows.append(row)
-        single = QM(rows, len(cols)).kernel()
+        single = kernel([to_sparse(r) for r in rows], len(cols))
         # intersection via stacking both quotient condition sets
         qa, qb = current.quotient_unit_sparse(), single.quotient_unit_sparse()
         cond = {}
@@ -474,7 +487,7 @@ def test_hcore_oracle_intersection(sl2_action, ideal_x, qxy):
             for j in range(len(cols)):
                 for k, c in q[j].items():
                     cond.setdefault((tag, k), [F(0)] * len(cols))[j] += c
-        current = QM([cond[k] for k in sorted(cond)], len(cols)).kernel()
+        current = kernel([to_sparse(cond[k]) for k in sorted(cond)], len(cols))
     result = hcore(sl2_action, ideal_x, 3, 3)
     embedded = Subspace.from_vectors(
         [

@@ -170,6 +170,20 @@ def test_conv_inconclusive_exit_code(tmp_path):
     assert rep["summary"]["INCONCLUSIVE"] > 0
 
 
+def test_conv_negative_support_cap_is_an_input_error(tmp_path):
+    code, rep = run(
+        tmp_path, "conv", "--instance", str(INSTANCES / "heis.json"),
+        "--ring", "q", "--support-cap", "-1", "--trials", "2",
+    )
+    assert code == 2
+    assert rep == {
+        "command": "conv",
+        "schema": 1,
+        "error": "--support-cap must be >= 0, got -1",
+        "status": "input-error",
+    }
+
+
 def test_conv_user_ring_table(tmp_path):
     table = {
         "name": "dual-numbers",
@@ -367,6 +381,15 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
                     "ideal_properties": "completely_prime"}),
         ("ideal", {"ideal": {"kind": "monomial", "generators": [{"x": 1}]},
                    "ideal_properties": "prime"}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "generators": [
+            {"kind": "operator", "terms": [{"coeff": "1", "derivatives": {"x": 1}}]}]}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "ideal": "(x)"}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": {"kind": "operator", "terms": ["d/dx"]}}}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": [[0, 1], [0]]}}),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": [[0, 1], [0, 0]]}}),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -374,7 +397,9 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
          "polynomial-variables-string", "polynomial-negative-bound",
          "finite-basis-string", "ring-basis-string", "raw-basis-string",
          "raw-comult-term-string", "ideal-properties-string",
-         "ideal-file-properties-string"],
+         "ideal-file-properties-string", "action-generators-list",
+         "action-ideal-string", "operator-term-string", "matrix-ragged",
+         "matrix-not-square"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload):
     """Malformed input ends in exit 2 with a JSON report, never a traceback."""
@@ -402,6 +427,49 @@ def test_malformed_input_reports(tmp_path, kind, payload):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "input-error"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0, 1], [0]], "inconsistent row lengths"),
+        ([[0, 1], [0, 0]], "operator for 'd' has the wrong shape"),
+        ([[0] * 9] * 8, "operator for 'd' has the wrong shape"),
+        ([], "operator for 'd' has the wrong shape"),
+    ],
+    ids=["ragged", "two-by-two", "eight-by-nine", "empty"],
+)
+def test_matrix_operator_shape_errors(tmp_path, matrix, message):
+    """A matrix operator on Q[x] at bound 8 must be 9 x 9."""
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(
+        {**load_fixture("actions/dq_qx_ix.json"), "generators": {"d": matrix}}
+    ))
+    argv = ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)]
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert rep["status"] == "input-error" and rep["error"] == message
+
+
+def test_operator_spellings_agree(tmp_path):
+    """d/dx on Q[x] at bound 8, once as operator sugar and once as the
+    explicit 9 x 9 matrix sending x^j to j x^(j-1), gives the same core."""
+    sugar = load_fixture("actions/dq_qx_ix.json")
+    matrix = [[j if i == j - 1 else 0 for j in range(9)] for i in range(9)]
+    reports = []
+    for name, generators in (("sugar", sugar["generators"]), ("matrix", {"d": matrix})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**sugar, "generators": generators}))
+        reports.append(run(
+            tmp_path, "hcore", "--instance", str(INSTANCES / "dq.json"),
+            "--action", str(path), "--probe-bound", "2",
+        ))
+    (code, rep), (matrix_code, matrix_rep) = reports
+    assert code == matrix_code == 0
+    for block in ("checks", "summary", "core"):
+        assert rep[block] == matrix_rep[block]
+    assert rep["core"]["dims_by_cap"] == [4, 3, 2, 1, 0]
+    assert rep["summary"]["PASS"] > 0
 
 
 @pytest.mark.parametrize(

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from hopfcore.errors import InnerNotContained, NoConstrainedComplement
 from hopfcore.linalg import (
-    QMatrix,
     Subspace,
+    _rref_rows,
     complement,
-    dot,
     inverse,
     kernel,
     rank,
     rat,
     rat_str,
+    to_dense,
     to_sparse,
     unit_vec,
     vec,
@@ -24,15 +24,24 @@ from hopfcore.linalg import (
 
 
 def M(rows):
-    return QMatrix([[F(x) for x in r] for r in rows])
+    """Dense integer rows as sparse Fraction rows."""
+    return [{c: F(x) for c, x in enumerate(r) if x} for r in rows]
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
 
 
 def product(a, b):
-    return QMatrix(
-        [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b.rows)]
-         for row in a.rows],
-        b.ncols,
-    )
+    """The product of two dense matrices given by their rows."""
+    return [tuple(dot(row, col) for col in zip(*b)) for row in a]
+
+
+def dense(rows, ncols):
+    return [to_dense(r, ncols) for r in rows]
+
+
+IDENTITY_2 = [{0: 1}, {1: 1}]
 
 
 small_entries = st.integers(min_value=-4, max_value=4).map(F)
@@ -51,51 +60,67 @@ def test_rat_roundtrip():
 
 
 def test_rref_identity_fixed_point():
-    ident = QMatrix.identity(2)
-    assert ident.rref() == ident
+    assert _rref_rows(IDENTITY_2, 2) == (IDENTITY_2, (0, 1))
 
 
 def test_rref_dependent_rows():
-    assert M([[1, 2], [2, 4]]).rref() == M([[1, 2], [0, 0]])
-    assert M([[1, 2], [2, 4]]).rank() == 1
+    # the dependent row vanishes and is dropped
+    assert _rref_rows(M([[1, 2], [2, 4]]), 2) == (M([[1, 2]]), (0,))
+    assert rank(M([[1, 2], [2, 4]]), 2) == 1
 
 
 def test_rref_row_swap():
-    assert M([[0, 1], [1, 0]]).rref() == QMatrix.identity(2)
+    assert _rref_rows(M([[0, 1], [1, 0]]), 2) == (IDENTITY_2, (0, 1))
 
 
 @settings(max_examples=100)
 @given(small_matrix)
 def test_rref_idempotent(rows):
-    m = QMatrix(rows)
-    assert m.rref().rref() == m.rref()
+    ncols = len(rows[0])
+    reduced = _rref_rows([to_sparse(r) for r in rows], ncols)
+    assert _rref_rows(reduced[0], ncols) == reduced
 
 
 @settings(max_examples=100)
 @given(small_matrix)
 def test_rank_nullity(rows):
-    m = QMatrix(rows)
-    assert m.rank() + m.kernel().dim == m.ncols
+    ncols = len(rows[0])
+    sparse_rows = [to_sparse(r) for r in rows]
+    assert rank(sparse_rows, ncols) + kernel(sparse_rows, ncols).dim == ncols
 
 
 def test_kernel_examples():
-    assert QMatrix.identity(2).kernel().dim == 0
-    k = M([[1, 1]]).kernel()
+    assert kernel(IDENTITY_2, 2).dim == 0
+    k = kernel(M([[1, 1]]), 2)
     assert k.dim == 1 and k.basis[0] == vec([1, -1])
-    assert M([[0, 0, 0], [0, 0, 0]]).kernel().dim == 3
+    assert kernel(M([[0, 0, 0], [0, 0, 0]]), 3).dim == 3
 
 
 def test_kernel_annihilates():
-    m = M([[1, 2, 3], [0, 1, 1]])
-    for v in m.kernel().basis:
-        assert all(dot(row, v) == 0 for row in m.rows)
+    rows = [[1, 2, 3], [0, 1, 1]]
+    for v in kernel(M(rows), 3).basis:
+        assert all(dot(row, v) == 0 for row in rows)
 
 
 def test_inverse():
-    m = M([[1, 2], [3, 5]])
-    assert product(m, m.inverse()) == QMatrix.identity(2)
+    m = [[1, 2], [3, 5]]
+    assert product(m, dense(inverse(M(m), 2), 2)) == dense(IDENTITY_2, 2)
     with pytest.raises(ValueError):
-        M([[1, 2], [2, 4]]).inverse()
+        inverse(M([[1, 2], [2, 4]]), 2)
+    with pytest.raises(ValueError):
+        inverse(M([[1, 2]]), 2)
+
+
+def test_subspace_stores_sorted_sparse_echelon_rows():
+    s = Subspace.from_vectors([[0, 3, 0, 6], [2, 0, 0, 1], [2, 3, 0, 7]], 4)
+    assert s.pivots == (0, 1)
+    assert s.rows == ({0: 1, 3: F(1, 2)}, {1: 1, 3: 2})
+    assert all(list(r) == sorted(r) for r in s.rows)
+    assert s.basis == (vec([1, 0, 0, F(1, 2)]), vec([0, 1, 0, 2]))
+    assert s.dim == 2
+    # rows are dicts: nothing hashes a subspace
+    with pytest.raises(TypeError):
+        hash(s)
 
 
 def test_subspace_canonical_equality():
@@ -301,18 +326,19 @@ def _sym_rref(rows, ncols):
 @pytest.mark.parametrize("name, rows", MATRICES, ids=[n for n, _ in MATRICES])
 def test_rank_kernel_rref_against_sympy(name, rows):
     ncols = len(rows[0])
-    m = QMatrix(rows)
+    sparse_rows = [to_sparse(r) for r in rows]
     sym = _sym(rows)
-    assert m.rank() == rank([to_sparse(r) for r in rows], ncols) == sym.rank()
+    assert rank(sparse_rows, ncols) == sym.rank()
     reduced, pivots = _sym_rref(rows, ncols)
     space = Subspace.from_vectors(rows, ncols)
     assert (space.basis, space.pivots) == (reduced, pivots)
-    assert m.rref().rows[: len(pivots)] == reduced
+    got, got_pivots = _rref_rows(sparse_rows, ncols)
+    assert (tuple(dense(got, ncols)), got_pivots) == (reduced, pivots)
     # the kernel in sympy's own canonical form: rref of its nullspace basis
     null = [tuple(v) for v in sym.nullspace()]
     null_rows = [[F(int(x.p), int(x.q)) for x in v] for v in null]
-    k = m.kernel()
-    assert k == kernel([to_sparse(r) for r in rows], ncols)
+    k = kernel(sparse_rows, ncols)
+    assert k == Subspace.from_vectors(null_rows, ncols)
     assert (k.basis, k.pivots) == _sym_rref(null_rows, ncols)
 
 
@@ -327,11 +353,11 @@ def test_inverse_against_sympy(name, rows):
     sym = _sym(rows) if len(rows) == n else None
     if sym is None or sym.det() == 0:
         with pytest.raises(ValueError):
-            QMatrix(rows).inverse()
+            inverse([to_sparse(r) for r in rows], n)
         return
     expected = _frac_rows(sym.inv())
-    assert list(QMatrix(rows).inverse().rows) == expected
     got = inverse([to_sparse(r) for r in rows], n)
+    assert dense(got, n) == expected
     assert [tuple(row.get(j, F(0)) for j in range(n)) for row in got] == expected
 
 

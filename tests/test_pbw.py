@@ -6,7 +6,7 @@ import pytest
 
 from hopfcore.coalgebra import FilteredBialgebraData, build_ueg
 from hopfcore.errors import NotPolynomial, ExpansionViolation, TruncationError
-from hopfcore.linalg import Q1, unit_vec, zero_vec
+from hopfcore.linalg import Q1, rank, unit_vec, zero_vec
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import SL2_BRACKETS, load_fixture
@@ -94,15 +94,17 @@ def test_verify_basis_all_instances(heis, sl2, xyw, qt):
         (qt, [1, 2, 3, 4]),
     ):
         p.verify_all_bases()
-        got = [p.basis_change[n].nrows for n in range(p.data.degree_bound + 1)]
+        got = [
+            rank([p.sparse_monomial(m) for m in p.indices[: p.count_up_to(n)]], p.data.dim)
+            for n in range(p.data.degree_bound + 1)
+        ]
         assert got == dims
 
 
 def test_basis_change_identity_for_line(qt):
     qt.verify_all_bases()
-    full = qt.basis_change[qt.data.degree_bound]
-    for i, row in enumerate(full.rows):
-        assert row == unit_vec(qt.data.dim, i)
+    for i, m in enumerate(qt.indices):
+        assert qt.pbw_monomial(m) == unit_vec(qt.data.dim, i)
 
 
 def test_pbw_coords_roundtrip(heis):
