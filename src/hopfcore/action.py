@@ -44,7 +44,7 @@ from .linalg import (
     to_sparse,
     unit_vec,
 )
-from .monoid import MultiIndex, ZERO_INDEX
+from .monoid import MultiIndex
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
 from .table import PolynomialAlgebra, TableAlgebra, monomial_label
@@ -338,7 +338,8 @@ class ModuleAlgebraAction:
     as the increasing-order divided composition.
 
     Each operator is held by its sparse columns: column j is the image of
-    the basis vector e_j as {index: coefficient}, without zeros."""
+    the basis vector e_j as {index: coefficient}, without zeros.  The
+    operators of basis monomials are cached by host index position."""
 
     def __init__(
         self,
@@ -359,30 +360,32 @@ class ModuleAlgebraAction:
         self.host = host
         self.algebra = algebra
         self.gen_ops = dict(gen_ops)
-        self._columns: dict[MultiIndex, list[SparseRow]] = {
-            ZERO_INDEX: [{j: Q1} for j in range(algebra.dim)]
-        }
+        self._columns: list[Optional[list[SparseRow]]] = [None] * len(host.indices)
+        self._columns[0] = [{j: Q1} for j in range(algebra.dim)]
 
-    def columns(self, m: MultiIndex) -> list[SparseRow]:
-        """The sparse columns of the operator of e_m.  With g the first
-        generator of m and k its multiplicity, the operator of e_m is
-        (1/k) g composed with the operator of e_(m - g)."""
-        cached = self._columns.get(m)
+    def columns(self, p: int) -> list[SparseRow]:
+        """The sparse columns of the operator of e_m, m the index at host
+        position p.  With g the first generator of m and k its
+        multiplicity, the operator of e_m is (1/k) g composed with the
+        operator of e_(m - g)."""
+        cached = self._columns[p]
         if cached is not None:
             return cached
-        gid = next(g for g, _ in self.host.gens.generators if m.mult(g))
+        host = self.host
+        m = host.indices[p]
+        gid = next(g for g, _ in host.gens.generators if m.mult(g))
         k = m.mult(gid)
-        rest = self.columns(MultiIndex.make({**dict(m.entries), gid: k - 1}))
+        rest = host.index_pos[MultiIndex.make({**dict(m.entries), gid: k - 1})]
         op, scale = self.gen_ops[gid], Fraction(1, k)
         out = [
             {r: exact(c * scale) for r, c in apply_columns(op, col).items() if c}
-            for col in rest
+            for col in self.columns(rest)
         ]
-        self._columns[m] = out
+        self._columns[p] = out
         return out
 
-    def act(self, m: MultiIndex, v: Vector) -> Vector:
-        image = apply_columns(self.columns(m), to_sparse(v))
+    def act(self, p: int, v: Vector) -> Vector:
+        image = apply_columns(self.columns(p), to_sparse(v))
         return to_dense(image, self.algebra.dim)
 
 
@@ -395,10 +398,11 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     data = host.data
     gens = host.gens
 
+    at = {gid: host.index_pos[gens.delta(gid)] for gid in gens.ids}
     one = alg.unit_vector()
     for gid, _ in gens.generators:
         eps = data.counit_of(host.lifts[gid])
-        image = action.act(gens.delta(gid), one)
+        image = action.act(at[gid], one)
         expected = tuple(eps * c for c in one)
         rep.add(
             "unit-law",
@@ -408,10 +412,10 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
         )
 
     for gid, _ in gens.generators:
-        act_g = action.columns(gens.delta(gid))
+        act_g = action.columns(at[gid])
         terms = [
             (action.columns(i), action.columns(j), c)
-            for i, j, c in host.expand_comult(gens.delta(gid))
+            for i, j, c in host.expand_comult(at[gid])
         ]
         checked = skipped = bad = 0
         witness = ""
@@ -442,15 +446,15 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             + (f", first failure at {witness}" if witness else ""),
         )
 
+    lifts = {gid: to_sparse(v) for gid, v in host.lifts.items()}
     for gid, dg in gens.generators:
         for hid, dh in gens.generators:
             if dg + dh > data.degree_bound:
                 continue
-            prod = data.multiply(host.lifts[gid], host.lifts[hid])
-            expansion = host.pbw_coords(prod)
-            op_g = action.columns(gens.delta(gid))
+            expansion = host.pbw_coords(data.mul_sparse(lifts[gid], lifts[hid]))
+            op_g = action.columns(at[gid])
             ok = True
-            for j, col_h in enumerate(action.columns(gens.delta(hid))):
+            for j, col_h in enumerate(action.columns(at[hid])):
                 expected: SparseRow = {}
                 for idx, c in expansion.items():
                     _add_scaled(expected, c, action.columns(idx)[j])
@@ -467,10 +471,10 @@ def conv_map(
     """The element (index -> class of the image of a) of the convolution
     algebra over A/I; its kernel over all of A is the stable core."""
     values = {}
-    for m in action.host.indices:
-        coords = ring.project(action.act(m, a))
+    for p in range(len(action.host.indices)):
+        coords = ring.project(action.act(p, a))
         if not is_zero_vec(coords):
-            values[m] = coords
+            values[p] = coords
     return ConvElement(action.host, ring, values)
 
 
@@ -516,13 +520,10 @@ def hcore(
         vectors = [{cols[t]: c for t, c in row.items()} for row in small.rows]
         return Subspace.from_sparse(vectors, alg.dim)
 
-    by_degree: dict[int, list[MultiIndex]] = {}
-    for m in host.indices:
-        by_degree.setdefault(host.gens.degree(m), []).append(m)
-
     for d in range(conv_cap + 1):
-        for m in by_degree.get(d, []):
-            columns = action.columns(m)
+        # the indices of degree d are a run of positions
+        for p in range(host.count_up_to(d - 1), host.count_up_to(d)):
+            columns = action.columns(p)
             by_pos: dict[int, dict[int, Scalar]] = {}
             for t, c in enumerate(cols):
                 if not columns[c]:
@@ -588,11 +589,7 @@ def core_primeness_probe(
             subject = f"{alg.basis_labels[i]},{alg.basis_labels[j]}"
             if mode == "domain":
                 li, lj = leading(images[i]), leading(images[j])
-                total = action.host.gens.add(li.index, lj.index)
-                if (
-                    action.host.gens.degree(total)
-                    > action.host.data.degree_bound
-                ):
+                if action.host.index_sum(li.index, lj.index) is None:
                     rep.add("domain-probe", subject, INCONCLUSIVE, "truncated")
                     continue
                 try:

@@ -34,7 +34,13 @@ from .errors import (
 from .linalg import Q0, SparseRow, Subspace, exact, rat, rat_str, unit_vec
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
-from .table import PolynomialAlgebra, TableAlgebra, parse_table, string_list
+from .table import (
+    PolynomialAlgebra,
+    TableAlgebra,
+    json_object,
+    parse_table,
+    string_list,
+)
 
 SCHEMA = 1
 
@@ -57,19 +63,12 @@ def load_instance(path: str, degree: Optional[int]) -> coalgebra.FilteredBialgeb
     return coalgebra.instance_from_json(_load_json(path), degree)
 
 
-def _object(value, what: str) -> Mapping:
-    """value, which the input format requires to be a JSON object."""
-    if not isinstance(value, Mapping):
-        raise InputFormatError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
 def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
     coords = [Q0] * algebra.dim
     for term in terms:
-        term = _object(term, "a term")
+        term = json_object(term, "a term")
         exps = [0] * len(algebra.variables)
-        for var, k in _object(term.get("monomial", {}), "a monomial").items():
+        for var, k in json_object(term.get("monomial", {}), "a monomial").items():
             if var not in algebra.variables:
                 raise InputFormatError(f"unknown variable {var!r}")
             exps[algebra.variables.index(var)] = int(k)
@@ -98,13 +97,14 @@ def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
     for alpha in algebra.monomials:
         image: SparseRow = {}
         for term in spec.get("terms", []):
-            term = _object(term, "an operator term")
+            term = json_object(term, "an operator term")
             coeff = rat(term.get("coeff", "1"))
             mu = [0] * nvars
             beta = [0] * nvars
-            for var, k in _object(term.get("monomial", {}), "a monomial").items():
+            for var, k in json_object(term.get("monomial", {}), "a monomial").items():
                 mu[algebra.variables.index(var)] = int(k)
-            for var, k in _object(term.get("derivatives", {}), '"derivatives"').items():
+            derivatives = json_object(term.get("derivatives", {}), '"derivatives"')
+            for var, k in derivatives.items():
                 beta[algebra.variables.index(var)] = int(k)
             if any(a < b for a, b in zip(alpha, beta)):
                 continue
@@ -125,7 +125,7 @@ def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
 
 
 def _algebra_from_json(obj: Mapping) -> TableAlgebra:
-    kind = _object(obj, '"algebra"').get("kind")
+    kind = json_object(obj, '"algebra"').get("kind")
     if kind == "polynomial":
         variables = string_list(obj["variables"], 'polynomial "variables"')
         bound = obj["bound"]
@@ -146,13 +146,13 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
 
 
 def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
-    kind = _object(obj, '"ideal"').get("kind")
+    kind = json_object(obj, '"ideal"').get("kind")
     if isinstance(algebra, PolynomialAlgebra):
         nvars = len(algebra.variables)
 
         def exps_of(mono: Mapping) -> list[int]:
             exps = [0] * nvars
-            for var, k in _object(mono, "a monomial").items():
+            for var, k in json_object(mono, "a monomial").items():
                 if var not in algebra.variables:
                     raise InputFormatError(f"unknown variable {var!r}")
                 exps[algebra.variables.index(var)] = int(k)
@@ -330,24 +330,22 @@ def cmd_verify(args) -> int:
             report.add("basis", "-", FAIL, str(exc))
             has_basis = False
 
-        bound = data.degree_bound
-        for n in pbw.indices:
-            for m in pbw.indices:
-                if pbw.gens.degree(n) + pbw.gens.degree(m) > bound:
-                    continue
+        bound, indices = data.degree_bound, pbw.indices
+        for n in range(len(indices)):
+            # the indices m with deg n + deg m <= bound are a prefix
+            for m in range(pbw.count_up_to(bound - pbw.degrees[n])):
+                subject = f"{indices[n]},{indices[m]}"
                 try:
                     c, _ = pbw.structure_constant(n, m)
-                    report.add(
-                        "structure-constant", f"{n},{m}", PASS, f"c={rat_str(c)}"
-                    )
+                    report.add("structure-constant", subject, PASS, f"c={rat_str(c)}")
                 except BasisDefect as exc:
-                    report.add("structure-constant", f"{n},{m}", FAIL, str(exc))
+                    report.add("structure-constant", subject, FAIL, str(exc))
 
         rng = random.Random(args.seed)
         if has_basis:
-            for m in pbw.indices:
+            for p, m in enumerate(pbw.indices):
                 try:
-                    report.extend(pbw.check_split_expansion(m))
+                    report.extend(pbw.check_split_expansion(p))
                 except ExpansionViolation as exc:
                     report.add("split-expansion", str(m), FAIL, str(exc))
             report.extend(pbw.check_span_closure(rng, args.trials))
@@ -390,11 +388,12 @@ def cmd_conv(args) -> int:
         g = convolution.random_conv_element(pbw, ring, rng, cap)
         try:
             outcome = convolution.check_leading_law(f, g)
+            left, right = outcome.lead_left.index, outcome.lead_right.index
             report.add(
                 "leading-law",
                 f"trial {trial}",
                 PASS if outcome.passed else FAIL,
-                f"lead {outcome.lead_left.index}+{outcome.lead_right.index}",
+                f"lead {pbw.indices[left]}+{pbw.indices[right]}",
             )
         except TruncationError:
             report.add("leading-law", f"trial {trial}", INCONCLUSIVE, "beyond the bound")
@@ -403,10 +402,8 @@ def cmd_conv(args) -> int:
         for trial in range(args.trials):
             f = convolution.random_conv_element(pbw, ring, rng, cap)
             g = convolution.random_conv_element(pbw, ring, rng, cap)
-            total = pbw.gens.add(
-                convolution.leading(f).index, convolution.leading(g).index
-            )
-            if pbw.gens.degree(total) > data.degree_bound:
+            leads = convolution.leading(f).index, convolution.leading(g).index
+            if pbw.index_sum(*leads) is None:
                 report.add(
                     "domain-product", f"trial {trial}", INCONCLUSIVE, "beyond the bound"
                 )
@@ -500,9 +497,9 @@ def cmd_hcore(args) -> int:
         pbw = PBWStructure.from_bialgebra(data)
         spec = _load_json(args.action)
         algebra = _algebra_from_json(spec["algebra"])
+        generators = json_object(spec.get("generators", {}), '"generators"')
         gen_ops = {
-            gid: _operator_columns(algebra, gid, op)
-            for gid, op in _object(spec.get("generators", {}), '"generators"').items()
+            gid: _operator_columns(algebra, gid, op) for gid, op in generators.items()
         }
         act = action_mod.ModuleAlgebraAction(pbw, algebra, gen_ops)
         source = _load_json(args.ideal) if args.ideal else spec

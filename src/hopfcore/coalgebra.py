@@ -57,6 +57,7 @@ from .table import (
     TableAlgebra,
     exponent_table,
     graded_monomials,
+    json_object,
     parse_table,
     sparse,
     string_list,
@@ -1052,7 +1053,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         unit = pos[tables["unit"]]
         mult = parse_table(tables["mult"], pos)
         comult = [[] for _ in labels]
-        for a, terms in tables["comult"].items():
+        for a, terms in json_object(tables["comult"], 'raw "comult"').items():
             # a string term would unpack character by character
             for term in terms:
                 if not isinstance(term, list):
@@ -1062,18 +1063,18 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
                     )
             comult[pos[a]] = [(pos[j], pos[k], rat(c)) for j, k, c in terms]
         counit = [Q0] * len(labels)
-        for a, c in tables.get("counit", {}).items():
+        for a, c in json_object(tables.get("counit", {}), 'raw "counit"').items():
             counit[pos[a]] = rat(c)
         antipode = None
         if "antipode" in tables:
-            antipode = {
-                pos[a]: [(pos[k], rat(c)) for k, c in combo.items()]
-                for a, combo in tables["antipode"].items()
-            }
+            antipode = {}
+            for a, combo in json_object(tables["antipode"], 'raw "antipode"').items():
+                combo = json_object(combo, "an antipode value")
+                antipode[pos[a]] = [(pos[k], rat(c)) for k, c in combo.items()]
         hint = None
         if "degrees" in tables:
             hint = [0] * len(labels)
-            for a, d in tables["degrees"].items():
+            for a, d in json_object(tables["degrees"], 'raw "degrees"').items():
                 hint[pos[a]] = int(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed raw instance tables: {exc}") from exc
@@ -1115,7 +1116,11 @@ def instance_from_json(
         if not isinstance(lie, Mapping) or "generators" not in lie:
             raise InputFormatError('ueg instances need a "lie" table with generators')
         gens = string_list(lie["generators"], 'ueg "generators"')
-        return build_ueg(gens, lie.get("brackets", {}), bound)
+        brackets = json_object(lie.get("brackets", {}), 'ueg "brackets"')
+        for row in brackets.values():
+            for combo in json_object(row, "a bracket row").values():
+                json_object(combo, "a bracket value")
+        return build_ueg(gens, brackets, bound)
     if kind == "xyw":
         return build_xyw(bound)
     if kind == "raw":

@@ -1,15 +1,16 @@
 """Truncated convolution algebras of linear maps into a coefficient ring.
 
 A map f out of the truncated algebra is stored by its values on the ordered
-divided-power basis, i.e. as a finitely supported function from multi-indices
-to ring elements.  Convolution is computed through the cached
-comultiplication expansions of the host basis, so it is exact on every index
-within the truncation bound.  Leading data (smallest support index under the
-well-order, value there) drives the primeness witnesses: for a prime ring a
-middle factor r with s_min * r * t_min != 0 is found by a bounded scan and
-pulled back through the counit, and the leading term of s * u * t is checked
-to be exactly (s+t, s_min r t_min).  A failed scan refutes the declared ring
-property.
+divided-power basis, i.e. as a finitely supported function from basis
+indices to ring elements.  An index is named by its position in the host's
+well-ordered ``indices``, so the order of positions is the well-order.
+Convolution is computed through the cached comultiplication expansions of
+the host basis, so it is exact on every index within the truncation bound.
+Leading data (smallest support position, value there) drives the primeness
+witnesses: for a prime ring a middle factor r with s_min * r * t_min != 0 is
+found by a bounded scan and pulled back through the counit, and the leading
+term of s * u * t is checked to be exactly (s+t, s_min r t_min).  A failed
+scan refutes the declared ring property.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .errors import (
     ZeroElement,
 )
 from .linalg import Q0, Q1, Scalar, Vector, is_zero_vec, rat
-from .monoid import MultiIndex, ZERO_INDEX
 from .pbw import PBWStructure
 from .report import FAIL, PASS, Report
-from .table import TableAlgebra, parse_table, string_list
+from .table import TableAlgebra, json_object, parse_table, string_list
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def ring_from_tables(obj: Mapping) -> TableAlgebra:
         pos = {s: i for i, s in enumerate(labels)}
         table = parse_table(obj["mult"], pos)
         one = [Q0] * len(labels)
-        for a, c in obj["one"].items():
+        for a, c in json_object(obj["one"], 'ring "one"').items():
             one[pos[a]] = rat(c)
-        flags_obj = obj.get("flags", {})
+        flags_obj = json_object(obj.get("flags", {}), 'ring "flags"')
         flags = RingFlags(
             is_prime=flags_obj.get("prime"),
             is_semiprime=flags_obj.get("semiprime"),
@@ -232,7 +232,7 @@ def ring_check(ring: TableAlgebra) -> Report:
 
 @dataclass(frozen=True)
 class LeadingTerm:
-    index: MultiIndex
+    index: int  # a position in host.indices
     value: Vector
 
 
@@ -248,18 +248,17 @@ class ConvElement:
         self,
         host: PBWStructure,
         ring: TableAlgebra,
-        values: Mapping[MultiIndex, Vector],
+        values: Mapping[int, Vector],
     ):
         self.host = host
         self.ring = ring
-        cleaned = {}
-        for m, v in values.items():
-            pos = host.index_pos.get(m)
-            if pos is None:
-                raise InputFormatError(f"index {m} does not live on this host")
-            if not is_zero_vec(v):
-                cleaned[pos] = tuple(v)
-        self._map = {p: cleaned[p] for p in sorted(cleaned)}
+        count = len(host.indices)
+        for p in values:
+            if not 0 <= p < count:
+                raise InputFormatError(f"index position {p} does not live on this host")
+        self._map = {
+            p: tuple(values[p]) for p in sorted(values) if not is_zero_vec(values[p])
+        }
 
     @classmethod
     def _at_positions(
@@ -270,21 +269,19 @@ class ConvElement:
         f.host, f.ring, f._map = host, ring, values
         return f
 
-    def value(self, m: MultiIndex) -> Vector:
-        return self._map.get(self.host.index_pos.get(m), self.ring.zero())
+    def value(self, p: int) -> Vector:
+        return self._map.get(p, self.ring.zero())
 
     @property
     def is_zero(self) -> bool:
         return not self._map
 
-    def support(self) -> list[MultiIndex]:
-        indices = self.host.indices
-        return [indices[p] for p in self._map]
+    def support(self) -> list[int]:
+        return list(self._map)
 
-    def terms(self) -> list[tuple[MultiIndex, Vector]]:
-        """The nonzero values as (index, value) pairs in the well-order."""
-        indices = self.host.indices
-        return [(indices[p], v) for p, v in self._map.items()]
+    def terms(self) -> list[tuple[int, Vector]]:
+        """The nonzero values as (position, value) pairs in the well-order."""
+        return list(self._map.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -295,7 +292,10 @@ class ConvElement:
         )
 
     def __repr__(self):
-        body = ", ".join(f"{m}: {self.ring.format(v)}" for m, v in self.terms()[:4])
+        indices = self.host.indices
+        body = ", ".join(
+            f"{indices[p]}: {self.ring.format(v)}" for p, v in self.terms()[:4]
+        )
         return f"ConvElement({body}{'...' if len(self._map) > 4 else ''})"
 
 
@@ -349,15 +349,15 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
 
 
 def u_star(f: ConvElement) -> Vector:
-    """Evaluation at the unit: the value at the zero index."""
-    return f.value(ZERO_INDEX)
+    """Evaluation at the unit: the value at the zero index, position 0."""
+    return f.value(0)
 
 
 def leading(f: ConvElement) -> LeadingTerm:
     if f.is_zero:
         raise ZeroElement("leading term of the zero element")
     p = next(iter(f._map))
-    return LeadingTerm(f.host.indices[p], f._map[p])
+    return LeadingTerm(p, f._map[p])
 
 
 @dataclass(frozen=True)
@@ -385,13 +385,11 @@ def check_leading_law(f: ConvElement, g: ConvElement) -> LeadingLawOutcome:
     term.  Raises TruncationError when the sum index is beyond the bound."""
     lf, lg = leading(f), leading(g)
     host = f.host
-    total = host.gens.add(lf.index, lg.index)
-    if host.gens.degree(total) > host.data.degree_bound:
-        raise TruncationError(
-            f"leading sum degree {host.gens.degree(total)} exceeds the bound"
-        )
+    t = host.index_sum(lf.index, lg.index)
+    if t is None:
+        degree = host.degrees[lf.index] + host.degrees[lg.index]
+        raise TruncationError(f"leading sum degree {degree} exceeds the bound")
     prod = convolve(f, g)
-    t = host.index_pos[total]
     first = next(iter(prod._map), None)
     vanish = first is None or first >= t
     expected = f.ring.mul(lf.value, lg.value)
@@ -426,8 +424,8 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
     s * u * t.  A failed scan raises NoWitnessFound, refuting primeness."""
     ls, lt = leading(s), leading(t)
     host, ring = s.host, s.ring
-    total = host.gens.add(ls.index, lt.index)
-    if host.gens.degree(total) > host.data.degree_bound:
+    total = host.index_sum(ls.index, lt.index)
+    if total is None:
         raise TruncationError("leading sum degree exceeds the bound")
     for r in _witness_candidates(ring):
         value = ring.mul(ring.mul(ls.value, r), lt.value)
@@ -437,8 +435,9 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
         proof = leading(convolve(convolve(s, u), t))
         if proof != LeadingTerm(total, value):
             raise ProbeAnomaly(
-                f"witness product has leading {proof.index}:"
-                f"{ring.format(proof.value)}, expected {total}:{ring.format(value)}"
+                f"witness product has leading {host.indices[proof.index]}:"
+                f"{ring.format(proof.value)}, expected "
+                f"{host.indices[total]}:{ring.format(value)}"
             )
         return Witness(r, u, proof)
     raise NoWitnessFound(

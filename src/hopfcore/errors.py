@@ -13,10 +13,6 @@ class ForeignGenerator(HopfcoreError):
     """A multi-index mentions a generator id that is not in the generator set."""
 
 
-class EmptySet(HopfcoreError):
-    """Minimum of an empty collection requested."""
-
-
 class InnerNotContained(HopfcoreError):
     """complement() called with inner not contained in outer."""
 

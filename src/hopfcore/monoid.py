@@ -4,22 +4,22 @@ A generator set is an ordered list of (id, degree) with degree >= 1, listed
 in nondecreasing degree; the list order is the chosen order within each
 degree class and is part of the instance data.  Multi-indices are functions
 from generator ids to positive multiplicities with finite support, added
-pointwise, graded by the weighted degree, and totally ordered by degree
-first and then by multiplicity at the largest differing generator.  With
-the per-degree classes finite this order is a well-order, which is what
-makes leading indices of convolution elements well defined.
+pointwise and graded by the weighted degree.  ``enumerate_up_to`` lists them
+in the well-order: degree first, then the multiplicity at the largest
+generator where two indices differ.  With the per-degree classes finite
+this is a well-order, which is what makes leading indices of convolution
+elements well defined.  The basis, convolution and action code key an
+index by its position in that list; multi-indices themselves are the report
+form, and the form in which sums and splittings are taken.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptySet, ForeignGenerator
-
-LESS, EQUAL, GREATER = -1, 0, 1
+from .errors import ForeignGenerator
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ class GeneratorSet:
             seen.add(gid)
             prev_deg = deg
         self._gens = gens
-        self._pos = {gid: i for i, (gid, _) in enumerate(gens)}
         self._deg = {gid: d for gid, d in gens}
 
     @property
@@ -106,14 +105,9 @@ class GeneratorSet:
         body = ", ".join(f"{gid}:{d}" for gid, d in self._gens)
         return f"GeneratorSet({body})"
 
-    def position(self, gid: str) -> int:
-        try:
-            return self._pos[gid]
-        except KeyError:
-            raise ForeignGenerator(f"unknown generator id {gid!r}") from None
-
     def delta(self, gid: str) -> MultiIndex:
-        self.position(gid)
+        if gid not in self._deg:
+            raise ForeignGenerator(f"unknown generator id {gid!r}")
         return MultiIndex(((gid, 1),))
 
     def index(self, mapping: Mapping[str, int]) -> MultiIndex:
@@ -123,7 +117,7 @@ class GeneratorSet:
 
     def _check(self, m: MultiIndex) -> None:
         for gid, _ in m.entries:
-            if gid not in self._pos:
+            if gid not in self._deg:
                 raise ForeignGenerator(f"unknown generator id {gid!r}")
 
     def add(self, m: MultiIndex, n: MultiIndex) -> MultiIndex:
@@ -137,42 +131,6 @@ class GeneratorSet:
     def degree(self, m: MultiIndex) -> int:
         self._check(m)
         return sum(k * self._deg[gid] for gid, k in m.entries)
-
-    def compare(self, m: MultiIndex, n: MultiIndex) -> int:
-        """Total order: degree first, then multiplicity at the largest
-        generator where the two indices differ."""
-        self._check(m)
-        self._check(n)
-        dm, dn = self.degree(m), self.degree(n)
-        if dm != dn:
-            return LESS if dm < dn else GREATER
-        mm, nn = dict(m.entries), dict(n.entries)
-        mu = -1
-        for gid in set(mm) | set(nn):
-            if mm.get(gid, 0) != nn.get(gid, 0):
-                mu = max(mu, self._pos[gid])
-        if mu < 0:
-            return EQUAL
-        gid = self._gens[mu][0]
-        return LESS if mm.get(gid, 0) < nn.get(gid, 0) else GREATER
-
-    def lt(self, m: MultiIndex, n: MultiIndex) -> bool:
-        return self.compare(m, n) == LESS
-
-    def le(self, m: MultiIndex, n: MultiIndex) -> bool:
-        return self.compare(m, n) != GREATER
-
-    def min_of(self, items: Iterable[MultiIndex]) -> MultiIndex:
-        best = None
-        for m in items:
-            if best is None or self.compare(m, best) == LESS:
-                best = m
-        if best is None:
-            raise EmptySet("minimum of an empty collection")
-        return best
-
-    def sort(self, items: Iterable[MultiIndex]) -> list[MultiIndex]:
-        return sorted(items, key=functools.cmp_to_key(self.compare))
 
     def splittings(self, m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
         """All pairs (i, j) with i + j = m, pointwise."""
@@ -193,26 +151,31 @@ class GeneratorSet:
         return pieces
 
     def enumerate_up_to(self, d: int) -> list[MultiIndex]:
-        """All multi-indices of degree <= d, sorted ascending; starts at the
-        zero index."""
-        results: list[MultiIndex] = []
+        """All multi-indices of degree <= d in the well-order: by degree,
+        then by the multiplicities read from the last generator down.
+        Starts at the zero index."""
+        results: list[tuple[int, ...]] = []
         gens = self._gens
 
-        def rec(pos: int, acc: dict[str, int], remaining: int) -> None:
+        def rec(pos: int, acc: list[int], remaining: int) -> None:
             if pos == len(gens):
-                results.append(MultiIndex.make(acc))
+                results.append(tuple(acc))
                 return
-            gid, deg = gens[pos]
+            deg = gens[pos][1]
             k = 0
             while k * deg <= remaining:
-                if k:
-                    acc[gid] = k
+                acc.append(k)
                 rec(pos + 1, acc, remaining - k * deg)
+                acc.pop()
                 k += 1
-            acc.pop(gid, None)
 
-        rec(0, {}, max(d, 0))
-        return self.sort(results)
+        rec(0, [], max(d, 0))
+        degs = [deg for _, deg in gens]
+        results.sort(
+            key=lambda ks: (sum(k * g for k, g in zip(ks, degs)), ks[::-1])
+        )
+        ids = self.ids
+        return [MultiIndex.make(zip(ids, ks)) for ks in results]
 
     def count_exact(self, d: int) -> int:
         """Number of multi-indices of degree exactly d (coin-counting DP)."""
@@ -224,9 +187,6 @@ class GeneratorSet:
             for t in range(deg, d + 1):
                 ways[t] += ways[t - deg]
         return ways[d]
-
-    def count_up_to(self, d: int) -> int:
-        return sum(self.count_exact(t) for t in range(d + 1))
 
     def to_json(self) -> list[dict]:
         return [{"id": gid, "degree": deg} for gid, deg in self._gens]

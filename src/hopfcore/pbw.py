@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .coalgebra import (
     CoradicalFiltration,
@@ -117,7 +117,12 @@ def lift_generators(
 
 class PBWStructure:
     """Generator lifts, cached ordered divided-power monomials, and the
-    expansion of raw vectors on them, with the membership checks."""
+    expansion of raw vectors on them, with the membership checks.
+
+    An index is named by its position in ``indices``, the well-ordered list
+    of every multi-index within the bound; caches, expansions and the
+    checks all work on positions.  ``degrees[p]`` is the degree of the
+    index at position p, and positions ascend by degree."""
 
     def __init__(
         self,
@@ -138,19 +143,18 @@ class PBWStructure:
         self.lifts = lifts
         self.indices: list[MultiIndex] = gens.enumerate_up_to(data.degree_bound)
         self.index_pos = {m: t for t, m in enumerate(self.indices)}
-        # the indices ascend by degree: _prefix[d] of them have degree <= d
+        self.degrees = [gens.degree(m) for m in self.indices]
+        # _prefix[d] indices have degree <= d
         self._prefix = [0] * (data.degree_bound + 1)
-        for m in self.indices:
-            self._prefix[gens.degree(m)] += 1
+        for d in self.degrees:
+            self._prefix[d] += 1
         for d in range(1, len(self._prefix)):
             self._prefix[d] += self._prefix[d - 1]
         self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
-        self._monomials: dict[MultiIndex, dict[int, Scalar]] = {}
+        self._monomials: dict[int, dict[int, Scalar]] = {}
         self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
-        self._comult_cache: dict[
-            MultiIndex, list[tuple[MultiIndex, MultiIndex, Scalar]]
-        ] = {}
+        self._comult_cache: dict[int, list[tuple[int, int, Scalar]]] = {}
         self._transposed: Optional[
             dict[tuple[int, int], list[tuple[int, Scalar]]]
         ] = None
@@ -187,19 +191,31 @@ class PBWStructure:
             return 0
         return self._prefix[min(d, len(self._prefix) - 1)]
 
+    def index_sum(self, p: int, q: int) -> Optional[int]:
+        """The position of the sum of the indices at p and q, or None when
+        the sum lies past the degree bound."""
+        if self.degrees[p] + self.degrees[q] > self.data.degree_bound:
+            return None
+        return self.index_pos[self.gens.add(self.indices[p], self.indices[q])]
+
+    def _require(self, p: int) -> MultiIndex:
+        """The index at position p; a position past the last index names an
+        index past the degree bound."""
+        if p >= len(self.indices):
+            raise TruncationError(f"index position {p} lies past the degree bound")
+        return self.indices[p]
+
     # -- monomials -----------------------------------------------------------
 
-    def sparse_monomial(self, m: MultiIndex) -> dict[int, Scalar]:
-        """e_m as its nonzero raw coordinates, computed left to right in
-        increasing generator order with the divided scaling 1/m(g)! applied
-        per generator block; cached."""
-        cached = self._monomials.get(m)
+    def sparse_monomial(self, p: int) -> dict[int, Scalar]:
+        """e_m for the index m at position p, as its nonzero raw
+        coordinates, computed left to right in increasing generator order
+        with the divided scaling 1/m(g)! applied per generator block;
+        cached."""
+        cached = self._monomials.get(p)
         if cached is not None:
             return cached
-        if self.gens.degree(m) > self.data.degree_bound:
-            raise TruncationError(
-                f"monomial of degree {self.gens.degree(m)} exceeds the bound"
-            )
+        m = self._require(p)
         v = to_sparse(self.data.unit_vector())
         for gid, _ in self.gens.generators:
             k = m.mult(gid)
@@ -210,12 +226,12 @@ class PBWStructure:
                 v = _nonzero(self.data.mul_sparse(v, lift))
             scale = Fraction(1, factorial(k))
             v = {i: exact(a * scale) for i, a in v.items()}
-        self._monomials[m] = v
+        self._monomials[p] = v
         return v
 
-    def pbw_monomial(self, m: MultiIndex) -> Vector:
+    def pbw_monomial(self, p: int) -> Vector:
         """e_m as a dense vector: a view of ``sparse_monomial``."""
-        return to_dense(self.sparse_monomial(m), self.data.dim)
+        return to_dense(self.sparse_monomial(p), self.data.dim)
 
     # -- basis change ----------------------------------------------------------
 
@@ -224,20 +240,20 @@ class PBWStructure:
         layer.  Raises BasisDefect on any failure."""
         rep = Report("basis")
         layer = self.filt.layers[n]
-        idx = [m for m in self.indices if self.gens.degree(m) <= n]
-        if len(idx) != layer.dim:
+        count = self.count_up_to(n)
+        if count != layer.dim:
             raise BasisDefect(
-                f"degree {n}: {len(idx)} monomials vs layer dimension {layer.dim}"
+                f"degree {n}: {count} monomials vs layer dimension {layer.dim}"
             )
         rows = []
-        for m in idx:
-            v = self.sparse_monomial(m)
+        for p in range(count):
+            v = self.sparse_monomial(p)
             if not layer.contains(v):
-                raise BasisDefect(f"degree {n}: e_{m} escapes the layer")
+                raise BasisDefect(f"degree {n}: e_{self.indices[p]} escapes the layer")
             rows.append(v)
-        if rank(rows, self.data.dim) != len(idx):
+        if rank(rows, self.data.dim) != count:
             raise BasisDefect(f"degree {n}: monomials are dependent")
-        rep.add("basis", f"degree {n}", PASS, f"dim {len(idx)}")
+        rep.add("basis", f"degree {n}", PASS, f"dim {count}")
         return rep
 
     def verify_all_bases(self) -> Report:
@@ -255,40 +271,39 @@ class PBWStructure:
         # row j of the inverse of the matrix whose rows are the monomials
         # expands e_j on them
         self._raw_to_pbw = inverse(
-            [self.sparse_monomial(m) for m in self.indices], self.data.dim
+            [self.sparse_monomial(p) for p in range(len(self.indices))],
+            self.data.dim,
         )
 
-    def pbw_coords(self, v: Vector) -> dict[MultiIndex, Scalar]:
-        """Exact expansion of a raw vector on the monomial basis."""
+    def pbw_coords(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        """Exact expansion of a sparse raw vector on the monomial basis, as
+        {position: coefficient} in ascending position, zeros dropped."""
         self._ensure_full_basis()
         out: dict[int, Scalar] = {}
-        for j, a in enumerate(v):
+        for j, a in v.items():
             if not a:
                 continue
             for k, c in self._raw_to_pbw[j].items():
                 out[k] = out.get(k, Q0) + a * c
-        return {self.indices[k]: c for k, c in sorted(out.items()) if c}
+        return {k: c for k, c in sorted(out.items()) if c}
 
     # -- products --------------------------------------------------------------
 
-    def structure_constant(
-        self, n: MultiIndex, m: MultiIndex
-    ) -> tuple[Scalar, Vector]:
+    def structure_constant(self, p: int, q: int) -> tuple[Scalar, Vector]:
         """Multinomial leading coefficient and the defect
         e_n e_m - c e_{n+m}, asserted to lie one filtration layer down."""
-        total = self.gens.add(n, m)
-        deg = self.gens.degree(total)
-        if deg > self.data.degree_bound:
+        total = self.index_sum(p, q)
+        if total is None:
             raise TruncationError("product degree exceeds the bound")
+        n, m = self.indices[p], self.indices[q]
         c = Q1
         for gid in set(n.support) | set(m.support):
             a, b = n.mult(gid), m.mult(gid)
             c *= comb(a + b, a)
-        prod = self.data.mul_sparse(
-            self.sparse_monomial(n), self.sparse_monomial(m)
-        )
+        prod = self.data.mul_sparse(self.sparse_monomial(p), self.sparse_monomial(q))
         for k, a in self.sparse_monomial(total).items():
             prod[k] = prod.get(k, Q0) - c * a
+        deg = self.degrees[total]
         if deg == 0:
             ok = not any(prod.values())
         else:
@@ -299,18 +314,15 @@ class PBWStructure:
 
     # -- comultiplication --------------------------------------------------------
 
-    def expand_comult(
-        self, m: MultiIndex
-    ) -> list[tuple[MultiIndex, MultiIndex, Scalar]]:
-        """Delta(e_m) on the monomial (x) monomial basis, sorted by the
-        well-order on both tensor positions."""
-        cached = self._comult_cache.get(m)
+    def expand_comult(self, p: int) -> list[tuple[int, int, Scalar]]:
+        """Delta(e_m) for the index m at position p on the monomial (x)
+        monomial basis, as terms (i, j, c) on positions, sorted by (i, j)."""
+        cached = self._comult_cache.get(p)
         if cached is not None:
             return cached
-        if self.gens.degree(m) > self.data.degree_bound:
-            raise TruncationError("index degree exceeds the bound")
+        m = self._require(p)
         self._ensure_full_basis()
-        tmap = self.data.comult_map(self.pbw_monomial(m))
+        tmap = self.data.comult_map(self.pbw_monomial(p))
         acc: dict[tuple[int, int], Scalar] = {}
         for (a, b), coeff in tmap.items():
             for i, ci in self._raw_to_pbw[a].items():
@@ -319,72 +331,71 @@ class PBWStructure:
                     key = (i, j)
                     acc[key] = acc.get(key, Q0) + cc * cj
         out = []
-        deg_m = self.gens.degree(m)
+        degrees, deg_m = self.degrees, self.degrees[p]
         for (i, j), c in sorted(acc.items()):
             if not c:
                 continue
-            left, right = self.indices[i], self.indices[j]
-            if self.gens.degree(left) + self.gens.degree(right) > deg_m:
+            if degrees[i] + degrees[j] > deg_m:
                 raise ExpansionViolation(
-                    f"term e_{left} (x) e_{right} of Delta(e_{m}) exceeds degree {deg_m}"
+                    f"term e_{self.indices[i]} (x) e_{self.indices[j]} of "
+                    f"Delta(e_{m}) exceeds degree {deg_m}"
                 )
-            out.append((left, right, exact(c)))
-        self._comult_cache[m] = out
+            out.append((i, j, exact(c)))
+        self._comult_cache[p] = out
         return out
 
     def transposed_comult(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
-        """The structure constants of Delta read by tensor pair, on positions
-        in ``indices``: (i, j) -> [(n, c)] for every term c e_i (x) e_j of
-        Delta(e_n), n ascending.  Built once, from expand_comult over every
-        index."""
+        """The structure constants of Delta read by tensor pair: (i, j) ->
+        [(n, c)] for every term c e_i (x) e_j of Delta(e_n), n ascending.
+        Built once, from expand_comult over every index."""
         if self._transposed is None:
-            pos = self.index_pos
             table: dict = {}
-            for n, m in enumerate(self.indices):
-                for i, j, c in self.expand_comult(m):
-                    table.setdefault((pos[i], pos[j]), []).append((n, c))
+            for n in range(len(self.indices)):
+                for i, j, c in self.expand_comult(n):
+                    table.setdefault((i, j), []).append((n, c))
             self._transposed = table
         return self._transposed
 
-    def check_split_expansion(self, m: MultiIndex) -> Report:
+    def check_split_expansion(self, p: int) -> Report:
         """Every expansion term is either a splitting of m with coefficient
         exactly 1 (each splitting occurring once) or strictly smaller; raises
-        ExpansionViolation otherwise."""
+        ExpansionViolation otherwise.  A missing splitting is named by the
+        first in position order."""
         rep = Report("split-expansion")
-        expected = {
-            (left, right) for left, right in self.gens.splittings(m)
-        }
-        seen: set[tuple[MultiIndex, MultiIndex]] = set()
-        for left, right, c in self.expand_comult(m):
-            total = self.gens.add(left, right)
-            if total == m:
+        name, pos = self.indices, self.index_pos
+        m = name[p]
+        expected = {(pos[left], pos[right]) for left, right in self.gens.splittings(m)}
+        seen: set[tuple[int, int]] = set()
+        for i, j, c in self.expand_comult(p):
+            total = self.index_sum(i, j)
+            if total == p:
                 if c != 1:
                     raise ExpansionViolation(
-                        f"splitting e_{left} (x) e_{right} of e_{m} has "
+                        f"splitting e_{name[i]} (x) e_{name[j]} of e_{m} has "
                         f"coefficient {rat_str(c)} != 1"
                     )
-                if (left, right) in seen:
+                if (i, j) in seen:
                     raise ExpansionViolation(
-                        f"splitting e_{left} (x) e_{right} of e_{m} repeats"
+                        f"splitting e_{name[i]} (x) e_{name[j]} of e_{m} repeats"
                     )
-                seen.add((left, right))
-            elif self.gens.compare(total, m) != -1:
+                seen.add((i, j))
+            elif total > p:
                 raise ExpansionViolation(
-                    f"term e_{left} (x) e_{right} of Delta(e_{m}) is not "
+                    f"term e_{name[i]} (x) e_{name[j]} of Delta(e_{m}) is not "
                     f"strictly below {m}"
                 )
         if seen != expected:
-            missing = next(iter(expected - seen))
+            i, j = min(expected - seen)
             raise ExpansionViolation(
-                f"splitting e_{missing[0]} (x) e_{missing[1]} of e_{m} is missing"
+                f"splitting e_{name[i]} (x) e_{name[j]} of e_{m} is missing"
             )
         rep.add("split-expansion", str(m), PASS, f"{len(seen)} splittings")
         return rep
 
     def check_all_split_expansions(self) -> Report:
         rep = Report("split-expansion")
-        for m in self.indices:
-            rep.extend(self.check_split_expansion(m))
+        for p in range(len(self.indices)):
+            rep.extend(self.check_split_expansion(p))
         return rep
 
     # -- closure of spans -------------------------------------------------------
@@ -394,33 +405,30 @@ class PBWStructure:
         expand with support below n + m."""
         rep = Report("span-closure")
         bound = self.data.degree_bound
-        # indices ascend in the well-order, which compares degrees first, so
-        # "every index <= m" and "every index of degree <= d" are prefixes
-        small = self.indices[: self.count_up_to(bound // 2)]
 
-        def sample_elem(top: MultiIndex) -> dict[int, Scalar]:
+        def sample_elem(top: int) -> dict[int, Scalar]:
             v: dict[int, Scalar] = {}
-            for i in self.indices[: self.index_pos[top] + 1]:
+            for i in range(top + 1):
                 c = rng.randint(-2, 2)
                 if c:
                     for k, a in self.sparse_monomial(i).items():
                         v[k] = v.get(k, Q0) + c * a
             return _nonzero(v)
 
+        # positions ascend in the well-order, which compares degrees first,
+        # so "every index <= m" and "every index of degree <= d" are prefixes
         for trial in range(samples):
-            n = small[rng.randrange(len(small))]
-            choices = self.indices[: self.count_up_to(bound - self.gens.degree(n))]
-            m = choices[rng.randrange(len(choices))]
-            top = self.index_pos[self.gens.add(n, m)]
+            n = rng.randrange(self.count_up_to(bound // 2))
+            m = rng.randrange(self.count_up_to(bound - self.degrees[n]))
+            top = self.index_sum(n, m)
             u, w = sample_elem(n), sample_elem(m)
-            prod = self.data.mul_sparse(u, w)
-            support = self.pbw_coords(to_dense(prod, self.data.dim))
-            bad = [i for i in support if self.index_pos[i] > top]
+            support = self.pbw_coords(self.data.mul_sparse(u, w))
+            bad = [i for i in support if i > top]
             rep.add(
                 "span-closure",
-                f"trial {trial} (n={n}, m={m})",
+                f"trial {trial} (n={self.indices[n]}, m={self.indices[m]})",
                 PASS if not bad else FAIL,
-                f"escaped at {bad[0]}" if bad else "",
+                f"escaped at {self.indices[bad[0]]}" if bad else "",
             )
         return rep
 

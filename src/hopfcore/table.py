@@ -43,6 +43,13 @@ def string_list(value, field: str) -> list[str]:
     return value
 
 
+def json_object(value, what: str) -> Mapping:
+    """value, which the input format requires to be a JSON object."""
+    if not isinstance(value, Mapping):
+        raise InputFormatError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def parse_table(nested: Mapping, pos: Mapping[str, int]) -> dict:
     """A JSON product table {a: {b: {k: "c"}}} as (i, j) -> [(k, c)].
     Unknown labels raise KeyError and a level that is not an object

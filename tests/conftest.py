@@ -1,14 +1,41 @@
 import json
+import os
 import pathlib
 
 import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
+from hopfcore.monoid import MultiIndex
 from hopfcore.pbw import PBWStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
+
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
+def compare(gens, m, n):
+    """The well-order on the multi-indices of a generator set: degree first,
+    then the multiplicity at the largest generator where m and n differ.
+    This is the reference that the library's position order (the order of
+    ``GeneratorSet.enumerate_up_to``) is tested against."""
+    dm, dn = gens.degree(m), gens.degree(n)
+    if dm != dn:
+        return LESS if dm < dn else GREATER
+    mm, nn = dict(m.entries), dict(n.entries)
+    differing = [gid for gid in gens.ids if mm.get(gid, 0) != nn.get(gid, 0)]
+    if not differing:
+        return EQUAL
+    gid = differing[-1]
+    return LESS if mm.get(gid, 0) < nn.get(gid, 0) else GREATER
+
+
+def at(host, **mults):
+    """The position in host.indices of the multi-index with these
+    multiplicities."""
+    return host.index_pos[MultiIndex.make(mults)]
+
 
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}
 SL2_BRACKETS = {"h": {"e": {"e": "2"}, "f": {"f": "-2"}}, "e": {"f": {"h": "1"}}}
@@ -37,6 +64,16 @@ def xyw():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+def subprocess_env(**extra):
+    """The environment for a child Python that imports this checkout's
+    hopfcore, with the given variables added."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def load_fixture(name):

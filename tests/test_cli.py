@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,7 +7,7 @@ import pytest
 from hopfcore import convolution
 from hopfcore.cli import main
 from hopfcore.errors import ProbeAnomaly
-from conftest import FIXTURES, ROOT, load_fixture
+from conftest import FIXTURES, load_fixture, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -390,6 +389,18 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
                     "generators": {"d": [[0, 1], [0]]}}),
         ("action", {**load_fixture("actions/dq_qx_ix.json"),
                     "generators": {"d": [[0, 1], [0, 0]]}}),
+        ("instance", {"kind": "ueg", "degree_bound": 3,
+                      "lie": {**UEG_HEIS, "brackets": []}}),
+        ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
+            "basis": ["1", "s"], "unit": "1",
+            "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
+            "comult": {"1": [["1", "1", "1"]],
+                       "s": [["s", "1", "1"], ["1", "s", "1"]]},
+            "counit": ["1"]}}),
+        ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
+                  "mult": {"1": {"1": {"1": "1"}}}, "flags": []}),
+        ("ring", {"name": "bad", "basis": ["1"], "one": ["1"],
+                  "mult": {"1": {"1": {"1": "1"}}}, "flags": {}}),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -399,7 +410,8 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
          "raw-comult-term-string", "ideal-properties-string",
          "ideal-file-properties-string", "action-generators-list",
          "action-ideal-string", "operator-term-string", "matrix-ragged",
-         "matrix-not-square"],
+         "matrix-not-square", "ueg-brackets-list", "raw-counit-list",
+         "ring-flags-list", "ring-one-list"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload):
     """Malformed input ends in exit 2 with a JSON report, never a traceback."""
@@ -416,13 +428,9 @@ def test_malformed_input_reports(tmp_path, kind, payload):
             "--action", str(ACTIONS / "dq_qx_ix.json"), "--ideal", str(path),
         ],
     }[kind]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "hopfcore.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "input-error"
@@ -535,3 +543,32 @@ def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
         "error": "leading term mismatch",
         "status": "fail",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--instance", str(INSTANCES / "heis.json")],
+        ["verify", "--instance", str(INSTANCES / "xyw.json"), "--trials", "30"],
+        ["conv", "--instance", str(INSTANCES / "heis.json"), "--ring", "m2q",
+         "--trials", "30"],
+        ["hcore", "--instance", str(INSTANCES / "sl2.json"),
+         "--action", str(ACTIONS / "sl2_qxy_ix.json"), "--probe-bound", "2"],
+    ],
+    ids=["build", "verify", "conv", "hcore"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    """The same command under two hash seeds writes the same bytes, so no
+    report depends on the iteration order of a set or of a dict keyed by
+    strings or multi-indices."""
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "hopfcore.cli", *argv, "--seed", "11"],
+            capture_output=True, timeout=120,
+            env=subprocess_env(PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].returncode in (0, 3)
+    assert [p.returncode for p in outputs] == [outputs[0].returncode] * 2
+    assert outputs[0].stdout == outputs[1].stdout

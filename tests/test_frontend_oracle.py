@@ -164,11 +164,11 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
     rows, chain = [], []
     for d in range(conv_cap + 1):
-        for m in host.indices:
+        for p, m in enumerate(host.indices):
             if host.gens.degree(m) != d:
                 continue
             dense = [
-                ideal.quotient_coords(tuple(action.columns(m)[c].get(i, Q0)
+                ideal.quotient_coords(tuple(action.columns(p)[c].get(i, Q0)
                                             for i in range(alg.dim)))
                 for c in cols
             ]

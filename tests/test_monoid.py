@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcore.errors import EmptySet, ForeignGenerator
-from hopfcore.monoid import EQUAL, GREATER, LESS, GeneratorSet, MultiIndex, ZERO_INDEX
+from hopfcore.errors import ForeignGenerator
+from hopfcore.monoid import GeneratorSet, MultiIndex, ZERO_INDEX
+from conftest import EQUAL, GREATER, LESS, compare
 
 AB = GeneratorSet([("a", 1), ("b", 1)])
 MIXED = GeneratorSet([("x", 1), ("y", 1), ("w", 2)])
@@ -57,33 +59,17 @@ def test_degree_examples():
 
 def test_compare_degree_first():
     one = GeneratorSet([("s", 1), ("t", 2)])
-    assert one.compare(one.delta("s"), one.delta("t")) == LESS
+    assert compare(one, one.delta("s"), one.delta("t")) == LESS
     m = idx(AB, a=1, b=1)
-    assert AB.compare(m, m) == EQUAL
+    assert compare(AB, m, m) == EQUAL
 
 
 def test_compare_tiebreak_at_largest_difference():
     # 2a vs a+b: they differ at b where 0 < 1
-    assert AB.compare(idx(AB, a=2), idx(AB, a=1, b=1)) == LESS
+    assert compare(AB, idx(AB, a=2), idx(AB, a=1, b=1)) == LESS
     # the degree-2 index on the degree-2 generator is the largest of its degree
-    assert MIXED.compare(idx(MIXED, x=1, y=1), MIXED.delta("w")) == LESS
-    assert MIXED.compare(idx(MIXED, x=2), idx(MIXED, x=1, y=1)) == LESS
-
-
-def test_min_of_examples():
-    m = idx(AB, a=1, b=1)
-    assert AB.min_of([m]) == m
-    assert AB.min_of([m, ZERO_INDEX, idx(AB, a=2)]) == ZERO_INDEX
-    candidates = [idx(AB, a=2), idx(AB, a=1, b=1), idx(AB, b=2)]
-    expected = [
-        c
-        for c in candidates
-        if all(AB.compare(c, other) != GREATER for other in candidates)
-    ]
-    assert expected == [idx(AB, a=2)]
-    assert AB.min_of(candidates) == idx(AB, a=2)
-    with pytest.raises(EmptySet):
-        AB.min_of([])
+    assert compare(MIXED, idx(MIXED, x=1, y=1), MIXED.delta("w")) == LESS
+    assert compare(MIXED, idx(MIXED, x=2), idx(MIXED, x=1, y=1)) == LESS
 
 
 def test_enumerate_up_to_examples():
@@ -114,8 +100,22 @@ def test_enumerate_counts_match_brute_force_and_series():
                     m * deg for m, (_, deg) in zip(mults, gens.generators)
                 )
                 brute += deg <= d
-            assert len(listed) == brute == gens.count_up_to(d)
+            assert len(listed) == brute == sum(gens.count_exact(t) for t in range(d + 1))
             assert len(set(listed)) == len(listed)
+
+
+def test_enumerate_up_to_sorts_by_the_reference_order():
+    """enumerate_up_to lists every index of degree <= d in the reference
+    well-order, so positions in its list compare as the indices do."""
+    key = functools.cmp_to_key(functools.partial(compare, BIG))
+    for d in range(7):
+        limit = [d // deg for _, deg in BIG.generators]
+        brute = [
+            BIG.index(dict(zip(BIG.ids, mults)))
+            for mults in itertools.product(*(range(l + 1) for l in limit))
+        ]
+        brute = [m for m in brute if BIG.degree(m) <= d]
+        assert BIG.enumerate_up_to(d) == sorted(brute, key=key)
 
 
 def test_splittings():
@@ -139,23 +139,23 @@ def big_index(draw):
 @settings(max_examples=200)
 @given(big_index(), big_index())
 def test_compare_total_and_antisymmetric(m, n):
-    c = BIG.compare(m, n)
+    c = compare(BIG, m, n)
     assert c in (LESS, EQUAL, GREATER)
-    assert c == -BIG.compare(n, m)
+    assert c == -compare(BIG, n, m)
     assert (c == EQUAL) == (m == n)
 
 
 @settings(max_examples=200)
 @given(big_index(), big_index(), big_index())
 def test_compare_transitive(m, n, r):
-    if BIG.compare(m, n) != GREATER and BIG.compare(n, r) != GREATER:
-        assert BIG.compare(m, r) != GREATER
+    if compare(BIG, m, n) != GREATER and compare(BIG, n, r) != GREATER:
+        assert compare(BIG, m, r) != GREATER
 
 
 @settings(max_examples=200)
 @given(big_index(), big_index(), big_index())
 def test_translation_invariance(m, n, r):
-    assert BIG.compare(m, n) == BIG.compare(BIG.add(m, r), BIG.add(n, r))
+    assert compare(BIG, m, n) == compare(BIG, BIG.add(m, r), BIG.add(n, r))
 
 
 def test_descending_chains_terminate():
@@ -166,7 +166,7 @@ def test_descending_chains_terminate():
         bound = len(pool)
         steps = 0
         while True:
-            smaller = [p for p in pool if BIG.compare(p, current) == LESS]
+            smaller = [p for p in pool if compare(BIG, p, current) == LESS]
             if not smaller:
                 break
             current = smaller[rng.randrange(len(smaller))]

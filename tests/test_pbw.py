@@ -1,4 +1,7 @@
+import functools
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -6,14 +9,19 @@ import pytest
 
 from hopfcore.coalgebra import FilteredBialgebraData, build_ueg
 from hopfcore.errors import NotPolynomial, ExpansionViolation, TruncationError
-from hopfcore.linalg import Q1, rank, unit_vec, zero_vec
+from hopfcore.linalg import Q1, rank, to_sparse, unit_vec, zero_vec
 from hopfcore.monoid import MultiIndex, ZERO_INDEX
 from hopfcore.pbw import PBWStructure, extract_generators
-from conftest import SL2_BRACKETS, load_fixture
+from conftest import LESS, SL2_BRACKETS, at, compare, load_fixture, subprocess_env
 
 
 def mi(**kw):
     return MultiIndex.make(kw)
+
+
+def named(p, terms):
+    """expand_comult's terms on positions as (multi-index, multi-index, c)."""
+    return [(p.indices[i], p.indices[j], c) for i, j, c in terms]
 
 
 # -- generator extraction -----------------------------------------------------
@@ -64,23 +72,29 @@ def test_lifts_are_canonical(heis, xyw):
 
 
 def test_monomial_zero_index(heis):
-    assert heis.pbw_monomial(ZERO_INDEX) == heis.data.unit_vector()
+    assert heis.indices[0] == ZERO_INDEX
+    assert heis.pbw_monomial(0) == heis.data.unit_vector()
 
 
 def test_monomial_divided_power(qt):
-    v = qt.pbw_monomial(mi(t=3))
+    v = qt.pbw_monomial(at(qt, t=3))
     assert v == unit_vec(qt.data.dim, qt.data.position("t^(3)"))
 
 
 def test_monomial_order_and_straightening(sl2):
     # increasing order e < f: the ordered product is the basis monomial itself
-    v = sl2.pbw_monomial(mi(e=1, f=1))
+    v = sl2.pbw_monomial(at(sl2, e=1, f=1))
     assert v == unit_vec(sl2.data.dim, sl2.data.position("e*f"))
 
 
 def test_monomial_truncation(heis):
+    # x^5 lies past the bound: it has no position, and a position past the
+    # last index names an index past the bound
+    assert mi(x=5) not in heis.index_pos
     with pytest.raises(TruncationError):
-        heis.pbw_monomial(mi(x=5))
+        heis.pbw_monomial(len(heis.indices))
+    with pytest.raises(TruncationError):
+        heis.expand_comult(len(heis.indices))
 
 
 # -- basis ---------------------------------------------------------------------
@@ -95,7 +109,7 @@ def test_verify_basis_all_instances(heis, sl2, xyw, qt):
     ):
         p.verify_all_bases()
         got = [
-            rank([p.sparse_monomial(m) for m in p.indices[: p.count_up_to(n)]], p.data.dim)
+            rank([p.sparse_monomial(q) for q in range(p.count_up_to(n))], p.data.dim)
             for n in range(p.data.degree_bound + 1)
         ]
         assert got == dims
@@ -103,8 +117,8 @@ def test_verify_basis_all_instances(heis, sl2, xyw, qt):
 
 def test_basis_change_identity_for_line(qt):
     qt.verify_all_bases()
-    for i, m in enumerate(qt.indices):
-        assert qt.pbw_monomial(m) == unit_vec(qt.data.dim, i)
+    for i in range(len(qt.indices)):
+        assert qt.pbw_monomial(i) == unit_vec(qt.data.dim, i)
 
 
 def test_pbw_coords_roundtrip(heis):
@@ -116,9 +130,10 @@ def test_pbw_coords_roundtrip(heis):
         }
         v = zero_vec(heis.data.dim)
         for m, c in coeffs.items():
-            v = tuple(x + c * y for x, y in zip(v, heis.pbw_monomial(m)))
-        got = heis.pbw_coords(v)
-        assert got == {m: c for m, c in coeffs.items() if c}
+            v = tuple(x + c * y for x, y in zip(v, heis.pbw_monomial(heis.index_pos[m])))
+        got = heis.pbw_coords(to_sparse(v))
+        assert got == {heis.index_pos[m]: c for m, c in coeffs.items() if c}
+        assert list(got) == sorted(got)
 
 
 # -- structure constants ----------------------------------------------------------
@@ -126,43 +141,45 @@ def test_pbw_coords_roundtrip(heis):
 
 def test_structure_constant_multinomial(qt):
     qt5 = PBWStructure.from_bialgebra(build_ueg(["t"], {}, 5))
-    c, defect = qt5.structure_constant(mi(t=2), mi(t=3))
+    c, defect = qt5.structure_constant(at(qt5, t=2), at(qt5, t=3))
     assert c == F(factorial(5), factorial(2) * factorial(3)) == 10
     assert all(x == 0 for x in defect)
 
 
 def test_structure_constant_zero_index(heis):
-    c, defect = heis.structure_constant(ZERO_INDEX, mi(x=1, y=1))
+    c, defect = heis.structure_constant(0, at(heis, x=1, y=1))
     assert c == 1
     assert all(x == 0 for x in defect)
 
 
 def test_structure_constant_truncation(heis):
     with pytest.raises(TruncationError):
-        heis.structure_constant(mi(x=3), mi(y=3))
+        heis.structure_constant(at(heis, x=3), at(heis, y=3))
+    assert heis.index_sum(at(heis, x=3), at(heis, y=3)) is None
 
 
 def test_structure_constant_sl2_defect(sl2):
     # f*e = e*f - h: ordered monomial plus a strictly lower defect
-    c, defect = sl2.structure_constant(mi(f=1), mi(e=1))
+    c, defect = sl2.structure_constant(at(sl2, f=1), at(sl2, e=1))
     assert c == 1
-    expansion = sl2.pbw_coords(defect)
-    assert expansion == {mi(h=1): F(-1)}
+    expansion = sl2.pbw_coords(to_sparse(defect))
+    assert expansion == {at(sl2, h=1): F(-1)}
     assert sl2.filt.layers[1].contains(defect)
 
 
 def test_structure_constants_random(heis, sl2, xyw):
     rng = random.Random(17)
     for p in (heis, sl2, xyw):
-        candidates = [m for m in p.indices if p.gens.degree(m) <= 2]
+        candidates = [q for q, m in enumerate(p.indices) if p.gens.degree(m) <= 2]
         for _ in range(25):
             n = candidates[rng.randrange(len(candidates))]
             m = candidates[rng.randrange(len(candidates))]
             c, defect = p.structure_constant(n, m)
             # independent route: the expansion coefficient at the sum index
             prod = p.data.multiply(p.pbw_monomial(n), p.pbw_monomial(m))
-            coords = p.pbw_coords(prod)
-            total = p.gens.add(n, m)
+            coords = {p.indices[i]: a for i, a in p.pbw_coords(to_sparse(prod)).items()}
+            total = p.gens.add(p.indices[n], p.indices[m])
+            assert p.index_sum(n, m) == p.index_pos[total]
             assert coords.get(total, F(0)) == c
             for i in coords:
                 if i != total:
@@ -173,11 +190,12 @@ def test_structure_constants_random(heis, sl2, xyw):
 
 
 def test_expand_comult_zero(heis):
-    assert heis.expand_comult(ZERO_INDEX) == [(ZERO_INDEX, ZERO_INDEX, Q1)]
+    assert heis.expand_comult(0) == [(0, 0, Q1)]
+    assert named(heis, heis.expand_comult(0)) == [(ZERO_INDEX, ZERO_INDEX, Q1)]
 
 
 def test_expand_comult_line(qt):
-    got = qt.expand_comult(mi(t=2))
+    got = named(qt, qt.expand_comult(at(qt, t=2)))
     assert got == [
         (ZERO_INDEX, mi(t=2), Q1),
         (mi(t=1), mi(t=1), Q1),
@@ -186,20 +204,131 @@ def test_expand_comult_line(qt):
 
 
 def test_expand_comult_xyw_cross_term(xyw):
-    got = xyw.expand_comult(mi(w=1))
+    got = named(xyw, xyw.expand_comult(at(xyw, w=1)))
     assert (mi(x=1), mi(y=1), Q1) in got
     assert (ZERO_INDEX, mi(w=1), Q1) in got
     assert (mi(w=1), ZERO_INDEX, Q1) in got
     assert len(got) == 3
     # the cross term is strictly below the split index: they differ at w
-    assert xyw.gens.lt(xyw.gens.add(mi(x=1), mi(y=1)), mi(w=1))
+    assert compare(xyw.gens, xyw.gens.add(mi(x=1), mi(y=1)), mi(w=1)) == LESS
+    assert xyw.index_sum(at(xyw, x=1), at(xyw, y=1)) < at(xyw, w=1)
+
+
+def oracle_expansions(p):
+    """Delta(e_m) for every multi-index m within the bound, keyed by pairs of
+    multi-indices: e_m is the product of the generator lifts divided by the
+    factorials, the raw basis is expanded on the monomials through a sympy
+    inverse, and the terms are sorted by the reference order on the left
+    index, then on the right."""
+    sympy = pytest.importorskip("sympy")
+    data = p.data
+
+    def monomial(m):
+        v = data.unit_vector()
+        for gid, _ in p.gens.generators:
+            for _ in range(m.mult(gid)):
+                v = data.multiply(v, p.lifts[gid])
+            v = tuple(F(x) / factorial(m.mult(gid)) for x in v)
+        return v
+
+    indices = p.gens.enumerate_up_to(data.degree_bound)
+    monomials = [monomial(m) for m in indices]
+    inv = sympy.Matrix(monomials).inv()
+    # raw e_a is the sum over q of inv[a, q] e_(indices[q])
+    coords = [
+        {q: F(int(x.p), int(x.q)) for q, x in enumerate(inv.row(a)) if x}
+        for a in range(data.dim)
+    ]
+    key = functools.cmp_to_key(functools.partial(compare, p.gens))
+    out = {}
+    for m, v in zip(indices, monomials):
+        acc = {}
+        for (a, b), c in data.comult_map(v).items():
+            for q, x in coords[a].items():
+                for r, y in coords[b].items():
+                    pair = (indices[q], indices[r])
+                    acc[pair] = acc.get(pair, 0) + c * x * y
+        out[m] = sorted(
+            ((i, j, c) for (i, j), c in acc.items() if c),
+            key=lambda t: (key(t[0]), key(t[1])),
+        )
+    return out
+
+
+def test_expand_comult_matches_multi_index_oracle(heis, sl2, xyw, qt):
+    for p in (heis, sl2, xyw, qt):
+        oracle = oracle_expansions(p)
+        assert list(oracle) == p.indices
+        for pos, m in enumerate(p.indices):
+            assert named(p, p.expand_comult(pos)) == oracle[m]
+
+
+# The Heisenberg ueg at degree 4 with the splittings x (x) y*z and
+# y (x) x*z of x*y*z dropped from its comultiplication cache.
+MISSING_SPLITTINGS = """
+from hopfcore.coalgebra import build_ueg
+from hopfcore.errors import ExpansionViolation
+from hopfcore.monoid import MultiIndex
+from hopfcore.pbw import PBWStructure
+
+p = PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], {"x": {"y": {"z": "1"}}}, 4))
+
+
+def at(ids):
+    return p.index_pos[MultiIndex.make({g: 1 for g in ids})]
+
+
+xyz = at("xyz")
+dropped = {(at("x"), at("yz")), (at("y"), at("xz"))}
+terms = p.expand_comult(xyz)
+p._comult_cache[xyz] = [t for t in terms if t[:2] not in dropped]
+try:
+    p.check_split_expansion(xyz)
+except ExpansionViolation as exc:
+    print(exc)
+"""
+
+
+def test_missing_splitting_message_ignores_the_hash_seed():
+    """The first missing splitting in position order is named, whatever
+    order the hash seed gives the set of missing pairs."""
+    messages = [
+        subprocess.run(
+            [sys.executable, "-c", MISSING_SPLITTINGS],
+            capture_output=True, text=True, timeout=120,
+            env=subprocess_env(PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert messages == ["splitting e_x (x) e_y*z of e_x*y*z is missing\n"] * 2
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # y^2 directly follows x*y in the well-order
+        (lambda terms, y: terms + [(y, y, 1)],
+         "term e_y (x) e_y of Delta(e_x*y) is not strictly below x*y"),
+        (lambda terms, y: [(i, j, 2 if j == y else c) for i, j, c in terms],
+         "splitting e_x (x) e_y of e_x*y has coefficient 2 != 1"),
+    ],
+    ids=["term-above", "coefficient-two"],
+)
+def test_split_expansion_violations(edit, message):
+    p = PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], {"x": {"y": {"z": "1"}}}, 2))
+    xy, y = at(p, x=1, y=1), at(p, y=1)
+    assert p.indices[xy + 1] == mi(y=2)
+    p._comult_cache[xy] = edit(p.expand_comult(xy), y)
+    with pytest.raises(ExpansionViolation) as info:
+        p.check_split_expansion(xy)
+    assert str(info.value) == message
 
 
 def test_unit_coefficients(heis):
-    for m in heis.indices:
-        terms = {(i, j): c for i, j, c in heis.expand_comult(m)}
-        assert terms[(ZERO_INDEX, m)] == 1
-        assert terms[(m, ZERO_INDEX)] == 1
+    for p in range(len(heis.indices)):
+        terms = {(i, j): c for i, j, c in heis.expand_comult(p)}
+        assert terms[(0, p)] == 1
+        assert terms[(p, 0)] == 1
 
 
 def test_split_expansion_all_indices(heis, sl2, xyw, qt):
@@ -213,7 +342,7 @@ def test_expansion_violation_on_corrupted_tables():
     data = instance_from_json(load_fixture("instances/xyw_corrupt.json"))
     p = PBWStructure.from_bialgebra(data)
     with pytest.raises(ExpansionViolation):
-        for m in p.indices:
+        for m in range(len(p.indices)):
             p.check_split_expansion(m)
 
 
