@@ -40,14 +40,15 @@ from .linalg import (
     exact,
     is_zero_vec,
     kernel,
+    nonzero,
     to_dense,
     to_sparse,
     unit_vec,
 )
-from .monoid import MultiIndex
+from .monoid import monomial_label
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
-from .table import PolynomialAlgebra, TableAlgebra, monomial_label
+from .table import PolynomialAlgebra, TableAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +330,6 @@ def _add_scaled(acc: SparseRow, c: Scalar, v: Mapping[int, Scalar]) -> None:
         acc[k] = acc.get(k, Q0) + c * x
 
 
-def _nonzero(v: SparseRow) -> SparseRow:
-    return {k: c for k, c in v.items() if c}
-
-
 class ModuleAlgebraAction:
     """Operators for the generator lifts, extended to every basis monomial
     as the increasing-order divided composition.
@@ -373,10 +370,10 @@ class ModuleAlgebraAction:
             return cached
         host = self.host
         m = host.indices[p]
-        gid = next(g for g, _ in host.gens.generators if m.mult(g))
-        k = m.mult(gid)
-        rest = host.index_pos[MultiIndex.make({**dict(m.entries), gid: k - 1})]
-        op, scale = self.gen_ops[gid], Fraction(1, k)
+        t = next(t for t, k in enumerate(m) if k)
+        k = m[t]
+        rest = host.index_pos[m[:t] + (k - 1,) + m[t + 1 :]]
+        op, scale = self.gen_ops[host.gens.ids[t]], Fraction(1, k)
         out = [
             {r: exact(c * scale) for r, c in apply_columns(op, col).items() if c}
             for col in self.columns(rest)
@@ -398,7 +395,11 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     data = host.data
     gens = host.gens
 
-    at = {gid: host.index_pos[gens.delta(gid)] for gid in gens.ids}
+    # the index of generator t has exponent 1 at t and 0 elsewhere
+    at = {
+        gid: host.index_pos[tuple(int(s == t) for s in range(len(gens)))]
+        for t, gid in enumerate(gens.ids)
+    }
     one = alg.unit_vector()
     for gid, _ in gens.generators:
         eps = data.counit_of(host.lifts[gid])
@@ -434,7 +435,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                     skipped += 1
                     continue
                 checked += 1
-                if _nonzero(lhs) != _nonzero(rhs):
+                if nonzero(lhs) != nonzero(rhs):
                     bad += 1
                     if not witness:
                         witness = f"{alg.basis_labels[a]},{alg.basis_labels[b]}"
@@ -458,7 +459,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                 expected: SparseRow = {}
                 for idx, c in expansion.items():
                     _add_scaled(expected, c, action.columns(idx)[j])
-                if _nonzero(apply_columns(op_g, col_h)) != _nonzero(expected):
+                if nonzero(apply_columns(op_g, col_h)) != nonzero(expected):
                     ok = False
                     break
             rep.add("relation-compatibility", f"{gid},{hid}", PASS if ok else FAIL)

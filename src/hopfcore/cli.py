@@ -63,15 +63,27 @@ def load_instance(path: str, degree: Optional[int]) -> coalgebra.FilteredBialgeb
     return coalgebra.instance_from_json(_load_json(path), degree)
 
 
+def _exponents(algebra: PolynomialAlgebra, mono, what: str) -> list[int]:
+    """The exponent vector of a JSON monomial {variable: k}, one entry per
+    variable of the algebra.  An unknown variable, or an exponent that is
+    not an integer >= 0, raises InputFormatError naming what is read."""
+    exps = [0] * len(algebra.variables)
+    for var, k in json_object(mono, what).items():
+        if var not in algebra.variables:
+            raise InputFormatError(f"unknown variable {var!r} in {what}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise InputFormatError(
+                f"exponent of {var!r} in {what} must be an integer >= 0, got {k!r}"
+            )
+        exps[algebra.variables.index(var)] = k
+    return exps
+
+
 def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
     coords = [Q0] * algebra.dim
     for term in terms:
         term = json_object(term, "a term")
-        exps = [0] * len(algebra.variables)
-        for var, k in json_object(term.get("monomial", {}), "a monomial").items():
-            if var not in algebra.variables:
-                raise InputFormatError(f"unknown variable {var!r}")
-            exps[algebra.variables.index(var)] = int(k)
+        exps = _exponents(algebra, term.get("monomial", {}), "a monomial")
         coords[algebra.monomial_index(exps)] += rat(term.get("coeff", "1"))
     return tuple(coords)
 
@@ -92,20 +104,18 @@ def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
         raise InputFormatError("operator spec must be a matrix or an operator object")
     if not isinstance(algebra, PolynomialAlgebra):
         raise InputFormatError("operator sugar needs a polynomial algebra")
-    nvars = len(algebra.variables)
+    terms = []
+    for term in spec.get("terms", []):
+        term = json_object(term, "an operator term")
+        terms.append((
+            rat(term.get("coeff", "1")),
+            _exponents(algebra, term.get("monomial", {}), "a monomial"),
+            _exponents(algebra, term.get("derivatives", {}), '"derivatives"'),
+        ))
     columns = []
     for alpha in algebra.monomials:
         image: SparseRow = {}
-        for term in spec.get("terms", []):
-            term = json_object(term, "an operator term")
-            coeff = rat(term.get("coeff", "1"))
-            mu = [0] * nvars
-            beta = [0] * nvars
-            for var, k in json_object(term.get("monomial", {}), "a monomial").items():
-                mu[algebra.variables.index(var)] = int(k)
-            derivatives = json_object(term.get("derivatives", {}), '"derivatives"')
-            for var, k in derivatives.items():
-                beta[algebra.variables.index(var)] = int(k)
+        for coeff, mu, beta in terms:
             if any(a < b for a, b in zip(alpha, beta)):
                 continue
             scale = coeff
@@ -148,23 +158,14 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
 def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
     kind = json_object(obj, '"ideal"').get("kind")
     if isinstance(algebra, PolynomialAlgebra):
-        nvars = len(algebra.variables)
-
-        def exps_of(mono: Mapping) -> list[int]:
-            exps = [0] * nvars
-            for var, k in json_object(mono, "a monomial").items():
-                if var not in algebra.variables:
-                    raise InputFormatError(f"unknown variable {var!r}")
-                exps[algebra.variables.index(var)] = int(k)
-            return exps
-
         if kind == "zero":
             return action_mod.MonomialIdeal(algebra, [])
         if kind == "unit":
-            return action_mod.MonomialIdeal(algebra, [[0] * nvars])
+            return action_mod.MonomialIdeal(algebra, [[0] * len(algebra.variables)])
         if kind == "monomial":
             return action_mod.MonomialIdeal(
-                algebra, [exps_of(m) for m in obj["generators"]]
+                algebra,
+                [_exponents(algebra, m, "a monomial") for m in obj["generators"]],
             )
         if kind == "principal":
             return action_mod.PrincipalIdeal(
@@ -248,9 +249,9 @@ def _error(args, exc: Exception, status: str = "input-error") -> int:
 
 
 def cmd_build(args) -> int:
-    """Load, check the axioms, then run the construction pipeline with a
-    recorder: the report's stages are the pipeline's record and its checks
-    the reports those stages returned."""
+    """Load, check the axioms and the antipode law, then run the
+    construction pipeline with a recorder: the report's stages are the
+    pipeline's record and its checks the reports those stages returned."""
     report = Report("build")
     stages: list[dict] = []
     done: dict = {}
@@ -272,6 +273,7 @@ def cmd_build(args) -> int:
         data = stage("load", lambda: load_instance(args.instance, args.degree))
         if not stage("verify_axioms", lambda: coalgebra.verify_axioms(data)).passed:
             raise InputFormatError("bialgebra axioms fail; see checks")
+        coalgebra.check_antipode(data)
         PBWStructure.from_bialgebra(data, stage)
     except HopfcoreError as exc:
         error = exc
@@ -309,7 +311,10 @@ def cmd_verify(args) -> int:
     except InputFormatError as exc:
         return _error(args, exc)
 
-    report.extend(coalgebra.verify_axioms(data))
+    axioms = coalgebra.verify_axioms(data)
+    report.extend(axioms)
+    if axioms.passed:
+        coalgebra.check_antipode(data)
 
     try:
         pbw = PBWStructure.from_bialgebra(data)
@@ -330,11 +335,11 @@ def cmd_verify(args) -> int:
             report.add("basis", "-", FAIL, str(exc))
             has_basis = False
 
-        bound, indices = data.degree_bound, pbw.indices
-        for n in range(len(indices)):
+        bound, labels = data.degree_bound, pbw.labels
+        for n in range(len(labels)):
             # the indices m with deg n + deg m <= bound are a prefix
             for m in range(pbw.count_up_to(bound - pbw.degrees[n])):
-                subject = f"{indices[n]},{indices[m]}"
+                subject = f"{labels[n]},{labels[m]}"
                 try:
                     c, _ = pbw.structure_constant(n, m)
                     report.add("structure-constant", subject, PASS, f"c={rat_str(c)}")
@@ -343,11 +348,11 @@ def cmd_verify(args) -> int:
 
         rng = random.Random(args.seed)
         if has_basis:
-            for p, m in enumerate(pbw.indices):
+            for p, label in enumerate(pbw.labels):
                 try:
                     report.extend(pbw.check_split_expansion(p))
                 except ExpansionViolation as exc:
-                    report.add("split-expansion", str(m), FAIL, str(exc))
+                    report.add("split-expansion", label, FAIL, str(exc))
             report.extend(pbw.check_span_closure(rng, args.trials))
         else:
             # both expand on the monomial basis, which does not exist here
@@ -371,8 +376,6 @@ def _resolve_ring(name: str) -> TableAlgebra:
 def cmd_conv(args) -> int:
     report = Report("conv")
     try:
-        if args.support_cap is not None and args.support_cap < 0:
-            raise InputFormatError(f"--support-cap must be >= 0, got {args.support_cap}")
         data = load_instance(args.instance, args.degree)
         ring = _resolve_ring(args.ring)
         pbw = PBWStructure.from_bialgebra(data)
@@ -393,7 +396,7 @@ def cmd_conv(args) -> int:
                 "leading-law",
                 f"trial {trial}",
                 PASS if outcome.passed else FAIL,
-                f"lead {pbw.indices[left]}+{pbw.indices[right]}",
+                f"lead {pbw.labels[left]}+{pbw.labels[right]}",
             )
         except TruncationError:
             report.add("leading-law", f"trial {trial}", INCONCLUSIVE, "beyond the bound")
@@ -600,6 +603,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # a negative count would silently run nothing
+        for key in ("trials", "support_cap", "probe_bound"):
+            value = getattr(args, key, None)
+            if value is not None and value < 0:
+                flag = key.replace("_", "-")
+                raise InputFormatError(f"--{flag} must be >= 0, got {value}")
         return args.func(args)
     except HopfcoreError as exc:
         return _error(args, exc, _error_status(exc))

@@ -45,12 +45,14 @@ from .linalg import (
     exact,
     inverse,
     kernel,
+    nonzero,
     rat,
     rat_str,
     to_dense,
     to_sparse,
     unit_vec,
 )
+from .monoid import splittings
 from .report import FAIL, PASS, SKIP, Report
 from .table import (
     SparseVec,
@@ -277,6 +279,34 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
             FAIL if any(diff.values()) else PASS,
         )
     return rep
+
+
+def check_antipode(data: FilteredBialgebraData) -> None:
+    """The antipode law S * id = eta eps = id * S on every basis element
+    whose law needs no product past the truncation; raises
+    InputFormatError naming the first element where it fails.  An instance
+    without an antipode table has nothing to check."""
+    if not data.has_antipode:
+        return
+    for i in range(data.dim):
+        eps = data.counit[i]
+        expected = {data.unit_index: eps} if eps else {}
+        left: dict[int, Scalar] = {}
+        right: dict[int, Scalar] = {}
+        try:
+            for j, k, c in data.comult_terms(i):
+                for side, u, v in (
+                    (left, dict(data.antipode_terms(j)), {k: c}),
+                    (right, {j: c}, dict(data.antipode_terms(k))),
+                ):
+                    for t, x in data.mul_sparse(u, v).items():
+                        side[t] = side.get(t, Q0) + x
+        except TruncationError:
+            continue
+        if any(nonzero(side) != expected for side in (left, right)):
+            raise InputFormatError(
+                f"antipode law S * id = eta eps = id * S fails at {data.label(i)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -902,13 +932,10 @@ def build_ueg(
                 (k, divided(c, denom)) for k, c in sorted(entry.items()) if c
             ]
 
-    comult = []
-    for e in monos:
-        row = []
-        for left in itertools.product(*(range(x + 1) for x in e)):
-            right = tuple(x - y for x, y in zip(e, left))
-            row.append((index[left], index[right], Q1))
-        comult.append(row)
+    comult = [
+        [(index[left], index[right], Q1) for left, right in splittings(e)]
+        for e in monos
+    ]
 
     counit = [Q1 if d == 0 else Q0 for d in degrees]
     antipode = {}

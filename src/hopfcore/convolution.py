@@ -292,9 +292,9 @@ class ConvElement:
         )
 
     def __repr__(self):
-        indices = self.host.indices
+        labels = self.host.labels
         body = ", ".join(
-            f"{indices[p]}: {self.ring.format(v)}" for p, v in self.terms()[:4]
+            f"{labels[p]}: {self.ring.format(v)}" for p, v in self.terms()[:4]
         )
         return f"ConvElement({body}{'...' if len(self._map) > 4 else ''})"
 
@@ -435,9 +435,9 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
         proof = leading(convolve(convolve(s, u), t))
         if proof != LeadingTerm(total, value):
             raise ProbeAnomaly(
-                f"witness product has leading {host.indices[proof.index]}:"
+                f"witness product has leading {host.labels[proof.index]}:"
                 f"{ring.format(proof.value)}, expected "
-                f"{host.indices[total]}:{ring.format(value)}"
+                f"{host.labels[total]}:{ring.format(value)}"
             )
         return Witness(r, u, proof)
     raise NoWitnessFound(

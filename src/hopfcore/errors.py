@@ -10,7 +10,7 @@ class InputFormatError(HopfcoreError):
 
 
 class ForeignGenerator(HopfcoreError):
-    """A multi-index mentions a generator id that is not in the generator set."""
+    """An operator names a generator id that is not in the generator set."""
 
 
 class InnerNotContained(HopfcoreError):

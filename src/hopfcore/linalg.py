@@ -72,6 +72,11 @@ def to_sparse(v: Vector) -> dict[int, Scalar]:
     return {i: a for i, a in enumerate(v) if a}
 
 
+def nonzero(v: Mapping[int, Scalar]) -> SparseRow:
+    """A sparse vector without its zero entries."""
+    return {k: c for k, c in v.items() if c}
+
+
 def to_dense(entries: Mapping[int, Scalar], n: int) -> Vector:
     out = [Q0] * n
     for i, a in entries.items():

@@ -1,72 +1,66 @@
-"""Finitely supported multi-indices over a weighted generator alphabet.
+"""Exponent vectors over a weighted generator alphabet.
 
 A generator set is an ordered list of (id, degree) with degree >= 1, listed
 in nondecreasing degree; the list order is the chosen order within each
-degree class and is part of the instance data.  Multi-indices are functions
-from generator ids to positive multiplicities with finite support, added
-pointwise and graded by the weighted degree.  ``enumerate_up_to`` lists them
-in the well-order: degree first, then the multiplicity at the largest
-generator where two indices differ.  With the per-degree classes finite
-this is a well-order, which is what makes leading indices of convolution
-elements well defined.  The basis, convolution and action code key an
-index by its position in that list; multi-indices themselves are the report
-form, and the form in which sums and splittings are taken.
+degree class and is part of the instance data.  An index of the
+divided-power basis is an exponent vector: a tuple of one multiplicity per
+generator, in ``generators`` order.  Indices add entrywise and are graded by
+the weighted degree.  ``enumerate_up_to`` lists them in the well-order:
+degree first, then the multiplicity at the largest generator where two
+indices differ.  With the per-degree classes finite this is a well-order,
+which is what makes leading indices of convolution elements well defined.
+The basis, convolution and action code key an index by its position in that
+list; ``GeneratorSet.label`` renders the report text.  The same exponent
+vectors, in another order, are the monomial bases that ``table`` and the
+builders enumerate.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ForeignGenerator
+
+def exponent_vectors(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
+    """Every exponent vector of weighted degree <= bound, one entry per
+    weight, in lexicographic order."""
+    grown: list[tuple[tuple[int, ...], int]] = [((), bound)]
+    for w in weights:
+        grown = [
+            (e + (k,), left - k * w) for e, left in grown for k in range(left // w + 1)
+        ]
+    return [e for e, _ in grown]
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Immutable finitely supported multi-index; entries sorted by id."""
-
-    entries: tuple[tuple[str, int], ...] = ()
-
-    @staticmethod
-    def make(mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "MultiIndex":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        cleaned = []
-        for gid, mult in items:
-            mult = int(mult)
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for {gid!r}")
-            if mult:
-                cleaned.append((str(gid), mult))
-        cleaned.sort()
-        return MultiIndex(tuple(cleaned))
-
-    def mult(self, gid: str) -> int:
-        for key, value in self.entries:
-            if key == gid:
-                return value
-        return 0
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(key for key, _ in self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "1"
-        parts = [gid if k == 1 else f"{gid}^{k}" for gid, k in self.entries]
-        return "*".join(parts)
+def weighted_degree(e: Sequence[int], weights: Sequence[int]) -> int:
+    return sum(w * k for w, k in zip(weights, e))
 
 
-ZERO_INDEX = MultiIndex()
+def splittings(e: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every pair (left, right) of exponent vectors with left + right = e,
+    left in lexicographic order."""
+    return [
+        (left, tuple(k - j for k, j in zip(e, left)))
+        for left in itertools.product(*(range(k + 1) for k in e))
+    ]
+
+
+def monomial_label(
+    names: Sequence[str], exps: Sequence[int], divided: bool = False
+) -> str:
+    parts = []
+    for name, k in zip(names, exps):
+        if k == 1:
+            parts.append(name)
+        elif k:
+            parts.append(f"{name}^({k})" if divided else f"{name}^{k}")
+    return "*".join(parts) if parts else "1"
 
 
 class GeneratorSet:
-    """Ordered weighted alphabet; all multi-index operations live here."""
+    """Ordered weighted alphabet: the ids and weights of the exponent
+    vectors, their well-order and their text."""
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((str(gid), int(deg)) for gid, deg in generators)
@@ -82,15 +76,12 @@ class GeneratorSet:
             seen.add(gid)
             prev_deg = deg
         self._gens = gens
-        self._deg = {gid: d for gid, d in gens}
+        self.ids = tuple(gid for gid, _ in gens)
+        self.weights = tuple(deg for _, deg in gens)
 
     @property
     def generators(self) -> tuple[tuple[str, int], ...]:
         return self._gens
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(gid for gid, _ in self._gens)
 
     def __len__(self) -> int:
         return len(self._gens)
@@ -105,85 +96,28 @@ class GeneratorSet:
         body = ", ".join(f"{gid}:{d}" for gid, d in self._gens)
         return f"GeneratorSet({body})"
 
-    def delta(self, gid: str) -> MultiIndex:
-        if gid not in self._deg:
-            raise ForeignGenerator(f"unknown generator id {gid!r}")
-        return MultiIndex(((gid, 1),))
+    def label(self, e: Sequence[int]) -> str:
+        """The text of index e: its factors ``id`` or ``id^k`` sorted by
+        id and joined by ``*``, or ``1`` for the zero index."""
+        pairs = sorted(zip(self.ids, e))
+        return monomial_label([gid for gid, _ in pairs], [k for _, k in pairs])
 
-    def index(self, mapping: Mapping[str, int]) -> MultiIndex:
-        m = MultiIndex.make(mapping)
-        self._check(m)
-        return m
-
-    def _check(self, m: MultiIndex) -> None:
-        for gid, _ in m.entries:
-            if gid not in self._deg:
-                raise ForeignGenerator(f"unknown generator id {gid!r}")
-
-    def add(self, m: MultiIndex, n: MultiIndex) -> MultiIndex:
-        self._check(m)
-        self._check(n)
-        out = dict(m.entries)
-        for gid, k in n.entries:
-            out[gid] = out.get(gid, 0) + k
-        return MultiIndex.make(out)
-
-    def degree(self, m: MultiIndex) -> int:
-        self._check(m)
-        return sum(k * self._deg[gid] for gid, k in m.entries)
-
-    def splittings(self, m: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
-        """All pairs (i, j) with i + j = m, pointwise."""
-        self._check(m)
-        pieces: list[tuple[MultiIndex, MultiIndex]] = [(ZERO_INDEX, ZERO_INDEX)]
-        for gid, k in m.entries:
-            grown = []
-            for left, right in pieces:
-                for take in range(k + 1):
-                    lnew = dict(left.entries)
-                    rnew = dict(right.entries)
-                    if take:
-                        lnew[gid] = take
-                    if k - take:
-                        rnew[gid] = k - take
-                    grown.append((MultiIndex.make(lnew), MultiIndex.make(rnew)))
-            pieces = grown
-        return pieces
-
-    def enumerate_up_to(self, d: int) -> list[MultiIndex]:
-        """All multi-indices of degree <= d in the well-order: by degree,
-        then by the multiplicities read from the last generator down.
-        Starts at the zero index."""
-        results: list[tuple[int, ...]] = []
-        gens = self._gens
-
-        def rec(pos: int, acc: list[int], remaining: int) -> None:
-            if pos == len(gens):
-                results.append(tuple(acc))
-                return
-            deg = gens[pos][1]
-            k = 0
-            while k * deg <= remaining:
-                acc.append(k)
-                rec(pos + 1, acc, remaining - k * deg)
-                acc.pop()
-                k += 1
-
-        rec(0, [], max(d, 0))
-        degs = [deg for _, deg in gens]
-        results.sort(
-            key=lambda ks: (sum(k * g for k, g in zip(ks, degs)), ks[::-1])
-        )
-        ids = self.ids
-        return [MultiIndex.make(zip(ids, ks)) for ks in results]
+    def enumerate_up_to(self, d: int) -> list[tuple[int, ...]]:
+        """All indices of degree <= d in the well-order: by degree, then by
+        the multiplicities read from the last generator down.  Starts at
+        the zero index."""
+        weights = self.weights
+        indices = exponent_vectors(weights, max(d, 0))
+        indices.sort(key=lambda e: (weighted_degree(e, weights), e[::-1]))
+        return indices
 
     def count_exact(self, d: int) -> int:
-        """Number of multi-indices of degree exactly d (coin-counting DP)."""
+        """Number of indices of degree exactly d (coin-counting DP)."""
         if d < 0:
             return 0
         ways = [0] * (d + 1)
         ways[0] = 1
-        for _, deg in self._gens:
+        for deg in self.weights:
             for t in range(deg, d + 1):
                 ways[t] += ways[t - deg]
         return ways[d]

@@ -3,17 +3,20 @@
 Homogeneous generators of the associated graded algebra are found degree by
 degree as complements of the decomposable part; their lifts through the
 splitting generate ordered divided-power monomials e_m = prod e_g^{m(g)}/m(g)!
-(factors in increasing generator order).  These monomials restrict to a basis
-of every filtration layer, their products have multinomial leading
-coefficients and strictly lower defects, and their comultiplications expand
-with coefficient 1 on every splitting of the index plus strictly smaller
-terms; all of that is machine-checked here.
+(factors in increasing generator order), one for each exponent vector m
+within the bound.  These monomials restrict to a basis of every filtration
+layer, their products have multinomial leading coefficients and strictly
+lower defects, and their comultiplications expand with coefficient 1 on
+every splitting of the index plus strictly smaller terms; all of that is
+machine-checked here, with sums and splittings of indices taken on their
+exponent vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import add
 from typing import Callable, Mapping, Optional
 
 from .coalgebra import (
@@ -36,12 +39,13 @@ from .linalg import (
     complement,
     exact,
     inverse,
+    nonzero,
     rank,
     rat_str,
     to_dense,
     to_sparse,
 )
-from .monoid import GeneratorSet, MultiIndex
+from .monoid import GeneratorSet, splittings, weighted_degree
 from .report import FAIL, PASS, Report
 
 
@@ -120,9 +124,10 @@ class PBWStructure:
     expansion of raw vectors on them, with the membership checks.
 
     An index is named by its position in ``indices``, the well-ordered list
-    of every multi-index within the bound; caches, expansions and the
-    checks all work on positions.  ``degrees[p]`` is the degree of the
-    index at position p, and positions ascend by degree."""
+    of every exponent vector within the bound, and ``index_pos`` maps an
+    exponent vector back; caches, expansions and the checks all work on
+    positions.  ``degrees[p]`` is the degree of the index at position p,
+    positions ascend by degree, and ``labels[p]`` is its report text."""
 
     def __init__(
         self,
@@ -141,9 +146,10 @@ class PBWStructure:
         self.gens = gens
         self.gr_gens = gr_gens
         self.lifts = lifts
-        self.indices: list[MultiIndex] = gens.enumerate_up_to(data.degree_bound)
-        self.index_pos = {m: t for t, m in enumerate(self.indices)}
-        self.degrees = [gens.degree(m) for m in self.indices]
+        self.indices = gens.enumerate_up_to(data.degree_bound)
+        self.index_pos = {e: t for t, e in enumerate(self.indices)}
+        self.degrees = [weighted_degree(e, gens.weights) for e in self.indices]
+        self.labels = [gens.label(e) for e in self.indices]
         # _prefix[d] indices have degree <= d
         self._prefix = [0] * (data.degree_bound + 1)
         for d in self.degrees:
@@ -196,11 +202,11 @@ class PBWStructure:
         the sum lies past the degree bound."""
         if self.degrees[p] + self.degrees[q] > self.data.degree_bound:
             return None
-        return self.index_pos[self.gens.add(self.indices[p], self.indices[q])]
+        return self.index_pos[tuple(map(add, self.indices[p], self.indices[q]))]
 
-    def _require(self, p: int) -> MultiIndex:
-        """The index at position p; a position past the last index names an
-        index past the degree bound."""
+    def _require(self, p: int) -> tuple[int, ...]:
+        """The exponents of the index at position p; a position past the
+        last index names an index past the degree bound."""
         if p >= len(self.indices):
             raise TruncationError(f"index position {p} lies past the degree bound")
         return self.indices[p]
@@ -217,13 +223,12 @@ class PBWStructure:
             return cached
         m = self._require(p)
         v = to_sparse(self.data.unit_vector())
-        for gid, _ in self.gens.generators:
-            k = m.mult(gid)
+        for gid, k in zip(self.gens.ids, m):
             if not k:
                 continue
             lift = self._sparse_lifts[gid]
             for _ in range(k):
-                v = _nonzero(self.data.mul_sparse(v, lift))
+                v = nonzero(self.data.mul_sparse(v, lift))
             scale = Fraction(1, factorial(k))
             v = {i: exact(a * scale) for i, a in v.items()}
         self._monomials[p] = v
@@ -249,7 +254,7 @@ class PBWStructure:
         for p in range(count):
             v = self.sparse_monomial(p)
             if not layer.contains(v):
-                raise BasisDefect(f"degree {n}: e_{self.indices[p]} escapes the layer")
+                raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
             rows.append(v)
         if rank(rows, self.data.dim) != count:
             raise BasisDefect(f"degree {n}: monomials are dependent")
@@ -295,22 +300,19 @@ class PBWStructure:
         total = self.index_sum(p, q)
         if total is None:
             raise TruncationError("product degree exceeds the bound")
-        n, m = self.indices[p], self.indices[q]
-        c = Q1
-        for gid in set(n.support) | set(m.support):
-            a, b = n.mult(gid), m.mult(gid)
-            c *= comb(a + b, a)
-        prod = self.data.mul_sparse(self.sparse_monomial(p), self.sparse_monomial(q))
+        c = prod(comb(a + b, a) for a, b in zip(self.indices[p], self.indices[q]))
+        defect = self.data.mul_sparse(self.sparse_monomial(p), self.sparse_monomial(q))
         for k, a in self.sparse_monomial(total).items():
-            prod[k] = prod.get(k, Q0) - c * a
+            defect[k] = defect.get(k, Q0) - c * a
         deg = self.degrees[total]
         if deg == 0:
-            ok = not any(prod.values())
+            ok = not any(defect.values())
         else:
-            ok = self.filt.layers[deg - 1].contains(prod)
+            ok = self.filt.layers[deg - 1].contains(defect)
         if not ok:
-            raise BasisDefect(f"defect of e_{n} e_{m} escapes layer {deg - 1}")
-        return c, to_dense(prod, self.data.dim)
+            name = self.labels
+            raise BasisDefect(f"defect of e_{name[p]} e_{name[q]} escapes layer {deg - 1}")
+        return c, to_dense(defect, self.data.dim)
 
     # -- comultiplication --------------------------------------------------------
 
@@ -320,7 +322,7 @@ class PBWStructure:
         cached = self._comult_cache.get(p)
         if cached is not None:
             return cached
-        m = self._require(p)
+        self._require(p)
         self._ensure_full_basis()
         tmap = self.data.comult_map(self.pbw_monomial(p))
         acc: dict[tuple[int, int], Scalar] = {}
@@ -331,14 +333,14 @@ class PBWStructure:
                     key = (i, j)
                     acc[key] = acc.get(key, Q0) + cc * cj
         out = []
-        degrees, deg_m = self.degrees, self.degrees[p]
+        degrees, deg_m, name = self.degrees, self.degrees[p], self.labels
         for (i, j), c in sorted(acc.items()):
             if not c:
                 continue
             if degrees[i] + degrees[j] > deg_m:
                 raise ExpansionViolation(
-                    f"term e_{self.indices[i]} (x) e_{self.indices[j]} of "
-                    f"Delta(e_{m}) exceeds degree {deg_m}"
+                    f"term e_{name[i]} (x) e_{name[j]} of "
+                    f"Delta(e_{name[p]}) exceeds degree {deg_m}"
                 )
             out.append((i, j, exact(c)))
         self._comult_cache[p] = out
@@ -362,9 +364,9 @@ class PBWStructure:
         ExpansionViolation otherwise.  A missing splitting is named by the
         first in position order."""
         rep = Report("split-expansion")
-        name, pos = self.indices, self.index_pos
+        name, pos = self.labels, self.index_pos
         m = name[p]
-        expected = {(pos[left], pos[right]) for left, right in self.gens.splittings(m)}
+        expected = {(pos[l], pos[r]) for l, r in splittings(self.indices[p])}
         seen: set[tuple[int, int]] = set()
         for i, j, c in self.expand_comult(p):
             total = self.index_sum(i, j)
@@ -389,7 +391,7 @@ class PBWStructure:
             raise ExpansionViolation(
                 f"splitting e_{name[i]} (x) e_{name[j]} of e_{m} is missing"
             )
-        rep.add("split-expansion", str(m), PASS, f"{len(seen)} splittings")
+        rep.add("split-expansion", m, PASS, f"{len(seen)} splittings")
         return rep
 
     def check_all_split_expansions(self) -> Report:
@@ -413,7 +415,7 @@ class PBWStructure:
                 if c:
                     for k, a in self.sparse_monomial(i).items():
                         v[k] = v.get(k, Q0) + c * a
-            return _nonzero(v)
+            return nonzero(v)
 
         # positions ascend in the well-order, which compares degrees first,
         # so "every index <= m" and "every index of degree <= d" are prefixes
@@ -426,12 +428,8 @@ class PBWStructure:
             bad = [i for i in support if i > top]
             rep.add(
                 "span-closure",
-                f"trial {trial} (n={self.indices[n]}, m={self.indices[m]})",
+                f"trial {trial} (n={self.labels[n]}, m={self.labels[m]})",
                 PASS if not bad else FAIL,
-                f"escaped at {self.indices[bad[0]]}" if bad else "",
+                f"escaped at {self.labels[bad[0]]}" if bad else "",
             )
         return rep
-
-
-def _nonzero(v: dict[int, Scalar]) -> dict[int, Scalar]:
-    return {k: a for k, a in v.items() if a}

@@ -7,12 +7,14 @@ convolution algebras, the algebras acted upon, and their quotients.  A
 table maps a basis pair (i, j) to the sparse product ((k, c), ...); a pair
 absent from the table is a product past the truncation bound, and using it
 raises ``TruncationError``.  Total tables (rings, finite algebras) list
-every pair, empty products included.
+every pair, empty products included.  Monomial bases (the polynomial
+algebras, and the builders in ``coalgebra``) are the exponent vectors that
+``monoid.exponent_vectors`` enumerates, sorted by degree and then by
+descending exponents.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
@@ -20,6 +22,7 @@ from .linalg import (
     Q0, Q1, Scalar, Vector, exact, is_zero_vec, rat, rat_str,
     unit_vec, zero_vec,
 )
+from .monoid import exponent_vectors, monomial_label, weighted_degree
 
 SparseVec = tuple[tuple[int, Scalar], ...]
 Table = Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]]
@@ -64,18 +67,6 @@ def parse_table(nested: Mapping, pos: Mapping[str, int]) -> dict:
         raise TypeError(f"product table levels must be objects ({exc})") from None
 
 
-def monomial_label(
-    names: Sequence[str], exps: Sequence[int], divided: bool = False
-) -> str:
-    parts = []
-    for name, k in zip(names, exps):
-        if k == 1:
-            parts.append(name)
-        elif k:
-            parts.append(f"{name}^({k})" if divided else f"{name}^{k}")
-    return "*".join(parts) if parts else "1"
-
-
 def graded_monomials(
     names: Sequence[str],
     bound: int,
@@ -85,16 +76,8 @@ def graded_monomials(
     """Exponent vectors of weighted degree <= bound, ordered by degree and
     then by descending exponents, with their monomial labels."""
     weights = weights or (1,) * len(names)
-
-    def degree(e):
-        return sum(w * x for w, x in zip(weights, e))
-
-    monos = [
-        e
-        for e in itertools.product(*(range(bound // w + 1) for w in weights))
-        if degree(e) <= bound
-    ]
-    monos.sort(key=lambda e: (degree(e), tuple(-x for x in e)))
+    monos = exponent_vectors(weights, bound)
+    monos.sort(key=lambda e: (weighted_degree(e, weights), tuple(-x for x in e)))
     return monos, [monomial_label(names, e, divided) for e in monos]
 
 

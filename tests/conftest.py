@@ -6,7 +6,7 @@ import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
-from hopfcore.monoid import MultiIndex
+from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -16,25 +16,35 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def compare(gens, m, n):
-    """The well-order on the multi-indices of a generator set: degree first,
-    then the multiplicity at the largest generator where m and n differ.
-    This is the reference that the library's position order (the order of
-    ``GeneratorSet.enumerate_up_to``) is tested against."""
-    dm, dn = gens.degree(m), gens.degree(n)
+    """The well-order on the exponent vectors of a generator set: degree
+    first, then the multiplicity at the largest generator where m and n
+    differ.  This is the reference that the library's position order (the
+    order of ``GeneratorSet.enumerate_up_to``) is tested against."""
+    dm, dn = weighted_degree(m, gens.weights), weighted_degree(n, gens.weights)
     if dm != dn:
         return LESS if dm < dn else GREATER
-    mm, nn = dict(m.entries), dict(n.entries)
-    differing = [gid for gid in gens.ids if mm.get(gid, 0) != nn.get(gid, 0)]
+    differing = [t for t in range(len(gens)) if m[t] != n[t]]
     if not differing:
         return EQUAL
-    gid = differing[-1]
-    return LESS if mm.get(gid, 0) < nn.get(gid, 0) else GREATER
+    t = differing[-1]
+    return LESS if m[t] < n[t] else GREATER
+
+
+def exps(gens, **mults):
+    """The exponent vector of gens with these multiplicities, by id."""
+    assert set(mults) <= set(gens.ids), mults
+    return tuple(mults.get(gid, 0) for gid in gens.ids)
+
+
+def add(m, n):
+    """The entrywise sum of two exponent vectors."""
+    return tuple(a + b for a, b in zip(m, n))
 
 
 def at(host, **mults):
-    """The position in host.indices of the multi-index with these
+    """The position in host.indices of the index with these
     multiplicities."""
-    return host.index_pos[MultiIndex.make(mults)]
+    return host.index_pos[exps(host.gens, **mults)]
 
 
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}

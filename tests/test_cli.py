@@ -183,6 +183,48 @@ def test_conv_negative_support_cap_is_an_input_error(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--instance", str(INSTANCES / "heis.json"), "--trials", "-3"],
+         "--trials"),
+        (["conv", "--instance", str(INSTANCES / "heis.json"), "--ring", "q",
+          "--trials", "-3"], "--trials"),
+        (["hcore", "--instance", str(INSTANCES / "dq.json"),
+          "--action", str(ACTIONS / "dq_qx_ix.json"), "--probe-bound", "-1"],
+         "--probe-bound"),
+    ],
+    ids=["verify-trials", "conv-trials", "hcore-probe-bound"],
+)
+def test_negative_counts_are_input_errors(tmp_path, argv, flag):
+    """A negative count would run nothing and report ok; it is rejected
+    like a negative --support-cap."""
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert rep == {
+        "command": argv[0],
+        "schema": 1,
+        "error": f"{flag} must be >= 0, got {argv[-1]}",
+        "status": "input-error",
+    }
+
+
+def test_antipode_law_failure_stops_build(tmp_path):
+    """build on the shifted line with S(s) = -s passes the axioms and stops
+    at the antipode law, before the pipeline runs; the correct antipode
+    passes."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(SHIFTED_LINE_BAD_ANTIPODE))
+    code, rep = run(tmp_path, "build", "--instance", str(path))
+    assert code == 2
+    assert rep["status"] == "input-error"
+    assert rep["error"] == "antipode law S * id = eta eps = id * S fails at s"
+    assert [s["stage"] for s in rep["stages"]] == ["load", "verify_axioms"]
+    assert all(s["status"] == "ok" for s in rep["stages"])
+    code, rep = run(tmp_path, "build", "--instance", str(INSTANCES / "shifted_line.json"))
+    assert code == 0 and rep["status"] == "ok"
+
+
 def test_conv_user_ring_table(tmp_path):
     table = {
         "name": "dual-numbers",
@@ -326,81 +368,109 @@ def test_reports_are_deterministic(tmp_path, argv):
 
 
 UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
+# the shifted line with S(s) = -s; the antipode law needs S(s) = 2 - s
+SHIFTED_LINE_BAD_ANTIPODE = load_fixture("instances/shifted_line.json")
+SHIFTED_LINE_BAD_ANTIPODE["tables"]["antipode"]["s"] = {"s": "-1"}
 DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "1"}}}
 
 
 @pytest.mark.parametrize(
-    "kind, payload",
+    "kind, payload, message",
     [
         ("instance", {"kind": "ueg", "degree_bound": 3,
-                      "lie": {**UEG_HEIS, "brackets": {"x": {"y": {"z": "1/0"}}}}}),
-        ("instance", {"kind": "ueg", "degree_bound": -3, "lie": UEG_HEIS}),
+                      "lie": {**UEG_HEIS, "brackets": {"x": {"y": {"z": "1/0"}}}}}, None),
+        ("instance", {"kind": "ueg", "degree_bound": -3, "lie": UEG_HEIS}, None),
         ("instance", {"kind": "ueg", "degree_bound": 3,
-                      "lie": {**UEG_HEIS, "generators": "xyz"}}),
+                      "lie": {**UEG_HEIS, "generators": "xyz"}}, None),
         ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
                   "mult": {"1": {"1": {"1": "1/0"}}},
-                  "flags": {"prime": True, "semiprime": True, "domain": True}}),
+                  "flags": {"prime": True, "semiprime": True, "domain": True}}, None),
         ("action", {"algebra": {"kind": "polynomial", "variables": ["x"], "bound": 4},
                     "generators": {"d": {"kind": "operator", "terms": [
                         {"coeff": "1/0", "derivatives": {"x": 1}}]}},
-                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}),
+                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}, None),
         ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
-                  "mult": {"1": 5}, "flags": {}}),
+                  "mult": {"1": 5}, "flags": {}}, None),
         ("action", {"algebra": {"kind": "finite", "basis": ["1"], "one": "1",
                                 "mult": {"1": 5}},
-                    "generators": {"d": [["0"]]}, "ideal": {"kind": "zero"}}),
+                    "generators": {"d": [["0"]]}, "ideal": {"kind": "zero"}}, None),
         ("action", {"algebra": {"kind": "polynomial", "variables": "x", "bound": 4},
                     "generators": {"d": {"kind": "operator", "terms": [
                         {"coeff": "1", "derivatives": {"x": 1}}]}},
-                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}),
+                    "ideal": {"kind": "monomial", "generators": [{"x": 1}]}}, None),
         ("action", {"algebra": {"kind": "polynomial", "variables": ["x"], "bound": -1},
                     "generators": {"d": {"kind": "operator", "terms": [
                         {"coeff": "1", "derivatives": {"x": 1}}]}},
-                    "ideal": {"kind": "zero"}}),
+                    "ideal": {"kind": "zero"}}, None),
         ("action", {"algebra": {"kind": "finite", "basis": "1t", "one": "1",
                                 "mult": DUAL_NUMBERS_MULT},
                     "generators": {"d": [["0", "0"], ["0", "0"]]},
-                    "ideal": {"kind": "zero"}}),
+                    "ideal": {"kind": "zero"}}, None),
         ("ring", {"name": "bad", "basis": "1t", "one": {"1": "1"},
                   "mult": DUAL_NUMBERS_MULT,
-                  "flags": {"prime": False, "semiprime": False, "domain": False}}),
+                  "flags": {"prime": False, "semiprime": False, "domain": False}}, None),
         ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
             "basis": "1s", "unit": "1",
             "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
             "comult": {"1": [["1", "1", "1"]],
                        "s": [["s", "1", "1"], ["1", "s", "1"], ["1", "1", "-1"]]},
-            "counit": {"1": "1", "s": "1"}}}),
+            "counit": {"1": "1", "s": "1"}}}, None),
         ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
             "basis": ["1", "s"], "unit": "1",
             "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
             "comult": {"1": ["111"],
                        "s": [["s", "1", "1"], ["1", "s", "1"], ["1", "1", "-1"]]},
-            "counit": {"1": "1", "s": "1"}}}),
+            "counit": {"1": "1", "s": "1"}}}, None),
         ("action", {**load_fixture("actions/dq_qx_ix.json"),
-                    "ideal_properties": "completely_prime"}),
+                    "ideal_properties": "completely_prime"}, None),
         ("ideal", {"ideal": {"kind": "monomial", "generators": [{"x": 1}]},
-                   "ideal_properties": "prime"}),
+                   "ideal_properties": "prime"}, None),
         ("action", {**load_fixture("actions/dq_qx_ix.json"), "generators": [
-            {"kind": "operator", "terms": [{"coeff": "1", "derivatives": {"x": 1}}]}]}),
-        ("action", {**load_fixture("actions/dq_qx_ix.json"), "ideal": "(x)"}),
+            {"kind": "operator", "terms": [{"coeff": "1", "derivatives": {"x": 1}}]}]}, None),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "ideal": "(x)"}, None),
         ("action", {**load_fixture("actions/dq_qx_ix.json"),
-                    "generators": {"d": {"kind": "operator", "terms": ["d/dx"]}}}),
+                    "generators": {"d": {"kind": "operator", "terms": ["d/dx"]}}}, None),
         ("action", {**load_fixture("actions/dq_qx_ix.json"),
-                    "generators": {"d": [[0, 1], [0]]}}),
+                    "generators": {"d": [[0, 1], [0]]}}, None),
         ("action", {**load_fixture("actions/dq_qx_ix.json"),
-                    "generators": {"d": [[0, 1], [0, 0]]}}),
+                    "generators": {"d": [[0, 1], [0, 0]]}}, None),
         ("instance", {"kind": "ueg", "degree_bound": 3,
-                      "lie": {**UEG_HEIS, "brackets": []}}),
+                      "lie": {**UEG_HEIS, "brackets": []}}, None),
         ("instance", {"kind": "raw", "degree_bound": 1, "tables": {
             "basis": ["1", "s"], "unit": "1",
             "mult": {"1": {"1": {"1": "1"}, "s": {"s": "1"}}, "s": {"1": {"s": "1"}}},
             "comult": {"1": [["1", "1", "1"]],
                        "s": [["s", "1", "1"], ["1", "s", "1"]]},
-            "counit": ["1"]}}),
+            "counit": ["1"]}}, None),
         ("ring", {"name": "bad", "basis": ["1"], "one": {"1": "1"},
-                  "mult": {"1": {"1": {"1": "1"}}}, "flags": []}),
+                  "mult": {"1": {"1": {"1": "1"}}}, "flags": []}, None),
         ("ring", {"name": "bad", "basis": ["1"], "one": ["1"],
-                  "mult": {"1": {"1": {"1": "1"}}}, "flags": {}}),
+                  "mult": {"1": {"1": {"1": "1"}}}, "flags": {}}, None),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "ideal": {"kind": "monomial", "generators": [{"x": -1}]}},
+         "exponent of 'x' in a monomial must be an integer >= 0, got -1"),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "ideal": {"kind": "monomial", "generators": [{"x": 1.5}]}},
+         "exponent of 'x' in a monomial must be an integer >= 0, got 1.5"),
+        ("ideal", {"ideal": {"kind": "monomial", "generators": [{"x": True}]}},
+         "exponent of 'x' in a monomial must be an integer >= 0, got True"),
+        ("ideal", {"ideal": {"kind": "principal",
+                             "element": [{"coeff": "1", "monomial": {"y": 1}}]}},
+         "unknown variable 'y' in a monomial"),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1", "derivatives": {"z": 1}}]}}},
+         "unknown variable 'z' in \"derivatives\""),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1", "derivatives": {"x": -1}}]}}},
+         "exponent of 'x' in \"derivatives\" must be an integer >= 0, got -1"),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"),
+                    "generators": {"d": {"kind": "operator", "terms": [
+                        {"coeff": "1", "monomial": {"x": "1"}}]}}},
+         "exponent of 'x' in a monomial must be an integer >= 0, got '1'"),
+        ("instance", SHIFTED_LINE_BAD_ANTIPODE,
+         "antipode law S * id = eta eps = id * S fails at s"),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -411,10 +481,15 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
          "ideal-file-properties-string", "action-generators-list",
          "action-ideal-string", "operator-term-string", "matrix-ragged",
          "matrix-not-square", "ueg-brackets-list", "raw-counit-list",
-         "ring-flags-list", "ring-one-list"],
+         "ring-flags-list", "ring-one-list", "ideal-negative-exponent",
+         "ideal-fractional-exponent", "ideal-bool-exponent",
+         "principal-unknown-variable", "derivative-unknown-variable",
+         "derivative-negative-exponent", "monomial-string-exponent",
+         "raw-antipode-law"],
 )
-def test_malformed_input_reports(tmp_path, kind, payload):
-    """Malformed input ends in exit 2 with a JSON report, never a traceback."""
+def test_malformed_input_reports(tmp_path, kind, payload, message):
+    """Malformed input ends in exit 2 with a JSON report, never a traceback,
+    and the report names the fault where a message is given."""
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     argv = {
@@ -433,8 +508,11 @@ def test_malformed_input_reports(tmp_path, kind, payload):
         capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 2
-    assert json.loads(proc.stdout)["status"] == "input-error"
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
     assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert report["error"] == message
 
 
 @pytest.mark.parametrize(
@@ -560,7 +638,7 @@ def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     """The same command under two hash seeds writes the same bytes, so no
     report depends on the iteration order of a set or of a dict keyed by
-    strings or multi-indices."""
+    strings or exponent vectors."""
     outputs = [
         subprocess.run(
             [sys.executable, "-m", "hopfcore.cli", *argv, "--seed", "11"],

@@ -1,13 +1,13 @@
 """The position-keyed convolution layer against the code it replaced.
 
 The oracle below is the earlier convolution layer: elements are
-``{MultiIndex: value}`` maps, the transposed comultiplication is keyed by
-pairs of multi-indices, leading indices are the minimum under the reference
-well-order ``conftest.compare``, random elements sample the multi-indices
-themselves, and ring products go through ``to_sparse``/``mul_sparse``/
-``to_dense``.  Library results, which are keyed by position in
-``host.indices``, are named by their multi-indices before they are
-compared.  The library must draw the same elements from the same rng
+``{exponent vector: value}`` maps, the transposed comultiplication is
+keyed by pairs of exponent vectors, leading indices are the minimum under
+the reference well-order ``conftest.compare``, random elements sample the
+exponent vectors themselves, and ring products go through
+``to_sparse``/``mul_sparse``/``to_dense``.  Library results, which are
+keyed by position in ``host.indices``, are named by their exponent vectors
+before they are compared.  The library must draw the same elements from the same rng
 state, and give the same products, leading terms, leading-law outcomes and
 witnesses, on sl2, heis and xyw at degree 6 over the four built-in rings and
 a quotient ring whose lifted products truncate.  ``TableAlgebra.mul`` must
@@ -37,9 +37,9 @@ from hopfcore.convolution import (
 )
 from hopfcore.errors import NoWitnessFound, TruncationError
 from hopfcore.linalg import Q0, Q1, to_dense, to_sparse
-from hopfcore.monoid import ZERO_INDEX
+from hopfcore.monoid import weighted_degree
 from hopfcore.table import PolynomialAlgebra
-from conftest import LESS, compare as reference_compare
+from conftest import LESS, add, compare as reference_compare
 
 HOSTS = ["sl2", "heis", "xyw"]
 RINGS = ["q", "m2q", "qxq", "qx2", "trunc"]
@@ -122,8 +122,8 @@ def oracle_leading(host, f):
 
 def oracle_leading_law(host, ring, table, f, g):
     lf, lg = oracle_leading(host, f), oracle_leading(host, g)
-    total = host.gens.add(lf.index, lg.index)
-    if host.gens.degree(total) > host.data.degree_bound:
+    total = add(lf.index, lg.index)
+    if weighted_degree(total, host.gens.weights) > host.data.degree_bound:
         raise TruncationError("leading sum degree exceeds the bound")
     prod = oracle_convolve(host, ring, table, f, g)
     vanish = not any(reference_compare(host.gens, n, total) == LESS for n in prod)
@@ -140,8 +140,8 @@ def oracle_leading_law(host, ring, table, f, g):
 
 def oracle_prime_witness(host, ring, table, s, t):
     ls, lt = oracle_leading(host, s), oracle_leading(host, t)
-    total = host.gens.add(ls.index, lt.index)
-    if host.gens.degree(total) > host.data.degree_bound:
+    total = add(ls.index, lt.index)
+    if weighted_degree(total, host.gens.weights) > host.data.degree_bound:
         raise TruncationError("leading sum degree exceeds the bound")
     dim = ring.dim
     candidates = [ring.basis_vec(i) for i in range(dim)] + [
@@ -153,7 +153,7 @@ def oracle_prime_witness(host, ring, table, s, t):
         value = oracle_mul(ring, oracle_mul(ring, ls.value, r), lt.value)
         if ring.is_zero(value):
             continue
-        u = {ZERO_INDEX: r}
+        u = {(0,) * len(host.gens): r}
         su = oracle_convolve(host, ring, table, s, u)
         proof = oracle_leading(host, oracle_convolve(host, ring, table, su, t))
         return r, u, proof
@@ -161,7 +161,7 @@ def oracle_prime_witness(host, ring, table, s, t):
 
 
 def named_terms(f):
-    """A library element's terms keyed by multi-indices."""
+    """A library element's terms keyed by exponent vectors."""
     return [(f.host.indices[p], v) for p, v in f.terms()]
 
 
@@ -170,7 +170,7 @@ def named_lead(host, lead):
 
 
 def named_outcome(f, g):
-    """check_leading_law with its leading terms named by multi-indices."""
+    """check_leading_law with its leading terms named by exponent vectors."""
     out = check_leading_law(f, g)
     return dataclasses.replace(
         out,

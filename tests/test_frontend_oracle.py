@@ -164,8 +164,8 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
     rows, chain = [], []
     for d in range(conv_cap + 1):
-        for p, m in enumerate(host.indices):
-            if host.gens.degree(m) != d:
+        for p, degree in enumerate(host.degrees):
+            if degree != d:
                 continue
             dense = [
                 ideal.quotient_coords(tuple(action.columns(p)[c].get(i, Q0)

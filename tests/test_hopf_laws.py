@@ -3,15 +3,22 @@
 Neither law is checked when an instance loads: the ueg and xyw builders
 satisfy both by construction, and these tests pin that at several degrees.
 The helpers compare exact sides and return the first failing triple or
-basis element; the broken raw instances show that they can fail.
+basis element; the broken raw instances show that they can fail.  The
+command line checks the antipode law with ``check_antipode`` once the
+axioms pass; it is tested against the helper here.
 """
 
 import copy
 
 import pytest
 
-from hopfcore.coalgebra import build_xyw, instance_from_json, instance_to_json
-from hopfcore.errors import TruncationError
+from hopfcore.coalgebra import (
+    build_xyw,
+    check_antipode,
+    instance_from_json,
+    instance_to_json,
+)
+from hopfcore.errors import InputFormatError, TruncationError
 from hopfcore.linalg import Q1
 from conftest import load_fixture
 
@@ -101,3 +108,46 @@ def test_associativity_helper_flags_a_changed_product():
     obj = instance_to_json(build_xyw(3))
     obj["tables"]["mult"]["x"]["y"] = {"x*y": "2"}
     assert first_associativity_failure(instance_from_json(obj)) == ("x", "x", "y")
+
+
+def bad_shifted_line():
+    obj = copy.deepcopy(load_fixture("instances/shifted_line.json"))
+    obj["tables"]["antipode"]["s"] = {"s": "-1"}
+    return instance_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *(instance(name, 4) for name in ("dq", "heis", "sl2", "xyw")),
+        *(instance(name) for name in ("grouplike", "shifted_line", "xyw_corrupt")),
+        bad_shifted_line(),
+    ],
+    ids=["dq", "heis", "sl2", "xyw", "grouplike", "shifted_line", "xyw_corrupt",
+         "shifted_line_bad_antipode"],
+)
+def test_check_antipode_agrees_with_the_helper(data):
+    """check_antipode passes exactly where the helper finds no failure,
+    and otherwise names the same first element."""
+    failure = first_antipode_failure(data)
+    if failure is None:
+        check_antipode(data)
+    else:
+        with pytest.raises(InputFormatError) as info:
+            check_antipode(data)
+        assert str(info.value).endswith(f"fails at {failure}")
+
+
+def test_check_antipode_skips_truncated_laws():
+    """With the product x * y left out of the xyw tables at degree 2, the
+    laws at w and x*y need it and are skipped, so a wrong S(w) goes
+    unseen; with the product present S(w) is caught."""
+    obj = instance_to_json(build_xyw(2))
+    obj["tables"]["antipode"]["w"] = {"w": "1"}
+    with pytest.raises(InputFormatError, match="fails at w$"):
+        check_antipode(instance_from_json(obj))
+    del obj["tables"]["mult"]["x"]["y"]
+    data = instance_from_json(obj)
+    with pytest.raises(TruncationError):
+        first_antipode_failure(data)
+    check_antipode(data)

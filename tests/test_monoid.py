@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcore.errors import ForeignGenerator
-from hopfcore.monoid import GeneratorSet, MultiIndex, ZERO_INDEX
-from conftest import EQUAL, GREATER, LESS, compare
+from hopfcore.monoid import GeneratorSet, splittings, weighted_degree
+from hopfcore.table import graded_monomials
+from conftest import EQUAL, GREATER, LESS, add, compare, exps
 
 AB = GeneratorSet([("a", 1), ("b", 1)])
 MIXED = GeneratorSet([("x", 1), ("y", 1), ("w", 2)])
@@ -17,14 +17,8 @@ BIG = GeneratorSet(
 )
 
 
-def idx(gens, **mults):
-    return gens.index(mults)
-
-
 def random_index(gens, rng, max_mult=3):
-    return gens.index(
-        {gid: rng.randint(0, max_mult) for gid, _ in gens.generators}
-    )
+    return tuple(rng.randint(0, max_mult) for _ in gens.generators)
 
 
 def test_generator_set_validation():
@@ -36,56 +30,42 @@ def test_generator_set_validation():
         GeneratorSet([("a", 1), ("a", 1)])
 
 
-def test_add_identity_and_examples():
-    m = idx(AB, a=2, b=1)
-    assert AB.add(ZERO_INDEX, m) == m
-    assert AB.add(AB.delta("a"), AB.delta("a")) == idx(AB, a=2)
-    assert AB.add(idx(AB, a=2, b=1), AB.delta("b")) == idx(AB, a=2, b=2)
-
-
-def test_foreign_generator():
-    with pytest.raises(ForeignGenerator):
-        AB.add(MultiIndex.make({"zz": 1}), ZERO_INDEX)
-    with pytest.raises(ForeignGenerator):
-        AB.degree(MultiIndex.make({"zz": 1}))
-
-
 def test_degree_examples():
-    assert AB.degree(ZERO_INDEX) == 0
-    assert MIXED.degree(MIXED.delta("w")) == 2
+    assert weighted_degree((0, 0), AB.weights) == 0
+    assert weighted_degree(exps(MIXED, w=1), MIXED.weights) == 2
     two = GeneratorSet([("a", 1), ("b", 2)])
-    assert two.degree(two.index({"a": 2, "b": 1})) == 4
+    assert weighted_degree(exps(two, a=2, b=1), two.weights) == 4
 
 
 def test_compare_degree_first():
     one = GeneratorSet([("s", 1), ("t", 2)])
-    assert compare(one, one.delta("s"), one.delta("t")) == LESS
-    m = idx(AB, a=1, b=1)
+    assert compare(one, exps(one, s=1), exps(one, t=1)) == LESS
+    m = exps(AB, a=1, b=1)
     assert compare(AB, m, m) == EQUAL
 
 
 def test_compare_tiebreak_at_largest_difference():
     # 2a vs a+b: they differ at b where 0 < 1
-    assert compare(AB, idx(AB, a=2), idx(AB, a=1, b=1)) == LESS
+    assert compare(AB, exps(AB, a=2), exps(AB, a=1, b=1)) == LESS
     # the degree-2 index on the degree-2 generator is the largest of its degree
-    assert compare(MIXED, idx(MIXED, x=1, y=1), MIXED.delta("w")) == LESS
-    assert compare(MIXED, idx(MIXED, x=2), idx(MIXED, x=1, y=1)) == LESS
+    assert compare(MIXED, exps(MIXED, x=1, y=1), exps(MIXED, w=1)) == LESS
+    assert compare(MIXED, exps(MIXED, x=2), exps(MIXED, x=1, y=1)) == LESS
 
 
 def test_enumerate_up_to_examples():
-    assert AB.enumerate_up_to(0) == [ZERO_INDEX]
+    assert AB.enumerate_up_to(0) == [(0, 0)]
     got = AB.enumerate_up_to(2)
     assert got == [
-        ZERO_INDEX,
-        idx(AB, a=1),
-        idx(AB, b=1),
-        idx(AB, a=2),
-        idx(AB, a=1, b=1),
-        idx(AB, b=2),
+        (0, 0),
+        exps(AB, a=1),
+        exps(AB, b=1),
+        exps(AB, a=2),
+        exps(AB, a=1, b=1),
+        exps(AB, b=2),
     ]
     mixed = MIXED.enumerate_up_to(2)
     assert len(mixed) == 7
-    assert mixed[-1] == MIXED.delta("w")
+    assert mixed[-1] == exps(MIXED, w=1)
 
 
 def test_enumerate_counts_match_brute_force_and_series():
@@ -111,28 +91,54 @@ def test_enumerate_up_to_sorts_by_the_reference_order():
     for d in range(7):
         limit = [d // deg for _, deg in BIG.generators]
         brute = [
-            BIG.index(dict(zip(BIG.ids, mults)))
-            for mults in itertools.product(*(range(l + 1) for l in limit))
+            m
+            for m in itertools.product(*(range(l + 1) for l in limit))
+            if weighted_degree(m, BIG.weights) <= d
         ]
-        brute = [m for m in brute if BIG.degree(m) <= d]
         assert BIG.enumerate_up_to(d) == sorted(brute, key=key)
 
 
 def test_splittings():
-    m = idx(AB, a=2, b=1)
-    pairs = AB.splittings(m)
+    m = exps(AB, a=2, b=1)
+    pairs = splittings(m)
     assert len(pairs) == 6
     for left, right in pairs:
-        assert AB.add(left, right) == m
+        assert add(left, right) == m
+    # every pair of the alphabet's indices that sums to m, once each
+    pool = AB.enumerate_up_to(3)
+    brute = [(p, q) for p in pool for q in pool if add(p, q) == m]
+    assert sorted(pairs) == sorted(brute)
+    assert splittings((0, 0)) == [((0, 0), (0, 0))]
+
+
+def test_labels_sort_factors_by_id():
+    assert AB.label((0, 0)) == "1"
+    assert AB.label(exps(AB, a=2, b=1)) == "a^2*b"
+    # ids sort w < x < y, against the generator order x, y, w
+    assert MIXED.label(exps(MIXED, x=1, w=1)) == "w*x"
+    assert MIXED.label(exps(MIXED, x=2, y=1, w=3)) == "w^3*x^2*y"
+
+
+def test_one_enumeration_in_two_orders():
+    """The raw monomial basis of ``graded_monomials`` and the well-ordered
+    indices are the same exponent vectors, sorted by degree and then by
+    descending exponents or by multiplicities from the last generator
+    down."""
+    for gens in (AB, MIXED, BIG):
+        for d in range(6):
+            names = gens.ids
+            raw, labels = graded_monomials(names, d, gens.weights)
+            ordered = gens.enumerate_up_to(d)
+            assert sorted(raw) == sorted(ordered)
+            keys = [(weighted_degree(e, gens.weights), [-k for k in e]) for e in raw]
+            assert keys == sorted(keys)
+            assert len(set(labels)) == len(labels)
 
 
 @st.composite
 def big_index(draw):
-    return BIG.index(
-        {
-            gid: draw(st.integers(min_value=0, max_value=3))
-            for gid, _ in BIG.generators
-        }
+    return tuple(
+        draw(st.integers(min_value=0, max_value=3)) for _ in BIG.generators
     )
 
 
@@ -155,14 +161,14 @@ def test_compare_transitive(m, n, r):
 @settings(max_examples=200)
 @given(big_index(), big_index(), big_index())
 def test_translation_invariance(m, n, r):
-    assert compare(BIG, m, n) == compare(BIG, BIG.add(m, r), BIG.add(n, r))
+    assert compare(BIG, m, n) == compare(BIG, add(m, r), add(n, r))
 
 
 def test_descending_chains_terminate():
     rng = random.Random(5)
     for _ in range(50):
         current = random_index(BIG, rng, max_mult=1)
-        pool = BIG.enumerate_up_to(BIG.degree(current))
+        pool = BIG.enumerate_up_to(weighted_degree(current, BIG.weights))
         bound = len(pool)
         steps = 0
         while True:
@@ -172,7 +178,7 @@ def test_descending_chains_terminate():
             current = smaller[rng.randrange(len(smaller))]
             steps += 1
             assert steps <= bound
-        assert current == ZERO_INDEX
+        assert current == (0,) * len(BIG)
 
 
 def test_json_roundtrip():

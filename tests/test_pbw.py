@@ -10,17 +10,15 @@ import pytest
 from hopfcore.coalgebra import FilteredBialgebraData, build_ueg
 from hopfcore.errors import NotPolynomial, ExpansionViolation, TruncationError
 from hopfcore.linalg import Q1, rank, to_sparse, unit_vec, zero_vec
-from hopfcore.monoid import MultiIndex, ZERO_INDEX
+from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
-from conftest import LESS, SL2_BRACKETS, at, compare, load_fixture, subprocess_env
-
-
-def mi(**kw):
-    return MultiIndex.make(kw)
+from conftest import (
+    LESS, SL2_BRACKETS, add, at, compare, exps, load_fixture, subprocess_env,
+)
 
 
 def named(p, terms):
-    """expand_comult's terms on positions as (multi-index, multi-index, c)."""
+    """expand_comult's terms on positions as (exponents, exponents, c)."""
     return [(p.indices[i], p.indices[j], c) for i, j, c in terms]
 
 
@@ -72,7 +70,7 @@ def test_lifts_are_canonical(heis, xyw):
 
 
 def test_monomial_zero_index(heis):
-    assert heis.indices[0] == ZERO_INDEX
+    assert heis.indices[0] == (0, 0, 0)
     assert heis.pbw_monomial(0) == heis.data.unit_vector()
 
 
@@ -90,7 +88,7 @@ def test_monomial_order_and_straightening(sl2):
 def test_monomial_truncation(heis):
     # x^5 lies past the bound: it has no position, and a position past the
     # last index names an index past the bound
-    assert mi(x=5) not in heis.index_pos
+    assert exps(heis.gens, x=5) not in heis.index_pos
     with pytest.raises(TruncationError):
         heis.pbw_monomial(len(heis.indices))
     with pytest.raises(TruncationError):
@@ -170,7 +168,7 @@ def test_structure_constant_sl2_defect(sl2):
 def test_structure_constants_random(heis, sl2, xyw):
     rng = random.Random(17)
     for p in (heis, sl2, xyw):
-        candidates = [q for q, m in enumerate(p.indices) if p.gens.degree(m) <= 2]
+        candidates = [q for q, d in enumerate(p.degrees) if d <= 2]
         for _ in range(25):
             n = candidates[rng.randrange(len(candidates))]
             m = candidates[rng.randrange(len(candidates))]
@@ -178,12 +176,43 @@ def test_structure_constants_random(heis, sl2, xyw):
             # independent route: the expansion coefficient at the sum index
             prod = p.data.multiply(p.pbw_monomial(n), p.pbw_monomial(m))
             coords = {p.indices[i]: a for i, a in p.pbw_coords(to_sparse(prod)).items()}
-            total = p.gens.add(p.indices[n], p.indices[m])
+            total = add(p.indices[n], p.indices[m])
             assert p.index_sum(n, m) == p.index_pos[total]
             assert coords.get(total, F(0)) == c
+            top = weighted_degree(total, p.gens.weights)
             for i in coords:
                 if i != total:
-                    assert p.gens.degree(i) < p.gens.degree(total)
+                    assert weighted_degree(i, p.gens.weights) < top
+
+
+@pytest.mark.parametrize("name", ["heis", "sl2", "xyw"])
+def test_index_arithmetic_against_brute_force(host_at, name):
+    """At degree 6, over every pair of positions: index_sum is the position
+    of the entrywise sum, or None past the bound; the splittings of each
+    index are exactly the pairs that sum to it, each once; and each label
+    is the id-sorted text of its exponents."""
+    p = host_at(name, 6)
+    sums = {}
+    for i, m in enumerate(p.indices):
+        for j, n in enumerate(p.indices):
+            total = add(m, n)
+            if weighted_degree(total, p.gens.weights) > 6:
+                assert p.index_sum(i, j) is None
+            else:
+                assert p.indices[p.index_sum(i, j)] == total
+                sums.setdefault(total, set()).add((i, j))
+    for q, m in enumerate(p.indices):
+        pairs = [(p.index_pos[left], p.index_pos[right]) for left, right in splittings(m)]
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == sums[m]
+        factors = sorted((gid, k) for gid, k in zip(p.gens.ids, m) if k)
+        text = "*".join(gid if k == 1 else f"{gid}^{k}" for gid, k in factors)
+        assert p.labels[q] == (text or "1")
+    if name == "xyw":
+        # ids sort w < x, against the generator order x, y, w of the raw
+        # basis label x*w
+        assert p.labels[at(p, x=1, w=1)] == "w*x"
+        assert "x*w" in p.data.basis_labels
 
 
 # -- comultiplication expansion -----------------------------------------------------
@@ -191,32 +220,32 @@ def test_structure_constants_random(heis, sl2, xyw):
 
 def test_expand_comult_zero(heis):
     assert heis.expand_comult(0) == [(0, 0, Q1)]
-    assert named(heis, heis.expand_comult(0)) == [(ZERO_INDEX, ZERO_INDEX, Q1)]
+    zero = (0, 0, 0)
+    assert named(heis, heis.expand_comult(0)) == [(zero, zero, Q1)]
 
 
 def test_expand_comult_line(qt):
     got = named(qt, qt.expand_comult(at(qt, t=2)))
-    assert got == [
-        (ZERO_INDEX, mi(t=2), Q1),
-        (mi(t=1), mi(t=1), Q1),
-        (mi(t=2), ZERO_INDEX, Q1),
-    ]
+    assert got == [((0,), (2,), Q1), ((1,), (1,), Q1), ((2,), (0,), Q1)]
 
 
 def test_expand_comult_xyw_cross_term(xyw):
+    def mi(**kw):
+        return exps(xyw.gens, **kw)
+
     got = named(xyw, xyw.expand_comult(at(xyw, w=1)))
     assert (mi(x=1), mi(y=1), Q1) in got
-    assert (ZERO_INDEX, mi(w=1), Q1) in got
-    assert (mi(w=1), ZERO_INDEX, Q1) in got
+    assert (mi(), mi(w=1), Q1) in got
+    assert (mi(w=1), mi(), Q1) in got
     assert len(got) == 3
     # the cross term is strictly below the split index: they differ at w
-    assert compare(xyw.gens, xyw.gens.add(mi(x=1), mi(y=1)), mi(w=1)) == LESS
+    assert compare(xyw.gens, add(mi(x=1), mi(y=1)), mi(w=1)) == LESS
     assert xyw.index_sum(at(xyw, x=1), at(xyw, y=1)) < at(xyw, w=1)
 
 
 def oracle_expansions(p):
-    """Delta(e_m) for every multi-index m within the bound, keyed by pairs of
-    multi-indices: e_m is the product of the generator lifts divided by the
+    """Delta(e_m) for every index m within the bound, keyed by pairs of
+    exponent vectors: e_m is the product of the generator lifts divided by the
     factorials, the raw basis is expanded on the monomials through a sympy
     inverse, and the terms are sorted by the reference order on the left
     index, then on the right."""
@@ -225,10 +254,10 @@ def oracle_expansions(p):
 
     def monomial(m):
         v = data.unit_vector()
-        for gid, _ in p.gens.generators:
-            for _ in range(m.mult(gid)):
+        for gid, k in zip(p.gens.ids, m):
+            for _ in range(k):
                 v = data.multiply(v, p.lifts[gid])
-            v = tuple(F(x) / factorial(m.mult(gid)) for x in v)
+            v = tuple(F(x) / factorial(k) for x in v)
         return v
 
     indices = p.gens.enumerate_up_to(data.degree_bound)
@@ -268,14 +297,13 @@ def test_expand_comult_matches_multi_index_oracle(heis, sl2, xyw, qt):
 MISSING_SPLITTINGS = """
 from hopfcore.coalgebra import build_ueg
 from hopfcore.errors import ExpansionViolation
-from hopfcore.monoid import MultiIndex
 from hopfcore.pbw import PBWStructure
 
 p = PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], {"x": {"y": {"z": "1"}}}, 4))
 
 
 def at(ids):
-    return p.index_pos[MultiIndex.make({g: 1 for g in ids})]
+    return p.index_pos[tuple(int(g in ids) for g in p.gens.ids)]
 
 
 xyz = at("xyz")
@@ -317,7 +345,7 @@ def test_missing_splitting_message_ignores_the_hash_seed():
 def test_split_expansion_violations(edit, message):
     p = PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], {"x": {"y": {"z": "1"}}}, 2))
     xy, y = at(p, x=1, y=1), at(p, y=1)
-    assert p.indices[xy + 1] == mi(y=2)
+    assert p.indices[xy + 1] == exps(p.gens, y=2)
     p._comult_cache[xy] = edit(p.expand_comult(xy), y)
     with pytest.raises(ExpansionViolation) as info:
         p.check_split_expansion(xy)

@@ -26,7 +26,6 @@ from hopfcore.convolution import (
 )
 from hopfcore.errors import HopfcoreError
 from hopfcore.linalg import Subspace, inverse, kernel, rat
-from hopfcore.monoid import MultiIndex
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, sparse
 from conftest import FIXTURES, load_fixture
@@ -44,8 +43,7 @@ HALF_RING = {
 
 def scalars(obj):
     """Every scalar held in obj: the values of mappings and the entries of
-    tuples and lists, through the sparse rows of Subspaces; multi-indices
-    are labels, not scalars."""
+    tuples and lists, through the sparse rows of Subspaces."""
     if isinstance(obj, (int, Fraction, float)):
         yield obj
     elif isinstance(obj, Mapping):
@@ -56,7 +54,7 @@ def scalars(obj):
             yield from scalars(value)
     elif isinstance(obj, Subspace):
         yield from scalars(obj.rows)
-    elif not isinstance(obj, MultiIndex):
+    else:
         raise TypeError(f"unexpected {type(obj).__name__} among scalars")
 
 

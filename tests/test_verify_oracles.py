@@ -19,9 +19,10 @@ from hopfcore.coalgebra import (
     check_level_closure,
 )
 from hopfcore.linalg import Q0, Q1, to_dense, to_sparse, zero_vec
+from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
-from conftest import GREATER, compare
+from conftest import GREATER, add, compare
 
 # fixture instances at their own degree bounds
 HOSTS = [("sl2", 4), ("heis", 4), ("xyw", 4), ("dq", 4), ("qt", 3)]
@@ -34,16 +35,18 @@ def le(p, m, n):
 
 def dense_span_closure(p, rng, samples):
     rep = Report("span-closure")
-    small = [m for m in p.indices if 2 * p.gens.degree(m) <= p.data.degree_bound]
+
+    def degree(m):
+        return weighted_degree(m, p.gens.weights)
+
+    small = [m for m in p.indices if 2 * degree(m) <= p.data.degree_bound]
     for trial in range(samples):
         n = small[rng.randrange(len(small))]
         choices = [
-            m
-            for m in p.indices
-            if p.gens.degree(m) + p.gens.degree(n) <= p.data.degree_bound
+            m for m in p.indices if degree(m) + degree(n) <= p.data.degree_bound
         ]
         m = choices[rng.randrange(len(choices))]
-        total = p.gens.add(n, m)
+        total = add(n, m)
 
         def sample_elem(top):
             v = zero_vec(p.data.dim)
@@ -62,9 +65,9 @@ def dense_span_closure(p, rng, samples):
         bad = [i for i in support if not le(p, i, total)]
         rep.add(
             "span-closure",
-            f"trial {trial} (n={n}, m={m})",
+            f"trial {trial} (n={p.gens.label(n)}, m={p.gens.label(m)})",
             PASS if not bad else FAIL,
-            f"escaped at {bad[0]}" if bad else "",
+            f"escaped at {p.gens.label(bad[0])}" if bad else "",
         )
     return rep
 
