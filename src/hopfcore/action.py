@@ -13,7 +13,7 @@ leading-term witnesses of the convolution module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -479,11 +479,11 @@ def conv_map(
     return ConvElement(action.host, ring, values)
 
 
-@dataclass(frozen=True)
-class HCoreResult:
-    core: Subspace
-    by_cap: tuple[Subspace, ...]
-    stabilized: bool
+class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
+    """The core at the last cap, the ``Subspace`` chain of cores for caps
+    0, 1, ..., and whether the last two are equal."""
+
+    __slots__ = ()
 
     @property
     def dims(self) -> tuple[int, ...]:

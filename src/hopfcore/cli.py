@@ -33,10 +33,11 @@ from .errors import (
 )
 from .linalg import Q0, SparseRow, Subspace, exact, rat, rat_str, unit_vec
 from .pbw import PBWStructure
-from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
+from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, dumps
 from .table import (
     PolynomialAlgebra,
     TableAlgebra,
+    json_int,
     json_object,
     parse_table,
     string_list,
@@ -71,11 +72,9 @@ def _exponents(algebra: PolynomialAlgebra, mono, what: str) -> list[int]:
     for var, k in json_object(mono, what).items():
         if var not in algebra.variables:
             raise InputFormatError(f"unknown variable {var!r} in {what}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise InputFormatError(
-                f"exponent of {var!r} in {what} must be an integer >= 0, got {k!r}"
-            )
-        exps[algebra.variables.index(var)] = k
+        exps[algebra.variables.index(var)] = json_int(
+            k, f"exponent of {var!r} in {what}", 0
+        )
     return exps
 
 
@@ -138,11 +137,7 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     kind = json_object(obj, '"algebra"').get("kind")
     if kind == "polynomial":
         variables = string_list(obj["variables"], 'polynomial "variables"')
-        bound = obj["bound"]
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
-            raise InputFormatError(
-                f'polynomial "bound" must be an integer >= 0, got {bound!r}'
-            )
+        bound = json_int(obj["bound"], 'polynomial "bound"', 0)
         return PolynomialAlgebra(variables, bound)
     if kind == "finite":
         labels = string_list(obj["basis"], 'finite algebra "basis"')
@@ -189,7 +184,7 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = dumps(payload)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -226,7 +221,7 @@ def _finish(
         "command": args.command,
         "schema": SCHEMA,
         "config": {key: getattr(args, key) for key in keys},
-        "checks": [line.as_json() for line in report.lines],
+        "checks": report.lines,
         "summary": report.counts,
         "status": status,
         **extra,
@@ -510,7 +505,9 @@ def cmd_hcore(args) -> int:
         properties = string_list(
             source.get("ideal_properties", []), '"ideal_properties"'
         )
-        core_cap = int(spec.get("core_degree_cap", data.degree_bound))
+        core_cap = json_int(
+            spec.get("core_degree_cap", data.degree_bound), '"core_degree_cap"', 0
+        )
     except (HopfcoreError, KeyError, TypeError, ValueError) as exc:
         return _error(args, exc)
 

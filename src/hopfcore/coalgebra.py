@@ -22,7 +22,7 @@ Everything is exact over Q and deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -59,6 +59,7 @@ from .table import (
     TableAlgebra,
     exponent_table,
     graded_monomials,
+    json_int,
     json_object,
     parse_table,
     sparse,
@@ -313,11 +314,11 @@ def check_antipode(data: FilteredBialgebraData) -> None:
 # coradical filtration
 
 
-@dataclass(frozen=True)
-class CoradicalFiltration:
-    """Nested layers C_0 <= C_1 <= ... <= C_D inside the truncated space."""
+class CoradicalFiltration(namedtuple("CoradicalFiltration", "layers")):
+    """Nested layers C_0 <= C_1 <= ... <= C_D (a tuple of ``Subspace``s)
+    inside the truncated space."""
 
-    layers: tuple[Subspace, ...]
+    __slots__ = ()
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -406,20 +407,22 @@ def check_connected(data: FilteredBialgebraData) -> bool:
 # graded splitting
 
 
-@dataclass(frozen=True)
-class GradedSplitting:
+class GradedSplitting(
+    namedtuple(
+        "GradedSplitting",
+        "data components vectors sparse_vectors degrees labels to_split_units comult",
+    )
+):
     """Homogeneous components H(n) with C_n = H(0) + ... + H(n), the basis
     change onto the splitting basis, and the comultiplication of every
-    splitting vector in split coordinates."""
+    splitting vector in split coordinates.
 
-    data: FilteredBialgebraData
-    components: tuple[Subspace, ...]
-    vectors: tuple[Vector, ...]
-    sparse_vectors: tuple[dict[int, Scalar], ...]
-    degrees: tuple[int, ...]
-    labels: tuple[str, ...]
-    to_split_units: tuple[dict[int, Scalar], ...]
-    comult: tuple[TensorMap, ...]
+    ``components`` holds H(0), ..., H(D) as ``Subspace``s.  One entry per
+    splitting vector: ``vectors`` (dense) and ``sparse_vectors`` on the basis
+    of ``data``, ``degrees``, ``labels`` and ``comult`` (a ``TensorMap`` in
+    split coordinates); ``to_split_units[j]`` holds the split coordinates of
+    basis vector j of ``data``.  No ``__slots__``: the cached ``delta`` lives
+    in the instance dict."""
 
     @property
     def dim(self) -> int:
@@ -1102,10 +1105,10 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         if "degrees" in tables:
             hint = [0] * len(labels)
             for a, d in json_object(tables["degrees"], 'raw "degrees"').items():
-                hint[pos[a]] = int(d)
+                hint[pos[a]] = json_int(d, f"degree of {a!r}", 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed raw instance tables: {exc}") from exc
-    return FilteredBialgebraData(
+    data = FilteredBialgebraData(
         basis_labels=labels,
         degree_bound=degree_bound,
         mult=mult,
@@ -1115,6 +1118,14 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         antipode=antipode,
         filtration_hint=hint,
     )
+    # the builders' tables are associative by construction
+    triple = data.first_nonassociative()
+    if triple is not None:
+        a, b, c = (data.label(t) for t in triple)
+        raise InputFormatError(
+            f"multiplication is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+        )
+    return data
 
 
 def instance_from_json(
@@ -1127,8 +1138,8 @@ def instance_from_json(
     """
     try:
         kind = obj["kind"]
-        bound = int(obj["degree_bound"])
-    except (KeyError, TypeError, ValueError) as exc:
+        bound = json_int(obj["degree_bound"], '"degree_bound"', 1)
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(f"instance file missing kind/degree_bound: {exc}")
     if degree_override is not None:
         if kind == "raw" and degree_override != bound:

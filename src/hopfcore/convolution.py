@@ -15,7 +15,7 @@ scan refutes the declared ring property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Optional
 
 from .errors import (
@@ -33,11 +33,14 @@ from .report import FAIL, PASS, Report
 from .table import TableAlgebra, json_object, parse_table, string_list
 
 
-@dataclass(frozen=True)
-class RingFlags:
-    is_prime: Optional[bool] = None
-    is_semiprime: Optional[bool] = None
-    is_domain: Optional[bool] = None
+class RingFlags(
+    namedtuple(
+        "RingFlags", "is_prime is_semiprime is_domain", defaults=(None, None, None)
+    )
+):
+    """A coefficient ring's declared properties, each True, False or None."""
+
+    __slots__ = ()
 
 
 def ring_q() -> TableAlgebra:
@@ -165,15 +168,8 @@ def ring_check(ring: TableAlgebra) -> Report:
     dim = ring.dim
     basis = [ring.basis_vec(i) for i in range(dim)]
 
-    assoc_ok = True
-    for i in range(dim):
-        for j in range(dim):
-            left = ring.mul(basis[i], basis[j])
-            for k in range(dim):
-                if ring.mul(left, basis[k]) != ring.mul(
-                    basis[i], ring.mul(basis[j], basis[k])
-                ):
-                    assoc_ok = False
+    # a ring's table is total, so every basis triple is checked
+    assoc_ok = ring.first_nonassociative() is None
     rep.add("associativity", ring.name, PASS if assoc_ok else FAIL)
 
     one = ring.unit_vector()
@@ -230,10 +226,11 @@ def ring_check(ring: TableAlgebra) -> Report:
 # convolution elements
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
-    index: int  # a position in host.indices
-    value: Vector
+class LeadingTerm(namedtuple("LeadingTerm", "index value")):
+    """The leading index of an element, as a position in ``host.indices``,
+    and its value there (a ring ``Vector``)."""
+
+    __slots__ = ()
 
 
 class ConvElement:
@@ -360,14 +357,18 @@ def leading(f: ConvElement) -> LeadingTerm:
     return LeadingTerm(p, f._map[p])
 
 
-@dataclass(frozen=True)
-class LeadingLawOutcome:
-    lead_left: LeadingTerm
-    lead_right: LeadingTerm
-    vanishing_ok: bool
-    leading_value_ok: bool
-    product_nonzero: bool
-    leading_term_ok: Optional[bool]
+class LeadingLawOutcome(
+    namedtuple(
+        "LeadingLawOutcome",
+        "lead_left lead_right vanishing_ok leading_value_ok product_nonzero "
+        "leading_term_ok",
+    )
+):
+    """The leading terms of f and g and the law's findings on f * g; each
+    finding is a bool, ``leading_term_ok`` None when the leading product
+    vanishes."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -401,11 +402,11 @@ def check_leading_law(f: ConvElement, g: ConvElement) -> LeadingLawOutcome:
     return LeadingLawOutcome(lf, lg, vanish, value_ok, nonzero, term_ok)
 
 
-@dataclass(frozen=True)
-class Witness:
-    r: Vector
-    u: ConvElement
-    proof: LeadingTerm
+class Witness(namedtuple("Witness", "r u proof")):
+    """The middle factor r (a ring ``Vector``), its counit pullback u and
+    the leading term of the witness product."""
+
+    __slots__ = ()
 
 
 def _witness_candidates(ring: TableAlgebra) -> list[Vector]:

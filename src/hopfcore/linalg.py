@@ -16,7 +16,7 @@ rows are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -161,16 +161,13 @@ def inverse(rows: Sequence[Mapping[int, Scalar]], n: int) -> list[SparseRow]:
     return [{c - n: x for c, x in row.items() if c >= n} for row in reduced]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
     """A subspace of Q^n held by its reduced row echelon form (canonical):
-    the pivot columns in ascending order and, for each, its echelon row as
-    a sparse row with ascending keys."""
+    the pivot columns in ascending order (``pivots``, a tuple of ints) and,
+    for each, its echelon row as a sparse row with ascending keys
+    (``rows``)."""
 
-    ambient_dim: int
-    pivots: tuple[int, ...]
-    rows: tuple[SparseRow, ...]
-
+    __slots__ = ()
     # the rows are dicts; nothing hashes a subspace
     __hash__ = None
 

@@ -2,34 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-
-@dataclass(frozen=True)
-class CheckLine:
-    check: str
-    subject: str
-    status: str
-    detail: str = ""
-
-    def as_json(self) -> dict:
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "status": self.status,
-            "detail": self.detail,
-        }
+# one checked subject; every field is a string
+CheckLine = namedtuple("CheckLine", "check subject status detail", defaults=("",))
 
 
-@dataclass
 class Report:
-    name: str
-    lines: list[CheckLine] = field(default_factory=list)
+    """A named list of check lines."""
+
+    __slots__ = ("name", "lines")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.lines: list[CheckLine] = []
 
     def add(self, check: str, subject: str, status: str, detail: str = "") -> None:
         self.lines.append(CheckLine(check, subject, status, detail))
@@ -51,10 +44,34 @@ class Report:
     def failures(self) -> list[CheckLine]:
         return [line for line in self.lines if line.status == FAIL]
 
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lines": [line.as_json() for line in self.lines],
-            "counts": self.counts,
-            "passed": self.passed,
-        }
+
+# a check line as json.dumps(indent=2) writes it one level down, keys sorted
+_LINE = (
+    '    {\n      "check": %s,\n      "detail": %s,\n'
+    '      "status": %s,\n      "subject": %s\n    }'
+)
+
+
+def _value(value) -> str:
+    """A top-level value as json.dumps(indent=2) writes it under its key."""
+    if isinstance(value, list) and value and isinstance(value[0], CheckLine):
+        body = ",\n".join(
+            _LINE % (_quote(c), _quote(d), _quote(st), _quote(su))
+            for c, su, st, d in value
+        )
+        return "[\n" + body + "\n  ]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def dumps(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` for a
+    report payload with string keys, where a list of check lines is written
+    as the list of their {check, subject, status, detail} objects.  The
+    standard encoder runs in pure Python once ``indent`` is set; the check
+    lines, nearly all of a report, go through one template instead."""
+    if not payload:
+        return "{}\n"
+    items = ",\n".join(
+        f"  {_quote(key)}: {_value(payload[key])}" for key in sorted(payload)
+    )
+    return "{\n" + items + "\n}\n"

@@ -53,6 +53,15 @@ def json_object(value, what: str) -> Mapping:
     return value
 
 
+def json_int(value, what: str, minimum: int) -> int:
+    """value, which the input format requires to be a JSON integer >=
+    minimum: a bool, a float or a string raises InputFormatError naming what
+    is read, as does a value below the minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InputFormatError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def parse_table(nested: Mapping, pos: Mapping[str, int]) -> dict:
     """A JSON product table {a: {b: {k: "c"}}} as (i, j) -> [(k, c)].
     Unknown labels raise KeyError and a level that is not an object
@@ -211,6 +220,38 @@ class TableAlgebra:
                 for k, c in terms:
                     out[k] += ab * c
         return tuple(out)
+
+    def first_nonassociative(self) -> Optional[tuple[int, int, int]]:
+        """The first basis triple (i, j, k), in lexicographic order, with
+        (e_i e_j) e_k != e_i (e_j e_k), among the triples whose products all
+        lie in the table; None if there is none.  The k for a pair (i, j) are
+        those whose row holds every e_a in e_i e_j and e_j itself, so a table
+        truncated by degree offers no triple past the bound."""
+        table = self._mult
+        rows: dict[int, set[int]] = {}
+        for i, j in table:
+            rows.setdefault(i, set()).add(j)
+        for i, j in sorted(table):
+            ij = table[(i, j)]
+            ks = rows.get(j, set()).intersection(*(rows.get(a, ()) for a, _ in ij))
+            row_i = rows[i]
+            for k in sorted(ks):
+                jk = table[(j, k)]
+                if not all(b in row_i for b, _ in jk):
+                    continue
+                left: dict[int, Scalar] = {}
+                for a, c in ij:
+                    for t, d in table[(a, k)]:
+                        left[t] = left.get(t, Q0) + c * d
+                right: dict[int, Scalar] = {}
+                for b, c in jk:
+                    for t, d in table[(i, b)]:
+                        right[t] = right.get(t, Q0) + c * d
+                if {t: c for t, c in left.items() if c} != {
+                    t: c for t, c in right.items() if c
+                }:
+                    return (i, j, k)
+        return None
 
     def format(self, v: Vector) -> str:
         parts = [

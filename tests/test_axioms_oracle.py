@@ -9,6 +9,7 @@ whose denominators are not 1.
 
 import copy
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from hopfcore.coalgebra import (
 )
 from hopfcore.linalg import Q0, Q1, rat, rat_str, unit_vec
 from hopfcore.report import FAIL, PASS, SKIP, Report
+from hopfcore.table import TableAlgebra
 from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, load_fixture
 
 
@@ -180,6 +182,14 @@ def test_counit_one_third():
     assert ("counit-multiplicative", "e,e") in failures(got)
 
 
+def load_past_associativity(obj):
+    """instance_from_json without the raw reader's associativity check: a
+    perturbed product is rejected when it loads, before the axiom checks
+    compared here would see it."""
+    with mock.patch.object(TableAlgebra, "first_nonassociative", return_value=None):
+        return instance_from_json(obj)
+
+
 def test_product_off_by_one_over_1260_fails_once():
     # e^(2) * f^(2) reaches the bound, so no other pair reads it as a tensor
     # factor; its e^(2)*f^(2) term has middle terms in its coproduct, which
@@ -187,7 +197,7 @@ def test_product_off_by_one_over_1260_fails_once():
     obj = instance_to_json(BUILDERS["sl2"](4))
     row = obj["tables"]["mult"]["e^(2)"]["f^(2)"]
     row["e^(2)*f^(2)"] = rat_str(rat(row["e^(2)*f^(2)"]) + Fraction(1, 1260))
-    got = assert_same_lines(instance_from_json(obj))
+    got = assert_same_lines(load_past_associativity(obj))
     assert failures(got) == [("comult-multiplicative", "e^(2),f^(2)")]
 
 
@@ -250,5 +260,5 @@ def perturbed(obj: dict, slot: tuple, delta: Fraction) -> dict:
 def test_perturbed_coefficient_lines_match_oracle(name, pick, delta):
     obj = RAW[name]
     slots = coefficient_slots(obj["tables"])
-    data = instance_from_json(perturbed(obj, slots[pick % len(slots)], delta))
+    data = load_past_associativity(perturbed(obj, slots[pick % len(slots)], delta))
     assert_same_lines(data)

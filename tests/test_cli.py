@@ -372,6 +372,18 @@ UEG_HEIS = {"generators": ["x", "y", "z"], "brackets": {"x": {"y": {"z": "1"}}}}
 SHIFTED_LINE_BAD_ANTIPODE = load_fixture("instances/shifted_line.json")
 SHIFTED_LINE_BAD_ANTIPODE["tables"]["antipode"]["s"] = {"s": "-1"}
 DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "1"}}}
+# x * x = y, x * y = 0 and y * x = y, so (x x) x = y but x (x x) = 0
+NONASSOCIATIVE_RAW = {"kind": "raw", "degree_bound": 2, "tables": {
+    "basis": ["1", "x", "y"], "unit": "1",
+    "mult": {"1": {"1": {"1": "1"}, "x": {"x": "1"}, "y": {"y": "1"}},
+             "x": {"1": {"x": "1"}, "x": {"y": "1"}, "y": {}},
+             "y": {"1": {"y": "1"}, "x": {"y": "1"}}},
+    "comult": {"1": [["1", "1", "1"]],
+               "x": [["x", "1", "1"], ["1", "x", "1"]],
+               "y": [["y", "1", "1"], ["1", "y", "1"], ["x", "x", "2"]]},
+    "counit": {"1": "1"}}}
+SHIFTED_LINE_FRACTIONAL_DEGREE = load_fixture("instances/shifted_line.json")
+SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
 
 
 @pytest.mark.parametrize(
@@ -471,6 +483,24 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
          "exponent of 'x' in a monomial must be an integer >= 0, got '1'"),
         ("instance", SHIFTED_LINE_BAD_ANTIPODE,
          "antipode law S * id = eta eps = id * S fails at s"),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "core_degree_cap": -1},
+         '"core_degree_cap" must be an integer >= 0, got -1'),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "core_degree_cap": 2.7},
+         '"core_degree_cap" must be an integer >= 0, got 2.7'),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "core_degree_cap": True},
+         '"core_degree_cap" must be an integer >= 0, got True'),
+        ("action", {**load_fixture("actions/dq_qx_ix.json"), "core_degree_cap": "3"},
+         '"core_degree_cap" must be an integer >= 0, got \'3\''),
+        ("instance", {**load_fixture("instances/heis.json"), "degree_bound": 3.9},
+         '"degree_bound" must be an integer >= 1, got 3.9'),
+        ("instance", {**load_fixture("instances/heis.json"), "degree_bound": "3"},
+         '"degree_bound" must be an integer >= 1, got \'3\''),
+        ("instance", {**load_fixture("instances/heis.json"), "degree_bound": True},
+         '"degree_bound" must be an integer >= 1, got True'),
+        ("instance", SHIFTED_LINE_FRACTIONAL_DEGREE,
+         "degree of 's' must be an integer >= 0, got 1.5"),
+        ("instance", NONASSOCIATIVE_RAW,
+         "multiplication is not associative: (x*x)*x != x*(x*x)"),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -485,7 +515,10 @@ DUAL_NUMBERS_MULT = {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "
          "ideal-fractional-exponent", "ideal-bool-exponent",
          "principal-unknown-variable", "derivative-unknown-variable",
          "derivative-negative-exponent", "monomial-string-exponent",
-         "raw-antipode-law"],
+         "raw-antipode-law", "core-cap-negative", "core-cap-fractional",
+         "core-cap-bool", "core-cap-string", "degree-bound-fractional",
+         "degree-bound-string", "degree-bound-bool", "raw-degree-fractional",
+         "raw-nonassociative"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,
@@ -650,3 +683,17 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
     assert outputs[0].returncode in (0, 3)
     assert [p.returncode for p in outputs] == [outputs[0].returncode] * 2
     assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """Every job is a fresh process, so the command line's import is paid
+    per job; ``dataclasses`` would bring in ``inspect``, ``ast`` and ``dis``
+    and exec generated methods for each record."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import hopfcore.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

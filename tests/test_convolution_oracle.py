@@ -15,7 +15,6 @@ equal the sparse round trip in value and scalar type and raise
 ``TruncationError`` on the same pairs.
 """
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -172,8 +171,7 @@ def named_lead(host, lead):
 def named_outcome(f, g):
     """check_leading_law with its leading terms named by exponent vectors."""
     out = check_leading_law(f, g)
-    return dataclasses.replace(
-        out,
+    return out._replace(
         lead_left=named_lead(f.host, out.lead_left),
         lead_right=named_lead(f.host, out.lead_right),
     )

@@ -1,16 +1,18 @@
 """Associativity and the antipode law of the built tables.
 
-Neither law is checked when an instance loads: the ueg and xyw builders
-satisfy both by construction, and these tests pin that at several degrees.
-The helpers compare exact sides and return the first failing triple or
-basis element; the broken raw instances show that they can fail.  The
-command line checks the antipode law with ``check_antipode`` once the
-axioms pass; it is tested against the helper here.
+The ueg and xyw builders satisfy both laws by construction, and these
+tests pin that at several degrees.  The helpers compare exact sides and
+return the first failing triple or basis element; the broken raw instances
+show that they can fail.  A raw instance is checked for associativity when
+it loads (``TableAlgebra.first_nonassociative``), and the command line
+checks the antipode law with ``check_antipode`` once the axioms pass; both
+are tested against the helpers here.
 """
 
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcore.coalgebra import (
     build_xyw,
@@ -20,6 +22,7 @@ from hopfcore.coalgebra import (
 )
 from hopfcore.errors import InputFormatError, TruncationError
 from hopfcore.linalg import Q1
+from hopfcore.table import TableAlgebra
 from conftest import load_fixture
 
 
@@ -103,11 +106,63 @@ def test_antipode_helper_flags_xyw_corrupt_at_x_squared():
     assert first_antipode_failure(instance("xyw_corrupt")) == "x^2"
 
 
+def xyw_with_doubled_xy():
+    """The xyw tables at degree 3 with x * y = 2 xy, built past the raw
+    reader, which rejects them."""
+    data = build_xyw(3)
+    data._mult[(data.position("x"), data.position("y"))] = ((data.position("x*y"), 2),)
+    return data
+
+
 def test_associativity_helper_flags_a_changed_product():
     # with x * y = 2 xy, x(xy) = 2 x^2y but (xx)y = x^2y
+    assert first_associativity_failure(xyw_with_doubled_xy()) == ("x", "x", "y")
+
+
+def test_raw_reader_rejects_a_changed_product():
     obj = instance_to_json(build_xyw(3))
     obj["tables"]["mult"]["x"]["y"] = {"x*y": "2"}
-    assert first_associativity_failure(instance_from_json(obj)) == ("x", "x", "y")
+    with pytest.raises(
+        InputFormatError,
+        match=r"^multiplication is not associative: \(x\*x\)\*y != x\*\(x\*y\)$",
+    ):
+        instance_from_json(obj)
+
+
+def nonassociative_labels(data):
+    triple = data.first_nonassociative()
+    return None if triple is None else tuple(data.label(t) for t in triple)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *(instance(name, 4) for name in ("dq", "heis", "sl2", "xyw")),
+        *(instance(name) for name in ("grouplike", "shifted_line", "xyw_corrupt")),
+        xyw_with_doubled_xy(),
+    ],
+    ids=["dq", "heis", "sl2", "xyw", "grouplike", "shifted_line", "xyw_corrupt",
+         "xyw_doubled_xy"],
+)
+def test_first_nonassociative_agrees_with_the_helper(data):
+    assert nonassociative_labels(data) == first_associativity_failure(data)
+
+
+# a partial product table on three basis elements: each present pair maps to
+# a sparse combination with small integer coefficients
+partial_tables = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1, 1, 2])), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_tables)
+def test_first_nonassociative_prunes_no_checked_triple(table):
+    """On any partial table the pruned scan finds the same first triple as
+    the helper, which tries every k for every pair in the table."""
+    data = TableAlgebra(("a", "b", "c"), table, (1, 0, 0))
+    assert nonassociative_labels(data) == first_associativity_failure(data)
 
 
 def bad_shifted_line():
