@@ -36,13 +36,11 @@ from .linalg import (
     SparseRow,
     Subspace,
     Vector,
-    complement,
+    combine,
     exact,
-    is_zero_vec,
     kernel,
     nonzero,
     to_dense,
-    to_sparse,
     unit_vec,
 )
 from .monoid import monomial_label
@@ -56,40 +54,54 @@ from .table import PolynomialAlgebra, TableAlgebra
 
 
 class IdealOracle:
-    """Membership, normal forms, and quotient coordinates for an ideal."""
+    """Membership, normal forms, and quotient coordinates for an ideal.
+
+    A subclass sets ``algebra`` and ``_normal``, the ascending positions of
+    the basis vectors whose classes form the basis of A/I, and implements
+    ``reduce``: a sparse vector {index: coefficient}, zeros allowed, to its
+    normal form, a sparse vector without zeros supported on ``_normal``."""
 
     algebra: TableAlgebra
+    _normal: tuple[int, ...]
 
-    def contains(self, v: Vector) -> bool:
+    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
         raise NotImplementedError
 
-    def reduce(self, v: Vector) -> Vector:
+    def describe(self) -> str:
         raise NotImplementedError
+
+    def contains(self, v: Mapping[int, Scalar]) -> bool:
+        return not self.reduce(v)
 
     @property
     def normal_labels(self) -> tuple[str, ...]:
-        raise NotImplementedError
+        return tuple(self.algebra.basis_labels[t] for t in self._normal)
 
-    def quotient_coords(self, v: Vector) -> Vector:
-        raise NotImplementedError
+    def quotient_coords(self, v: Mapping[int, Scalar]) -> Vector:
+        """The class of v on the normal basis, as a dense A/I value."""
+        residual = self.reduce(v)
+        return tuple(residual.get(t, Q0) for t in self._normal)
 
-    def lift(self, coords: Vector) -> Vector:
-        raise NotImplementedError
+    def lift(self, coords: Vector) -> SparseRow:
+        """The normal-form representative of an A/I value."""
+        return {t: c for t, c in zip(self._normal, coords) if c}
+
+    @property
+    def quotient_dim(self) -> int:
+        return len(self._normal)
 
     @property
     def is_unit(self) -> bool:
-        return self.contains(self.algebra.unit_vector())
+        return self.contains(dict(enumerate(self.algebra.unit_vector())))
 
     @property
     def is_zero(self) -> bool:
         return self.quotient_dim == self.algebra.dim
 
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.normal_labels)
 
-    def describe(self) -> str:
-        raise NotImplementedError
+def _divides(small: Sequence[int], big: Sequence[int]) -> bool:
+    """x^small divides x^big."""
+    return all(x >= y for x, y in zip(big, small))
 
 
 class MonomialIdeal(IdealOracle):
@@ -107,38 +119,16 @@ class MonomialIdeal(IdealOracle):
         self._normal = tuple(
             t
             for t, e in enumerate(algebra.monomials)
-            if not self._divisible(e)
+            if not any(_divides(g, e) for g in self.generators)
         )
 
-    def _divisible(self, exps: Sequence[int]) -> bool:
-        return any(
-            all(x >= y for x, y in zip(exps, g)) for g in self.generators
-        )
-
-    def contains(self, v: Vector) -> bool:
-        return all(
-            not c or self._divisible(self.algebra.monomials[i])
-            for i, c in enumerate(v)
-        )
-
-    def reduce(self, v: Vector) -> Vector:
-        return tuple(
-            c if not self._divisible(self.algebra.monomials[i]) else Q0
-            for i, c in enumerate(v)
-        )
-
-    @property
-    def normal_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.basis_labels[t] for t in self._normal)
-
-    def quotient_coords(self, v: Vector) -> Vector:
-        return tuple(v[t] for t in self._normal)
-
-    def lift(self, coords: Vector) -> Vector:
-        out = [Q0] * self.algebra.dim
-        for pos, c in enumerate(coords):
-            out[self._normal[pos]] = c
-        return tuple(out)
+    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
+        monomials = self.algebra.monomials
+        return {
+            t: c
+            for t, c in v.items()
+            if c and not any(_divides(g, monomials[t]) for g in self.generators)
+        }
 
     def describe(self) -> str:
         if not self.generators:
@@ -148,88 +138,58 @@ class MonomialIdeal(IdealOracle):
 
 
 class PrincipalIdeal(IdealOracle):
-    """Ideal generated by one polynomial; membership by exact division
-    against its degree-lex leading term."""
+    """Ideal generated by one polynomial, a sparse vector; membership by
+    exact division against its degree-lex leading term."""
 
-    def __init__(self, algebra: PolynomialAlgebra, element: Vector):
+    def __init__(self, algebra: PolynomialAlgebra, element: Mapping[int, Scalar]):
         if not isinstance(algebra, PolynomialAlgebra):
             raise InputFormatError("principal ideals need a polynomial algebra")
-        if is_zero_vec(element):
+        element = nonzero(element)
+        if not element:
             raise InputFormatError("principal generator must be nonzero")
         self.algebra = algebra
-        self.generator = tuple(element)
-        lead = max(
-            (t for t, c in enumerate(element) if c),
-            key=lambda t: (sum(algebra.monomials[t]), algebra.monomials[t]),
-        )
-        self._lt_index = lead
-        self._lt_exps = algebra.monomials[lead]
+        self.generator = element
+        monomials = algebra.monomials
+        lead = max(element, key=lambda t: (sum(monomials[t]), monomials[t]))
+        self._lt_exps = monomials[lead]
         self._lt_coeff = element[lead]
         self._normal = tuple(
-            t
-            for t, e in enumerate(algebra.monomials)
-            if not all(x >= y for x, y in zip(e, self._lt_exps))
+            t for t, e in enumerate(monomials) if not _divides(self._lt_exps, e)
         )
 
-    def _order_key(self, t: int):
-        return (sum(self.algebra.monomials[t]), self.algebra.monomials[t])
-
-    def reduce(self, v: Vector) -> Vector:
+    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
         alg = self.algebra
-        work = {t: c for t, c in enumerate(v) if c}
-        remainder: dict[int, Scalar] = {}
+        monomials = alg.monomials
+        work = nonzero(v)
+        remainder: SparseRow = {}
         while work:
-            t = max(work, key=self._order_key)
+            t = max(work, key=lambda u: (sum(monomials[u]), monomials[u]))
             c = work.pop(t)
-            exps = alg.monomials[t]
-            if all(x >= y for x, y in zip(exps, self._lt_exps)):
-                q = tuple(x - y for x, y in zip(exps, self._lt_exps))
-                scale = exact(Fraction(c) / self._lt_coeff)
-                for s, gc in enumerate(self.generator):
-                    if not gc:
-                        continue
-                    target = tuple(
-                        x + y for x, y in zip(q, alg.monomials[s])
-                    )
-                    tt = alg.index[target]
-                    if tt == t:
-                        continue
-                    val = work.get(tt, Q0) - scale * gc
-                    if val:
-                        work[tt] = val
-                    else:
-                        work.pop(tt, None)
-            else:
+            exps = monomials[t]
+            if not _divides(self._lt_exps, exps):
                 remainder[t] = c
-        out = [Q0] * alg.dim
-        for t, c in remainder.items():
-            out[t] = c
-        return tuple(out)
-
-    def contains(self, v: Vector) -> bool:
-        return is_zero_vec(self.reduce(v))
-
-    @property
-    def normal_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.basis_labels[t] for t in self._normal)
-
-    def quotient_coords(self, v: Vector) -> Vector:
-        reduced = self.reduce(v)
-        return tuple(reduced[t] for t in self._normal)
-
-    def lift(self, coords: Vector) -> Vector:
-        out = [Q0] * self.algebra.dim
-        for pos, c in enumerate(coords):
-            out[self._normal[pos]] = c
-        return tuple(out)
+                continue
+            q = tuple(x - y for x, y in zip(exps, self._lt_exps))
+            scale = exact(Fraction(c) / self._lt_coeff)
+            for s, gc in self.generator.items():
+                tt = alg.index[tuple(x + y for x, y in zip(q, monomials[s]))]
+                if tt == t:
+                    continue
+                val = work.get(tt, Q0) - scale * gc
+                if val:
+                    work[tt] = val
+                else:
+                    work.pop(tt, None)
+        return remainder
 
     def describe(self) -> str:
-        return f"({self.algebra.format(self.generator)})"
+        return f"({self.algebra.format(to_dense(self.generator, self.algebra.dim))})"
 
 
 class SubspaceIdeal(IdealOracle):
     """An ideal of a finite-dimensional algebra given as a subspace;
-    two-sidedness is validated on the basis at construction."""
+    two-sidedness is validated on the basis at construction.  The normal
+    basis is the non-pivot columns of the subspace's echelon form."""
 
     def __init__(self, algebra: TableAlgebra, subspace: Subspace):
         if isinstance(algebra, PolynomialAlgebra):
@@ -246,31 +206,11 @@ class SubspaceIdeal(IdealOracle):
                     and subspace.contains(algebra.mul_sparse(row, e))
                 ):
                     raise InputFormatError("subspace is not a two-sided ideal")
-        self._complement = complement(subspace, Subspace.full(algebra.dim))
+        pivots = set(subspace.pivots)
+        self._normal = tuple(j for j in range(algebra.dim) if j not in pivots)
 
-    def contains(self, v: Vector) -> bool:
-        return self.subspace.contains(v)
-
-    def reduce(self, v: Vector) -> Vector:
+    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
         return self.subspace.reduce(v)
-
-    @property
-    def normal_labels(self) -> tuple[str, ...]:
-        return tuple(
-            self.algebra.basis_labels[p] for p in self._complement.pivots
-        )
-
-    def quotient_coords(self, v: Vector) -> Vector:
-        residual = self.subspace.reduce(v)
-        return tuple(residual[p] for p in self._complement.pivots)
-
-    def lift(self, coords: Vector) -> Vector:
-        out = [Q0] * self.algebra.dim
-        for c, row in zip(coords, self._complement.rows):
-            if c:
-                for j, x in row.items():
-                    out[j] += c * x
-        return tuple(out)
 
     def describe(self) -> str:
         return f"subspace ideal of dim {self.subspace.dim}"
@@ -290,7 +230,7 @@ class QuotientAlgebra(TableAlgebra):
         for p, lp in enumerate(lifts):
             for q, lq in enumerate(lifts):
                 try:
-                    prod = algebra.mul(lp, lq)
+                    prod = algebra.mul_sparse(lp, lq)
                 except TruncationError:
                     continue
                 coords = ideal.quotient_coords(prod)
@@ -298,31 +238,18 @@ class QuotientAlgebra(TableAlgebra):
         super().__init__(
             ideal.normal_labels,
             table,
-            ideal.quotient_coords(algebra.unit_vector()),
+            ideal.quotient_coords(dict(enumerate(algebra.unit_vector()))),
             degree_bound=algebra.degree_bound,
             name=f"A/{ideal.describe()}",
         )
         self.ideal = ideal
 
-    def project(self, v: Vector) -> Vector:
+    def project(self, v: Mapping[int, Scalar]) -> Vector:
         return self.ideal.quotient_coords(v)
-
-
-def quotient_ring(ideal: IdealOracle) -> QuotientAlgebra:
-    return QuotientAlgebra(ideal)
 
 
 # ---------------------------------------------------------------------------
 # actions
-
-
-def apply_columns(op: Sequence[SparseRow], v: Mapping[int, Scalar]) -> SparseRow:
-    """The image of the sparse vector v under the operator with sparse
-    columns op; cancellation may leave zero entries."""
-    out: SparseRow = {}
-    for j, x in v.items():
-        _add_scaled(out, x, op[j])
-    return out
 
 
 def _add_scaled(acc: SparseRow, c: Scalar, v: Mapping[int, Scalar]) -> None:
@@ -375,15 +302,16 @@ class ModuleAlgebraAction:
         rest = host.index_pos[m[:t] + (k - 1,) + m[t + 1 :]]
         op, scale = self.gen_ops[host.gens.ids[t]], Fraction(1, k)
         out = [
-            {r: exact(c * scale) for r, c in apply_columns(op, col).items() if c}
+            {r: exact(c * scale) for r, c in combine(op, col).items()}
             for col in self.columns(rest)
         ]
         self._columns[p] = out
         return out
 
-    def act(self, p: int, v: Vector) -> Vector:
-        image = apply_columns(self.columns(p), to_sparse(v))
-        return to_dense(image, self.algebra.dim)
+    def act(self, p: int, v: Mapping[int, Scalar]) -> SparseRow:
+        """The image of the sparse vector v under the operator of the index
+        at host position p, without zeros."""
+        return combine(self.columns(p), v)
 
 
 def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
@@ -400,11 +328,11 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
         gid: host.index_pos[tuple(int(s == t) for s in range(len(gens)))]
         for t, gid in enumerate(gens.ids)
     }
-    one = alg.unit_vector()
+    one = dict(enumerate(alg.unit_vector()))
     for gid, _ in gens.generators:
         eps = data.counit_of(host.lifts[gid])
         image = action.act(at[gid], one)
-        expected = tuple(eps * c for c in one)
+        expected = {k: eps * c for k, c in one.items() if eps * c}
         rep.add(
             "unit-law",
             gid,
@@ -425,9 +353,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                 # a pair is skipped when e_a e_b, or a product of the
                 # supports of the images, lies past the truncation
                 try:
-                    lhs: SparseRow = {}
-                    for k, c in alg.product_terms(a, b):
-                        _add_scaled(lhs, c, act_g[k])
+                    lhs = combine(act_g, dict(alg.product_terms(a, b)))
                     rhs: SparseRow = {}
                     for left, right, c in terms:
                         _add_scaled(rhs, c, alg.mul_sparse(left[a], right[b]))
@@ -435,7 +361,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                     skipped += 1
                     continue
                 checked += 1
-                if nonzero(lhs) != nonzero(rhs):
+                if lhs != nonzero(rhs):
                     bad += 1
                     if not witness:
                         witness = f"{alg.basis_labels[a]},{alg.basis_labels[b]}"
@@ -447,7 +373,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             + (f", first failure at {witness}" if witness else ""),
         )
 
-    lifts = {gid: to_sparse(v) for gid, v in host.lifts.items()}
+    lifts = host.lifts
     for gid, dg in gens.generators:
         for hid, dh in gens.generators:
             if dg + dh > data.degree_bound:
@@ -459,7 +385,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                 expected: SparseRow = {}
                 for idx, c in expansion.items():
                     _add_scaled(expected, c, action.columns(idx)[j])
-                if nonzero(apply_columns(op_g, col_h)) != nonzero(expected):
+                if combine(op_g, col_h) != nonzero(expected):
                     ok = False
                     break
             rep.add("relation-compatibility", f"{gid},{hid}", PASS if ok else FAIL)
@@ -467,14 +393,15 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
 
 
 def conv_map(
-    action: ModuleAlgebraAction, ring: QuotientAlgebra, a: Vector
+    action: ModuleAlgebraAction, ring: QuotientAlgebra, a: Mapping[int, Scalar]
 ) -> ConvElement:
-    """The element (index -> class of the image of a) of the convolution
-    algebra over A/I; its kernel over all of A is the stable core."""
+    """The element (index -> class of the image of the sparse vector a) of
+    the convolution algebra over A/I; its kernel over all of A is the
+    stable core."""
     values = {}
     for p in range(len(action.host.indices)):
         coords = ring.project(action.act(p, a))
-        if not is_zero_vec(coords):
+        if not ring.is_zero(coords):
             values[p] = coords
     return ConvElement(action.host, ring, values)
 
@@ -525,15 +452,13 @@ def hcore(
         # the indices of degree d are a run of positions
         for p in range(host.count_up_to(d - 1), host.count_up_to(d)):
             columns = action.columns(p)
-            by_pos: dict[int, dict[int, Scalar]] = {}
+            # one condition per normal basis vector: its coefficient in the
+            # normal form of the image vanishes
+            by_normal: dict[int, dict[int, Scalar]] = {}
             for t, c in enumerate(cols):
-                if not columns[c]:
-                    continue
-                image = ideal.quotient_coords(to_dense(columns[c], alg.dim))
-                for pos, x in enumerate(image):
-                    if x:
-                        by_pos.setdefault(pos, {})[t] = x
-            rows.extend(by_pos[pos] for pos in sorted(by_pos))
+                for k, x in ideal.reduce(columns[c]).items():
+                    by_normal.setdefault(k, {})[t] = x
+            rows.extend(by_normal[k] for k in sorted(by_normal))
         cores.append(embed(kernel(rows, len(cols))))
     stabilized = len(cores) >= 2 and cores[-1] == cores[-2]
     return HCoreResult(cores[-1], tuple(cores), stabilized)
@@ -563,9 +488,9 @@ def core_primeness_probe(
     candidates = [
         i
         for i in range(alg.dim)
-        if alg.degrees[i] <= bound and not core.contains(unit_vec(alg.dim, i))
+        if alg.degrees[i] <= bound and not core.contains({i: Q1})
     ]
-    images = {i: conv_map(action, ring, unit_vec(alg.dim, i)) for i in candidates}
+    images = {i: conv_map(action, ring, {i: Q1}) for i in candidates}
 
     if mode == "semiprime":
         for i in candidates:

@@ -31,7 +31,7 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, SparseRow, Subspace, exact, rat, rat_str, unit_vec
+from .linalg import Q0, SparseRow, Subspace, exact, nonzero, rat, rat_str, unit_vec
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, dumps
 from .table import (
@@ -78,13 +78,14 @@ def _exponents(algebra: PolynomialAlgebra, mono, what: str) -> list[int]:
     return exps
 
 
-def _poly_vector(algebra: PolynomialAlgebra, terms) -> tuple:
-    coords = [Q0] * algebra.dim
+def _poly_vector(algebra: PolynomialAlgebra, terms) -> SparseRow:
+    coords: SparseRow = {}
     for term in terms:
         term = json_object(term, "a term")
         exps = _exponents(algebra, term.get("monomial", {}), "a monomial")
-        coords[algebra.monomial_index(exps)] += rat(term.get("coeff", "1"))
-    return tuple(coords)
+        t = algebra.monomial_index(exps)
+        coords[t] = coords.get(t, Q0) + rat(term.get("coeff", "1"))
+    return nonzero(coords)
 
 
 def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
@@ -528,7 +529,7 @@ def cmd_hcore(args) -> int:
         f"dim {result.core.dim}, stabilized={result.stabilized}",
     )
 
-    ring = action_mod.quotient_ring(ideal)
+    ring = action_mod.QuotientAlgebra(ideal)
     mode_map = {
         "completely_prime": "domain",
         "prime": "prime",

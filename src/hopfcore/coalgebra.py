@@ -39,8 +39,10 @@ from .linalg import (
     Q0,
     Q1,
     Scalar,
+    SparseRow,
     Subspace,
     Vector,
+    combine,
     complement,
     exact,
     inverse,
@@ -48,8 +50,6 @@ from .linalg import (
     nonzero,
     rat,
     rat_str,
-    to_dense,
-    to_sparse,
     unit_vec,
 )
 from .monoid import splittings
@@ -128,31 +128,28 @@ class FilteredBialgebraData(TableAlgebra):
 
     # -- linear extensions ---------------------------------------------------
 
-    def comult_map(self, v: Vector) -> TensorMap:
+    def comult_map(self, v: Mapping[int, Scalar]) -> TensorMap:
         out: TensorMap = {}
-        for i, a in enumerate(v):
-            if not a:
-                continue
+        for i, a in v.items():
             for j, k, c in self._comult[i]:
                 key = (j, k)
                 out[key] = out.get(key, Q0) + a * c
         return {key: c for key, c in out.items() if c}
 
-    def counit_of(self, v: Vector) -> Scalar:
-        return sum((a * e for a, e in zip(v, self._counit) if a and e), Q0)
+    def counit_of(self, v: Mapping[int, Scalar]) -> Scalar:
+        counit = self._counit
+        return sum((a * counit[i] for i, a in v.items()), Q0)
 
     @property
     def counit(self) -> Vector:
         return self._counit
 
-    def antipode_of(self, v: Vector) -> Vector:
-        out = [Q0] * self.dim
-        for i, a in enumerate(v):
-            if not a:
-                continue
+    def antipode_of(self, v: Mapping[int, Scalar]) -> SparseRow:
+        out: SparseRow = {}
+        for i, a in v.items():
             for k, c in self.antipode_terms(i):
-                out[k] += a * c
-        return tuple(out)
+                out[k] = out.get(k, Q0) + a * c
+        return nonzero(out)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +325,7 @@ class CoradicalFiltration(namedtuple("CoradicalFiltration", "layers")):
     def exhaustive(self) -> bool:
         return self.layers[-1].dim == self.layers[-1].ambient_dim
 
-    def layer_of(self, v: Vector) -> int:
+    def layer_of(self, v: Mapping[int, Scalar]) -> int:
         for n, layer in enumerate(self.layers):
             if layer.contains(v):
                 return n
@@ -366,7 +363,7 @@ def coradical_filtration(data: FilteredBialgebraData) -> CoradicalFiltration:
     layer where it stalls below the full truncated space; the
     connectedness step ``require_connected`` tells the two apart."""
     dim = data.dim
-    base = Subspace.from_vectors([data.unit_vector()], dim)
+    base = Subspace.from_sparse([{data.unit_index: Q1}], dim)
     layers = [base]
     for _ in range(data.degree_bound):
         prev = layers[-1]
@@ -410,7 +407,7 @@ def check_connected(data: FilteredBialgebraData) -> bool:
 class GradedSplitting(
     namedtuple(
         "GradedSplitting",
-        "data components vectors sparse_vectors degrees labels to_split_units comult",
+        "data components vectors degrees labels to_split_units comult",
     )
 ):
     """Homogeneous components H(n) with C_n = H(0) + ... + H(n), the basis
@@ -418,11 +415,12 @@ class GradedSplitting(
     splitting vector in split coordinates.
 
     ``components`` holds H(0), ..., H(D) as ``Subspace``s.  One entry per
-    splitting vector: ``vectors`` (dense) and ``sparse_vectors`` on the basis
-    of ``data``, ``degrees``, ``labels`` and ``comult`` (a ``TensorMap`` in
-    split coordinates); ``to_split_units[j]`` holds the split coordinates of
-    basis vector j of ``data``.  No ``__slots__``: the cached ``delta`` lives
-    in the instance dict."""
+    splitting vector: ``vectors`` (on the basis of ``data``), ``degrees``,
+    ``labels`` and ``comult`` (a ``TensorMap`` in split coordinates);
+    ``to_split_units[j]`` holds the split coordinates of basis vector j of
+    ``data``.  Raw and split coordinates are both sparse {index:
+    coefficient} without zeros.  No ``__slots__``: the cached ``delta``
+    lives in the instance dict."""
 
     @property
     def dim(self) -> int:
@@ -443,41 +441,24 @@ class GradedSplitting(
             for k, tmap in enumerate(self.comult)
         )
 
-    def to_split_sparse(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """Split coordinates of a sparse raw vector, without zeros."""
-        out: dict[int, Scalar] = {}
-        for j, a in v.items():
-            if a:
-                for k, c in self.to_split_units[j].items():
-                    out[k] = out.get(k, Q0) + a * c
-        return {k: c for k, c in out.items() if c}
+    def to_split(self, v: Mapping[int, Scalar]) -> SparseRow:
+        """Split coordinates of a raw vector."""
+        return combine(self.to_split_units, v)
 
-    def product(self, a: int, b: int) -> dict[int, Scalar]:
+    def from_split(self, coords: Mapping[int, Scalar]) -> SparseRow:
+        """The raw vector with the given split coordinates."""
+        return combine(self.vectors, coords)
+
+    def product(self, a: int, b: int) -> SparseRow:
         """Split coordinates of the product of splitting vectors a and b;
         raises TruncationError when the product leaves the truncation."""
-        return self.to_split_sparse(
-            self.data.mul_sparse(self.sparse_vectors[a], self.sparse_vectors[b])
-        )
-
-    def to_split(self, v: Vector) -> Vector:
-        return to_dense(self.to_split_sparse(to_sparse(v)), self.dim)
-
-    def from_split(self, coords: Vector) -> Vector:
-        out = [Q0] * self.data.dim
-        for k, c in enumerate(coords):
-            if not c:
-                continue
-            row = self.vectors[k]
-            for j in range(self.data.dim):
-                if row[j]:
-                    out[j] += c * row[j]
-        return tuple(out)
+        return self.to_split(self.data.mul_sparse(self.vectors[a], self.vectors[b]))
 
     def split_tensor(self, tmap: TensorMap) -> TensorMap:
         return _split_tensor(self.to_split_units, tmap)
 
-    def max_degree(self, coords: Vector) -> int:
-        return max((self.degrees[k] for k, c in enumerate(coords) if c), default=0)
+    def max_degree(self, coords: Mapping[int, Scalar]) -> int:
+        return max((self.degrees[k] for k, c in coords.items() if c), default=0)
 
 
 def _split_tensor(
@@ -502,13 +483,13 @@ def graded_splitting(
     for n in range(1, len(filt.layers)):
         comps.append(complement(filt.layers[n - 1], filt.layers[n], data.counit))
 
-    sparse_vectors: list[dict[int, Scalar]] = []
+    vectors: list[SparseRow] = []
     degrees: list[int] = []
     labels: list[str] = []
     used: set[str] = set()
     for n, comp in enumerate(comps):
         for row, pivot in zip(comp.rows, comp.pivots):
-            sparse_vectors.append(row)
+            vectors.append(row)
             degrees.append(n)
             name = data.label(pivot)
             if name in used:
@@ -519,13 +500,11 @@ def graded_splitting(
     # to_split_units[j] is column j of the inverse of the matrix whose
     # columns are the splitting vectors, i.e. row j of the inverse of its
     # transpose, whose rows are the splitting vectors
-    vectors = tuple(to_dense(v, data.dim) for v in sparse_vectors)
-    units = tuple(inverse(sparse_vectors, data.dim))
+    units = tuple(inverse(vectors, data.dim))
     return GradedSplitting(
         data=data,
         components=tuple(comps),
-        vectors=vectors,
-        sparse_vectors=tuple(sparse_vectors),
+        vectors=tuple(vectors),
         degrees=tuple(degrees),
         labels=tuple(labels),
         to_split_units=units,
@@ -562,11 +541,7 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
         antipode = {}
         for k in range(dim):
             image = split.to_split(data.antipode_of(split.vectors[k]))
-            antipode[k] = tuple(
-                (l, c)
-                for l, c in enumerate(image)
-                if c and degrees[l] == degrees[k]
-            )
+            antipode[k] = [(l, c) for l, c in image.items() if degrees[l] == degrees[k]]
     return FilteredBialgebraData(
         basis_labels=split.labels,
         degree_bound=bound,
@@ -617,7 +592,7 @@ def check_primitivity_defects(
     sum_{i=1}^{n-1} C_i (x) C_{n-i}."""
     rep = Report("primitivity-defect")
     for i in range(data.dim):
-        v = unit_vec(data.dim, i)
+        v = {i: Q1}
         n = filt.layer_of(v)
         if n == 0:
             rep.add("primitivity-defect", data.label(i), SKIP, "degree 0")

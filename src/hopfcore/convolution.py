@@ -113,21 +113,29 @@ def builtin_ring(name: str) -> TableAlgebra:
 
 
 def ring_from_tables(obj: Mapping) -> TableAlgebra:
+    """A coefficient ring from its JSON table.  The basis must be nonempty,
+    and each declared flag is a JSON true, false or null; an absent flag is
+    None, undeclared."""
     try:
         labels = string_list(obj["basis"], 'ring "basis"')
+        if not labels:
+            raise InputFormatError('ring "basis" must not be empty')
         pos = {s: i for i, s in enumerate(labels)}
         table = parse_table(obj["mult"], pos)
         one = [Q0] * len(labels)
         for a, c in json_object(obj["one"], 'ring "one"').items():
             one[pos[a]] = rat(c)
         flags_obj = json_object(obj.get("flags", {}), 'ring "flags"')
-        flags = RingFlags(
-            is_prime=flags_obj.get("prime"),
-            is_semiprime=flags_obj.get("semiprime"),
-            is_domain=flags_obj.get("domain"),
-        )
+        flags = []
+        for key in ("prime", "semiprime", "domain"):
+            value = flags_obj.get(key)
+            if value is not None and not isinstance(value, bool):
+                raise InputFormatError(
+                    f"ring flag {key!r} must be true, false or null, got {value!r}"
+                )
+            flags.append(value)
         return TableAlgebra.finite(
-            labels, table, tuple(one), str(obj.get("name", "user")), flags
+            labels, table, tuple(one), str(obj.get("name", "user")), RingFlags(*flags)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed ring table: {exc}") from exc

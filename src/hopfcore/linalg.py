@@ -4,11 +4,12 @@ Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
 The two mix exactly, compare and hash equal, and integral arithmetic stays
 in ``int``.  Every place that creates a scalar by division or parsing
 passes it through ``exact``, and division is always by a ``Fraction``, so
-no floating point enters anywhere.  Vectors are tuples of scalars or sparse
-rows {column: coefficient} without zeros; matrices exist only as lists of
-sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
-``inverse`` take sparse rows, and one echelon keyed by pivot column reduces
-them, so the work follows the nonzero entries rather than the matrix shape.
+no floating point enters anywhere.  Vectors are sparse rows {column:
+coefficient} without zeros; dense tuples of scalars serve only
+coefficient-ring values and report text.  Matrices exist only as lists of
+sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and ``inverse``
+take sparse rows, and one echelon keyed by pivot column reduces them, so
+the work follows the nonzero entries rather than the matrix shape.
 Subspaces are kept in reduced row echelon form, which is a canonical
 representative: two subspaces are equal iff their pivots and sparse echelon
 rows are equal.
@@ -82,6 +83,19 @@ def to_dense(entries: Mapping[int, Scalar], n: int) -> Vector:
     for i, a in entries.items():
         out[i] = a
     return tuple(out)
+
+
+def combine(rows, coeffs: Mapping[int, Scalar]) -> SparseRow:
+    """The sparse vector sum of c * rows[k] over the entries k: c of the
+    sparse vector coeffs, without zeros: the image of coeffs under the
+    matrix whose columns are the sparse vectors rows (a sequence, or a
+    mapping that holds every key of a nonzero entry of coeffs)."""
+    out: SparseRow = {}
+    for k, a in coeffs.items():
+        if a:
+            for j, c in rows[k].items():
+                out[j] = out.get(j, Q0) + a * c
+    return {j: c for j, c in out.items() if c}
 
 
 def is_zero_vec(v: Vector) -> bool:
@@ -204,7 +218,7 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
         """The echelon rows as dense vectors, for reports."""
         return tuple(to_dense(r, self.ambient_dim) for r in self.rows)
 
-    def reduce_sparse(self, v: Mapping[int, Scalar]) -> SparseRow:
+    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
         """Residual of the sparse vector v after subtracting its projection
         along the basis, without zeros.  A basis row vanishes at every other
         pivot, so one pass subtracts the rows at the pivots v hits."""
@@ -214,13 +228,9 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
                 _sub_scaled(out, out[p], row)
         return out
 
-    def reduce(self, v: Vector) -> Vector:
-        """Residual of v after subtracting its projection along the basis."""
-        return to_dense(self.reduce_sparse(to_sparse(v)), self.ambient_dim)
-
-    def contains(self, v: Vector | Mapping[int, Scalar]) -> bool:
-        """Membership of v, dense or sparse {index: coefficient}."""
-        return not self.reduce_sparse(v if isinstance(v, Mapping) else to_sparse(v))
+    def contains(self, v: Mapping[int, Scalar]) -> bool:
+        """Membership of the sparse vector v {index: coefficient}."""
+        return not self.reduce(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

@@ -34,16 +34,15 @@ from .linalg import (
     Q0,
     Q1,
     Scalar,
+    SparseRow,
     Subspace,
-    Vector,
+    combine,
     complement,
     exact,
     inverse,
     nonzero,
     rank,
     rat_str,
-    to_dense,
-    to_sparse,
 )
 from .monoid import GeneratorSet, splittings, weighted_degree
 from .report import FAIL, PASS, Report
@@ -51,7 +50,7 @@ from .report import FAIL, PASS, Report
 
 def extract_generators(
     gr: FilteredBialgebraData,
-) -> tuple[GeneratorSet, dict[str, Vector]]:
+) -> tuple[GeneratorSet, dict[str, SparseRow]]:
     """Minimal homogeneous generators of the associated graded algebra.
 
     In each degree d the generators span a pivot-greedy complement of the
@@ -64,7 +63,7 @@ def extract_generators(
         raise NotPolynomial("graded instance carries no degree labels")
     dim = gr.dim
     gens: list[tuple[str, int]] = []
-    vectors: dict[str, Vector] = {}
+    vectors: dict[str, SparseRow] = {}
     for d in range(1, gr.degree_bound + 1):
         level = [k for k in range(dim) if degrees[k] == d]
         if not level:
@@ -84,7 +83,7 @@ def extract_generators(
             if name in vectors:
                 name = f"{name}@{d}"
             gens.append((name, d))
-            vectors[name] = to_dense(row, dim)
+            vectors[name] = row
 
     genset = GeneratorSet(gens)
     for d in range(gr.degree_bound + 1):
@@ -101,19 +100,17 @@ def extract_generators(
 def lift_generators(
     split: GradedSplitting,
     gens: GeneratorSet,
-    gr_gens: dict[str, Vector],
-) -> dict[str, Vector]:
+    gr_gens: dict[str, SparseRow],
+) -> dict[str, SparseRow]:
     """Lift each homogeneous generator through the splitting; the lift's
     top-degree class is re-checked to be the generator itself."""
-    lifts: dict[str, Vector] = {}
+    lifts: dict[str, SparseRow] = {}
     for gid, d in gens.generators:
         coords = gr_gens[gid]
         lift = split.from_split(coords)
         back = split.to_split(lift)
-        top = tuple(
-            back[k] if split.degrees[k] == d else Q0 for k in range(split.dim)
-        )
-        if top != tuple(coords) or split.max_degree(back) > d:
+        top = {k: c for k, c in back.items() if split.degrees[k] == d}
+        if top != coords or split.max_degree(back) > d:
             raise BasisDefect(f"lift of generator {gid!r} does not project back")
         lifts[gid] = lift
     return lifts
@@ -136,8 +133,8 @@ class PBWStructure:
         split: GradedSplitting,
         gr: FilteredBialgebraData,
         gens: GeneratorSet,
-        gr_gens: dict[str, Vector],
-        lifts: dict[str, Vector],
+        gr_gens: dict[str, SparseRow],
+        lifts: dict[str, SparseRow],
     ):
         self.data = data
         self.filt = filt
@@ -156,7 +153,6 @@ class PBWStructure:
             self._prefix[d] += 1
         for d in range(1, len(self._prefix)):
             self._prefix[d] += self._prefix[d - 1]
-        self._sparse_lifts = {gid: to_sparse(v) for gid, v in lifts.items()}
         self._monomials: dict[int, dict[int, Scalar]] = {}
         self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
@@ -213,7 +209,7 @@ class PBWStructure:
 
     # -- monomials -----------------------------------------------------------
 
-    def sparse_monomial(self, p: int) -> dict[int, Scalar]:
+    def pbw_monomial(self, p: int) -> SparseRow:
         """e_m for the index m at position p, as its nonzero raw
         coordinates, computed left to right in increasing generator order
         with the divided scaling 1/m(g)! applied per generator block;
@@ -222,21 +218,17 @@ class PBWStructure:
         if cached is not None:
             return cached
         m = self._require(p)
-        v = to_sparse(self.data.unit_vector())
+        v = {self.data.unit_index: Q1}
         for gid, k in zip(self.gens.ids, m):
             if not k:
                 continue
-            lift = self._sparse_lifts[gid]
+            lift = self.lifts[gid]
             for _ in range(k):
                 v = nonzero(self.data.mul_sparse(v, lift))
             scale = Fraction(1, factorial(k))
             v = {i: exact(a * scale) for i, a in v.items()}
         self._monomials[p] = v
         return v
-
-    def pbw_monomial(self, p: int) -> Vector:
-        """e_m as a dense vector: a view of ``sparse_monomial``."""
-        return to_dense(self.sparse_monomial(p), self.data.dim)
 
     # -- basis change ----------------------------------------------------------
 
@@ -252,7 +244,7 @@ class PBWStructure:
             )
         rows = []
         for p in range(count):
-            v = self.sparse_monomial(p)
+            v = self.pbw_monomial(p)
             if not layer.contains(v):
                 raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
             rows.append(v)
@@ -276,7 +268,7 @@ class PBWStructure:
         # row j of the inverse of the matrix whose rows are the monomials
         # expands e_j on them
         self._raw_to_pbw = inverse(
-            [self.sparse_monomial(p) for p in range(len(self.indices))],
+            [self.pbw_monomial(p) for p in range(len(self.indices))],
             self.data.dim,
         )
 
@@ -284,25 +276,19 @@ class PBWStructure:
         """Exact expansion of a sparse raw vector on the monomial basis, as
         {position: coefficient} in ascending position, zeros dropped."""
         self._ensure_full_basis()
-        out: dict[int, Scalar] = {}
-        for j, a in v.items():
-            if not a:
-                continue
-            for k, c in self._raw_to_pbw[j].items():
-                out[k] = out.get(k, Q0) + a * c
-        return {k: c for k, c in sorted(out.items()) if c}
+        return dict(sorted(combine(self._raw_to_pbw, v).items()))
 
     # -- products --------------------------------------------------------------
 
-    def structure_constant(self, p: int, q: int) -> tuple[Scalar, Vector]:
+    def structure_constant(self, p: int, q: int) -> tuple[Scalar, SparseRow]:
         """Multinomial leading coefficient and the defect
         e_n e_m - c e_{n+m}, asserted to lie one filtration layer down."""
         total = self.index_sum(p, q)
         if total is None:
             raise TruncationError("product degree exceeds the bound")
         c = prod(comb(a + b, a) for a, b in zip(self.indices[p], self.indices[q]))
-        defect = self.data.mul_sparse(self.sparse_monomial(p), self.sparse_monomial(q))
-        for k, a in self.sparse_monomial(total).items():
+        defect = self.data.mul_sparse(self.pbw_monomial(p), self.pbw_monomial(q))
+        for k, a in self.pbw_monomial(total).items():
             defect[k] = defect.get(k, Q0) - c * a
         deg = self.degrees[total]
         if deg == 0:
@@ -312,7 +298,7 @@ class PBWStructure:
         if not ok:
             name = self.labels
             raise BasisDefect(f"defect of e_{name[p]} e_{name[q]} escapes layer {deg - 1}")
-        return c, to_dense(defect, self.data.dim)
+        return c, nonzero(defect)
 
     # -- comultiplication --------------------------------------------------------
 
@@ -408,14 +394,11 @@ class PBWStructure:
         rep = Report("span-closure")
         bound = self.data.degree_bound
 
-        def sample_elem(top: int) -> dict[int, Scalar]:
-            v: dict[int, Scalar] = {}
-            for i in range(top + 1):
-                c = rng.randint(-2, 2)
-                if c:
-                    for k, a in self.sparse_monomial(i).items():
-                        v[k] = v.get(k, Q0) + c * a
-            return nonzero(v)
+        def sample_elem(top: int) -> SparseRow:
+            coeffs = {i: rng.randint(-2, 2) for i in range(top + 1)}
+            return combine(
+                {i: self.pbw_monomial(i) for i, c in coeffs.items() if c}, coeffs
+            )
 
         # positions ascend in the well-order, which compares degrees first,
         # so "every index <= m" and "every index of degree <= d" are prefixes

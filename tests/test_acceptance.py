@@ -38,11 +38,11 @@ from hopfcore.action import (
     MonomialIdeal,
     PrincipalIdeal,
     core_primeness_probe,
+    QuotientAlgebra,
     hcore,
-    quotient_ring,
 )
 from hopfcore.errors import NoWitnessFound, TruncationError
-from hopfcore.linalg import Subspace, rank, to_sparse, unit_vec
+from hopfcore.linalg import Subspace, rank, unit_vec
 from hopfcore.monoid import GeneratorSet, weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra
@@ -160,7 +160,7 @@ def test_acceptance_3_pbw_bases():
         for p in structures:
             p.verify_all_bases()
             for n in range(p.data.degree_bound + 1):
-                rows = [p.sparse_monomial(q) for q in range(p.count_up_to(n))]
+                rows = [p.pbw_monomial(q) for q in range(p.count_up_to(n))]
                 assert rank(rows, p.data.dim) == p.filt.layers[n].dim
 
         rng = random.Random(1)
@@ -186,7 +186,7 @@ def test_acceptance_3_pbw_bases():
                 assert c == expected
                 # defect expands strictly below the sum degree
                 total = weighted_degree(add(n, m), p.gens.weights)
-                for i, coeff in p.pbw_coords(to_sparse(defect)).items():
+                for i, coeff in p.pbw_coords(defect).items():
                     assert coeff
                     assert weighted_degree(p.indices[i], p.gens.weights) < total
 
@@ -282,7 +282,7 @@ def _sl2_setup():
     host = _fresh_sl2()
     algebra = PolynomialAlgebra(["x", "y"], 8)
     act = ModuleAlgebraAction(host, algebra, _sl2_operators(algebra))
-    ideal = PrincipalIdeal(algebra, unit_vec(algebra.dim, algebra.index[(1, 0)]))
+    ideal = PrincipalIdeal(algebra, {algebra.index[(1, 0)]: 1})
     return host, algebra, act, ideal
 
 
@@ -295,7 +295,7 @@ def test_acceptance_7_hcore_and_probe():
         for small, large in zip(chain.by_cap[1:], chain.by_cap):
             assert large.contains_subspace(small)
 
-        ring = quotient_ring(ideal)
+        ring = QuotientAlgebra(ideal)
         probe = core_primeness_probe(act, ideal, ring, chain.core, "domain", 3)
         assert probe.counts["FAIL"] == 0
         assert probe.counts["PASS"] > 0
@@ -331,11 +331,11 @@ def test_acceptance_7_hcore_zero_by_cap_three():
     """
     with criterion("7", "cap-3 core of (x) is span{x^4}, emptied by f^(4)", 60.0):
         host, algebra, act, ideal = _sl2_setup()
-        x4 = unit_vec(algebra.dim, algebra.index[(4, 0)])
-        y4 = unit_vec(algebra.dim, algebra.index[(0, 4)])
+        x4 = {algebra.index[(4, 0)]: 1}
+        y4 = {algebra.index[(0, 4)]: 1}
 
         assert hcore(act, ideal, 3, 3).core.dim == 0
-        assert hcore(act, ideal, 4, 3).core == Subspace.from_vectors(
+        assert hcore(act, ideal, 4, 3).core == Subspace.from_sparse(
             [x4], algebra.dim
         )
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcore import convolution
 from hopfcore.cli import main
@@ -501,6 +506,17 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          "degree of 's' must be an integer >= 0, got 1.5"),
         ("instance", NONASSOCIATIVE_RAW,
          "multiplication is not associative: (x*x)*x != x*(x*x)"),
+        ("ring", {"basis": ["1"], "one": {"1": "1"}, "mult": {"1": {"1": {"1": "1"}}},
+                  "flags": {"prime": "no", "semiprime": True, "domain": True}},
+         "ring flag 'prime' must be true, false or null, got 'no'"),
+        ("ring", {"basis": ["1"], "one": {"1": "1"}, "mult": {"1": {"1": {"1": "1"}}},
+                  "flags": {"prime": True, "semiprime": 1, "domain": True}},
+         "ring flag 'semiprime' must be true, false or null, got 1"),
+        ("ring", {"basis": ["1"], "one": {"1": "1"}, "mult": {"1": {"1": {"1": "1"}}},
+                  "flags": {"prime": True, "semiprime": True, "domain": [True]}},
+         "ring flag 'domain' must be true, false or null, got [True]"),
+        ("ring", {"basis": [], "mult": {}, "one": {}},
+         'ring "basis" must not be empty'),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -518,7 +534,8 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          "raw-antipode-law", "core-cap-negative", "core-cap-fractional",
          "core-cap-bool", "core-cap-string", "degree-bound-fractional",
          "degree-bound-string", "degree-bound-bool", "raw-degree-fractional",
-         "raw-nonassociative"],
+         "raw-nonassociative", "ring-flag-string", "ring-flag-number",
+         "ring-flag-list", "ring-basis-empty"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,
@@ -634,6 +651,68 @@ def test_splitting_without_counit_adjuster_fails_the_pipeline(tmp_path):
         "status": "FAIL",
         "subject": "construction",
     }
+
+
+DUAL_RING = {
+    "name": "dual",
+    "basis": ["1", "t"],
+    "one": {"1": "1"},
+    "mult": {"1": {"1": {"1": "1"}, "t": {"t": "1"}}, "t": {"1": {"t": "1"}}},
+    "flags": {"prime": False, "semiprime": False, "domain": False},
+}
+ABSENT = object()
+
+_labels = st.sampled_from(["1", "t", "x"]) | st.text(max_size=2)
+_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(width=16)
+    | st.sampled_from(["1", "-1", "1/2", "0", "2/0", "x"])
+)
+_json = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_labels, inner, max_size=3),
+    max_leaves=8,
+)
+_combos = st.dictionaries(_labels, _leaves, max_size=2)
+_ring_fields = {
+    "basis": st.lists(_labels, max_size=4),
+    "mult": st.dictionaries(
+        _labels, st.dictionaries(_labels, _combos, max_size=3), max_size=3
+    ),
+    "one": _combos,
+    "flags": st.dictionaries(
+        st.sampled_from(["prime", "semiprime", "domain"]) | _labels,
+        _leaves,
+        max_size=3,
+    ),
+    "name": _leaves,
+}
+mutated_rings = st.fixed_dictionaries(
+    {
+        key: st.just(DUAL_RING.get(key, ABSENT)) | st.just(ABSENT) | typed | _json
+        for key, typed in _ring_fields.items()
+    }
+).map(lambda ring: {k: v for k, v in ring.items() if v is not ABSENT})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=mutated_rings)
+def test_mutated_ring_tables_end_in_a_report(ring):
+    """A ring table with any of its fields replaced, mistyped or removed
+    ends in a JSON report with a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ring.json"
+        path.write_text(json.dumps(ring))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([
+                "conv", "--instance", str(INSTANCES / "dq.json"),
+                "--ring", str(path), "--trials", "2",
+            ])
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert {"schema", "status"} <= set(report)
+    assert err.getvalue() == ""
 
 
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):

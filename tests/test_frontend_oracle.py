@@ -23,7 +23,7 @@ from hopfcore.coalgebra import (
     graded_splitting,
     instance_from_json,
 )
-from hopfcore.linalg import Q0, Q1, unit_vec
+from hopfcore.linalg import Q0, Q1, to_dense, unit_vec
 from hopfcore.table import SparseVec
 from conftest import load_fixture
 
@@ -151,8 +151,11 @@ def dense_gr_table(split) -> dict[tuple[int, int], SparseVec]:
             target = degrees[a] + degrees[b]
             if target > bound:
                 continue
-            prod = split.data.multiply(split.vectors[a], split.vectors[b])
-            coords = split.to_split(prod)
+            prod = split.data.multiply(
+                to_dense(split.vectors[a], split.data.dim),
+                to_dense(split.vectors[b], split.data.dim),
+            )
+            coords = to_dense(split.to_split(dict(enumerate(prod))), split.dim)
             table[(a, b)] = tuple(
                 (k, c) for k, c in enumerate(coords) if c and degrees[k] == target
             )
@@ -168,8 +171,8 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
             if degree != d:
                 continue
             dense = [
-                ideal.quotient_coords(tuple(action.columns(p)[c].get(i, Q0)
-                                            for i in range(alg.dim)))
+                ideal.quotient_coords({i: action.columns(p)[c].get(i, Q0)
+                                       for i in range(alg.dim)})
                 for c in cols
             ]
             for pos in range(ideal.quotient_dim):
@@ -205,11 +208,12 @@ def dense_reduce(space, v):
 def assert_reduce_matches_dense(spaces, vectors):
     for space in spaces:
         for v in vectors:
-            residual = space.reduce(v)
-            assert residual == dense_reduce(space, v)
-            assert space.contains(v) == (not any(residual))
+            expected = dense_reduce(space, v)
+            residual = space.reduce(dict(enumerate(v)))
+            assert residual == {j: x for j, x in enumerate(expected) if x}
+            assert space.contains(dict(enumerate(v))) == (not any(expected))
             assert space.contains({j: x for j, x in enumerate(v) if x}) == (
-                not any(residual)
+                not any(expected)
             )
 
 
@@ -245,7 +249,8 @@ def test_front_end_matches_dense_oracle(name, degree):
     vectors = [oracle[0][0][0]]
     for n in range(1, len(oracle)):
         vectors += dense_complement(oracle[n - 1], oracle[n], data.counit)
-    assert list(split.vectors) == vectors
+    assert [to_dense(v, data.dim) for v in split.vectors] == vectors
+    assert all(all(v.values()) for v in split.vectors)
     assert split.to_split_units == dense_split_units(vectors, data.dim)
 
     gr = gr_structure(split)

@@ -1,0 +1,311 @@
+"""The ideal oracles against the dense classes they replaced.
+
+``DenseMonomialIdeal``, ``DensePrincipalIdeal`` and ``DenseSubspaceIdeal``
+are the earlier implementations, each with its own ``contains``,
+``reduce``, ``quotient_coords``, ``lift`` and ``normal_labels`` on dense
+tuples, and ``dense_quotient_table`` is the earlier ``QuotientAlgebra``
+table built from dense products.  The library's oracles share one body on
+sparse vectors; on every ideal below they must give the same normal basis,
+membership, residuals (as sparse vectors without zeros), quotient
+coordinates, lifts and quotient tables, for every coordinate vector and for
+sparse vectors that hold explicit zeros.
+"""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfcore import cli
+from hopfcore.action import (
+    MonomialIdeal,
+    PrincipalIdeal,
+    QuotientAlgebra,
+    SubspaceIdeal,
+)
+from hopfcore.errors import TruncationError
+from hopfcore.linalg import (
+    Q0, Subspace, complement, exact, to_dense, to_sparse, unit_vec,
+)
+from hopfcore.table import PolynomialAlgebra, TableAlgebra
+from conftest import load_fixture
+
+
+# -- the earlier dense classes ---------------------------------------------------------
+
+
+class DenseMonomialIdeal:
+    def __init__(self, algebra, generators):
+        self.algebra = algebra
+        self.generators = tuple(tuple(g) for g in generators)
+        self._normal = tuple(
+            t for t, e in enumerate(algebra.monomials) if not self._divisible(e)
+        )
+
+    def _divisible(self, exps):
+        return any(all(x >= y for x, y in zip(exps, g)) for g in self.generators)
+
+    def contains(self, v):
+        return all(
+            not c or self._divisible(self.algebra.monomials[i]) for i, c in enumerate(v)
+        )
+
+    def reduce(self, v):
+        return tuple(
+            c if not self._divisible(self.algebra.monomials[i]) else Q0
+            for i, c in enumerate(v)
+        )
+
+    @property
+    def normal_labels(self):
+        return tuple(self.algebra.basis_labels[t] for t in self._normal)
+
+    def quotient_coords(self, v):
+        return tuple(v[t] for t in self._normal)
+
+    def lift(self, coords):
+        out = [Q0] * self.algebra.dim
+        for pos, c in enumerate(coords):
+            out[self._normal[pos]] = c
+        return tuple(out)
+
+
+class DensePrincipalIdeal:
+    def __init__(self, algebra, element):
+        self.algebra = algebra
+        self.generator = tuple(element)
+        lead = max(
+            (t for t, c in enumerate(element) if c),
+            key=lambda t: (sum(algebra.monomials[t]), algebra.monomials[t]),
+        )
+        self._lt_exps = algebra.monomials[lead]
+        self._lt_coeff = element[lead]
+        self._normal = tuple(
+            t
+            for t, e in enumerate(algebra.monomials)
+            if not all(x >= y for x, y in zip(e, self._lt_exps))
+        )
+
+    def _order_key(self, t):
+        return (sum(self.algebra.monomials[t]), self.algebra.monomials[t])
+
+    def reduce(self, v):
+        alg = self.algebra
+        work = {t: c for t, c in enumerate(v) if c}
+        remainder = {}
+        while work:
+            t = max(work, key=self._order_key)
+            c = work.pop(t)
+            exps = alg.monomials[t]
+            if all(x >= y for x, y in zip(exps, self._lt_exps)):
+                q = tuple(x - y for x, y in zip(exps, self._lt_exps))
+                scale = exact(Fraction(c) / self._lt_coeff)
+                for s, gc in enumerate(self.generator):
+                    if not gc:
+                        continue
+                    target = tuple(x + y for x, y in zip(q, alg.monomials[s]))
+                    tt = alg.index[target]
+                    if tt == t:
+                        continue
+                    val = work.get(tt, Q0) - scale * gc
+                    if val:
+                        work[tt] = val
+                    else:
+                        work.pop(tt, None)
+            else:
+                remainder[t] = c
+        out = [Q0] * alg.dim
+        for t, c in remainder.items():
+            out[t] = c
+        return tuple(out)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    @property
+    def normal_labels(self):
+        return tuple(self.algebra.basis_labels[t] for t in self._normal)
+
+    def quotient_coords(self, v):
+        reduced = self.reduce(v)
+        return tuple(reduced[t] for t in self._normal)
+
+    def lift(self, coords):
+        out = [Q0] * self.algebra.dim
+        for pos, c in enumerate(coords):
+            out[self._normal[pos]] = c
+        return tuple(out)
+
+
+class DenseSubspaceIdeal:
+    """The normal basis is the pivot-greedy complement of the subspace in
+    the full space; residuals clear the pivots over every coordinate."""
+
+    def __init__(self, algebra, subspace):
+        self.algebra = algebra
+        self.subspace = subspace
+        self._complement = complement(subspace, Subspace.full(algebra.dim))
+
+    def reduce(self, v):
+        out = list(v)
+        for row, p in zip(self.subspace.basis, self.subspace.pivots):
+            c = out[p]
+            if c:
+                for j in range(self.algebra.dim):
+                    if row[j]:
+                        out[j] -= c * row[j]
+        return tuple(out)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    @property
+    def normal_labels(self):
+        return tuple(self.algebra.basis_labels[p] for p in self._complement.pivots)
+
+    def quotient_coords(self, v):
+        residual = self.reduce(v)
+        return tuple(residual[p] for p in self._complement.pivots)
+
+    def lift(self, coords):
+        out = [Q0] * self.algebra.dim
+        for c, row in zip(coords, self._complement.basis):
+            for j, x in enumerate(row):
+                out[j] += c * x
+        return tuple(out)
+
+
+def dense_oracle(ideal):
+    if isinstance(ideal, MonomialIdeal):
+        return DenseMonomialIdeal(ideal.algebra, ideal.generators)
+    if isinstance(ideal, PrincipalIdeal):
+        return DensePrincipalIdeal(
+            ideal.algebra, to_dense(ideal.generator, ideal.algebra.dim)
+        )
+    return DenseSubspaceIdeal(ideal.algebra, ideal.subspace)
+
+
+def dense_quotient_table(oracle):
+    """(p, q) -> the class of the product of the lifted normal basis vectors
+    p and q, as sorted nonzero terms; pairs whose product truncates are left
+    out."""
+    algebra = oracle.algebra
+    n = len(oracle.normal_labels)
+    lifts = [oracle.lift(unit_vec(n, p)) for p in range(n)]
+    table = {}
+    for p, lp in enumerate(lifts):
+        for q, lq in enumerate(lifts):
+            try:
+                prod = algebra.mul(lp, lq)
+            except TruncationError:
+                continue
+            coords = oracle.quotient_coords(prod)
+            table[(p, q)] = tuple((k, c) for k, c in enumerate(coords) if c)
+    return table
+
+
+# -- the ideals --------------------------------------------------------------------------
+
+
+def _fixture_ideal(name):
+    spec = load_fixture(f"actions/{name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    return cli._ideal_from_json(algebra, spec["ideal"])
+
+
+def _upper_triangular():
+    """Upper triangular 2x2 matrices on E11, E12, E22."""
+    return TableAlgebra.finite(
+        ["E11", "E12", "E22"],
+        {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 2): [(1, 1)], (2, 2): [(2, 1)]},
+        (1, 0, 1),
+    )
+
+
+def _x_plus_y_squared():
+    algebra = PolynomialAlgebra(["x", "y"], 6)
+    return PrincipalIdeal(
+        algebra, {algebra.index[(1, 0)]: 1, algebra.index[(0, 2)]: 1}
+    )
+
+
+IDEALS = {
+    "sl2_qxy_ix": lambda: _fixture_ideal("sl2_qxy_ix"),
+    "dq_qx_ix": lambda: _fixture_ideal("dq_qx_ix"),
+    "xyw_qu": lambda: _fixture_ideal("xyw_qu"),
+    "principal-x+y^2": _x_plus_y_squared,
+    "monomial-x^2,y^3": lambda: MonomialIdeal(
+        PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]
+    ),
+    "monomial-unit": lambda: MonomialIdeal(PolynomialAlgebra(["x", "y"], 3), [(0, 0)]),
+    "subspace-zero": lambda: SubspaceIdeal(_upper_triangular(), Subspace.zero(3)),
+    "subspace-unit": lambda: SubspaceIdeal(_upper_triangular(), Subspace.full(3)),
+    "subspace-E12": lambda: SubspaceIdeal(
+        _upper_triangular(), Subspace.from_vectors([[0, 1, 0]], 3)
+    ),
+    "subspace-E11+E12,E12": lambda: SubspaceIdeal(
+        _upper_triangular(), Subspace.from_vectors([[1, 1, 0], [0, 1, 0]], 3)
+    ),
+}
+
+@functools.cache
+def ideal_named(name):
+    return IDEALS[name]()
+
+
+scalars = st.integers(-3, 3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+).map(exact)
+
+
+def assert_matches_oracle(ideal, oracle, v):
+    """v a sparse vector, zeros allowed."""
+    dense = to_dense(v, ideal.algebra.dim)
+    assert ideal.contains(v) == oracle.contains(dense)
+    residual = ideal.reduce(v)
+    assert residual == to_sparse(oracle.reduce(dense))
+    assert all(residual.values())
+    coords = ideal.quotient_coords(v)
+    assert coords == oracle.quotient_coords(dense)
+    lift = ideal.lift(coords)
+    assert lift == to_sparse(oracle.lift(coords))
+    assert all(lift.values())
+
+
+@pytest.mark.parametrize("name", IDEALS)
+def test_ideal_matches_dense_oracle_on_coordinate_vectors(name):
+    ideal = ideal_named(name)
+    oracle = dense_oracle(ideal)
+    assert ideal.normal_labels == oracle.normal_labels
+    assert ideal.quotient_dim == len(oracle.normal_labels)
+    for i in range(ideal.algebra.dim):
+        assert_matches_oracle(ideal, oracle, {i: 1})
+        assert_matches_oracle(ideal, oracle, {i: 0})
+    n = ideal.quotient_dim
+    for p in range(n):
+        assert ideal.lift(unit_vec(n, p)) == to_sparse(oracle.lift(unit_vec(n, p)))
+
+
+@pytest.mark.parametrize("name", IDEALS)
+def test_quotient_algebra_matches_dense_oracle(name):
+    ideal = ideal_named(name)
+    oracle = dense_oracle(ideal)
+    ring = QuotientAlgebra(ideal)
+    assert ring.basis_labels == oracle.normal_labels
+    assert ring._mult == dense_quotient_table(oracle)
+    unit = ideal.algebra.unit_vector()
+    assert ring.unit_vector() == oracle.quotient_coords(unit)
+
+
+@pytest.mark.parametrize("name", IDEALS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ideal_matches_dense_oracle_on_sparse_vectors(name, data):
+    ideal = ideal_named(name)
+    oracle = dense_oracle(ideal)
+    dim = ideal.algebra.dim
+    v = data.draw(st.dictionaries(st.integers(0, dim - 1), scalars, max_size=8))
+    assert_matches_oracle(ideal, oracle, v)
+    # the same vector with every other coordinate an explicit zero
+    assert_matches_oracle(ideal, oracle, {i: v.get(i, 0) for i in range(dim)})

@@ -161,7 +161,7 @@ def test_complement_with_constraint_adjusts():
     for a in range(-3, 4):
         for b in range(-3, 4):
             v = vec([a, b])
-            if v == vec([0, 0]) or inner.contains(v):
+            if v == vec([0, 0]) or inner.contains(to_sparse(v)):
                 continue
             if dot(constraint, v) == 0:
                 solutions.add(Subspace.from_vectors([v], 2).basis)
@@ -197,7 +197,7 @@ def test_complement_dimensions(rows_a, rows_b):
     assert inner.dim + w.dim == outer.dim
     assert inner.sum(w) == outer
     # trivial intersection: any vector of w inside inner must be zero
-    for row in w.basis:
+    for row in w.rows:
         assert not inner.contains(row)
 
 

@@ -107,15 +107,12 @@ def test_principal_reduction_divides_exactly():
     """3y^2 modulo (2y^2 + x) leaves -3x/2: the division by the integral
     leading coefficient is exact."""
     alg = PolynomialAlgebra(["x", "y"], 3)
-    gen = [0] * alg.dim
-    gen[alg.monomial_index([0, 2])], gen[alg.monomial_index([1, 0])] = 2, 1
-    ideal = PrincipalIdeal(alg, tuple(gen))
-    y2 = [0] * alg.dim
-    y2[alg.monomial_index([0, 2])] = 3
-    residual = ideal.reduce(tuple(y2))
+    gen = {alg.monomial_index([0, 2]): 2, alg.monomial_index([1, 0]): 1}
+    ideal = PrincipalIdeal(alg, gen)
+    residual = ideal.reduce({alg.monomial_index([0, 2]): 3})
     assert residual[alg.monomial_index([1, 0])] == Fraction(-3, 2)
     assert_exact(residual)
-    assert ideal.contains(tuple(2 * c for c in gen))
+    assert ideal.contains({t: 2 * c for t, c in gen.items()})
 
 
 # -- the pipeline ---------------------------------------------------------------------
@@ -135,13 +132,13 @@ def test_pipeline_scalars_are_exact(name):
         assert name in ("grouplike", "xyw_corrupt")
         return
     split = pbw.split
-    assert_normal([split.vectors, split.sparse_vectors, split.to_split_units])
+    assert_normal([split.vectors, split.to_split_units])
     assert_exact(split.comult)
     gr = pbw.gr
     assert_normal([gr._mult, gr._comult, gr._antipode or {}, pbw.gr_gens])
     assert_exact(pbw.lifts)
     positions = range(len(pbw.indices))
-    assert_normal([pbw.sparse_monomial(p) for p in positions])
+    assert_normal([pbw.pbw_monomial(p) for p in positions])
     assert_normal([pbw.expand_comult(p) for p in positions])
     assert_normal(pbw.transposed_comult())
     pbw.verify_all_bases()
@@ -180,3 +177,37 @@ def test_hcore_chain_is_exact(host_at, action_name, host_name, degree):
     assert_normal([result.core, result.by_cap])
     assert_exact([action.columns(p) for p in range(len(host.indices))])
     assert_exact(algebra._mult)
+
+
+def assert_sparse(vectors):
+    """Each vector is a dict {index: coefficient} without zero values."""
+    for v in vectors:
+        assert isinstance(v, dict), type(v)
+        assert all(v.values()), v
+
+
+@pytest.mark.parametrize("action_name, host_name, degree", ACTIONS)
+def test_vectors_below_the_ring_are_sparse(host_at, action_name, host_name, degree):
+    """Every vector the pipeline hands out below the coefficient ring is a
+    sparse dict without zeros, also for inputs that hold explicit zeros."""
+    host = host_at(host_name, degree)
+    assert_sparse(host.split.vectors)
+    assert_sparse(host.lifts.values())
+    assert_sparse(host.gr_gens.values())
+    positions = range(len(host.indices))
+    assert_sparse(host.pbw_monomial(p) for p in positions)
+    spec = load_fixture(f"actions/{action_name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    ops = {
+        gid: cli._operator_columns(algebra, gid, op)
+        for gid, op in spec["generators"].items()
+    }
+    action = ModuleAlgebraAction(host, algebra, ops)
+    ideal = cli._ideal_from_json(algebra, spec["ideal"])
+    padded = [
+        {i: 1 if i == j else 0 for i in range(algebra.dim)} for j in range(algebra.dim)
+    ]
+    images = [action.act(p, v) for p in positions for v in padded]
+    assert_sparse(images)
+    assert_sparse(ideal.reduce(v) for v in images + padded)
+    assert_sparse(ideal.lift(ideal.quotient_coords(v)) for v in images + padded)

@@ -55,7 +55,9 @@ def dense_span_closure(p, rng, samples):
                 if c:
                     v = tuple(
                         x + Fraction(c) * y
-                        for x, y in zip(v, p.pbw_monomial(p.index_pos[i]))
+                        for x, y in zip(
+                            v, to_dense(p.pbw_monomial(p.index_pos[i]), p.data.dim)
+                        )
                     )
             return v
 
@@ -76,7 +78,7 @@ def dense_in_primitive_set(gr, v, n):
     degrees = gr.degrees
     if max((degrees[k] for k, c in enumerate(v) if c), default=0) > n:
         return False
-    tmap = gr.comult_map(v)
+    tmap = gr.comult_map(dict(enumerate(v)))
     for k, c in enumerate(v):
         if not c:
             continue
