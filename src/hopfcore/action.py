@@ -17,18 +17,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .convolution import (
-    ConvElement,
-    leading,
-    prime_witness,
-    semiprime_witness,
-)
-from .errors import (
-    ForeignGenerator,
-    InputFormatError,
-    NoWitnessFound,
-    TruncationError,
-)
+from .convolution import ConvElement, add_witness_line, leading
+from .errors import ForeignGenerator, InputFormatError, TruncationError
 from .linalg import (
     Q0,
     Q1,
@@ -494,20 +484,8 @@ def core_primeness_probe(
 
     if mode == "semiprime":
         for i in candidates:
-            try:
-                witness = semiprime_witness(images[i])
-                rep.add(
-                    "semiprime-witness",
-                    alg.basis_labels[i],
-                    PASS,
-                    f"r={ring.format(witness.r)}",
-                )
-            except TruncationError:
-                rep.add(
-                    "semiprime-witness", alg.basis_labels[i], INCONCLUSIVE, "truncated"
-                )
-            except NoWitnessFound as exc:
-                rep.add("semiprime-witness", alg.basis_labels[i], FAIL, str(exc))
+            label = alg.basis_labels[i]
+            add_witness_line(rep, label, images[i], inconclusive="truncated")
         return rep
 
     for ti, i in enumerate(candidates):
@@ -535,16 +513,5 @@ def core_primeness_probe(
                     "zero divisor pair" if zero else "",
                 )
             else:
-                try:
-                    witness = prime_witness(images[i], images[j])
-                    rep.add(
-                        "prime-witness",
-                        subject,
-                        PASS,
-                        f"r={ring.format(witness.r)}",
-                    )
-                except TruncationError:
-                    rep.add("prime-witness", subject, INCONCLUSIVE, "truncated")
-                except NoWitnessFound as exc:
-                    rep.add("prime-witness", subject, FAIL, str(exc))
+                add_witness_line(rep, subject, images[i], images[j], "truncated")
     return rep

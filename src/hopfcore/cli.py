@@ -322,7 +322,7 @@ def cmd_verify(args) -> int:
         report.extend(coalgebra.check_primitivity_defects(data, pbw.filt, pbw.split))
         report.extend(coalgebra.check_delta_consistency(pbw.split))
         report.extend(coalgebra.check_coradically_graded(pbw.gr))
-        report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.filt, pbw.split))
+        report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.split))
 
         try:
             report.extend(pbw.verify_all_bases())
@@ -414,34 +414,12 @@ def cmd_conv(args) -> int:
         for trial in range(args.trials):
             s = convolution.random_conv_element(pbw, ring, rng, cap)
             t = convolution.random_conv_element(pbw, ring, rng, cap)
-            try:
-                witness = convolution.prime_witness(s, t)
-                report.add(
-                    "prime-witness",
-                    f"trial {trial}",
-                    PASS,
-                    f"r={ring.format(witness.r)}",
-                )
-            except TruncationError:
-                report.add("prime-witness", f"trial {trial}", INCONCLUSIVE, "")
-            except NoWitnessFound as exc:
-                report.add("prime-witness", f"trial {trial}", FAIL, str(exc))
+            convolution.add_witness_line(report, f"trial {trial}", s, t)
 
     if ring.flags.is_semiprime:
         for trial in range(args.trials):
             s = convolution.random_conv_element(pbw, ring, rng, cap)
-            try:
-                witness = convolution.semiprime_witness(s)
-                report.add(
-                    "semiprime-witness",
-                    f"trial {trial}",
-                    PASS,
-                    f"r={ring.format(witness.r)}",
-                )
-            except TruncationError:
-                report.add("semiprime-witness", f"trial {trial}", INCONCLUSIVE, "")
-            except NoWitnessFound as exc:
-                report.add("semiprime-witness", f"trial {trial}", FAIL, str(exc))
+            convolution.add_witness_line(report, f"trial {trial}", s)
 
     if not ring.flags.is_prime:
         refuter = convolution.prime_refuter(ring)

@@ -8,9 +8,10 @@ Convolution is computed through the cached comultiplication expansions of
 the host basis, so it is exact on every index within the truncation bound.
 Leading data (smallest support position, value there) drives the primeness
 witnesses: for a prime ring a middle factor r with s_min * r * t_min != 0 is
-found by a bounded scan and pulled back through the counit, and the leading
-term of s * u * t is checked to be exactly (s+t, s_min r t_min).  A failed
-scan refutes the declared ring property.
+found by a scan of the ring's basis and pulled back through the counit, and
+the leading term of s * u * t is checked to be exactly (s+t, s_min r t_min).
+A failed scan refutes the declared ring property.  ``add_witness_line``
+writes the check line of one scan for both ``conv`` and the core probes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .linalg import Q0, Q1, Scalar, Vector, is_zero_vec, rat
 from .pbw import PBWStructure
-from .report import FAIL, PASS, Report
+from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .table import TableAlgebra, json_object, parse_table, string_list
 
 
@@ -417,26 +418,19 @@ class Witness(namedtuple("Witness", "r u proof")):
     __slots__ = ()
 
 
-def _witness_candidates(ring: TableAlgebra) -> list[Vector]:
-    singles = [ring.basis_vec(i) for i in range(ring.dim)]
-    pairs = [
-        tuple(Q1 if k in (i, j) else Q0 for k in range(ring.dim))
-        for i in range(ring.dim)
-        for j in range(i + 1, ring.dim)
-    ]
-    return singles + pairs
-
-
 def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
-    """Find r with s_min * r * t_min != 0 among basis elements and sums of
-    two, pull it back through the counit, and verify the leading term of
-    s * u * t.  A failed scan raises NoWitnessFound, refuting primeness."""
+    """Find a basis element r with s_min * r * t_min != 0, pull it back
+    through the counit, and verify the leading term of s * u * t.  A failed
+    scan raises NoWitnessFound, refuting primeness.  The product is bilinear
+    in r, so once every basis element gives zero no combination of them can
+    do better."""
     ls, lt = leading(s), leading(t)
     host, ring = s.host, s.ring
     total = host.index_sum(ls.index, lt.index)
     if total is None:
         raise TruncationError("leading sum degree exceeds the bound")
-    for r in _witness_candidates(ring):
+    for i in range(ring.dim):
+        r = ring.basis_vec(i)
         value = ring.mul(ring.mul(ls.value, r), lt.value)
         if ring.is_zero(value):
             continue
@@ -456,12 +450,32 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
 
 
 def semiprime_witness(s: ConvElement) -> Witness:
-    """The one-sided version: s * u * s with the same scan; a failed scan
+    """The one-sided version: the scan for s * u * s, whose product
+    ``prime_witness`` has already checked to be nonzero; a failed scan
     refutes semiprimeness."""
-    witness = prime_witness(s, s)
-    if convolve(convolve(s, witness.u), s).is_zero:
-        raise ProbeAnomaly("witness product vanished despite a nonzero leading term")
-    return witness
+    return prime_witness(s, s)
+
+
+def add_witness_line(
+    rep: Report,
+    subject: str,
+    s: ConvElement,
+    t: Optional[ConvElement] = None,
+    inconclusive: str = "",
+) -> None:
+    """One ``prime-witness`` line for (s, t), or one ``semiprime-witness``
+    line for s when t is None: PASS with the middle factor, INCONCLUSIVE
+    with the given detail when the scan runs past the bound, FAIL with the
+    scan's message when no middle factor exists."""
+    name = "semiprime-witness" if t is None else "prime-witness"
+    try:
+        witness = semiprime_witness(s) if t is None else prime_witness(s, t)
+    except TruncationError:
+        rep.add(name, subject, INCONCLUSIVE, inconclusive)
+    except NoWitnessFound as exc:
+        rep.add(name, subject, FAIL, str(exc))
+    else:
+        rep.add(name, subject, PASS, f"r={s.ring.format(witness.r)}")
 
 
 def random_conv_element(

@@ -38,15 +38,18 @@ def exact(x: Scalar) -> Scalar:
 
 
 def rat(value: int | str | Fraction) -> Scalar:
-    """Coerce an int, Fraction, or "p/q" string to an exact scalar."""
-    if isinstance(value, (int, Fraction)):
+    """Coerce an int, Fraction, or "p/q" string to an exact scalar; any
+    other value, a bool among them, is an input error that names it."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return exact(value)
     if isinstance(value, str):
         try:
             return exact(Fraction(value.strip()))
         except ZeroDivisionError:
             raise InputFormatError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+        except ValueError:
+            pass
+    raise InputFormatError(f"cannot interpret {value!r} as a rational")
 
 
 def rat_str(value: Scalar) -> str:
@@ -254,9 +257,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
             else:
                 out.append({j: Q1})
         return out
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"

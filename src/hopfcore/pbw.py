@@ -178,7 +178,7 @@ class PBWStructure:
         split = run("graded_splitting", lambda: graded_splitting(filt, data))
         gr = run("gr_structure", lambda: gr_structure(split))
         if stage is not None:
-            stage("verify_gr_facts", lambda: verify_gr_facts(gr, data, filt, split))
+            stage("verify_gr_facts", lambda: verify_gr_facts(gr, data, split))
         gens, gr_gens = run("extract_generators", lambda: extract_generators(gr))
         lifts = run("lift_generators", lambda: lift_generators(split, gens, gr_gens))
         pbw = cls(data, filt, split, gr, gens, gr_gens, lifts)

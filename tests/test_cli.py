@@ -387,6 +387,17 @@ NONASSOCIATIVE_RAW = {"kind": "raw", "degree_bound": 2, "tables": {
                "x": [["x", "1", "1"], ["1", "x", "1"]],
                "y": [["y", "1", "1"], ["1", "y", "1"], ["x", "x", "2"]]},
     "counit": {"1": "1"}}}
+
+
+def sl2_with_ef(coeff):
+    """sl2.json with the coefficient of h in [e,f] replaced."""
+    instance = load_fixture("instances/sl2.json")
+    instance["lie"]["brackets"]["e"]["f"]["h"] = coeff
+    return instance
+
+
+MALFORMED_COEFFS = ["zz", 2.0, [2], None, True]
+
 SHIFTED_LINE_FRACTIONAL_DEGREE = load_fixture("instances/shifted_line.json")
 SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
 
@@ -517,6 +528,8 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          "ring flag 'domain' must be true, false or null, got [True]"),
         ("ring", {"basis": [], "mult": {}, "one": {}},
          'ring "basis" must not be empty'),
+        *[("instance", sl2_with_ef(c), f"cannot interpret {c!r} as a rational")
+          for c in MALFORMED_COEFFS],
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -535,7 +548,9 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          "core-cap-bool", "core-cap-string", "degree-bound-fractional",
          "degree-bound-string", "degree-bound-bool", "raw-degree-fractional",
          "raw-nonassociative", "ring-flag-string", "ring-flag-number",
-         "ring-flag-list", "ring-basis-empty"],
+         "ring-flag-list", "ring-basis-empty", "bracket-coeff-string",
+         "bracket-coeff-float", "bracket-coeff-list", "bracket-coeff-null",
+         "bracket-coeff-bool"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,
@@ -560,9 +575,26 @@ def test_malformed_input_reports(tmp_path, kind, payload, message):
     assert proc.returncode == 2
     report = json.loads(proc.stdout)
     assert report["status"] == "input-error"
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
     if message is not None:
         assert report["error"] == message
+
+
+@pytest.mark.parametrize(
+    "coeff", MALFORMED_COEFFS, ids=["string", "float", "list", "null", "bool"]
+)
+def test_malformed_coefficient_stops_build_at_load(tmp_path, coeff):
+    """A bracket coefficient that is not a rational literal, a bool among
+    them, fails the load stage of build as an input error."""
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(sl2_with_ef(coeff)))
+    code, rep = run(tmp_path, "build", "--instance", str(path))
+    assert code == 2
+    assert rep["status"] == "input-error"
+    assert rep["error"] == f"cannot interpret {coeff!r} as a rational"
+    assert rep["stages"] == [
+        {"stage": "load", "status": "fail", "detail": rep["error"]}
+    ]
 
 
 @pytest.mark.parametrize(

@@ -147,7 +147,7 @@ def test_filtration_matches_degree_hint(heis):
     data = heis.data
     for i in range(data.dim):
         layer = heis.filt.layer_of({i: 1})
-        assert layer == data.filtration_hint[i]
+        assert layer == data.degrees[i]
 
 
 # -- splitting and gr ------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_gr_heisenberg_commutative(heis):
 
 def test_gr_facts_and_gradedness(heis, xyw, qt):
     for p in (heis, xyw, qt):
-        assert verify_gr_facts(p.gr, p.data, p.filt, p.split).passed
+        assert verify_gr_facts(p.gr, p.data, p.split).passed
         assert check_coradically_graded(p.gr).passed
 
 

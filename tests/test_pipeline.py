@@ -9,7 +9,14 @@ import pytest
 
 from hopfcore import errors, pbw
 from hopfcore.cli import main
-from conftest import FIXTURES
+from hopfcore.coalgebra import (
+    GradedSplitting,
+    coradical_filtration,
+    graded_splitting,
+    gr_structure,
+    instance_from_json,
+)
+from conftest import FIXTURES, load_fixture
 
 INSTANCES = FIXTURES / "instances"
 
@@ -234,4 +241,52 @@ def test_axiom_failure(tmp_path):
         "--trials", "5",
     )
     assert not [c for c in rep["checks"] if c["check"] == "pipeline"]
+    assert (rep["status"], code) == ("fail", 1)
+
+
+def _escape_degree_one_products(monkeypatch):
+    """Patch the splitting's product so that a product of two degree-1
+    vectors picks up the top splitting vector, escaping its degree 2."""
+    product = GradedSplitting.product
+
+    def escaping(self, a, b):
+        coords = dict(product(self, a, b))
+        if self.degrees[a] == self.degrees[b] == 1:
+            top = self.dim - 1
+            coords[top] = coords.get(top, 0) + 1
+        return coords
+
+    monkeypatch.setattr(GradedSplitting, "product", escaping)
+
+
+ESCAPE = "product t * t escapes filtration degree 2"
+
+
+def test_escaping_product_fails_gr_structure(tmp_path, monkeypatch):
+    """`filtration-multiplicative` is checked where the associated graded
+    algebra is built: a product that escapes its degree stops
+    `gr_structure`, so `build` records that stage as failed and `verify`
+    reports it as its pipeline line."""
+    data = instance_from_json(load_fixture("instances/qt.json"))
+    split = graded_splitting(coradical_filtration(data), data)
+    assert split.degrees == (0, 1, 2, 3)
+    _escape_degree_one_products(monkeypatch)
+    with pytest.raises(errors.HopfcoreError) as caught:
+        gr_structure(split)
+    assert str(caught.value) == ESCAPE
+
+    argv = ["--instance", str(INSTANCES / "qt.json")]
+    code, rep = _run(tmp_path, "build", *argv)
+    reached = STAGES.index("gr_structure")
+    assert rep["stages"] == [
+        {"stage": s, "status": "ok", "detail": ""} for s in STAGES[:reached]
+    ] + [{"stage": "gr_structure", "status": "fail", "detail": ESCAPE}]
+    assert (rep["status"], rep["error"], code) == ("fail", ESCAPE, 1)
+
+    code, rep = _run(tmp_path, "verify", *argv, "--trials", "5")
+    assert [c for c in rep["checks"] if c["check"] == "pipeline"] == [
+        {"check": "pipeline", "subject": "construction", "status": "FAIL",
+         "detail": ESCAPE}
+    ]
+    assert not [c for c in rep["checks"] if c["check"] == "filtration-multiplicative"]
     assert (rep["status"], code) == ("fail", 1)

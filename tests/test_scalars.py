@@ -24,7 +24,7 @@ from hopfcore.convolution import (
     random_conv_element,
     ring_from_tables,
 )
-from hopfcore.errors import HopfcoreError
+from hopfcore.errors import HopfcoreError, InputFormatError
 from hopfcore.linalg import Subspace, inverse, kernel, rat
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, sparse
@@ -84,8 +84,9 @@ def test_rat_normal_form():
     assert type(rat(Fraction(4, 2))) is int and rat(Fraction(4, 2)) == 2
     assert type(rat(7)) is int
     assert rat("1/2") == Fraction(1, 2) and type(rat("1/2")) is Fraction
-    with pytest.raises(TypeError):
-        rat(0.5)
+    for value in (0.5, True, None, [2], "zz"):
+        with pytest.raises(InputFormatError, match="as a rational"):
+            rat(value)
 
 
 def test_echelon_divides_exactly():
