@@ -36,7 +36,7 @@ from .linalg import (
 from .monoid import monomial_label
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
-from .table import PolynomialAlgebra, TableAlgebra
+from .table import PolynomialAlgebra, TableAlgebra, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ class QuotientAlgebra(TableAlgebra):
                 except TruncationError:
                     continue
                 coords = ideal.quotient_coords(prod)
-                table[(p, q)] = [(k, c) for k, c in enumerate(coords) if c]
+                table[(p, q)] = sparse(enumerate(coords))
         super().__init__(
             ideal.normal_labels,
             table,

@@ -71,17 +71,18 @@ TensorMap = dict[tuple[int, int], Scalar]
 
 class FilteredBialgebraData(TableAlgebra):
     """Basis-indexed structure constants of a truncated bialgebra: the
-    product table plus comultiplication, counit and optional antipode."""
+    product table plus comultiplication, counit and optional antipode, all
+    kept as given: sorted, without zeros, in normal form."""
 
     def __init__(
         self,
         basis_labels: Sequence[str],
         degree_bound: int,
-        mult: Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]],
-        comult: Sequence[Iterable[tuple[int, int, Scalar]]],
+        mult: Mapping[tuple[int, int], SparseVec],
+        comult: Sequence[tuple[tuple[int, int, Scalar], ...]],
         counit: Sequence,
         unit_index: int,
-        antipode: Optional[Mapping[int, Iterable[tuple[int, Scalar]]]] = None,
+        antipode: Optional[Mapping[int, SparseVec]] = None,
         filtration_hint: Optional[Sequence[int]] = None,
     ):
         dim = len(basis_labels)
@@ -94,17 +95,11 @@ class FilteredBialgebraData(TableAlgebra):
         if degree_bound < 1:
             raise InputFormatError("degree bound must be positive")
         self.unit_index = int(unit_index)
-        self._comult = tuple(
-            tuple(sorted((j, k, exact(c)) for j, k, c in row if c)) for row in comult
-        )
+        self._comult = tuple(comult)
         self._counit = tuple(rat(c) for c in counit)
         if len(self._counit) != dim:
             raise InputFormatError("counit must be a functional on the basis")
-        self._antipode = (
-            {int(i): sparse(v) for i, v in antipode.items()}
-            if antipode is not None
-            else None
-        )
+        self._antipode = antipode
 
     # the bialgebra's name for the product, which perfbench traces
     multiply = TableAlgebra.mul
@@ -415,7 +410,7 @@ class GradedSplitting(
     ``to_split_units[j]`` holds the split coordinates of basis vector j of
     ``data``.  Raw and split coordinates are both sparse {index:
     coefficient} without zeros.  No ``__slots__``: the cached ``delta``
-    lives in the instance dict."""
+    and ``antipode_images`` live in the instance dict."""
 
     @property
     def dim(self) -> int:
@@ -423,18 +418,23 @@ class GradedSplitting(
 
     @cached_property
     def delta(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-        """The degree-preserving part of ``comult``."""
+        """The degree-preserving part of ``comult``, in normal form."""
         degrees = self.degrees
         return tuple(
             tuple(
                 sorted(
-                    (p, q, c)
+                    (p, q, exact(c))
                     for (p, q), c in tmap.items()
                     if degrees[p] + degrees[q] == degrees[k]
                 )
             )
             for k, tmap in enumerate(self.comult)
         )
+
+    @cached_property
+    def antipode_images(self) -> tuple[SparseRow, ...]:
+        """Split coordinates of the antipode of every splitting vector."""
+        return tuple(self.to_split(self.data.antipode_of(v)) for v in self.vectors)
 
     def to_split(self, v: Mapping[int, Scalar]) -> SparseRow:
         """Split coordinates of a raw vector."""
@@ -527,16 +527,16 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
                     f"product {split.labels[a]} * {split.labels[b]} escapes "
                     f"filtration degree {target}"
                 )
-            mult[(a, b)] = tuple(
+            mult[(a, b)] = sparse(
                 (k, c) for k, c in coords.items() if degrees[k] == target
             )
     counit = unit_vec(dim, 0)
     antipode = None
     if data.has_antipode:
-        antipode = {}
-        for k in range(dim):
-            image = split.to_split(data.antipode_of(split.vectors[k]))
-            antipode[k] = [(l, c) for l, c in image.items() if degrees[l] == degrees[k]]
+        antipode = {
+            k: sparse((l, c) for l, c in image.items() if degrees[l] == degrees[k])
+            for k, image in enumerate(split.antipode_images)
+        }
     return FilteredBialgebraData(
         basis_labels=split.labels,
         degree_bound=bound,
@@ -679,8 +679,7 @@ def verify_gr_facts(
                 rep.add("filtration-multiplicative", f"C_{n}*C_{m}", PASS)
 
     if data.has_antipode:
-        for k in range(split.dim):
-            image = split.to_split(data.antipode_of(split.vectors[k]))
+        for k, image in enumerate(split.antipode_images):
             ok = split.max_degree(image) <= degrees[k]
             rep.add("antipode-stability", split.labels[k], PASS if ok else FAIL)
     else:
@@ -810,7 +809,7 @@ def build_ueg(
     """
     names = [str(g) for g in generators]
     if len(set(names)) != len(names):
-        raise NotALieAlgebra("duplicate generator names")
+        raise InputFormatError("duplicate generator names")
     pos = {g: i for i, g in enumerate(names)}
     g = len(names)
 
@@ -818,11 +817,11 @@ def build_ueg(
     for a, row in brackets.items():
         for b, combo in row.items():
             if a not in pos or b not in pos:
-                raise NotALieAlgebra(f"bracket on unknown generators [{a},{b}]")
+                raise InputFormatError(f"bracket on unknown generators [{a},{b}]")
             entry = {}
             for k, c in combo.items():
                 if k not in pos:
-                    raise NotALieAlgebra(f"bracket value on unknown generator {k!r}")
+                    raise InputFormatError(f"bracket value on unknown generator {k!r}")
                 val = rat(c)
                 if val:
                     entry[pos[k]] = val
@@ -854,59 +853,74 @@ def build_ueg(
 
     monos, labels = graded_monomials(names, degree_bound, divided=True)
     index = {e: t for t, e in enumerate(monos)}
-
+    unit = index[(0,) * g]
+    degrees = [sum(e) for e in monos]
+    divfacts = [prod(map(factorial, e)) for e in monos]
     # a nondecreasing word in the generators names one monomial
     words = [
         tuple(itertools.chain.from_iterable((i,) * e[i] for i in range(g)))
         for e in monos
     ]
     word_pos = {w: t for t, w in enumerate(words)}
-    degrees = [sum(e) for e in monos]
-    divfacts = [prod(map(factorial, e)) for e in monos]
 
-    def divided(c: Scalar, denom: int) -> Scalar:
-        return exact(Fraction(c, denom))
+    def divided(terms: Iterable[tuple[int, Scalar]], d: int) -> SparseVec:
+        """The merged terms divided by d, in the normal form of ``sparse``."""
+        entry: dict[int, Scalar] = {}
+        for k, c in terms:
+            entry[k] = entry.get(k, Q0) + c
+        return tuple(
+            (k, c // d if not c % d else Fraction(c, d))
+            for k, c in sorted(entry.items())
+            if c
+        )
 
+    # left[f][t] = x_f e_t below the bound: x^w = w! e_w, so x_f e_t is the
+    # sum of c * w! / t! * e_w over the straightened words c * w of x_f x^t
     memo: dict = {}
-    mult: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for ti, wi in enumerate(words):
-        for tj, wj in enumerate(words):
-            if degrees[ti] + degrees[tj] > degree_bound:
-                continue
-            # e_i e_j = (x^ei x^ej) / (ei! ej!), and x^e = e! e_e
-            entry: dict[int, Scalar] = {}
-            for w, c in _straighten(wi + wj, bracket, memo).items():
-                t = word_pos[w]
-                entry[t] = entry.get(t, Q0) + c * divfacts[t]
-            denom = divfacts[ti] * divfacts[tj]
-            mult[(ti, tj)] = [
-                (k, divided(c, denom)) for k, c in sorted(entry.items()) if c
-            ]
-
-    comult = [
-        [(index[left], index[right], Q1) for left, right in splittings(e)]
-        for e in monos
+    left = [
+        [
+            divided(
+                ((word_pos[w], c * divfacts[word_pos[w]])
+                 for w, c in _straighten((f,) + word, bracket, memo).items()),
+                divfacts[t],
+            )
+            for t, word in enumerate(words)
+            if degrees[t] < degree_bound
+        ]
+        for f in range(g)
     ]
 
-    counit = [Q1 if d == 0 else Q0 for d in degrees]
-    antipode = {}
-    for t, word in enumerate(words):
-        sign = Q1 if degrees[t] % 2 == 0 else -Q1
-        entry: dict[int, Scalar] = {}
-        for w, c in _straighten(tuple(reversed(word)), bracket, memo).items():
-            k = word_pos[w]
-            entry[k] = entry.get(k, Q0) + sign * c * divfacts[k]
-        antipode[t] = [
-            (k, divided(c, divfacts[t])) for k, c in sorted(entry.items()) if c
-        ]
+    # e_a = x_f e_(a-f) / a_f for the first generator f of e_a, so
+    # e_a e_b = x_f (e_(a-f) e_b) / a_f and S(e_a) = -S(e_(a-f)) e_f / a_f
+    mult = {(unit, b): ((b, Q1),) for b in range(len(monos))}
+    antipode = {unit: ((unit, Q1),)}
+    for a, e in enumerate(monos):
+        if a == unit:
+            continue
+        f = next(i for i, x in enumerate(e) if x)
+        rest = index[e[:f] + (e[f] - 1,) + e[f + 1 :]]
+        for b in range(len(monos)):
+            if degrees[a] + degrees[b] > degree_bound:
+                break
+            mult[(a, b)] = divided(
+                ((k, c * v) for s, c in mult[(rest, b)] for k, v in left[f][s]), e[f]
+            )
+        xf = word_pos[(f,)]
+        antipode[a] = divided(
+            ((k, c * v) for s, c in antipode[rest] for k, v in mult[(s, xf)]), -e[f]
+        )
 
+    comult = [
+        tuple(sorted((index[p], index[q], Q1) for p, q in splittings(e)))
+        for e in monos
+    ]
     return FilteredBialgebraData(
         basis_labels=labels,
         degree_bound=degree_bound,
         mult=mult,
         comult=comult,
-        counit=counit,
-        unit_index=index[(0,) * g],
+        counit=[Q1 if d == 0 else Q0 for d in degrees],
+        unit_index=unit,
         antipode=antipode,
         filtration_hint=degrees,
     )
@@ -929,18 +943,14 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
         for i in range(a + 1):
             ca = comb(a, i)
             for j in range(b + 1):
-                cb = comb(b, j)
+                cab = ca * comb(b, j)
                 for p in range(c + 1):
+                    cp = cab * comb(c, p)
                     for q in range(c - p + 1):
                         r = c - p - q
-                        cc = factorial(c) // (
-                            factorial(p) * factorial(q) * factorial(r)
-                        )
-                        left = (i + r, j, p)
-                        right = (a - i, b - j + r, q)
-                        key = (index[left], index[right])
-                        row[key] = row.get(key, Q0) + ca * cb * cc
-        comult.append([(j, k, v) for (j, k), v in sorted(row.items())])
+                        key = (index[i + r, j, p], index[a - i, b - j + r, q])
+                        row[key] = row.get(key, Q0) + cp * comb(c - p, q)
+        comult.append(tuple((j, k, v) for (j, k), v in sorted(row.items())))
 
     counit = [Q1 if d == 0 else Q0 for d in degrees]
 
@@ -951,7 +961,7 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
             coeff = comb(c, s) * (Q1 if (a + b + c - s) % 2 == 0 else -Q1)
             target = (a + s, b + s, c - s)
             entry[index[target]] = entry.get(index[target], Q0) + coeff
-        antipode[t] = [(k, v) for k, v in sorted(entry.items()) if v]
+        antipode[t] = tuple((k, v) for k, v in sorted(entry.items()) if v)
 
     return FilteredBialgebraData(
         basis_labels=labels,
@@ -972,56 +982,20 @@ def build_grouplike() -> FilteredBialgebraData:
         basis_labels=("1", "g"),
         degree_bound=2,
         mult={
-            (0, 0): [(0, Q1)],
-            (0, 1): [(1, Q1)],
-            (1, 0): [(1, Q1)],
-            (1, 1): [(0, Q1)],
+            (0, 0): ((0, Q1),),
+            (0, 1): ((1, Q1),),
+            (1, 0): ((1, Q1),),
+            (1, 1): ((0, Q1),),
         },
-        comult=[[(0, 0, Q1)], [(1, 1, Q1)]],
+        comult=(((0, 0, Q1),), ((1, 1, Q1),)),
         counit=(Q1, Q1),
         unit_index=0,
-        antipode={0: [(0, Q1)], 1: [(1, Q1)]},
+        antipode={0: ((0, Q1),), 1: ((1, Q1),)},
     )
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def instance_to_json(data: FilteredBialgebraData) -> dict:
-    labels = data.basis_labels
-    mult: dict[str, dict[str, dict[str, str]]] = {}
-    for (i, j), terms in sorted(data._mult.items()):
-        mult.setdefault(labels[i], {})[labels[j]] = {
-            labels[k]: rat_str(c) for k, c in terms
-        }
-    comult = {
-        labels[i]: [[labels[j], labels[k], rat_str(c)] for j, k, c in row]
-        for i, row in enumerate(data._comult)
-    }
-    out = {
-        "kind": "raw",
-        "degree_bound": data.degree_bound,
-        "tables": {
-            "basis": list(labels),
-            "unit": labels[data.unit_index],
-            "mult": mult,
-            "comult": comult,
-            "counit": {
-                labels[i]: rat_str(c) for i, c in enumerate(data.counit) if c
-            },
-        },
-    }
-    if data.has_antipode:
-        out["tables"]["antipode"] = {
-            labels[i]: {labels[k]: rat_str(c) for k, c in terms}
-            for i, terms in sorted(data._antipode.items())
-        }
-    if data.degrees is not None:
-        out["tables"]["degrees"] = {
-            labels[i]: d for i, d in enumerate(data.degrees)
-        }
-    return out
+# instance files
 
 
 def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraData:
@@ -1030,7 +1004,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         pos = {s: i for i, s in enumerate(labels)}
         unit = pos[tables["unit"]]
         mult = parse_table(tables["mult"], pos)
-        comult = [[] for _ in labels]
+        comult = [() for _ in labels]
         for a, terms in json_object(tables["comult"], 'raw "comult"').items():
             # a string term would unpack character by character
             for term in terms:
@@ -1039,7 +1013,8 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
                         f"comultiplication term of {a!r} must be a list "
                         f"[left, right, coeff], got {term!r}"
                     )
-            comult[pos[a]] = [(pos[j], pos[k], rat(c)) for j, k, c in terms]
+            row = [(pos[j], pos[k], rat(c)) for j, k, c in terms]
+            comult[pos[a]] = tuple(sorted(t for t in row if t[2]))
         counit = [Q0] * len(labels)
         for a, c in json_object(tables.get("counit", {}), 'raw "counit"').items():
             counit[pos[a]] = rat(c)
@@ -1048,7 +1023,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
             antipode = {}
             for a, combo in json_object(tables["antipode"], 'raw "antipode"').items():
                 combo = json_object(combo, "an antipode value")
-                antipode[pos[a]] = [(pos[k], rat(c)) for k, c in combo.items()]
+                antipode[pos[a]] = sparse((pos[k], rat(c)) for k, c in combo.items())
         hint = None
         if "degrees" in tables:
             hint = [0] * len(labels)

@@ -120,13 +120,14 @@ def _rref_rows(rows: Sequence[Mapping[int, Scalar]], ncols: int):
     returns (rows, pivot columns), the rows nonzero, in ascending pivot
     order and with ascending keys.
 
-    Each row is reduced against the stored rows by its leading column until
-    it vanishes (and is dropped) or its lead is a new pivot (and it is
+    Each row, sparsest first (the result is canonical, so the order only
+    saves work), is reduced against the stored rows by its leading column
+    until it vanishes (and is dropped) or its lead is a new pivot (and it is
     stored, scaled to lead 1).  One back-substitution pass in descending
     pivot order then clears the pivot columns of every stored row.
     """
     echelon: dict[int, SparseRow] = {}
-    for given in rows:
+    for given in sorted(rows, key=len):
         row = {c: exact(x) for c, x in given.items() if x}
         while row:
             lead = min(row)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -41,7 +42,7 @@ def splittings(e: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     """Every pair (left, right) of exponent vectors with left + right = e,
     left in lexicographic order."""
     return [
-        (left, tuple(k - j for k, j in zip(e, left)))
+        (left, tuple(map(sub, e, left)))
         for left in itertools.product(*(range(k + 1) for k in e))
     ]
 

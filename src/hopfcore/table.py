@@ -15,6 +15,7 @@ descending exponents.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
@@ -63,12 +64,13 @@ def json_int(value, what: str, minimum: int) -> int:
 
 
 def parse_table(nested: Mapping, pos: Mapping[str, int]) -> dict:
-    """A JSON product table {a: {b: {k: "c"}}} as (i, j) -> [(k, c)].
-    Unknown labels raise KeyError and a level that is not an object
-    raises TypeError, for the caller to report as an input error."""
+    """A JSON product table {a: {b: {k: "c"}}} as (i, j) -> ((k, c), ...)
+    in the normal form of ``sparse``.  Unknown labels raise KeyError and a
+    level that is not an object raises TypeError, for the caller to report
+    as an input error."""
     try:
         return {
-            (pos[a], pos[b]): [(pos[k], rat(c)) for k, c in combo.items()]
+            (pos[a], pos[b]): sparse((pos[k], rat(c)) for k, c in combo.items())
             for a, row in nested.items()
             for b, combo in row.items()
         }
@@ -97,7 +99,7 @@ def exponent_table(
     bound; pairs past it are left out."""
     index = {e: t for t, e in enumerate(monos)}
     return {
-        (ti, tj): ((index[tuple(x + y for x, y in zip(ei, ej))], Q1),)
+        (ti, tj): ((index[tuple(map(add, ei, ej))], Q1),)
         for ti, ei in enumerate(monos)
         for tj, ej in enumerate(monos)
         if degrees[ti] + degrees[tj] <= bound
@@ -107,12 +109,13 @@ def exponent_table(
 class TableAlgebra:
     """Basis labels, the product table, the unit vector and optional
     degrees; ``name`` and ``flags`` (declared ring properties) serve
-    coefficient rings."""
+    coefficient rings.  The table is kept as given, in the normal form of
+    ``sparse``, which ``finite`` and ``parse_table`` apply to input."""
 
     def __init__(
         self,
         labels: Sequence[str],
-        table: Table,
+        table: Mapping[tuple[int, int], SparseVec],
         one: Vector,
         degrees: Optional[Sequence[int]] = None,
         degree_bound: Optional[int] = None,
@@ -124,7 +127,7 @@ class TableAlgebra:
             raise InputFormatError("basis labels are not unique")
         self.basis_labels = labels
         self.dim = len(labels)
-        self._mult = {key: sparse(val) for key, val in table.items()}
+        self._mult = table
         self._one = tuple(rat(c) for c in one)
         self.degrees = tuple(int(d) for d in degrees) if degrees is not None else None
         self.degree_bound = degree_bound
@@ -139,7 +142,9 @@ class TableAlgebra:
         """A finite-dimensional algebra: every pair the table leaves out
         multiplies to zero."""
         n = len(labels)
-        total = {(i, j): table.get((i, j), ()) for i in range(n) for j in range(n)}
+        total = {
+            (i, j): sparse(table.get((i, j), ())) for i in range(n) for j in range(n)
+        }
         return cls(labels, total, one, [0] * n, name=name, flags=flags)
 
     # -- basic accessors ---------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
+from hopfcore.linalg import rat_str
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 
@@ -45,6 +46,44 @@ def at(host, **mults):
     """The position in host.indices of the index with these
     multiplicities."""
     return host.index_pos[exps(host.gens, **mults)]
+
+
+def instance_to_json(data):
+    """The raw instance file of a built instance, which
+    ``instance_from_json`` reads back to the same tables."""
+    labels = data.basis_labels
+    mult: dict[str, dict[str, dict[str, str]]] = {}
+    for (i, j), terms in sorted(data._mult.items()):
+        mult.setdefault(labels[i], {})[labels[j]] = {
+            labels[k]: rat_str(c) for k, c in terms
+        }
+    comult = {
+        labels[i]: [[labels[j], labels[k], rat_str(c)] for j, k, c in row]
+        for i, row in enumerate(data._comult)
+    }
+    out = {
+        "kind": "raw",
+        "degree_bound": data.degree_bound,
+        "tables": {
+            "basis": list(labels),
+            "unit": labels[data.unit_index],
+            "mult": mult,
+            "comult": comult,
+            "counit": {
+                labels[i]: rat_str(c) for i, c in enumerate(data.counit) if c
+            },
+        },
+    }
+    if data.has_antipode:
+        out["tables"]["antipode"] = {
+            labels[i]: {labels[k]: rat_str(c) for k, c in terms}
+            for i, terms in sorted(data._antipode.items())
+        }
+    if data.degrees is not None:
+        out["tables"]["degrees"] = {
+            labels[i]: d for i, d in enumerate(data.degrees)
+        }
+    return out
 
 
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}

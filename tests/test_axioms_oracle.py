@@ -20,13 +20,12 @@ from hopfcore.coalgebra import (
     build_ueg,
     build_xyw,
     instance_from_json,
-    instance_to_json,
     verify_axioms,
 )
 from hopfcore.linalg import Q0, Q1, rat, rat_str, unit_vec
 from hopfcore.report import FAIL, PASS, SKIP, Report
 from hopfcore.table import TableAlgebra
-from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, load_fixture
+from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, instance_to_json, load_fixture
 
 
 def _tensor3_eq(a: dict, b: dict) -> bool:

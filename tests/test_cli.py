@@ -598,6 +598,30 @@ def test_malformed_coefficient_stops_build_at_load(tmp_path, coeff):
 
 
 @pytest.mark.parametrize(
+    "lie, message",
+    [
+        ({**UEG_HEIS, "generators": ["x", "x", "z"]}, "duplicate generator names"),
+        ({**UEG_HEIS, "brackets": {"x": {"w": {"z": "1"}}}},
+         "bracket on unknown generators [x,w]"),
+        ({**UEG_HEIS, "brackets": {"x": {"y": {"w": "1"}}}},
+         "bracket value on unknown generator 'w'"),
+    ],
+    ids=["duplicate-names", "unknown-bracket-pair", "unknown-bracket-value"],
+)
+def test_bad_generator_names_are_input_errors(tmp_path, lie, message):
+    """Duplicate ueg generator names and brackets on unknown generators are
+    input errors: build fails its load stage and verify stops, both with
+    exit 2."""
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps({"kind": "ueg", "degree_bound": 3, "lie": lie}))
+    code, rep = run(tmp_path, "build", "--instance", str(path))
+    assert (code, rep["status"], rep["error"]) == (2, "input-error", message)
+    assert rep["stages"] == [{"stage": "load", "status": "fail", "detail": message}]
+    code, rep = run(tmp_path, "verify", "--instance", str(path))
+    assert (code, rep["status"], rep["error"]) == (2, "input-error", message)
+
+
+@pytest.mark.parametrize(
     "matrix, message",
     [
         ([[0, 1], [0]], "inconsistent row lengths"),

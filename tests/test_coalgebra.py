@@ -16,15 +16,15 @@ from hopfcore.coalgebra import (
     check_level_closure,
     coradical_filtration,
     graded_splitting,
+    gr_structure,
     instance_from_json,
-    instance_to_json,
     require_connected,
     verify_axioms,
     verify_gr_facts,
 )
 from hopfcore.errors import NotALieAlgebra, NotExhaustive, TruncationError
 from hopfcore.linalg import Q1
-from conftest import HEIS_BRACKETS, SL2_BRACKETS, load_fixture
+from conftest import HEIS_BRACKETS, SL2_BRACKETS, instance_to_json, load_fixture
 
 
 # -- builders -----------------------------------------------------------------
@@ -234,6 +234,27 @@ def test_gr_facts_and_gradedness(heis, xyw, qt):
     for p in (heis, xyw, qt):
         assert verify_gr_facts(p.gr, p.data, p.split).passed
         assert check_coradically_graded(p.gr).passed
+
+
+def test_antipode_image_computed_once_per_splitting_vector(monkeypatch):
+    """gr_structure and verify_gr_facts read the antipode image of each
+    splitting vector from the splitting: one antipode_of call per vector."""
+    data = build_ueg(["e", "f", "h"], SL2_BRACKETS, 4)
+    split = graded_splitting(require_connected(coradical_filtration(data), 4), data)
+    calls = []
+    antipode_of = FilteredBialgebraData.antipode_of
+
+    def counted(self, v):
+        calls.append(self)
+        return antipode_of(self, v)
+
+    monkeypatch.setattr(FilteredBialgebraData, "antipode_of", counted)
+    gr = gr_structure(split)
+    rep = verify_gr_facts(gr, data, split)
+    assert rep.passed
+    assert sum(line.check == "antipode-stability" for line in rep.lines) == split.dim
+    assert len(calls) == split.dim == 35
+    assert all(owner is data for owner in calls)
 
 
 def test_gr_is_a_bialgebra(heis, xyw, qt):

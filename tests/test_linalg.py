@@ -322,6 +322,26 @@ def _sym_rref(rows, ncols):
     return tuple(_frac_rows(reduced)[: len(pivots)]), tuple(pivots)
 
 
+@pytest.mark.parametrize("name, rows", MATRICES, ids=[n for n, _ in MATRICES])
+def test_rref_is_independent_of_row_order(name, rows):
+    """The echelon is canonical: shuffled, sorted and reversed copies of a
+    stack give the same rows with the same keys in the same order, the same
+    pivots and the same type for every scalar."""
+    ncols = len(rows[0])
+    given = [to_sparse(r) for r in rows]
+    shuffled = list(given)
+    random.Random(name).shuffle(shuffled)
+    by_len = sorted(given, key=len)
+
+    def rref(stack):
+        reduced, pivots = _rref_rows(stack, ncols)
+        return [list(row.items()) for row in reduced], _typed(reduced), pivots
+
+    expected = rref(given)
+    for stack in (shuffled, by_len, by_len[::-1], given[::-1]):
+        assert rref(stack) == expected
+
+
 @needs_sympy
 @pytest.mark.parametrize("name, rows", MATRICES, ids=[n for n, _ in MATRICES])
 def test_rank_kernel_rref_against_sympy(name, rows):

@@ -9,6 +9,7 @@ places that create scalars (``rat``, ``table.sparse``, the echelon and
 ``expand_comult``) an integral value is moreover an ``int``.
 """
 
+import inspect
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -16,9 +17,18 @@ from fractions import Fraction
 import pytest
 
 from hopfcore import cli
-from hopfcore.action import ModuleAlgebraAction, PrincipalIdeal, hcore
-from hopfcore.coalgebra import coradical_filtration, instance_from_json
+from hopfcore.action import ModuleAlgebraAction, PrincipalIdeal, QuotientAlgebra, hcore
+from hopfcore.coalgebra import (
+    FilteredBialgebraData,
+    build_grouplike,
+    build_ueg,
+    build_xyw,
+    coradical_filtration,
+    gr_structure,
+    instance_from_json,
+)
 from hopfcore.convolution import (
+    _BUILTIN_FACTORIES,
     builtin_ring,
     convolve,
     random_conv_element,
@@ -27,8 +37,8 @@ from hopfcore.convolution import (
 from hopfcore.errors import HopfcoreError, InputFormatError
 from hopfcore.linalg import Subspace, inverse, kernel, rat
 from hopfcore.pbw import PBWStructure
-from hopfcore.table import PolynomialAlgebra, sparse
-from conftest import FIXTURES, load_fixture
+from hopfcore.table import PolynomialAlgebra, TableAlgebra, sparse
+from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, load_fixture
 
 INSTANCES = sorted(p.stem for p in (FIXTURES / "instances").glob("*.json"))
 ACTIONS = [("sl2_qxy_ix", "sl2", 6), ("dq_qx_ix", "dq", 8), ("xyw_qu", "xyw", 8)]
@@ -114,6 +124,93 @@ def test_principal_reduction_divides_exactly():
     assert residual[alg.monomial_index([1, 0])] == Fraction(-3, 2)
     assert_exact(residual)
     assert ideal.contains({t: 2 * c for t, c in gen.items()})
+
+
+# -- tables handed over in normal form --------------------------------------------
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Every product table, comultiplication and antipode handed to the
+    ``TableAlgebra`` and ``FilteredBialgebraData`` constructors, which keep
+    them as given."""
+    seen = {"mult": [], "comult": [], "antipode": []}
+    table_init, data_init = TableAlgebra.__init__, FilteredBialgebraData.__init__
+
+    def record_table(self, labels, table, *args, **kwargs):
+        seen["mult"].append(table)
+        table_init(self, labels, table, *args, **kwargs)
+
+    def record_data(self, *args, **kwargs):
+        given = inspect.signature(data_init).bind(self, *args, **kwargs).arguments
+        seen["comult"].append(given["comult"])
+        seen["antipode"].append(given.get("antipode") or {})
+        data_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TableAlgebra, "__init__", record_table)
+    monkeypatch.setattr(FilteredBialgebraData, "__init__", record_data)
+    return seen
+
+
+def _typed_terms(terms):
+    return [(k, type(c), c) for k, c in terms]
+
+
+def assert_handed_normal(seen):
+    """Products and antipode images are tuples equal, down to the type of
+    every scalar, to their ``sparse`` normal form; comultiplication rows are
+    tuples of sorted triples without zeros, in normal form."""
+    assert seen["mult"]
+    for table in seen["mult"] + seen["antipode"]:
+        for terms in table.values():
+            assert type(terms) is tuple
+            assert _typed_terms(terms) == _typed_terms(sparse(terms)), terms
+    for comult in seen["comult"]:
+        for row in comult:
+            assert type(row) is tuple and list(row) == sorted(row)
+            assert all(c for _, _, c in row)
+            assert_normal(row)
+
+
+UEG_CASES = [
+    (["e", "f", "h"], SL2_BRACKETS),
+    (["x", "y", "z"], HEIS_BRACKETS),
+    (["d"], {}),
+    (["e", "f", "h"], {"h": {"e": {"e": "1/2"}, "f": {"f": "-1/2"}},
+                       "e": {"f": {"h": "1/2"}}}),
+]
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_builders_hand_over_normal_tables(handed, degree):
+    for names, brackets in UEG_CASES:
+        build_ueg(names, brackets, degree)
+    if degree >= 2:
+        build_xyw(degree)
+    build_grouplike()
+    PolynomialAlgebra(["x", "y"], degree)
+    assert_handed_normal(handed)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis", "dq", "xyw", "qt", "shifted_line"])
+def test_gr_structure_hands_over_normal_tables(handed, name):
+    pbw = PBWStructure.from_bialgebra(_data(name))
+    handed["mult"].clear()
+    handed["comult"].clear()
+    handed["antipode"].clear()
+    gr_structure(pbw.split)
+    assert_handed_normal(handed)
+
+
+def test_rings_and_quotients_hand_over_normal_tables(handed):
+    for name in ("q", "m2q", "qxq", "qx2"):
+        _BUILTIN_FACTORIES[name]()
+    ring_from_tables(HALF_RING)
+    for action_name, _, _ in ACTIONS:
+        spec = load_fixture(f"actions/{action_name}.json")
+        algebra = cli._algebra_from_json(spec["algebra"])
+        QuotientAlgebra(cli._ideal_from_json(algebra, spec["ideal"]))
+    assert_handed_normal(handed)
 
 
 # -- the pipeline ---------------------------------------------------------------------
