@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .convolution import ConvElement, add_witness_line, leading
@@ -25,13 +26,10 @@ from .linalg import (
     Scalar,
     SparseRow,
     Subspace,
-    Vector,
     combine,
     exact,
     kernel,
     nonzero,
-    to_dense,
-    unit_vec,
 )
 from .monoid import monomial_label
 from .pbw import PBWStructure
@@ -67,14 +65,20 @@ class IdealOracle:
     def normal_labels(self) -> tuple[str, ...]:
         return tuple(self.algebra.basis_labels[t] for t in self._normal)
 
-    def quotient_coords(self, v: Mapping[int, Scalar]) -> Vector:
-        """The class of v on the normal basis, as a dense A/I value."""
-        residual = self.reduce(v)
-        return tuple(residual.get(t, Q0) for t in self._normal)
+    @cached_property
+    def _normal_pos(self) -> dict[int, int]:
+        return {t: p for p, t in enumerate(self._normal)}
 
-    def lift(self, coords: Vector) -> SparseRow:
-        """The normal-form representative of an A/I value."""
-        return {t: c for t, c in zip(self._normal, coords) if c}
+    def quotient_coords(self, v: Mapping[int, Scalar]) -> SparseRow:
+        """The class of v as a sparse A/I value, keyed by position in the
+        normal basis."""
+        pos = self._normal_pos
+        return {pos[t]: c for t, c in self.reduce(v).items()}
+
+    def lift(self, coords: Mapping[int, Scalar]) -> SparseRow:
+        """The normal-form representative of a sparse A/I value."""
+        normal = self._normal
+        return {normal[p]: c for p, c in coords.items() if c}
 
     @property
     def quotient_dim(self) -> int:
@@ -82,7 +86,7 @@ class IdealOracle:
 
     @property
     def is_unit(self) -> bool:
-        return self.contains(dict(enumerate(self.algebra.unit_vector())))
+        return self.contains(self.algebra.unit_vector())
 
     @property
     def is_zero(self) -> bool:
@@ -173,7 +177,7 @@ class PrincipalIdeal(IdealOracle):
         return remainder
 
     def describe(self) -> str:
-        return f"({self.algebra.format(to_dense(self.generator, self.algebra.dim))})"
+        return f"({self.algebra.format(self.generator)})"
 
 
 class SubspaceIdeal(IdealOracle):
@@ -192,8 +196,8 @@ class SubspaceIdeal(IdealOracle):
             for i in range(algebra.dim):
                 e = {i: Q1}
                 if not (
-                    subspace.contains(algebra.mul_sparse(e, row))
-                    and subspace.contains(algebra.mul_sparse(row, e))
+                    subspace.contains(algebra.mul(e, row))
+                    and subspace.contains(algebra.mul(row, e))
                 ):
                     raise InputFormatError("subspace is not a two-sided ideal")
         pivots = set(subspace.pivots)
@@ -214,28 +218,23 @@ class QuotientAlgebra(TableAlgebra):
 
     def __init__(self, ideal: IdealOracle):
         algebra = ideal.algebra
-        n = ideal.quotient_dim
-        lifts = [ideal.lift(unit_vec(n, p)) for p in range(n)]
+        lifts = [ideal.lift({p: Q1}) for p in range(ideal.quotient_dim)]
         table = {}
         for p, lp in enumerate(lifts):
             for q, lq in enumerate(lifts):
                 try:
-                    prod = algebra.mul_sparse(lp, lq)
+                    prod = algebra.mul(lp, lq)
                 except TruncationError:
                     continue
-                coords = ideal.quotient_coords(prod)
-                table[(p, q)] = sparse(enumerate(coords))
+                table[(p, q)] = sparse(ideal.quotient_coords(prod).items())
         super().__init__(
             ideal.normal_labels,
             table,
-            ideal.quotient_coords(dict(enumerate(algebra.unit_vector()))),
+            ideal.quotient_coords(algebra.unit_vector()),
             degree_bound=algebra.degree_bound,
             name=f"A/{ideal.describe()}",
         )
         self.ideal = ideal
-
-    def project(self, v: Mapping[int, Scalar]) -> Vector:
-        return self.ideal.quotient_coords(v)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +284,8 @@ class ModuleAlgebraAction:
         cached = self._columns[p]
         if cached is not None:
             return cached
-        host = self.host
-        m = host.indices[p]
-        t = next(t for t, k in enumerate(m) if k)
-        k = m[t]
-        rest = host.index_pos[m[:t] + (k - 1,) + m[t + 1 :]]
-        op, scale = self.gen_ops[host.gens.ids[t]], Fraction(1, k)
+        t, k, rest = self.host.first_factor(p)
+        op, scale = self.gen_ops[self.host.gens.ids[t]], Fraction(1, k)
         out = [
             {r: exact(c * scale) for r, c in combine(op, col).items()}
             for col in self.columns(rest)
@@ -318,7 +313,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
         gid: host.index_pos[tuple(int(s == t) for s in range(len(gens)))]
         for t, gid in enumerate(gens.ids)
     }
-    one = dict(enumerate(alg.unit_vector()))
+    one = alg.unit_vector()
     for gid, _ in gens.generators:
         eps = data.counit_of(host.lifts[gid])
         image = action.act(at[gid], one)
@@ -346,7 +341,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                     lhs = combine(act_g, dict(alg.product_terms(a, b)))
                     rhs: SparseRow = {}
                     for left, right, c in terms:
-                        _add_scaled(rhs, c, alg.mul_sparse(left[a], right[b]))
+                        _add_scaled(rhs, c, alg.mul(left[a], right[b]))
                 except TruncationError:
                     skipped += 1
                     continue
@@ -368,7 +363,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
         for hid, dh in gens.generators:
             if dg + dh > data.degree_bound:
                 continue
-            expansion = host.pbw_coords(data.mul_sparse(lifts[gid], lifts[hid]))
+            expansion = host.pbw_coords(data.mul(lifts[gid], lifts[hid]))
             op_g = action.columns(at[gid])
             ok = True
             for j, col_h in enumerate(action.columns(at[hid])):
@@ -390,8 +385,8 @@ def conv_map(
     stable core."""
     values = {}
     for p in range(len(action.host.indices)):
-        coords = ring.project(action.act(p, a))
-        if not ring.is_zero(coords):
+        coords = ring.ideal.quotient_coords(action.act(p, a))
+        if coords:
             values[p] = coords
     return ConvElement(action.host, ring, values)
 
@@ -499,8 +494,8 @@ def core_primeness_probe(
                 try:
                     # zero divisors need not be two-sided, so probe both
                     # orientations of the leading values
-                    zero = any(
-                        ring.is_zero(ring.mul(u, v))
+                    zero = not all(
+                        ring.mul(u, v)
                         for u, v in ((li.value, lj.value), (lj.value, li.value))
                     )
                 except TruncationError:

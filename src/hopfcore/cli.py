@@ -31,7 +31,7 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, SparseRow, Subspace, exact, nonzero, rat, rat_str, unit_vec
+from .linalg import Q0, Q1, SparseRow, Subspace, exact, nonzero, rat, rat_str
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, dumps
 from .table import (
@@ -147,7 +147,7 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
         if one not in pos:
             raise InputFormatError(f"unit label {one!r} not in basis")
         table = parse_table(obj.get("mult", {}), pos)
-        return TableAlgebra.finite(labels, table, unit_vec(len(labels), pos[one]))
+        return TableAlgebra.finite(labels, table, {pos[one]: Q1})
     raise InputFormatError(f"unknown algebra kind {kind!r}")
 
 
@@ -173,9 +173,12 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
     if kind == "unit":
         return action_mod.SubspaceIdeal(algebra, Subspace.full(algebra.dim))
     if kind == "subspace":
-        vectors = [[rat(x) for x in row] for row in obj["vectors"]]
+        rows = [[rat(x) for x in row] for row in obj["vectors"]]
+        if any(len(row) != algebra.dim for row in rows):
+            raise InputFormatError("vector length does not match ambient dimension")
+        vectors = [{i: c for i, c in enumerate(row) if c} for row in rows]
         return action_mod.SubspaceIdeal(
-            algebra, Subspace.from_vectors(vectors, algebra.dim)
+            algebra, Subspace.from_sparse(vectors, algebra.dim)
         )
     raise InputFormatError(f"ideal kind {kind!r} needs a polynomial algebra")
 
@@ -427,8 +430,8 @@ def cmd_conv(args) -> int:
             report.add("prime-refutation", ring.name, FAIL, "no refuting pair found")
         else:
             a, b = refuter
-            s = convolution.counit_pullback(pbw, ring, ring.basis_vec(a))
-            t = convolution.counit_pullback(pbw, ring, ring.basis_vec(b))
+            s = convolution.counit_pullback(pbw, ring, {a: Q1})
+            t = convolution.counit_pullback(pbw, ring, {b: Q1})
             try:
                 convolution.prime_witness(s, t)
                 report.add("prime-refutation", ring.name, FAIL, "witness unexpectedly found")
@@ -445,7 +448,7 @@ def cmd_conv(args) -> int:
         if nil is None:
             report.add("nilpotent", ring.name, FAIL, "no refuting element found")
         else:
-            u = convolution.counit_pullback(pbw, ring, ring.basis_vec(nil))
+            u = convolution.counit_pullback(pbw, ring, {nil: Q1})
             ok = convolution.convolve(u, u).is_zero
             report.add(
                 "nilpotent",
@@ -497,7 +500,7 @@ def cmd_hcore(args) -> int:
         "dims_by_cap": list(result.dims),
         "stabilized": result.stabilized,
         "dim": result.core.dim,
-        "basis": [algebra.format(row) for row in result.core.basis],
+        "basis": [algebra.format(row) for row in result.core.rows],
         "ideal": ideal.describe(),
     }
     report.add(

@@ -41,7 +41,6 @@ from .linalg import (
     Scalar,
     SparseRow,
     Subspace,
-    Vector,
     combine,
     complement,
     exact,
@@ -50,7 +49,6 @@ from .linalg import (
     nonzero,
     rat,
     rat_str,
-    unit_vec,
 )
 from .monoid import splittings
 from .report import FAIL, PASS, SKIP, Report
@@ -72,7 +70,9 @@ TensorMap = dict[tuple[int, int], Scalar]
 class FilteredBialgebraData(TableAlgebra):
     """Basis-indexed structure constants of a truncated bialgebra: the
     product table plus comultiplication, counit and optional antipode, all
-    kept as given: sorted, without zeros, in normal form."""
+    kept as given: sorted, without zeros, in normal form.  A product or
+    comultiplication row that is not a tuple is refused.  The counit is a
+    functional, held by its values on the basis in order."""
 
     def __init__(
         self,
@@ -86,8 +86,9 @@ class FilteredBialgebraData(TableAlgebra):
         filtration_hint: Optional[Sequence[int]] = None,
     ):
         dim = len(basis_labels)
-        one = unit_vec(dim, unit_index)
-        super().__init__(basis_labels, mult, one, filtration_hint, int(degree_bound))
+        super().__init__(
+            basis_labels, mult, {unit_index: Q1}, filtration_hint, int(degree_bound)
+        )
         if not (0 <= unit_index < dim):
             raise InputFormatError("unit index out of range")
         if len(comult) != dim:
@@ -95,14 +96,17 @@ class FilteredBialgebraData(TableAlgebra):
         if degree_bound < 1:
             raise InputFormatError("degree bound must be positive")
         self.unit_index = int(unit_index)
+        for i, row in enumerate(comult):
+            if type(row) is not tuple:
+                raise InputFormatError(
+                    f"comultiplication row of {self.label(i)} must be a tuple, "
+                    f"got {type(row).__name__}"
+                )
         self._comult = tuple(comult)
         self._counit = tuple(rat(c) for c in counit)
         if len(self._counit) != dim:
             raise InputFormatError("counit must be a functional on the basis")
         self._antipode = antipode
-
-    # the bialgebra's name for the product, which perfbench traces
-    multiply = TableAlgebra.mul
 
     @property
     def has_antipode(self) -> bool:
@@ -131,7 +135,7 @@ class FilteredBialgebraData(TableAlgebra):
         return sum((a * counit[i] for i, a in v.items()), Q0)
 
     @property
-    def counit(self) -> Vector:
+    def counit(self) -> tuple[Scalar, ...]:
         return self._counit
 
     def antipode_of(self, v: Mapping[int, Scalar]) -> SparseRow:
@@ -287,7 +291,7 @@ def check_antipode(data: FilteredBialgebraData) -> None:
                     (left, dict(data.antipode_terms(j)), {k: c}),
                     (right, {j: c}, dict(data.antipode_terms(k))),
                 ):
-                    for t, x in data.mul_sparse(u, v).items():
+                    for t, x in data.mul(u, v).items():
                         side[t] = side.get(t, Q0) + x
         except TruncationError:
             continue
@@ -447,7 +451,7 @@ class GradedSplitting(
     def product(self, a: int, b: int) -> SparseRow:
         """Split coordinates of the product of splitting vectors a and b;
         raises TruncationError when the product leaves the truncation."""
-        return self.to_split(self.data.mul_sparse(self.vectors[a], self.vectors[b]))
+        return self.to_split(self.data.mul(self.vectors[a], self.vectors[b]))
 
     def split_tensor(self, tmap: TensorMap) -> TensorMap:
         return _split_tensor(self.to_split_units, tmap)
@@ -530,7 +534,7 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
             mult[(a, b)] = sparse(
                 (k, c) for k, c in coords.items() if degrees[k] == target
             )
-    counit = unit_vec(dim, 0)
+    counit = [Q1] + [Q0] * (dim - 1)
     antipode = None
     if data.has_antipode:
         antipode = {
@@ -751,7 +755,7 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
         ok_c = _in_primitive_set(gr, c, m)
         checks = [("membership", ok_b and ok_c)]
         if n + m <= bound:
-            checks.append(("product", _in_primitive_set(gr, gr.mul_sparse(b, c), n + m)))
+            checks.append(("product", _in_primitive_set(gr, gr.mul(b, c), n + m)))
         total = dict(b)
         for k, y in c.items():
             total[k] = total.get(k, Q0) + y

@@ -4,14 +4,17 @@ A map f out of the truncated algebra is stored by its values on the ordered
 divided-power basis, i.e. as a finitely supported function from basis
 indices to ring elements.  An index is named by its position in the host's
 well-ordered ``indices``, so the order of positions is the well-order.
-Convolution is computed through the cached comultiplication expansions of
-the host basis, so it is exact on every index within the truncation bound.
-Leading data (smallest support position, value there) drives the primeness
-witnesses: for a prime ring a middle factor r with s_min * r * t_min != 0 is
-found by a scan of the ring's basis and pulled back through the counit, and
-the leading term of s * u * t is checked to be exactly (s+t, s_min r t_min).
-A failed scan refutes the declared ring property.  ``add_witness_line``
-writes the check line of one scan for both ``conv`` and the core probes.
+A value, like every element of a coefficient ring, is a sparse vector
+{index: coefficient} without zeros, and values multiply through the ring's
+one product, ``TableAlgebra.mul``.  Convolution is computed through the
+cached comultiplication expansions of the host basis, so it is exact on
+every index within the truncation bound.  Leading data (smallest support
+position, value there) drives the primeness witnesses: for a prime ring a
+middle factor r with s_min * r * t_min != 0 is found by a scan of the ring's
+basis and pulled back through the counit, and the leading term of s * u * t
+is checked to be exactly (s+t, s_min r t_min).  A failed scan refutes the
+declared ring property.  ``add_witness_line`` writes the check line of one
+scan for both ``conv`` and the core probes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     TruncationError,
     ZeroElement,
 )
-from .linalg import Q0, Q1, Scalar, Vector, is_zero_vec, rat
+from .linalg import Q0, Q1, Scalar, SparseRow, exact, rat
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .table import TableAlgebra, json_object, parse_table, string_list
@@ -48,7 +51,7 @@ def ring_q() -> TableAlgebra:
     return TableAlgebra.finite(
         ("1",),
         {(0, 0): [(0, Q1)]},
-        (Q1,),
+        {0: Q1},
         "q",
         RingFlags(is_prime=True, is_semiprime=True, is_domain=True),
     )
@@ -66,7 +69,7 @@ def ring_m2q() -> TableAlgebra:
     return TableAlgebra.finite(
         labels,
         table,
-        (Q1, Q0, Q0, Q1),
+        {0: Q1, 3: Q1},
         "m2q",
         RingFlags(is_prime=True, is_semiprime=True, is_domain=False),
     )
@@ -76,7 +79,7 @@ def ring_qxq() -> TableAlgebra:
     return TableAlgebra.finite(
         ("e1", "e2"),
         {(0, 0): [(0, Q1)], (1, 1): [(1, Q1)]},
-        (Q1, Q1),
+        {0: Q1, 1: Q1},
         "qxq",
         RingFlags(is_prime=False, is_semiprime=True, is_domain=False),
     )
@@ -86,7 +89,7 @@ def ring_qx2() -> TableAlgebra:
     return TableAlgebra.finite(
         ("1", "x"),
         {(0, 0): [(0, Q1)], (0, 1): [(1, Q1)], (1, 0): [(1, Q1)]},
-        (Q1, Q0),
+        {0: Q1},
         "qx2",
         RingFlags(is_prime=False, is_semiprime=False, is_domain=False),
     )
@@ -123,9 +126,10 @@ def ring_from_tables(obj: Mapping) -> TableAlgebra:
             raise InputFormatError('ring "basis" must not be empty')
         pos = {s: i for i, s in enumerate(labels)}
         table = parse_table(obj["mult"], pos)
-        one = [Q0] * len(labels)
-        for a, c in json_object(obj["one"], 'ring "one"').items():
-            one[pos[a]] = rat(c)
+        one = {
+            pos[a]: rat(c)
+            for a, c in json_object(obj["one"], 'ring "one"').items()
+        }
         flags_obj = json_object(obj.get("flags", {}), 'ring "flags"')
         flags = []
         for key in ("prime", "semiprime", "domain"):
@@ -136,17 +140,16 @@ def ring_from_tables(obj: Mapping) -> TableAlgebra:
                 )
             flags.append(value)
         return TableAlgebra.finite(
-            labels, table, tuple(one), str(obj.get("name", "user")), RingFlags(*flags)
+            labels, table, one, str(obj.get("name", "user")), RingFlags(*flags)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed ring table: {exc}") from exc
 
 
-def _annihilates(ring: TableAlgebra, a: Vector, b: Vector) -> bool:
-    """a r b = 0 for every basis element r."""
-    return all(
-        ring.is_zero(ring.mul(ring.mul(a, ring.basis_vec(r)), b))
-        for r in range(ring.dim)
+def _annihilates(ring: TableAlgebra, i: int, j: int) -> bool:
+    """e_i r e_j = 0 for every basis element r."""
+    return not any(
+        ring.mul(ring.mul({i: Q1}, {r: Q1}), {j: Q1}) for r in range(ring.dim)
     )
 
 
@@ -155,7 +158,7 @@ def prime_refuter(ring: TableAlgebra) -> Optional[tuple[int, int]]:
     primeness, or None."""
     for i in range(ring.dim):
         for j in range(ring.dim):
-            if _annihilates(ring, ring.basis_vec(i), ring.basis_vec(j)):
+            if _annihilates(ring, i, j):
                 return (i, j)
     return None
 
@@ -164,7 +167,7 @@ def semiprime_refuter(ring: TableAlgebra) -> Optional[int]:
     """The first basis element e_i with e_i R e_i = 0, which refutes
     semiprimeness, or None."""
     for i in range(ring.dim):
-        if _annihilates(ring, ring.basis_vec(i), ring.basis_vec(i)):
+        if _annihilates(ring, i, i):
             return i
     return None
 
@@ -175,7 +178,7 @@ def ring_check(ring: TableAlgebra) -> Report:
     annihilation, a.R.a annihilation)."""
     rep = Report("ring-check")
     dim = ring.dim
-    basis = [ring.basis_vec(i) for i in range(dim)]
+    basis = [{i: Q1} for i in range(dim)]
 
     # a ring's table is total, so every basis triple is checked
     assoc_ok = ring.first_nonassociative() is None
@@ -190,7 +193,7 @@ def ring_check(ring: TableAlgebra) -> Report:
     zero_pair = None
     for i in range(dim):
         for j in range(dim):
-            if ring.is_zero(ring.mul(basis[i], basis[j])):
+            if not ring.mul(basis[i], basis[j]):
                 zero_pair = (i, j)
                 break
         if zero_pair:
@@ -237,7 +240,7 @@ def ring_check(ring: TableAlgebra) -> Report:
 
 class LeadingTerm(namedtuple("LeadingTerm", "index value")):
     """The leading index of an element, as a position in ``host.indices``,
-    and its value there (a ring ``Vector``)."""
+    and its value there (a sparse ring element)."""
 
     __slots__ = ()
 
@@ -246,7 +249,8 @@ class ConvElement:
     """A truncated linear map out of the host algebra, stored by its nonzero
     values on the ordered divided-power basis.  The values are keyed by
     position in ``host.indices`` and kept in ascending order, so the first
-    key is the leading index."""
+    key is the leading index; each is a sparse ring element without zeros,
+    integral coefficients as ``int``."""
 
     __slots__ = ("host", "ring", "_map")
 
@@ -254,7 +258,7 @@ class ConvElement:
         self,
         host: PBWStructure,
         ring: TableAlgebra,
-        values: Mapping[int, Vector],
+        values: Mapping[int, Mapping[int, Scalar]],
     ):
         self.host = host
         self.ring = ring
@@ -262,21 +266,24 @@ class ConvElement:
         for p in values:
             if not 0 <= p < count:
                 raise InputFormatError(f"index position {p} does not live on this host")
-        self._map = {
-            p: tuple(values[p]) for p in sorted(values) if not is_zero_vec(values[p])
-        }
+        self._map = {}
+        for p in sorted(values):
+            value = {k: exact(c) for k, c in values[p].items() if c}
+            if value:
+                self._map[p] = value
 
     @classmethod
     def _at_positions(
-        cls, host: PBWStructure, ring: TableAlgebra, values: dict[int, Vector]
+        cls, host: PBWStructure, ring: TableAlgebra, values: dict[int, SparseRow]
     ) -> "ConvElement":
-        """An element from nonzero values keyed by ascending position."""
+        """An element from nonzero values in normal form, keyed by ascending
+        position."""
         f = cls.__new__(cls)
         f.host, f.ring, f._map = host, ring, values
         return f
 
-    def value(self, p: int) -> Vector:
-        return self._map.get(p, self.ring.zero())
+    def value(self, p: int) -> SparseRow:
+        return self._map.get(p, {})
 
     @property
     def is_zero(self) -> bool:
@@ -285,7 +292,7 @@ class ConvElement:
     def support(self) -> list[int]:
         return list(self._map)
 
-    def terms(self) -> list[tuple[int, Vector]]:
+    def terms(self) -> list[tuple[int, SparseRow]]:
         """The nonzero values as (position, value) pairs in the well-order."""
         return list(self._map.items())
 
@@ -311,12 +318,12 @@ def unit_conv(host: PBWStructure, ring: TableAlgebra) -> ConvElement:
 
 
 def counit_pullback(
-    host: PBWStructure, ring: TableAlgebra, r: Vector
+    host: PBWStructure, ring: TableAlgebra, r: Mapping[int, Scalar]
 ) -> ConvElement:
-    """The map taking value r at the zero index and 0 elsewhere."""
+    """The map taking the sparse ring value r at the zero index and 0
+    elsewhere."""
     # the zero index comes first in the well-order
-    values = {} if is_zero_vec(r) else {0: tuple(r)}
-    return ConvElement._at_positions(host, ring, values)
+    return ConvElement(host, ring, {0: r})
 
 
 def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
@@ -331,30 +338,31 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
     host, ring = f.host, f.ring
     table = host.transposed_comult()
     mul = ring.mul
-    acc: dict[int, list[Scalar]] = {}
+    acc: dict[int, SparseRow] = {}
     for i, fv in f._map.items():
         for j, gv in g._map.items():
             targets = table.get((i, j))
             if targets is None:
                 continue
             term = mul(fv, gv)
+            if not term:
+                continue
             for n, c in targets:
                 value = acc.get(n)
                 if value is None:
-                    acc[n] = [c * x for x in term]
+                    acc[n] = {k: c * x for k, x in term.items()}
                 else:
-                    for k, x in enumerate(term):
-                        if x:
-                            value[k] += c * x
+                    for k, x in term.items():
+                        value[k] = value.get(k, Q0) + c * x
     values = {}
     for n in sorted(acc):
-        v = acc[n]
-        if any(v):
-            values[n] = tuple(v)
+        v = {k: exact(x) for k, x in acc[n].items() if x}
+        if v:
+            values[n] = v
     return ConvElement._at_positions(host, ring, values)
 
 
-def u_star(f: ConvElement) -> Vector:
+def u_star(f: ConvElement) -> SparseRow:
     """Evaluation at the unit: the value at the zero index, position 0."""
     return f.value(0)
 
@@ -403,16 +411,15 @@ def check_leading_law(f: ConvElement, g: ConvElement) -> LeadingLawOutcome:
     first = next(iter(prod._map), None)
     vanish = first is None or first >= t
     expected = f.ring.mul(lf.value, lg.value)
-    value_ok = prod._map.get(t, f.ring.zero()) == expected
-    nonzero = not f.ring.is_zero(expected)
+    value_ok = prod._map.get(t, {}) == expected
     term_ok: Optional[bool] = None
-    if nonzero:
+    if expected:
         term_ok = first == t and prod._map[t] == expected
-    return LeadingLawOutcome(lf, lg, vanish, value_ok, nonzero, term_ok)
+    return LeadingLawOutcome(lf, lg, vanish, value_ok, bool(expected), term_ok)
 
 
 class Witness(namedtuple("Witness", "r u proof")):
-    """The middle factor r (a ring ``Vector``), its counit pullback u and
+    """The middle factor r (a sparse ring element), its counit pullback u and
     the leading term of the witness product."""
 
     __slots__ = ()
@@ -430,9 +437,9 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
     if total is None:
         raise TruncationError("leading sum degree exceeds the bound")
     for i in range(ring.dim):
-        r = ring.basis_vec(i)
+        r = {i: Q1}
         value = ring.mul(ring.mul(ls.value, r), lt.value)
-        if ring.is_zero(value):
+        if not value:
             continue
         u = counit_pullback(host, ring, r)
         proof = leading(convolve(convolve(s, u), t))
@@ -495,7 +502,7 @@ def random_conv_element(
     values = {}
     for p in chosen:
         coords = [rng.randint(-2, 2) for _ in range(ring.dim)]
-        if all(c == 0 for c in coords):
+        if not any(coords):
             coords[rng.randrange(ring.dim)] = Q1
-        values[p] = tuple(coords)
+        values[p] = {k: c for k, c in enumerate(coords) if c}
     return ConvElement._at_positions(host, ring, dict(sorted(values.items())))

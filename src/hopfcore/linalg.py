@@ -4,12 +4,13 @@ Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
 The two mix exactly, compare and hash equal, and integral arithmetic stays
 in ``int``.  Every place that creates a scalar by division or parsing
 passes it through ``exact``, and division is always by a ``Fraction``, so
-no floating point enters anywhere.  Vectors are sparse rows {column:
-coefficient} without zeros; dense tuples of scalars serve only
-coefficient-ring values and report text.  Matrices exist only as lists of
-sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and ``inverse``
-take sparse rows, and one echelon keyed by pivot column reduces them, so
-the work follows the nonzero entries rather than the matrix shape.
+no floating point enters anywhere.  There is one vector format, the sparse
+dict {index: coefficient} without zeros, for the vectors of every algebra
+and the values of every coefficient ring alike; only a functional, such as
+the counit, is a tuple of its values on the basis.  Matrices exist only as
+lists of sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
+``inverse`` take sparse rows, and one echelon keyed by pivot column reduces
+them, so the work follows the nonzero entries rather than the matrix shape.
 Subspaces are kept in reduced row echelon form, which is a canonical
 representative: two subspaces are equal iff their pivots and sparse echelon
 rows are equal.
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
 
 Rational = Fraction
 Scalar = int | Fraction
-Vector = tuple[Scalar, ...]
 SparseRow = dict[int, Scalar]
 
 Q0 = 0
@@ -59,33 +59,9 @@ def rat_str(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def vec(values: Iterable) -> Vector:
-    return tuple(rat(v) for v in values)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Q0,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(Q1 if j == i else Q0 for j in range(n))
-
-
-def to_sparse(v: Vector) -> dict[int, Scalar]:
-    """The nonzero coordinates of v as {index: coefficient}."""
-    return {i: a for i, a in enumerate(v) if a}
-
-
 def nonzero(v: Mapping[int, Scalar]) -> SparseRow:
     """A sparse vector without its zero entries."""
     return {k: c for k, c in v.items() if c}
-
-
-def to_dense(entries: Mapping[int, Scalar], n: int) -> Vector:
-    out = [Q0] * n
-    for i, a in entries.items():
-        out[i] = a
-    return tuple(out)
 
 
 def combine(rows, coeffs: Mapping[int, Scalar]) -> SparseRow:
@@ -99,10 +75,6 @@ def combine(rows, coeffs: Mapping[int, Scalar]) -> SparseRow:
             for j, c in rows[k].items():
                 out[j] = out.get(j, Q0) + a * c
     return {j: c for j, c in out.items() if c}
-
-
-def is_zero_vec(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def _sub_scaled(row: SparseRow, f: Scalar, other: Mapping[int, Scalar]) -> None:
@@ -190,14 +162,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
     __hash__ = None
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":
-        rows = [tuple(rat(x) for x in v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return cls.from_sparse([to_sparse(r) for r in rows], ambient_dim)
-
-    @classmethod
     def from_sparse(
         cls, rows: Sequence[Mapping[int, Scalar]], ambient_dim: int
     ) -> "Subspace":
@@ -216,11 +180,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        """The echelon rows as dense vectors, for reports."""
-        return tuple(to_dense(r, self.ambient_dim) for r in self.rows)
 
     def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
         """Residual of the sparse vector v after subtracting its projection
@@ -264,12 +223,13 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
 
 
 def complement(
-    inner: Subspace, outer: Subspace, constraint: Optional[Vector] = None
+    inner: Subspace, outer: Subspace, constraint: Optional[Sequence[Scalar]] = None
 ) -> Subspace:
     """A deterministic direct complement W of inner in outer.
 
     Pivot-greedy: W starts from the outer echelon rows whose pivots are not
-    pivots of inner.  When a linear-functional constraint is supplied, each
+    pivots of inner.  When a linear-functional constraint (its values on
+    the basis, by position) is supplied, each
     chosen vector w with constraint(w) != 0 is corrected by a multiple of the
     first inner basis vector on which the constraint does not vanish; the
     correction keeps W a complement and makes the constraint vanish on it.
@@ -300,5 +260,5 @@ def complement(
     return Subspace.from_sparse(rows, outer.ambient_dim)
 
 
-def _dot_sparse(u: Vector, v: Mapping[int, Scalar]) -> Scalar:
+def _dot_sparse(u: Sequence[Scalar], v: Mapping[int, Scalar]) -> Scalar:
     return sum((u[i] * a for i, a in v.items()), Q0)

@@ -15,7 +15,7 @@ exponent vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add
 from typing import Callable, Mapping, Optional
 
@@ -209,24 +209,34 @@ class PBWStructure:
 
     # -- monomials -----------------------------------------------------------
 
+    def first_factor(self, p: int) -> tuple[int, int, int]:
+        """For the nonzero index m at position p: the position t of its
+        first generator g (the least t with m(t) > 0), its multiplicity
+        k = m(t), and the position of m - g.  Then e_m is (1/k) times
+        lift_g e_(m - g), because lift_g e_(m - g) = k e_m by associativity,
+        and the operator of e_m is (1/k) g composed with that of e_(m - g)."""
+        m = self.indices[p]
+        t = next(t for t, k in enumerate(m) if k)
+        k = m[t]
+        return t, k, self.index_pos[m[:t] + (k - 1,) + m[t + 1 :]]
+
     def pbw_monomial(self, p: int) -> SparseRow:
         """e_m for the index m at position p, as its nonzero raw
-        coordinates, computed left to right in increasing generator order
-        with the divided scaling 1/m(g)! applied per generator block;
+        coordinates: the unit at the zero index, and otherwise (1/k)
+        lift_g e_(m - g) by ``first_factor``, one product per monomial;
         cached."""
         cached = self._monomials.get(p)
         if cached is not None:
             return cached
-        m = self._require(p)
-        v = {self.data.unit_index: Q1}
-        for gid, k in zip(self.gens.ids, m):
-            if not k:
-                continue
-            lift = self.lifts[gid]
-            for _ in range(k):
-                v = nonzero(self.data.mul_sparse(v, lift))
-            scale = Fraction(1, factorial(k))
-            v = {i: exact(a * scale) for i, a in v.items()}
+        self._require(p)
+        if p == 0:
+            v = {self.data.unit_index: Q1}
+        else:
+            t, k, rest = self.first_factor(p)
+            v = self.data.mul(self.lifts[self.gens.ids[t]], self.pbw_monomial(rest))
+            if k > 1:
+                scale = Fraction(1, k)
+                v = {i: exact(a * scale) for i, a in v.items()}
         self._monomials[p] = v
         return v
 
@@ -287,7 +297,7 @@ class PBWStructure:
         if total is None:
             raise TruncationError("product degree exceeds the bound")
         c = prod(comb(a + b, a) for a, b in zip(self.indices[p], self.indices[q]))
-        defect = self.data.mul_sparse(self.pbw_monomial(p), self.pbw_monomial(q))
+        defect = self.data.mul(self.pbw_monomial(p), self.pbw_monomial(q))
         for k, a in self.pbw_monomial(total).items():
             defect[k] = defect.get(k, Q0) - c * a
         deg = self.degrees[total]
@@ -407,7 +417,7 @@ class PBWStructure:
             m = rng.randrange(self.count_up_to(bound - self.degrees[n]))
             top = self.index_sum(n, m)
             u, w = sample_elem(n), sample_elem(m)
-            support = self.pbw_coords(self.data.mul_sparse(u, w))
+            support = self.pbw_coords(self.data.mul(u, w))
             bad = [i for i in support if i > top]
             rep.add(
                 "span-closure",

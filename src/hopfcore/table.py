@@ -7,10 +7,12 @@ convolution algebras, the algebras acted upon, and their quotients.  A
 table maps a basis pair (i, j) to the sparse product ((k, c), ...); a pair
 absent from the table is a product past the truncation bound, and using it
 raises ``TruncationError``.  Total tables (rings, finite algebras) list
-every pair, empty products included.  Monomial bases (the polynomial
-algebras, and the builders in ``coalgebra``) are the exponent vectors that
-``monoid.exponent_vectors`` enumerates, sorted by degree and then by
-descending exponents.
+every pair, empty products included.  An element, the unit among them, is a
+sparse vector {index: coefficient} without zeros, ``mul`` is the one
+product and ``format`` writes an element's terms in ascending index.
+Monomial bases (the polynomial algebras, and the builders in
+``coalgebra``) are the exponent vectors that ``monoid.exponent_vectors``
+enumerates, sorted by degree and then by descending exponents.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
-from .linalg import (
-    Q0, Q1, Scalar, Vector, exact, is_zero_vec, rat, rat_str,
-    unit_vec, zero_vec,
-)
+from .linalg import Q0, Q1, Scalar, SparseRow, exact, rat, rat_str
 from .monoid import exponent_vectors, monomial_label, weighted_degree
 
 SparseVec = tuple[tuple[int, Scalar], ...]
@@ -110,13 +109,14 @@ class TableAlgebra:
     """Basis labels, the product table, the unit vector and optional
     degrees; ``name`` and ``flags`` (declared ring properties) serve
     coefficient rings.  The table is kept as given, in the normal form of
-    ``sparse``, which ``finite`` and ``parse_table`` apply to input."""
+    ``sparse``, which ``finite`` and ``parse_table`` apply to input; a
+    product row that is not a tuple is refused."""
 
     def __init__(
         self,
         labels: Sequence[str],
         table: Mapping[tuple[int, int], SparseVec],
-        one: Vector,
+        one: SparseRow,
         degrees: Optional[Sequence[int]] = None,
         degree_bound: Optional[int] = None,
         name: str = "",
@@ -127,8 +127,14 @@ class TableAlgebra:
             raise InputFormatError("basis labels are not unique")
         self.basis_labels = labels
         self.dim = len(labels)
+        for (i, j), terms in table.items():
+            if type(terms) is not tuple:
+                raise InputFormatError(
+                    f"product row of {labels[i]} * {labels[j]} must be a tuple, "
+                    f"got {type(terms).__name__}"
+                )
         self._mult = table
-        self._one = tuple(rat(c) for c in one)
+        self._one = {i: exact(c) for i, c in sorted(one.items()) if c}
         self.degrees = tuple(int(d) for d in degrees) if degrees is not None else None
         self.degree_bound = degree_bound
         self.name = name
@@ -137,7 +143,7 @@ class TableAlgebra:
 
     @classmethod
     def finite(
-        cls, labels: Sequence[str], table: Table, one: Vector, name="", flags=None
+        cls, labels: Sequence[str], table: Table, one: SparseRow, name="", flags=None
     ) -> "TableAlgebra":
         """A finite-dimensional algebra: every pair the table leaves out
         multiplies to zero."""
@@ -158,17 +164,8 @@ class TableAlgebra:
         except KeyError:
             raise InputFormatError(f"unknown basis label {label!r}") from None
 
-    def unit_vector(self) -> Vector:
+    def unit_vector(self) -> SparseRow:
         return self._one
-
-    def basis_vec(self, i: int) -> Vector:
-        return unit_vec(self.dim, i)
-
-    def zero(self) -> Vector:
-        return zero_vec(self.dim)
-
-    def is_zero(self, v: Vector) -> bool:
-        return is_zero_vec(v)
 
     def same_as(self, other: "TableAlgebra") -> bool:
         return self is other or (
@@ -189,14 +186,12 @@ class TableAlgebra:
                 f"truncation bound {self.degree_bound}"
             ) from None
 
-    def mul_sparse(
-        self, u: Mapping[int, Scalar], v: Mapping[int, Scalar]
-    ) -> dict[int, Scalar]:
-        """The product of two sparse vectors {index: coefficient} without
-        zero coefficients; the result may hold zeros from cancellation.
-        Raises TruncationError when a pair of support elements has no
-        product within the truncation."""
-        out: dict[int, Scalar] = {}
+    def mul(self, u: Mapping[int, Scalar], v: Mapping[int, Scalar]) -> SparseRow:
+        """The product of two sparse vectors {index: coefficient}, without
+        zeros and with integral values as ``int``.  Raises TruncationError
+        when a pair of support elements has no product within the
+        truncation."""
+        out: SparseRow = {}
         table = self._mult
         for i, a in u.items():
             for j, b in v.items():
@@ -206,25 +201,7 @@ class TableAlgebra:
                 ab = a * b
                 for k, c in terms:
                     out[k] = out.get(k, Q0) + ab * c
-        return out
-
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        """The product of two dense vectors, accumulated in the order of
-        ``mul_sparse``; raises TruncationError like it."""
-        out = [Q0] * self.dim
-        table = self._mult
-        right = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in right:
-                terms = table.get((i, j))
-                if terms is None:
-                    terms = self.product_terms(i, j)  # raises TruncationError
-                ab = a * b
-                for k, c in terms:
-                    out[k] += ab * c
-        return tuple(out)
+        return {k: exact(c) for k, c in out.items() if c}
 
     def first_nonassociative(self) -> Optional[tuple[int, int, int]]:
         """The first basis triple (i, j, k), in lexicographic order, with
@@ -258,10 +235,12 @@ class TableAlgebra:
                     return (i, j, k)
         return None
 
-    def format(self, v: Vector) -> str:
+    def format(self, v: Mapping[int, Scalar]) -> str:
+        """The text of a sparse vector, its terms in ascending index."""
+        labels = self.basis_labels
         parts = [
-            (label if c == 1 else f"{rat_str(c)}*{label}")
-            for label, c in zip(self.basis_labels, v)
+            (labels[i] if c == 1 else f"{rat_str(c)}*{labels[i]}")
+            for i, c in sorted(v.items())
             if c
         ]
         return " + ".join(parts) if parts else "0"
@@ -280,7 +259,7 @@ class PolynomialAlgebra(TableAlgebra):
         self.variables = names
         self.monomials = tuple(monos)
         self.index = {e: t for t, e in enumerate(monos)}
-        one = unit_vec(len(monos), self.index[(0,) * len(names)])
+        one = {self.index[(0,) * len(names)]: Q1}
         super().__init__(
             labels, exponent_table(monos, degrees, bound), one, degrees, bound
         )

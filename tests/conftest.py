@@ -6,7 +6,7 @@ import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
-from hopfcore.linalg import rat_str
+from hopfcore.linalg import Q0, Subspace, rat, rat_str
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 
@@ -84,6 +84,32 @@ def instance_to_json(data):
             labels[i]: d for i, d in enumerate(data.degrees)
         }
     return out
+
+
+def sparse_of(values):
+    """The sparse vector {index: coefficient} of a list of values, each read
+    by ``rat``, without zeros."""
+    return {i: c for i, c in enumerate(map(rat, values)) if c}
+
+
+def dense_of(v, n):
+    """The n coefficients of a sparse vector as a tuple, zeros included, for
+    comparing with a dense reference."""
+    out = [Q0] * n
+    for i, c in v.items():
+        out[i] = c
+    return tuple(out)
+
+
+def dense_mul(algebra, u, v):
+    """The product of two dense coefficient lists, through the sparse
+    ``mul``, as a dense tuple."""
+    return dense_of(algebra.mul(sparse_of(u), sparse_of(v)), algebra.dim)
+
+
+def span(vectors, n):
+    """The subspace of Q^n spanned by vectors given as lists of values."""
+    return Subspace.from_sparse([sparse_of(v) for v in vectors], n)
 
 
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}

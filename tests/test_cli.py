@@ -664,6 +664,49 @@ def test_operator_spellings_agree(tmp_path):
     assert rep["summary"]["PASS"] > 0
 
 
+DUAL_NUMBERS = {
+    # Q[t, u]/(t, u)^2: t and u square and multiply to zero
+    "kind": "finite",
+    "basis": ["1", "t", "u"],
+    "one": "1",
+    "mult": {"1": {"1": {"1": "1"}, "t": {"t": "1"}, "u": {"u": "1"}},
+             "t": {"1": {"t": "1"}}, "u": {"1": {"u": "1"}}},
+}
+
+
+@pytest.mark.parametrize(
+    "vectors, code, core, error",
+    [
+        # A/(t + u/4) keeps the nilpotent class of u: the semiprime probe fails
+        ([[0, "2", "1/2"]], 1, ["t + 1/4*u"], None),
+        ([[0, 1, 0], [0, 0, "1/2"]], 0, ["t", "u"], None),
+        ([[0, 1]], 2, None, "vector length does not match ambient dimension"),
+        ([[1, 1, 0]], 2, None, "subspace is not a two-sided ideal"),
+    ],
+    ids=["line", "plane", "wrong-length", "not-an-ideal"],
+)
+def test_subspace_ideal_on_a_finite_algebra(tmp_path, vectors, code, core, error):
+    """A subspace ideal's rows are read as sparse vectors: the core's basis
+    text is its echelon rows, and a row of the wrong length or a subspace
+    that is not an ideal is an input error."""
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({
+        "algebra": DUAL_NUMBERS,
+        "generators": {"d": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        "ideal": {"kind": "subspace", "vectors": vectors},
+        "ideal_properties": ["semiprime"],
+    }))
+    argv = ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)]
+    got, rep = run(tmp_path, *argv)
+    assert got == code
+    if error is not None:
+        assert rep["status"] == "input-error" and rep["error"] == error
+        return
+    assert rep["core"]["basis"] == core
+    # the zero operator keeps every ideal: the core is the ideal itself
+    assert rep["core"]["dims_by_cap"] == [len(core)] * 5
+
+
 @pytest.mark.parametrize(
     "algebra, field",
     [

@@ -22,7 +22,8 @@ from hopfcore.coalgebra import (
     verify_axioms,
     verify_gr_facts,
 )
-from hopfcore.errors import NotALieAlgebra, NotExhaustive, TruncationError
+from hopfcore.errors import InputFormatError, NotALieAlgebra, NotExhaustive, TruncationError
+from hopfcore.report import PASS
 from hopfcore.linalg import Q1
 from conftest import HEIS_BRACKETS, SL2_BRACKETS, instance_to_json, load_fixture
 
@@ -107,19 +108,42 @@ def test_axioms_pass_on_builtins():
         assert verify_axioms(data).passed
 
 
+COUNIT_FAILURE = dict(
+    basis_labels=("1", "t"),
+    degree_bound=1,
+    mult={(0, 0): ((0, Q1),), (0, 1): ((1, Q1),), (1, 0): ((1, Q1),)},
+    comult=[((0, 0, Q1),), ((1, 1, Q1),)],
+    counit=(Q1, F(0)),
+    unit_index=0,
+)
+
+
 def test_axioms_catch_counit_failure():
     # group-like comultiplication with a counit that vanishes
-    bad = FilteredBialgebraData(
-        basis_labels=("1", "t"),
-        degree_bound=1,
-        mult={(0, 0): [(0, Q1)], (0, 1): [(1, Q1)], (1, 0): [(1, Q1)]},
-        comult=[[(0, 0, Q1)], [(1, 1, Q1)]],
-        counit=(Q1, F(0)),
-        unit_index=0,
-    )
-    rep = verify_axioms(bad)
+    rep = verify_axioms(FilteredBialgebraData(**COUNIT_FAILURE))
     failures = {(l.check, l.subject) for l in rep.failures()}
     assert ("counit", "t") in failures
+    # the unit law holds: only the counit is wrong
+    unit_lines = [l for l in rep.lines if l.check == "unit-law"]
+    assert len(unit_lines) == 2 and all(l.status == PASS for l in unit_lines)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("mult", {(0, 0): ((0, Q1),), (0, 1): [(1, Q1)], (1, 0): ((1, Q1),)},
+         "product row of 1 * t must be a tuple, got list"),
+        ("comult", [((0, 0, Q1),), [(1, 1, Q1)]],
+         "comultiplication row of t must be a tuple, got list"),
+    ],
+    ids=["product-row", "comult-row"],
+)
+def test_rows_handed_over_as_lists_are_refused(field, value, message):
+    """A table is kept as handed over, so a row that is a list, which the
+    checks would misread, is an input error naming the pair or element."""
+    with pytest.raises(InputFormatError) as info:
+        FilteredBialgebraData(**{**COUNIT_FAILURE, field: value})
+    assert str(info.value) == message
 
 
 # -- filtration ----------------------------------------------------------------

@@ -23,9 +23,14 @@ from hopfcore.coalgebra import (
     graded_splitting,
     instance_from_json,
 )
-from hopfcore.linalg import Q0, Q1, to_dense, unit_vec
+from hopfcore.linalg import Q0, Q1
 from hopfcore.table import SparseVec
-from conftest import load_fixture
+from conftest import dense_mul, dense_of, load_fixture
+
+
+def dense_space(space):
+    """A subspace as its dense echelon rows and its pivots."""
+    return tuple(dense_of(r, space.ambient_dim) for r in space.rows), space.pivots
 
 
 def dot(u, v):
@@ -95,7 +100,7 @@ def dense_filtration(data):
     """Layers as (basis, pivots) from span{1} until they stall or reach
     the bound."""
     dim = data.dim
-    base = dense_rref_rows([data.unit_vector()], dim)
+    base = dense_rref_rows([dense_of(data.unit_vector(), dim)], dim)
     qbase = quotient_units(*base, dim)
     layers = [base]
     for _ in range(data.degree_bound):
@@ -134,7 +139,7 @@ def dense_split_units(vectors, dim):
     """Column j of the inverse of the matrix whose columns are the vectors,
     from the dense rref of [B | I]."""
     aug = [
-        [v[i] for v in vectors] + list(unit_vec(dim, i)) for i in range(dim)
+        [v[i] for v in vectors] + list(dense_of({i: Q1}, dim)) for i in range(dim)
     ]
     reduced, _ = dense_rref_rows(aug, 2 * dim)
     return tuple(
@@ -151,11 +156,12 @@ def dense_gr_table(split) -> dict[tuple[int, int], SparseVec]:
             target = degrees[a] + degrees[b]
             if target > bound:
                 continue
-            prod = split.data.multiply(
-                to_dense(split.vectors[a], split.data.dim),
-                to_dense(split.vectors[b], split.data.dim),
+            prod = dense_mul(
+                split.data,
+                dense_of(split.vectors[a], split.data.dim),
+                dense_of(split.vectors[b], split.data.dim),
             )
-            coords = to_dense(split.to_split(dict(enumerate(prod))), split.dim)
+            coords = dense_of(split.to_split(dict(enumerate(prod))), split.dim)
             table[(a, b)] = tuple(
                 (k, c) for k, c in enumerate(coords) if c and degrees[k] == target
             )
@@ -171,8 +177,11 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
             if degree != d:
                 continue
             dense = [
-                ideal.quotient_coords({i: action.columns(p)[c].get(i, Q0)
-                                       for i in range(alg.dim)})
+                dense_of(
+                    ideal.quotient_coords({i: action.columns(p)[c].get(i, Q0)
+                                           for i in range(alg.dim)}),
+                    ideal.quotient_dim,
+                )
                 for c in cols
             ]
             for pos in range(ideal.quotient_dim):
@@ -196,7 +205,7 @@ def dense_reduce(space, v):
     """Residual of v: at each pivot in turn, subtract the multiple of the
     basis row that clears it, over every coordinate."""
     out = list(v)
-    for row, p in zip(space.basis, space.pivots):
+    for row, p in zip(*dense_space(space)):
         c = out[p]
         if c:
             for j in range(space.ambient_dim):
@@ -221,7 +230,7 @@ def sample_vectors(dim, seed):
     """Every coordinate vector and a few seeded integer and rational
     combinations."""
     rng = random.Random(seed)
-    out = [unit_vec(dim, j) for j in range(dim)]
+    out = [dense_of({j: Q1}, dim) for j in range(dim)]
     for _ in range(6):
         out.append(tuple(rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(dim)))
     return out
@@ -239,7 +248,7 @@ def test_front_end_matches_dense_oracle(name, degree):
     data = _data(name, degree)
     filt = coradical_filtration(data)
     oracle = dense_filtration(data)
-    assert [(layer.basis, layer.pivots) for layer in filt.layers] == oracle
+    assert [dense_space(layer) for layer in filt.layers] == oracle
     assert_reduce_matches_dense(filt.layers, sample_vectors(data.dim, name))
     if not filt.exhaustive:
         assert name == "grouplike"  # the stall: nothing past the filtration
@@ -249,7 +258,7 @@ def test_front_end_matches_dense_oracle(name, degree):
     vectors = [oracle[0][0][0]]
     for n in range(1, len(oracle)):
         vectors += dense_complement(oracle[n - 1], oracle[n], data.counit)
-    assert [to_dense(v, data.dim) for v in split.vectors] == vectors
+    assert [dense_of(v, data.dim) for v in split.vectors] == vectors
     assert all(all(v.values()) for v in split.vectors)
     assert split.to_split_units == dense_split_units(vectors, data.dim)
 
@@ -277,7 +286,7 @@ def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degre
     cap = spec["core_degree_cap"]
     result = hcore(action, ideal, cap, degree)
     chain = dense_hcore_chain(action, ideal, cap, degree)
-    assert [(core.basis, core.pivots) for core in result.by_cap] == chain
+    assert [dense_space(core) for core in result.by_cap] == chain
     assert_reduce_matches_dense(result.by_cap, sample_vectors(algebra.dim, action_name))
     assert len({core.dim for core in result.by_cap}) > 1  # the chain moves
 

@@ -1,0 +1,132 @@
+"""The theorem checked on A/core where it says something: the three
+``fixtures/actions/dq_*z*.json`` cases, with d = ∂_z acting on a
+polynomial algebra through the one-generator host ``dq.json``.
+
+(a) I = (x, z) in Q[x, z] is prime; the core is (x) and A/core = Q[z].
+(b) I = (x², z) is not prime; the core is (x²) and the probes fail on
+    (x, x).
+(c) I = (xy, z) in Q[x, y, z] is semiprime but not prime; the core is (xy).
+
+Each report's values and sha256 digest are pinned, so the witness lines
+written over a quotient A/I stay byte-identical.  The reports embed the
+input paths, so the commands run from the repository root.
+"""
+
+import collections
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from hopfcore.cli import main
+from hopfcore.table import PolynomialAlgebra
+from conftest import ROOT
+
+CASES = {
+    "dq_qxz_ixz": dict(
+        degree=7,
+        probe_bound=3,
+        exit=0,
+        ideal="(x, z)",
+        core=(["x", "z"], 7, 6, (1, 0)),
+        dims_by_cap=[27, 26, 25, 24, 23, 22, 21, 21],
+        lines={
+            ("domain-probe", "PASS"): 10,
+            ("prime-witness", "PASS"): 10,
+            ("semiprime-witness", "PASS"): 4,
+        },
+        digest="a9954864daceca1d26730f75245e9a1b9d3a35aaf1a4ad0e85779c41672da4a6",
+    ),
+    "dq_qxz_ix2z": dict(
+        degree=7,
+        probe_bound=2,
+        exit=1,
+        ideal="(x^2, z)",
+        core=(["x", "z"], 7, 6, (2, 0)),
+        dims_by_cap=[26, 24, 22, 20, 18, 16, 15, 15],
+        lines={
+            ("domain-probe", "PASS"): 12,
+            ("domain-probe", "FAIL"): 3,
+            ("prime-witness", "PASS"): 12,
+            ("prime-witness", "FAIL"): 3,
+            ("semiprime-witness", "PASS"): 3,
+            ("semiprime-witness", "FAIL"): 2,
+        },
+        digest="cbc9067e80db2cd46a5c433b3b78c75886e77c200673680627713d9606d242a3",
+    ),
+    "dq_qxyz_ixyz": dict(
+        degree=6,
+        probe_bound=3,
+        exit=3,
+        ideal="(x*y, z)",
+        core=(["x", "y", "z"], 6, 5, (1, 1, 0)),
+        dims_by_cap=[45, 36, 29, 24, 21, 20, 20],
+        lines={
+            ("prime-witness", "PASS"): 100,
+            ("prime-witness", "INCONCLUSIVE"): 36,
+            ("semiprime-witness", "PASS"): 16,
+        },
+        digest="9db88ece8ab9c826842a159fb8066a9f972aed8340dc3b7eecef2babac4e7686",
+    ),
+}
+
+
+def _run(monkeypatch, name, case):
+    monkeypatch.chdir(ROOT)
+    argv = [
+        "hcore",
+        "--instance", "fixtures/instances/dq.json",
+        "--degree", str(case["degree"]),
+        "--action", f"fixtures/actions/{name}.json",
+        "--probe-bound", str(case["probe_bound"]),
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_dq_core_fixture(monkeypatch, name):
+    case = CASES[name]
+    code, text = _run(monkeypatch, name, case)
+    report = json.loads(text)
+    assert code == case["exit"]
+    core = report["core"]
+    assert core["ideal"] == case["ideal"]
+    assert core["dims_by_cap"] == case["dims_by_cap"]
+    assert core["stabilized"] is True
+    assert core["dim"] == case["dims_by_cap"][-1]
+    # the core is the principal monomial ideal (x^g) up to the core cap
+    variables, bound, cap, g = case["core"]
+    algebra = PolynomialAlgebra(variables, bound)
+    assert core["basis"] == [
+        algebra.label(t)
+        for t, e in enumerate(algebra.monomials)
+        if sum(e) <= cap and all(a >= b for a, b in zip(e, g))
+    ]
+    probes = collections.Counter(
+        (line["check"], line["status"])
+        for line in report["checks"]
+        if line["check"].endswith(("-probe", "-witness"))
+    )
+    assert dict(probes) == case["lines"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["digest"]
+
+
+def test_dq_not_prime_fails_on_x_x(monkeypatch):
+    """In case (b) the prime scan over A/(x^2, z) finds no middle factor
+    for (x, x), and names the leading values it scanned."""
+    _, text = _run(monkeypatch, "dq_qxz_ix2z", CASES["dq_qxz_ix2z"])
+    lines = {
+        (line["check"], line["subject"]): line for line in json.loads(text)["checks"]
+    }
+    fail = lines[("prime-witness", "x,x")]
+    assert fail["status"] == "FAIL"
+    assert fail["detail"] == (
+        "no middle factor r with s_min r t_min != 0 over A/(x^2, z) "
+        "(s_min=x, t_min=x)"
+    )
+    assert lines[("semiprime-witness", "z")]["detail"] == "r=1"

@@ -34,8 +34,8 @@ def first_associativity_failure(data):
             if not data.has_product(j, k):
                 continue
             try:
-                left = data.mul_sparse(dict(data.product_terms(i, j)), {k: Q1})
-                right = data.mul_sparse({i: Q1}, dict(data.product_terms(j, k)))
+                left = data.mul(dict(data.product_terms(i, j)), {k: Q1})
+                right = data.mul({i: Q1}, dict(data.product_terms(j, k)))
             except TruncationError:
                 continue
             diff = dict(left)
@@ -56,9 +56,9 @@ def first_antipode_failure(data):
             total = {}
             for j, k, c in data.comult_terms(h):
                 if side == "left":
-                    prod = data.mul_sparse(dict(data.antipode_terms(j)), {k: c})
+                    prod = data.mul(dict(data.antipode_terms(j)), {k: c})
                 else:
-                    prod = data.mul_sparse({j: c}, dict(data.antipode_terms(k)))
+                    prod = data.mul({j: c}, dict(data.antipode_terms(k)))
                 for t, x in prod.items():
                     total[t] = total.get(t, 0) + x
             if {t: x for t, x in total.items() if x} != expected:
@@ -163,7 +163,7 @@ def test_first_nonassociative_prunes_no_checked_triple(table):
     constructor takes tables in normal form, as ``parse_table`` hands them
     over, so the drawn products are normalised first."""
     normal = {key: sparse(terms) for key, terms in table.items()}
-    data = TableAlgebra(("a", "b", "c"), normal, (1, 0, 0))
+    data = TableAlgebra(("a", "b", "c"), normal, {0: 1})
     assert nonassociative_labels(data) == first_associativity_failure(data)
 
 

@@ -6,9 +6,10 @@ are the earlier implementations, each with its own ``contains``,
 tuples, and ``dense_quotient_table`` is the earlier ``QuotientAlgebra``
 table built from dense products.  The library's oracles share one body on
 sparse vectors; on every ideal below they must give the same normal basis,
-membership, residuals (as sparse vectors without zeros), quotient
-coordinates, lifts and quotient tables, for every coordinate vector and for
-sparse vectors that hold explicit zeros.
+membership, residuals, quotient coordinates and lifts (each a sparse vector
+without zeros, compared with the oracle's dense tuple) and quotient tables,
+for every coordinate vector and for sparse vectors that hold explicit
+zeros.
 """
 
 import functools
@@ -25,11 +26,9 @@ from hopfcore.action import (
     SubspaceIdeal,
 )
 from hopfcore.errors import TruncationError
-from hopfcore.linalg import (
-    Q0, Subspace, complement, exact, to_dense, to_sparse, unit_vec,
-)
+from hopfcore.linalg import Q0, Subspace, complement, exact
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
-from conftest import load_fixture
+from conftest import dense_mul, dense_of, load_fixture, sparse_of, span
 
 
 # -- the earlier dense classes ---------------------------------------------------------
@@ -146,10 +145,13 @@ class DenseSubspaceIdeal:
         self.algebra = algebra
         self.subspace = subspace
         self._complement = complement(subspace, Subspace.full(algebra.dim))
+        dim = algebra.dim
+        self._rows = [dense_of(r, dim) for r in subspace.rows]
+        self._complement_rows = [dense_of(r, dim) for r in self._complement.rows]
 
     def reduce(self, v):
         out = list(v)
-        for row, p in zip(self.subspace.basis, self.subspace.pivots):
+        for row, p in zip(self._rows, self.subspace.pivots):
             c = out[p]
             if c:
                 for j in range(self.algebra.dim):
@@ -170,7 +172,7 @@ class DenseSubspaceIdeal:
 
     def lift(self, coords):
         out = [Q0] * self.algebra.dim
-        for c, row in zip(coords, self._complement.basis):
+        for c, row in zip(coords, self._complement_rows):
             for j, x in enumerate(row):
                 out[j] += c * x
         return tuple(out)
@@ -181,7 +183,7 @@ def dense_oracle(ideal):
         return DenseMonomialIdeal(ideal.algebra, ideal.generators)
     if isinstance(ideal, PrincipalIdeal):
         return DensePrincipalIdeal(
-            ideal.algebra, to_dense(ideal.generator, ideal.algebra.dim)
+            ideal.algebra, dense_of(ideal.generator, ideal.algebra.dim)
         )
     return DenseSubspaceIdeal(ideal.algebra, ideal.subspace)
 
@@ -192,12 +194,12 @@ def dense_quotient_table(oracle):
     out."""
     algebra = oracle.algebra
     n = len(oracle.normal_labels)
-    lifts = [oracle.lift(unit_vec(n, p)) for p in range(n)]
+    lifts = [oracle.lift(dense_of({p: 1}, n)) for p in range(n)]
     table = {}
     for p, lp in enumerate(lifts):
         for q, lq in enumerate(lifts):
             try:
-                prod = algebra.mul(lp, lq)
+                prod = dense_mul(algebra, lp, lq)
             except TruncationError:
                 continue
             coords = oracle.quotient_coords(prod)
@@ -219,7 +221,7 @@ def _upper_triangular():
     return TableAlgebra.finite(
         ["E11", "E12", "E22"],
         {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 2): [(1, 1)], (2, 2): [(2, 1)]},
-        (1, 0, 1),
+        {0: 1, 2: 1},
     )
 
 
@@ -242,10 +244,10 @@ IDEALS = {
     "subspace-zero": lambda: SubspaceIdeal(_upper_triangular(), Subspace.zero(3)),
     "subspace-unit": lambda: SubspaceIdeal(_upper_triangular(), Subspace.full(3)),
     "subspace-E12": lambda: SubspaceIdeal(
-        _upper_triangular(), Subspace.from_vectors([[0, 1, 0]], 3)
+        _upper_triangular(), span([[0, 1, 0]], 3)
     ),
     "subspace-E11+E12,E12": lambda: SubspaceIdeal(
-        _upper_triangular(), Subspace.from_vectors([[1, 1, 0], [0, 1, 0]], 3)
+        _upper_triangular(), span([[1, 1, 0], [0, 1, 0]], 3)
     ),
 }
 
@@ -261,15 +263,17 @@ scalars = st.integers(-3, 3) | st.fractions(
 
 def assert_matches_oracle(ideal, oracle, v):
     """v a sparse vector, zeros allowed."""
-    dense = to_dense(v, ideal.algebra.dim)
+    dense = dense_of(v, ideal.algebra.dim)
     assert ideal.contains(v) == oracle.contains(dense)
     residual = ideal.reduce(v)
-    assert residual == to_sparse(oracle.reduce(dense))
+    assert residual == sparse_of(oracle.reduce(dense))
     assert all(residual.values())
     coords = ideal.quotient_coords(v)
-    assert coords == oracle.quotient_coords(dense)
+    dense_coords = oracle.quotient_coords(dense)
+    assert coords == sparse_of(dense_coords)
+    assert all(coords.values())
     lift = ideal.lift(coords)
-    assert lift == to_sparse(oracle.lift(coords))
+    assert lift == sparse_of(oracle.lift(dense_coords))
     assert all(lift.values())
 
 
@@ -284,7 +288,7 @@ def test_ideal_matches_dense_oracle_on_coordinate_vectors(name):
         assert_matches_oracle(ideal, oracle, {i: 0})
     n = ideal.quotient_dim
     for p in range(n):
-        assert ideal.lift(unit_vec(n, p)) == to_sparse(oracle.lift(unit_vec(n, p)))
+        assert ideal.lift({p: 1}) == sparse_of(oracle.lift(dense_of({p: 1}, n)))
 
 
 @pytest.mark.parametrize("name", IDEALS)
@@ -294,8 +298,8 @@ def test_quotient_algebra_matches_dense_oracle(name):
     ring = QuotientAlgebra(ideal)
     assert ring.basis_labels == oracle.normal_labels
     assert ring._mult == dense_quotient_table(oracle)
-    unit = ideal.algebra.unit_vector()
-    assert ring.unit_vector() == oracle.quotient_coords(unit)
+    unit = dense_of(ideal.algebra.unit_vector(), ideal.algebra.dim)
+    assert ring.unit_vector() == sparse_of(oracle.quotient_coords(unit))
 
 
 @pytest.mark.parametrize("name", IDEALS)

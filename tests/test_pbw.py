@@ -9,11 +9,12 @@ import pytest
 
 from hopfcore.coalgebra import FilteredBialgebraData, build_ueg
 from hopfcore.errors import NotPolynomial, ExpansionViolation, TruncationError
-from hopfcore.linalg import Q1, rank, to_dense
+from hopfcore.linalg import Q1, rank
 from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import (
-    LESS, SL2_BRACKETS, add, at, compare, exps, load_fixture, subprocess_env,
+    LESS, SL2_BRACKETS, add, at, compare, dense_mul, dense_of, exps, load_fixture,
+    subprocess_env,
 )
 
 
@@ -44,12 +45,12 @@ def test_extract_rejects_non_polynomial_counts():
         basis_labels=("1", "t"),
         degree_bound=2,
         mult={
-            (0, 0): [(0, Q1)],
-            (0, 1): [(1, Q1)],
-            (1, 0): [(1, Q1)],
-            (1, 1): [],
+            (0, 0): ((0, Q1),),
+            (0, 1): ((1, Q1),),
+            (1, 0): ((1, Q1),),
+            (1, 1): (),
         },
-        comult=[[(0, 0, Q1)], [(0, 1, Q1), (1, 0, Q1)]],
+        comult=[((0, 0, Q1),), ((0, 1, Q1), (1, 0, Q1))],
         counit=(Q1, F(0)),
         unit_index=0,
         filtration_hint=(0, 1),
@@ -175,7 +176,7 @@ def test_structure_constants_random(heis, sl2, xyw):
             m = candidates[rng.randrange(len(candidates))]
             c, defect = p.structure_constant(n, m)
             # independent route: the expansion coefficient at the sum index
-            prod = p.data.mul_sparse(p.pbw_monomial(n), p.pbw_monomial(m))
+            prod = p.data.mul(p.pbw_monomial(n), p.pbw_monomial(m))
             coords = {p.indices[i]: a for i, a in p.pbw_coords(prod).items()}
             total = add(p.indices[n], p.indices[m])
             assert p.index_sum(n, m) == p.index_pos[total]
@@ -254,10 +255,10 @@ def oracle_expansions(p):
     data = p.data
 
     def monomial(m):
-        v = data.unit_vector()
+        v = dense_of(data.unit_vector(), data.dim)
         for gid, k in zip(p.gens.ids, m):
             for _ in range(k):
-                v = data.multiply(v, to_dense(p.lifts[gid], data.dim))
+                v = dense_mul(data, v, dense_of(p.lifts[gid], data.dim))
             v = tuple(F(x) / factorial(k) for x in v)
         return v
 

@@ -6,7 +6,9 @@ filtration, splitting, associated graded algebra, divided-power monomials,
 comultiplication expansions, coefficient rings, convolutions and stable
 cores, is walked and checked to be an ``int`` or a ``Fraction``.  At the
 places that create scalars (``rat``, ``table.sparse``, the echelon and
-``expand_comult``) an integral value is moreover an ``int``.
+``expand_comult``) an integral value is moreover an ``int``.  A value of a
+coefficient ring, like every other vector, is a sparse dict without zeros
+whose integral values are ``int``.
 """
 
 import inspect
@@ -17,7 +19,13 @@ from fractions import Fraction
 import pytest
 
 from hopfcore import cli
-from hopfcore.action import ModuleAlgebraAction, PrincipalIdeal, QuotientAlgebra, hcore
+from hopfcore.action import (
+    ModuleAlgebraAction,
+    MonomialIdeal,
+    PrincipalIdeal,
+    QuotientAlgebra,
+    hcore,
+)
 from hopfcore.coalgebra import (
     FilteredBialgebraData,
     build_grouplike,
@@ -29,12 +37,16 @@ from hopfcore.coalgebra import (
 )
 from hopfcore.convolution import (
     _BUILTIN_FACTORIES,
+    ConvElement,
     builtin_ring,
     convolve,
+    counit_pullback,
+    leading,
+    prime_witness,
     random_conv_element,
     ring_from_tables,
 )
-from hopfcore.errors import HopfcoreError, InputFormatError
+from hopfcore.errors import HopfcoreError, InputFormatError, TruncationError
 from hopfcore.linalg import Subspace, inverse, kernel, rat
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra, sparse
@@ -101,11 +113,11 @@ def test_rat_normal_form():
 
 def test_echelon_divides_exactly():
     space = Subspace.from_sparse([{0: 2, 1: 1}], 2)
-    assert space.basis == ((1, Fraction(1, 2)),)
-    assert [type(x) for x in space.basis[0]] == [int, Fraction]
+    assert space.rows == ({0: 1, 1: Fraction(1, 2)},)
+    assert [type(x) for x in space.rows[0].values()] == [int, Fraction]
     assert inverse([{0: 2}], 1) == [{0: Fraction(1, 2)}]
-    assert_normal(Subspace.from_sparse([{0: Fraction(2), 1: Fraction(4)}], 2).basis)
-    assert_normal(kernel([{0: 3, 1: 6}, {1: Fraction(3, 3)}], 3).basis)
+    assert_normal(Subspace.from_sparse([{0: Fraction(2), 1: Fraction(4)}], 2).rows)
+    assert_normal(kernel([{0: 3, 1: 6}, {1: Fraction(3, 3)}], 3).rows)
 
 
 def test_sparse_normal_form():
@@ -309,3 +321,91 @@ def test_vectors_below_the_ring_are_sparse(host_at, action_name, host_name, degr
     assert_sparse(images)
     assert_sparse(ideal.reduce(v) for v in images + padded)
     assert_sparse(ideal.lift(ideal.quotient_coords(v)) for v in images + padded)
+
+
+# -- coefficient-ring values ------------------------------------------------------------
+
+
+def assert_ring_value(v):
+    """A value of a coefficient ring: a dict {index: coefficient} without
+    zeros, its integral values ``int``."""
+    assert isinstance(v, dict), type(v)
+    assert all(v.values()), v
+    assert_normal(v)
+
+
+def _value_rings():
+    """The built-in rings, a ring with a fractional product, and quotients
+    A/I by a monomial and by a principal ideal with a non-unit leading
+    coefficient, the first of them truncating."""
+    rings = [builtin_ring(r) for r in ("q", "m2q", "qxq", "qx2")]
+    rings.append(ring_from_tables(HALF_RING))
+    rings.append(QuotientAlgebra(MonomialIdeal(PolynomialAlgebra(["x"], 2), [])))
+    alg = PolynomialAlgebra(["x", "y"], 3)
+    gen = {alg.monomial_index([0, 2]): 2, alg.monomial_index([1, 0]): 1}
+    rings.append(QuotientAlgebra(PrincipalIdeal(alg, gen)))
+    return rings
+
+
+def test_quotient_tables_and_units_are_normal():
+    for ring in _value_rings()[-2:]:
+        assert_ring_value(ring.unit_vector())
+        for terms in ring._mult.values():
+            assert type(terms) is tuple
+            assert _typed_terms(terms) == _typed_terms(sparse(terms))
+
+
+def test_products_are_normal_ring_values():
+    """mul drops the terms that cancel and gives an integral product of
+    Fractions as an int."""
+    for ring in _value_rings():
+        values = [{i: Fraction(2, 1 + i % 2)} for i in range(ring.dim)]
+        values.append({i: Fraction(1, 2) for i in range(ring.dim)})
+        values.append({i: (-1) ** i * 2 for i in range(ring.dim)})
+        products = 0
+        for u in values:
+            for v in values:
+                try:
+                    assert_ring_value(ring.mul(u, v))
+                    products += 1
+                except TruncationError:
+                    pass
+        assert products
+    half = ring_from_tables(HALF_RING)
+    assert half.mul({1: Fraction(2)}, {1: 2}) == {0: 1}
+    assert type(half.mul({1: Fraction(2)}, {1: 2})[0]) is int
+    # (1 + h)(1 - h) = 1 - h^2 = 3/4: the h terms cancel and are dropped
+    assert half.mul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: Fraction(3, 4)}
+
+
+@pytest.mark.parametrize("name", ["sl2", "xyw", "qt"])
+def test_convolution_values_are_normal_ring_values(name):
+    pbw = PBWStructure.from_bialgebra(_data(name))
+    rng = random.Random(f"values/{name}")
+    bound = pbw.data.degree_bound // 2
+    for ring in _value_rings():
+        elements = [random_conv_element(pbw, ring, rng, bound) for _ in range(6)]
+        # explicit zeros, and integral Fractions
+        zeros = {k: 0 for k in range(ring.dim)}
+        pullback = counit_pullback(pbw, ring, {**zeros, 0: Fraction(4, 2)})
+        assert pullback._map == {0: {0: 2}}
+        elements.append(pullback)
+        elements.append(ConvElement(pbw, ring, {1: {**zeros, 0: Fraction(3, 3)}}))
+        for f in elements:
+            for g in elements:
+                try:
+                    elements_and_product = [f, g, convolve(f, g)]
+                except TruncationError:
+                    elements_and_product = [f, g]
+                for h in elements_and_product:
+                    for _, value in h.terms():
+                        assert_ring_value(value)
+                    if not h.is_zero:
+                        assert_ring_value(leading(h).value)
+                if ring.flags is not None and ring.flags.is_prime:
+                    try:
+                        witness = prime_witness(f, g)
+                    except TruncationError:
+                        continue
+                    assert_ring_value(witness.r)
+                    assert witness.r == {next(iter(witness.r)): 1}

@@ -18,11 +18,11 @@ from hopfcore.coalgebra import (
     _in_primitive_set,
     check_level_closure,
 )
-from hopfcore.linalg import Q0, Q1, to_dense, to_sparse, zero_vec
+from hopfcore.linalg import Q0, Q1
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
-from conftest import GREATER, add, compare
+from conftest import GREATER, add, compare, dense_mul, dense_of, sparse_of
 
 # fixture instances at their own degree bounds
 HOSTS = [("sl2", 4), ("heis", 4), ("xyw", 4), ("dq", 4), ("qt", 3)]
@@ -49,21 +49,21 @@ def dense_span_closure(p, rng, samples):
         total = add(n, m)
 
         def sample_elem(top):
-            v = zero_vec(p.data.dim)
+            v = (Q0,) * p.data.dim
             for i in [i for i in p.indices if le(p, i, top)]:
                 c = rng.randint(-2, 2)
                 if c:
                     v = tuple(
                         x + Fraction(c) * y
                         for x, y in zip(
-                            v, to_dense(p.pbw_monomial(p.index_pos[i]), p.data.dim)
+                            v, dense_of(p.pbw_monomial(p.index_pos[i]), p.data.dim)
                         )
                     )
             return v
 
         u, w = sample_elem(n), sample_elem(m)
-        prod = p.data.multiply(u, w)
-        support = [p.indices[i] for i in p.pbw_coords(to_sparse(prod))]
+        prod = dense_mul(p.data, u, w)
+        support = [p.indices[i] for i in p.pbw_coords(sparse_of(prod))]
         bad = [i for i in support if not le(p, i, total)]
         rep.add(
             "span-closure",
@@ -122,7 +122,7 @@ def dense_level_closure(gr, rng, samples):
         ok_c = dense_in_primitive_set(gr, c, m)
         checks = [("membership", ok_b and ok_c)]
         if n + m <= bound:
-            prod = gr.multiply(b, c)
+            prod = dense_mul(gr, b, c)
             ok_prod = dense_in_primitive_set(gr, prod, n + m)
             checks.append(("product", ok_prod))
         total = tuple(x + y for x, y in zip(b, c))
@@ -184,8 +184,8 @@ def _table(labels, degrees, mult, comult):
     return FilteredBialgebraData(
         basis_labels=labels,
         degree_bound=max(degrees),
-        mult=mult,
-        comult=comult,
+        mult={key: tuple(terms) for key, terms in mult.items()},
+        comult=tuple(tuple(row) for row in comult),
         counit=(Q1,) + (Q0,) * (len(labels) - 1),
         unit_index=0,
         filtration_hint=degrees,
@@ -286,6 +286,6 @@ def test_in_primitive_set_matches_full_defect(sl2, table):
         v = {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(range(gr.dim), size)}
         n = rng.randint(1, gr.degree_bound)
         verdict = _in_primitive_set(gr, v, n)
-        assert verdict == dense_in_primitive_set(gr, to_dense(v, gr.dim), n)
+        assert verdict == dense_in_primitive_set(gr, dense_of(v, gr.dim), n)
         verdicts.add(verdict)
     assert verdicts == {True, False}

@@ -29,7 +29,7 @@ from hopfcore.convolution import (
     semiprime_witness,
 )
 from hopfcore.errors import NoWitnessFound, ProbeAnomaly, TruncationError
-from hopfcore.linalg import Q0, Q1
+from hopfcore.linalg import Q1
 from conftest import load_fixture
 
 
@@ -40,15 +40,13 @@ def reference_prime_witness(s, t):
     total = host.index_sum(ls.index, lt.index)
     if total is None:
         raise TruncationError("leading sum degree exceeds the bound")
-    singles = [ring.basis_vec(i) for i in range(ring.dim)]
+    singles = [{i: Q1} for i in range(ring.dim)]
     pairs = [
-        tuple(Q1 if k in (i, j) else Q0 for k in range(ring.dim))
-        for i in range(ring.dim)
-        for j in range(i + 1, ring.dim)
+        {i: Q1, j: Q1} for i in range(ring.dim) for j in range(i + 1, ring.dim)
     ]
     for r in singles + pairs:
         value = ring.mul(ring.mul(ls.value, r), lt.value)
-        if ring.is_zero(value):
+        if not value:
             continue
         u = counit_pullback(host, ring, r)
         proof = leading(convolve(convolve(s, u), t))
@@ -102,12 +100,11 @@ def sl2_quotient(host_at):
 
 
 def ring_values(dim):
-    """Nonzero ring values with at most three nonzero coordinates in -2..2,
-    so that basis vectors and annihilated pairs come up often."""
-    coords = st.dictionaries(
+    """Nonzero sparse ring values with at most three nonzero coordinates in
+    -2..2, so that basis vectors and annihilated pairs come up often."""
+    return st.dictionaries(
         st.integers(0, dim - 1), st.integers(-2, 2).filter(bool), min_size=1, max_size=3
     )
-    return coords.map(lambda c: tuple(c.get(k, 0) for k in range(dim)))
 
 
 def elements(host, ring, max_degree):
@@ -149,8 +146,8 @@ def test_each_outcome_on_counit_pullbacks(heis, name, left, right, kind):
     past the bound 4."""
     ring = builtin_ring(name)
     p = heis.count_up_to(2) if kind == "TruncationError" else 0
-    s = ConvElement(heis, ring, {p: ring.basis_vec(left)})
-    t = ConvElement(heis, ring, {p: ring.basis_vec(right)})
+    s = ConvElement(heis, ring, {p: {left: Q1}})
+    t = ConvElement(heis, ring, {p: {right: Q1}})
     assert assert_same_scans(s, t) == kind
 
 
