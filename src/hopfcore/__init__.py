@@ -3,18 +3,17 @@
 The pipeline: structure constants -> coradical-style filtration -> graded
 splitting -> associated graded algebra -> homogeneous generators -> ordered
 divided-power basis -> convolution algebras and stable cores of ideals under
-module-algebra actions.  Everything is exact rational arithmetic.
+module-algebra actions.  Everything is exact rational arithmetic.  The
+names imported here are the public surface.
 """
 
 from .coalgebra import (
     CoradicalFiltration,
     FilteredBialgebraData,
     GradedSplitting,
-    build_grouplike,
     build_ueg,
     build_xyw,
     check_primitivity_defects,
-    check_connected,
     check_coradically_graded,
     check_delta_consistency,
     check_level_closure,
@@ -42,8 +41,6 @@ from .convolution import (
     ring_from_tables,
     semiprime_refuter,
     semiprime_witness,
-    u_star,
-    unit_conv,
 )
 from .action import (
     HCoreResult,
@@ -64,63 +61,3 @@ from .pbw import PBWStructure, extract_generators, lift_generators
 from .table import PolynomialAlgebra, TableAlgebra
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvElement",
-    "CoradicalFiltration",
-    "FilteredBialgebraData",
-    "GeneratorSet",
-    "GradedSplitting",
-    "HCoreResult",
-    "IdealOracle",
-    "LeadingTerm",
-    "ModuleAlgebraAction",
-    "MonomialIdeal",
-    "PBWStructure",
-    "PolynomialAlgebra",
-    "PrincipalIdeal",
-    "QuotientAlgebra",
-    "Rational",
-    "RingFlags",
-    "Subspace",
-    "SubspaceIdeal",
-    "TableAlgebra",
-    "Witness",
-    "build_grouplike",
-    "build_ueg",
-    "build_xyw",
-    "builtin_ring",
-    "check_primitivity_defects",
-    "check_connected",
-    "check_coradically_graded",
-    "check_delta_consistency",
-    "check_level_closure",
-    "check_leading_law",
-    "complement",
-    "convolve",
-    "coradical_filtration",
-    "core_primeness_probe",
-    "counit_pullback",
-    "extract_generators",
-    "gr_structure",
-    "graded_splitting",
-    "hcore",
-    "instance_from_json",
-    "leading",
-    "lift_generators",
-    "prime_refuter",
-    "prime_witness",
-    "random_conv_element",
-    "rat",
-    "rat_str",
-    "conv_map",
-    "ring_check",
-    "ring_from_tables",
-    "semiprime_refuter",
-    "semiprime_witness",
-    "u_star",
-    "unit_conv",
-    "verify_axioms",
-    "verify_gr_facts",
-    "verify_module_algebra",
-]

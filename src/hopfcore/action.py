@@ -401,14 +401,6 @@ class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.by_cap)
 
-    @property
-    def stabilized_at(self) -> Optional[int]:
-        """Smallest cap at which the core stopped shrinking, if any."""
-        for d in range(1, len(self.by_cap)):
-            if self.by_cap[d] == self.by_cap[d - 1]:
-                return d
-        return None
-
 
 def hcore(
     action: ModuleAlgebraAction,

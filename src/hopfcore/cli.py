@@ -40,6 +40,7 @@ from .table import (
     json_int,
     json_object,
     parse_table,
+    rational_list,
     string_list,
 )
 
@@ -94,7 +95,7 @@ def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
     of terms monomial * derivatives."""
     dim = algebra.dim
     if isinstance(spec, list):
-        rows = [[rat(x) for x in row] for row in spec]
+        rows = [rational_list(row, f"a row of the matrix of {gid!r}") for row in spec]
         if any(len(row) != len(rows[0]) for row in rows):
             raise InputFormatError("inconsistent row lengths")
         if len(rows) != dim or len(rows[0]) != dim:
@@ -147,7 +148,16 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
         if one not in pos:
             raise InputFormatError(f"unit label {one!r} not in basis")
         table = parse_table(obj.get("mult", {}), pos)
-        return TableAlgebra.finite(labels, table, {pos[one]: Q1})
+        algebra = TableAlgebra.finite(labels, table, {pos[one]: Q1})
+        for b, label in enumerate(labels):
+            for left, right in ((one, label), (label, one)):
+                if algebra.mul({pos[left]: Q1}, {pos[right]: Q1}) != {b: Q1}:
+                    raise InputFormatError(
+                        f"{one!r} is not a two-sided unit of the finite algebra: "
+                        f"{left}*{right} != {label}"
+                    )
+        algebra.require_associative()
+        return algebra
     raise InputFormatError(f"unknown algebra kind {kind!r}")
 
 
@@ -173,7 +183,9 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
     if kind == "unit":
         return action_mod.SubspaceIdeal(algebra, Subspace.full(algebra.dim))
     if kind == "subspace":
-        rows = [[rat(x) for x in row] for row in obj["vectors"]]
+        rows = [
+            rational_list(row, 'a row of subspace "vectors"') for row in obj["vectors"]
+        ]
         if any(len(row) != algebra.dim for row in rows):
             raise InputFormatError("vector length does not match ambient dimension")
         vectors = [{i: c for i, c in enumerate(row) if c} for row in rows]
@@ -366,17 +378,14 @@ def cmd_verify(args) -> int:
 # conv
 
 
-def _resolve_ring(name: str) -> TableAlgebra:
-    if name in ("q", "m2q", "qxq", "qx2"):
-        return convolution.builtin_ring(name)
-    return convolution.ring_from_tables(_load_json(name))
-
-
 def cmd_conv(args) -> int:
     report = Report("conv")
     try:
         data = load_instance(args.instance, args.degree)
-        ring = _resolve_ring(args.ring)
+        if args.ring in convolution.BUILTIN_RINGS:
+            ring = convolution.builtin_ring(args.ring)
+        else:
+            ring = convolution.ring_from_tables(_load_json(args.ring))
         pbw = PBWStructure.from_bialgebra(data)
     except HopfcoreError as exc:
         return _error(args, exc)

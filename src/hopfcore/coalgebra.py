@@ -25,7 +25,7 @@ import itertools
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -150,70 +150,40 @@ class FilteredBialgebraData(TableAlgebra):
 # axiom verification
 
 
-def _common_denominator(values: Iterable[Scalar]) -> int:
-    return lcm(*(c.denominator for c in values))
-
-
-def _scaled(c: Scalar, d: int) -> int:
-    """d * c as an int, for d a multiple of c's denominator."""
-    return c.numerator * (d // c.denominator)
-
-
 def verify_axioms(data: FilteredBialgebraData) -> Report:
     """Check counit laws, coassociativity, unit laws, and multiplicativity
-    of the comultiplication and counit wherever truncation permits.
-
-    The laws are compared in ``int`` arithmetic.  With dc, de and dm the
-    least common denominators of the comultiplication coefficients, the
-    counit and the product table, the tables are scaled once to integers
-    C = dc*Delta, E = de*eps and M = dm*m, and each law compares sides
-    that carry the same factor: the counit law sum(C*E) against dc*de at
-    i and 0 elsewhere; coassociativity, dc^2 on both sides;
-    counit-multiplicativity de * sum(M*E) against dm * E_i * E_j; and
-    comult-multiplicativity dc*dm * Delta(e_i e_j) in C and M (factor
-    dc^2*dm^2) against Delta(e_i)Delta(e_j) in C and M (the same factor).
-    The unit law reads the exact product table."""
+    of the comultiplication and counit wherever truncation permits."""
     rep = Report("axioms")
     dim = data.dim
-    eps = data.counit
+    eps, comult, mult = data.counit, data._comult, data._mult
 
     if eps[data.unit_index] != 1:
         rep.add("counit-unit", data.label(data.unit_index), FAIL, "eps(1) != 1")
     else:
         rep.add("counit-unit", data.label(data.unit_index), PASS)
 
-    dc = _common_denominator(c for row in data._comult for _, _, c in row)
-    de = _common_denominator(eps)
-    dm = _common_denominator(c for terms in data._mult.values() for _, c in terms)
-    comult = [tuple((j, k, _scaled(c, dc)) for j, k, c in row) for row in data._comult]
-    counit = [_scaled(e, de) for e in eps]
-    mult = {
-        key: tuple((k, _scaled(c, dm)) for k, c in terms)
-        for key, terms in data._mult.items()
-    }
-
     for i in range(dim):
-        left = [0] * dim
-        right = [0] * dim
+        left = [Q0] * dim
+        right = [Q0] * dim
         for j, k, c in comult[i]:
-            if counit[j]:
-                left[k] += c * counit[j]
-            if counit[k]:
-                right[j] += c * counit[k]
-        expected = [0] * dim
-        expected[i] = dc * de
+            if eps[j]:
+                left[k] += c * eps[j]
+            if eps[k]:
+                right[j] += c * eps[k]
+        expected = [Q0] * dim
+        expected[i] = Q1
         ok = left == expected and right == expected
         rep.add("counit", data.label(i), PASS if ok else FAIL)
 
     for i in range(dim):
-        diff: dict[tuple[int, int, int], int] = {}
+        diff: dict[tuple[int, int, int], Scalar] = {}
         for j, k, c in comult[i]:
             for a, b, c2 in comult[j]:
                 key = (a, b, k)
-                diff[key] = diff.get(key, 0) + c * c2
+                diff[key] = diff.get(key, Q0) + c * c2
             for a, b, c2 in comult[k]:
                 key = (j, a, b)
-                diff[key] = diff.get(key, 0) - c * c2
+                diff[key] = diff.get(key, Q0) - c * c2
         rep.add(
             "coassociativity",
             data.label(i),
@@ -235,15 +205,14 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
                 break
         rep.add("unit-law", data.label(i), PASS if ok else FAIL, detail)
 
-    dcm = dc * dm
     for i, j in sorted(mult):
         prod = mult[i, j]
         subject = f"{data.label(i)},{data.label(j)}"
-        eps_prod = sum(c * counit[k] for k, c in prod)
+        eps_prod = sum(c * eps[k] for k, c in prod)
         rep.add(
             "counit-multiplicative",
             subject,
-            PASS if de * eps_prod == dm * counit[i] * counit[j] else FAIL,
+            PASS if eps_prod == eps[i] * eps[j] else FAIL,
         )
 
         factors = [
@@ -254,17 +223,17 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
         if any(left is None or right is None for left, right, _ in factors):
             rep.add("comult-multiplicative", subject, SKIP, "tensor factor truncated")
             continue
-        diff: dict[tuple[int, int], int] = {}
+        diff: dict[tuple[int, int], Scalar] = {}
         for k, c in prod:
             for a, b, c2 in comult[k]:
                 key = (a, b)
-                diff[key] = diff.get(key, 0) + dcm * c * c2
+                diff[key] = diff.get(key, Q0) + c * c2
         for left, right, cc in factors:
             for kl, cl in left:
                 ccl = cc * cl
                 for kr, cr in right:
                     key = (kl, kr)
-                    diff[key] = diff.get(key, 0) - ccl * cr
+                    diff[key] = diff.get(key, Q0) - ccl * cr
         rep.add(
             "comult-multiplicative",
             subject,
@@ -387,11 +356,6 @@ def require_connected(
     raise NotExhaustive(
         f"filtration reaches dimension {top.dim} of {top.ambient_dim} at the bound"
     )
-
-
-def check_connected(data: FilteredBialgebraData) -> bool:
-    """True iff the filtration from span{1} exhausts the truncated space."""
-    return coradical_filtration(data).exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -979,25 +943,6 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
     )
 
 
-def build_grouplike() -> FilteredBialgebraData:
-    """Two-dimensional Hopf algebra spanned by 1 and a group-like g with
-    g^2 = 1; the standard non-connected fixture."""
-    return FilteredBialgebraData(
-        basis_labels=("1", "g"),
-        degree_bound=2,
-        mult={
-            (0, 0): ((0, Q1),),
-            (0, 1): ((1, Q1),),
-            (1, 0): ((1, Q1),),
-            (1, 1): ((0, Q1),),
-        },
-        comult=(((0, 0, Q1),), ((1, 1, Q1),)),
-        counit=(Q1, Q1),
-        unit_index=0,
-        antipode={0: ((0, Q1),), 1: ((1, Q1),)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # instance files
 
@@ -1046,12 +991,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         filtration_hint=hint,
     )
     # the builders' tables are associative by construction
-    triple = data.first_nonassociative()
-    if triple is not None:
-        a, b, c = (data.label(t) for t in triple)
-        raise InputFormatError(
-            f"multiplication is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
-        )
+    data.require_associative()
     return data
 
 

@@ -19,6 +19,7 @@ scan for both ``conv`` and the core probes.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from typing import Mapping, Optional
 
@@ -47,72 +48,36 @@ class RingFlags(
     __slots__ = ()
 
 
-def ring_q() -> TableAlgebra:
-    return TableAlgebra.finite(
-        ("1",),
-        {(0, 0): [(0, Q1)]},
-        {0: Q1},
-        "q",
-        RingFlags(is_prime=True, is_semiprime=True, is_domain=True),
-    )
-
-
-def ring_m2q() -> TableAlgebra:
-    labels = ("E11", "E12", "E21", "E22")
-    table = {}
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    if b == c:
-                        table[(2 * a + b, 2 * c + d)] = [(2 * a + d, Q1)]
-    return TableAlgebra.finite(
-        labels,
-        table,
-        {0: Q1, 3: Q1},
-        "m2q",
-        RingFlags(is_prime=True, is_semiprime=True, is_domain=False),
-    )
-
-
-def ring_qxq() -> TableAlgebra:
-    return TableAlgebra.finite(
-        ("e1", "e2"),
-        {(0, 0): [(0, Q1)], (1, 1): [(1, Q1)]},
-        {0: Q1, 1: Q1},
-        "qxq",
-        RingFlags(is_prime=False, is_semiprime=True, is_domain=False),
-    )
-
-
-def ring_qx2() -> TableAlgebra:
-    return TableAlgebra.finite(
-        ("1", "x"),
-        {(0, 0): [(0, Q1)], (0, 1): [(1, Q1)], (1, 0): [(1, Q1)]},
-        {0: Q1},
-        "qx2",
-        RingFlags(is_prime=False, is_semiprime=False, is_domain=False),
-    )
-
-
-_BUILTIN_FACTORIES = {
-    "q": ring_q,
-    "m2q": ring_m2q,
-    "qxq": ring_qxq,
-    "qx2": ring_qx2,
-}
+# The built-in coefficient rings, as ``--ring`` table files.
+BUILTIN_RINGS = json.loads("""{
+  "q": {"name": "q", "basis": ["1"], "one": {"1": "1"},
+        "mult": {"1": {"1": {"1": "1"}}},
+        "flags": {"prime": true, "semiprime": true, "domain": true}},
+  "m2q": {"name": "m2q", "basis": ["E11", "E12", "E21", "E22"],
+          "one": {"E11": "1", "E22": "1"},
+          "mult": {"E11": {"E11": {"E11": "1"}, "E12": {"E12": "1"}},
+                   "E12": {"E21": {"E11": "1"}, "E22": {"E12": "1"}},
+                   "E21": {"E11": {"E21": "1"}, "E12": {"E22": "1"}},
+                   "E22": {"E21": {"E21": "1"}, "E22": {"E22": "1"}}},
+          "flags": {"prime": true, "semiprime": true, "domain": false}},
+  "qxq": {"name": "qxq", "basis": ["e1", "e2"], "one": {"e1": "1", "e2": "1"},
+          "mult": {"e1": {"e1": {"e1": "1"}}, "e2": {"e2": {"e2": "1"}}},
+          "flags": {"prime": false, "semiprime": true, "domain": false}},
+  "qx2": {"name": "qx2", "basis": ["1", "x"], "one": {"1": "1"},
+          "mult": {"1": {"1": {"1": "1"}, "x": {"x": "1"}}, "x": {"1": {"x": "1"}}},
+          "flags": {"prime": false, "semiprime": false, "domain": false}}
+}""")
 _BUILTIN_CACHE: dict[str, TableAlgebra] = {}
 
 
 def builtin_ring(name: str) -> TableAlgebra:
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
-        raise InputFormatError(
-            f"unknown ring {name!r}; built-ins are {sorted(_BUILTIN_FACTORIES)}"
-        ) from None
+    """A built-in ring, read from its table on first use."""
     if name not in _BUILTIN_CACHE:
-        _BUILTIN_CACHE[name] = factory()
+        if name not in BUILTIN_RINGS:
+            raise InputFormatError(
+                f"unknown ring {name!r}; built-ins are {sorted(BUILTIN_RINGS)}"
+            )
+        _BUILTIN_CACHE[name] = ring_from_tables(BUILTIN_RINGS[name])
     return _BUILTIN_CACHE[name]
 
 
@@ -312,11 +277,6 @@ class ConvElement:
         return f"ConvElement({body}{'...' if len(self._map) > 4 else ''})"
 
 
-def unit_conv(host: PBWStructure, ring: TableAlgebra) -> ConvElement:
-    """The convolution unit: 1 of the ring at the zero index."""
-    return counit_pullback(host, ring, ring.unit_vector())
-
-
 def counit_pullback(
     host: PBWStructure, ring: TableAlgebra, r: Mapping[int, Scalar]
 ) -> ConvElement:
@@ -360,11 +320,6 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
         if v:
             values[n] = v
     return ConvElement._at_positions(host, ring, values)
-
-
-def u_star(f: ConvElement) -> SparseRow:
-    """Evaluation at the unit: the value at the zero index, position 0."""
-    return f.value(0)
 
 
 def leading(f: ConvElement) -> LeadingTerm:

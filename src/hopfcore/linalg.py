@@ -198,9 +198,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_sparse(self.rows + other.rows, self.ambient_dim)
-
     def quotient_unit_sparse(self) -> list[dict[int, Scalar]]:
         """For each ambient coordinate vector e_j, the nonzero coordinates of
         its class modulo this subspace, keyed by non-pivot position.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def exponent_vectors(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
@@ -125,10 +125,6 @@ class GeneratorSet:
 
     def to_json(self) -> list[dict]:
         return [{"id": gid, "degree": deg} for gid, deg in self._gens]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[Mapping]) -> "GeneratorSet":
-        return cls((entry["id"], entry["degree"]) for entry in obj)
 
     def __str__(self):
         return json.dumps(self.to_json())

@@ -46,6 +46,14 @@ def string_list(value, field: str) -> list[str]:
     return value
 
 
+def rational_list(value, field: str) -> list[Scalar]:
+    """A JSON list of rationals, such as a matrix row.  Anything else, a
+    string among them, raises InputFormatError naming the field."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{field} must be a list of rationals, got {value!r}")
+    return [rat(x) for x in value]
+
+
 def json_object(value, what: str) -> Mapping:
     """value, which the input format requires to be a JSON object."""
     if not isinstance(value, Mapping):
@@ -234,6 +242,15 @@ class TableAlgebra:
                 }:
                     return (i, j, k)
         return None
+
+    def require_associative(self) -> None:
+        """Raise InputFormatError on the triple ``first_nonassociative`` finds."""
+        triple = self.first_nonassociative()
+        if triple is not None:
+            a, b, c = (self.label(t) for t in triple)
+            raise InputFormatError(
+                f"multiplication is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+            )
 
     def format(self, v: Mapping[int, Scalar]) -> str:
         """The text of a sparse vector, its terms in ascending index."""

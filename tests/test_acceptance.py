@@ -16,12 +16,11 @@ import pytest
 
 from hopfcore.cli import main
 from hopfcore.coalgebra import (
-    build_grouplike,
     build_ueg,
     build_xyw,
     check_primitivity_defects,
-    check_connected,
     coradical_filtration,
+    instance_from_json,
 )
 from hopfcore.convolution import (
     builtin_ring,
@@ -56,6 +55,7 @@ from conftest import (
     add,
     at,
     compare,
+    load_fixture,
 )
 
 
@@ -144,7 +144,8 @@ def test_acceptance_2_coradical_pipeline():
         data = build_ueg(["x", "y", "z"], HEIS_BRACKETS, 4)
         filt = coradical_filtration(data)
         assert filt.dims == (1, 4, 10, 20, 35)
-        assert check_connected(build_grouplike()) is False
+        grouplike = instance_from_json(load_fixture("instances/grouplike.json"))
+        assert coradical_filtration(grouplike).exhaustive is False
 
 
 # -- criterion 3: ordered divided-power bases ----------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcore.coalgebra import (
-    build_grouplike,
     build_ueg,
     build_xyw,
     instance_from_json,
@@ -215,7 +214,7 @@ def test_truncated_tensor_factor_skips():
 
 RAW = {
     "shifted_line": load_fixture("instances/shifted_line.json"),
-    "grouplike": instance_to_json(build_grouplike()),
+    "grouplike": load_fixture("instances/grouplike.json"),
     "xyw_corrupt": load_fixture("instances/xyw_corrupt.json"),
     "heis_d2": instance_to_json(BUILDERS["heis"](2)),
 }

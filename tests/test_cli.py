@@ -400,6 +400,19 @@ MALFORMED_COEFFS = ["zz", 2.0, [2], None, True]
 
 SHIFTED_LINE_FRACTIONAL_DEGREE = load_fixture("instances/shifted_line.json")
 SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
+M2Q_MULT = {"E11": {"E11": {"E11": "1"}, "E12": {"E12": "1"}},
+            "E12": {"E21": {"E11": "1"}, "E22": {"E12": "1"}},
+            "E21": {"E11": {"E21": "1"}, "E12": {"E22": "1"}},
+            "E22": {"E21": {"E21": "1"}, "E22": {"E22": "1"}}}
+
+
+def finite_action(basis, one, mult, generators=None):
+    """An action file on a finite algebra: the zero operator unless
+    generators are given, the zero ideal and the completely-prime probe."""
+    zero = [[0] * len(basis) for _ in basis]
+    return {"algebra": {"kind": "finite", "basis": basis, "one": one, "mult": mult},
+            "generators": generators or {"d": zero}, "ideal": {"kind": "zero"},
+            "ideal_properties": ["completely_prime"]}
 
 
 @pytest.mark.parametrize(
@@ -530,6 +543,14 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          'ring "basis" must not be empty'),
         *[("instance", sl2_with_ef(c), f"cannot interpret {c!r} as a rational")
           for c in MALFORMED_COEFFS],
+        ("action", finite_action(["1", "t"], "1", DUAL_NUMBERS_MULT,
+                                 {"d": ["00", "10"]}),
+         "a row of the matrix of 'd' must be a list of rationals, got '00'"),
+        ("action", finite_action(["E11", "E12", "E21", "E22"], "E11", M2Q_MULT),
+         "'E11' is not a two-sided unit of the finite algebra: E12*E11 != E12"),
+        ("action", finite_action(
+            ["1", "x", "y"], "1", NONASSOCIATIVE_RAW["tables"]["mult"]),
+         "multiplication is not associative: (x*x)*x != x*(x*x)"),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -550,7 +571,8 @@ SHIFTED_LINE_FRACTIONAL_DEGREE["tables"]["degrees"] = {"1": 0, "s": 1.5}
          "raw-nonassociative", "ring-flag-string", "ring-flag-number",
          "ring-flag-list", "ring-basis-empty", "bracket-coeff-string",
          "bracket-coeff-float", "bracket-coeff-list", "bracket-coeff-null",
-         "bracket-coeff-bool"],
+         "bracket-coeff-bool", "matrix-row-string", "finite-one-not-a-unit",
+         "finite-nonassociative"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,
@@ -682,8 +704,10 @@ DUAL_NUMBERS = {
         ([[0, 1, 0], [0, 0, "1/2"]], 0, ["t", "u"], None),
         ([[0, 1]], 2, None, "vector length does not match ambient dimension"),
         ([[1, 1, 0]], 2, None, "subspace is not a two-sided ideal"),
+        (["010"], 2, None,
+         "a row of subspace \"vectors\" must be a list of rationals, got '010'"),
     ],
-    ids=["line", "plane", "wrong-length", "not-an-ideal"],
+    ids=["line", "plane", "wrong-length", "not-an-ideal", "row-string"],
 )
 def test_subspace_ideal_on_a_finite_algebra(tmp_path, vectors, code, core, error):
     """A subspace ideal's rows are read as sparse vectors: the core's basis

@@ -6,11 +6,9 @@ import pytest
 
 from hopfcore.coalgebra import (
     FilteredBialgebraData,
-    build_grouplike,
     build_ueg,
     build_xyw,
     check_primitivity_defects,
-    check_connected,
     check_coradically_graded,
     check_delta_consistency,
     check_level_closure,
@@ -103,7 +101,7 @@ def test_axioms_pass_on_builtins():
         build_ueg(["t"], {}, 3),
         build_ueg(["x", "y", "z"], HEIS_BRACKETS, 3),
         build_xyw(3),
-        build_grouplike(),
+        instance_from_json(load_fixture("instances/grouplike.json")),
     ):
         assert verify_axioms(data).passed
 
@@ -160,11 +158,11 @@ def test_filtration_xyw():
 
 
 def test_filtration_grouplike_not_exhaustive():
-    data = build_grouplike()
+    data = instance_from_json(load_fixture("instances/grouplike.json"))
     with pytest.raises(NotExhaustive):
         require_connected(coradical_filtration(data), data.degree_bound)
-    assert check_connected(build_grouplike()) is False
-    assert check_connected(build_xyw(2)) is True
+    assert coradical_filtration(data).exhaustive is False
+    assert coradical_filtration(build_xyw(2)).exhaustive is True
 
 
 def test_filtration_matches_degree_hint(heis):

@@ -19,8 +19,6 @@ from hopfcore.convolution import (
     ring_from_tables,
     semiprime_refuter,
     semiprime_witness,
-    u_star,
-    unit_conv,
 )
 from hopfcore.errors import (
     HostMismatch,
@@ -103,7 +101,7 @@ def test_refuters(name, pair, nil):
 
 def test_unit_convolution_identity(qt):
     q = builtin_ring("q")
-    u = unit_conv(qt, q)
+    u = counit_pullback(qt, q, q.unit_vector())
     assert qt.indices[0] == (0,)
     assert u.value(0) == q.unit_vector()
     assert u.value(at(qt, t=1)) == {}
@@ -142,11 +140,11 @@ def test_positions_outside_the_host(qt):
 def test_mismatch_errors(qt, heis):
     q = builtin_ring("q")
     m2 = builtin_ring("m2q")
-    f = unit_conv(qt, q)
+    f = counit_pullback(qt, q, q.unit_vector())
     with pytest.raises(HostMismatch):
-        convolve(f, unit_conv(heis, q))
+        convolve(f, counit_pullback(heis, q, q.unit_vector()))
     with pytest.raises(RingMismatch):
-        convolve(f, unit_conv(qt, m2))
+        convolve(f, counit_pullback(qt, m2, m2.unit_vector()))
 
 
 def test_associativity_random(heis):
@@ -165,7 +163,8 @@ def test_u_star_multiplicative(heis):
     for _ in range(30):
         f = random_conv_element(heis, m2, rng, 2)
         g = random_conv_element(heis, m2, rng, 2)
-        assert u_star(convolve(f, g)) == m2.mul(u_star(f), u_star(g))
+        # evaluation at the unit, the value at position 0, is multiplicative
+        assert convolve(f, g).value(0) == m2.mul(f.value(0), g.value(0))
 
 
 def _by_definition(f, g):
@@ -237,7 +236,8 @@ def test_convolve_truncating_quotient_ring(host_at):
 
 def test_leading_examples(qt, heis):
     q = builtin_ring("q")
-    assert leading(unit_conv(qt, q)) == LeadingTerm(0, q.unit_vector())
+    one = q.unit_vector()
+    assert leading(counit_pullback(qt, q, one)) == LeadingTerm(0, one)
     f = conv(qt, q, {mi(t=1): {0: F(4)}, mi(t=2): {0: F(9)}})
     assert leading(f) == LeadingTerm(at(qt, t=1), {0: F(4)})
     with pytest.raises(ZeroElement):
@@ -276,7 +276,7 @@ def test_leading_law_with_unit(heis):
     m2 = builtin_ring("m2q")
     rng = random.Random(37)
     g = random_conv_element(heis, m2, rng, 2)
-    out = check_leading_law(unit_conv(heis, m2), g)
+    out = check_leading_law(counit_pullback(heis, m2, m2.unit_vector()), g)
     assert out.passed
     assert out.lead_right.index == leading(g).index
 

@@ -150,7 +150,7 @@ def test_complement_with_constraint_adjusts():
     constraint = (1, 1)
     w = complement(inner, Subspace.full(2), constraint)
     assert all(dot(constraint, dense_of(row, 2)) == 0 for row in w.rows)
-    assert inner.sum(w) == Subspace.full(2)
+    assert Subspace.from_sparse(inner.rows + w.rows, 2) == Subspace.full(2)
     # oracle: exhaustive scan over small integer vectors finds exactly one
     # echelon line solving both requirements
     solutions = set()
@@ -179,7 +179,7 @@ def test_complement_constraint_without_adjuster_raises():
         complement(inner, outer, (1, 1, 0))
     # a constraint that already vanishes on the complement needs no adjuster
     w = complement(inner, outer, (0, 0, 1))
-    assert inner.sum(w) == outer
+    assert Subspace.from_sparse(inner.rows + w.rows, inner.ambient_dim) == outer
 
 
 @settings(max_examples=60)
@@ -191,7 +191,7 @@ def test_complement_dimensions(rows_a, rows_b):
     inner = span(pad(rows_a), cols)
     w = complement(inner, outer)
     assert inner.dim + w.dim == outer.dim
-    assert inner.sum(w) == outer
+    assert Subspace.from_sparse(inner.rows + w.rows, inner.ambient_dim) == outer
     # trivial intersection: any vector of w inside inner must be zero
     for row in w.rows:
         assert not inner.contains(row)

@@ -179,8 +179,3 @@ def test_descending_chains_terminate():
             steps += 1
             assert steps <= bound
         assert current == (0,) * len(BIG)
-
-
-def test_json_roundtrip():
-    again = GeneratorSet.from_json(MIXED.to_json())
-    assert again == MIXED

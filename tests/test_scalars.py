@@ -28,7 +28,6 @@ from hopfcore.action import (
 )
 from hopfcore.coalgebra import (
     FilteredBialgebraData,
-    build_grouplike,
     build_ueg,
     build_xyw,
     coradical_filtration,
@@ -36,7 +35,7 @@ from hopfcore.coalgebra import (
     instance_from_json,
 )
 from hopfcore.convolution import (
-    _BUILTIN_FACTORIES,
+    BUILTIN_RINGS,
     ConvElement,
     builtin_ring,
     convolve,
@@ -199,7 +198,7 @@ def test_builders_hand_over_normal_tables(handed, degree):
         build_ueg(names, brackets, degree)
     if degree >= 2:
         build_xyw(degree)
-    build_grouplike()
+    instance_from_json(load_fixture("instances/grouplike.json"))
     PolynomialAlgebra(["x", "y"], degree)
     assert_handed_normal(handed)
 
@@ -216,7 +215,7 @@ def test_gr_structure_hands_over_normal_tables(handed, name):
 
 def test_rings_and_quotients_hand_over_normal_tables(handed):
     for name in ("q", "m2q", "qxq", "qx2"):
-        _BUILTIN_FACTORIES[name]()
+        ring_from_tables(BUILTIN_RINGS[name])
     ring_from_tables(HALF_RING)
     for action_name, _, _ in ACTIONS:
         spec = load_fixture(f"actions/{action_name}.json")
