@@ -44,12 +44,9 @@ from .convolution import (
 )
 from .action import (
     HCoreResult,
-    IdealOracle,
+    Ideal,
     ModuleAlgebraAction,
-    MonomialIdeal,
-    PrincipalIdeal,
     QuotientAlgebra,
-    SubspaceIdeal,
     core_primeness_probe,
     hcore,
     conv_map,

@@ -2,20 +2,22 @@
 
 The host algebra acts on a small algebra A through operator matrices for the
 generator lifts; a general basis monomial acts as the increasing-order
-divided composition of those operators.  For an ideal I of A with a
-membership oracle, the truncated core collects the elements all of whose
-images under basis monomials up to the cap stay inside I; it is the kernel
-of a stack of exact linear conditions and shrinks as the cap grows.  The map
-into the convolution algebra over A/I sends a to (index -> class of the
-image of a), and primeness probes on the core quotient run through the
-leading-term witnesses of the convolution module.
+divided composition of those operators.  An ideal I of A is one ``Ideal``,
+the span of monomials, of the multiples of one polynomial or of given
+vectors, held in an echelon whose pivots are leading monomials; its
+non-pivot positions are the basis of A/I.  The truncated core collects the
+elements all of whose images under basis monomials up to the cap stay
+inside I; it is the kernel of a stack of exact linear conditions and
+shrinks as the cap grows.  The map into the convolution algebra over A/I
+sends a to (index -> class of the image of a), and primeness probes on the
+core quotient run through the leading-term witnesses of the convolution
+module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .convolution import ConvElement, add_witness_line, leading
@@ -26,6 +28,7 @@ from .linalg import (
     Scalar,
     SparseRow,
     Subspace,
+    _sub_scaled,
     combine,
     exact,
     kernel,
@@ -38,25 +41,103 @@ from .table import PolynomialAlgebra, TableAlgebra, sparse
 
 
 # ---------------------------------------------------------------------------
-# ideal oracles
+# ideals
 
 
-class IdealOracle:
-    """Membership, normal forms, and quotient coordinates for an ideal.
+class Ideal:
+    """An ideal I of A as the span of sparse vectors: membership, normal
+    forms and quotient coordinates.
 
-    A subclass sets ``algebra`` and ``_normal``, the ascending positions of
-    the basis vectors whose classes form the basis of A/I, and implements
-    ``reduce``: a sparse vector {index: coefficient}, zeros allowed, to its
-    normal form, a sparse vector without zeros supported on ``_normal``."""
+    The spanning rows are echeloned with the columns ordered by descending
+    degree and then by position, and kept by pivot in A's own coordinates.
+    Under that order a row's pivot is its leading column, in a polynomial
+    algebra its degree-lex leading monomial.  The rows vanish at each
+    other's pivots, so a vector reaches its normal form in one pass over
+    the pivots it hits.  The normal basis of A/I is the positions that are
+    not pivots, in ascending order.  ``text`` is what ``describe`` returns."""
 
-    algebra: TableAlgebra
-    _normal: tuple[int, ...]
+    def __init__(
+        self, algebra: TableAlgebra, rows: Sequence[Mapping[int, Scalar]], text: str
+    ):
+        degrees = algebra.degrees
+        order = sorted(range(algebra.dim), key=lambda t: (-degrees[t], t))
+        rank = {t: r for r, t in enumerate(order)}
+        echelon = Subspace.from_sparse(
+            [{rank[t]: c for t, c in row.items()} for row in rows], algebra.dim
+        )
+        self._rows = {
+            order[p]: {order[r]: c for r, c in row.items()}
+            for p, row in zip(echelon.pivots, echelon.rows)
+        }
+        self._normal = tuple(t for t in range(algebra.dim) if t not in self._rows)
+        self._normal_pos = {t: p for p, t in enumerate(self._normal)}
+        self.algebra = algebra
+        self.text = text
+
+    @classmethod
+    def monomial(
+        cls, algebra: PolynomialAlgebra, generators: Sequence[Sequence[int]]
+    ) -> "Ideal":
+        """The span of the monomials that some generator divides."""
+        gens = [tuple(g) for g in generators]
+        if any(len(g) != len(algebra.variables) for g in gens):
+            raise InputFormatError("generator arity mismatch")
+        rows = [
+            {t: Q1}
+            for t, e in enumerate(algebra.monomials)
+            if any(all(x >= y for x, y in zip(e, g)) for g in gens)
+        ]
+        names = algebra.variables
+        text = ", ".join(monomial_label(names, g) for g in gens) or "0"
+        return cls(algebra, rows, f"({text})")
+
+    @classmethod
+    def principal(
+        cls, algebra: PolynomialAlgebra, element: Mapping[int, Scalar]
+    ) -> "Ideal":
+        """(f): the span of the products x^q f with deg q + the top degree
+        of f within the bound."""
+        f = nonzero(element)
+        if not f:
+            raise InputFormatError("principal generator must be nonzero")
+        degrees = algebra.degrees
+        top = max(degrees[t] for t in f)
+        rows = [
+            algebra.mul({q: Q1}, f)
+            for q in range(algebra.dim)
+            if degrees[q] + top <= algebra.degree_bound
+        ]
+        return cls(algebra, rows, f"({algebra.format(f)})")
+
+    @classmethod
+    def subspace(
+        cls, algebra: TableAlgebra, rows: Sequence[Mapping[int, Scalar]]
+    ) -> "Ideal":
+        """The span of rows, checked to be a two-sided ideal on the products
+        of its echelon rows with every basis vector."""
+        ideal = cls(algebra, rows, "")
+        for row in ideal._rows.values():
+            for i in range(algebra.dim):
+                e = {i: Q1}
+                if not (
+                    ideal.contains(algebra.mul(e, row))
+                    and ideal.contains(algebra.mul(row, e))
+                ):
+                    raise InputFormatError("subspace is not a two-sided ideal")
+        ideal.text = f"subspace ideal of dim {len(ideal._rows)}"
+        return ideal
 
     def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        raise NotImplementedError
+        """The normal form of a sparse vector {index: coefficient}, zeros
+        allowed: a sparse vector without zeros on the normal basis."""
+        rows = self._rows
+        out = nonzero(v)
+        for p in [t for t in out if t in rows]:
+            _sub_scaled(out, out[p], rows[p])
+        return out
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return self.text
 
     def contains(self, v: Mapping[int, Scalar]) -> bool:
         return not self.reduce(v)
@@ -64,10 +145,6 @@ class IdealOracle:
     @property
     def normal_labels(self) -> tuple[str, ...]:
         return tuple(self.algebra.basis_labels[t] for t in self._normal)
-
-    @cached_property
-    def _normal_pos(self) -> dict[int, int]:
-        return {t: p for p, t in enumerate(self._normal)}
 
     def quotient_coords(self, v: Mapping[int, Scalar]) -> SparseRow:
         """The class of v as a sparse A/I value, keyed by position in the
@@ -88,135 +165,14 @@ class IdealOracle:
     def is_unit(self) -> bool:
         return self.contains(self.algebra.unit_vector())
 
-    @property
-    def is_zero(self) -> bool:
-        return self.quotient_dim == self.algebra.dim
-
-
-def _divides(small: Sequence[int], big: Sequence[int]) -> bool:
-    """x^small divides x^big."""
-    return all(x >= y for x, y in zip(big, small))
-
-
-class MonomialIdeal(IdealOracle):
-    """Ideal generated by monomials in a truncated polynomial algebra;
-    membership is coefficientwise divisibility."""
-
-    def __init__(self, algebra: PolynomialAlgebra, generators: Sequence[Sequence[int]]):
-        if not isinstance(algebra, PolynomialAlgebra):
-            raise InputFormatError("monomial ideals need a polynomial algebra")
-        self.algebra = algebra
-        self.generators = tuple(tuple(int(x) for x in g) for g in generators)
-        for g in self.generators:
-            if len(g) != len(algebra.variables):
-                raise InputFormatError("generator arity mismatch")
-        self._normal = tuple(
-            t
-            for t, e in enumerate(algebra.monomials)
-            if not any(_divides(g, e) for g in self.generators)
-        )
-
-    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        monomials = self.algebra.monomials
-        return {
-            t: c
-            for t, c in v.items()
-            if c and not any(_divides(g, monomials[t]) for g in self.generators)
-        }
-
-    def describe(self) -> str:
-        if not self.generators:
-            return "(0)"
-        names = self.algebra.variables
-        return "(" + ", ".join(monomial_label(names, g) for g in self.generators) + ")"
-
-
-class PrincipalIdeal(IdealOracle):
-    """Ideal generated by one polynomial, a sparse vector; membership by
-    exact division against its degree-lex leading term."""
-
-    def __init__(self, algebra: PolynomialAlgebra, element: Mapping[int, Scalar]):
-        if not isinstance(algebra, PolynomialAlgebra):
-            raise InputFormatError("principal ideals need a polynomial algebra")
-        element = nonzero(element)
-        if not element:
-            raise InputFormatError("principal generator must be nonzero")
-        self.algebra = algebra
-        self.generator = element
-        monomials = algebra.monomials
-        lead = max(element, key=lambda t: (sum(monomials[t]), monomials[t]))
-        self._lt_exps = monomials[lead]
-        self._lt_coeff = element[lead]
-        self._normal = tuple(
-            t for t, e in enumerate(monomials) if not _divides(self._lt_exps, e)
-        )
-
-    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        alg = self.algebra
-        monomials = alg.monomials
-        work = nonzero(v)
-        remainder: SparseRow = {}
-        while work:
-            t = max(work, key=lambda u: (sum(monomials[u]), monomials[u]))
-            c = work.pop(t)
-            exps = monomials[t]
-            if not _divides(self._lt_exps, exps):
-                remainder[t] = c
-                continue
-            q = tuple(x - y for x, y in zip(exps, self._lt_exps))
-            scale = exact(Fraction(c) / self._lt_coeff)
-            for s, gc in self.generator.items():
-                tt = alg.index[tuple(x + y for x, y in zip(q, monomials[s]))]
-                if tt == t:
-                    continue
-                val = work.get(tt, Q0) - scale * gc
-                if val:
-                    work[tt] = val
-                else:
-                    work.pop(tt, None)
-        return remainder
-
-    def describe(self) -> str:
-        return f"({self.algebra.format(self.generator)})"
-
-
-class SubspaceIdeal(IdealOracle):
-    """An ideal of a finite-dimensional algebra given as a subspace;
-    two-sidedness is validated on the basis at construction.  The normal
-    basis is the non-pivot columns of the subspace's echelon form."""
-
-    def __init__(self, algebra: TableAlgebra, subspace: Subspace):
-        if isinstance(algebra, PolynomialAlgebra):
-            raise InputFormatError("subspace ideals need a finite-dimensional algebra")
-        if subspace.ambient_dim != algebra.dim:
-            raise InputFormatError("subspace dimension mismatch")
-        self.algebra = algebra
-        self.subspace = subspace
-        for row in subspace.rows:
-            for i in range(algebra.dim):
-                e = {i: Q1}
-                if not (
-                    subspace.contains(algebra.mul(e, row))
-                    and subspace.contains(algebra.mul(row, e))
-                ):
-                    raise InputFormatError("subspace is not a two-sided ideal")
-        pivots = set(subspace.pivots)
-        self._normal = tuple(j for j in range(algebra.dim) if j not in pivots)
-
-    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        return self.subspace.reduce(v)
-
-    def describe(self) -> str:
-        return f"subspace ideal of dim {self.subspace.dim}"
-
 
 class QuotientAlgebra(TableAlgebra):
-    """A/I on the normal basis of an ideal oracle.  The table holds the
+    """A/I on the normal basis of an ideal.  The table holds the
     class of the product of every two lifted normal basis vectors; a pair
     whose lifted product truncates is left out, so multiplying through it
     raises TruncationError exactly as the product in A does."""
 
-    def __init__(self, ideal: IdealOracle):
+    def __init__(self, ideal: Ideal):
         algebra = ideal.algebra
         lifts = [ideal.lift({p: Q1}) for p in range(ideal.quotient_dim)]
         table = {}
@@ -404,7 +360,7 @@ class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
 
 def hcore(
     action: ModuleAlgebraAction,
-    ideal: IdealOracle,
+    ideal: Ideal,
     core_cap: int,
     conv_cap: int,
 ) -> HCoreResult:
@@ -443,7 +399,7 @@ def hcore(
 
 def core_primeness_probe(
     action: ModuleAlgebraAction,
-    ideal: IdealOracle,
+    ideal: Ideal,
     ring: QuotientAlgebra,
     core: Subspace,
     mode: str,

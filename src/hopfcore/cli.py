@@ -31,7 +31,7 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, Q1, SparseRow, Subspace, exact, nonzero, rat, rat_str
+from .linalg import Q0, Q1, SparseRow, exact, nonzero, rat, rat_str
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, dumps
 from .table import (
@@ -145,6 +145,10 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
         labels = string_list(obj["basis"], 'finite algebra "basis"')
         pos = {s: i for i, s in enumerate(labels)}
         one = obj["one"]
+        if not isinstance(one, str):
+            raise InputFormatError(
+                f'finite algebra "one" must be a basis label, got {one!r}'
+            )
         if one not in pos:
             raise InputFormatError(f"unit label {one!r} not in basis")
         table = parse_table(obj.get("mult", {}), pos)
@@ -161,36 +165,34 @@ def _algebra_from_json(obj: Mapping) -> TableAlgebra:
     raise InputFormatError(f"unknown algebra kind {kind!r}")
 
 
-def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.IdealOracle:
+def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.Ideal:
     kind = json_object(obj, '"ideal"').get("kind")
+    Ideal = action_mod.Ideal
     if isinstance(algebra, PolynomialAlgebra):
         if kind == "zero":
-            return action_mod.MonomialIdeal(algebra, [])
+            return Ideal.monomial(algebra, [])
         if kind == "unit":
-            return action_mod.MonomialIdeal(algebra, [[0] * len(algebra.variables)])
+            return Ideal.monomial(algebra, [[0] * len(algebra.variables)])
         if kind == "monomial":
-            return action_mod.MonomialIdeal(
+            return Ideal.monomial(
                 algebra,
                 [_exponents(algebra, m, "a monomial") for m in obj["generators"]],
             )
         if kind == "principal":
-            return action_mod.PrincipalIdeal(
-                algebra, _poly_vector(algebra, obj["element"])
-            )
+            return Ideal.principal(algebra, _poly_vector(algebra, obj["element"]))
         raise InputFormatError(f"ideal kind {kind!r} needs a finite algebra")
     if kind == "zero":
-        return action_mod.SubspaceIdeal(algebra, Subspace.zero(algebra.dim))
+        return Ideal.subspace(algebra, [])
     if kind == "unit":
-        return action_mod.SubspaceIdeal(algebra, Subspace.full(algebra.dim))
+        return Ideal.subspace(algebra, [{i: Q1} for i in range(algebra.dim)])
     if kind == "subspace":
         rows = [
             rational_list(row, 'a row of subspace "vectors"') for row in obj["vectors"]
         ]
         if any(len(row) != algebra.dim for row in rows):
             raise InputFormatError("vector length does not match ambient dimension")
-        vectors = [{i: c for i, c in enumerate(row) if c} for row in rows]
-        return action_mod.SubspaceIdeal(
-            algebra, Subspace.from_sparse(vectors, algebra.dim)
+        return Ideal.subspace(
+            algebra, [{i: c for i, c in enumerate(row) if c} for row in rows]
         )
     raise InputFormatError(f"ideal kind {kind!r} needs a polynomial algebra")
 
@@ -334,7 +336,7 @@ def cmd_verify(args) -> int:
         pbw = None
 
     if pbw is not None:
-        report.extend(coalgebra.check_primitivity_defects(data, pbw.filt, pbw.split))
+        report.extend(coalgebra.check_primitivity_defects(data, pbw.split))
         report.extend(coalgebra.check_delta_consistency(pbw.split))
         report.extend(coalgebra.check_coradically_graded(pbw.gr))
         report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.split))

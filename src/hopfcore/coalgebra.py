@@ -288,12 +288,6 @@ class CoradicalFiltration(namedtuple("CoradicalFiltration", "layers")):
     def exhaustive(self) -> bool:
         return self.layers[-1].dim == self.layers[-1].ambient_dim
 
-    def layer_of(self, v: Mapping[int, Scalar]) -> int:
-        for n, layer in enumerate(self.layers):
-            if layer.contains(v):
-                return n
-        raise ValueError("vector escapes the filtration")
-
 
 def _filtration_step(
     data: FilteredBialgebraData, prev: Subspace, base: Subspace
@@ -416,9 +410,6 @@ class GradedSplitting(
         """Split coordinates of the product of splitting vectors a and b;
         raises TruncationError when the product leaves the truncation."""
         return self.to_split(self.data.mul(self.vectors[a], self.vectors[b]))
-
-    def split_tensor(self, tmap: TensorMap) -> TensorMap:
-        return _split_tensor(self.to_split_units, tmap)
 
     def max_degree(self, coords: Mapping[int, Scalar]) -> int:
         return max((self.degrees[k] for k, c in coords.items() if c), default=0)
@@ -547,21 +538,20 @@ def _illegal_bidegree(dp: int, dq: int, n: int) -> bool:
 
 
 def check_primitivity_defects(
-    data: FilteredBialgebraData,
-    filt: CoradicalFiltration,
-    split: GradedSplitting,
+    data: FilteredBialgebraData, split: GradedSplitting
 ) -> Report:
     """Primitivity defect of every basis element h in C_n lands in
-    sum_{i=1}^{n-1} C_i (x) C_{n-i}."""
+    sum_{i=1}^{n-1} C_i (x) C_{n-i}.  The layer n of h is the top degree
+    of its split coordinates, and its split Delta their combination of the
+    splitting vectors' ``comult``."""
     rep = Report("primitivity-defect")
-    for i in range(data.dim):
-        v = {i: Q1}
-        n = filt.layer_of(v)
+    for i, units in enumerate(split.to_split_units):
+        n = split.max_degree(units)
         if n == 0:
             rep.add("primitivity-defect", data.label(i), SKIP, "degree 0")
             continue
-        tmap = split.split_tensor(data.comult_map(v))
-        for k, c in split.to_split_units[i].items():
+        tmap = combine(split.comult, units)
+        for k, c in units.items():
             for key, delta_c in (((0, k), c), ((k, 0), c)):
                 val = tmap.get(key, Q0) - delta_c
                 if val:

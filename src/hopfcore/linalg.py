@@ -169,14 +169,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
         reduced, pivots = _rref_rows(rows, ambient_dim)
         return cls(ambient_dim, pivots, tuple(reduced))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_sparse([{i: Q1} for i in range(ambient_dim)], ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.pivots)

@@ -112,6 +112,11 @@ def span(vectors, n):
     return Subspace.from_sparse([sparse_of(v) for v in vectors], n)
 
 
+def full_space(n):
+    """Q^n as a ``Subspace``."""
+    return Subspace.from_sparse([{i: 1} for i in range(n)], n)
+
+
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}
 SL2_BRACKETS = {"h": {"e": {"e": "2"}, "f": {"f": "-2"}}, "e": {"f": {"h": "1"}}}
 

@@ -34,8 +34,7 @@ from hopfcore.convolution import (
 )
 from hopfcore.action import (
     ModuleAlgebraAction,
-    MonomialIdeal,
-    PrincipalIdeal,
+    Ideal,
     core_primeness_probe,
     QuotientAlgebra,
     hcore,
@@ -203,7 +202,7 @@ def test_acceptance_4_membership_and_expansion():
             PBWStructure.from_bialgebra(build_xyw(4)),
         ]
         for p in structures:
-            assert check_primitivity_defects(p.data, p.filt, p.split).passed
+            assert check_primitivity_defects(p.data, p.split).passed
             assert p.check_all_split_expansions().passed
 
         xyw = structures[2]
@@ -283,7 +282,7 @@ def _sl2_setup():
     host = _fresh_sl2()
     algebra = PolynomialAlgebra(["x", "y"], 8)
     act = ModuleAlgebraAction(host, algebra, _sl2_operators(algebra))
-    ideal = PrincipalIdeal(algebra, {algebra.index[(1, 0)]: 1})
+    ideal = Ideal.principal(algebra, {algebra.index[(1, 0)]: 1})
     return host, algebra, act, ideal
 
 
@@ -302,15 +301,15 @@ def test_acceptance_7_hcore_and_probe():
         assert probe.counts["PASS"] > 0
 
         # stable and degenerate ideals reproduce themselves
-        stable = MonomialIdeal(algebra, [(1, 0), (0, 1)])
+        stable = Ideal.monomial(algebra, [(1, 0), (0, 1)])
         got = hcore(act, stable, 4, 4)
         expected = Subspace.from_sparse(
             [{i: 1} for i in range(algebra.dim) if 1 <= algebra.degrees[i] <= 4],
             algebra.dim,
         )
         assert got.core == expected and got.stabilized
-        assert hcore(act, MonomialIdeal(algebra, []), 4, 4).core.dim == 0
-        full = hcore(act, MonomialIdeal(algebra, [(0, 0)]), 4, 4).core
+        assert hcore(act, Ideal.monomial(algebra, []), 4, 4).core.dim == 0
+        full = hcore(act, Ideal.monomial(algebra, [(0, 0)]), 4, 4).core
         assert full.dim == sum(1 for d in algebra.degrees if d <= 4)
 
 

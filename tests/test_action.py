@@ -6,9 +6,7 @@ import pytest
 
 from hopfcore.action import (
     ModuleAlgebraAction,
-    MonomialIdeal,
-    PrincipalIdeal,
-    SubspaceIdeal,
+    Ideal,
     core_primeness_probe,
     QuotientAlgebra,
     hcore,
@@ -22,7 +20,7 @@ from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
 from hopfcore.linalg import Subspace, kernel
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
-from conftest import at, dense_of, load_fixture, sparse_of
+from conftest import at, dense_of, full_space, load_fixture, sparse_of
 
 
 def operator(algebra, image_of_monomial):
@@ -54,7 +52,7 @@ def sl2_action(sl2, qxy):
 
 @pytest.fixture(scope="module")
 def ideal_x(qxy):
-    return PrincipalIdeal(qxy, {qxy.index[(1, 0)]: 1})
+    return Ideal.principal(qxy, {qxy.index[(1, 0)]: 1})
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +95,7 @@ def test_finite_algebra():
 
 
 def test_monomial_ideal_membership(qxy):
-    ideal = MonomialIdeal(qxy, [(1, 0)])
+    ideal = Ideal.monomial(qxy, [(1, 0)])
     x2y = {qxy.index[(2, 1)]: 1}
     y3 = {qxy.index[(0, 3)]: 1}
     assert ideal.contains(x2y)
@@ -109,20 +107,20 @@ def test_monomial_ideal_membership(qxy):
 
 
 def test_monomial_ideal_zero_and_unit(qxy):
-    zero = MonomialIdeal(qxy, [])
-    unit = MonomialIdeal(qxy, [(0, 0)])
-    assert zero.is_zero and not zero.is_unit
+    zero = Ideal.monomial(qxy, [])
+    unit = Ideal.monomial(qxy, [(0, 0)])
+    assert zero.quotient_dim == qxy.dim and not zero.is_unit
     assert unit.is_unit and unit.quotient_dim == 0
     assert not zero.contains({1: 1})
     assert unit.contains({0: 1})
 
 
 def test_principal_ideal_division(qxy):
-    ideal = PrincipalIdeal(qxy, {qxy.index[(1, 0)]: 1})
+    ideal = Ideal.principal(qxy, {qxy.index[(1, 0)]: 1})
     v = {qxy.index[(2, 1)]: 1, qxy.index[(0, 3)]: 1}
     assert ideal.reduce(v) == {qxy.index[(0, 3)]: 1}
     # non-monomial generator: x - y; x^2 - y^2 = (x+y)(x-y) is inside
-    pid = PrincipalIdeal(qxy, {qxy.index[(1, 0)]: F(1), qxy.index[(0, 1)]: F(-1)})
+    pid = Ideal.principal(qxy, {qxy.index[(1, 0)]: F(1), qxy.index[(0, 1)]: F(-1)})
     diff_sq = {qxy.index[(2, 0)]: F(1), qxy.index[(0, 2)]: F(-1)}
     assert pid.contains(diff_sq)
     assert not pid.contains({qxy.index[(1, 0)]: 1})
@@ -139,10 +137,10 @@ def test_subspace_ideal_two_sidedness():
         },
         {0: 1},
     )
-    ok = SubspaceIdeal(A, Subspace.from_sparse([{1: 1}], 2))
+    ok = Ideal.subspace(A, [{1: 1}])
     assert ok.contains({1: 1})
     with pytest.raises(InputFormatError):
-        SubspaceIdeal(A, Subspace.from_sparse([{0: 1}], 2))
+        Ideal.subspace(A, [{0: 1}])
 
 
 def test_quotient_ring_arithmetic(qxy, ideal_x):
@@ -173,17 +171,13 @@ def _upper_triangular():
 @pytest.mark.parametrize(
     "make_ideal",
     [
-        lambda: MonomialIdeal(PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]),
-        lambda: PrincipalIdeal(
+        lambda: Ideal.monomial(PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]),
+        lambda: Ideal.principal(
             PolynomialAlgebra(["x", "y"], 4),
             {1: F(1), 2: F(-1)},
         ),
-        lambda: SubspaceIdeal(
-            _upper_triangular(), Subspace.from_sparse([{1: 1}], 3)
-        ),
-        lambda: SubspaceIdeal(
-            _upper_triangular(), Subspace.from_sparse([{0: 1, 1: 1}, {1: 1}], 3)
-        ),
+        lambda: Ideal.subspace(_upper_triangular(), [{1: 1}]),
+        lambda: Ideal.subspace(_upper_triangular(), [{0: 1, 1: 1}, {1: 1}]),
     ],
     ids=["monomial", "principal", "subspace", "subspace-2"],
 )
@@ -376,7 +370,7 @@ def test_xyw_action_module_law(xyw):
 
 def test_conv_map_examples(dq_action):
     A = dq_action.algebra
-    ideal = MonomialIdeal(A, [(1,)])
+    ideal = Ideal.monomial(A, [(1,)])
     ring = QuotientAlgebra(ideal)
     r = conv_map(dq_action, ring, {A.index[(1,)]: 1})
     host = dq_action.host
@@ -390,7 +384,7 @@ def test_conv_map_examples(dq_action):
 
 def test_conv_map_kills_stable_ideal(sl2_action, qxy):
     # (x, y) is stable under degree-preserving operators
-    ideal = MonomialIdeal(qxy, [(1, 0), (0, 1)])
+    ideal = Ideal.monomial(qxy, [(1, 0), (0, 1)])
     ring = QuotientAlgebra(ideal)
     r = conv_map(sl2_action, ring, {qxy.index[(2, 1)]: 1})
     assert r.is_zero
@@ -414,15 +408,15 @@ def test_conv_map_is_algebra_map(sl2_action, qxy, ideal_x):
 
 
 def test_hcore_trivial_ideals(sl2_action, qxy):
-    zero = MonomialIdeal(qxy, [])
-    unit = MonomialIdeal(qxy, [(0, 0)])
+    zero = Ideal.monomial(qxy, [])
+    unit = Ideal.monomial(qxy, [(0, 0)])
     assert hcore(sl2_action, zero, 4, 4).core.dim == 0
     full = hcore(sl2_action, unit, 4, 4).core
     assert full.dim == sum(1 for d in qxy.degrees if d <= 4)
 
 
 def test_hcore_stable_ideal_is_its_own_core(sl2_action, qxy):
-    ideal = MonomialIdeal(qxy, [(1, 0), (0, 1)])
+    ideal = Ideal.monomial(qxy, [(1, 0), (0, 1)])
     result = hcore(sl2_action, ideal, 4, 4)
     expected = Subspace.from_sparse(
         [{i: 1} for i in range(qxy.dim) if 1 <= qxy.degrees[i] <= 4],
@@ -447,7 +441,7 @@ def test_hcore_oracle_intersection(sl2_action, ideal_x, qxy):
     # independent route: intersect the kernels of the per-index conditions
     host = sl2_action.host
     cols = [i for i in range(qxy.dim) if qxy.degrees[i] <= 3]
-    current = Subspace.full(len(cols))
+    current = full_space(len(cols))
     for p, degree in enumerate(host.degrees):
         if degree > 3:
             continue
@@ -486,7 +480,7 @@ def test_hcore_small_cap_stabilizes(sl2_action, qxy, ideal_x):
 
 def test_hcore_monotone(dq_action):
     A = dq_action.algebra
-    ideal = MonomialIdeal(A, [(1,)])
+    ideal = Ideal.monomial(A, [(1,)])
     result = hcore(dq_action, ideal, 4, 4)
     assert result.dims == (4, 3, 2, 1, 0)
     for small, large in zip(result.by_cap[1:], result.by_cap):
@@ -499,7 +493,7 @@ def test_core_inside_ideal(sl2_action, qxy, ideal_x, dq_action):
     for row in core.rows:
         assert ideal_x.contains(row)
     A = dq_action.algebra
-    ideal = MonomialIdeal(A, [(1,)])
+    ideal = Ideal.monomial(A, [(1,)])
     for row in hcore(dq_action, ideal, 4, 1).core.rows:
         assert ideal.contains(row)
 
@@ -533,7 +527,7 @@ def test_domain_probe_sl2(sl2_action, ideal_x):
 
 def test_domain_probe_dq(dq_action):
     A = dq_action.algebra
-    ideal = MonomialIdeal(A, [(1,)])
+    ideal = Ideal.monomial(A, [(1,)])
     ring = QuotientAlgebra(ideal)
     core = hcore(dq_action, ideal, 4, 4).core
     assert core.dim == 0
@@ -549,10 +543,10 @@ def test_prime_and_semiprime_probes(sl2_action, ideal_x):
 
 
 def test_degenerate_ideal_skipped(sl2_action, qxy):
-    unit = MonomialIdeal(qxy, [(0, 0)])
+    unit = Ideal.monomial(qxy, [(0, 0)])
     ring = QuotientAlgebra(unit)
     rep = core_primeness_probe(
-        sl2_action, unit, ring, Subspace.full(qxy.dim), "domain", 2
+        sl2_action, unit, ring, full_space(qxy.dim), "domain", 2
     )
     assert rep.lines[0].status == "SKIP"
     assert "DegenerateIdeal" in rep.lines[0].detail

@@ -551,6 +551,8 @@ def finite_action(basis, one, mult, generators=None):
         ("action", finite_action(
             ["1", "x", "y"], "1", NONASSOCIATIVE_RAW["tables"]["mult"]),
          "multiplication is not associative: (x*x)*x != x*(x*x)"),
+        ("action", finite_action(["1", "t"], ["1"], DUAL_NUMBERS_MULT),
+         'finite algebra "one" must be a basis label, got [\'1\']'),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -572,7 +574,7 @@ def finite_action(basis, one, mult, generators=None):
          "ring-flag-list", "ring-basis-empty", "bracket-coeff-string",
          "bracket-coeff-float", "bracket-coeff-list", "bracket-coeff-null",
          "bracket-coeff-bool", "matrix-row-string", "finite-one-not-a-unit",
-         "finite-nonassociative"],
+         "finite-nonassociative", "finite-one-list"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,

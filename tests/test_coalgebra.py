@@ -22,7 +22,7 @@ from hopfcore.coalgebra import (
 )
 from hopfcore.errors import InputFormatError, NotALieAlgebra, NotExhaustive, TruncationError
 from hopfcore.report import PASS
-from hopfcore.linalg import Q1
+from hopfcore.linalg import Q1, combine
 from conftest import HEIS_BRACKETS, SL2_BRACKETS, instance_to_json, load_fixture
 
 
@@ -167,8 +167,9 @@ def test_filtration_grouplike_not_exhaustive():
 
 def test_filtration_matches_degree_hint(heis):
     data = heis.data
+    split = heis.split
     for i in range(data.dim):
-        layer = heis.filt.layer_of({i: 1})
+        layer = split.max_degree(split.to_split_units[i])
         assert layer == data.degrees[i]
 
 
@@ -289,7 +290,7 @@ def test_gr_is_a_bialgebra(heis, xyw, qt):
 
 def test_primitivity_defects_on_builtins(heis, xyw, qt):
     for p in (heis, xyw, qt):
-        assert check_primitivity_defects(p.data, p.filt, p.split).passed
+        assert check_primitivity_defects(p.data, p.split).passed
 
 
 def test_delta_consistency(heis, xyw):
@@ -305,11 +306,13 @@ def test_level_closure_sampled(heis, xyw):
 
 def test_layer_comult_containment(heis):
     # Delta(C_j) sits inside sum_{i<=j} C_i (x) C_{j-i}: on split coordinates
-    # every term of Delta of a layer vector has bidegrees summing within j
+    # every term of Delta of a basis vector in C_j has bidegrees summing
+    # within j
     split = heis.split
-    for k, v in enumerate(split.vectors):
-        j = split.degrees[k]
-        tmap = split.split_tensor(heis.data.comult_map(v))
+    for units in split.to_split_units:
+        j = split.max_degree(units)
+        tmap = combine(split.comult, units)
+        assert tmap
         for (p, q), _ in tmap.items():
             assert split.degrees[p] + split.degrees[q] <= j
 

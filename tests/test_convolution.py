@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopfcore.action import MonomialIdeal, QuotientAlgebra
+from hopfcore.action import Ideal, QuotientAlgebra
 from hopfcore.convolution import (
     ConvElement,
     LeadingTerm,
@@ -203,7 +203,7 @@ def test_convolve_matches_definition(host_at, host_name):
 def test_convolve_truncating_quotient_ring(host_at):
     # Q[x] truncated at degree 2 modulo the zero ideal: the lifted
     # products x * x^2, x^2 * x and x^2 * x^2 truncate
-    ring = QuotientAlgebra(MonomialIdeal(PolynomialAlgebra(["x"], 2), []))
+    ring = QuotientAlgebra(Ideal.monomial(PolynomialAlgebra(["x"], 2), []))
     assert ring.basis_labels == ("1", "x", "x^2")
     host = host_at("heis", 6)
     rng = random.Random(7)

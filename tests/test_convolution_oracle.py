@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcore.action import MonomialIdeal, QuotientAlgebra
+from hopfcore.action import Ideal, QuotientAlgebra
 from hopfcore.convolution import (
     ConvElement,
     LeadingLawOutcome,
@@ -55,7 +55,7 @@ def ring_named(name):
     if name == "trunc":
         # Q[x] truncated at degree 2 modulo the zero ideal: x * x^2,
         # x^2 * x and x^2 * x^2 truncate
-        return QuotientAlgebra(MonomialIdeal(PolynomialAlgebra(["x"], 2), []))
+        return QuotientAlgebra(Ideal.monomial(PolynomialAlgebra(["x"], 2), []))
     if name == "half":
         return ring_from_tables(HALF_RING)
     return builtin_ring(name)

@@ -10,6 +10,10 @@ polynomial algebra through the one-generator host ``dq.json``.
 Each report's values and sha256 digest are pinned, so the witness lines
 written over a quotient A/I stay byte-identical.  The reports embed the
 input paths, so the commands run from the repository root.
+
+The digests and exit codes of six ``--ideal`` overrides on sl2 and of one
+``subspace`` ideal on a finite algebra are pinned too: every ideal kind's
+normal basis, normal forms and quotient table reach those reports.
 """
 
 import collections
@@ -130,3 +134,111 @@ def test_dq_not_prime_fails_on_x_x(monkeypatch):
         "(s_min=x, t_min=x)"
     )
     assert lines[("semiprime-witness", "z")]["detail"] == "r=1"
+
+
+# ``hcore --ideal`` overrides on sl2 acting on Q[x, y] at --degree 6, and one
+# ``subspace`` ideal on Q[t, u]/(t, u)^2 with d sending t to u.  The reports
+# embed the input paths, so each run writes its inputs into a temporary
+# directory and names them relative to it.
+PROPERTIES = ["completely_prime", "prime", "semiprime"]
+
+
+def _term(coeff, monomial):
+    return {"coeff": coeff, "monomial": monomial}
+
+
+OVERRIDES = {
+    "principal-x+y^2": (
+        {"kind": "principal", "element": [_term("1", {"x": 1}), _term("1", {"y": 2})]},
+        0,
+        "c273042dd863de788765ca0afa2afe94f5e9574883f9baf499aa473232e71388",
+    ),
+    "principal-1+2y-xy/3": (
+        {"kind": "principal", "element": [
+            _term("1", {}), _term("2", {"y": 1}), _term("-1/3", {"x": 1, "y": 1})]},
+        0,
+        "e9194fc1551101400dee1e683cfe365a25b33b94470595c5d90b936f80b7dd24",
+    ),
+    "principal-x^2-3xy": (
+        {"kind": "principal", "element": [
+            _term("1", {"x": 2}), _term("-3", {"x": 1, "y": 1})]},
+        0,
+        "4981d39c68c0bd8babeed5eeb517da5d39d8bd876d9edff43e96b29312d14a78",
+    ),
+    "monomial-x^2,xy": (
+        {"kind": "monomial", "generators": [{"x": 2}, {"x": 1, "y": 1}]},
+        1,
+        "a9ea95b0ae73908e0eeb0e3ffa28a38bf2ef03200bf7cfd59b8256e5bec7c186",
+    ),
+    "zero": (
+        {"kind": "zero"},
+        0,
+        "72e4e59186bbfe5332ae3fb7055d4f491ee519de79f663fec23229811de62a2b",
+    ),
+    "unit": (
+        {"kind": "unit"},
+        0,
+        "0d3311a0054d73717ea46caa06b73ce37e7b6a239d3ac4d46caa94d032369636",
+    ),
+}
+
+
+def _run_in(monkeypatch, tmp_path, files, argv):
+    """main(argv) run in tmp_path, after writing each (relative path, JSON)
+    of files there; returns the exit code and the report text."""
+    for name, payload in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(OVERRIDES))
+def test_ideal_override_report(monkeypatch, tmp_path, name):
+    ideal, exit_code, digest = OVERRIDES[name]
+    fixtures = ROOT / "fixtures"
+    files = {
+        "sl2.json": json.loads((fixtures / "instances" / "sl2.json").read_text()),
+        "action.json": json.loads(
+            (fixtures / "actions" / "sl2_qxy_ix.json").read_text()
+        ),
+        "ideal.json": {"ideal": ideal, "ideal_properties": PROPERTIES},
+    }
+    code, text = _run_in(monkeypatch, tmp_path, files, [
+        "hcore", "--instance", "sl2.json", "--degree", "6",
+        "--action", "action.json", "--ideal", "ideal.json",
+    ])
+    assert code == exit_code
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_subspace_ideal_report(monkeypatch, tmp_path):
+    """span{t + u/4} is an ideal of Q[t, u]/(t, u)^2 that d leaves at cap 1."""
+    algebra = {
+        "kind": "finite",
+        "basis": ["1", "t", "u"],
+        "one": "1",
+        "mult": {"1": {"1": {"1": "1"}, "t": {"t": "1"}, "u": {"u": "1"}},
+                 "t": {"1": {"t": "1"}}, "u": {"1": {"u": "1"}}},
+    }
+    files = {
+        "dq.json": json.loads((ROOT / "fixtures" / "instances" / "dq.json").read_text()),
+        "action.json": {
+            "algebra": algebra,
+            "generators": {"d": [[0, 0, 0], [0, 0, 0], [0, 1, 0]]},
+            "ideal": {"kind": "subspace", "vectors": [[0, "2", "1/2"]]},
+            "ideal_properties": PROPERTIES,
+        },
+    }
+    code, text = _run_in(monkeypatch, tmp_path, files, [
+        "hcore", "--instance", "dq.json", "--action", "action.json",
+    ])
+    assert code == 1
+    assert json.loads(text)["core"]["dims_by_cap"] == [1, 0, 0, 0, 0]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "46f992fd8b2ccd2b4a2730855ca8bc367c1a1042fa25b6eb77b42423e40962aa"
+    )

@@ -1,15 +1,16 @@
-"""The ideal oracles against the dense classes they replaced.
+"""The one ``Ideal`` against the dense classes it replaced.
 
 ``DenseMonomialIdeal``, ``DensePrincipalIdeal`` and ``DenseSubspaceIdeal``
-are the earlier implementations, each with its own ``contains``,
-``reduce``, ``quotient_coords``, ``lift`` and ``normal_labels`` on dense
-tuples, and ``dense_quotient_table`` is the earlier ``QuotientAlgebra``
-table built from dense products.  The library's oracles share one body on
-sparse vectors; on every ideal below they must give the same normal basis,
-membership, residuals, quotient coordinates and lifts (each a sparse vector
-without zeros, compared with the oracle's dense tuple) and quotient tables,
-for every coordinate vector and for sparse vectors that hold explicit
-zeros.
+are the earlier implementations, each with its own membership algorithm
+(divisibility, degree-lex division and a subspace echelon) and its own
+``contains``, ``reduce``, ``quotient_coords``, ``lift`` and
+``normal_labels`` on dense tuples, and ``dense_quotient_table`` is the
+earlier ``QuotientAlgebra`` table built from dense products.  Each case
+builds an ``Ideal`` and its dense oracle from the same inputs; they must
+give the same normal basis, membership, residuals, quotient coordinates
+and lifts (each a sparse vector without zeros, compared with the oracle's
+dense tuple) and quotient tables, for every coordinate vector and for
+sparse vectors that hold explicit zeros.
 """
 
 import functools
@@ -19,16 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcore import cli
-from hopfcore.action import (
-    MonomialIdeal,
-    PrincipalIdeal,
-    QuotientAlgebra,
-    SubspaceIdeal,
-)
+from hopfcore.action import Ideal, QuotientAlgebra
 from hopfcore.errors import TruncationError
-from hopfcore.linalg import Q0, Subspace, complement, exact
+from hopfcore.linalg import Q0, complement, exact
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
-from conftest import dense_mul, dense_of, load_fixture, sparse_of, span
+from conftest import dense_mul, dense_of, full_space, load_fixture, sparse_of, span
 
 
 # -- the earlier dense classes ---------------------------------------------------------
@@ -144,7 +140,7 @@ class DenseSubspaceIdeal:
     def __init__(self, algebra, subspace):
         self.algebra = algebra
         self.subspace = subspace
-        self._complement = complement(subspace, Subspace.full(algebra.dim))
+        self._complement = complement(subspace, full_space(algebra.dim))
         dim = algebra.dim
         self._rows = [dense_of(r, dim) for r in subspace.rows]
         self._complement_rows = [dense_of(r, dim) for r in self._complement.rows]
@@ -178,16 +174,6 @@ class DenseSubspaceIdeal:
         return tuple(out)
 
 
-def dense_oracle(ideal):
-    if isinstance(ideal, MonomialIdeal):
-        return DenseMonomialIdeal(ideal.algebra, ideal.generators)
-    if isinstance(ideal, PrincipalIdeal):
-        return DensePrincipalIdeal(
-            ideal.algebra, dense_of(ideal.generator, ideal.algebra.dim)
-        )
-    return DenseSubspaceIdeal(ideal.algebra, ideal.subspace)
-
-
 def dense_quotient_table(oracle):
     """(p, q) -> the class of the product of the lifted normal basis vectors
     p and q, as sorted nonzero terms; pairs whose product truncates are left
@@ -210,10 +196,42 @@ def dense_quotient_table(oracle):
 # -- the ideals --------------------------------------------------------------------------
 
 
-def _fixture_ideal(name):
+def monomial_case(algebra, generators):
+    return (
+        Ideal.monomial(algebra, generators),
+        DenseMonomialIdeal(algebra, generators),
+    )
+
+
+def principal_case(algebra, element):
+    return (
+        Ideal.principal(algebra, element),
+        DensePrincipalIdeal(algebra, dense_of(element, algebra.dim)),
+    )
+
+
+def subspace_case(algebra, vectors):
+    """vectors as lists of values."""
+    return (
+        Ideal.subspace(algebra, [sparse_of(v) for v in vectors]),
+        DenseSubspaceIdeal(algebra, span(vectors, algebra.dim)),
+    )
+
+
+def fixture_case(name):
+    """The ideal of an action fixture as the reader builds it, and the dense
+    oracle of the fixture's generators."""
     spec = load_fixture(f"actions/{name}.json")
     algebra = cli._algebra_from_json(spec["algebra"])
-    return cli._ideal_from_json(algebra, spec["ideal"])
+    ideal = spec["ideal"]
+    if ideal["kind"] == "principal":
+        oracle = DensePrincipalIdeal(
+            algebra, dense_of(cli._poly_vector(algebra, ideal["element"]), algebra.dim)
+        )
+    else:
+        generators = [cli._exponents(algebra, m, "a monomial") for m in ideal["generators"]]
+        oracle = DenseMonomialIdeal(algebra, generators)
+    return cli._ideal_from_json(algebra, ideal), oracle
 
 
 def _upper_triangular():
@@ -225,34 +243,40 @@ def _upper_triangular():
     )
 
 
-def _x_plus_y_squared():
-    algebra = PolynomialAlgebra(["x", "y"], 6)
-    return PrincipalIdeal(
-        algebra, {algebra.index[(1, 0)]: 1, algebra.index[(0, 2)]: 1}
-    )
+def _principal_xy(bound, terms):
+    """The principal ideal of sum c x^a y^b over the (c, (a, b)) terms."""
+    algebra = PolynomialAlgebra(["x", "y"], bound)
+    return principal_case(algebra, {algebra.index[e]: c for c, e in terms})
 
 
 IDEALS = {
-    "sl2_qxy_ix": lambda: _fixture_ideal("sl2_qxy_ix"),
-    "dq_qx_ix": lambda: _fixture_ideal("dq_qx_ix"),
-    "xyw_qu": lambda: _fixture_ideal("xyw_qu"),
-    "principal-x+y^2": _x_plus_y_squared,
-    "monomial-x^2,y^3": lambda: MonomialIdeal(
+    "sl2_qxy_ix": lambda: fixture_case("sl2_qxy_ix"),
+    "dq_qx_ix": lambda: fixture_case("dq_qx_ix"),
+    "xyw_qu": lambda: fixture_case("xyw_qu"),
+    "principal-x+y^2": lambda: _principal_xy(6, [(1, (1, 0)), (1, (0, 2))]),
+    # the constant term is the least column: an echelon that pivots there
+    # puts xy, not 1, in the normal basis
+    "principal-1+2y-xy/3": lambda: _principal_xy(
+        6, [(1, (0, 0)), (2, (0, 1)), (Fraction(-1, 3), (1, 1))]
+    ),
+    "monomial-x^2,y^3": lambda: monomial_case(
         PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]
     ),
-    "monomial-unit": lambda: MonomialIdeal(PolynomialAlgebra(["x", "y"], 3), [(0, 0)]),
-    "subspace-zero": lambda: SubspaceIdeal(_upper_triangular(), Subspace.zero(3)),
-    "subspace-unit": lambda: SubspaceIdeal(_upper_triangular(), Subspace.full(3)),
-    "subspace-E12": lambda: SubspaceIdeal(
-        _upper_triangular(), span([[0, 1, 0]], 3)
+    "monomial-unit": lambda: monomial_case(PolynomialAlgebra(["x", "y"], 3), [(0, 0)]),
+    "subspace-zero": lambda: subspace_case(_upper_triangular(), []),
+    "subspace-unit": lambda: subspace_case(
+        _upper_triangular(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ),
-    "subspace-E11+E12,E12": lambda: SubspaceIdeal(
-        _upper_triangular(), span([[1, 1, 0], [0, 1, 0]], 3)
+    "subspace-E12": lambda: subspace_case(_upper_triangular(), [[0, 1, 0]]),
+    "subspace-E11+E12,E12": lambda: subspace_case(
+        _upper_triangular(), [[1, 1, 0], [0, 1, 0]]
     ),
 }
 
+
 @functools.cache
-def ideal_named(name):
+def case_named(name):
+    """The ideal of a case and its dense oracle."""
     return IDEALS[name]()
 
 
@@ -279,8 +303,7 @@ def assert_matches_oracle(ideal, oracle, v):
 
 @pytest.mark.parametrize("name", IDEALS)
 def test_ideal_matches_dense_oracle_on_coordinate_vectors(name):
-    ideal = ideal_named(name)
-    oracle = dense_oracle(ideal)
+    ideal, oracle = case_named(name)
     assert ideal.normal_labels == oracle.normal_labels
     assert ideal.quotient_dim == len(oracle.normal_labels)
     for i in range(ideal.algebra.dim):
@@ -293,8 +316,7 @@ def test_ideal_matches_dense_oracle_on_coordinate_vectors(name):
 
 @pytest.mark.parametrize("name", IDEALS)
 def test_quotient_algebra_matches_dense_oracle(name):
-    ideal = ideal_named(name)
-    oracle = dense_oracle(ideal)
+    ideal, oracle = case_named(name)
     ring = QuotientAlgebra(ideal)
     assert ring.basis_labels == oracle.normal_labels
     assert ring._mult == dense_quotient_table(oracle)
@@ -306,8 +328,7 @@ def test_quotient_algebra_matches_dense_oracle(name):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ideal_matches_dense_oracle_on_sparse_vectors(name, data):
-    ideal = ideal_named(name)
-    oracle = dense_oracle(ideal)
+    ideal, oracle = case_named(name)
     dim = ideal.algebra.dim
     v = data.draw(st.dictionaries(st.integers(0, dim - 1), scalars, max_size=8))
     assert_matches_oracle(ideal, oracle, v)

@@ -17,7 +17,7 @@ from hopfcore.linalg import (
     rat,
     rat_str,
 )
-from conftest import dense_of, sparse_of, span
+from conftest import dense_of, full_space, sparse_of, span
 
 
 def M(rows):
@@ -122,12 +122,12 @@ def test_subspace_stores_sorted_sparse_echelon_rows():
 def test_subspace_canonical_equality():
     a = span([[1, 1], [0, 2]], 2)
     b = span([[3, 0], [1, 5]], 2)
-    assert a == b == Subspace.full(2)
+    assert a == b == full_space(2)
 
 
 def test_complement_pivot_greedy():
     inner = span([[1, 0]], 2)
-    w = complement(inner, Subspace.full(2))
+    w = complement(inner, full_space(2))
     assert w.rows == ({1: 1},)
 
 
@@ -148,9 +148,9 @@ def test_complement_with_constraint_adjusts():
     # inner vector (1,0) to (-1,1), canonically (1,-1).
     inner = span([[1, 0]], 2)
     constraint = (1, 1)
-    w = complement(inner, Subspace.full(2), constraint)
+    w = complement(inner, full_space(2), constraint)
     assert all(dot(constraint, dense_of(row, 2)) == 0 for row in w.rows)
-    assert Subspace.from_sparse(inner.rows + w.rows, 2) == Subspace.full(2)
+    assert Subspace.from_sparse(inner.rows + w.rows, 2) == full_space(2)
     # oracle: exhaustive scan over small integer vectors finds exactly one
     # echelon line solving both requirements
     solutions = set()
@@ -167,7 +167,7 @@ def test_complement_with_constraint_adjusts():
 def test_complement_constraint_without_adjuster_raises():
     # no inner vector can absorb the violation, so no complement satisfies
     # the constraint: an error, not the unconstrained complement
-    inner = Subspace.zero(2)
+    inner = Subspace.from_sparse([], 2)
     outer = span([[1, 1]], 2)
     constraint = (1, 1)
     with pytest.raises(NoConstrainedComplement):

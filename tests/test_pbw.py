@@ -63,7 +63,7 @@ def test_lifts_are_canonical(heis, xyw):
     for p in (heis, xyw):
         for gid, d in p.gens.generators:
             lift = p.lifts[gid]
-            assert p.filt.layer_of(lift) == d
+            assert p.split.max_degree(p.split.to_split(lift)) == d
             assert p.data.counit_of(lift) == 0
 
 

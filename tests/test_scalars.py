@@ -21,8 +21,7 @@ import pytest
 from hopfcore import cli
 from hopfcore.action import (
     ModuleAlgebraAction,
-    MonomialIdeal,
-    PrincipalIdeal,
+    Ideal,
     QuotientAlgebra,
     hcore,
 )
@@ -130,7 +129,7 @@ def test_principal_reduction_divides_exactly():
     leading coefficient is exact."""
     alg = PolynomialAlgebra(["x", "y"], 3)
     gen = {alg.monomial_index([0, 2]): 2, alg.monomial_index([1, 0]): 1}
-    ideal = PrincipalIdeal(alg, gen)
+    ideal = Ideal.principal(alg, gen)
     residual = ideal.reduce({alg.monomial_index([0, 2]): 3})
     assert residual[alg.monomial_index([1, 0])] == Fraction(-3, 2)
     assert_exact(residual)
@@ -339,10 +338,10 @@ def _value_rings():
     coefficient, the first of them truncating."""
     rings = [builtin_ring(r) for r in ("q", "m2q", "qxq", "qx2")]
     rings.append(ring_from_tables(HALF_RING))
-    rings.append(QuotientAlgebra(MonomialIdeal(PolynomialAlgebra(["x"], 2), [])))
+    rings.append(QuotientAlgebra(Ideal.monomial(PolynomialAlgebra(["x"], 2), [])))
     alg = PolynomialAlgebra(["x", "y"], 3)
     gen = {alg.monomial_index([0, 2]): 2, alg.monomial_index([1, 0]): 1}
-    rings.append(QuotientAlgebra(PrincipalIdeal(alg, gen)))
+    rings.append(QuotientAlgebra(Ideal.principal(alg, gen)))
     return rings
 
 
