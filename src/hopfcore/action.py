@@ -293,6 +293,9 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             for b in range(alg.dim):
                 # a pair is skipped when e_a e_b, or a product of the
                 # supports of the images, lies past the truncation
+                if not alg.has_product(a, b):
+                    skipped += 1
+                    continue
                 try:
                     lhs = combine(act_g, dict(alg.product_terms(a, b)))
                     rhs: SparseRow = {}

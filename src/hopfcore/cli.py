@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import Q0, Q1, SparseRow, exact, nonzero, rat, rat_str
 from .pbw import PBWStructure
-from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, dumps
+from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, write
 from .table import (
     PolynomialAlgebra,
     TableAlgebra,
@@ -202,12 +202,11 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.Ideal:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = dumps(payload)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(payload, handle)
     else:
-        sys.stdout.write(text)
+        write(payload, sys.stdout)
 
 
 EXIT_CODES = {"ok": 0, "fail": 1, "input-error": 2, "inconclusive": 3}

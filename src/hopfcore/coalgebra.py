@@ -660,26 +660,43 @@ def verify_gr_facts(
     return rep
 
 
-def _in_primitive_set(
-    gr: FilteredBialgebraData, v: Mapping[int, Scalar], n: int
-) -> bool:
-    """Whether the sparse element v of level n passes
-    ``_primitivity_defect_ok``: its defect Delta(v) - v (x) 1 - 1 (x) v
-    is computed only on the entries that check rejects."""
+def _level_table(gr: FilteredBialgebraData, n: int) -> list[Optional[tuple]]:
+    """For each basis element e_k, the entries of its primitivity defect
+    Delta(e_k) - e_k (x) 1 - 1 (x) e_k that ``_primitivity_defect_ok``
+    rejects at level n, or None when e_k lies above level n."""
     degrees = gr.degrees
     assert degrees is not None
-    v = {k: c for k, c in v.items() if c}
-    if max((degrees[k] for k in v), default=0) > n:
-        return False
-
-    defect: TensorMap = {}
-    for k, c in v.items():
-        for p, q, cc in gr.comult_terms(k):
+    table: list[Optional[tuple]] = []
+    for k in range(gr.dim):
+        if degrees[k] > n:
+            table.append(None)
+            continue
+        entries: TensorMap = {}
+        for p, q, c in gr.comult_terms(k):
             if _illegal_bidegree(degrees[p], degrees[q], n):
-                defect[(p, q)] = defect.get((p, q), Q0) + c * cc
+                entries[(p, q)] = entries.get((p, q), Q0) + c
         for p, q in ((0, k), (k, 0)):
             if _illegal_bidegree(degrees[p], degrees[q], n):
-                defect[(p, q)] = defect.get((p, q), Q0) - c
+                entries[(p, q)] = entries.get((p, q), Q0) - 1
+        table.append(tuple((key, c) for key, c in entries.items() if c))
+    return table
+
+
+def _in_primitive_set(
+    table: Sequence[Optional[tuple]], v: Mapping[int, Scalar]
+) -> bool:
+    """Whether the sparse element v passes ``_primitivity_defect_ok`` at
+    the level of ``table`` (from ``_level_table``): its defect is summed
+    only over the entries that check rejects."""
+    defect: TensorMap = {}
+    for k, c in v.items():
+        if not c:
+            continue
+        entries = table[k]
+        if entries is None:
+            return False
+        for key, cc in entries:
+            defect[key] = defect.get(key, Q0) + c * cc
     return not any(defect.values())
 
 
@@ -700,20 +717,27 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
                     coords[k] = c
         return coords or {0: Q1}
 
+    tables: dict[int, list] = {}
+
+    def member(v: Mapping[int, Scalar], n: int) -> bool:
+        if n not in tables:
+            tables[n] = _level_table(gr, n)
+        return _in_primitive_set(tables[n], v)
+
     for trial in range(samples):
         n = rng.randint(1, bound)
         m = rng.randint(1, bound)
         b = random_level_element(n)
         c = random_level_element(m)
-        ok_b = _in_primitive_set(gr, b, n)
-        ok_c = _in_primitive_set(gr, c, m)
+        ok_b = member(b, n)
+        ok_c = member(c, m)
         checks = [("membership", ok_b and ok_c)]
         if n + m <= bound:
-            checks.append(("product", _in_primitive_set(gr, gr.mul(b, c), n + m)))
+            checks.append(("product", member(gr.mul(b, c), n + m)))
         total = dict(b)
         for k, y in c.items():
             total[k] = total.get(k, Q0) + y
-        checks.append(("sum", _in_primitive_set(gr, total, max(n, m))))
+        checks.append(("sum", member(total, max(n, m))))
         bad = [name for name, ok in checks if not ok]
         rep.add(
             "level-closure",

@@ -18,7 +18,6 @@ builders enumerate.
 from __future__ import annotations
 
 import itertools
-import json
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -125,6 +124,3 @@ class GeneratorSet:
 
     def to_json(self) -> list[dict]:
         return [{"id": gid, "degree": deg} for gid, deg in self._gens]
-
-    def __str__(self):
-        return json.dumps(self.to_json())

@@ -390,12 +390,6 @@ class PBWStructure:
         rep.add("split-expansion", m, PASS, f"{len(seen)} splittings")
         return rep
 
-    def check_all_split_expansions(self) -> Report:
-        rep = Report("split-expansion")
-        for p in range(len(self.indices)):
-            rep.extend(self.check_split_expansion(p))
-        return rep
-
     # -- closure of spans -------------------------------------------------------
 
     def check_span_closure(self, rng, samples: int) -> Report:

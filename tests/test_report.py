@@ -1,20 +1,25 @@
 """The report writer against the standard encoder.
 
-``report.dumps`` writes check lines through one template and every other
+``report.write`` streams check lines through one template and every other
 block through ``json.dumps``; its output must be byte for byte what
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes when each check
-line is the object {check, subject, status, detail}.
+line is the object {check, subject, status, detail}, and it must never
+hold the report whole.
 """
 
+import io
 import json
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hopfcore import cli
-from hopfcore.report import CheckLine, dumps
-from conftest import FIXTURES
+from hopfcore.report import CheckLine, write
+from conftest import FIXTURES, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -26,6 +31,10 @@ def reference_dumps(payload):
         for key, value in payload.items()
     }
     return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+def reference_write(payload, out):
+    out.write(reference_dumps(payload))
 
 
 # text with what the encoder escapes: quotes, backslashes, control
@@ -82,8 +91,59 @@ payloads = st.builds(
 @example({"checks": []})
 @example({"checks": [CheckLine('a"b\\c', "\x00\né", "PASS", "\ud800\U0001f600")]})
 @example({"command": "verify", "schema": 1, "error": "x", "status": "input-error"})
-def test_dumps_matches_the_standard_encoder(payload):
-    assert dumps(payload) == reference_dumps(payload)
+def test_write_matches_the_standard_encoder(payload):
+    out = io.StringIO()
+    write(payload, out)
+    assert out.getvalue() == reference_dumps(payload)
+
+
+class CountingSink(io.TextIOBase):
+    """A text stream that keeps nothing but the number of characters."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def big_payload(lines=20_000):
+    return {
+        "command": "verify",
+        "checks": [
+            CheckLine("comult-coassociative", f"e{i},e{i + 1}", "PASS", f"checked {i}")
+            for i in range(lines)
+        ],
+        "summary": {"PASS": lines, "FAIL": 0},
+        "status": "ok",
+    }
+
+
+def test_write_holds_no_more_than_a_tenth_of_the_report():
+    """Streaming keeps the writer's peak allocation far below the text it
+    writes; building the report as one string costs about three times it."""
+    payload = big_payload()
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        write(payload, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(reference_dumps(payload))
+    assert peak < sink.chars / 10
+
+
+def test_unserialisable_block_raises_before_anything_is_written():
+    payload = {**big_payload(3), "zeta": {"bad": object()}}
+    sink = CountingSink()
+    with pytest.raises(TypeError):
+        write(payload, sink)
+    assert sink.chars == 0
 
 
 def jobs():
@@ -110,6 +170,20 @@ def test_every_command_writes_the_standard_bytes(tmp_path, monkeypatch, argv):
     out = tmp_path / "report.json"
     code = cli.main([*argv, "--out", str(out)])
     written = out.read_bytes()
-    monkeypatch.setattr(cli, "dumps", reference_dumps)
+    monkeypatch.setattr(cli, "write", reference_write)
     assert cli.main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == written
+
+
+def test_out_file_and_stdout_get_the_same_bytes(tmp_path):
+    argv = [sys.executable, "-m", "hopfcore.cli", "verify",
+            "--instance", str(INSTANCES / "heis.json"), "--trials", "5"]
+    out = tmp_path / "report.json"
+    to_file = subprocess.run([*argv, "--out", str(out)], capture_output=True,
+                             env=subprocess_env(), timeout=120)
+    to_stdout = subprocess.run(argv, capture_output=True, env=subprocess_env(),
+                               timeout=120)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert out.read_bytes() == to_stdout.stdout
+    assert json.loads(to_stdout.stdout)["checks"]

@@ -16,6 +16,7 @@ import pytest
 from hopfcore.coalgebra import (
     FilteredBialgebraData,
     _in_primitive_set,
+    _level_table,
     check_level_closure,
 )
 from hopfcore.linalg import Q0, Q1
@@ -285,7 +286,7 @@ def test_in_primitive_set_matches_full_defect(sl2, table):
         # explicit zeros included: the verdict must ignore them
         v = {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(range(gr.dim), size)}
         n = rng.randint(1, gr.degree_bound)
-        verdict = _in_primitive_set(gr, v, n)
+        verdict = _in_primitive_set(_level_table(gr, n), v)
         assert verdict == dense_in_primitive_set(gr, dense_of(v, gr.dim), n)
         verdicts.add(verdict)
     assert verdicts == {True, False}
