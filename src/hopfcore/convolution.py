@@ -23,6 +23,7 @@ import json
 from collections import namedtuple
 from typing import Mapping, Optional
 
+from .coalgebra import SAMPLE_COEFFS
 from .errors import (
     HostMismatch,
     InputFormatError,
@@ -452,12 +453,12 @@ def random_conv_element(
     # the indices ascend by degree, so the candidates are a prefix; sample
     # draws by index, so sampling positions picks the same indices
     candidates = range(host.count_up_to(max_degree))
-    count = rng.randint(1, min(max_terms, len(candidates)))
+    count = rng.choice(range(1, min(max_terms, len(candidates)) + 1))
     chosen = rng.sample(candidates, count)
     values = {}
     for p in chosen:
-        coords = [rng.randint(-2, 2) for _ in range(ring.dim)]
+        coords = [rng.choice(SAMPLE_COEFFS) for _ in range(ring.dim)]
         if not any(coords):
-            coords[rng.randrange(ring.dim)] = Q1
+            coords[rng.choice(range(ring.dim))] = Q1
         values[p] = {k: c for k, c in enumerate(coords) if c}
     return ConvElement._at_positions(host, ring, dict(sorted(values.items())))

@@ -3,12 +3,12 @@
 Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
 The two mix exactly, compare and hash equal, and integral arithmetic stays
 in ``int``.  Every place that creates a scalar by division or parsing
-passes it through ``exact``, and division is always by a ``Fraction``, so
-no floating point enters anywhere.  There is one vector format, the sparse
-dict {index: coefficient} without zeros, for the vectors of every algebra
-and the values of every coefficient ring alike; only a functional, such as
-the counit, is a tuple of its values on the basis.  Matrices exist only as
-lists of sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
+passes it through ``exact``, and division is always by a ``Fraction`` or
+an exact ``//`` of integers, so no floating point enters anywhere.  There
+is one vector format, the sparse dict {index: coefficient} without zeros,
+for the vectors of every algebra and the values of every coefficient ring
+alike; only a functional, such as the counit, is a tuple of its values on
+the basis.  Matrices exist only as lists of sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
 ``inverse`` take sparse rows, and one echelon keyed by pivot column reduces
 them, so the work follows the nonzero entries rather than the matrix shape.
 Subspaces are kept in reduced row echelon form, which is a canonical
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
@@ -59,6 +60,23 @@ def rat_str(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def integral(v: SparseRow, den: int = 1) -> tuple[int, SparseRow]:
+    """The vector v / den in lowest terms, as (d, w): w = (d / den) v has
+    integral entries, and d is the least positive integer for which it
+    does.  An integral v whose entries share no factor with den is
+    returned itself."""
+    scale = lcm(*(x.denominator for x in v.values()))
+    if scale > 1:
+        v = {i: (x * scale).numerator for i, x in v.items()}
+        den *= scale
+    if den > 1:
+        g = gcd(den, *v.values())
+        if g > 1:
+            v = {i: x // g for i, x in v.items()}
+            den //= g
+    return den, v
+
+
 def nonzero(v: Mapping[int, Scalar]) -> SparseRow:
     """A sparse vector without its zero entries."""
     return {k: c for k, c in v.items() if c}
@@ -95,11 +113,17 @@ def _rref_rows(rows: Sequence[Mapping[int, Scalar]], ncols: int):
     Each row, sparsest first (the result is canonical, so the order only
     saves work), is reduced against the stored rows by its leading column
     until it vanishes (and is dropped) or its lead is a new pivot (and it is
-    stored, scaled to lead 1).  One back-substitution pass in descending
-    pivot order then clears the pivot columns of every stored row.
+    stored, scaled to lead 1).  Once every column that occurs in the rows
+    holds a pivot, every later row lies in the span, so the reduction stops.
+    One back-substitution pass in descending pivot order then clears the
+    pivot columns of every stored row.
     """
     echelon: dict[int, SparseRow] = {}
-    for given in sorted(rows, key=len):
+    rows = sorted(rows, key=len)
+    full = len({c for given in rows for c, x in given.items() if x})
+    for given in rows:
+        if len(echelon) == full:
+            break
         row = {c: exact(x) for c, x in given.items() if x}
         while row:
             lead = min(row)

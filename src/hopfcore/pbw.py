@@ -9,17 +9,20 @@ layer, their products have multinomial leading coefficients and strictly
 lower defects, and their comultiplications expand with coefficient 1 on
 every splitting of the index plus strictly smaller terms; all of that is
 machine-checked here, with sums and splittings of indices taken on their
-exponent vectors.
+exponent vectors.  Each monomial is kept as an integral vector over one
+positive denominator, so on integral tables the checks run in ``int``
+arithmetic and divide once per value they return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Mapping, Optional
 
 from .coalgebra import (
+    SAMPLE_COEFFS,
     CoradicalFiltration,
     FilteredBialgebraData,
     GradedSplitting,
@@ -39,6 +42,7 @@ from .linalg import (
     combine,
     complement,
     exact,
+    integral,
     inverse,
     nonzero,
     rank,
@@ -153,7 +157,7 @@ class PBWStructure:
             self._prefix[d] += 1
         for d in range(1, len(self._prefix)):
             self._prefix[d] += self._prefix[d - 1]
-        self._monomials: dict[int, dict[int, Scalar]] = {}
+        self._monomials: dict[int, tuple[int, SparseRow]] = {}
         self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
         self._comult_cache: dict[int, list[tuple[int, int, Scalar]]] = {}
@@ -220,25 +224,33 @@ class PBWStructure:
         k = m[t]
         return t, k, self.index_pos[m[:t] + (k - 1,) + m[t + 1 :]]
 
-    def pbw_monomial(self, p: int) -> SparseRow:
-        """e_m for the index m at position p, as its nonzero raw
-        coordinates: the unit at the zero index, and otherwise (1/k)
-        lift_g e_(m - g) by ``first_factor``, one product per monomial;
-        cached."""
+    def integral_monomial(self, p: int) -> tuple[int, SparseRow]:
+        """e_m for the index m at position p as (d, v): v = d e_m has
+        integral raw coordinates (zeros dropped), and d is the least positive
+        integer for which it does; cached.  The unit at the zero index, and
+        otherwise lift_g e_(m - g) over k times the denominator of e_(m - g)
+        by ``first_factor``, one product per monomial.  On a divided raw
+        basis every d is 1."""
         cached = self._monomials.get(p)
         if cached is not None:
             return cached
         self._require(p)
         if p == 0:
-            v = {self.data.unit_index: Q1}
+            entry = 1, {self.data.unit_index: Q1}
         else:
             t, k, rest = self.first_factor(p)
-            v = self.data.mul(self.lifts[self.gens.ids[t]], self.pbw_monomial(rest))
-            if k > 1:
-                scale = Fraction(1, k)
-                v = {i: exact(a * scale) for i, a in v.items()}
-        self._monomials[p] = v
-        return v
+            d, v = self.integral_monomial(rest)
+            entry = integral(self.data.mul(self.lifts[self.gens.ids[t]], v), d * k)
+        self._monomials[p] = entry
+        return entry
+
+    def pbw_monomial(self, p: int) -> SparseRow:
+        """e_m for the index m at position p, as its nonzero raw
+        coordinates: the rational view of ``integral_monomial``."""
+        d, v = self.integral_monomial(p)
+        if d == 1:
+            return v
+        return {i: exact(Fraction(a, d)) for i, a in v.items()}
 
     # -- basis change ----------------------------------------------------------
 
@@ -254,7 +266,7 @@ class PBWStructure:
             )
         rows = []
         for p in range(count):
-            v = self.pbw_monomial(p)
+            _, v = self.integral_monomial(p)
             if not layer.contains(v):
                 raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
             rows.append(v)
@@ -276,11 +288,13 @@ class PBWStructure:
         if not self._bases_verified:
             self.verify_all_bases()
         # row j of the inverse of the matrix whose rows are the monomials
-        # expands e_j on them
-        self._raw_to_pbw = inverse(
-            [self.pbw_monomial(p) for p in range(len(self.indices))],
-            self.data.dim,
-        )
+        # expands e_j on them; the rows d_p e_(m_p) give an inverse whose
+        # entries p are 1/d_p times those wanted
+        monomials = [self.integral_monomial(p) for p in range(len(self.indices))]
+        self._raw_to_pbw = inverse([v for _, v in monomials], self.data.dim)
+        for row in self._raw_to_pbw:
+            for p, c in row.items():
+                row[p] = exact(c * monomials[p][0])
 
     def pbw_coords(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """Exact expansion of a sparse raw vector on the monomial basis, as
@@ -297,9 +311,19 @@ class PBWStructure:
         if total is None:
             raise TruncationError("product degree exceeds the bound")
         c = prod(comb(a + b, a) for a, b in zip(self.indices[p], self.indices[q]))
-        defect = self.data.mul(self.pbw_monomial(p), self.pbw_monomial(q))
-        for k, a in self.pbw_monomial(total).items():
-            defect[k] = defect.get(k, Q0) - c * a
+        # the defect times l = lcm(d_n d_m, d_(n+m)), in integers
+        dp, vp = self.integral_monomial(p)
+        dq, vq = self.integral_monomial(q)
+        defect = self.data.mul(vp, vq)
+        dt, vt = self.integral_monomial(total)
+        l = dp * dq
+        if l % dt:
+            f = dt // gcd(l, dt)
+            defect = {k: a * f for k, a in defect.items()}
+            l *= f
+        ct = c * (l // dt)
+        for k, a in vt.items():
+            defect[k] = defect.get(k, Q0) - ct * a
         deg = self.degrees[total]
         if deg == 0:
             ok = not any(defect.values())
@@ -308,7 +332,9 @@ class PBWStructure:
         if not ok:
             name = self.labels
             raise BasisDefect(f"defect of e_{name[p]} e_{name[q]} escapes layer {deg - 1}")
-        return c, nonzero(defect)
+        if l == 1:
+            return c, nonzero(defect)
+        return c, {k: exact(Fraction(a, l)) for k, a in defect.items() if a}
 
     # -- comultiplication --------------------------------------------------------
 
@@ -320,7 +346,9 @@ class PBWStructure:
             return cached
         self._require(p)
         self._ensure_full_basis()
-        tmap = self.data.comult_map(self.pbw_monomial(p))
+        # Delta(d e_m) in integers, divided by d once per term
+        d, v = self.integral_monomial(p)
+        tmap = self.data.comult_map(v)
         acc: dict[tuple[int, int], Scalar] = {}
         for (a, b), coeff in tmap.items():
             for i, ci in self._raw_to_pbw[a].items():
@@ -338,7 +366,7 @@ class PBWStructure:
                     f"term e_{name[i]} (x) e_{name[j]} of "
                     f"Delta(e_{name[p]}) exceeds degree {deg_m}"
                 )
-            out.append((i, j, exact(c)))
+            out.append((i, j, exact(c if d == 1 else Fraction(c, d))))
         self._comult_cache[p] = out
         return out
 
@@ -399,10 +427,19 @@ class PBWStructure:
         bound = self.data.degree_bound
 
         def sample_elem(top: int) -> SparseRow:
-            coeffs = {i: rng.randint(-2, 2) for i in range(top + 1)}
-            return combine(
-                {i: self.pbw_monomial(i) for i, c in coeffs.items() if c}, coeffs
-            )
+            """A random combination of the first top + 1 monomials, with
+            coefficients in -2..2, times the lcm of the denominators of the
+            monomials it uses: an integral vector whose products have the
+            supports of the unscaled element's."""
+            coeffs = {i: rng.choice(SAMPLE_COEFFS) for i in range(top + 1)}
+            rows, dens = {}, {}
+            for i, c in coeffs.items():
+                if c:
+                    dens[i], rows[i] = self.integral_monomial(i)
+            scale = lcm(*dens.values())
+            if scale > 1:
+                coeffs = {i: coeffs[i] * (scale // d) for i, d in dens.items()}
+            return combine(rows, coeffs)
 
         # positions ascend in the well-order, which compares degrees first,
         # so "every index <= m" and "every index of degree <= d" are prefixes

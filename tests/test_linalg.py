@@ -294,6 +294,22 @@ def _random_matrices():
             a, b = rng.sample(range(n), 2)
             rows[a] = [F(3, 2) * x - y for x, y in zip(rows[b], rows[(b + 1) % n])]
         out.append((f"square-{i}", rows))
+    # full rank early, then many redundant rows: a few sparse rows span
+    # every column that occurs (the last column never does), and the denser
+    # combinations of them that follow reduce to zero
+    rng = random.Random(11)
+    for i in range(4):
+        ncols = rng.randint(3, 7)
+        base = [[F(0)] * ncols for _ in range(ncols - 1)]
+        for c, row in enumerate(base):
+            row[c] = entry() or F(1)
+            if c + 1 < ncols - 1:
+                row[c + 1] = entry()
+        rows = list(base)
+        for _ in range(40):
+            rows.append([sum((rng.randint(-3, 3) * b[c] for b in base), F(0))
+                         for c in range(ncols)])
+        out.append((f"redundant-{i}", rows))
     return out
 
 
@@ -336,6 +352,27 @@ def test_rref_is_independent_of_row_order(name, rows):
     expected = rref(given)
     for stack in (shuffled, by_len, by_len[::-1], given[::-1]):
         assert rref(stack) == expected
+
+
+class CountingRow(dict):
+    """A sparse row that counts the passes over its entries."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_rref_stops_once_every_column_holds_a_pivot():
+    """Rows after full rank on the columns that occur are read once, for
+    their columns, and never reduced."""
+    base = [{0: F(1)}, {1: F(2)}, {0: F(1), 2: F(3)}]
+    redundant = [CountingRow({0: F(a), 1: F(1), 2: F(-a)}) for a in range(1, 9)]
+    reduced, pivots = _rref_rows(base + redundant, 4)
+    assert pivots == (0, 1, 2)
+    assert reduced == [{0: 1}, {1: 1}, {2: 1}]
+    assert [r.reads for r in redundant] == [1] * len(redundant)
 
 
 @needs_sympy
