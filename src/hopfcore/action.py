@@ -4,7 +4,7 @@ The host algebra acts on a small algebra A through operator matrices for the
 generator lifts; a general basis monomial acts as the increasing-order
 divided composition of those operators.  An ideal I of A is one ``Ideal``,
 the span of monomials, of the multiples of one polynomial or of given
-vectors, held in an echelon whose pivots are leading monomials; its
+vectors, a ``Subspace`` whose pivots are leading monomials; its
 non-pivot positions are the basis of A/I.  The truncated core collects the
 elements all of whose images under basis monomials up to the cap stay
 inside I; it is the kernel of a stack of exact linear conditions and
@@ -28,7 +28,6 @@ from .linalg import (
     Scalar,
     SparseRow,
     Subspace,
-    _sub_scaled,
     combine,
     exact,
     kernel,
@@ -44,35 +43,19 @@ from .table import PolynomialAlgebra, TableAlgebra, sparse
 # ideals
 
 
-class Ideal:
-    """An ideal I of A as the span of sparse vectors: membership, normal
-    forms and quotient coordinates.
+class Ideal(Subspace):
+    """An ideal I of A: the ``Subspace`` spanned by rows in the column order
+    of descending degree and then position, so a row's pivot is its leading
+    column, in a polynomial algebra its degree-lex leading monomial.  A/I has
+    the basis ``normal``; ``text`` names the ideal in reports."""
 
-    The spanning rows are echeloned with the columns ordered by descending
-    degree and then by position, and kept by pivot in A's own coordinates.
-    Under that order a row's pivot is its leading column, in a polynomial
-    algebra its degree-lex leading monomial.  The rows vanish at each
-    other's pivots, so a vector reaches its normal form in one pass over
-    the pivots it hits.  The normal basis of A/I is the positions that are
-    not pivots, in ascending order.  ``text`` is what ``describe`` returns."""
-
-    def __init__(
-        self, algebra: TableAlgebra, rows: Sequence[Mapping[int, Scalar]], text: str
-    ):
+    @classmethod
+    def _span(cls, algebra: TableAlgebra, rows, text: str) -> "Ideal":
         degrees = algebra.degrees
         order = sorted(range(algebra.dim), key=lambda t: (-degrees[t], t))
-        rank = {t: r for r, t in enumerate(order)}
-        echelon = Subspace.from_sparse(
-            [{rank[t]: c for t, c in row.items()} for row in rows], algebra.dim
-        )
-        self._rows = {
-            order[p]: {order[r]: c for r, c in row.items()}
-            for p, row in zip(echelon.pivots, echelon.rows)
-        }
-        self._normal = tuple(t for t in range(algebra.dim) if t not in self._rows)
-        self._normal_pos = {t: p for p, t in enumerate(self._normal)}
-        self.algebra = algebra
-        self.text = text
+        ideal = cls.from_sparse(rows, algebra.dim, order)
+        ideal.algebra, ideal.text = algebra, text
+        return ideal
 
     @classmethod
     def monomial(
@@ -89,7 +72,7 @@ class Ideal:
         ]
         names = algebra.variables
         text = ", ".join(monomial_label(names, g) for g in gens) or "0"
-        return cls(algebra, rows, f"({text})")
+        return cls._span(algebra, rows, f"({text})")
 
     @classmethod
     def principal(
@@ -107,7 +90,7 @@ class Ideal:
             for q in range(algebra.dim)
             if degrees[q] + top <= algebra.degree_bound
         ]
-        return cls(algebra, rows, f"({algebra.format(f)})")
+        return cls._span(algebra, rows, f"({algebra.format(f)})")
 
     @classmethod
     def subspace(
@@ -115,8 +98,8 @@ class Ideal:
     ) -> "Ideal":
         """The span of rows, checked to be a two-sided ideal on the products
         of its echelon rows with every basis vector."""
-        ideal = cls(algebra, rows, "")
-        for row in ideal._rows.values():
+        ideal = cls._span(algebra, rows, "")
+        for row in ideal.rows:
             for i in range(algebra.dim):
                 e = {i: Q1}
                 if not (
@@ -124,42 +107,16 @@ class Ideal:
                     and ideal.contains(algebra.mul(row, e))
                 ):
                     raise InputFormatError("subspace is not a two-sided ideal")
-        ideal.text = f"subspace ideal of dim {len(ideal._rows)}"
+        ideal.text = f"subspace ideal of dim {ideal.dim}"
         return ideal
-
-    def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        """The normal form of a sparse vector {index: coefficient}, zeros
-        allowed: a sparse vector without zeros on the normal basis."""
-        rows = self._rows
-        out = nonzero(v)
-        for p in [t for t in out if t in rows]:
-            _sub_scaled(out, out[p], rows[p])
-        return out
-
-    def describe(self) -> str:
-        return self.text
-
-    def contains(self, v: Mapping[int, Scalar]) -> bool:
-        return not self.reduce(v)
 
     @property
     def normal_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.basis_labels[t] for t in self._normal)
-
-    def quotient_coords(self, v: Mapping[int, Scalar]) -> SparseRow:
-        """The class of v as a sparse A/I value, keyed by position in the
-        normal basis."""
-        pos = self._normal_pos
-        return {pos[t]: c for t, c in self.reduce(v).items()}
-
-    def lift(self, coords: Mapping[int, Scalar]) -> SparseRow:
-        """The normal-form representative of a sparse A/I value."""
-        normal = self._normal
-        return {normal[p]: c for p, c in coords.items() if c}
+        return tuple(self.algebra.basis_labels[t] for t in self.normal)
 
     @property
     def quotient_dim(self) -> int:
-        return len(self._normal)
+        return len(self.normal)
 
     @property
     def is_unit(self) -> bool:
@@ -188,7 +145,7 @@ class QuotientAlgebra(TableAlgebra):
             table,
             ideal.quotient_coords(algebra.unit_vector()),
             degree_bound=algebra.degree_bound,
-            name=f"A/{ideal.describe()}",
+            name=f"A/{ideal.text}",
         )
         self.ideal = ideal
 
@@ -379,11 +336,6 @@ def hcore(
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
     rows: list[dict[int, Scalar]] = []
     cores: list[Subspace] = []
-
-    def embed(small: Subspace) -> Subspace:
-        vectors = [{cols[t]: c for t, c in row.items()} for row in small.rows]
-        return Subspace.from_sparse(vectors, alg.dim)
-
     for d in range(conv_cap + 1):
         # the indices of degree d are a run of positions
         for p in range(host.count_up_to(d - 1), host.count_up_to(d)):
@@ -395,7 +347,10 @@ def hcore(
                 for k, x in ideal.reduce(columns[c]).items():
                     by_normal.setdefault(k, {})[t] = x
             rows.extend(by_normal[k] for k in sorted(by_normal))
-        cores.append(embed(kernel(rows, len(cols))))
+        # cols ascends, so the kernel re-keyed onto it stays in echelon form
+        small = kernel(rows, len(cols))
+        rekeyed = tuple({cols[t]: c for t, c in row.items()} for row in small.rows)
+        cores.append(Subspace(alg.dim, tuple(cols[t] for t in small.pivots), rekeyed))
     stabilized = len(cores) >= 2 and cores[-1] == cores[-2]
     return HCoreResult(cores[-1], tuple(cores), stabilized)
 
@@ -418,7 +373,7 @@ def core_primeness_probe(
     if mode not in ("domain", "prime", "semiprime"):
         raise InputFormatError(f"unknown probe mode {mode!r}")
     if ideal.is_unit:
-        rep.add(f"probe-{mode}", ideal.describe(), SKIP, "DegenerateIdeal")
+        rep.add(f"probe-{mode}", ideal.text, SKIP, "DegenerateIdeal")
         return rep
     alg = action.algebra
     candidates = [

@@ -511,11 +511,11 @@ def cmd_hcore(args) -> int:
         "stabilized": result.stabilized,
         "dim": result.core.dim,
         "basis": [algebra.format(row) for row in result.core.rows],
-        "ideal": ideal.describe(),
+        "ideal": ideal.text,
     }
     report.add(
         "hcore",
-        ideal.describe(),
+        ideal.text,
         PASS,
         f"dim {result.core.dim}, stabilized={result.stabilized}",
     )

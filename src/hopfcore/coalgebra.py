@@ -294,8 +294,8 @@ def _filtration_step(
 ) -> Subspace:
     """{x : Delta(x) in prev (x) C + C (x) base} via quotient coordinates."""
     dim = data.dim
-    qprev = prev.quotient_unit_sparse()
-    qbase = base.quotient_unit_sparse()
+    qprev = prev.quotient_units()
+    qbase = base.quotient_units()
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for t in range(dim):
         for j, k, c in data.comult_terms(t):

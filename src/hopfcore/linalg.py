@@ -8,18 +8,22 @@ an exact ``//`` of integers, so no floating point enters anywhere.  There
 is one vector format, the sparse dict {index: coefficient} without zeros,
 for the vectors of every algebra and the values of every coefficient ring
 alike; only a functional, such as the counit, is a tuple of its values on
-the basis.  Matrices exist only as lists of sparse rows.  Row reduction is sparse: ``rank``, ``kernel`` and
-``inverse`` take sparse rows, and one echelon keyed by pivot column reduces
-them, so the work follows the nonzero entries rather than the matrix shape.
-Subspaces are kept in reduced row echelon form, which is a canonical
-representative: two subspaces are equal iff their pivots and sparse echelon
-rows are equal.
+the basis.  Matrices exist only as lists of sparse rows.  Row reduction is
+sparse: ``rank``, ``kernel`` and ``inverse`` take sparse rows, and one
+echelon keyed by pivot column reduces them, so the work follows the nonzero
+entries rather than the matrix shape.  A ``Subspace`` is kept in reduced
+row echelon form for a column order (ascending unless given), canonical for
+that order.  The one echelon also decides the quotient: ``reduce`` gives a
+vector's normal form on the non-pivot columns (``normal``),
+``quotient_coords`` keys it by position in ``normal`` and ``lift`` maps it
+back.  An ideal is such a subspace in the order of descending degree.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
@@ -176,60 +180,93 @@ def inverse(rows: Sequence[Mapping[int, Scalar]], n: int) -> list[SparseRow]:
 
 
 class Subspace(namedtuple("Subspace", "ambient_dim pivots rows")):
-    """A subspace of Q^n held by its reduced row echelon form (canonical):
-    the pivot columns in ascending order (``pivots``, a tuple of ints) and,
-    for each, its echelon row as a sparse row with ascending keys
-    (``rows``)."""
+    """A subspace of Q^n held by its reduced row echelon form in a column
+    order (canonical for that order): the pivot columns in that order
+    (``pivots``, a tuple of ints), each the first column of its row in the
+    order, and for each its echelon row as a sparse row (``rows``).  Every
+    row vanishes at every other pivot.  The columns that are not pivots,
+    ascending, are ``normal``: the basis of the quotient, whose coordinates
+    are keyed by position in ``normal``."""
 
-    __slots__ = ()
-    # the rows are dicts; nothing hashes a subspace
+    # the rows are dicts; nothing hashes a subspace.  No __slots__: the
+    # cached maps below live in the instance dict.
     __hash__ = None
 
     @classmethod
     def from_sparse(
-        cls, rows: Sequence[Mapping[int, Scalar]], ambient_dim: int
+        cls,
+        rows: Sequence[Mapping[int, Scalar]],
+        ambient_dim: int,
+        order: Optional[Sequence[int]] = None,
     ) -> "Subspace":
-        """The span of sparse vectors {index: coefficient}."""
-        reduced, pivots = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, pivots, tuple(reduced))
+        """The span of sparse vectors {index: coefficient}, echeloned with
+        the columns in ``order`` (a permutation of range(ambient_dim),
+        ascending by default)."""
+        if order is None:
+            reduced, pivots = _rref_rows(rows, ambient_dim)
+            return cls(ambient_dim, pivots, tuple(reduced))
+        rank = {t: r for r, t in enumerate(order)}
+        reduced, pivots = _rref_rows(
+            [{rank[t]: c for t, c in row.items()} for row in rows], ambient_dim
+        )
+        return cls(
+            ambient_dim,
+            tuple(order[p] for p in pivots),
+            tuple({order[r]: c for r, c in row.items()} for row in reduced),
+        )
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    @cached_property
+    def normal(self) -> tuple[int, ...]:
+        pivots = set(self.pivots)
+        return tuple(t for t in range(self.ambient_dim) if t not in pivots)
+
+    @cached_property
+    def _row_at(self) -> dict[int, SparseRow]:
+        return dict(zip(self.pivots, self.rows))
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {t: p for p, t in enumerate(self.normal)}
+
     def reduce(self, v: Mapping[int, Scalar]) -> SparseRow:
-        """Residual of the sparse vector v after subtracting its projection
-        along the basis, without zeros.  A basis row vanishes at every other
-        pivot, so one pass subtracts the rows at the pivots v hits."""
-        out = {c: x for c, x in v.items() if x}
-        for p, row in zip(self.pivots, self.rows):
-            if p in out:
-                _sub_scaled(out, out[p], row)
+        """The residual of the sparse vector v {index: coefficient}, zeros
+        allowed, modulo the subspace: a sparse vector without zeros on the
+        normal columns.  One pass subtracts the rows at the pivots v hits."""
+        at = self._row_at
+        out = nonzero(v)
+        for p in [t for t in out if t in at]:
+            _sub_scaled(out, out[p], at[p])
         return out
 
     def contains(self, v: Mapping[int, Scalar]) -> bool:
         """Membership of the sparse vector v {index: coefficient}."""
         return not self.reduce(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+    def quotient_coords(self, v: Mapping[int, Scalar]) -> SparseRow:
+        """The class of v as a sparse vector keyed by position in
+        ``normal``."""
+        pos = self._position
+        return {pos[t]: c for t, c in self.reduce(v).items()}
 
-    def quotient_unit_sparse(self) -> list[dict[int, Scalar]]:
-        """For each ambient coordinate vector e_j, the nonzero coordinates of
-        its class modulo this subspace, keyed by non-pivot position.
+    def lift(self, coords: Mapping[int, Scalar]) -> SparseRow:
+        """The representative on the normal columns of a sparse class."""
+        normal = self.normal
+        return {normal[p]: c for p, c in coords.items() if c}
 
-        The class of v is its residual after reduction, which is supported on
-        non-pivot positions; membership in the subspace is exactly vanishing
-        of all these coordinates.
-        """
-        rows = dict(zip(self.pivots, self.rows))
-        out: list[dict[int, Scalar]] = []
-        for j in range(self.ambient_dim):
-            if j in rows:
-                out.append({a: -x for a, x in rows[j].items() if a != j})
-            else:
-                out.append({j: Q1})
-        return out
+    def quotient_units(self) -> list[SparseRow]:
+        """``quotient_coords`` of every unit vector e_j, read off the rows:
+        e_j minus its row at a pivot j, e_j itself elsewhere."""
+        pos, at = self._position, self._row_at
+        return [
+            {pos[a]: -x for a, x in at[j].items() if a != j}
+            if j in at
+            else {pos[j]: Q1}
+            for j in range(self.ambient_dim)
+        ]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
@@ -252,7 +289,7 @@ def complement(
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if not outer.contains_subspace(inner):
+    if not all(outer.contains(r) for r in inner.rows):
         raise InnerNotContained(
             f"inner (dim {inner.dim}) is not contained in outer (dim {outer.dim})"
         )

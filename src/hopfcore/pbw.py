@@ -26,6 +26,7 @@ from .coalgebra import (
     CoradicalFiltration,
     FilteredBialgebraData,
     GradedSplitting,
+    _split_tensor,
     coradical_filtration,
     gr_structure,
     graded_splitting,
@@ -40,7 +41,6 @@ from .linalg import (
     SparseRow,
     Subspace,
     combine,
-    complement,
     exact,
     integral,
     inverse,
@@ -57,10 +57,11 @@ def extract_generators(
 ) -> tuple[GeneratorSet, dict[str, SparseRow]]:
     """Minimal homogeneous generators of the associated graded algebra.
 
-    In each degree d the generators span a pivot-greedy complement of the
-    decomposable part sum_{0<i<d} gr(i)*gr(d-i) inside gr(d).  Polynomiality
-    is validated by comparing dim gr(d) with the number of weighted-degree-d
-    monomials in the extracted generators, for every d up to the bound.
+    In each degree d the generators are the basis vectors of gr(d) at the
+    normal columns of the decomposable part sum_{0<i<d} gr(i)*gr(d-i).
+    Polynomiality is validated by comparing dim gr(d) with the number of
+    weighted-degree-d monomials in the extracted generators, for every d up
+    to the bound.
     """
     degrees = gr.degrees
     if degrees is None:
@@ -69,10 +70,8 @@ def extract_generators(
     gens: list[tuple[str, int]] = []
     vectors: dict[str, SparseRow] = {}
     for d in range(1, gr.degree_bound + 1):
-        level = [k for k in range(dim) if degrees[k] == d]
-        if not level:
+        if d not in degrees:
             continue
-        layer = Subspace.from_sparse([{k: Q1} for k in level], dim)
         decomposable = [
             dict(gr.product_terms(a, b))
             for a in range(dim)
@@ -80,14 +79,14 @@ def extract_generators(
             for b in range(dim)
             if degrees[a] + degrees[b] == d and degrees[b] != 0
         ]
-        dec = Subspace.from_sparse(decomposable, dim)
-        fresh = complement(dec, layer)
-        for row, pivot in zip(fresh.rows, fresh.pivots):
-            name = gr.label(pivot)
+        for k in Subspace.from_sparse(decomposable, dim).normal:
+            if degrees[k] != d:
+                continue
+            name = gr.label(k)
             if name in vectors:
                 name = f"{name}@{d}"
             gens.append((name, d))
-            vectors[name] = row
+            vectors[name] = {k: Q1}
 
     genset = GeneratorSet(gens)
     for d in range(gr.degree_bound + 1):
@@ -348,19 +347,10 @@ class PBWStructure:
         self._ensure_full_basis()
         # Delta(d e_m) in integers, divided by d once per term
         d, v = self.integral_monomial(p)
-        tmap = self.data.comult_map(v)
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (a, b), coeff in tmap.items():
-            for i, ci in self._raw_to_pbw[a].items():
-                cc = coeff * ci
-                for j, cj in self._raw_to_pbw[b].items():
-                    key = (i, j)
-                    acc[key] = acc.get(key, Q0) + cc * cj
+        acc = _split_tensor(self._raw_to_pbw, self.data.comult_map(v))
         out = []
         degrees, deg_m, name = self.degrees, self.degrees[p], self.labels
         for (i, j), c in sorted(acc.items()):
-            if not c:
-                continue
             if degrees[i] + degrees[j] > deg_m:
                 raise ExpansionViolation(
                     f"term e_{name[i]} (x) e_{name[j]} of "

@@ -46,9 +46,6 @@ class Report:
             out[line.status] = out.get(line.status, 0) + 1
         return out
 
-    def failures(self) -> list[CheckLine]:
-        return [line for line in self.lines if line.status == FAIL]
-
 
 # a check line as json.dumps(indent=2) writes it one level down, keys sorted
 _LINE = (

@@ -840,6 +840,92 @@ def test_mutated_ring_tables_end_in_a_report(ring):
     assert err.getvalue() == ""
 
 
+POLY_ACTION = json.loads((ACTIONS / "dq_qx_ix.json").read_text())
+FINITE_ACTION = {
+    "algebra": {
+        "kind": "finite",
+        "basis": ["1", "t", "u"],
+        "one": "1",
+        "mult": {"1": {"1": {"1": "1"}, "t": {"t": "1"}, "u": {"u": "1"}},
+                 "t": {"1": {"t": "1"}}, "u": {"1": {"u": "1"}}},
+    },
+    "generators": {"d": [[0, 0, 0], [0, 0, 0], [0, 1, 0]]},
+    "ideal": {"kind": "subspace", "vectors": [[0, "2", "1/2"]]},
+    "ideal_properties": ["completely_prime"],
+}
+_small = st.integers(-2, 2) | st.sampled_from(["1/2", "-1", "0"])
+_exps = st.dictionaries(
+    st.sampled_from(["x", "y"]) | _labels, st.integers(0, 3) | _leaves, max_size=2
+)
+_terms = st.lists(
+    st.fixed_dictionaries(
+        {}, optional={"coeff": _small | _leaves, "monomial": _exps, "derivatives": _exps}
+    ),
+    max_size=3,
+)
+_action_fields = {
+    "algebra": st.fixed_dictionaries({
+        "kind": st.just("polynomial"),
+        "variables": st.lists(st.sampled_from(["x", "y"]) | _labels, max_size=2),
+        "bound": st.integers(0, 4) | _leaves,
+    }) | st.fixed_dictionaries({
+        "kind": st.just("finite"),
+        "basis": st.just(["1", "t", "u"]) | st.lists(_labels, max_size=3),
+        "one": st.sampled_from(["1", "t"]) | _leaves,
+        "mult": st.just(FINITE_ACTION["algebra"]["mult"]) | _json,
+    }),
+    "generators": st.dictionaries(
+        st.sampled_from(["d", "e"]),
+        st.lists(st.lists(_small, min_size=3, max_size=3), min_size=3, max_size=3)
+        | st.fixed_dictionaries({"kind": st.just("operator"), "terms": _terms}),
+        max_size=2,
+    ),
+    "ideal": st.sampled_from([{"kind": "zero"}, {"kind": "unit"}])
+    | st.fixed_dictionaries({
+        "kind": st.just("subspace"),
+        "vectors": st.lists(st.lists(_small, min_size=3, max_size=3), max_size=3),
+    })
+    | st.fixed_dictionaries({"kind": st.just("monomial"),
+                             "generators": st.lists(_exps, max_size=2)})
+    | st.fixed_dictionaries({"kind": st.just("principal"), "element": _terms}),
+    "ideal_properties": st.lists(
+        st.sampled_from(["completely_prime", "prime", "semiprime", "domain"]), max_size=2
+    ),
+}
+
+
+@st.composite
+def mutated_actions(draw):
+    """One of the two action files with one or two of its fields replaced,
+    mistyped or removed."""
+    spec = dict(draw(st.sampled_from([POLY_ACTION, FINITE_ACTION])))
+    keys = st.sampled_from(sorted(_action_fields))
+    for key in draw(st.sets(keys, min_size=1, max_size=2)):
+        spec[key] = draw(_action_fields[key] | st.just(ABSENT) | _json)
+    return {k: v for k, v in spec.items() if v is not ABSENT}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=mutated_actions())
+def test_mutated_action_files_end_in_a_report(spec):
+    """An action file with its algebra, generators, ideal or ideal
+    properties replaced, mistyped or removed ends in a JSON report with a
+    documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "action.json"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([
+                "hcore", "--instance", str(INSTANCES / "dq.json"),
+                "--action", str(path), "--probe-bound", "2",
+            ])
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert {"schema", "status"} <= set(report)
+    assert err.getvalue() == ""
+
+
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
     """A HopfcoreError other than an input error is reported with exit 1."""
 

@@ -119,7 +119,7 @@ COUNIT_FAILURE = dict(
 def test_axioms_catch_counit_failure():
     # group-like comultiplication with a counit that vanishes
     rep = verify_axioms(FilteredBialgebraData(**COUNIT_FAILURE))
-    failures = {(l.check, l.subject) for l in rep.failures()}
+    failures = {(l.check, l.subject) for l in rep.lines if l.status == "FAIL"}
     assert ("counit", "t") in failures
     # the unit law holds: only the counit is wrong
     unit_lines = [l for l in rep.lines if l.check == "unit-law"]

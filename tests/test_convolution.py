@@ -71,7 +71,7 @@ def test_ring_check_flags_correction():
     )
     rep = ring_check(wrong)
     assert not rep.passed
-    assert any(l.check == "flag-prime" for l in rep.failures())
+    assert any(l.check == "flag-prime" and l.status == "FAIL" for l in rep.lines)
 
 
 

@@ -238,9 +238,9 @@ def test_int_and_fraction_rows_agree(rows):
         assert {t for _, t in _typed(inv)} <= {int, F}
 
 
-def test_quotient_unit_sparse_membership():
+def test_quotient_units_membership():
     s = span([[1, 0, 2], [0, 1, -1]], 3)
-    q = s.quotient_unit_sparse()
+    q = s.quotient_units()
 
     def in_s(v):
         acc = {}
@@ -253,6 +253,38 @@ def test_quotient_unit_sparse_membership():
     assert in_s((1, 0, 2))
     assert in_s((1, 1, 1))
     assert not in_s((0, 0, 1))
+
+
+@st.composite
+def ordered_spans(draw):
+    """Sparse rows, a column order and a vector on up to six columns."""
+    n = draw(st.integers(1, 6))
+    scalars = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    vectors = st.dictionaries(st.integers(0, n - 1), scalars, max_size=n)
+    rows = draw(st.lists(vectors, max_size=5))
+    return n, rows, draw(st.permutations(range(n))), draw(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_spans())
+def test_subspace_in_a_column_order(case):
+    n, rows, order, v = case
+    plain = Subspace.from_sparse(rows, n)
+    ordered = Subspace.from_sparse(rows, n, order)
+    assert all(plain.contains(r) for r in ordered.rows)
+    assert all(ordered.contains(r) for r in plain.rows)
+    rank_in_order = {t: r for r, t in enumerate(order)}
+    for p, row in zip(ordered.pivots, ordered.rows):
+        assert min(row, key=rank_in_order.get) == p and row[p] == 1
+    assert sorted(ordered.pivots + ordered.normal) == list(range(n))
+    for space in (plain, ordered):
+        residual = space.reduce(v)
+        assert set(residual) <= set(space.normal)
+        difference = {**v, **{t: v.get(t, 0) - c for t, c in residual.items()}}
+        assert space.contains(difference)
+        assert space.lift(space.quotient_coords(v)) == residual
+        units = space.quotient_units()
+        assert units == [space.quotient_coords({j: 1}) for j in range(n)]
 
 
 # -- differential test against sympy ------------------------------------------

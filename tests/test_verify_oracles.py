@@ -170,7 +170,8 @@ def test_span_closure_failure_lines_match_dense_oracle(host_at, monkeypatch):
 
     monkeypatch.setattr(PBWStructure, "pbw_coords", shifted)
     rep = _same_run(PBWStructure.check_span_closure, dense_span_closure, p, 4, 25)
-    assert rep.failures() and not all(line.status == FAIL for line in rep.lines)
+    statuses = {line.status for line in rep.lines}
+    assert FAIL in statuses and statuses != {FAIL}
 
 
 @pytest.mark.parametrize("name, degree", HOSTS)
