@@ -357,13 +357,13 @@ def hcore(
 
 def core_primeness_probe(
     action: ModuleAlgebraAction,
-    ideal: Ideal,
     ring: QuotientAlgebra,
     core: Subspace,
     mode: str,
     bound: int,
 ) -> Report:
-    """Zero-divisor / witness probes on classes modulo the core.
+    """Zero-divisor / witness probes on classes modulo the core, with
+    values in ring = A/I.
 
     domain mode multiplies leading values (nonzero products imply nonzero
     convolution products by the exact leading-term law); prime and semiprime
@@ -372,8 +372,8 @@ def core_primeness_probe(
     rep = Report(f"probe-{mode}")
     if mode not in ("domain", "prime", "semiprime"):
         raise InputFormatError(f"unknown probe mode {mode!r}")
-    if ideal.is_unit:
-        rep.add(f"probe-{mode}", ideal.text, SKIP, "DegenerateIdeal")
+    if ring.ideal.is_unit:
+        rep.add(f"probe-{mode}", ring.ideal.text, SKIP, "DegenerateIdeal")
         return rep
     alg = action.algebra
     candidates = [

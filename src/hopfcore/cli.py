@@ -318,11 +318,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     report = Report("verify")
-    try:
-        data = load_instance(args.instance, args.degree)
-    except InputFormatError as exc:
-        return _error(args, exc)
-
+    data = load_instance(args.instance, args.degree)
     axioms = coalgebra.verify_axioms(data)
     report.extend(axioms)
     if axioms.passed:
@@ -434,7 +430,7 @@ def cmd_conv(args) -> int:
             s = convolution.random_conv_element(pbw, ring, rng, cap)
             convolution.add_witness_line(report, f"trial {trial}", s)
 
-    if not ring.flags.is_prime:
+    if ring.flags.is_prime is False:
         refuter = convolution.prime_refuter(ring)
         if refuter is None:
             report.add("prime-refutation", ring.name, FAIL, "no refuting pair found")
@@ -453,7 +449,7 @@ def cmd_conv(args) -> int:
                     f"pair ({ring.label(a)},{ring.label(b)})",
                 )
 
-    if not ring.flags.is_semiprime:
+    if ring.flags.is_semiprime is False:
         nil = convolution.semiprime_refuter(ring)
         if nil is None:
             report.add("nilpotent", ring.name, FAIL, "no refuting element found")
@@ -533,7 +529,7 @@ def cmd_hcore(args) -> int:
             continue
         report.extend(
             action_mod.core_primeness_probe(
-                act, ideal, ring, result.core, mode, args.probe_bound
+                act, ring, result.core, mode, args.probe_bound
             )
         )
 

@@ -69,10 +69,12 @@ TensorMap = dict[tuple[int, int], Scalar]
 
 class FilteredBialgebraData(TableAlgebra):
     """Basis-indexed structure constants of a truncated bialgebra: the
-    product table plus comultiplication, counit and optional antipode, all
-    kept as given: sorted, without zeros, in normal form.  A product or
-    comultiplication row that is not a tuple is refused.  The counit is a
-    functional, held by its values on the basis in order."""
+    product table plus the fields ``comult`` (one row of terms (j, k, c) per
+    basis element), ``counit`` (a functional, held by its values on the
+    basis in order) and ``antipode`` ({i: sparse row}, None when the instance
+    has no antipode table), all kept as given: sorted, without zeros, in
+    normal form.  A product or comultiplication row that is not a tuple is
+    refused."""
 
     def __init__(
         self,
@@ -102,46 +104,30 @@ class FilteredBialgebraData(TableAlgebra):
                     f"comultiplication row of {self.label(i)} must be a tuple, "
                     f"got {type(row).__name__}"
                 )
-        self._comult = tuple(comult)
-        self._counit = tuple(rat(c) for c in counit)
-        if len(self._counit) != dim:
+        self.comult = tuple(comult)
+        self.counit = tuple(rat(c) for c in counit)
+        if len(self.counit) != dim:
             raise InputFormatError("counit must be a functional on the basis")
-        self._antipode = antipode
-
-    @property
-    def has_antipode(self) -> bool:
-        return self._antipode is not None
-
-    def comult_terms(self, i: int) -> tuple[tuple[int, int, Scalar], ...]:
-        return self._comult[i]
-
-    def antipode_terms(self, i: int) -> SparseVec:
-        if self._antipode is None:
-            raise HopfcoreError("no antipode table on this instance")
-        return self._antipode.get(i, ())
+        self.antipode = antipode
 
     # -- linear extensions ---------------------------------------------------
 
     def comult_map(self, v: Mapping[int, Scalar]) -> TensorMap:
         out: TensorMap = {}
         for i, a in v.items():
-            for j, k, c in self._comult[i]:
+            for j, k, c in self.comult[i]:
                 key = (j, k)
                 out[key] = out.get(key, Q0) + a * c
         return {key: c for key, c in out.items() if c}
 
     def counit_of(self, v: Mapping[int, Scalar]) -> Scalar:
-        counit = self._counit
+        counit = self.counit
         return sum((a * counit[i] for i, a in v.items()), Q0)
-
-    @property
-    def counit(self) -> tuple[Scalar, ...]:
-        return self._counit
 
     def antipode_of(self, v: Mapping[int, Scalar]) -> SparseRow:
         out: SparseRow = {}
         for i, a in v.items():
-            for k, c in self.antipode_terms(i):
+            for k, c in self.antipode.get(i, ()):
                 out[k] = out.get(k, Q0) + a * c
         return nonzero(out)
 
@@ -155,7 +141,7 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
     of the comultiplication and counit wherever truncation permits."""
     rep = Report("axioms")
     dim = data.dim
-    eps, comult, mult = data.counit, data._comult, data._mult
+    eps, comult, mult = data.counit, data.comult, data._mult
 
     if eps[data.unit_index] != 1:
         rep.add("counit-unit", data.label(data.unit_index), FAIL, "eps(1) != 1")
@@ -247,7 +233,8 @@ def check_antipode(data: FilteredBialgebraData) -> None:
     whose law needs no product past the truncation; raises
     InputFormatError naming the first element where it fails.  An instance
     without an antipode table has nothing to check."""
-    if not data.has_antipode:
+    antipode = data.antipode
+    if antipode is None:
         return
     for i in range(data.dim):
         eps = data.counit[i]
@@ -255,10 +242,10 @@ def check_antipode(data: FilteredBialgebraData) -> None:
         left: dict[int, Scalar] = {}
         right: dict[int, Scalar] = {}
         try:
-            for j, k, c in data.comult_terms(i):
+            for j, k, c in data.comult[i]:
                 for side, u, v in (
-                    (left, dict(data.antipode_terms(j)), {k: c}),
-                    (right, {j: c}, dict(data.antipode_terms(k))),
+                    (left, dict(antipode.get(j, ())), {k: c}),
+                    (right, {j: c}, dict(antipode.get(k, ()))),
                 ):
                     for t, x in data.mul(u, v).items():
                         side[t] = side.get(t, Q0) + x
@@ -297,8 +284,8 @@ def _filtration_step(
     qprev = prev.quotient_units()
     qbase = base.quotient_units()
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for t in range(dim):
-        for j, k, c in data.comult_terms(t):
+    for t, terms in enumerate(data.comult):
+        for j, k, c in terms:
             pj = qprev[j]
             if not pj:
                 continue
@@ -402,10 +389,6 @@ class GradedSplitting(
         """Split coordinates of a raw vector."""
         return combine(self.to_split_units, v)
 
-    def from_split(self, coords: Mapping[int, Scalar]) -> SparseRow:
-        """The raw vector with the given split coordinates."""
-        return combine(self.vectors, coords)
-
     def product(self, a: int, b: int) -> SparseRow:
         """Split coordinates of the product of splitting vectors a and b;
         raises TruncationError when the product leaves the truncation."""
@@ -491,7 +474,7 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
             )
     counit = [Q1] + [Q0] * (dim - 1)
     antipode = None
-    if data.has_antipode:
+    if data.antipode is not None:
         antipode = {
             k: sparse((l, c) for l, c in image.items() if degrees[l] == degrees[k])
             for k, image in enumerate(split.antipode_images)
@@ -512,28 +495,10 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
 # membership checks
 
 
-def _primitivity_defect_ok(
-    degrees: Sequence[int], tmap: TensorMap, n: int
-) -> tuple[bool, str]:
-    """Whether every tensor entry lies in sum_{i=1}^{n-1} C_i (x) C_{n-i},
-    phrased on split coordinates: both sides of degree <= n-1 and total
-    degree <= n.
-
-    The unit (x) unit cell is tolerated at every level, including n = 1.
-    For an element h with nonzero counit the defect picks up -eps(h)
-    1 (x) 1, so this amounts to checking the counit-normalized element
-    h - eps(h) 1; both readings agree whenever eps(h) = 0, which covers
-    every basis element of the shipped instances."""
-    for (p, q), c in tmap.items():
-        dp, dq = degrees[p], degrees[q]
-        if _illegal_bidegree(dp, dq, n):
-            return False, f"illegal entry at bidegree ({dp},{dq}) coeff {rat_str(c)}"
-    return True, ""
-
-
 def _illegal_bidegree(dp: int, dq: int, n: int) -> bool:
     """Whether a split tensor entry of bidegree (dp, dq) lies outside
-    sum_{i=1}^{n-1} C_i (x) C_{n-i}."""
+    sum_{i=1}^{n-1} C_i (x) C_{n-i}: a side of degree above n-1 or a total
+    degree above n."""
     return dp + dq > n or dp > n - 1 or dq > n - 1
 
 
@@ -543,8 +508,15 @@ def check_primitivity_defects(
     """Primitivity defect of every basis element h in C_n lands in
     sum_{i=1}^{n-1} C_i (x) C_{n-i}.  The layer n of h is the top degree
     of its split coordinates, and its split Delta their combination of the
-    splitting vectors' ``comult``."""
+    splitting vectors' ``comult``; the line names the first illegal entry.
+
+    The unit (x) unit cell is tolerated at every level, including n = 1.
+    For an element h with nonzero counit the defect picks up -eps(h)
+    1 (x) 1, so this amounts to checking the counit-normalized element
+    h - eps(h) 1; both readings agree whenever eps(h) = 0, which covers
+    every basis element of the shipped instances."""
     rep = Report("primitivity-defect")
+    degrees = split.degrees
     for i, units in enumerate(split.to_split_units):
         n = split.max_degree(units)
         if n == 0:
@@ -558,28 +530,24 @@ def check_primitivity_defects(
                     tmap[key] = val
                 else:
                     tmap.pop(key, None)
-        ok, why = _primitivity_defect_ok(split.degrees, tmap, n)
-        rep.add("primitivity-defect", f"{data.label(i)} (n={n})", PASS if ok else FAIL, why)
+        why = ""
+        for (p, q), c in tmap.items():
+            dp, dq = degrees[p], degrees[q]
+            if _illegal_bidegree(dp, dq, n):
+                why = f"illegal entry at bidegree ({dp},{dq}) coeff {rat_str(c)}"
+                break
+        rep.add("primitivity-defect", f"{data.label(i)} (n={n})", FAIL if why else PASS, why)
     return rep
 
 
 def check_delta_consistency(split: GradedSplitting) -> Report:
     """The comultiplication agrees with its degree-preserving part modulo
-    components of strictly smaller total degree."""
+    components of strictly smaller total degree: ``delta`` is exactly the
+    part at the element's degree, so no entry may lie above it."""
     rep = Report("delta-consistency")
-    for k, n in enumerate(split.degrees):
-        tmap = dict(split.comult[k])
-        for p, q, c in split.delta[k]:
-            val = tmap.get((p, q), Q0) - c
-            if val:
-                tmap[(p, q)] = val
-            else:
-                tmap.pop((p, q), None)
-        bad = [
-            (p, q)
-            for (p, q), c in tmap.items()
-            if split.degrees[p] + split.degrees[q] >= n
-        ]
+    degrees = split.degrees
+    for k, n in enumerate(degrees):
+        bad = [(p, q) for p, q in split.comult[k] if degrees[p] + degrees[q] > n]
         rep.add(
             "delta-consistency",
             split.labels[k],
@@ -636,7 +604,7 @@ def verify_gr_facts(
             if n + m <= bound:
                 rep.add("filtration-multiplicative", f"C_{n}*C_{m}", PASS)
 
-    if data.has_antipode:
+    if data.antipode is not None:
         for k, image in enumerate(split.antipode_images):
             ok = split.max_degree(image) <= degrees[k]
             rep.add("antipode-stability", split.labels[k], PASS if ok else FAIL)
@@ -662,8 +630,9 @@ def verify_gr_facts(
 
 def _level_table(gr: FilteredBialgebraData, n: int) -> list[Optional[tuple]]:
     """For each basis element e_k, the entries of its primitivity defect
-    Delta(e_k) - e_k (x) 1 - 1 (x) e_k that ``_primitivity_defect_ok``
-    rejects at level n, or None when e_k lies above level n."""
+    Delta(e_k) - e_k (x) 1 - 1 (x) e_k at an illegal bidegree
+    (``_illegal_bidegree``) at level n, or None when e_k lies above level
+    n."""
     degrees = gr.degrees
     assert degrees is not None
     table: list[Optional[tuple]] = []
@@ -672,7 +641,7 @@ def _level_table(gr: FilteredBialgebraData, n: int) -> list[Optional[tuple]]:
             table.append(None)
             continue
         entries: TensorMap = {}
-        for p, q, c in gr.comult_terms(k):
+        for p, q, c in gr.comult[k]:
             if _illegal_bidegree(degrees[p], degrees[q], n):
                 entries[(p, q)] = entries.get((p, q), Q0) + c
         for p, q in ((0, k), (k, 0)):
@@ -685,7 +654,7 @@ def _level_table(gr: FilteredBialgebraData, n: int) -> list[Optional[tuple]]:
 def _in_primitive_set(
     table: Sequence[Optional[tuple]], v: Mapping[int, Scalar]
 ) -> bool:
-    """Whether the sparse element v passes ``_primitivity_defect_ok`` at
+    """Whether the sparse element v passes the primitivity-defect check at
     the level of ``table`` (from ``_level_table``): its defect is summed
     only over the entries that check rejects."""
     defect: TensorMap = {}
@@ -943,14 +912,13 @@ def build_xyw(degree_bound: int) -> FilteredBialgebraData:
 
     counit = [Q1 if d == 0 else Q0 for d in degrees]
 
-    antipode = {}
-    for t, (a, b, c) in enumerate(monos):
-        entry: dict[int, Scalar] = {}
-        for s in range(c + 1):
-            coeff = comb(c, s) * (Q1 if (a + b + c - s) % 2 == 0 else -Q1)
-            target = (a + s, b + s, c - s)
-            entry[index[target]] = entry.get(index[target], Q0) + coeff
-        antipode[t] = tuple((k, v) for k, v in sorted(entry.items()) if v)
+    antipode = {
+        t: sparse(
+            (index[a + s, b + s, c - s], comb(c, s) * (-1) ** (a + b + c - s))
+            for s in range(c + 1)
+        )
+        for t, (a, b, c) in enumerate(monos)
+    }
 
     return FilteredBialgebraData(
         basis_labels=labels,

@@ -180,8 +180,9 @@ def ring_check(ring: TableAlgebra) -> Report:
         )
         rep.add("flag-domain", ring.name, PASS, detail)
 
+    # an undeclared (None) flag is not checked: its line passes with the scan
     pair = prime_refuter(ring)
-    if bool(ring.flags.is_prime) == (pair is None):
+    if ring.flags.is_prime in (None, pair is None):
         detail = (
             f"refuted by pair {ring.label(pair[0])},{ring.label(pair[1])}"
             if pair is not None
@@ -192,7 +193,7 @@ def ring_check(ring: TableAlgebra) -> Report:
         rep.add("flag-prime", ring.name, FAIL, "declared flag contradicts scan")
 
     nil = semiprime_refuter(ring)
-    if bool(ring.flags.is_semiprime) == (nil is None):
+    if ring.flags.is_semiprime in (None, nil is None):
         detail = f"refuted by {ring.label(nil)}" if nil is not None else ""
         rep.add("flag-semiprime", ring.name, PASS, detail)
     else:

@@ -29,7 +29,6 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
 
-Rational = Fraction
 Scalar = int | Fraction
 SparseRow = dict[int, Scalar]
 

@@ -75,25 +75,15 @@ class GeneratorSet:
                 raise ValueError("generators must be listed in nondecreasing degree")
             seen.add(gid)
             prev_deg = deg
-        self._gens = gens
+        self.generators = gens
         self.ids = tuple(gid for gid, _ in gens)
         self.weights = tuple(deg for _, deg in gens)
 
-    @property
-    def generators(self) -> tuple[tuple[str, int], ...]:
-        return self._gens
-
     def __len__(self) -> int:
-        return len(self._gens)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorSet) and self._gens == other._gens
-
-    def __hash__(self):
-        return hash(self._gens)
+        return len(self.generators)
 
     def __repr__(self):
-        body = ", ".join(f"{gid}:{d}" for gid, d in self._gens)
+        body = ", ".join(f"{gid}:{d}" for gid, d in self.generators)
         return f"GeneratorSet({body})"
 
     def label(self, e: Sequence[int]) -> str:
@@ -123,4 +113,4 @@ class GeneratorSet:
         return ways[d]
 
     def to_json(self) -> list[dict]:
-        return [{"id": gid, "degree": deg} for gid, deg in self._gens]
+        return [{"id": gid, "degree": deg} for gid, deg in self.generators]

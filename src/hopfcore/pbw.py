@@ -82,11 +82,9 @@ def extract_generators(
         for k in Subspace.from_sparse(decomposable, dim).normal:
             if degrees[k] != d:
                 continue
-            name = gr.label(k)
-            if name in vectors:
-                name = f"{name}@{d}"
-            gens.append((name, d))
-            vectors[name] = {k: Q1}
+            # gr's labels are unique, so they name the generators
+            gens.append((gr.label(k), d))
+            vectors[gr.label(k)] = {k: Q1}
 
     genset = GeneratorSet(gens)
     for d in range(gr.degree_bound + 1):
@@ -110,7 +108,7 @@ def lift_generators(
     lifts: dict[str, SparseRow] = {}
     for gid, d in gens.generators:
         coords = gr_gens[gid]
-        lift = split.from_split(coords)
+        lift = combine(split.vectors, coords)
         back = split.to_split(lift)
         top = {k: c for k, c in back.items() if split.degrees[k] == d}
         if top != coords or split.max_degree(back) > d:
@@ -159,7 +157,7 @@ class PBWStructure:
         self._monomials: dict[int, tuple[int, SparseRow]] = {}
         self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
-        self._comult_cache: dict[int, list[tuple[int, int, Scalar]]] = {}
+        self._expansions: dict[int, list[tuple[int, int, Scalar]]] = {}
         self._transposed: Optional[
             dict[tuple[int, int], list[tuple[int, Scalar]]]
         ] = None
@@ -340,7 +338,7 @@ class PBWStructure:
     def expand_comult(self, p: int) -> list[tuple[int, int, Scalar]]:
         """Delta(e_m) for the index m at position p on the monomial (x)
         monomial basis, as terms (i, j, c) on positions, sorted by (i, j)."""
-        cached = self._comult_cache.get(p)
+        cached = self._expansions.get(p)
         if cached is not None:
             return cached
         self._require(p)
@@ -357,7 +355,7 @@ class PBWStructure:
                     f"Delta(e_{name[p]}) exceeds degree {deg_m}"
                 )
             out.append((i, j, exact(c if d == 1 else Fraction(c, d))))
-        self._comult_cache[p] = out
+        self._expansions[p] = out
         return out
 
     def transposed_comult(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:

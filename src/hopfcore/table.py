@@ -147,7 +147,6 @@ class TableAlgebra:
         self.degree_bound = degree_bound
         self.name = name
         self.flags = flags
-        self._label_pos = {s: i for i, s in enumerate(labels)}
 
     @classmethod
     def finite(
@@ -165,12 +164,6 @@ class TableAlgebra:
 
     def label(self, i: int) -> str:
         return self.basis_labels[i]
-
-    def position(self, label: str) -> int:
-        try:
-            return self._label_pos[label]
-        except KeyError:
-            raise InputFormatError(f"unknown basis label {label!r}") from None
 
     def unit_vector(self) -> SparseRow:
         return self._one

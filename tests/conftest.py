@@ -59,7 +59,7 @@ def instance_to_json(data):
         }
     comult = {
         labels[i]: [[labels[j], labels[k], rat_str(c)] for j, k, c in row]
-        for i, row in enumerate(data._comult)
+        for i, row in enumerate(data.comult)
     }
     out = {
         "kind": "raw",
@@ -74,10 +74,10 @@ def instance_to_json(data):
             },
         },
     }
-    if data.has_antipode:
+    if data.antipode is not None:
         out["tables"]["antipode"] = {
             labels[i]: {labels[k]: rat_str(c) for k, c in terms}
-            for i, terms in sorted(data._antipode.items())
+            for i, terms in sorted(data.antipode.items())
         }
     if data.degrees is not None:
         out["tables"]["degrees"] = {

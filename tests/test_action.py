@@ -291,6 +291,18 @@ def test_module_algebra_skips_truncated_images(sl2, qxy, sl2_action):
     assert failing == [("relation-compatibility", "f,e"), ("relation-compatibility", "h,e")]
 
 
+def fixture_action(host, name):
+    """The file ``fixtures/actions/<name>.json`` and its action over host,
+    read the way ``hcore`` reads them."""
+    spec = load_fixture(f"actions/{name}.json")
+    algebra = cli._algebra_from_json(spec["algebra"])
+    ops = {
+        gid: cli._operator_columns(algebra, gid, op)
+        for gid, op in spec["generators"].items()
+    }
+    return spec, ModuleAlgebraAction(host, algebra, ops)
+
+
 @pytest.mark.parametrize(
     "action_name, host_name",
     [("sl2_qxy_ix", "sl2"), ("dq_qx_ix", "dq"), ("xyw_qu", "xyw")],
@@ -300,14 +312,8 @@ def test_act_matches_dense_oracle(host_at, action_name, host_name):
     each divided by k!, in generator order, for every index up to degree 6."""
     sympy = pytest.importorskip("sympy")
     host = host_at(host_name, 6)
-    spec = load_fixture(f"actions/{action_name}.json")
-    algebra = cli._algebra_from_json(spec["algebra"])
-    ops = {
-        gid: cli._operator_columns(algebra, gid, op)
-        for gid, op in spec["generators"].items()
-    }
-    action = ModuleAlgebraAction(host, algebra, ops)
-
+    _, action = fixture_action(host, action_name)
+    algebra, ops = action.algebra, action.gen_ops
     n = algebra.dim
 
     def dense(op):
@@ -404,6 +410,54 @@ def test_conv_map_is_algebra_map(sl2_action, qxy, ideal_x):
         right = convolve(conv_map(sl2_action, ring, a), conv_map(sl2_action, ring, b))
         assert left == right
         assert conv_map(sl2_action, ring, a).value(0) == ideal_x.quotient_coords(a)
+
+
+@pytest.mark.parametrize(
+    "action_name, host_name, degree, pairs, core_dim",
+    [
+        ("sl2_qxy_ix", "sl2", 6, 495, 0),
+        ("dq_qx_ix", "dq", 6, 45, 0),
+        ("xyw_qu", "xyw", 6, 45, 0),
+        ("dq_qxz_ixz", "dq", 7, 330, 21),
+        ("dq_qxz_ix2z", "dq", 7, 330, 15),
+        ("dq_qxyz_ixyz", "dq", 6, 924, 20),
+    ],
+)
+def test_bridge_lemma(host_at, action_name, host_name, degree, pairs, core_dim):
+    """phi(a) = (index -> class of its image in A/I) is multiplicative for
+    the convolution product on every basis pair with a product in A, and
+    its kernel on the columns of degree <= the core cap is the stable
+    core."""
+    host = host_at(host_name, degree)
+    spec, action = fixture_action(host, action_name)
+    algebra = action.algebra
+    ideal = cli._ideal_from_json(algebra, spec["ideal"])
+    ring = QuotientAlgebra(ideal)
+    phi = [conv_map(action, ring, {i: 1}) for i in range(algebra.dim)]
+
+    checked = 0
+    for a in range(algebra.dim):
+        for b in range(algebra.dim):
+            if algebra.has_product(a, b):
+                ab = dict(algebra.product_terms(a, b))
+                assert conv_map(action, ring, ab) == convolve(phi[a], phi[b])
+                checked += 1
+    assert checked == pairs
+
+    cap = spec["core_degree_cap"]
+    cols = [i for i in range(algebra.dim) if algebra.degrees[i] <= cap]
+    rows = {}
+    for t, i in enumerate(cols):
+        for p, value in phi[i].terms():
+            for k, c in value.items():
+                rows.setdefault((p, k), {})[t] = c
+    small = kernel(list(rows.values()), len(cols))
+    kernel_of_phi = Subspace.from_sparse(
+        [{cols[t]: c for t, c in row.items()} for row in small.rows], algebra.dim
+    )
+    core = hcore(action, ideal, cap, degree).core
+    assert kernel_of_phi == core
+    assert core.dim == core_dim
 
 
 # -- cores --------------------------------------------------------------------------
@@ -522,7 +576,7 @@ def test_core_is_ideal(sl2_action, qxy, ideal_x):
 def test_domain_probe_sl2(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
     core = hcore(sl2_action, ideal_x, 4, 4).core
-    rep = core_primeness_probe(sl2_action, ideal_x, ring, core, "domain", 3)
+    rep = core_primeness_probe(sl2_action, ring, core, "domain", 3)
     assert rep.passed
     assert rep.counts["PASS"] > 0
 
@@ -533,22 +587,20 @@ def test_domain_probe_dq(dq_action):
     ring = QuotientAlgebra(ideal)
     core = hcore(dq_action, ideal, 4, 4).core
     assert core.dim == 0
-    rep = core_primeness_probe(dq_action, ideal, ring, core, "domain", 3)
+    rep = core_primeness_probe(dq_action, ring, core, "domain", 3)
     assert rep.passed
 
 
 def test_prime_and_semiprime_probes(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
     core = hcore(sl2_action, ideal_x, 4, 4).core
-    assert core_primeness_probe(sl2_action, ideal_x, ring, core, "prime", 2).passed
-    assert core_primeness_probe(sl2_action, ideal_x, ring, core, "semiprime", 2).passed
+    assert core_primeness_probe(sl2_action, ring, core, "prime", 2).passed
+    assert core_primeness_probe(sl2_action, ring, core, "semiprime", 2).passed
 
 
 def test_degenerate_ideal_skipped(sl2_action, qxy):
     unit = Ideal.monomial(qxy, [(0, 0)])
     ring = QuotientAlgebra(unit)
-    rep = core_primeness_probe(
-        sl2_action, unit, ring, full_space(qxy.dim), "domain", 2
-    )
+    rep = core_primeness_probe(sl2_action, ring, full_space(qxy.dim), "domain", 2)
     assert rep.lines[0].status == "SKIP"
     assert "DegenerateIdeal" in rep.lines[0].detail

@@ -47,7 +47,7 @@ def fraction_verify_axioms(data) -> Report:
     for i in range(dim):
         left = [Q0] * dim
         right = [Q0] * dim
-        for j, k, c in data.comult_terms(i):
+        for j, k, c in data.comult[i]:
             if eps[j]:
                 left[k] += c * eps[j]
             if eps[k]:
@@ -59,11 +59,11 @@ def fraction_verify_axioms(data) -> Report:
     for i in range(dim):
         lhs: dict = {}
         rhs: dict = {}
-        for j, k, c in data.comult_terms(i):
-            for a, b, c2 in data.comult_terms(j):
+        for j, k, c in data.comult[i]:
+            for a, b, c2 in data.comult[j]:
                 key = (a, b, k)
                 lhs[key] = lhs.get(key, Q0) + c * c2
-            for a, b, c2 in data.comult_terms(k):
+            for a, b, c2 in data.comult[k]:
                 key = (j, a, b)
                 rhs[key] = rhs.get(key, Q0) + c * c2
         rep.add(
@@ -99,15 +99,15 @@ def fraction_verify_axioms(data) -> Report:
 
         lhs: dict = {}
         for k, c in prod:
-            for a, b, c2 in data.comult_terms(k):
+            for a, b, c2 in data.comult[k]:
                 key = (a, b)
                 lhs[key] = lhs.get(key, Q0) + c * c2
         rhs: dict = {}
         skipped = False
-        for a, b, c1 in data.comult_terms(i):
+        for a, b, c1 in data.comult[i]:
             if skipped:
                 break
-            for a2, b2, c2 in data.comult_terms(j):
+            for a2, b2, c2 in data.comult[j]:
                 if not (data.has_product(a, a2) and data.has_product(b, b2)):
                     skipped = True
                     break

@@ -9,10 +9,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcore import convolution
+from hopfcore import build_ueg, convolution
 from hopfcore.cli import main
 from hopfcore.errors import ProbeAnomaly
-from conftest import FIXTURES, load_fixture, subprocess_env
+from conftest import FIXTURES, instance_to_json, load_fixture, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -255,6 +255,64 @@ def test_conv_user_ring_table(tmp_path):
     )
     assert code == 0
     assert rep["ring"]["name"] == "dual-numbers"
+
+
+Q_PRIME_ONLY = {
+    "name": "q-prime", "basis": ["1"], "one": {"1": "1"},
+    "mult": {"1": {"1": {"1": "1"}}}, "flags": {"prime": True},
+}
+QXQ_IDEMPOTENT_BASIS = {
+    "name": "qxq-e", "basis": ["1", "e"], "one": {"1": "1"},
+    "mult": {"1": {"1": {"1": "1"}, "e": {"e": "1"}},
+             "e": {"1": {"e": "1"}, "e": {"e": "1"}}},
+}
+NO_ZERO_PAIR = "no zero divisors among basis pairs"
+EVERY_PAIR = "witness for every basis pair"
+
+
+@pytest.mark.parametrize(
+    "ring, flags, lines",
+    [
+        # an undeclared flag's line passes with the scan's detail, and no
+        # refutation runs for it (that Q x Q on the basis {1, e} scans as
+        # prime is the basis-pair scan's own limit)
+        (QXQ_IDEMPOTENT_BASIS, {"prime": None, "semiprime": None, "domain": None}, [
+            ("flag-domain", "PASS", NO_ZERO_PAIR),
+            ("flag-prime", "PASS", EVERY_PAIR),
+            ("flag-semiprime", "PASS", ""),
+        ]),
+        (Q_PRIME_ONLY, {"prime": True, "semiprime": None, "domain": None}, [
+            ("flag-domain", "PASS", NO_ZERO_PAIR),
+            ("flag-prime", "PASS", EVERY_PAIR),
+            ("flag-semiprime", "PASS", ""),
+        ]),
+        # flags declared false are refuted as before
+        ("qx2", {"prime": False, "semiprime": False, "domain": False}, [
+            ("flag-domain", "PASS", "refuted by x,x"),
+            ("flag-prime", "PASS", "refuted by pair x,x"),
+            ("flag-semiprime", "PASS", "refuted by x"),
+            ("prime-refutation", "PASS", "pair (x,x)"),
+            ("nilpotent", "PASS", "pullback of x squares to zero"),
+        ]),
+    ],
+    ids=["undeclared", "prime-only", "qx2"],
+)
+def test_conv_ring_flag_lines(tmp_path, ring, flags, lines):
+    if isinstance(ring, dict):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring))
+        ring = str(path)
+    code, rep = run(
+        tmp_path, "conv", "--instance", str(INSTANCES / "sl2.json"),
+        "--degree", "2", "--ring", ring, "--trials", "1",
+    )
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["ring"]["flags"] == flags
+    assert [
+        (c["check"], c["status"], c["detail"])
+        for c in rep["checks"]
+        if c["check"].startswith("flag-") or c["check"] in ("prime-refutation", "nilpotent")
+    ] == lines
 
 
 def test_hcore_sl2(tmp_path):
@@ -778,6 +836,25 @@ def test_splitting_without_counit_adjuster_fails_the_pipeline(tmp_path):
     }
 
 
+FILE = object()  # the place of the input file in an argv
+
+
+def assert_ends_in_a_report(payload, argv):
+    """Run ``main`` on argv with ``FILE`` replaced by the path of a
+    temporary JSON file holding payload: it must end in a JSON report with a
+    documented exit code and write nothing to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(path) if arg is FILE else arg for arg in argv])
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert {"schema", "status"} <= set(report)
+    assert err.getvalue() == ""
+
+
 DUAL_RING = {
     "name": "dual",
     "basis": ["1", "t"],
@@ -825,19 +902,9 @@ mutated_rings = st.fixed_dictionaries(
 def test_mutated_ring_tables_end_in_a_report(ring):
     """A ring table with any of its fields replaced, mistyped or removed
     ends in a JSON report with a documented exit code, never a traceback."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "ring.json"
-        path.write_text(json.dumps(ring))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([
-                "conv", "--instance", str(INSTANCES / "dq.json"),
-                "--ring", str(path), "--trials", "2",
-            ])
-    assert code in (0, 1, 2, 3)
-    report = json.loads(out.getvalue())
-    assert {"schema", "status"} <= set(report)
-    assert err.getvalue() == ""
+    assert_ends_in_a_report(ring, [
+        "conv", "--instance", str(INSTANCES / "dq.json"), "--ring", FILE, "--trials", "2",
+    ])
 
 
 POLY_ACTION = json.loads((ACTIONS / "dq_qx_ix.json").read_text())
@@ -911,19 +978,69 @@ def test_mutated_action_files_end_in_a_report(spec):
     """An action file with its algebra, generators, ideal or ideal
     properties replaced, mistyped or removed ends in a JSON report with a
     documented exit code, never a traceback."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "action.json"
-        path.write_text(json.dumps(spec))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([
-                "hcore", "--instance", str(INSTANCES / "dq.json"),
-                "--action", str(path), "--probe-bound", "2",
-            ])
-    assert code in (0, 1, 2, 3)
-    report = json.loads(out.getvalue())
-    assert {"schema", "status"} <= set(report)
-    assert err.getvalue() == ""
+    assert_ends_in_a_report(spec, [
+        "hcore", "--instance", str(INSTANCES / "dq.json"),
+        "--action", FILE, "--probe-bound", "2",
+    ])
+
+
+UEG_INSTANCE = load_fixture("instances/heis.json")
+# the divided-power line at degree 2 as raw tables, antipode and degrees
+# included, so an unmutated table runs the whole pipeline
+RAW_INSTANCE = instance_to_json(build_ueg(["t"], {}, 2))
+_generators = st.sampled_from(["x", "y", "z"]) | _labels
+_instance_fields = {
+    "kind": st.sampled_from(["ueg", "xyw", "raw"]),
+    # a large bound costs time and memory, which is not a fault
+    "degree_bound": st.integers(-1, 4),
+    "lie.generators": st.lists(_generators, max_size=3),
+    "lie.brackets": st.dictionaries(
+        _generators, st.dictionaries(_generators, _combos, max_size=2), max_size=2
+    ),
+    "tables.basis": st.lists(st.sampled_from(["1", "t", "t^(2)"]) | _labels, max_size=4),
+    "tables.unit": _labels,
+    "tables.mult": _ring_fields["mult"],
+    "tables.comult": st.dictionaries(
+        _labels, st.lists(st.lists(_labels | _leaves, max_size=3), max_size=3), max_size=3
+    ),
+    "tables.counit": _combos,
+    "tables.antipode": st.dictionaries(_labels, _combos, max_size=3),
+    "tables.degrees": st.dictionaries(_labels, st.integers(-1, 3) | _leaves, max_size=3),
+}
+
+
+@st.composite
+def mutated_instances(draw):
+    """A ueg, xyw or raw instance file with one or two of its kind, degree
+    bound, Lie data or raw tables replaced, mistyped or removed."""
+    spec = json.loads(json.dumps(
+        draw(st.sampled_from([UEG_INSTANCE, {"kind": "xyw", "degree_bound": 3}, RAW_INSTANCE]))
+    ))
+    paths = [p for p in sorted(_instance_fields) if "." not in p or p.split(".")[0] in spec]
+    for path in draw(st.sets(st.sampled_from(paths), min_size=1, max_size=2)):
+        *parent, key = path.split(".")
+        target = spec[parent[0]] if parent else spec
+        value = draw(_instance_fields[path] | st.just(ABSENT) | _json)
+        if value is ABSENT:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=mutated_instances(),
+    command=st.sampled_from([
+        ["build"], ["verify", "--trials", "2"],
+        ["conv", "--ring", "qx2", "--trials", "2"], ["conv", "--ring", "m2q", "--trials", "2"],
+    ]),
+)
+def test_mutated_instance_files_end_in_a_report(spec, command):
+    """An instance file with its kind, degree bound, Lie data or raw tables
+    replaced, mistyped or removed ends in a JSON report with a documented
+    exit code under build, verify and conv, never a traceback."""
+    assert_ends_in_a_report(spec, [command[0], "--instance", FILE, *command[1:]])
 
 
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):

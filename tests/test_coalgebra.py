@@ -33,12 +33,12 @@ def test_ueg_line_tables():
     qt = build_ueg(["t"], {}, 3)
     assert qt.basis_labels == ("1", "t", "t^(2)", "t^(3)")
     # divided powers multiply with binomial coefficients
-    t1 = qt.position("t")
-    t2 = qt.position("t^(2)")
-    t3 = qt.position("t^(3)")
+    t1 = qt.basis_labels.index("t")
+    t2 = qt.basis_labels.index("t^(2)")
+    t3 = qt.basis_labels.index("t^(3)")
     assert qt.product_terms(t1, t2) == ((t3, F(3)),)
     # binomial comultiplication
-    assert qt.comult_terms(t2) == ((0, t2, Q1), (t1, t1, Q1), (t2, 0, Q1))
+    assert qt.comult[t2] == ((0, t2, Q1), (t1, t1, Q1), (t2, 0, Q1))
     with pytest.raises(TruncationError):
         qt.product_terms(t2, t2)
 
@@ -47,14 +47,14 @@ def test_ueg_heisenberg_dimension():
     heis = build_ueg(["x", "y", "z"], HEIS_BRACKETS, 2)
     assert heis.dim == 10
     # straightening: y*x = x*y - z
-    x, y = heis.position("x"), heis.position("y")
-    xy, z = heis.position("x*y"), heis.position("z")
+    x, y = heis.basis_labels.index("x"), heis.basis_labels.index("y")
+    xy, z = heis.basis_labels.index("x*y"), heis.basis_labels.index("z")
     assert dict(heis.product_terms(y, x)) == {xy: F(1), z: F(-1)}
 
 
 def test_ueg_sl2_commutator():
     sl2 = build_ueg(["e", "f", "h"], SL2_BRACKETS, 2)
-    e, f, h = sl2.position("e"), sl2.position("f"), sl2.position("h")
+    e, f, h = map(sl2.basis_labels.index, ("e", "f", "h"))
     ef = dict(sl2.product_terms(e, f))
     fe = dict(sl2.product_terms(f, e))
     diff = {k: ef.get(k, F(0)) - fe.get(k, F(0)) for k in set(ef) | set(fe)}
@@ -87,11 +87,11 @@ def test_ueg_rejects_non_lie():
 def test_xyw_tables():
     data = build_xyw(2)
     assert data.basis_labels == ("1", "x", "y", "x^2", "x*y", "y^2", "w")
-    w = data.position("w")
-    x, y = data.position("x"), data.position("y")
-    assert data.comult_terms(w) == ((0, w, Q1), (x, y, Q1), (w, 0, Q1))
+    w = data.basis_labels.index("w")
+    x, y = data.basis_labels.index("x"), data.basis_labels.index("y")
+    assert data.comult[w] == ((0, w, Q1), (x, y, Q1), (w, 0, Q1))
     # not cocommutative: the x(x)y term has no mirror
-    terms = {(j, k): c for j, k, c in data.comult_terms(w)}
+    terms = {(j, k): c for j, k, c in data.comult[w]}
     assert (y, x) not in terms
     assert data.counit_of({w: 1}) == 0
 
@@ -239,17 +239,17 @@ def test_gr_of_line_is_itself(qt):
 
 def test_gr_xyw_keeps_cross_term(xyw):
     gr = xyw.gr
-    w = gr.position("w")
-    x, y = gr.position("x"), gr.position("y")
-    assert (x, y, Q1) in gr.comult_terms(w)
+    w = gr.basis_labels.index("w")
+    x, y = gr.basis_labels.index("x"), gr.basis_labels.index("y")
+    assert (x, y, Q1) in gr.comult[w]
 
 
 def test_gr_heisenberg_commutative(heis):
     gr = heis.gr
-    x, y = gr.position("x"), gr.position("y")
+    x, y = gr.basis_labels.index("x"), gr.basis_labels.index("y")
     assert gr.product_terms(x, y) == gr.product_terms(y, x)
     # while the filtered algebra itself is not commutative
-    hx, hy = heis.data.position("x"), heis.data.position("y")
+    hx, hy = heis.data.basis_labels.index("x"), heis.data.basis_labels.index("y")
     assert heis.data.product_terms(hx, hy) != heis.data.product_terms(hy, hx)
 
 
@@ -296,6 +296,33 @@ def test_primitivity_defects_on_builtins(heis, xyw, qt):
 def test_delta_consistency(heis, xyw):
     assert check_delta_consistency(heis.split).passed
     assert check_delta_consistency(xyw.split).passed
+
+
+@pytest.mark.parametrize(
+    "host, square, remainder", [("heis", "x^(2)", "(2, 4)"), ("xyw", "x^2", "(2, 3)")]
+)
+def test_membership_checks_name_the_first_bad_entry(request, host, square, remainder):
+    """Two entries of too high bidegree injected into the split Delta of x,
+    the one at the larger key first: both checks fail on x alone and name
+    the first entry in insertion order, not the least key."""
+    split = request.getfixturevalue(host).split
+    x, y, x2 = (split.labels.index(s) for s in ("x", "y", square))
+    comult = list(split.comult)
+    comult[x] = {**comult[x], (y, x2): -7, (x, y): 5}
+    bad = split._replace(comult=tuple(comult))
+    reports = (check_primitivity_defects(bad.data, bad), check_delta_consistency(bad))
+    failures = [
+        (line.check, line.subject, line.detail)
+        for rep in reports
+        for line in rep.lines
+        if line.status == "FAIL"
+    ]
+    assert failures == [
+        ("primitivity-defect", "x (n=1)", "illegal entry at bidegree (1,2) coeff -7"),
+        ("delta-consistency", "x", f"non-lower remainder at {remainder}"),
+    ]
+    # the shared splitting is left as it was
+    assert check_delta_consistency(split).passed
 
 
 def test_level_closure_sampled(heis, xyw):

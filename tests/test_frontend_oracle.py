@@ -111,7 +111,7 @@ def dense_filtration(data):
         qprev = quotient_units(*prev, dim)
         rows = {}
         for t in range(dim):
-            for j, k, c in data.comult_terms(t):
+            for j, k, c in data.comult[t]:
                 for a, ca in qprev[j].items():
                     for b, cb in qbase[k].items():
                         rows.setdefault((a, b), [Q0] * dim)[t] += c * ca * cb
