@@ -27,7 +27,6 @@ from .coalgebra import (
 from .convolution import (
     ConvElement,
     LeadingTerm,
-    RingFlags,
     Witness,
     builtin_ring,
     check_leading_law,

@@ -356,14 +356,12 @@ def hcore(
 
 
 def core_primeness_probe(
-    action: ModuleAlgebraAction,
-    ring: QuotientAlgebra,
-    core: Subspace,
-    mode: str,
-    bound: int,
+    action: ModuleAlgebraAction, ring: QuotientAlgebra, mode: str, bound: int
 ) -> Report:
-    """Zero-divisor / witness probes on classes modulo the core, with
-    values in ring = A/I.
+    """Zero-divisor / witness probes on the basis elements of degree <=
+    bound outside the stable core, with values in ring = A/I.  The core is
+    the kernel of ``conv_map``, so these are the elements with a nonzero
+    image, at every bound, the core cap's or past it.
 
     domain mode multiplies leading values (nonzero products imply nonzero
     convolution products by the exact leading-term law); prime and semiprime
@@ -376,12 +374,12 @@ def core_primeness_probe(
         rep.add(f"probe-{mode}", ring.ideal.text, SKIP, "DegenerateIdeal")
         return rep
     alg = action.algebra
-    candidates = [
-        i
+    images = {
+        i: conv_map(action, ring, {i: Q1})
         for i in range(alg.dim)
-        if alg.degrees[i] <= bound and not core.contains({i: Q1})
-    ]
-    images = {i: conv_map(action, ring, {i: Q1}) for i in candidates}
+        if alg.degrees[i] <= bound
+    }
+    candidates = [i for i, image in images.items() if not image.is_zero]
 
     if mode == "semiprime":
         for i in candidates:

@@ -377,15 +377,12 @@ def cmd_verify(args) -> int:
 
 def cmd_conv(args) -> int:
     report = Report("conv")
-    try:
-        data = load_instance(args.instance, args.degree)
-        if args.ring in convolution.BUILTIN_RINGS:
-            ring = convolution.builtin_ring(args.ring)
-        else:
-            ring = convolution.ring_from_tables(_load_json(args.ring))
-        pbw = PBWStructure.from_bialgebra(data)
-    except HopfcoreError as exc:
-        return _error(args, exc)
+    data = load_instance(args.instance, args.degree)
+    if args.ring in convolution.BUILTIN_RINGS:
+        ring = convolution.builtin_ring(args.ring)
+    else:
+        ring = convolution.ring_from_tables(_load_json(args.ring))
+    pbw = PBWStructure.from_bialgebra(data)
 
     report.extend(convolution.ring_check(ring))
     rng = random.Random(args.seed)
@@ -406,7 +403,7 @@ def cmd_conv(args) -> int:
         except TruncationError:
             report.add("leading-law", f"trial {trial}", INCONCLUSIVE, "beyond the bound")
 
-    if ring.flags.is_domain:
+    if ring.flags["domain"]:
         for trial in range(args.trials):
             f = convolution.random_conv_element(pbw, ring, rng, cap)
             g = convolution.random_conv_element(pbw, ring, rng, cap)
@@ -419,18 +416,18 @@ def cmd_conv(args) -> int:
             ok = not convolution.convolve(f, g).is_zero
             report.add("domain-product", f"trial {trial}", PASS if ok else FAIL)
 
-    if ring.flags.is_prime:
+    if ring.flags["prime"]:
         for trial in range(args.trials):
             s = convolution.random_conv_element(pbw, ring, rng, cap)
             t = convolution.random_conv_element(pbw, ring, rng, cap)
             convolution.add_witness_line(report, f"trial {trial}", s, t)
 
-    if ring.flags.is_semiprime:
+    if ring.flags["semiprime"]:
         for trial in range(args.trials):
             s = convolution.random_conv_element(pbw, ring, rng, cap)
             convolution.add_witness_line(report, f"trial {trial}", s)
 
-    if ring.flags.is_prime is False:
+    if ring.flags["prime"] is False:
         refuter = convolution.prime_refuter(ring)
         if refuter is None:
             report.add("prime-refutation", ring.name, FAIL, "no refuting pair found")
@@ -449,7 +446,7 @@ def cmd_conv(args) -> int:
                     f"pair ({ring.label(a)},{ring.label(b)})",
                 )
 
-    if ring.flags.is_semiprime is False:
+    if ring.flags["semiprime"] is False:
         nil = convolution.semiprime_refuter(ring)
         if nil is None:
             report.add("nilpotent", ring.name, FAIL, "no refuting element found")
@@ -463,13 +460,8 @@ def cmd_conv(args) -> int:
                 f"pullback of {ring.label(nil)} squares to zero",
             )
 
-    flags = {
-        "prime": ring.flags.is_prime,
-        "semiprime": ring.flags.is_semiprime,
-        "domain": ring.flags.is_domain,
-    }
     keys = ("instance", "degree", "ring", "seed", "trials", "support_cap")
-    return _finish(args, keys, report, ring={"name": ring.name, "flags": flags})
+    return _finish(args, keys, report, ring={"name": ring.name, "flags": ring.flags})
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +488,8 @@ def cmd_hcore(args) -> int:
         core_cap = json_int(
             spec.get("core_degree_cap", data.degree_bound), '"core_degree_cap"', 0
         )
-    except (HopfcoreError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # a malformed action file; HopfcoreError is typed by ``main``
         return _error(args, exc)
 
     report.extend(action_mod.verify_module_algebra(act))
@@ -527,11 +520,7 @@ def cmd_hcore(args) -> int:
         if mode is None:
             report.add("probe", prop, FAIL, "unknown ideal property")
             continue
-        report.extend(
-            action_mod.core_primeness_probe(
-                act, ring, result.core, mode, args.probe_bound
-            )
-        )
+        report.extend(action_mod.core_primeness_probe(act, ring, mode, args.probe_bound))
 
     keys = ("instance", "degree", "action", "ideal", "seed", "probe_bound")
     return _finish(args, keys, report, core=core_info)

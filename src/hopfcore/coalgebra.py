@@ -25,7 +25,7 @@ import itertools
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -728,31 +728,6 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
 # builders
 
 
-def _straighten(
-    word: tuple[int, ...],
-    bracket: Mapping[tuple[int, int], dict[int, Scalar]],
-    memo: dict,
-) -> dict[tuple[int, ...], Scalar]:
-    """Rewrite a word in the generators as a combination of nondecreasing
-    words using x_j x_i = x_i x_j + [x_j, x_i] for j > i."""
-    if all(word[t] <= word[t + 1] for t in range(len(word) - 1)):
-        return {word: Q1}
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    p = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
-    head, a, b, tail = word[:p], word[p], word[p + 1], word[p + 2 :]
-    out: dict[tuple[int, ...], Scalar] = {}
-    for w, c in _straighten(head + (b, a) + tail, bracket, memo).items():
-        out[w] = out.get(w, Q0) + c
-    for k, ck in bracket.get((a, b), {}).items():
-        for w, c in _straighten(head + (k,) + tail, bracket, memo).items():
-            out[w] = out.get(w, Q0) + c * ck
-    out = {w: c for w, c in out.items() if c}
-    memo[word] = out
-    return out
-
-
 def build_ueg(
     generators: Sequence[str],
     brackets: Mapping[str, Mapping[str, Mapping[str, object]]],
@@ -813,13 +788,10 @@ def build_ueg(
     index = {e: t for t, e in enumerate(monos)}
     unit = index[(0,) * g]
     degrees = [sum(e) for e in monos]
-    divfacts = [prod(map(factorial, e)) for e in monos]
-    # a nondecreasing word in the generators names one monomial
-    words = [
-        tuple(itertools.chain.from_iterable((i,) * e[i] for i in range(g)))
-        for e in monos
-    ]
-    word_pos = {w: t for t, w in enumerate(words)}
+
+    def shift(e: tuple[int, ...], i: int, by: int) -> int:
+        """The index of the monomial e with its exponent of x_i moved by by."""
+        return index[e[:i] + (e[i] + by,) + e[i + 1 :]]
 
     def divided(terms: Iterable[tuple[int, Scalar]], d: int) -> SparseVec:
         """The merged terms divided by d, in the normal form of ``sparse``."""
@@ -832,21 +804,31 @@ def build_ueg(
             if c
         )
 
-    # left[f][t] = x_f e_t below the bound: x^w = w! e_w, so x_f e_t is the
-    # sum of c * w! / t! * e_w over the straightened words c * w of x_f x^t
-    memo: dict = {}
-    left = [
-        [
-            divided(
-                ((word_pos[w], c * divfacts[word_pos[w]])
-                 for w, c in _straighten((f,) + word, bracket, memo).items()),
-                divfacts[t],
-            )
-            for t, word in enumerate(words)
-            if degrees[t] < degree_bound
-        ]
-        for f in range(g)
-    ]
+    # left[f][t] = x_f e_t below the bound, filled degree by degree with f
+    # ascending within a degree.  With h the first generator of e_t (g for
+    # the unit), e_t = x_h e_(t-h) / t_h, so x_f e_t = (t_f + 1) e_(t+f) for
+    # f <= h and otherwise (x_h (x_f e_(t-h)) + [x_f, x_h] e_(t-h)) / t_h,
+    # whose x_h term reads left[h] at the degree of e_t
+    low = sum(1 for d in degrees if d < degree_bound)
+    left: list[list[SparseVec]] = [[()] * low for _ in range(g)]
+    for d in range(degree_bound):
+        run = [t for t in range(low) if degrees[t] == d]
+        for f in range(g):
+            for t in run:
+                e = monos[t]
+                h = next((i for i, x in enumerate(e) if x), g)
+                if f <= h:
+                    left[f][t] = ((shift(e, f, 1), e[f] + 1),)
+                    continue
+                rest = shift(e, h, -1)
+                left[f][t] = divided(
+                    itertools.chain(
+                        ((k, c * v) for s, c in left[f][rest] for k, v in left[h][s]),
+                        ((k, c * v)
+                         for j, c in brk(f, h).items() for k, v in left[j][rest]),
+                    ),
+                    e[h],
+                )
 
     # e_a = x_f e_(a-f) / a_f for the first generator f of e_a, so
     # e_a e_b = x_f (e_(a-f) e_b) / a_f and S(e_a) = -S(e_(a-f)) e_f / a_f
@@ -856,14 +838,14 @@ def build_ueg(
         if a == unit:
             continue
         f = next(i for i, x in enumerate(e) if x)
-        rest = index[e[:f] + (e[f] - 1,) + e[f + 1 :]]
+        rest = shift(e, f, -1)
         for b in range(len(monos)):
             if degrees[a] + degrees[b] > degree_bound:
                 break
             mult[(a, b)] = divided(
                 ((k, c * v) for s, c in mult[(rest, b)] for k, v in left[f][s]), e[f]
             )
-        xf = word_pos[(f,)]
+        xf = shift((0,) * g, f, 1)
         antipode[a] = divided(
             ((k, c * v) for s, c in antipode[rest] for k, v in mult[(s, xf)]), -e[f]
         )

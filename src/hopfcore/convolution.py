@@ -39,16 +39,6 @@ from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .table import TableAlgebra, json_object, parse_table, string_list
 
 
-class RingFlags(
-    namedtuple(
-        "RingFlags", "is_prime is_semiprime is_domain", defaults=(None, None, None)
-    )
-):
-    """A coefficient ring's declared properties, each True, False or None."""
-
-    __slots__ = ()
-
-
 # The built-in coefficient rings, as ``--ring`` table files.
 BUILTIN_RINGS = json.loads("""{
   "q": {"name": "q", "basis": ["1"], "one": {"1": "1"},
@@ -68,24 +58,21 @@ BUILTIN_RINGS = json.loads("""{
           "mult": {"1": {"1": {"1": "1"}, "x": {"x": "1"}}, "x": {"1": {"x": "1"}}},
           "flags": {"prime": false, "semiprime": false, "domain": false}}
 }""")
-_BUILTIN_CACHE: dict[str, TableAlgebra] = {}
 
 
 def builtin_ring(name: str) -> TableAlgebra:
-    """A built-in ring, read from its table on first use."""
-    if name not in _BUILTIN_CACHE:
-        if name not in BUILTIN_RINGS:
-            raise InputFormatError(
-                f"unknown ring {name!r}; built-ins are {sorted(BUILTIN_RINGS)}"
-            )
-        _BUILTIN_CACHE[name] = ring_from_tables(BUILTIN_RINGS[name])
-    return _BUILTIN_CACHE[name]
+    """A built-in ring, read from its table."""
+    if name not in BUILTIN_RINGS:
+        raise InputFormatError(
+            f"unknown ring {name!r}; built-ins are {sorted(BUILTIN_RINGS)}"
+        )
+    return ring_from_tables(BUILTIN_RINGS[name])
 
 
 def ring_from_tables(obj: Mapping) -> TableAlgebra:
-    """A coefficient ring from its JSON table.  The basis must be nonempty,
-    and each declared flag is a JSON true, false or null; an absent flag is
-    None, undeclared."""
+    """A coefficient ring from its JSON table.  The basis must be nonempty;
+    ``flags`` is the dict of the declared "prime", "semiprime" and "domain",
+    each a JSON true, false or null, and None, undeclared, where absent."""
     try:
         labels = string_list(obj["basis"], 'ring "basis"')
         if not labels:
@@ -96,17 +83,15 @@ def ring_from_tables(obj: Mapping) -> TableAlgebra:
             pos[a]: rat(c)
             for a, c in json_object(obj["one"], 'ring "one"').items()
         }
-        flags_obj = json_object(obj.get("flags", {}), 'ring "flags"')
-        flags = []
-        for key in ("prime", "semiprime", "domain"):
-            value = flags_obj.get(key)
+        declared = json_object(obj.get("flags", {}), 'ring "flags"')
+        flags = {key: declared.get(key) for key in ("prime", "semiprime", "domain")}
+        for key, value in flags.items():
             if value is not None and not isinstance(value, bool):
                 raise InputFormatError(
                     f"ring flag {key!r} must be true, false or null, got {value!r}"
                 )
-            flags.append(value)
         return TableAlgebra.finite(
-            labels, table, one, str(obj.get("name", "user")), RingFlags(*flags)
+            labels, table, one, str(obj.get("name", "user")), flags
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed ring table: {exc}") from exc
@@ -165,7 +150,7 @@ def ring_check(ring: TableAlgebra) -> Report:
         if zero_pair:
             break
     domain_refuted = zero_pair is not None
-    if ring.flags.is_domain and domain_refuted:
+    if ring.flags["domain"] and domain_refuted:
         rep.add(
             "flag-domain",
             ring.name,
@@ -182,7 +167,7 @@ def ring_check(ring: TableAlgebra) -> Report:
 
     # an undeclared (None) flag is not checked: its line passes with the scan
     pair = prime_refuter(ring)
-    if ring.flags.is_prime in (None, pair is None):
+    if ring.flags["prime"] in (None, pair is None):
         detail = (
             f"refuted by pair {ring.label(pair[0])},{ring.label(pair[1])}"
             if pair is not None
@@ -193,7 +178,7 @@ def ring_check(ring: TableAlgebra) -> Report:
         rep.add("flag-prime", ring.name, FAIL, "declared flag contradicts scan")
 
     nil = semiprime_refuter(ring)
-    if ring.flags.is_semiprime in (None, nil is None):
+    if ring.flags["semiprime"] in (None, nil is None):
         detail = f"refuted by {ring.label(nil)}" if nil is not None else ""
         rep.add("flag-semiprime", ring.name, PASS, detail)
     else:

@@ -9,7 +9,7 @@ class InputFormatError(HopfcoreError):
     """A file or table does not match the documented schema."""
 
 
-class ForeignGenerator(HopfcoreError):
+class ForeignGenerator(InputFormatError):
     """An operator names a generator id that is not in the generator set."""
 
 

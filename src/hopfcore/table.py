@@ -205,34 +205,19 @@ class TableAlgebra:
         return {k: exact(c) for k, c in out.items() if c}
 
     def first_nonassociative(self) -> Optional[tuple[int, int, int]]:
-        """The first basis triple (i, j, k), in lexicographic order, with
-        (e_i e_j) e_k != e_i (e_j e_k), among the triples whose products all
-        lie in the table; None if there is none.  The k for a pair (i, j) are
-        those whose row holds every e_a in e_i e_j and e_j itself, so a table
-        truncated by degree offers no triple past the bound."""
-        table = self._mult
-        rows: dict[int, set[int]] = {}
-        for i, j in table:
-            rows.setdefault(i, set()).add(j)
-        for i, j in sorted(table):
-            ij = table[(i, j)]
-            ks = rows.get(j, set()).intersection(*(rows.get(a, ()) for a, _ in ij))
-            row_i = rows[i]
-            for k in sorted(ks):
-                jk = table[(j, k)]
-                if not all(b in row_i for b, _ in jk):
+        """The first basis triple (i, j, k), with (i, j) in the table and in
+        lexicographic order, such that (e_i e_j) e_k != e_i (e_j e_k); a
+        triple with a product past the truncation is skipped.  None if there
+        is none."""
+        for i, j in sorted(self._mult):
+            ij = dict(self._mult[(i, j)])
+            for k in range(self.dim):
+                try:
+                    left = self.mul(ij, {k: Q1})
+                    right = self.mul({i: Q1}, dict(self.product_terms(j, k)))
+                except TruncationError:
                     continue
-                left: dict[int, Scalar] = {}
-                for a, c in ij:
-                    for t, d in table[(a, k)]:
-                        left[t] = left.get(t, Q0) + c * d
-                right: dict[int, Scalar] = {}
-                for b, c in jk:
-                    for t, d in table[(i, b)]:
-                        right[t] = right.get(t, Q0) + c * d
-                if {t: c for t, c in left.items() if c} != {
-                    t: c for t, c in right.items() if c
-                }:
+                if left != right:
                     return (i, j, k)
         return None
 

@@ -297,7 +297,7 @@ def test_acceptance_7_hcore_and_probe():
             assert all(large.contains(row) for row in small.rows)
 
         ring = QuotientAlgebra(ideal)
-        probe = core_primeness_probe(act, ring, chain.core, "domain", 3)
+        probe = core_primeness_probe(act, ring, "domain", 3)
         assert probe.counts["FAIL"] == 0
         assert probe.counts["PASS"] > 0
 

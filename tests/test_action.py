@@ -575,8 +575,7 @@ def test_core_is_ideal(sl2_action, qxy, ideal_x):
 
 def test_domain_probe_sl2(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
-    core = hcore(sl2_action, ideal_x, 4, 4).core
-    rep = core_primeness_probe(sl2_action, ring, core, "domain", 3)
+    rep = core_primeness_probe(sl2_action, ring, "domain", 3)
     assert rep.passed
     assert rep.counts["PASS"] > 0
 
@@ -587,20 +586,19 @@ def test_domain_probe_dq(dq_action):
     ring = QuotientAlgebra(ideal)
     core = hcore(dq_action, ideal, 4, 4).core
     assert core.dim == 0
-    rep = core_primeness_probe(dq_action, ring, core, "domain", 3)
+    rep = core_primeness_probe(dq_action, ring, "domain", 3)
     assert rep.passed
 
 
 def test_prime_and_semiprime_probes(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
-    core = hcore(sl2_action, ideal_x, 4, 4).core
-    assert core_primeness_probe(sl2_action, ring, core, "prime", 2).passed
-    assert core_primeness_probe(sl2_action, ring, core, "semiprime", 2).passed
+    assert core_primeness_probe(sl2_action, ring, "prime", 2).passed
+    assert core_primeness_probe(sl2_action, ring, "semiprime", 2).passed
 
 
 def test_degenerate_ideal_skipped(sl2_action, qxy):
     unit = Ideal.monomial(qxy, [(0, 0)])
     ring = QuotientAlgebra(unit)
-    rep = core_primeness_probe(sl2_action, ring, full_space(qxy.dim), "domain", 2)
+    rep = core_primeness_probe(sl2_action, ring, "domain", 2)
     assert rep.lines[0].status == "SKIP"
     assert "DegenerateIdeal" in rep.lines[0].detail

@@ -4,7 +4,7 @@ unit, the declared flags, the name and the ``ring_check`` lines."""
 
 import pytest
 
-from hopfcore.convolution import RingFlags, builtin_ring, ring_check
+from hopfcore.convolution import builtin_ring, ring_check
 
 # ring name -> (labels, {(a, b): product label} for the nonzero basis
 # products, unit labels, flags, ring_check details)
@@ -13,7 +13,7 @@ BUILTINS = {
         ("1",),
         {("1", "1"): "1"},
         ("1",),
-        RingFlags(is_prime=True, is_semiprime=True, is_domain=True),
+        {"prime": True, "semiprime": True, "domain": True},
         {
             "flag-domain": "no zero divisors among basis pairs",
             "flag-prime": "witness for every basis pair",
@@ -33,7 +33,7 @@ BUILTINS = {
             ("E22", "E22"): "E22",
         },
         ("E11", "E22"),
-        RingFlags(is_prime=True, is_semiprime=True, is_domain=False),
+        {"prime": True, "semiprime": True, "domain": False},
         {
             "flag-domain": "refuted by E11,E21",
             "flag-prime": "witness for every basis pair",
@@ -44,7 +44,7 @@ BUILTINS = {
         ("e1", "e2"),
         {("e1", "e1"): "e1", ("e2", "e2"): "e2"},
         ("e1", "e2"),
-        RingFlags(is_prime=False, is_semiprime=True, is_domain=False),
+        {"prime": False, "semiprime": True, "domain": False},
         {
             "flag-domain": "refuted by e1,e2",
             "flag-prime": "refuted by pair e1,e2",
@@ -55,7 +55,7 @@ BUILTINS = {
         ("1", "x"),
         {("1", "1"): "1", ("1", "x"): "x", ("x", "1"): "x"},
         ("1",),
-        RingFlags(is_prime=False, is_semiprime=False, is_domain=False),
+        {"prime": False, "semiprime": False, "domain": False},
         {
             "flag-domain": "refuted by x,x",
             "flag-prime": "refuted by pair x,x",
@@ -88,7 +88,3 @@ def test_builtin_ring_is_pinned(name):
         ("unit-law", name, "PASS", ""),
         *((check, name, "PASS", detail) for check, detail in details.items()),
     ]
-
-
-def test_builtin_ring_is_read_once():
-    assert builtin_ring("m2q") is builtin_ring("m2q")

@@ -839,20 +839,25 @@ def test_splitting_without_counit_adjuster_fails_the_pipeline(tmp_path):
 FILE = object()  # the place of the input file in an argv
 
 
-def assert_ends_in_a_report(payload, argv):
-    """Run ``main`` on argv with ``FILE`` replaced by the path of a
-    temporary JSON file holding payload: it must end in a JSON report with a
-    documented exit code and write nothing to stderr."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "input.json"
-        path.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(path) if arg is FILE else arg for arg in argv])
+def assert_main_reports(argv):
+    """``main(argv)`` must end in a JSON report with a documented exit code
+    and write nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     report = json.loads(out.getvalue())
     assert {"schema", "status"} <= set(report)
     assert err.getvalue() == ""
+
+
+def assert_ends_in_a_report(payload, argv):
+    """``assert_main_reports`` on argv with ``FILE`` replaced by the path of
+    a temporary JSON file holding payload."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        assert_main_reports([str(path) if arg is FILE else arg for arg in argv])
 
 
 DUAL_RING = {
@@ -1043,6 +1048,40 @@ def test_mutated_instance_files_end_in_a_report(spec, command):
     assert_ends_in_a_report(spec, [command[0], "--instance", FILE, *command[1:]])
 
 
+HCORE_HOSTS = [("dq", "dq_qx_ix"), ("sl2", "sl2_qxy_ix"), ("xyw", "xyw_qu")]
+
+
+@st.composite
+def integer_argvs(draw):
+    """A command on the fixtures with drawn integer options: --degree 1-4,
+    --trials 0-5, --support-cap -1-6, --probe-bound -1-9 (above every core
+    cap) and any --seed.  hcore runs the three actions on their hosts."""
+    command = draw(st.sampled_from(["build", "verify", "conv", "hcore"]))
+    if command == "hcore":
+        host, action = draw(st.sampled_from(HCORE_HOSTS))
+        argv = ["hcore", "--instance", str(INSTANCES / f"{host}.json"),
+                "--action", str(ACTIONS / f"{action}.json"),
+                "--probe-bound", str(draw(st.integers(-1, 9)))]
+    else:
+        instance = draw(st.sampled_from(sorted(INSTANCES.glob("*.json"))))
+        argv = [command, "--instance", str(instance)]
+    if command in ("verify", "conv"):
+        argv += ["--trials", str(draw(st.integers(0, 5)))]
+    if command == "conv":
+        argv += ["--ring", draw(st.sampled_from(sorted(convolution.BUILTIN_RINGS))),
+                 "--support-cap", str(draw(st.integers(-1, 6)))]
+    return argv + ["--degree", str(draw(st.integers(1, 4))),
+                   "--seed", str(draw(st.integers()))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=integer_argvs())
+def test_cli_integers_end_in_a_report(argv):
+    """Any degree, trial count, support cap, probe bound and seed in range
+    ends in a JSON report with a documented exit code, never a traceback."""
+    assert_main_reports(argv)
+
+
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
     """A HopfcoreError other than an input error is reported with exit 1."""
 
@@ -1061,6 +1100,57 @@ def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
         "error": "leading term mismatch",
         "status": "fail",
     }
+
+
+JACOBI_BROKEN = {
+    # [[a, b], c] + [[b, c], a] + [[c, a], b] = [c, c] + [a, a] + [a, b] = c
+    "kind": "ueg", "degree_bound": 3,
+    "lie": {"generators": ["a", "b", "c"],
+            "brackets": {"a": {"b": {"c": "1"}}, "b": {"c": {"a": "1"}},
+                         "c": {"a": {"a": "1"}}}},
+}
+
+
+@pytest.mark.parametrize(
+    "instance, error",
+    [
+        (load_fixture("instances/grouplike.json"),
+         "filtration stalls at dimension 1 of 2 (layer dims so far: [1])"),
+        (JACOBI_BROKEN, "Jacobi identity fails on (a,b,c)"),
+    ],
+    ids=["not-connected", "not-a-lie-algebra"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["build"], ["verify", "--trials", "2"], ["conv", "--ring", "q", "--trials", "2"],
+     ["hcore", "--action", str(ACTIONS / "dq_qx_ix.json")]],
+    ids=["build", "verify", "conv", "hcore"],
+)
+def test_setup_errors_are_typed_alike_in_every_command(tmp_path, instance, error, command):
+    """An instance that is not connected, or whose brackets break the
+    Jacobi identity, fails every command with exit 1: it is no input error.
+    verify reports the first as its pipeline line, the rest as the error."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, rep = run(tmp_path, command[0], "--instance", str(path), *command[1:])
+    assert (code, rep["status"]) == (1, "fail")
+    if "error" in rep:
+        assert rep["error"] == error
+    else:
+        assert command[0] == "verify"
+        assert rep["checks"][-1]["detail"] == error
+
+
+def test_operator_for_an_unknown_generator_is_an_input_error(tmp_path):
+    path = tmp_path / "action.json"
+    spec = load_fixture("actions/dq_qx_ix.json")
+    path.write_text(json.dumps(
+        {**spec, "generators": {**spec["generators"], "e": spec["generators"]["d"]}}
+    ))
+    argv = ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)]
+    code, rep = run(tmp_path, *argv)
+    assert (code, rep["status"]) == (2, "input-error")
+    assert rep["error"] == "operator for unknown generator 'e'"
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,40 @@ def test_dq_not_prime_fails_on_x_x(monkeypatch):
     assert lines[("semiprime-witness", "z")]["detail"] == "r=1"
 
 
+# probe bounds above the action's core cap: (instance, degree, action,
+# probe bound) -> (exit code, check-line count).  An element past the cap is
+# probed only when its image under ``conv_map`` is nonzero, so none of these
+# reaches the leading term of a zero element.
+ABOVE_CAP = {
+    ("dq", 2, "dq_qx_ix", 6): (3, 10),
+    ("xyw", 4, "xyw_qu", 8): (3, 31),
+    ("sl2", 2, "sl2_qxy_ix", 6): (3, 187),
+    ("dq", 3, "dq_qxz_ix2z", 7): (1, 84),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(ABOVE_CAP), ids=lambda key: f"{key[2]}-D{key[1]}-p{key[3]}"
+)
+def test_probe_bound_above_the_core_cap(monkeypatch, key):
+    instance, degree, action, bound = key
+    spec = json.loads((ROOT / "fixtures" / "actions" / f"{action}.json").read_text())
+    assert bound > spec.get("core_degree_cap", degree)
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "hcore",
+            "--instance", f"fixtures/instances/{instance}.json",
+            "--degree", str(degree),
+            "--action", f"fixtures/actions/{action}.json",
+            "--probe-bound", str(bound),
+        ])
+    report = json.loads(out.getvalue())
+    assert "error" not in report
+    assert (code, len(report["checks"])) == ABOVE_CAP[key]
+
+
 # ``hcore --ideal`` overrides on sl2 acting on Q[x, y] at --degree 6, and one
 # ``subspace`` ideal on Q[t, u]/(t, u)^2 with d sending t to u.  The reports
 # embed the input paths, so each run writes its inputs into a temporary

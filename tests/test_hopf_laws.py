@@ -159,8 +159,8 @@ partial_tables = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(partial_tables)
 def test_first_nonassociative_prunes_no_checked_triple(table):
-    """On any partial table the pruned scan finds the same first triple as
-    the helper, which tries every k for every pair in the table.  The
+    """On any partial table the scan finds the same first triple as the
+    helper, which tries every k for every pair in the table.  The
     constructor takes tables in normal form, as ``parse_table`` hands them
     over, so the drawn products are normalised first."""
     normal = {key: sparse(terms) for key, terms in table.items()}

@@ -400,7 +400,7 @@ def test_convolution_values_are_normal_ring_values(name):
                         assert_ring_value(value)
                     if not h.is_zero:
                         assert_ring_value(leading(h).value)
-                if ring.flags is not None and ring.flags.is_prime:
+                if ring.flags is not None and ring.flags["prime"]:
                     try:
                         witness = prime_witness(f, g)
                     except TruncationError:

@@ -1,11 +1,13 @@
-"""The enveloping-algebra builder against the Fraction code it replaced.
+"""The enveloping-algebra builder against an independent Fraction model.
 
-``fraction_ueg_tables`` is the earlier accumulation of ``build_ueg``: every
-straightened word adds ``c * Fraction(1, divfact(ei) * divfact(ej)) *
+``fraction_ueg_tables`` works on words in the generators: it rewrites every
+product of monomials with ``straighten`` (x_j x_i = x_i x_j + [x_j, x_i]
+for j > i) and adds ``c * Fraction(1, divfact(ei) * divfact(ej)) *
 divfact(e)`` to its product entry, and ``sign * c * Fraction(1, divfact(e))
-* divfact(ew)`` to its antipode entry.  The builder sums in ``int`` and
-divides once per entry; after the table normal form (``table.sparse``) both
-must hold the same values with the same scalar types.
+* divfact(ew)`` to its antipode entry.  The builder instead recurses on the
+divided powers and divides once per entry; after the table normal form
+(``table.sparse``) both must hold the same values with the same scalar
+types.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from math import factorial
 
 import pytest
 
-from hopfcore.coalgebra import _straighten, build_ueg
+from hopfcore.coalgebra import build_ueg
 from hopfcore.linalg import Q0, Q1, rat
 from hopfcore.table import graded_monomials, sparse
 from conftest import HEIS_BRACKETS, SL2_BRACKETS
@@ -24,6 +26,11 @@ HALF_BRACKETS = {
     "e": {"f": {"h": "1/2"}},
 }
 THIRD_BRACKETS = {"x": {"y": {"z": "1/3"}}}
+# so(3): [b, c] = a lands below both of its factors in the generator order;
+# n4: [a, b] = c and [a, c] = d, so brackets nest; gl2: sl2 with a central
+# generator z
+SO3_BRACKETS = {"a": {"b": {"c": "1"}}, "b": {"c": {"a": "1"}}, "c": {"a": {"b": "1"}}}
+N4_BRACKETS = {"a": {"b": {"c": "1"}, "c": {"d": "1"}}}
 RATIONAL = {"sl2-half", "heis-third"}
 CASES = {
     "sl2": (["e", "f", "h"], SL2_BRACKETS),
@@ -31,7 +38,28 @@ CASES = {
     "dq": (["d"], {}),
     "sl2-half": (["e", "f", "h"], HALF_BRACKETS),
     "heis-third": (["x", "y", "z"], THIRD_BRACKETS),
+    "so3": (["a", "b", "c"], SO3_BRACKETS),
+    "n4": (["a", "b", "c", "d"], N4_BRACKETS),
+    "gl2": (["e", "f", "h", "z"], SL2_BRACKETS),
 }
+
+
+def straighten(word, bracket, memo):
+    """A word in the generators as a combination of nondecreasing words."""
+    if all(word[t] <= word[t + 1] for t in range(len(word) - 1)):
+        return {word: Q1}
+    if word in memo:
+        return memo[word]
+    p = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
+    head, a, b, tail = word[:p], word[p], word[p + 1], word[p + 2 :]
+    out = {}
+    for w, c in straighten(head + (b, a) + tail, bracket, memo).items():
+        out[w] = out.get(w, Q0) + c
+    for k, ck in bracket.get((a, b), {}).items():
+        for w, c in straighten(head + (k,) + tail, bracket, memo).items():
+            out[w] = out.get(w, Q0) + c * ck
+    memo[word] = out = {w: c for w, c in out.items() if c}
+    return out
 
 
 def fraction_ueg_tables(names, brackets, degree_bound):
@@ -69,7 +97,7 @@ def fraction_ueg_tables(names, brackets, degree_bound):
                 continue
             scale = Fraction(1, divfact(ei) * divfact(ej))
             entry = {}
-            for w, c in _straighten(word_of(ei) + word_of(ej), bracket, memo).items():
+            for w, c in straighten(word_of(ei) + word_of(ej), bracket, memo).items():
                 e = exps_of(w)
                 entry[index[e]] = entry.get(index[e], Q0) + c * scale * divfact(e)
             mult[(ti, tj)] = sparse((k, c) for k, c in sorted(entry.items()) if c)
@@ -78,7 +106,7 @@ def fraction_ueg_tables(names, brackets, degree_bound):
         sign = Q1 if sum(e) % 2 == 0 else -Q1
         scale = Fraction(1, divfact(e))
         entry = {}
-        for w, c in _straighten(tuple(reversed(word_of(e))), bracket, memo).items():
+        for w, c in straighten(tuple(reversed(word_of(e))), bracket, memo).items():
             ew = exps_of(w)
             entry[index[ew]] = entry.get(index[ew], Q0) + sign * c * scale * divfact(ew)
         antipode[t] = sparse((k, c) for k, c in sorted(entry.items()) if c)
