@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from math import perm
 from typing import Mapping, Optional
 
@@ -27,6 +28,7 @@ from .errors import (
     BasisDefect,
     HopfcoreError,
     InputFormatError,
+    NotABialgebra,
     NoWitnessFound,
     ExpansionViolation,
     TruncationError,
@@ -63,6 +65,26 @@ def _load_json(path: str) -> dict:
 
 def load_instance(path: str, degree: Optional[int]) -> coalgebra.FilteredBialgebraData:
     return coalgebra.instance_from_json(_load_json(path), degree)
+
+
+def _load_bialgebra(args, report: Report, stage=None) -> coalgebra.FilteredBialgebraData:
+    """Load --instance and decide whether the command may use it: its
+    bialgebra axioms and its antipode law must hold, else NotABialgebra.
+    ``build`` and ``verify`` check every instance and list the axiom lines;
+    ``conv`` and ``hcore`` check raw instances only and list the lines only
+    when they fail.  A recorder ``stage`` (see ``PBWStructure.from_bialgebra``)
+    sees the load and the axioms as steps and takes their report."""
+    run = stage or (lambda name, step: step())
+    data = run("load", lambda: load_instance(args.instance, args.degree))
+    if args.command in ("conv", "hcore") and not data.raw:
+        return data
+    axioms = run("verify_axioms", lambda: coalgebra.verify_axioms(data))
+    if stage is None and (args.command == "verify" or not axioms.passed):
+        report.extend(axioms)
+    if not axioms.passed:
+        raise NotABialgebra("bialgebra axioms fail; see checks")
+    coalgebra.check_antipode(data)
+    return data
 
 
 def _exponents(algebra: PolynomialAlgebra, mono, what: str) -> list[int]:
@@ -201,14 +223,6 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.Ideal:
 # report assembly
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            write(payload, handle)
-    else:
-        write(payload, sys.stdout)
-
-
 EXIT_CODES = {"ok": 0, "fail": 1, "input-error": 2, "inconclusive": 3}
 
 
@@ -225,46 +239,47 @@ def _error_status(exc: Exception) -> str:
     return "input-error" if isinstance(exc, InputFormatError) else "fail"
 
 
-def _finish(
-    args, keys, report: Report, error: Optional[Exception] = None, **extra
-) -> int:
-    """Write a command's report: its configuration (the argument values
-    named by keys), its check lines and their status, the error that
-    stopped it if any, and the command's own blocks in extra."""
-    status = _status(report) if error is None else _error_status(error)
+def _emit(args, payload: dict) -> int:
+    """Write payload as the report of the command in args; the exit code of
+    its status."""
+    payload = {"command": args.command, "schema": SCHEMA, **payload}
+    target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with target as out:
+        write(payload, out)
+    return EXIT_CODES[payload["status"]]
+
+
+def _finish(args, report: Report, error: Optional[Exception] = None, **extra) -> int:
+    """Write a command's report: its configuration (the values of its
+    options), its check lines and their status, the error that stopped it
+    if any, and the command's own blocks in extra."""
     if error is not None:
         extra["error"] = str(error)
-    payload = {
-        "command": args.command,
-        "schema": SCHEMA,
-        "config": {key: getattr(args, key) for key in keys},
+    return _emit(args, {
+        "config": {
+            key: value for key, value in vars(args).items()
+            if key not in ("command", "out", "func")
+        },
         "checks": report.lines,
         "summary": report.counts,
-        "status": status,
+        "status": _status(report) if error is None else _error_status(error),
         **extra,
-    }
-    _emit(payload, args.out)
-    return EXIT_CODES[status]
+    })
 
 
-def _error(args, exc: Exception, status: str = "input-error") -> int:
+def _error(args, exc: Exception) -> int:
     """Write the bare report of a command stopped before its checks."""
-    _emit(
-        {"command": args.command, "schema": SCHEMA, "error": str(exc), "status": status},
-        args.out,
-    )
-    return EXIT_CODES[status]
+    return _emit(args, {"error": str(exc), "status": _error_status(exc)})
 
 
 # ---------------------------------------------------------------------------
 # build
 
 
-def cmd_build(args) -> int:
-    """Load, check the axioms and the antipode law, then run the
-    construction pipeline with a recorder: the report's stages are the
-    pipeline's record and its checks the reports those stages returned."""
-    report = Report("build")
+def cmd_build(args, report: Report) -> int:
+    """Load and check the instance, then run the construction pipeline with
+    a recorder: the report's stages are the pipeline's record and its
+    checks the reports those stages returned."""
     stages: list[dict] = []
     done: dict = {}
 
@@ -282,11 +297,7 @@ def cmd_build(args) -> int:
 
     error = None
     try:
-        data = stage("load", lambda: load_instance(args.instance, args.degree))
-        if not stage("verify_axioms", lambda: coalgebra.verify_axioms(data)).passed:
-            raise InputFormatError("bialgebra axioms fail; see checks")
-        coalgebra.check_antipode(data)
-        PBWStructure.from_bialgebra(data, stage)
+        PBWStructure.from_bialgebra(_load_bialgebra(args, report, stage), stage)
     except HopfcoreError as exc:
         error = exc
 
@@ -308,76 +319,67 @@ def cmd_build(args) -> int:
     if "verify_basis" in done:
         # verify_basis raises unless every layer has a basis of monomials
         info["basis_dims"] = info["layer_dims"]
-    keys = ("instance", "degree", "seed")
-    return _finish(args, keys, report, error, stages=stages, instance=info)
+    return _finish(args, report, error, stages=stages, instance=info)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
-    report = Report("verify")
-    data = load_instance(args.instance, args.degree)
-    axioms = coalgebra.verify_axioms(data)
-    report.extend(axioms)
-    if axioms.passed:
-        coalgebra.check_antipode(data)
-
+def cmd_verify(args, report: Report) -> int:
+    data = _load_bialgebra(args, report)
     try:
         pbw = PBWStructure.from_bialgebra(data)
     except HopfcoreError as exc:
         report.add("pipeline", "construction", FAIL, str(exc))
-        pbw = None
+        return _finish(args, report)
 
-    if pbw is not None:
-        report.extend(coalgebra.check_primitivity_defects(data, pbw.split))
-        report.extend(coalgebra.check_delta_consistency(pbw.split))
-        report.extend(coalgebra.check_coradically_graded(pbw.gr))
-        report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.split))
+    report.extend(coalgebra.check_primitivity_defects(data, pbw.split))
+    report.extend(coalgebra.check_delta_consistency(pbw.split))
+    report.extend(coalgebra.check_coradically_graded(pbw.gr))
+    report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.split))
 
-        try:
-            report.extend(pbw.verify_all_bases())
-            has_basis = True
-        except BasisDefect as exc:
-            report.add("basis", "-", FAIL, str(exc))
-            has_basis = False
+    try:
+        report.extend(pbw.verify_all_bases())
+        has_basis = True
+    except BasisDefect as exc:
+        report.add("basis", "-", FAIL, str(exc))
+        has_basis = False
 
-        bound, labels = data.degree_bound, pbw.labels
-        for n in range(len(labels)):
-            # the indices m with deg n + deg m <= bound are a prefix
-            for m in range(pbw.count_up_to(bound - pbw.degrees[n])):
-                subject = f"{labels[n]},{labels[m]}"
-                try:
-                    c, _ = pbw.structure_constant(n, m)
-                    report.add("structure-constant", subject, PASS, f"c={rat_str(c)}")
-                except BasisDefect as exc:
-                    report.add("structure-constant", subject, FAIL, str(exc))
+    bound, labels = data.degree_bound, pbw.labels
+    for n in range(len(labels)):
+        # the indices m with deg n + deg m <= bound are a prefix
+        for m in range(pbw.count_up_to(bound - pbw.degrees[n])):
+            subject = f"{labels[n]},{labels[m]}"
+            try:
+                c, _ = pbw.structure_constant(n, m)
+                report.add("structure-constant", subject, PASS, f"c={rat_str(c)}")
+            except BasisDefect as exc:
+                report.add("structure-constant", subject, FAIL, str(exc))
 
-        rng = random.Random(args.seed)
-        if has_basis:
-            for p, label in enumerate(pbw.labels):
-                try:
-                    report.extend(pbw.check_split_expansion(p))
-                except ExpansionViolation as exc:
-                    report.add("split-expansion", label, FAIL, str(exc))
-            report.extend(pbw.check_span_closure(rng, args.trials))
-        else:
-            # both expand on the monomial basis, which does not exist here
-            for check in ("split-expansion", "span-closure"):
-                report.add(check, "-", SKIP, "no monomial basis")
-        report.extend(coalgebra.check_level_closure(pbw.gr, rng, args.trials))
+    rng = random.Random(args.seed)
+    if has_basis:
+        for p, label in enumerate(pbw.labels):
+            try:
+                report.extend(pbw.check_split_expansion(p))
+            except ExpansionViolation as exc:
+                report.add("split-expansion", label, FAIL, str(exc))
+        report.extend(pbw.check_span_closure(rng, args.trials))
+    else:
+        # both expand on the monomial basis, which does not exist here
+        for check in ("split-expansion", "span-closure"):
+            report.add(check, "-", SKIP, "no monomial basis")
+    report.extend(coalgebra.check_level_closure(pbw.gr, rng, args.trials))
 
-    return _finish(args, ("instance", "degree", "seed", "trials"), report)
+    return _finish(args, report)
 
 
 # ---------------------------------------------------------------------------
 # conv
 
 
-def cmd_conv(args) -> int:
-    report = Report("conv")
-    data = load_instance(args.instance, args.degree)
+def cmd_conv(args, report: Report) -> int:
+    data = _load_bialgebra(args, report)
     if args.ring in convolution.BUILTIN_RINGS:
         ring = convolution.builtin_ring(args.ring)
     else:
@@ -460,37 +462,37 @@ def cmd_conv(args) -> int:
                 f"pullback of {ring.label(nil)} squares to zero",
             )
 
-    keys = ("instance", "degree", "ring", "seed", "trials", "support_cap")
-    return _finish(args, keys, report, ring={"name": ring.name, "flags": ring.flags})
+    return _finish(args, report, ring={"name": ring.name, "flags": ring.flags})
 
 
 # ---------------------------------------------------------------------------
 # hcore
 
 
-def cmd_hcore(args) -> int:
-    report = Report("hcore")
+def cmd_hcore(args, report: Report) -> int:
+    data = _load_bialgebra(args, report)
+    pbw = PBWStructure.from_bialgebra(data)
+    what = "action file"
     try:
-        data = load_instance(args.instance, args.degree)
-        pbw = PBWStructure.from_bialgebra(data)
-        spec = _load_json(args.action)
+        spec = json_object(_load_json(args.action), "the action file")
         algebra = _algebra_from_json(spec["algebra"])
         generators = json_object(spec.get("generators", {}), '"generators"')
         gen_ops = {
             gid: _operator_columns(algebra, gid, op) for gid, op in generators.items()
         }
         act = action_mod.ModuleAlgebraAction(pbw, algebra, gen_ops)
-        source = _load_json(args.ideal) if args.ideal else spec
-        ideal = _ideal_from_json(algebra, source["ideal"])
-        properties = string_list(
-            source.get("ideal_properties", []), '"ideal_properties"'
-        )
         core_cap = json_int(
             spec.get("core_degree_cap", data.degree_bound), '"core_degree_cap"', 0
         )
+        if args.ideal:
+            what = "ideal file"
+            spec = json_object(_load_json(args.ideal), "the ideal file")
+        ideal = _ideal_from_json(algebra, spec["ideal"])
+        properties = string_list(spec.get("ideal_properties", []), '"ideal_properties"')
     except (KeyError, TypeError, ValueError) as exc:
-        # a malformed action file; HopfcoreError is typed by ``main``
-        return _error(args, exc)
+        # a malformed file; HopfcoreError is typed by ``main``
+        fault = f"missing {json.dumps(exc.args[0])}" if isinstance(exc, KeyError) else exc
+        return _error(args, InputFormatError(f"malformed {what}: {fault}"))
 
     report.extend(action_mod.verify_module_algebra(act))
 
@@ -502,28 +504,19 @@ def cmd_hcore(args) -> int:
         "basis": [algebra.format(row) for row in result.core.rows],
         "ideal": ideal.text,
     }
-    report.add(
-        "hcore",
-        ideal.text,
-        PASS,
-        f"dim {result.core.dim}, stabilized={result.stabilized}",
-    )
+    detail = f"dim {result.core.dim}, stabilized={result.stabilized}"
+    report.add("hcore", ideal.text, PASS, detail)
 
     ring = action_mod.QuotientAlgebra(ideal)
-    mode_map = {
-        "completely_prime": "domain",
-        "prime": "prime",
-        "semiprime": "semiprime",
-    }
+    modes = {"completely_prime": "domain", "prime": "prime", "semiprime": "semiprime"}
     for prop in properties:
-        mode = mode_map.get(prop)
+        mode = modes.get(prop)
         if mode is None:
             report.add("probe", prop, FAIL, "unknown ideal property")
             continue
         report.extend(action_mod.core_primeness_probe(act, ring, mode, args.probe_bound))
 
-    keys = ("instance", "degree", "action", "ideal", "seed", "probe_bound")
-    return _finish(args, keys, report, core=core_info)
+    return _finish(args, report, core=core_info)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +569,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    report = Report(args.command)
     try:
         # a negative count would silently run nothing
         for key in ("trials", "support_cap", "probe_bound"):
@@ -583,9 +577,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if value is not None and value < 0:
                 flag = key.replace("_", "-")
                 raise InputFormatError(f"--{flag} must be >= 0, got {value}")
-        return args.func(args)
+        return args.func(args, report)
+    except NotABialgebra as exc:
+        # build reports it itself; the other commands stop with the axiom
+        # lines they listed as their checks
+        return _finish(args, report, exc)
     except HopfcoreError as exc:
-        return _error(args, exc, _error_status(exc))
+        return _error(args, exc)
 
 
 def entry() -> None:

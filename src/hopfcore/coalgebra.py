@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     HopfcoreError,
     InputFormatError,
+    NotABialgebra,
     NotALieAlgebra,
     NotExhaustive,
     TruncationError,
@@ -74,7 +75,11 @@ class FilteredBialgebraData(TableAlgebra):
     basis in order) and ``antipode`` ({i: sparse row}, None when the instance
     has no antipode table), all kept as given: sorted, without zeros, in
     normal form.  A product or comultiplication row that is not a tuple is
-    refused."""
+    refused.  ``raw`` is True for the tables of a raw instance file, which
+    only the axiom checks vouch for; the builders' tables are bialgebras by
+    construction."""
+
+    raw = False
 
     def __init__(
         self,
@@ -230,8 +235,8 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
 
 def check_antipode(data: FilteredBialgebraData) -> None:
     """The antipode law S * id = eta eps = id * S on every basis element
-    whose law needs no product past the truncation; raises
-    InputFormatError naming the first element where it fails.  An instance
+    whose law needs no product past the truncation; raises NotABialgebra
+    naming the first element where it fails.  An instance
     without an antipode table has nothing to check."""
     antipode = data.antipode
     if antipode is None:
@@ -252,7 +257,7 @@ def check_antipode(data: FilteredBialgebraData) -> None:
         except TruncationError:
             continue
         if any(nonzero(side) != expected for side in (left, right)):
-            raise InputFormatError(
+            raise NotABialgebra(
                 f"antipode law S * id = eta eps = id * S fails at {data.label(i)}"
             )
 
@@ -961,7 +966,7 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
         antipode=antipode,
         filtration_hint=hint,
     )
-    # the builders' tables are associative by construction
+    data.raw = True
     data.require_associative()
     return data
 

@@ -9,6 +9,10 @@ class InputFormatError(HopfcoreError):
     """A file or table does not match the documented schema."""
 
 
+class NotABialgebra(InputFormatError):
+    """Well-formed tables that fail a bialgebra axiom or the antipode law."""
+
+
 class ForeignGenerator(InputFormatError):
     """An operator names a generator id that is not in the generator set."""
 

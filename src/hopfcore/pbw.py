@@ -241,14 +241,6 @@ class PBWStructure:
         self._monomials[p] = entry
         return entry
 
-    def pbw_monomial(self, p: int) -> SparseRow:
-        """e_m for the index m at position p, as its nonzero raw
-        coordinates: the rational view of ``integral_monomial``."""
-        d, v = self.integral_monomial(p)
-        if d == 1:
-            return v
-        return {i: exact(Fraction(a, d)) for i, a in v.items()}
-
     # -- basis change ----------------------------------------------------------
 
     def verify_basis(self, n: int) -> Report:

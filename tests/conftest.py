@@ -1,12 +1,13 @@
 import json
 import os
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
-from hopfcore.linalg import Q0, Subspace, rat, rat_str
+from hopfcore.linalg import Q0, Subspace, exact, rat, rat_str
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 
@@ -90,6 +91,13 @@ def sparse_of(values):
     """The sparse vector {index: coefficient} of a list of values, each read
     by ``rat``, without zeros."""
     return {i: c for i, c in enumerate(map(rat, values)) if c}
+
+
+def rational_monomial(pbw, p):
+    """e_m for the index m at position p as its nonzero raw coordinates:
+    the vector of ``PBWStructure.integral_monomial`` over its denominator."""
+    d, v = pbw.integral_monomial(p)
+    return {i: exact(Fraction(a, d)) for i, a in v.items()}
 
 
 def dense_of(v, n):

@@ -55,6 +55,7 @@ from conftest import (
     at,
     compare,
     load_fixture,
+    rational_monomial,
 )
 
 
@@ -160,7 +161,7 @@ def test_acceptance_3_pbw_bases():
         for p in structures:
             p.verify_all_bases()
             for n in range(p.data.degree_bound + 1):
-                rows = [p.pbw_monomial(q) for q in range(p.count_up_to(n))]
+                rows = [rational_monomial(p, q) for q in range(p.count_up_to(n))]
                 assert rank(rows, p.data.dim) == p.filt.layers[n].dim
 
         rng = random.Random(1)

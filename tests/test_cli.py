@@ -9,9 +9,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcore import build_ueg, convolution
+from hopfcore import build_ueg, coalgebra, convolution
 from hopfcore.cli import main
-from hopfcore.errors import ProbeAnomaly
+from hopfcore.coalgebra import instance_from_json
+from hopfcore.errors import NoConstrainedComplement, ProbeAnomaly
+from hopfcore.pbw import PBWStructure
 from conftest import FIXTURES, instance_to_json, load_fixture, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
@@ -85,7 +87,10 @@ def test_verify_builtins_pass(tmp_path):
         assert rep["summary"]["FAIL"] == 0
 
 
-def test_verify_corrupted_reports_expansion_violation(tmp_path):
+def test_verify_corrupted_stops_at_the_axioms(tmp_path):
+    """verify refuses the corrupted tables as build does, before the
+    pipeline; the split-expansion fault behind them is pinned by
+    test_pbw.py::test_expansion_violation_on_corrupted_tables."""
     code, rep = run(
         tmp_path,
         "verify",
@@ -94,10 +99,11 @@ def test_verify_corrupted_reports_expansion_violation(tmp_path):
         "--trials",
         "10",
     )
-    assert code == 1
+    assert (code, rep["status"]) == (2, "input-error")
+    assert rep["error"] == "bialgebra axioms fail; see checks"
     fails = {(c["check"], c["subject"]) for c in rep["checks"] if c["status"] == "FAIL"}
-    assert ("split-expansion", "x^2") in fails
     assert ("comult-multiplicative", "x,x") in fails
+    assert not [c for c in rep["checks"] if c["check"] == "split-expansion"]
 
 
 def test_conv_m2q(tmp_path):
@@ -214,6 +220,26 @@ def test_negative_counts_are_input_errors(tmp_path, argv, flag):
     }
 
 
+def test_conv_and_hcore_check_raw_instances_only(tmp_path, monkeypatch):
+    """The ueg and xyw builders make bialgebras by construction, so conv and
+    hcore run the axiom check on raw instances only; build and verify run
+    it on every instance."""
+    checked = []
+    real = coalgebra.verify_axioms
+    monkeypatch.setattr(
+        coalgebra, "verify_axioms", lambda data: checked.append(data.raw) or real(data)
+    )
+    for name in ("dq.json", "xyw.json", "shifted_line.json"):
+        instance = str(INSTANCES / name)
+        run(tmp_path, "conv", "--instance", instance, "--ring", "q", "--trials", "2")
+        run(tmp_path, "hcore", "--instance", instance,
+            "--action", str(ACTIONS / "dq_qx_ix.json"))
+    assert checked == [True, True]
+    run(tmp_path, "build", "--instance", str(INSTANCES / "dq.json"))
+    run(tmp_path, "verify", "--instance", str(INSTANCES / "xyw.json"), "--trials", "2")
+    assert checked == [True, True, False, False]
+
+
 def test_antipode_law_failure_stops_build(tmp_path):
     """build on the shifted line with S(s) = -s passes the axioms and stops
     at the antipode law, before the pipeline runs; the correct antipode
@@ -228,6 +254,40 @@ def test_antipode_law_failure_stops_build(tmp_path):
     assert all(s["status"] == "ok" for s in rep["stages"])
     code, rep = run(tmp_path, "build", "--instance", str(INSTANCES / "shifted_line.json"))
     assert code == 0 and rep["status"] == "ok"
+
+
+NOT_BIALGEBRAS = {
+    "xyw-corrupt": (INSTANCES / "xyw_corrupt.json", "bialgebra axioms fail; see checks"),
+    "shifted-line-bad-antipode": (
+        None, "antipode law S * id = eta eps = id * S fails at s"),
+}
+OTHER_ARGS = {
+    "verify": ["--trials", "3"],
+    "conv": ["--ring", "q", "--trials", "3"],
+    "hcore": ["--action", str(ACTIONS / "dq_qx_ix.json")],
+}
+
+
+@pytest.mark.parametrize("command", list(OTHER_ARGS))
+@pytest.mark.parametrize("name", list(NOT_BIALGEBRAS))
+def test_every_command_refuses_tables_that_are_not_a_bialgebra(tmp_path, name, command):
+    """Raw tables that fail a bialgebra axiom or the antipode law stop every
+    command with exit 2.  verify lists the axiom lines as build does;
+    conv and hcore list them only when an axiom fails."""
+    path, message = NOT_BIALGEBRAS[name]
+    if path is None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(SHIFTED_LINE_BAD_ANTIPODE))
+    _, built = run(tmp_path, "build", "--instance", str(path))
+    code, rep = run(tmp_path, command, "--instance", str(path), *OTHER_ARGS[command])
+    assert (code, rep["status"], rep["error"]) == (2, "input-error", message)
+    axioms = built["checks"]
+    failed = any(c["status"] == "FAIL" for c in axioms)
+    assert rep["checks"] == (axioms if command == "verify" or failed else [])
+    if name == "xyw-corrupt":
+        assert ("comult-multiplicative", "x,x", "FAIL") in {
+            (c["check"], c["subject"], c["status"]) for c in rep["checks"]
+        }
 
 
 def test_conv_user_ring_table(tmp_path):
@@ -611,6 +671,14 @@ def finite_action(basis, one, mult, generators=None):
          "multiplication is not associative: (x*x)*x != x*(x*x)"),
         ("action", finite_action(["1", "t"], ["1"], DUAL_NUMBERS_MULT),
          'finite algebra "one" must be a basis label, got [\'1\']'),
+        ("action", {k: v for k, v in load_fixture("actions/dq_qx_ix.json").items()
+                    if k != "algebra"},
+         'malformed action file: missing "algebra"'),
+        ("action", {k: v for k, v in load_fixture("actions/dq_qx_ix.json").items()
+                    if k != "ideal"},
+         'malformed action file: missing "ideal"'),
+        ("action", [load_fixture("actions/dq_qx_ix.json")],
+         "the action file must be an object, got list"),
     ],
     ids=["bracket-zero-denominator", "negative-bound", "generators-string",
          "ring-zero-denominator", "operator-zero-denominator",
@@ -632,11 +700,13 @@ def finite_action(basis, one, mult, generators=None):
          "ring-flag-list", "ring-basis-empty", "bracket-coeff-string",
          "bracket-coeff-float", "bracket-coeff-list", "bracket-coeff-null",
          "bracket-coeff-bool", "matrix-row-string", "finite-one-not-a-unit",
-         "finite-nonassociative", "finite-one-list"],
+         "finite-nonassociative", "finite-one-list", "action-missing-algebra",
+         "action-missing-ideal", "action-file-list"],
 )
 def test_malformed_input_reports(tmp_path, kind, payload, message):
     """Malformed input ends in exit 2 with a JSON report, never a traceback,
-    and the report names the fault where a message is given."""
+    and the report names the fault where a message is given.  All four
+    commands refuse a malformed instance alike."""
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     argv = {
@@ -660,6 +730,16 @@ def test_malformed_input_reports(tmp_path, kind, payload, message):
     assert proc.stderr == ""
     if message is not None:
         assert report["error"] == message
+    if kind == "instance":
+        for command, *rest in (
+            ["build"],
+            ["conv", "--ring", "q"],
+            ["hcore", "--action", str(ACTIONS / "dq_qx_ix.json")],
+        ):
+            code, rep = run(tmp_path, command, "--instance", str(path), *rest)
+            assert (code, rep["status"], rep["error"]) == (
+                2, "input-error", report["error"]
+            ), command
 
 
 @pytest.mark.parametrize(
@@ -819,21 +899,25 @@ def test_polynomial_algebra_errors_name_the_field(tmp_path, algebra, field):
 
 def test_splitting_without_counit_adjuster_fails_the_pipeline(tmp_path):
     """With eps(1) = 0 no complement of C_0 in C_1 lies in the kernel of the
-    counit; verify reports that as a pipeline FAIL line instead of going on
-    with a splitting that ignores the counit."""
+    counit; the pipeline raises instead of going on with a splitting that
+    ignores the counit.  verify refuses these tables at the counit-unit
+    axiom, before the pipeline."""
     instance = load_fixture("instances/shifted_line.json")
     instance["tables"]["counit"] = {"s": "1"}
+    with pytest.raises(NoConstrainedComplement) as info:
+        PBWStructure.from_bialgebra(instance_from_json(instance))
+    assert str(info.value) == (
+        "no complement of inner (dim 1) in outer (dim 2) lies in the "
+        "kernel of the constraint"
+    )
     path = tmp_path / "eps0.json"
     path.write_text(json.dumps(instance))
     code, rep = run(tmp_path, "verify", "--instance", str(path), "--trials", "3")
-    assert code == 1
-    assert rep["checks"][-1] == {
-        "check": "pipeline",
-        "detail": "no complement of inner (dim 1) in outer (dim 2) lies in the "
-                  "kernel of the constraint",
-        "status": "FAIL",
-        "subject": "construction",
+    assert (code, rep["status"]) == (2, "input-error")
+    assert rep["checks"][0] == {
+        "check": "counit-unit", "detail": "eps(1) != 1", "status": "FAIL", "subject": "1",
     }
+    assert "pipeline" not in {c["check"] for c in rep["checks"]}
 
 
 FILE = object()  # the place of the input file in an argv

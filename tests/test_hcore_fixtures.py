@@ -276,3 +276,46 @@ def test_subspace_ideal_report(monkeypatch, tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "46f992fd8b2ccd2b4a2730855ca8bc367c1a1042fa25b6eb77b42423e40962aa"
     )
+
+
+# Upper-triangular T2 on {1, E12, E22} with d acting as ad(E12), which sends
+# E22 to E12 and kills 1 and E12.  In a finite-dimensional algebra every
+# prime ideal is maximal, and the core of a prime ideal is prime, so the core
+# of each maximal ideal is the ideal itself: the theorem checked exactly,
+# with nothing truncated.
+T2_MULT = {
+    "1": {"1": {"1": "1"}, "E12": {"E12": "1"}, "E22": {"E22": "1"}},
+    "E12": {"1": {"E12": "1"}, "E22": {"E12": "1"}},
+    "E22": {"1": {"E22": "1"}, "E22": {"E22": "1"}},
+}
+T2_MAXIMAL = {
+    "span(E12,E22)": [[0, 1, 0], [0, 0, 1]],
+    "span(E12,1-E22)": [[0, 1, 0], [1, 0, -1]],
+}
+
+
+@pytest.mark.parametrize("name", list(T2_MAXIMAL))
+def test_core_of_a_maximal_ideal_of_t2_is_the_ideal(tmp_path, name):
+    action = {
+        "algebra": {"kind": "finite", "basis": ["1", "E12", "E22"], "one": "1",
+                    "mult": T2_MULT},
+        "core_degree_cap": 4,
+        "generators": {"d": [[0, 0, 0], [0, 0, 1], [0, 0, 0]]},
+        "ideal": {"kind": "subspace", "vectors": T2_MAXIMAL[name]},
+        "ideal_properties": ["prime", "completely_prime", "semiprime"],
+    }
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(action))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "hcore", "--instance", str(ROOT / "fixtures" / "instances" / "dq.json"),
+            "--action", str(path),
+        ])
+    report = json.loads(out.getvalue())
+    assert (code, report["status"]) == (0, "ok")
+    # the core lies in I, so equal dimensions make it I
+    assert report["core"]["dims_by_cap"] == [2, 2, 2, 2, 2]
+    assert report["core"]["dim"] == 2
+    probes = {line["check"] for line in report["checks"]}
+    assert {"domain-probe", "prime-witness", "semiprime-witness"} <= probes

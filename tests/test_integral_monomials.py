@@ -23,7 +23,7 @@ from hopfcore.errors import (
 from hopfcore.linalg import Q0, Q1, combine, exact, integral, inverse, nonzero
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
-from conftest import instance_to_json, load_fixture
+from conftest import instance_to_json, load_fixture, rational_monomial
 
 
 class RationalOracle:
@@ -193,11 +193,11 @@ IDS = [c if isinstance(c, str) else f"{c[0]}-D{c[1]}" for c in ALL_CASES]
 @pytest.mark.parametrize("case", ALL_CASES, ids=IDS)
 def test_integral_monomials_scale_the_rational_ones(case):
     """d e_m is the integral vector, with d the least such denominator, and
-    ``pbw_monomial`` is the rational monomial the oracle builds."""
+    the integral vector over d is the rational monomial the oracle builds."""
     host = host_of(case)
     oracle = RationalOracle(host)
     for p in range(len(host.indices)):
-        got = outcome(host.pbw_monomial, p)
+        got = outcome(rational_monomial, host, p)
         assert got == outcome(oracle.monomial, p)
         if got[0] == "error":
             continue

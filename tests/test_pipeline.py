@@ -235,13 +235,15 @@ def test_axiom_failure(tmp_path):
     assert rep["instance"] == {"dim": 7, "degree_bound": 2}
     assert rep["error"] == "bialgebra axioms fail; see checks"
     assert (rep["status"], code) == ("input-error", 2)
-    # verify goes on past the failed axioms: the pipeline itself succeeds
+    # verify stops there too, with the axiom lines as its checks
+    axioms = rep["checks"]
     code, rep = _run(
         tmp_path, "verify", "--instance", str(INSTANCES / "xyw_corrupt.json"),
         "--trials", "5",
     )
-    assert not [c for c in rep["checks"] if c["check"] == "pipeline"]
-    assert (rep["status"], code) == ("fail", 1)
+    assert rep["checks"] == axioms
+    assert rep["error"] == "bialgebra axioms fail; see checks"
+    assert (rep["status"], code) == ("input-error", 2)
 
 
 def _escape_degree_one_products(monkeypatch):

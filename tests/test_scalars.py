@@ -246,7 +246,7 @@ def test_pipeline_scalars_are_exact(name):
     assert_normal([gr._mult, gr.comult, gr.antipode or {}, pbw.gr_gens])
     assert_exact(pbw.lifts)
     positions = range(len(pbw.indices))
-    assert_normal([pbw.pbw_monomial(p) for p in positions])
+    assert_normal([pbw.integral_monomial(p) for p in positions])
     assert_normal([pbw.expand_comult(p) for p in positions])
     assert_normal(pbw.transposed_comult())
     pbw.verify_all_bases()
@@ -303,7 +303,7 @@ def test_vectors_below_the_ring_are_sparse(host_at, action_name, host_name, degr
     assert_sparse(host.lifts.values())
     assert_sparse(host.gr_gens.values())
     positions = range(len(host.indices))
-    assert_sparse(host.pbw_monomial(p) for p in positions)
+    assert_sparse(host.integral_monomial(p)[1] for p in positions)
     spec = load_fixture(f"actions/{action_name}.json")
     algebra = cli._algebra_from_json(spec["algebra"])
     ops = {

@@ -23,7 +23,9 @@ from hopfcore.linalg import Q0, Q1
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
-from conftest import GREATER, add, compare, dense_mul, dense_of, sparse_of
+from conftest import (
+    GREATER, add, compare, dense_mul, dense_of, rational_monomial, sparse_of,
+)
 
 # fixture instances at their own degree bounds
 HOSTS = [("sl2", 4), ("heis", 4), ("xyw", 4), ("dq", 4), ("qt", 3)]
@@ -57,7 +59,7 @@ def dense_span_closure(p, rng, samples):
                     v = tuple(
                         x + Fraction(c) * y
                         for x, y in zip(
-                            v, dense_of(p.pbw_monomial(p.index_pos[i]), p.data.dim)
+                            v, dense_of(rational_monomial(p, p.index_pos[i]), p.data.dim)
                         )
                     )
             return v
