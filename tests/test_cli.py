@@ -229,6 +229,8 @@ def test_conv_and_hcore_check_raw_instances_only(tmp_path, monkeypatch):
     monkeypatch.setattr(
         coalgebra, "verify_axioms", lambda data: checked.append(data.raw) or real(data)
     )
+    # the check runs before hcore reads its action file, so the action's
+    # generator need not belong to the instance
     for name in ("dq.json", "xyw.json", "shifted_line.json"):
         instance = str(INSTANCES / name)
         run(tmp_path, "conv", "--instance", instance, "--ring", "q", "--trials", "2")
