@@ -59,7 +59,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -317,7 +317,7 @@ def cmd_build(args, report: Report) -> int:
         info["generators"] = gens.to_json()
         info["index_counts"] = [gens.count_exact(d) for d in range(bound + 1)]
     if "verify_basis" in done:
-        # verify_basis raises unless every layer has a basis of monomials
+        # verify_all_bases raises unless every layer has a basis of monomials
         info["basis_dims"] = info["layer_dims"]
     return _finish(args, report, error, stages=stages, instance=info)
 
@@ -445,7 +445,7 @@ def cmd_conv(args, report: Report) -> int:
                     "prime-refutation",
                     ring.name,
                     PASS,
-                    f"pair ({ring.label(a)},{ring.label(b)})",
+                    f"pair ({ring.basis_labels[a]},{ring.basis_labels[b]})",
                 )
 
     if ring.flags["semiprime"] is False:
@@ -459,7 +459,7 @@ def cmd_conv(args, report: Report) -> int:
                 "nilpotent",
                 ring.name,
                 PASS if ok else FAIL,
-                f"pullback of {ring.label(nil)} squares to zero",
+                f"pullback of {ring.basis_labels[nil]} squares to zero",
             )
 
     return _finish(args, report, ring={"name": ring.name, "flags": ring.flags})
@@ -570,6 +570,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     report = Report(args.command)
+    if args.out:
+        # an --out that cannot be opened stops the command before it runs,
+        # with the report on stdout
+        try:
+            with open(args.out, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            path, args.out = args.out, None
+            return _error(args, InputFormatError(f"cannot write {path}: {exc}"))
     try:
         # a negative count would silently run nothing
         for key in ("trials", "support_cap", "probe_bound"):

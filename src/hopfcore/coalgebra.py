@@ -9,9 +9,9 @@ computes
 * the ascending filtration C_0 = Q·1, C_{j+1} = {x : Delta(x) in
   C_j (x) C + C (x) C_0}, with connectedness = exhaustion at the bound;
 * a deterministic graded splitting H(n) with C_n = H(0) + ... + H(n) and
-  eps(H(n)) = 0 for n >= 1, together with the degree-preserving part
-  ``delta`` of the comultiplication;
-* the associated graded bialgebra on the splitting basis;
+  eps(H(n)) = 0 for n >= 1;
+* the associated graded bialgebra on the splitting basis, whose
+  comultiplication delta is the degree-preserving part of Delta;
 * membership checks (primitivity defects, degree consistency of delta,
   gradedness of the filtration of the associated graded object) used by the
   verification suites.
@@ -106,7 +106,7 @@ class FilteredBialgebraData(TableAlgebra):
         for i, row in enumerate(comult):
             if type(row) is not tuple:
                 raise InputFormatError(
-                    f"comultiplication row of {self.label(i)} must be a tuple, "
+                    f"comultiplication row of {self.basis_labels[i]} must be a tuple, "
                     f"got {type(row).__name__}"
                 )
         self.comult = tuple(comult)
@@ -146,12 +146,12 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
     of the comultiplication and counit wherever truncation permits."""
     rep = Report("axioms")
     dim = data.dim
-    eps, comult, mult = data.counit, data.comult, data._mult
+    eps, comult, mult = data.counit, data.comult, data.mult
 
     if eps[data.unit_index] != 1:
-        rep.add("counit-unit", data.label(data.unit_index), FAIL, "eps(1) != 1")
+        rep.add("counit-unit", data.basis_labels[data.unit_index], FAIL, "eps(1) != 1")
     else:
-        rep.add("counit-unit", data.label(data.unit_index), PASS)
+        rep.add("counit-unit", data.basis_labels[data.unit_index], PASS)
 
     for i in range(dim):
         left = [Q0] * dim
@@ -164,7 +164,7 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
         expected = [Q0] * dim
         expected[i] = Q1
         ok = left == expected and right == expected
-        rep.add("counit", data.label(i), PASS if ok else FAIL)
+        rep.add("counit", data.basis_labels[i], PASS if ok else FAIL)
 
     for i in range(dim):
         diff: dict[tuple[int, int, int], Scalar] = {}
@@ -177,7 +177,7 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
                 diff[key] = diff.get(key, Q0) - c * c2
         rep.add(
             "coassociativity",
-            data.label(i),
+            data.basis_labels[i],
             FAIL if any(diff.values()) else PASS,
         )
 
@@ -186,19 +186,19 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
         ok = True
         detail = ""
         for pair in ((u, i), (i, u)):
-            if not data.has_product(*pair):
+            if pair not in mult:
                 ok = False
                 detail = "unit product undefined"
                 break
-            if data.product_terms(*pair) != ((i, Q1),):
+            if mult[pair] != ((i, Q1),):
                 ok = False
                 detail = "unit law violated"
                 break
-        rep.add("unit-law", data.label(i), PASS if ok else FAIL, detail)
+        rep.add("unit-law", data.basis_labels[i], PASS if ok else FAIL, detail)
 
     for i, j in sorted(mult):
         prod = mult[i, j]
-        subject = f"{data.label(i)},{data.label(j)}"
+        subject = f"{data.basis_labels[i]},{data.basis_labels[j]}"
         eps_prod = sum(c * eps[k] for k, c in prod)
         rep.add(
             "counit-multiplicative",
@@ -258,7 +258,7 @@ def check_antipode(data: FilteredBialgebraData) -> None:
             continue
         if any(nonzero(side) != expected for side in (left, right)):
             raise NotABialgebra(
-                f"antipode law S * id = eta eps = id * S fails at {data.label(i)}"
+                f"antipode law S * id = eta eps = id * S fails at {data.basis_labels[i]}"
             )
 
 
@@ -350,40 +350,24 @@ def require_connected(
 
 class GradedSplitting(
     namedtuple(
-        "GradedSplitting",
-        "data components vectors degrees labels to_split_units comult",
+        "GradedSplitting", "data vectors degrees labels to_split_units comult"
     )
 ):
     """Homogeneous components H(n) with C_n = H(0) + ... + H(n), the basis
     change onto the splitting basis, and the comultiplication of every
     splitting vector in split coordinates.
 
-    ``components`` holds H(0), ..., H(D) as ``Subspace``s.  One entry per
-    splitting vector: ``vectors`` (on the basis of ``data``), ``degrees``,
-    ``labels`` and ``comult`` (a ``TensorMap`` in split coordinates);
-    ``to_split_units[j]`` holds the split coordinates of basis vector j of
-    ``data``.  Raw and split coordinates are both sparse {index:
-    coefficient} without zeros.  No ``__slots__``: the cached ``delta``
-    and ``antipode_images`` live in the instance dict."""
+    One entry per splitting vector, H(0) first and then H(1), ..., H(D):
+    ``vectors`` (on the basis of ``data``), ``degrees``, ``labels`` and
+    ``comult`` (a ``TensorMap`` in split coordinates); ``to_split_units[j]``
+    holds the split coordinates of basis vector j of ``data``.  Raw and
+    split coordinates are both sparse {index: coefficient} without zeros.
+    No ``__slots__``: the cached ``antipode_images`` live in the instance
+    dict."""
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    @cached_property
-    def delta(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-        """The degree-preserving part of ``comult``, in normal form."""
-        degrees = self.degrees
-        return tuple(
-            tuple(
-                sorted(
-                    (p, q, exact(c))
-                    for (p, q), c in tmap.items()
-                    if degrees[p] + degrees[q] == degrees[k]
-                )
-            )
-            for k, tmap in enumerate(self.comult)
-        )
 
     @cached_property
     def antipode_images(self) -> tuple[SparseRow, ...]:
@@ -433,7 +417,7 @@ def graded_splitting(
         for row, pivot in zip(comp.rows, comp.pivots):
             vectors.append(row)
             degrees.append(n)
-            name = data.label(pivot)
+            name = data.basis_labels[pivot]
             if name in used:
                 name = f"{name}#{n}"
             used.add(name)
@@ -445,7 +429,6 @@ def graded_splitting(
     units = tuple(inverse(vectors, data.dim))
     return GradedSplitting(
         data=data,
-        components=tuple(comps),
         vectors=tuple(vectors),
         degrees=tuple(degrees),
         labels=tuple(labels),
@@ -457,7 +440,7 @@ def graded_splitting(
 def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
     """The associated graded bialgebra on the splitting basis: products are
     top-degree components of products of splitting vectors, comultiplication
-    is the degree-preserving part ``delta``."""
+    is the degree-preserving part of the splitting's ``comult``."""
     data = split.data
     dim = split.dim
     degrees = split.degrees
@@ -477,6 +460,16 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
             mult[(a, b)] = sparse(
                 (k, c) for k, c in coords.items() if degrees[k] == target
             )
+    comult = [
+        tuple(
+            sorted(
+                (p, q, exact(c))
+                for (p, q), c in tmap.items()
+                if degrees[p] + degrees[q] == degrees[k]
+            )
+        )
+        for k, tmap in enumerate(split.comult)
+    ]
     counit = [Q1] + [Q0] * (dim - 1)
     antipode = None
     if data.antipode is not None:
@@ -488,7 +481,7 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
         basis_labels=split.labels,
         degree_bound=bound,
         mult=mult,
-        comult=split.delta,
+        comult=comult,
         counit=counit,
         unit_index=0,
         antipode=antipode,
@@ -521,11 +514,11 @@ def check_primitivity_defects(
     h - eps(h) 1; both readings agree whenever eps(h) = 0, which covers
     every basis element of the shipped instances."""
     rep = Report("primitivity-defect")
-    degrees = split.degrees
+    degrees, labels = split.degrees, data.basis_labels
     for i, units in enumerate(split.to_split_units):
         n = split.max_degree(units)
         if n == 0:
-            rep.add("primitivity-defect", data.label(i), SKIP, "degree 0")
+            rep.add("primitivity-defect", labels[i], SKIP, "degree 0")
             continue
         tmap = combine(split.comult, units)
         for k, c in units.items():
@@ -541,14 +534,15 @@ def check_primitivity_defects(
             if _illegal_bidegree(dp, dq, n):
                 why = f"illegal entry at bidegree ({dp},{dq}) coeff {rat_str(c)}"
                 break
-        rep.add("primitivity-defect", f"{data.label(i)} (n={n})", FAIL if why else PASS, why)
+        rep.add("primitivity-defect", f"{labels[i]} (n={n})", FAIL if why else PASS, why)
     return rep
 
 
 def check_delta_consistency(split: GradedSplitting) -> Report:
     """The comultiplication agrees with its degree-preserving part modulo
-    components of strictly smaller total degree: ``delta`` is exactly the
-    part at the element's degree, so no entry may lie above it."""
+    components of strictly smaller total degree: that part (gr's
+    ``comult``) is exactly the part at the element's degree, so no entry
+    may lie above it."""
     rep = Report("delta-consistency")
     degrees = split.degrees
     for k, n in enumerate(degrees):
@@ -621,11 +615,11 @@ def verify_gr_facts(
         for b in range(a, gr.dim):
             if degrees[a] + degrees[b] > bound:
                 continue
-            if gr.product_terms(a, b) != gr.product_terms(b, a):
+            if gr.mult[a, b] != gr.mult[b, a]:
                 commutative = False
                 rep.add(
                     "gr-commutative",
-                    f"{gr.label(a)},{gr.label(b)}",
+                    f"{gr.basis_labels[a]},{gr.basis_labels[b]}",
                     FAIL,
                 )
     if commutative:

@@ -128,14 +128,14 @@ def ring_check(ring: TableAlgebra) -> Report:
     refute the declared flags by bounded scans (zero-divisor pairs, a.R.b
     annihilation, a.R.a annihilation)."""
     rep = Report("ring-check")
-    dim = ring.dim
+    dim, labels = ring.dim, ring.basis_labels
     basis = [{i: Q1} for i in range(dim)]
 
     # a ring's table is total, so every basis triple is checked
     assoc_ok = ring.first_nonassociative() is None
     rep.add("associativity", ring.name, PASS if assoc_ok else FAIL)
 
-    one = ring.unit_vector()
+    one = ring.one
     unit_ok = all(
         ring.mul(one, b) == b and ring.mul(b, one) == b for b in basis
     )
@@ -155,11 +155,11 @@ def ring_check(ring: TableAlgebra) -> Report:
             "flag-domain",
             ring.name,
             FAIL,
-            f"zero divisors {ring.label(zero_pair[0])},{ring.label(zero_pair[1])}",
+            f"zero divisors {labels[zero_pair[0]]},{labels[zero_pair[1]]}",
         )
     else:
         detail = (
-            f"refuted by {ring.label(zero_pair[0])},{ring.label(zero_pair[1])}"
+            f"refuted by {labels[zero_pair[0]]},{labels[zero_pair[1]]}"
             if domain_refuted
             else "no zero divisors among basis pairs"
         )
@@ -169,7 +169,7 @@ def ring_check(ring: TableAlgebra) -> Report:
     pair = prime_refuter(ring)
     if ring.flags["prime"] in (None, pair is None):
         detail = (
-            f"refuted by pair {ring.label(pair[0])},{ring.label(pair[1])}"
+            f"refuted by pair {labels[pair[0]]},{labels[pair[1]]}"
             if pair is not None
             else "witness for every basis pair"
         )
@@ -179,7 +179,7 @@ def ring_check(ring: TableAlgebra) -> Report:
 
     nil = semiprime_refuter(ring)
     if ring.flags["semiprime"] in (None, nil is None):
-        detail = f"refuted by {ring.label(nil)}" if nil is not None else ""
+        detail = f"refuted by {labels[nil]}" if nil is not None else ""
         rep.add("flag-semiprime", ring.name, PASS, detail)
     else:
         rep.add("flag-semiprime", ring.name, FAIL, "declared flag contradicts scan")

@@ -73,7 +73,7 @@ def extract_generators(
         if d not in degrees:
             continue
         decomposable = [
-            dict(gr.product_terms(a, b))
+            dict(gr.mult[a, b])
             for a in range(dim)
             if 0 < degrees[a] < d
             for b in range(dim)
@@ -83,8 +83,8 @@ def extract_generators(
             if degrees[k] != d:
                 continue
             # gr's labels are unique, so they name the generators
-            gens.append((gr.label(k), d))
-            vectors[gr.label(k)] = {k: Q1}
+            gens.append((gr.basis_labels[k], d))
+            vectors[gr.basis_labels[k]] = {k: Q1}
 
     genset = GeneratorSet(gens)
     for d in range(gr.degree_bound + 1):
@@ -155,7 +155,6 @@ class PBWStructure:
         for d in range(1, len(self._prefix)):
             self._prefix[d] += self._prefix[d - 1]
         self._monomials: dict[int, tuple[int, SparseRow]] = {}
-        self._bases_verified = False
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
         self._expansions: dict[int, list[tuple[int, int, Scalar]]] = {}
         self._transposed: Optional[
@@ -171,8 +170,9 @@ class PBWStructure:
         their lifts.  A recorder ``stage(name, step)`` that returns
         ``step()`` sees every step by name; with one, the checks
         ``verify_gr_facts`` (after the associated graded algebra) and
-        ``verify_basis`` (at the end) run as steps too, and their reports
-        reach the recorder as the steps' results."""
+        ``verify_all_bases`` (at the end, as the step ``verify_basis``) run
+        as steps too, and their reports reach the recorder as the steps'
+        results."""
         run = stage or (lambda name, step: step())
         filt = run("coradical_filtration", lambda: coradical_filtration(data))
         run("check_connected", lambda: require_connected(filt, data.degree_bound))
@@ -243,52 +243,48 @@ class PBWStructure:
 
     # -- basis change ----------------------------------------------------------
 
-    def verify_basis(self, n: int) -> Report:
-        """The monomials of degree <= n form a basis of the n-th filtration
-        layer.  Raises BasisDefect on any failure."""
-        rep = Report("basis")
-        layer = self.filt.layers[n]
-        count = self.count_up_to(n)
-        if count != layer.dim:
-            raise BasisDefect(
-                f"degree {n}: {count} monomials vs layer dimension {layer.dim}"
-            )
-        rows = []
-        for p in range(count):
-            _, v = self.integral_monomial(p)
-            if not layer.contains(v):
-                raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
-            rows.append(v)
-        if rank(rows, self.data.dim) != count:
-            raise BasisDefect(f"degree {n}: monomials are dependent")
-        rep.add("basis", f"degree {n}", PASS, f"dim {count}")
-        return rep
-
     def verify_all_bases(self) -> Report:
+        """The monomials of degree <= n form a basis of the n-th filtration
+        layer, for every n: the layer has as many monomials as its dimension
+        and holds those of degree n (the layers nest), and the inverse of
+        the matrix of all the monomials, kept as ``_raw_to_pbw``, proves
+        every prefix independent.  Raises BasisDefect on any failure, at
+        the lowest degree where it occurs."""
         rep = Report("basis")
-        for n in range(self.data.degree_bound + 1):
-            rep.extend(self.verify_basis(n))
-        self._bases_verified = True
-        return rep
-
-    def _ensure_full_basis(self) -> None:
-        if self._raw_to_pbw is not None:
-            return
-        if not self._bases_verified:
-            self.verify_all_bases()
-        # row j of the inverse of the matrix whose rows are the monomials
-        # expands e_j on them; the rows d_p e_(m_p) give an inverse whose
+        bound, dim = self.data.degree_bound, self.data.dim
+        monomials = []
+        for n in range(bound + 1):
+            layer, count = self.filt.layers[n], self.count_up_to(n)
+            if count != layer.dim:
+                raise BasisDefect(
+                    f"degree {n}: {count} monomials vs layer dimension {layer.dim}"
+                )
+            for p in range(len(monomials), count):
+                d, v = self.integral_monomial(p)
+                if not layer.contains(v):
+                    raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
+                monomials.append((d, v))
+            rep.add("basis", f"degree {n}", PASS, f"dim {count}")
+        rows = [v for _, v in monomials]
+        try:
+            raw_to_pbw = inverse(rows, dim)
+        except ValueError:
+            counts = [self.count_up_to(n) for n in range(bound + 1)]
+            n = next(n for n, c in enumerate(counts) if rank(rows[:c], dim) < c)
+            raise BasisDefect(f"degree {n}: monomials are dependent") from None
+        # row j of the inverse expands e_j on the rows d_p e_(m_p), so its
         # entries p are 1/d_p times those wanted
-        monomials = [self.integral_monomial(p) for p in range(len(self.indices))]
-        self._raw_to_pbw = inverse([v for _, v in monomials], self.data.dim)
-        for row in self._raw_to_pbw:
+        for row in raw_to_pbw:
             for p, c in row.items():
                 row[p] = exact(c * monomials[p][0])
+        self._raw_to_pbw = raw_to_pbw
+        return rep
 
     def pbw_coords(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """Exact expansion of a sparse raw vector on the monomial basis, as
         {position: coefficient} in ascending position, zeros dropped."""
-        self._ensure_full_basis()
+        if self._raw_to_pbw is None:
+            self.verify_all_bases()
         return dict(sorted(combine(self._raw_to_pbw, v).items()))
 
     # -- products --------------------------------------------------------------
@@ -334,7 +330,8 @@ class PBWStructure:
         if cached is not None:
             return cached
         self._require(p)
-        self._ensure_full_basis()
+        if self._raw_to_pbw is None:
+            self.verify_all_bases()
         # Delta(d e_m) in integers, divided by d once per term
         d, v = self.integral_monomial(p)
         acc = _split_tensor(self._raw_to_pbw, self.data.comult_map(v))

@@ -114,11 +114,11 @@ def exponent_table(
 
 
 class TableAlgebra:
-    """Basis labels, the product table, the unit vector and optional
-    degrees; ``name`` and ``flags`` (declared ring properties) serve
-    coefficient rings.  The table is kept as given, in the normal form of
-    ``sparse``, which ``finite`` and ``parse_table`` apply to input; a
-    product row that is not a tuple is refused."""
+    """Basis labels ``basis_labels``, the product table ``mult``, the unit
+    vector ``one`` and optional degrees; ``name`` and ``flags`` (declared
+    ring properties) serve coefficient rings.  The table is kept as given,
+    in the normal form of ``sparse``, which ``finite`` and ``parse_table``
+    apply to input; a product row that is not a tuple is refused."""
 
     def __init__(
         self,
@@ -141,8 +141,8 @@ class TableAlgebra:
                     f"product row of {labels[i]} * {labels[j]} must be a tuple, "
                     f"got {type(terms).__name__}"
                 )
-        self._mult = table
-        self._one = {i: exact(c) for i, c in sorted(one.items()) if c}
+        self.mult = table
+        self.one = {i: exact(c) for i, c in sorted(one.items()) if c}
         self.degrees = tuple(int(d) for d in degrees) if degrees is not None else None
         self.degree_bound = degree_bound
         self.name = name
@@ -160,32 +160,10 @@ class TableAlgebra:
         }
         return cls(labels, total, one, [0] * n, name=name, flags=flags)
 
-    # -- basic accessors ---------------------------------------------------
-
-    def label(self, i: int) -> str:
-        return self.basis_labels[i]
-
-    def unit_vector(self) -> SparseRow:
-        return self._one
-
     def same_as(self, other: "TableAlgebra") -> bool:
         return self is other or (
             self.name == other.name and self.basis_labels == other.basis_labels
         )
-
-    # -- the product -------------------------------------------------------
-
-    def has_product(self, i: int, j: int) -> bool:
-        return (i, j) in self._mult
-
-    def product_terms(self, i: int, j: int) -> SparseVec:
-        try:
-            return self._mult[(i, j)]
-        except KeyError:
-            raise TruncationError(
-                f"product {self.label(i)} * {self.label(j)} exceeds the "
-                f"truncation bound {self.degree_bound}"
-            ) from None
 
     def mul(self, u: Mapping[int, Scalar], v: Mapping[int, Scalar]) -> SparseRow:
         """The product of two sparse vectors {index: coefficient}, without
@@ -193,12 +171,16 @@ class TableAlgebra:
         when a pair of support elements has no product within the
         truncation."""
         out: SparseRow = {}
-        table = self._mult
+        table = self.mult
         for i, a in u.items():
             for j, b in v.items():
                 terms = table.get((i, j))
                 if terms is None:
-                    terms = self.product_terms(i, j)  # raises TruncationError
+                    labels = self.basis_labels
+                    raise TruncationError(
+                        f"product {labels[i]} * {labels[j]} exceeds the "
+                        f"truncation bound {self.degree_bound}"
+                    )
                 ab = a * b
                 for k, c in terms:
                     out[k] = out.get(k, Q0) + ab * c
@@ -209,12 +191,12 @@ class TableAlgebra:
         lexicographic order, such that (e_i e_j) e_k != e_i (e_j e_k); a
         triple with a product past the truncation is skipped.  None if there
         is none."""
-        for i, j in sorted(self._mult):
-            ij = dict(self._mult[(i, j)])
+        for i, j in sorted(self.mult):
+            ij = dict(self.mult[(i, j)])
             for k in range(self.dim):
                 try:
                     left = self.mul(ij, {k: Q1})
-                    right = self.mul({i: Q1}, dict(self.product_terms(j, k)))
+                    right = self.mul({i: Q1}, self.mul({j: Q1}, {k: Q1}))
                 except TruncationError:
                     continue
                 if left != right:
@@ -225,7 +207,7 @@ class TableAlgebra:
         """Raise InputFormatError on the triple ``first_nonassociative`` finds."""
         triple = self.first_nonassociative()
         if triple is not None:
-            a, b, c = (self.label(t) for t in triple)
+            a, b, c = (self.basis_labels[t] for t in triple)
             raise InputFormatError(
                 f"multiplication is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
             )

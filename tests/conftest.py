@@ -54,7 +54,7 @@ def instance_to_json(data):
     ``instance_from_json`` reads back to the same tables."""
     labels = data.basis_labels
     mult: dict[str, dict[str, dict[str, str]]] = {}
-    for (i, j), terms in sorted(data._mult.items()):
+    for (i, j), terms in sorted(data.mult.items()):
         mult.setdefault(labels[i], {})[labels[j]] = {
             labels[k]: rat_str(c) for k, c in terms
         }
@@ -98,6 +98,12 @@ def rational_monomial(pbw, p):
     the vector of ``PBWStructure.integral_monomial`` over its denominator."""
     d, v = pbw.integral_monomial(p)
     return {i: exact(Fraction(a, d)) for i, a in v.items()}
+
+
+def normal_labels(ideal):
+    """The basis labels of A/I: the labels of A at the ideal's normal
+    columns."""
+    return tuple(ideal.algebra.basis_labels[t] for t in ideal.normal)
 
 
 def dense_of(v, n):

@@ -40,9 +40,9 @@ def fraction_verify_axioms(data) -> Report:
     eps = data.counit
 
     if eps[data.unit_index] != 1:
-        rep.add("counit-unit", data.label(data.unit_index), FAIL, "eps(1) != 1")
+        rep.add("counit-unit", data.basis_labels[data.unit_index], FAIL, "eps(1) != 1")
     else:
-        rep.add("counit-unit", data.label(data.unit_index), PASS)
+        rep.add("counit-unit", data.basis_labels[data.unit_index], PASS)
 
     for i in range(dim):
         left = [Q0] * dim
@@ -54,7 +54,7 @@ def fraction_verify_axioms(data) -> Report:
                 right[j] += c * eps[k]
         unit = dense_of({i: Q1}, dim)
         ok = tuple(left) == unit and tuple(right) == unit
-        rep.add("counit", data.label(i), PASS if ok else FAIL)
+        rep.add("counit", data.basis_labels[i], PASS if ok else FAIL)
 
     for i in range(dim):
         lhs: dict = {}
@@ -68,7 +68,7 @@ def fraction_verify_axioms(data) -> Report:
                 rhs[key] = rhs.get(key, Q0) + c * c2
         rep.add(
             "coassociativity",
-            data.label(i),
+            data.basis_labels[i],
             PASS if _tensor3_eq(lhs, rhs) else FAIL,
         )
 
@@ -77,23 +77,23 @@ def fraction_verify_axioms(data) -> Report:
         ok = True
         detail = ""
         for pair in ((u, i), (i, u)):
-            if not data.has_product(*pair):
+            if pair not in data.mult:
                 ok = False
                 detail = "unit product undefined"
                 break
-            if data.product_terms(*pair) != ((i, Q1),):
+            if data.mult[pair] != ((i, Q1),):
                 ok = False
                 detail = "unit law violated"
                 break
-        rep.add("unit-law", data.label(i), PASS if ok else FAIL, detail)
+        rep.add("unit-law", data.basis_labels[i], PASS if ok else FAIL, detail)
 
-    pairs = sorted(key for key in data._mult)
+    pairs = sorted(key for key in data.mult)
     for i, j in pairs:
-        prod = data.product_terms(i, j)
+        prod = data.mult[i, j]
         eps_prod = sum((c * eps[k] for k, c in prod if eps[k]), Q0)
         rep.add(
             "counit-multiplicative",
-            f"{data.label(i)},{data.label(j)}",
+            f"{data.basis_labels[i]},{data.basis_labels[j]}",
             PASS if eps_prod == eps[i] * eps[j] else FAIL,
         )
 
@@ -108,15 +108,15 @@ def fraction_verify_axioms(data) -> Report:
             if skipped:
                 break
             for a2, b2, c2 in data.comult[j]:
-                if not (data.has_product(a, a2) and data.has_product(b, b2)):
+                if not ((a, a2) in data.mult and (b, b2) in data.mult):
                     skipped = True
                     break
                 cc = c1 * c2
-                for kl, cl in data.product_terms(a, a2):
-                    for kr, cr in data.product_terms(b, b2):
+                for kl, cl in data.mult[a, a2]:
+                    for kr, cr in data.mult[b, b2]:
                         key = (kl, kr)
                         rhs[key] = rhs.get(key, Q0) + cc * cl * cr
-        subject = f"{data.label(i)},{data.label(j)}"
+        subject = f"{data.basis_labels[i]},{data.basis_labels[j]}"
         if skipped:
             rep.add("comult-multiplicative", subject, SKIP, "tensor factor truncated")
         else:

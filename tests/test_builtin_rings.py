@@ -73,12 +73,12 @@ def test_builtin_ring_is_pinned(name):
     assert ring.basis_labels == labels
     assert ring.flags == flags
     pos = {s: i for i, s in enumerate(labels)}
-    assert ring.unit_vector() == {pos[s]: 1 for s in unit}
+    assert ring.one == {pos[s]: 1 for s in unit}
     for a in labels:
         for b in labels:
             c = products.get((a, b))
             row = ((pos[c], 1),) if c else ()
-            got = ring.product_terms(pos[a], pos[b])
+            got = ring.mult[pos[a], pos[b]]
             assert got == row, (a, b)
             assert all(type(x) is int for _, x in got)
             assert ring.mul({pos[a]: 1}, {pos[b]: 1}) == dict(row), (a, b)

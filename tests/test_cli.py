@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcore import build_ueg, coalgebra, convolution
+from hopfcore import build_ueg, cli, coalgebra, convolution
 from hopfcore.cli import main
 from hopfcore.coalgebra import instance_from_json
 from hopfcore.errors import NoConstrainedComplement, ProbeAnomaly
@@ -926,8 +926,8 @@ FILE = object()  # the place of the input file in an argv
 
 
 def assert_main_reports(argv):
-    """``main(argv)`` must end in a JSON report with a documented exit code
-    and write nothing to stderr."""
+    """``main(argv)`` must end in a JSON report on stdout with a documented
+    exit code and write nothing to stderr; the exit code and the report."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -935,6 +935,7 @@ def assert_main_reports(argv):
     report = json.loads(out.getvalue())
     assert {"schema", "status"} <= set(report)
     assert err.getvalue() == ""
+    return code, report
 
 
 def assert_ends_in_a_report(payload, argv):
@@ -944,6 +945,76 @@ def assert_ends_in_a_report(payload, argv):
         path = pathlib.Path(tmp) / "input.json"
         path.write_text(json.dumps(payload))
         assert_main_reports([str(path) if arg is FILE else arg for arg in argv])
+
+
+# every command, with FILE in place of the one input file it reads
+READS_A_FILE = {
+    "build": ["build", "--instance", FILE],
+    "verify": ["verify", "--instance", FILE],
+    "conv": ["conv", "--instance", str(INSTANCES / "dq.json"), "--ring", FILE],
+    "hcore": [
+        "hcore", "--instance", str(INSTANCES / "dq.json"),
+        "--action", str(ACTIONS / "dq_qx_ix.json"), "--ideal", FILE,
+    ],
+}
+# every command on valid input
+RUNS = {
+    "build": ["build", "--instance", str(INSTANCES / "qt.json")],
+    "verify": ["verify", "--instance", str(INSTANCES / "qt.json"), "--trials", "2"],
+    "conv": [
+        "conv", "--instance", str(INSTANCES / "qt.json"), "--ring", "q", "--trials", "2"
+    ],
+    "hcore": [
+        "hcore", "--instance", str(INSTANCES / "dq.json"),
+        "--action", str(ACTIONS / "dq_qx_ix.json"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(READS_A_FILE))
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, command):
+    """A file that does not decode as UTF-8 is refused like one that is not
+    valid JSON, with exit 2 and a report, under every command."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = [str(path) if arg is FILE else arg for arg in READS_A_FILE[command]]
+    code, report = assert_main_reports(argv)
+    assert (code, report["status"]) == (2, "input-error")
+    assert report["error"] == (
+        f"{path} is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte"
+    )
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+@pytest.mark.parametrize("where", ["in-a-missing-directory", "a-directory"])
+def test_an_out_that_cannot_be_opened_is_an_input_error(
+    tmp_path, monkeypatch, command, where
+):
+    """An --out that cannot be opened stops the command before it loads its
+    instance: the bare input-error report, naming the path, goes to stdout."""
+    out = tmp_path if where == "a-directory" else tmp_path / "missing" / "r.json"
+
+    def load_instance(path, degree):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "load_instance", load_instance)
+    code, report = assert_main_reports([*RUNS[command], "--out", str(out)])
+    assert (code, set(report)) == (2, {"command", "schema", "status", "error"})
+    assert report["status"] == "input-error"
+    assert report["error"].startswith(f"cannot write {out}: ")
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_a_report_written_to_out_is_the_stdout_report(tmp_path, command):
+    """--out holds the bytes the command writes to stdout, replacing what
+    the file held before."""
+    out = tmp_path / "report.json"
+    out.write_text("x" * 100_000)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(RUNS[command]) == main([*RUNS[command], "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == stdout.getvalue()
 
 
 DUAL_RING = {

@@ -36,11 +36,11 @@ def test_ueg_line_tables():
     t1 = qt.basis_labels.index("t")
     t2 = qt.basis_labels.index("t^(2)")
     t3 = qt.basis_labels.index("t^(3)")
-    assert qt.product_terms(t1, t2) == ((t3, F(3)),)
+    assert qt.mult[t1, t2] == ((t3, F(3)),)
     # binomial comultiplication
     assert qt.comult[t2] == ((0, t2, Q1), (t1, t1, Q1), (t2, 0, Q1))
     with pytest.raises(TruncationError):
-        qt.product_terms(t2, t2)
+        qt.mul({t2: 1}, {t2: 1})
 
 
 def test_ueg_heisenberg_dimension():
@@ -49,14 +49,14 @@ def test_ueg_heisenberg_dimension():
     # straightening: y*x = x*y - z
     x, y = heis.basis_labels.index("x"), heis.basis_labels.index("y")
     xy, z = heis.basis_labels.index("x*y"), heis.basis_labels.index("z")
-    assert dict(heis.product_terms(y, x)) == {xy: F(1), z: F(-1)}
+    assert dict(heis.mult[y, x]) == {xy: F(1), z: F(-1)}
 
 
 def test_ueg_sl2_commutator():
     sl2 = build_ueg(["e", "f", "h"], SL2_BRACKETS, 2)
     e, f, h = map(sl2.basis_labels.index, ("e", "f", "h"))
-    ef = dict(sl2.product_terms(e, f))
-    fe = dict(sl2.product_terms(f, e))
+    ef = dict(sl2.mult[e, f])
+    fe = dict(sl2.mult[f, e])
     diff = {k: ef.get(k, F(0)) - fe.get(k, F(0)) for k in set(ef) | set(fe)}
     assert {k: v for k, v in diff.items() if v} == {h: F(1)}
 
@@ -177,7 +177,7 @@ def test_filtration_matches_degree_hint(heis):
 
 
 def test_splitting_line_components(qt):
-    assert [c.dim for c in qt.split.components] == [1, 1, 1, 1]
+    assert [qt.split.degrees.count(n) for n in range(4)] == [1, 1, 1, 1]
     assert qt.split.labels == ("1", "t", "t^(2)", "t^(3)")
 
 
@@ -189,18 +189,26 @@ def test_splitting_counit_vanishes(xyw):
 
 
 def test_splitting_xyw_level_two(xyw):
-    comp = xyw.split.components[2]
-    labels = {xyw.data.label(p) for p in comp.pivots}
+    # graded_splitting names each splitting vector by its pivot's label
+    split = xyw.split
+    labels = {s for s, d in zip(split.labels, split.degrees) if d == 2}
     assert labels == {"x^2", "x*y", "y^2", "w"}
 
 
 def test_splitting_delta_drops_lower_terms():
     # s = t^(3) + t^(2) in the divided-power coalgebra on t: Delta(s) carries
-    # t (x) t, of total degree 2 < 3, which the degree-preserving part drops
+    # t (x) t, of total degree 2 < 3, which the degree-preserving part (gr's
+    # comult) drops; gr multiplies the pairs within the bound, so the table
+    # holds those: t t = 2 t^(2) and t t^(2) = 3 t^(3) = 3 s - 3 t2
     data = instance_from_json({
         "kind": "raw", "degree_bound": 3, "tables": {
             "basis": ["1", "t", "t2", "s"], "unit": "1",
-            "mult": {"1": {a: {a: "1"} for a in ("1", "t", "t2", "s")}},
+            "mult": {
+                "1": {a: {a: "1"} for a in ("1", "t", "t2", "s")},
+                "t": {"1": {"t": "1"}, "t": {"t2": "2"}, "t2": {"s": "3", "t2": "-3"}},
+                "t2": {"1": {"t2": "1"}, "t": {"s": "3", "t2": "-3"}},
+                "s": {"1": {"s": "1"}},
+            },
             "comult": {
                 "1": [["1", "1", "1"]],
                 "t": [["t", "1", "1"], ["1", "t", "1"]],
@@ -218,7 +226,7 @@ def test_splitting_delta_drops_lower_terms():
     assert split.comult[3] == {
         (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1,
     }
-    assert split.delta[3] == ((0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1))
+    assert gr_structure(split).comult[3] == ((0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1))
 
 
 def test_splitting_counit_adjustment():
@@ -233,8 +241,8 @@ def test_splitting_counit_adjustment():
 
 def test_gr_of_line_is_itself(qt):
     gr = qt.gr
-    for (i, j), terms in gr._mult.items():
-        assert terms == qt.data.product_terms(i, j)
+    for (i, j), terms in gr.mult.items():
+        assert terms == qt.data.mult[i, j]
 
 
 def test_gr_xyw_keeps_cross_term(xyw):
@@ -247,10 +255,10 @@ def test_gr_xyw_keeps_cross_term(xyw):
 def test_gr_heisenberg_commutative(heis):
     gr = heis.gr
     x, y = gr.basis_labels.index("x"), gr.basis_labels.index("y")
-    assert gr.product_terms(x, y) == gr.product_terms(y, x)
+    assert gr.mult[x, y] == gr.mult[y, x]
     # while the filtered algebra itself is not commutative
     hx, hy = heis.data.basis_labels.index("x"), heis.data.basis_labels.index("y")
-    assert heis.data.product_terms(hx, hy) != heis.data.product_terms(hy, hx)
+    assert heis.data.mult[hx, hy] != heis.data.mult[hy, hx]
 
 
 def test_gr_facts_and_gradedness(heis, xyw, qt):

@@ -100,7 +100,7 @@ def dense_filtration(data):
     """Layers as (basis, pivots) from span{1} until they stall or reach
     the bound."""
     dim = data.dim
-    base = dense_rref_rows([dense_of(data.unit_vector(), dim)], dim)
+    base = dense_rref_rows([dense_of(data.one, dim)], dim)
     qbase = quotient_units(*base, dim)
     layers = [base]
     for _ in range(data.degree_bound):
@@ -180,11 +180,11 @@ def dense_hcore_chain(action, ideal, core_cap, conv_cap):
                 dense_of(
                     ideal.quotient_coords({i: action.columns(p)[c].get(i, Q0)
                                            for i in range(alg.dim)}),
-                    ideal.quotient_dim,
+                    len(ideal.normal),
                 )
                 for c in cols
             ]
-            for pos in range(ideal.quotient_dim):
+            for pos in range(len(ideal.normal)):
                 row = tuple(dense[t][pos] for t in range(len(cols)))
                 if any(row):
                     rows.append(row)
@@ -264,8 +264,8 @@ def test_front_end_matches_dense_oracle(name, degree):
 
     gr = gr_structure(split)
     table = dense_gr_table(split)
-    assert {key: gr.product_terms(*key) for key in table} == table
-    assert all(gr.has_product(*key) == (key in table)
+    assert {key: gr.mult[key] for key in table} == table
+    assert all((key in gr.mult) == (key in table)
                for key in ((a, b) for a in range(gr.dim) for b in range(gr.dim)))
 
 

@@ -107,7 +107,7 @@ def test_dq_core_fixture(monkeypatch, name):
     variables, bound, cap, g = case["core"]
     algebra = PolynomialAlgebra(variables, bound)
     assert core["basis"] == [
-        algebra.label(t)
+        algebra.basis_labels[t]
         for t, e in enumerate(algebra.monomials)
         if sum(e) <= cap and all(a >= b for a, b in zip(e, g))
     ]

@@ -29,20 +29,20 @@ def first_associativity_failure(data):
     """The first basis triple (i, j, k), as labels, with (e_i e_j) e_k !=
     e_i (e_j e_k); triples where either side leaves the truncation are
     not compared."""
-    for i, j in sorted(data._mult):
+    for i, j in sorted(data.mult):
         for k in range(data.dim):
-            if not data.has_product(j, k):
+            if (j, k) not in data.mult:
                 continue
             try:
-                left = data.mul(dict(data.product_terms(i, j)), {k: Q1})
-                right = data.mul({i: Q1}, dict(data.product_terms(j, k)))
+                left = data.mul(dict(data.mult[i, j]), {k: Q1})
+                right = data.mul({i: Q1}, dict(data.mult[j, k]))
             except TruncationError:
                 continue
             diff = dict(left)
             for t, c in right.items():
                 diff[t] = diff.get(t, 0) - c
             if any(diff.values()):
-                return tuple(data.label(t) for t in (i, j, k))
+                return tuple(data.basis_labels[t] for t in (i, j, k))
     return None
 
 
@@ -62,7 +62,7 @@ def first_antipode_failure(data):
                 for t, x in prod.items():
                     total[t] = total.get(t, 0) + x
             if {t: x for t, x in total.items() if x} != expected:
-                return data.label(h)
+                return data.basis_labels[h]
     return None
 
 
@@ -110,7 +110,7 @@ def xyw_with_doubled_xy():
     reader, which rejects them."""
     data = build_xyw(3)
     pos = data.basis_labels.index
-    data._mult[(pos("x"), pos("y"))] = ((pos("x*y"), 2),)
+    data.mult[(pos("x"), pos("y"))] = ((pos("x*y"), 2),)
     return data
 
 
@@ -131,7 +131,7 @@ def test_raw_reader_rejects_a_changed_product():
 
 def nonassociative_labels(data):
     triple = data.first_nonassociative()
-    return None if triple is None else tuple(data.label(t) for t in triple)
+    return None if triple is None else tuple(data.basis_labels[t] for t in triple)
 
 
 @pytest.mark.parametrize(

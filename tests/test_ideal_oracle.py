@@ -24,7 +24,9 @@ from hopfcore.action import Ideal, QuotientAlgebra
 from hopfcore.errors import TruncationError
 from hopfcore.linalg import Q0, complement, exact
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
-from conftest import dense_mul, dense_of, full_space, load_fixture, sparse_of, span
+from conftest import (
+    dense_mul, dense_of, full_space, load_fixture, normal_labels, sparse_of, span,
+)
 
 
 # -- the earlier dense classes ---------------------------------------------------------
@@ -304,12 +306,12 @@ def assert_matches_oracle(ideal, oracle, v):
 @pytest.mark.parametrize("name", IDEALS)
 def test_ideal_matches_dense_oracle_on_coordinate_vectors(name):
     ideal, oracle = case_named(name)
-    assert ideal.normal_labels == oracle.normal_labels
-    assert ideal.quotient_dim == len(oracle.normal_labels)
+    assert normal_labels(ideal) == oracle.normal_labels
+    assert len(ideal.normal) == len(oracle.normal_labels)
     for i in range(ideal.algebra.dim):
         assert_matches_oracle(ideal, oracle, {i: 1})
         assert_matches_oracle(ideal, oracle, {i: 0})
-    n = ideal.quotient_dim
+    n = len(ideal.normal)
     for p in range(n):
         assert ideal.lift({p: 1}) == sparse_of(oracle.lift(dense_of({p: 1}, n)))
 
@@ -319,9 +321,9 @@ def test_quotient_algebra_matches_dense_oracle(name):
     ideal, oracle = case_named(name)
     ring = QuotientAlgebra(ideal)
     assert ring.basis_labels == oracle.normal_labels
-    assert ring._mult == dense_quotient_table(oracle)
-    unit = dense_of(ideal.algebra.unit_vector(), ideal.algebra.dim)
-    assert ring.unit_vector() == sparse_of(oracle.quotient_coords(unit))
+    assert ring.mult == dense_quotient_table(oracle)
+    unit = dense_of(ideal.algebra.one, ideal.algebra.dim)
+    assert ring.one == sparse_of(oracle.quotient_coords(unit))
 
 
 @pytest.mark.parametrize("name", IDEALS)

@@ -45,7 +45,8 @@ class RationalOracle:
         return self.monomials[p]
 
     def pbw_coords(self, v):
-        self.host._ensure_full_basis()
+        if self.host._raw_to_pbw is None:
+            self.host.verify_all_bases()
         if self.raw_to_pbw is None:
             rows = [self.monomial(p) for p in range(len(self.host.indices))]
             self.raw_to_pbw = inverse(rows, self.host.data.dim)

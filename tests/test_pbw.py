@@ -7,14 +7,16 @@ from math import factorial
 
 import pytest
 
-from hopfcore.coalgebra import FilteredBialgebraData, build_ueg
-from hopfcore.errors import NotPolynomial, ExpansionViolation, TruncationError
+from hopfcore.coalgebra import CoradicalFiltration, FilteredBialgebraData, build_ueg
+from hopfcore.errors import (
+    BasisDefect, NotPolynomial, ExpansionViolation, TruncationError,
+)
 from hopfcore.linalg import Q1, rank
 from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import (
-    LESS, SL2_BRACKETS, add, at, compare, dense_mul, dense_of, exps, load_fixture,
-    rational_monomial, subprocess_env,
+    HEIS_BRACKETS, LESS, SL2_BRACKETS, add, at, compare, dense_mul, dense_of, exps,
+    load_fixture, rational_monomial, subprocess_env,
 )
 
 
@@ -112,6 +114,42 @@ def test_verify_basis_all_instances(heis, sl2, xyw, qt):
             for n in range(p.data.degree_bound + 1)
         ]
         assert got == dims
+
+
+def fresh_heis():
+    """The Heisenberg PBW structure at D2, built for one test to break."""
+    return PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], HEIS_BRACKETS, 2))
+
+
+def test_basis_count_mismatch_is_a_defect():
+    p = fresh_heis()
+    layers = p.filt.layers
+    p.filt = CoradicalFiltration((layers[0], layers[0], layers[2]))
+    with pytest.raises(BasisDefect) as exc:
+        p.verify_all_bases()
+    assert str(exc.value) == "degree 1: 4 monomials vs layer dimension 1"
+
+
+def test_basis_monomial_escaping_its_layer_is_a_defect(monkeypatch):
+    # e_x comes back as the vector of e_(x^2), which lies past layer 1
+    p = fresh_heis()
+    original, x_squared = p.integral_monomial, p.integral_monomial(4)
+    monkeypatch.setattr(
+        p, "integral_monomial", lambda q: x_squared if q == 1 else original(q)
+    )
+    with pytest.raises(BasisDefect) as exc:
+        p.verify_all_bases()
+    assert str(exc.value) == "degree 1: e_x escapes the layer"
+
+
+def test_basis_dependent_monomials_are_a_defect(monkeypatch):
+    # e_y comes back as e_x: every count and layer holds, the span does not
+    p = fresh_heis()
+    original, x = p.integral_monomial, p.integral_monomial(1)
+    monkeypatch.setattr(p, "integral_monomial", lambda q: x if q == 2 else original(q))
+    with pytest.raises(BasisDefect) as exc:
+        p.verify_all_bases()
+    assert str(exc.value) == "degree 1: monomials are dependent"
 
 
 def test_basis_change_identity_for_line(qt):
@@ -255,7 +293,7 @@ def oracle_expansions(p):
     data = p.data
 
     def monomial(m):
-        v = dense_of(data.unit_vector(), data.dim)
+        v = dense_of(data.one, data.dim)
         for gid, k in zip(p.gens.ids, m):
             for _ in range(k):
                 v = dense_mul(data, v, dense_of(p.lifts[gid], data.dim))

@@ -229,7 +229,7 @@ def test_rings_and_quotients_hand_over_normal_tables(handed):
 @pytest.mark.parametrize("name", INSTANCES)
 def test_pipeline_scalars_are_exact(name):
     data = _data(name)
-    assert_normal([data._mult, data.comult, data.counit, data.unit_vector()])
+    assert_normal([data.mult, data.comult, data.counit, data.one])
     if data.antipode is not None:
         assert_normal(data.antipode)
     filt = coradical_filtration(data)
@@ -243,7 +243,7 @@ def test_pipeline_scalars_are_exact(name):
     assert_normal([split.vectors, split.to_split_units])
     assert_exact(split.comult)
     gr = pbw.gr
-    assert_normal([gr._mult, gr.comult, gr.antipode or {}, pbw.gr_gens])
+    assert_normal([gr.mult, gr.comult, gr.antipode or {}, pbw.gr_gens])
     assert_exact(pbw.lifts)
     positions = range(len(pbw.indices))
     assert_normal([pbw.integral_monomial(p) for p in positions])
@@ -263,7 +263,7 @@ def test_rings_and_convolutions_are_exact(name):
     rings.append(ring_from_tables(HALF_RING))
     rng = random.Random(name)
     for ring in rings:
-        assert_normal([ring._mult, ring.unit_vector()])
+        assert_normal([ring.mult, ring.one])
         bound = pbw.data.degree_bound // 2
         f, g = (random_conv_element(pbw, ring, rng, bound) for _ in range(2))
         assert_exact([f._map, g._map, convolve(f, g)._map, convolve(g, f)._map])
@@ -284,7 +284,7 @@ def test_hcore_chain_is_exact(host_at, action_name, host_name, degree):
     result = hcore(action, ideal, spec["core_degree_cap"], degree)
     assert_normal([result.core, result.by_cap])
     assert_exact([action.columns(p) for p in range(len(host.indices))])
-    assert_exact(algebra._mult)
+    assert_exact(algebra.mult)
 
 
 def assert_sparse(vectors):
@@ -347,8 +347,8 @@ def _value_rings():
 
 def test_quotient_tables_and_units_are_normal():
     for ring in _value_rings()[-2:]:
-        assert_ring_value(ring.unit_vector())
-        for terms in ring._mult.values():
+        assert_ring_value(ring.one)
+        for terms in ring.mult.values():
             assert type(terms) is tuple
             assert _typed_terms(terms) == _typed_terms(sparse(terms))
 

@@ -125,7 +125,7 @@ def test_ueg_tables_match_fraction_builder(case, degree):
     names, brackets = CASES[case]
     data = build_ueg(names, brackets, degree)
     mult, antipode = fraction_ueg_tables(names, brackets, degree)
-    assert typed(data._mult) == typed(mult)
+    assert typed(data.mult) == typed(mult)
     assert typed(data.antipode) == typed(antipode)
     if case in RATIONAL and degree >= 2:
         scalars = [c for terms in mult.values() for _, c in terms]
