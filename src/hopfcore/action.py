@@ -28,6 +28,7 @@ from .linalg import (
     SparseRow,
     Subspace,
     combine,
+    dot,
     exact,
     kernel,
     nonzero,
@@ -214,7 +215,7 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
     }
     one = alg.one
     for gid, _ in gens.generators:
-        eps = data.counit_of(host.lifts[gid])
+        eps = dot(data.counit, host.lifts[gid])
         image = action.act(at[gid], one)
         expected = {k: eps * c for k, c in one.items() if eps * c}
         rep.add(
@@ -289,8 +290,8 @@ def conv_map(
 
 
 class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
-    """The core at the last cap, the ``Subspace`` chain of cores for caps
-    0, 1, ..., and whether the last two are equal."""
+    """The core at the host bound, the ``Subspace`` chain of cores for caps
+    0, 1, ..., D, and whether the last two are equal."""
 
     __slots__ = ()
 
@@ -299,25 +300,17 @@ class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
         return tuple(s.dim for s in self.by_cap)
 
 
-def hcore(
-    action: ModuleAlgebraAction,
-    ideal: Ideal,
-    core_cap: int,
-    conv_cap: int,
-) -> HCoreResult:
+def hcore(action: ModuleAlgebraAction, ideal: Ideal, core_cap: int) -> HCoreResult:
     """Truncated stable core: elements of degree <= core_cap whose images
-    under every basis monomial of degree <= conv_cap stay in the ideal.
-    Computed as a stacked exact kernel; returns the whole chain of cores for
-    caps 0..conv_cap together with the stabilization flag (last two equal)."""
+    under every basis monomial of the host stay in the ideal.  Computed as
+    a stacked exact kernel, cap by cap up to the host bound D; the core at
+    a cap c < D is ``by_cap[c]``, since the chain up to c does not depend
+    on D."""
     host, alg = action.host, action.algebra
-    if conv_cap > host.data.degree_bound:
-        raise TruncationError(
-            f"conv cap {conv_cap} exceeds the host bound {host.data.degree_bound}"
-        )
     cols = [i for i in range(alg.dim) if alg.degrees[i] <= core_cap]
     rows: list[dict[int, Scalar]] = []
     cores: list[Subspace] = []
-    for d in range(conv_cap + 1):
+    for d in range(host.data.degree_bound + 1):
         # the indices of degree d are a run of positions
         for p in range(host.count_up_to(d - 1), host.count_up_to(d)):
             columns = action.columns(p)
@@ -332,7 +325,7 @@ def hcore(
         small = kernel(rows, len(cols))
         rekeyed = tuple({cols[t]: c for t, c in row.items()} for row in small.rows)
         cores.append(Subspace(alg.dim, tuple(cols[t] for t in small.pivots), rekeyed))
-    stabilized = len(cores) >= 2 and cores[-1] == cores[-2]
+    stabilized = cores[-1] == cores[-2]
     return HCoreResult(cores[-1], tuple(cores), stabilized)
 
 

@@ -59,7 +59,8 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an int past the digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -496,7 +497,7 @@ def cmd_hcore(args, report: Report) -> int:
 
     report.extend(action_mod.verify_module_algebra(act))
 
-    result = action_mod.hcore(act, ideal, core_cap, data.degree_bound)
+    result = action_mod.hcore(act, ideal, core_cap)
     core_info = {
         "dims_by_cap": list(result.dims),
         "stabilized": result.stabilized,

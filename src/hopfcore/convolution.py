@@ -432,14 +432,13 @@ def random_conv_element(
     ring: TableAlgebra,
     rng,
     max_degree: int,
-    max_terms: int = 3,
 ) -> ConvElement:
-    """Deterministic (seeded) nonzero element supported in degrees up to
-    max_degree."""
+    """Deterministic (seeded) nonzero element with at most three terms,
+    supported in degrees up to max_degree."""
     # the indices ascend by degree, so the candidates are a prefix; sample
     # draws by index, so sampling positions picks the same indices
     candidates = range(host.count_up_to(max_degree))
-    count = rng.choice(range(1, min(max_terms, len(candidates)) + 1))
+    count = rng.choice(range(1, min(3, len(candidates)) + 1))
     chosen = rng.sample(candidates, count)
     values = {}
     for p in chosen:

@@ -294,20 +294,21 @@ def complement(
         )
     inner_pivots = set(inner.pivots)
     rows = [dict(r) for r, p in zip(outer.rows, outer.pivots) if p not in inner_pivots]
-    if constraint is not None and any(_dot_sparse(constraint, r) for r in rows):
-        adjuster = next((r for r in inner.rows if _dot_sparse(constraint, r)), None)
+    if constraint is not None and any(dot(constraint, r) for r in rows):
+        adjuster = next((r for r in inner.rows if dot(constraint, r)), None)
         if adjuster is None:
             raise NoConstrainedComplement(
                 f"no complement of inner (dim {inner.dim}) in outer "
                 f"(dim {outer.dim}) lies in the kernel of the constraint"
             )
-        denom = _dot_sparse(constraint, adjuster)
+        denom = dot(constraint, adjuster)
         for r in rows:
-            f = exact(Fraction(_dot_sparse(constraint, r)) / denom)
+            f = exact(Fraction(dot(constraint, r)) / denom)
             if f:
                 _sub_scaled(r, f, adjuster)
     return Subspace.from_sparse(rows, outer.ambient_dim)
 
 
-def _dot_sparse(u: Sequence[Scalar], v: Mapping[int, Scalar]) -> Scalar:
-    return sum((u[i] * a for i, a in v.items()), Q0)
+def dot(functional: Sequence[Scalar], v: Mapping[int, Scalar]) -> Scalar:
+    """The functional, held by its values on the basis, at the vector v."""
+    return sum((functional[i] * a for i, a in v.items()), Q0)

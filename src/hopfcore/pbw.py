@@ -16,6 +16,7 @@ arithmetic and divide once per value they return.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add
@@ -148,12 +149,6 @@ class PBWStructure:
         self.index_pos = {e: t for t, e in enumerate(self.indices)}
         self.degrees = [weighted_degree(e, gens.weights) for e in self.indices]
         self.labels = [gens.label(e) for e in self.indices]
-        # _prefix[d] indices have degree <= d
-        self._prefix = [0] * (data.degree_bound + 1)
-        for d in self.degrees:
-            self._prefix[d] += 1
-        for d in range(1, len(self._prefix)):
-            self._prefix[d] += self._prefix[d - 1]
         self._monomials: dict[int, tuple[int, SparseRow]] = {}
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
         self._expansions: dict[int, list[tuple[int, int, Scalar]]] = {}
@@ -190,9 +185,7 @@ class PBWStructure:
     def count_up_to(self, d: int) -> int:
         """The number of indices of degree <= d: the length of the prefix
         of ``indices`` they form."""
-        if d < 0:
-            return 0
-        return self._prefix[min(d, len(self._prefix) - 1)]
+        return bisect_right(self.degrees, d)
 
     def index_sum(self, p: int, q: int) -> Optional[int]:
         """The position of the sum of the indices at p and q, or None when

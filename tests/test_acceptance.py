@@ -292,7 +292,7 @@ def test_acceptance_7_hcore_and_probe():
     with criterion("7", "stable core of (x) under sl2 with probes", 120.0):
         host, algebra, act, ideal = _sl2_setup()
 
-        chain = hcore(act, ideal, 4, 4)
+        chain = hcore(act, ideal, 4)
         assert chain.core.dim == 0
         for small, large in zip(chain.by_cap[1:], chain.by_cap):
             assert all(large.contains(row) for row in small.rows)
@@ -304,14 +304,14 @@ def test_acceptance_7_hcore_and_probe():
 
         # stable and degenerate ideals reproduce themselves
         stable = Ideal.monomial(algebra, [(1, 0), (0, 1)])
-        got = hcore(act, stable, 4, 4)
+        got = hcore(act, stable, 4)
         expected = Subspace.from_sparse(
             [{i: 1} for i in range(algebra.dim) if 1 <= algebra.degrees[i] <= 4],
             algebra.dim,
         )
         assert got.core == expected and got.stabilized
-        assert hcore(act, Ideal.monomial(algebra, []), 4, 4).core.dim == 0
-        full = hcore(act, Ideal.monomial(algebra, [(0, 0)]), 4, 4).core
+        assert hcore(act, Ideal.monomial(algebra, []), 4).core.dim == 0
+        full = hcore(act, Ideal.monomial(algebra, [(0, 0)]), 4).core
         assert full.dim == sum(1 for d in algebra.degrees if d <= 4)
 
 
@@ -332,15 +332,15 @@ def test_acceptance_7_hcore_zero_by_cap_three():
         x4 = {algebra.index[(4, 0)]: 1}
         y4 = {algebra.index[(0, 4)]: 1}
 
-        assert hcore(act, ideal, 3, 3).core.dim == 0
-        assert hcore(act, ideal, 4, 3).core == Subspace.from_sparse(
+        assert hcore(act, ideal, 3).by_cap[3].dim == 0
+        assert hcore(act, ideal, 4).by_cap[3] == Subspace.from_sparse(
             [x4], algebra.dim
         )
 
         image = act.act(at(host, f=4), x4)
         assert image == y4
         assert not ideal.contains(image)
-        assert hcore(act, ideal, 4, 4).core.dim == 0
+        assert hcore(act, ideal, 4).core.dim == 0
 
 
 # -- criterion 8: determinism -------------------------------------------------------------

@@ -455,7 +455,7 @@ def test_bridge_lemma(host_at, action_name, host_name, degree, pairs, core_dim):
     kernel_of_phi = Subspace.from_sparse(
         [{cols[t]: c for t, c in row.items()} for row in small.rows], algebra.dim
     )
-    core = hcore(action, ideal, cap, degree).core
+    core = hcore(action, ideal, cap).core
     assert kernel_of_phi == core
     assert core.dim == core_dim
 
@@ -466,14 +466,14 @@ def test_bridge_lemma(host_at, action_name, host_name, degree, pairs, core_dim):
 def test_hcore_trivial_ideals(sl2_action, qxy):
     zero = Ideal.monomial(qxy, [])
     unit = Ideal.monomial(qxy, [(0, 0)])
-    assert hcore(sl2_action, zero, 4, 4).core.dim == 0
-    full = hcore(sl2_action, unit, 4, 4).core
+    assert hcore(sl2_action, zero, 4).core.dim == 0
+    full = hcore(sl2_action, unit, 4).core
     assert full.dim == sum(1 for d in qxy.degrees if d <= 4)
 
 
 def test_hcore_stable_ideal_is_its_own_core(sl2_action, qxy):
     ideal = Ideal.monomial(qxy, [(1, 0), (0, 1)])
-    result = hcore(sl2_action, ideal, 4, 4)
+    result = hcore(sl2_action, ideal, 4)
     expected = Subspace.from_sparse(
         [{i: 1} for i in range(qxy.dim) if 1 <= qxy.degrees[i] <= 4],
         qxy.dim,
@@ -483,7 +483,7 @@ def test_hcore_stable_ideal_is_its_own_core(sl2_action, qxy):
 
 
 def test_hcore_sl2_chain(sl2_action, ideal_x, qxy):
-    result = hcore(sl2_action, ideal_x, 4, 4)
+    result = hcore(sl2_action, ideal_x, 4)
     # hand count: (x^(k+1)) cap degrees<=4 has dims 10, 6, 3; then the single
     # monomial x^4 survives order-3 operators, and nothing survives order 4
     assert result.dims == (10, 6, 3, 1, 0)
@@ -517,15 +517,15 @@ def test_hcore_oracle_intersection(sl2_action, ideal_x, qxy):
                 for k, c in q[j].items():
                     cond.setdefault((tag, k), [F(0)] * len(cols))[j] += c
         current = kernel([sparse_of(cond[k]) for k in sorted(cond)], len(cols))
-    result = hcore(sl2_action, ideal_x, 3, 3)
+    result = hcore(sl2_action, ideal_x, 3)
     embedded = Subspace.from_sparse(
         [{cols[t]: c for t, c in row.items()} for row in current.rows], qxy.dim
     )
-    assert embedded == result.core
+    assert embedded == result.by_cap[3]
 
 
 def test_hcore_small_cap_stabilizes(sl2_action, qxy, ideal_x):
-    result = hcore(sl2_action, ideal_x, 2, 4)
+    result = hcore(sl2_action, ideal_x, 2)
     assert result.dims == (3, 1, 0, 0, 0)
     assert result.stabilized
     # cap 3 is the first whose core equals the one before
@@ -537,7 +537,7 @@ def test_hcore_small_cap_stabilizes(sl2_action, qxy, ideal_x):
 def test_hcore_monotone(dq_action):
     A = dq_action.algebra
     ideal = Ideal.monomial(A, [(1,)])
-    result = hcore(dq_action, ideal, 4, 4)
+    result = hcore(dq_action, ideal, 4)
     assert result.dims == (4, 3, 2, 1, 0)
     for small, large in zip(result.by_cap[1:], result.by_cap):
         assert all(large.contains(row) for row in small.rows)
@@ -545,19 +545,19 @@ def test_hcore_monotone(dq_action):
 
 def test_core_inside_ideal(sl2_action, qxy, ideal_x, dq_action):
     # the zero-index condition alone forces the core into the ideal
-    core = hcore(sl2_action, ideal_x, 3, 2).core
+    core = hcore(sl2_action, ideal_x, 3).by_cap[2]
     for row in core.rows:
         assert ideal_x.contains(row)
     A = dq_action.algebra
     ideal = Ideal.monomial(A, [(1,)])
-    for row in hcore(dq_action, ideal, 4, 1).core.rows:
+    for row in hcore(dq_action, ideal, 4).by_cap[1].rows:
         assert ideal.contains(row)
 
 
 def test_core_is_ideal(sl2_action, qxy, ideal_x):
     # images of core elements under low-degree multiplications stay in the
     # degree-3 truncated core conditions
-    core3 = hcore(sl2_action, ideal_x, 3, 3).core
+    core3 = hcore(sl2_action, ideal_x, 3).by_cap[3]
     host = sl2_action.host
     for row in core3.rows:
         for i in range(qxy.dim):
@@ -584,7 +584,7 @@ def test_domain_probe_dq(dq_action):
     A = dq_action.algebra
     ideal = Ideal.monomial(A, [(1,)])
     ring = QuotientAlgebra(ideal)
-    core = hcore(dq_action, ideal, 4, 4).core
+    core = hcore(dq_action, ideal, 4).core
     assert core.dim == 0
     rep = core_primeness_probe(dq_action, ring, "domain", 3)
     assert rep.passed

@@ -986,6 +986,29 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        READS_A_FILE["build"],
+        READS_A_FILE["verify"],
+        ["conv", "--instance", FILE, "--ring", "q"],
+        READS_A_FILE["conv"],
+        ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", FILE],
+        READS_A_FILE["hcore"],
+    ],
+    ids=["build", "verify", "conv-instance", "conv-ring", "hcore-action", "hcore-ideal"],
+)
+def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, argv):
+    """An integer literal of more digits than Python converts (4,300) is
+    refused like any other file that is not valid JSON, with exit 2 and a
+    report, wherever a command reads a file."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "raw", "degree_bound": ' + "9" * 5000 + "}")
+    code, report = assert_main_reports([str(path) if arg is FILE else arg for arg in argv])
+    assert (code, report["status"]) == (2, "input-error")
+    assert report["error"].startswith(f"{path} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("command", list(RUNS))
 @pytest.mark.parametrize("where", ["in-a-missing-directory", "a-directory"])
 def test_an_out_that_cannot_be_opened_is_an_input_error(

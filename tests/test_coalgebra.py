@@ -22,7 +22,7 @@ from hopfcore.coalgebra import (
 )
 from hopfcore.errors import InputFormatError, NotALieAlgebra, NotExhaustive, TruncationError
 from hopfcore.report import PASS
-from hopfcore.linalg import Q1, combine
+from hopfcore.linalg import Q1, combine, dot
 from conftest import HEIS_BRACKETS, SL2_BRACKETS, instance_to_json, load_fixture
 
 
@@ -93,7 +93,7 @@ def test_xyw_tables():
     # not cocommutative: the x(x)y term has no mirror
     terms = {(j, k): c for j, k, c in data.comult[w]}
     assert (y, x) not in terms
-    assert data.counit_of({w: 1}) == 0
+    assert dot(data.counit, {w: 1}) == 0
 
 
 def test_axioms_pass_on_builtins():
@@ -185,7 +185,7 @@ def test_splitting_counit_vanishes(xyw):
     data = xyw.data
     for k, v in enumerate(xyw.split.vectors):
         if xyw.split.degrees[k] >= 1:
-            assert data.counit_of(v) == 0
+            assert dot(data.counit, v) == 0
 
 
 def test_splitting_xyw_level_two(xyw):
@@ -236,7 +236,7 @@ def test_splitting_counit_adjustment():
     # the greedy complement span{s} has counit 1; the corrected vector is
     # 1 - s, the primitive line
     assert split.vectors[1] == {0: 1, 1: -1}
-    assert data.counit_of(split.vectors[1]) == 0
+    assert dot(data.counit, split.vectors[1]) == 0
 
 
 def test_gr_of_line_is_itself(qt):
@@ -267,9 +267,26 @@ def test_gr_facts_and_gradedness(heis, xyw, qt):
         assert check_coradically_graded(p.gr).passed
 
 
+def test_antipode_raising_the_degree_fails_stability_there_only():
+    """S(e) = -e + e^(2) leaves C_1: antipode-stability fails at e and
+    passes everywhere else, and gr carries no antipode."""
+    data = build_ueg(["e", "f", "h"], SL2_BRACKETS, 4)
+    e, e2 = data.basis_labels.index("e"), data.basis_labels.index("e^(2)")
+    data.antipode[e] = ((e, -Q1), (e2, Q1))
+    split = graded_splitting(require_connected(coradical_filtration(data), 4), data)
+    gr = gr_structure(split)
+    lines = [line for line in verify_gr_facts(gr, data, split).lines
+             if line.check == "antipode-stability"]
+    assert len(lines) == split.dim
+    assert [line.subject for line in lines if line.status != PASS] == ["e"]
+    assert [line.status for line in lines if line.subject == "e"] == ["FAIL"]
+    assert gr.antipode is None
+
+
 def test_antipode_image_computed_once_per_splitting_vector(monkeypatch):
-    """gr_structure and verify_gr_facts read the antipode image of each
-    splitting vector from the splitting: one antipode_of call per vector."""
+    """verify_gr_facts computes the antipode image of each splitting vector
+    once, and gr_structure computes none: one antipode_of call per
+    vector."""
     data = build_ueg(["e", "f", "h"], SL2_BRACKETS, 4)
     split = graded_splitting(require_connected(coradical_filtration(data), 4), data)
     calls = []

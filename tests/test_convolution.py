@@ -191,8 +191,8 @@ def test_convolve_matches_definition(host_at, host_name):
     for ring_name in ("q", "m2q", "qxq", "qx2"):
         ring = builtin_ring(ring_name)
         for _ in range(8):
-            f = random_conv_element(host, ring, rng, 4, 4)
-            g = random_conv_element(host, ring, rng, 3, 4)
+            f = random_conv_element(host, ring, rng, 4)
+            g = random_conv_element(host, ring, rng, 3)
             product = convolve(f, g)
             assert product == _by_definition(f, g)
             # values come out in host-index order

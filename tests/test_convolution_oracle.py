@@ -245,11 +245,11 @@ def test_kernels_match_oracle(host_at, host_name):
         twin = random.Random(f"oracle/{host_name}/{ring_name}")
         for trial in range(9):
             # a leading sum past degree 6 truncates from cap 4 on
-            cap, terms = ((2, 4), (3, 3), (4, 2))[trial % 3]
-            f = random_conv_element(host, ring, rng, cap, terms)
-            g = random_conv_element(host, ring, rng, cap, terms)
-            f0 = oracle_random(host, ring, twin, cap, terms)
-            g0 = oracle_random(host, ring, twin, cap, terms)
+            cap = (2, 3, 4)[trial % 3]
+            f = random_conv_element(host, ring, rng, cap)
+            g = random_conv_element(host, ring, rng, cap)
+            f0 = oracle_random(host, ring, twin, cap)
+            g0 = oracle_random(host, ring, twin, cap)
             # the same rng state draws the same elements, in the well-order
             assert rng.getstate() == twin.getstate()
             assert named_terms(f) == sorted(f0.items(), key=lambda e: order_key(host)(e[0]))

@@ -284,7 +284,7 @@ def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degre
     action = ModuleAlgebraAction(host, algebra, ops)
     ideal = cli._ideal_from_json(algebra, spec["ideal"])
     cap = spec["core_degree_cap"]
-    result = hcore(action, ideal, cap, degree)
+    result = hcore(action, ideal, cap)
     chain = dense_hcore_chain(action, ideal, cap, degree)
     assert [dense_space(core) for core in result.by_cap] == chain
     assert_reduce_matches_dense(result.by_cap, sample_vectors(algebra.dim, action_name))

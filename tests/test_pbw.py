@@ -11,7 +11,7 @@ from hopfcore.coalgebra import CoradicalFiltration, FilteredBialgebraData, build
 from hopfcore.errors import (
     BasisDefect, NotPolynomial, ExpansionViolation, TruncationError,
 )
-from hopfcore.linalg import Q1, rank
+from hopfcore.linalg import Q1, dot, rank
 from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import (
@@ -66,7 +66,7 @@ def test_lifts_are_canonical(heis, xyw):
         for gid, d in p.gens.generators:
             lift = p.lifts[gid]
             assert p.split.max_degree(p.split.to_split(lift)) == d
-            assert p.data.counit_of(lift) == 0
+            assert dot(p.data.counit, lift) == 0
 
 
 # -- monomials -----------------------------------------------------------------
@@ -253,6 +253,15 @@ def test_index_arithmetic_against_brute_force(host_at, name):
         # basis label x*w
         assert p.labels[at(p, x=1, w=1)] == "w*x"
         assert "x*w" in p.data.basis_labels
+
+
+@pytest.mark.parametrize("name", ["heis", "xyw", "dq"])
+def test_count_up_to_at_its_edges(host_at, name):
+    """count_up_to(d) counts the indices of degree <= d, below degree 0 and
+    past the bound too."""
+    p = host_at(name, 6)
+    for d in range(-1, p.data.degree_bound + 2):
+        assert p.count_up_to(d) == sum(x <= d for x in p.degrees)
 
 
 # -- comultiplication expansion -----------------------------------------------------
