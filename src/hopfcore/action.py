@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .convolution import ConvElement, add_witness_line, leading
@@ -146,13 +147,18 @@ class QuotientAlgebra(TableAlgebra):
 # actions
 
 
+# every column an operator kills is this one read-only empty mapping
+KILLED = MappingProxyType({})
+
+
 class ModuleAlgebraAction:
     """Operators for the generator lifts, extended to every basis monomial
     as the increasing-order divided composition.
 
     Each operator is held by its sparse columns: column j is the image of
-    the basis vector e_j as {index: coefficient}, without zeros.  The
-    operators of basis monomials are cached by host index position."""
+    the basis vector e_j as {index: coefficient}, without zeros, and
+    ``KILLED`` when that image is 0.  The operators of basis monomials are
+    cached by host index position."""
 
     def __init__(
         self,
@@ -187,7 +193,7 @@ class ModuleAlgebraAction:
         t, k, rest = self.host.first_factor(p)
         op, scale = self.gen_ops[self.host.gens.ids[t]], Fraction(1, k)
         out = [
-            {r: exact(c * scale) for r, c in combine(op, col).items()}
+            {r: exact(c * scale) for r, c in combine(op, col).items()} or KILLED
             for col in self.columns(rest)
         ]
         self._columns[p] = out
@@ -289,11 +295,19 @@ def conv_map(
     return ConvElement(action.host, ring, values)
 
 
-class HCoreResult(namedtuple("HCoreResult", "core by_cap stabilized")):
-    """The core at the host bound, the ``Subspace`` chain of cores for caps
-    0, 1, ..., D, and whether the last two are equal."""
+class HCoreResult(namedtuple("HCoreResult", "by_cap")):
+    """The ``Subspace`` chain of cores for caps 0, 1, ..., D; the core is
+    the one at the host bound D."""
 
     __slots__ = ()
+
+    @property
+    def core(self) -> Subspace:
+        return self.by_cap[-1]
+
+    @property
+    def stabilized(self) -> bool:
+        return self.by_cap[-1] == self.by_cap[-2]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -325,8 +339,7 @@ def hcore(action: ModuleAlgebraAction, ideal: Ideal, core_cap: int) -> HCoreResu
         small = kernel(rows, len(cols))
         rekeyed = tuple({cols[t]: c for t, c in row.items()} for row in small.rows)
         cores.append(Subspace(alg.dim, tuple(cols[t] for t in small.pivots), rekeyed))
-    stabilized = cores[-1] == cores[-2]
-    return HCoreResult(cores[-1], tuple(cores), stabilized)
+    return HCoreResult(tuple(cores))
 
 
 def core_primeness_probe(

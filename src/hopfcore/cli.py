@@ -279,8 +279,10 @@ def _error(args, exc: Exception) -> int:
 
 def cmd_build(args, report: Report) -> int:
     """Load and check the instance, then run the construction pipeline with
-    a recorder: the report's stages are the pipeline's record and its
-    checks the reports those stages returned."""
+    a recorder: the report's stages are the pipeline's record, with the
+    checks ``verify_gr_facts`` (as soon as gr exists) and
+    ``verify_all_bases`` (at the end, as ``verify_basis``) as stages too,
+    and its checks the reports those stages returned."""
     stages: list[dict] = []
     done: dict = {}
 
@@ -294,11 +296,15 @@ def cmd_build(args, report: Report) -> int:
         if isinstance(result, Report):
             report.extend(result)
         done[name] = result
+        if name == "gr_structure":
+            data, split = done["load"], done["graded_splitting"]
+            stage("verify_gr_facts", lambda: coalgebra.verify_gr_facts(result, data, split))
         return result
 
     error = None
     try:
-        PBWStructure.from_bialgebra(_load_bialgebra(args, report, stage), stage)
+        pbw = PBWStructure.from_bialgebra(_load_bialgebra(args, report, stage), stage)
+        stage("verify_basis", pbw.verify_all_bases)
     except HopfcoreError as exc:
         error = exc
 
@@ -329,16 +335,24 @@ def cmd_build(args, report: Report) -> int:
 
 def cmd_verify(args, report: Report) -> int:
     data = _load_bialgebra(args, report)
+    # the structure holds neither the splitting nor gr; a recorder keeps them
+    steps: dict = {}
+
+    def keep(name: str, step):
+        steps[name] = step()
+        return steps[name]
+
     try:
-        pbw = PBWStructure.from_bialgebra(data)
+        pbw = PBWStructure.from_bialgebra(data, keep)
     except HopfcoreError as exc:
         report.add("pipeline", "construction", FAIL, str(exc))
         return _finish(args, report)
 
-    report.extend(coalgebra.check_primitivity_defects(data, pbw.split))
-    report.extend(coalgebra.check_delta_consistency(pbw.split))
-    report.extend(coalgebra.check_coradically_graded(pbw.gr))
-    report.extend(coalgebra.verify_gr_facts(pbw.gr, data, pbw.split))
+    split, gr = steps["graded_splitting"], steps["gr_structure"]
+    report.extend(coalgebra.check_primitivity_defects(data, split))
+    report.extend(coalgebra.check_delta_consistency(split))
+    report.extend(coalgebra.check_coradically_graded(gr))
+    report.extend(coalgebra.verify_gr_facts(gr, data, split))
 
     try:
         report.extend(pbw.verify_all_bases())
@@ -370,7 +384,7 @@ def cmd_verify(args, report: Report) -> int:
         # both expand on the monomial basis, which does not exist here
         for check in ("split-expansion", "span-closure"):
             report.add(check, "-", SKIP, "no monomial basis")
-    report.extend(coalgebra.check_level_closure(pbw.gr, rng, args.trials))
+    report.extend(coalgebra.check_level_closure(gr, rng, args.trials))
 
     return _finish(args, report)
 

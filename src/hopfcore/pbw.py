@@ -32,7 +32,6 @@ from .coalgebra import (
     gr_structure,
     graded_splitting,
     require_connected,
-    verify_gr_facts,
 )
 from .errors import BasisDefect, NotPolynomial, ExpansionViolation, TruncationError
 from .linalg import (
@@ -73,14 +72,15 @@ def extract_generators(
     for d in range(1, gr.degree_bound + 1):
         if d not in degrees:
             continue
-        decomposable = [
-            dict(gr.mult[a, b])
+        # equal products, which a polynomial gr has many of, enter once
+        decomposable = dict.fromkeys(
+            gr.mult[a, b]
             for a in range(dim)
             if 0 < degrees[a] < d
             for b in range(dim)
             if degrees[a] + degrees[b] == d and degrees[b] != 0
-        ]
-        for k in Subspace.from_sparse(decomposable, dim).normal:
+        )
+        for k in Subspace.from_sparse(list(map(dict, decomposable)), dim).normal:
             if degrees[k] != d:
                 continue
             # gr's labels are unique, so they name the generators
@@ -120,7 +120,9 @@ def lift_generators(
 
 class PBWStructure:
     """Generator lifts, cached ordered divided-power monomials, and the
-    expansion of raw vectors on them, with the membership checks.
+    expansion of raw vectors on them, with the membership checks; it holds
+    only what its methods read, not the splitting or the associated graded
+    algebra.
 
     An index is named by its position in ``indices``, the well-ordered list
     of every exponent vector within the bound, and ``index_pos`` maps an
@@ -132,18 +134,12 @@ class PBWStructure:
         self,
         data: FilteredBialgebraData,
         filt: CoradicalFiltration,
-        split: GradedSplitting,
-        gr: FilteredBialgebraData,
         gens: GeneratorSet,
-        gr_gens: dict[str, SparseRow],
         lifts: dict[str, SparseRow],
     ):
         self.data = data
         self.filt = filt
-        self.split = split
-        self.gr = gr
         self.gens = gens
-        self.gr_gens = gr_gens
         self.lifts = lifts
         self.indices = gens.enumerate_up_to(data.degree_bound)
         self.index_pos = {e: t for t, e in enumerate(self.indices)}
@@ -163,24 +159,17 @@ class PBWStructure:
         """Run the construction pipeline on a bialgebra: filtration,
         connectedness, splitting, associated graded algebra, generators and
         their lifts.  A recorder ``stage(name, step)`` that returns
-        ``step()`` sees every step by name; with one, the checks
-        ``verify_gr_facts`` (after the associated graded algebra) and
-        ``verify_all_bases`` (at the end, as the step ``verify_basis``) run
-        as steps too, and their reports reach the recorder as the steps'
-        results."""
+        ``step()`` sees every step by name and its result; the splitting and
+        the associated graded algebra outlive the call only if it keeps
+        them."""
         run = stage or (lambda name, step: step())
         filt = run("coradical_filtration", lambda: coradical_filtration(data))
         run("check_connected", lambda: require_connected(filt, data.degree_bound))
         split = run("graded_splitting", lambda: graded_splitting(filt, data))
         gr = run("gr_structure", lambda: gr_structure(split))
-        if stage is not None:
-            stage("verify_gr_facts", lambda: verify_gr_facts(gr, data, split))
         gens, gr_gens = run("extract_generators", lambda: extract_generators(gr))
         lifts = run("lift_generators", lambda: lift_generators(split, gens, gr_gens))
-        pbw = cls(data, filt, split, gr, gens, gr_gens, lifts)
-        if stage is not None:
-            stage("verify_basis", pbw.verify_all_bases)
-        return pbw
+        return cls(data, filt, gens, lifts)
 
     def count_up_to(self, d: int) -> int:
         """The number of indices of degree <= d: the length of the prefix

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -121,6 +122,39 @@ def dense_mul(algebra, u, v):
     return dense_of(algebra.mul(sparse_of(u), sparse_of(v)), algebra.dim)
 
 
+def assert_matches_dense_operators(sympy, action):
+    """The operator columns and ``act`` of every host index m against the
+    dense oracle: the product, in generator order, of the dense generator
+    powers g^k / k! for the multiplicities k of m, computed in sympy from
+    the generator operators' columns."""
+    host, n = action.host, action.algebra.dim
+
+    def dense(op):
+        # op holds the sparse columns: entry (i, j) is op[j][i]
+        def entry(i, j):
+            x = op[j].get(i, 0)
+            return sympy.Rational(x.numerator, x.denominator)
+
+        return sympy.Matrix(n, n, entry)
+
+    powers = {}
+    for gid, op in action.gen_ops.items():
+        g = dense(op)
+        powers[gid, 0] = sympy.eye(n)
+        for k in range(1, host.data.degree_bound + 1):
+            powers[gid, k] = powers[gid, k - 1] * g / k
+    for p, m in enumerate(host.indices):
+        oracle = sympy.eye(n)
+        for gid, k in zip(host.gens.ids, m):
+            oracle = oracle * powers[gid, k]
+        expected = [[Fraction(int(x.p), int(x.q)) for x in row] for row in oracle.tolist()]
+        columns = [dense_of(col, n) for col in action.columns(p)]
+        assert [list(row) for row in zip(*columns)] == expected
+        for c in range(n):
+            column = {i: row[c] for i, row in enumerate(expected) if row[c]}
+            assert action.act(p, {c: 1}) == column
+
+
 def span(vectors, n):
     """The subspace of Q^n spanned by vectors given as lists of values."""
     return Subspace.from_sparse([sparse_of(v) for v in vectors], n)
@@ -133,6 +167,23 @@ def full_space(n):
 
 HEIS_BRACKETS = {"x": {"y": {"z": "1"}}}
 SL2_BRACKETS = {"h": {"e": {"e": "2"}, "f": {"f": "-2"}}, "e": {"f": {"h": "1"}}}
+
+
+@cache
+def front_end(host):
+    """(split, gr, gr_gens): the splitting, the associated graded algebra and
+    the generators of gr as its vectors, as the pipeline builds them on the
+    bialgebra of host, kept by a stage recorder.  The PBW structure holds
+    none of them."""
+    steps = {}
+
+    def keep(name, step):
+        steps[name] = step()
+        return steps[name]
+
+    PBWStructure.from_bialgebra(host.data, keep)
+    _, gr_gens = steps["extract_generators"]
+    return steps["graded_splitting"], steps["gr_structure"], gr_gens
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,7 @@ from conftest import (
     add,
     at,
     compare,
+    front_end,
     load_fixture,
     rational_monomial,
 )
@@ -203,7 +204,7 @@ def test_acceptance_4_membership_and_expansion():
             PBWStructure.from_bialgebra(build_xyw(4)),
         ]
         for p in structures:
-            assert check_primitivity_defects(p.data, p.split).passed
+            assert check_primitivity_defects(p.data, front_end(p)[0]).passed
             for m in range(len(p.indices)):
                 assert p.check_split_expansion(m).passed
 

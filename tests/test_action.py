@@ -20,7 +20,10 @@ from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
 from hopfcore.linalg import Subspace, kernel
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
-from conftest import at, dense_of, full_space, load_fixture, normal_labels, sparse_of
+from conftest import (
+    assert_matches_dense_operators, at, full_space, load_fixture, normal_labels,
+    sparse_of,
+)
 
 
 def operator(algebra, image_of_monomial):
@@ -313,34 +316,8 @@ def test_act_matches_dense_oracle(host_at, action_name, host_name):
     sympy = pytest.importorskip("sympy")
     host = host_at(host_name, 6)
     _, action = fixture_action(host, action_name)
-    algebra, ops = action.algebra, action.gen_ops
-    n = algebra.dim
-
-    def dense(op):
-        # op holds the sparse columns: entry (i, j) is op[j][i]
-        def entry(i, j):
-            x = op[j].get(i, 0)
-            return sympy.Rational(x.numerator, x.denominator)
-
-        return sympy.Matrix(n, n, entry)
-
-    powers = {}
-    for gid, op in ops.items():
-        g = dense(op)
-        powers[gid, 0] = sympy.eye(n)
-        for k in range(1, 7):
-            powers[gid, k] = powers[gid, k - 1] * g / k
     assert host.degrees[-1] == 6
-    for p, m in enumerate(host.indices):
-        oracle = sympy.eye(n)
-        for gid, k in zip(host.gens.ids, m):
-            oracle = oracle * powers[gid, k]
-        expected = [[F(int(x.p), int(x.q)) for x in row] for row in oracle.tolist()]
-        columns = [dense_of(col, n) for col in action.columns(p)]
-        assert [list(row) for row in zip(*columns)] == expected
-        for c in range(n):
-            column = {i: row[c] for i, row in enumerate(expected) if row[c]}
-            assert action.act(p, {c: 1}) == column
+    assert_matches_dense_operators(sympy, action)
 
 
 def test_act_divided_derivative(dq_action):

@@ -14,18 +14,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcore import cli
-from hopfcore.action import ModuleAlgebraAction, hcore
+from hopfcore.action import KILLED, Ideal, ModuleAlgebraAction, hcore
 from hopfcore.coalgebra import (
+    build_ueg,
     coradical_filtration,
     gr_structure,
     graded_splitting,
     instance_from_json,
 )
 from hopfcore.linalg import Q0, Q1
-from hopfcore.table import SparseVec
-from conftest import dense_mul, dense_of, load_fixture
+from hopfcore.pbw import PBWStructure
+from hopfcore.table import PolynomialAlgebra, SparseVec
+from conftest import assert_matches_dense_operators, dense_mul, dense_of, load_fixture
 
 
 def dense_space(space):
@@ -290,3 +293,50 @@ def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degre
     assert_reduce_matches_dense(result.by_cap, sample_vectors(algebra.dim, action_name))
     assert len({core.dim for core in result.by_cap}) > 1  # the chain moves
 
+
+# -- drawn operators -----------------------------------------------------------
+
+
+DQ_BOUND = 4
+# the host U(Q d) truncated at degree 4: one generator, indices d^(k)
+DQ = PBWStructure.from_bialgebra(build_ueg(["d"], {}, DQ_BOUND))
+ENTRIES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def drawn_actions(draw):
+    """An operator for d on a small truncated polynomial algebra: each
+    column killed or holding one to three terms, some of them not
+    integral; an ideal spanned by the multiples of a monomial or of a
+    binomial; and a core cap."""
+    variables, bound = draw(st.sampled_from([(["x"], 5), (["x", "y"], 3)]))
+    algebra = PolynomialAlgebra(variables, bound)
+    n = algebra.dim
+    columns = []
+    for _ in range(n):
+        rows = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        columns.append({r: draw(ENTRIES) for r in sorted(rows)})
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        ideal = Ideal.monomial(algebra, [algebra.monomials[a]])
+    else:
+        ideal = Ideal.principal(algebra, {a: Q1, b: draw(ENTRIES)})
+    action = ModuleAlgebraAction(DQ, algebra, {"d": columns})
+    return action, ideal, draw(st.integers(0, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_actions())
+def test_drawn_operators_match_dense_oracles(drawn):
+    """Every operator of the host, composed from a drawn generator operator,
+    matches the dense sympy product of its powers, holds each column it
+    kills as the one shared ``KILLED`` mapping, and gives the core chain of
+    the dense stacked kernel."""
+    sympy = pytest.importorskip("sympy")
+    action, ideal, cap = drawn
+    assert_matches_dense_operators(sympy, action)
+    for p in range(len(DQ.indices)):
+        assert all(col is KILLED for col in action.columns(p) if not col)
+    result = hcore(action, ideal, cap)
+    chain = dense_hcore_chain(action, ideal, cap, DQ_BOUND)
+    assert [dense_space(core) for core in result.by_cap] == chain

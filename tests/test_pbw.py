@@ -16,7 +16,7 @@ from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import (
     HEIS_BRACKETS, LESS, SL2_BRACKETS, add, at, compare, dense_mul, dense_of, exps,
-    load_fixture, rational_monomial, subprocess_env,
+    front_end, load_fixture, rational_monomial, subprocess_env,
 )
 
 
@@ -63,9 +63,10 @@ def test_extract_rejects_non_polynomial_counts():
 
 def test_lifts_are_canonical(heis, xyw):
     for p in (heis, xyw):
+        split, _, _ = front_end(p)
         for gid, d in p.gens.generators:
             lift = p.lifts[gid]
-            assert p.split.max_degree(p.split.to_split(lift)) == d
+            assert split.max_degree(split.to_split(lift)) == d
             assert dot(p.data.counit, lift) == 0
 
 

@@ -3,7 +3,9 @@ reports the stages that ran, the instance facts those stages established,
 the status and the exit code, and `verify` reports the same failure as its
 `pipeline`/`construction` line."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -292,3 +294,23 @@ def test_escaping_product_fails_gr_structure(tmp_path, monkeypatch):
     ]
     assert not [c for c in rep["checks"] if c["check"] == "filtration-multiplicative"]
     assert (rep["status"], code) == ("fail", 1)
+
+
+def test_construction_releases_gr():
+    """Once ``from_bialgebra`` has returned, the associated graded algebra
+    lives on only where the recorder keeps it: the structure it returns
+    does not pin the front end.  (The splitting, a tuple, takes no weak
+    reference.)"""
+    seen = {}
+
+    def watch(name, step):
+        result = step()
+        if name == "gr_structure":
+            seen["gr"] = weakref.ref(result)
+        return result
+
+    data = instance_from_json(load_fixture("instances/heis.json"), 3)
+    host = pbw.PBWStructure.from_bialgebra(data, watch)
+    gc.collect()
+    assert seen["gr"]() is None
+    assert host.verify_all_bases().passed

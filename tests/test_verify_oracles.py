@@ -24,7 +24,8 @@ from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
 from conftest import (
-    GREATER, add, compare, dense_mul, dense_of, rational_monomial, sparse_of,
+    GREATER, add, compare, dense_mul, dense_of, front_end, rational_monomial,
+    sparse_of,
 )
 
 # fixture instances at their own degree bounds
@@ -179,7 +180,7 @@ def test_span_closure_failure_lines_match_dense_oracle(host_at, monkeypatch):
 @pytest.mark.parametrize("name, degree", HOSTS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_level_closure_matches_dense_oracle(host_at, name, degree, seed):
-    gr = host_at(name, degree).gr
+    _, gr, _ = front_end(host_at(name, degree))
     rep = _same_run(check_level_closure, dense_level_closure, gr, seed, 40)
     assert rep.passed
 
@@ -281,7 +282,7 @@ def test_level_closure_illegal_table_matches_dense_oracle(table, seed):
 
 @pytest.mark.parametrize("table", [*ILLEGAL, "sl2"])
 def test_in_primitive_set_matches_full_defect(sl2, table):
-    gr = sl2.gr if table == "sl2" else ILLEGAL[table]
+    gr = front_end(sl2)[1] if table == "sl2" else ILLEGAL[table]
     rng = random.Random(5)
     verdicts = set()
     for _ in range(300):
