@@ -584,7 +584,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    report = Report(args.command)
+    report = Report()
     if args.out:
         # an --out that cannot be opened stops the command before it runs,
         # with the report on stdout

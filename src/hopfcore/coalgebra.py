@@ -31,7 +31,6 @@ from .errors import (
     HopfcoreError,
     InputFormatError,
     NotABialgebra,
-    NotALieAlgebra,
     NotExhaustive,
     TruncationError,
 )
@@ -139,7 +138,7 @@ class FilteredBialgebraData(TableAlgebra):
 def verify_axioms(data: FilteredBialgebraData) -> Report:
     """Check counit laws, coassociativity, unit laws, and multiplicativity
     of the comultiplication and counit wherever truncation permits."""
-    rep = Report("axioms")
+    rep = Report()
     dim = data.dim
     eps, comult, mult = data.counit, data.comult, data.mult
 
@@ -494,7 +493,7 @@ def check_primitivity_defects(
     1 (x) 1, so this amounts to checking the counit-normalized element
     h - eps(h) 1; both readings agree whenever eps(h) = 0, which covers
     every basis element of the shipped instances."""
-    rep = Report("primitivity-defect")
+    rep = Report()
     degrees, labels = split.degrees, data.basis_labels
     for i, units in enumerate(split.to_split_units):
         n = split.max_degree(units)
@@ -524,7 +523,7 @@ def check_delta_consistency(split: GradedSplitting) -> Report:
     components of strictly smaller total degree: that part (gr's
     ``comult``) is exactly the part at the element's degree, so no entry
     may lie above it."""
-    rep = Report("delta-consistency")
+    rep = Report()
     degrees = split.degrees
     for k, n in enumerate(degrees):
         bad = [(p, q) for p, q in split.comult[k] if degrees[p] + degrees[q] > n]
@@ -540,7 +539,7 @@ def check_delta_consistency(split: GradedSplitting) -> Report:
 def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
     """The filtration of the associated graded object is the degree
     filtration."""
-    rep = Report("coradically-graded")
+    rep = Report()
     degrees = gr.degrees
     if degrees is None:
         rep.add("coradically-graded", "-", FAIL, "missing degree labels")
@@ -575,7 +574,7 @@ def verify_gr_facts(
     commutative.  ``gr`` is ``gr_structure(split)``, which multiplied every
     pair of splitting vectors within the bound and would have raised on a
     product escaping its degree, so every degree pair passes."""
-    rep = Report("gr-facts")
+    rep = Report()
     bound = data.degree_bound
     degrees = gr.degrees
     present = sorted(set(degrees))
@@ -658,7 +657,7 @@ SAMPLE_COEFFS = (-2, -1, 0, 1, 2)
 def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
     """Sampled closure of the primitivity-defect levels under products and
     sums in the associated graded object."""
-    rep = Report("level-closure")
+    rep = Report()
     degrees = gr.degrees
     assert degrees is not None
     bound = gr.degree_bound
@@ -741,11 +740,11 @@ def build_ueg(
             i, j = pos[a], pos[b]
             if i == j:
                 if entry:
-                    raise NotALieAlgebra(f"[{a},{a}] must vanish")
+                    raise HopfcoreError(f"[{a},{a}] must vanish")
                 continue
             for key, table in (((i, j), entry), ((j, i), {t: -c for t, c in entry.items()})):
                 if key in bracket and bracket[key] != table:
-                    raise NotALieAlgebra(
+                    raise HopfcoreError(
                         f"inconsistent antisymmetric pair for [{a},{b}]"
                     )
                 bracket[key] = table
@@ -760,7 +759,7 @@ def build_ueg(
                 for l, cl in brk(m, z).items():
                     acc[l] = acc.get(l, Q0) + cm * cl
         if any(acc.values()):
-            raise NotALieAlgebra(
+            raise HopfcoreError(
                 f"Jacobi identity fails on ({names[i]},{names[j]},{names[k]})"
             )
 

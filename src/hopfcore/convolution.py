@@ -24,15 +24,7 @@ from collections import namedtuple
 from typing import Mapping, Optional
 
 from .coalgebra import SAMPLE_COEFFS
-from .errors import (
-    HostMismatch,
-    InputFormatError,
-    NoWitnessFound,
-    ProbeAnomaly,
-    RingMismatch,
-    TruncationError,
-    ZeroElement,
-)
+from .errors import HopfcoreError, InputFormatError, NoWitnessFound, TruncationError
 from .linalg import Q0, Q1, Scalar, SparseRow, exact, rat
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, Report
@@ -127,7 +119,7 @@ def ring_check(ring: TableAlgebra) -> Report:
     """Validate associativity and unit laws on the basis, then confirm or
     refute the declared flags by bounded scans (zero-divisor pairs, a.R.b
     annihilation, a.R.a annihilation)."""
-    rep = Report("ring-check")
+    rep = Report()
     dim, labels = ring.dim, ring.basis_labels
     basis = [{i: Q1} for i in range(dim)]
 
@@ -279,9 +271,9 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
     supp f x supp g is multiplied once and spread over the indices it
     feeds."""
     if f.host is not g.host:
-        raise HostMismatch("operands live over different hosts")
+        raise HopfcoreError("operands live over different hosts")
     if not f.ring.same_as(g.ring):
-        raise RingMismatch(f"{f.ring.name} vs {g.ring.name}")
+        raise HopfcoreError(f"{f.ring.name} vs {g.ring.name}")
     host, ring = f.host, f.ring
     table = host.transposed_comult()
     mul = ring.mul
@@ -311,7 +303,7 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
 
 def leading(f: ConvElement) -> LeadingTerm:
     if f.is_zero:
-        raise ZeroElement("leading term of the zero element")
+        raise HopfcoreError("leading term of the zero element")
     p = next(iter(f._map))
     return LeadingTerm(p, f._map[p])
 
@@ -386,7 +378,7 @@ def prime_witness(s: ConvElement, t: ConvElement) -> Witness:
         u = counit_pullback(host, ring, r)
         proof = leading(convolve(convolve(s, u), t))
         if proof != LeadingTerm(total, value):
-            raise ProbeAnomaly(
+            raise HopfcoreError(
                 f"witness product has leading {host.labels[proof.index]}:"
                 f"{ring.format(proof.value)}, expected "
                 f"{host.labels[total]}:{ring.format(value)}"

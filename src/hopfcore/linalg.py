@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .errors import InnerNotContained, InputFormatError, NoConstrainedComplement
+from .errors import HopfcoreError, InputFormatError
 
 Scalar = int | Fraction
 SparseRow = dict[int, Scalar]
@@ -283,13 +283,13 @@ def complement(
     first inner basis vector on which the constraint does not vanish; the
     correction keeps W a complement and makes the constraint vanish on it.
     If some chosen vector violates the constraint and no such inner vector
-    exists, the constrained complement does not exist and
-    NoConstrainedComplement is raised.
+    exists, the constrained complement does not exist and HopfcoreError is
+    raised.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if not all(outer.contains(r) for r in inner.rows):
-        raise InnerNotContained(
+        raise HopfcoreError(
             f"inner (dim {inner.dim}) is not contained in outer (dim {outer.dim})"
         )
     inner_pivots = set(inner.pivots)
@@ -297,7 +297,7 @@ def complement(
     if constraint is not None and any(dot(constraint, r) for r in rows):
         adjuster = next((r for r in inner.rows if dot(constraint, r)), None)
         if adjuster is None:
-            raise NoConstrainedComplement(
+            raise HopfcoreError(
                 f"no complement of inner (dim {inner.dim}) in outer "
                 f"(dim {outer.dim}) lies in the kernel of the constraint"
             )

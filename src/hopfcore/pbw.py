@@ -33,7 +33,7 @@ from .coalgebra import (
     graded_splitting,
     require_connected,
 )
-from .errors import BasisDefect, NotPolynomial, ExpansionViolation, TruncationError
+from .errors import BasisDefect, ExpansionViolation, HopfcoreError, TruncationError
 from .linalg import (
     Q0,
     Q1,
@@ -65,7 +65,7 @@ def extract_generators(
     """
     degrees = gr.degrees
     if degrees is None:
-        raise NotPolynomial("graded instance carries no degree labels")
+        raise HopfcoreError("graded instance carries no degree labels")
     dim = gr.dim
     gens: list[tuple[str, int]] = []
     vectors: dict[str, SparseRow] = {}
@@ -92,7 +92,7 @@ def extract_generators(
         level_dim = sum(1 for k in range(dim) if degrees[k] == d)
         expected = genset.count_exact(d)
         if level_dim != expected:
-            raise NotPolynomial(
+            raise HopfcoreError(
                 f"degree {d}: graded dimension {level_dim} but {expected} "
                 f"monomials in the extracted generators"
             )
@@ -128,7 +128,8 @@ class PBWStructure:
     of every exponent vector within the bound, and ``index_pos`` maps an
     exponent vector back; caches, expansions and the checks all work on
     positions.  ``degrees[p]`` is the degree of the index at position p,
-    positions ascend by degree, and ``labels[p]`` is its report text."""
+    positions ascend by degree, ``labels[p]`` is its report text, and
+    ``gen_pos[t]`` is the position of the t-th generator."""
 
     def __init__(
         self,
@@ -145,9 +146,13 @@ class PBWStructure:
         self.index_pos = {e: t for t, e in enumerate(self.indices)}
         self.degrees = [weighted_degree(e, gens.weights) for e in self.indices]
         self.labels = [gens.label(e) for e in self.indices]
+        # generator t has the index with exponent 1 at t and 0 elsewhere
+        self.gen_pos = [
+            self.index_pos[tuple(int(s == t) for s in range(len(gens)))]
+            for t in range(len(gens))
+        ]
         self._monomials: dict[int, tuple[int, SparseRow]] = {}
         self._raw_to_pbw: Optional[list[dict[int, Scalar]]] = None
-        self._expansions: dict[int, list[tuple[int, int, Scalar]]] = {}
         self._transposed: Optional[
             dict[tuple[int, int], list[tuple[int, Scalar]]]
         ] = None
@@ -232,7 +237,7 @@ class PBWStructure:
         the matrix of all the monomials, kept as ``_raw_to_pbw``, proves
         every prefix independent.  Raises BasisDefect on any failure, at
         the lowest degree where it occurs."""
-        rep = Report("basis")
+        rep = Report()
         bound, dim = self.data.degree_bound, self.data.dim
         monomials = []
         for n in range(bound + 1):
@@ -307,10 +312,8 @@ class PBWStructure:
 
     def expand_comult(self, p: int) -> list[tuple[int, int, Scalar]]:
         """Delta(e_m) for the index m at position p on the monomial (x)
-        monomial basis, as terms (i, j, c) on positions, sorted by (i, j)."""
-        cached = self._expansions.get(p)
-        if cached is not None:
-            return cached
+        monomial basis, as terms (i, j, c) on positions, sorted by (i, j);
+        computed on each call, since ``transposed_comult`` holds the table."""
         self._require(p)
         if self._raw_to_pbw is None:
             self.verify_all_bases()
@@ -326,7 +329,6 @@ class PBWStructure:
                     f"Delta(e_{name[p]}) exceeds degree {deg_m}"
                 )
             out.append((i, j, exact(c if d == 1 else Fraction(c, d))))
-        self._expansions[p] = out
         return out
 
     def transposed_comult(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
@@ -346,7 +348,7 @@ class PBWStructure:
         exactly 1 (each splitting occurring once) or strictly smaller; raises
         ExpansionViolation otherwise.  A missing splitting is named by the
         first in position order."""
-        rep = Report("split-expansion")
+        rep = Report()
         name, pos = self.labels, self.index_pos
         m = name[p]
         expected = {(pos[l], pos[r]) for l, r in splittings(self.indices[p])}
@@ -382,7 +384,7 @@ class PBWStructure:
     def check_span_closure(self, rng, samples: int) -> Report:
         """Sampled check that products of elements supported below n and m
         expand with support below n + m."""
-        rep = Report("span-closure")
+        rep = Report()
         bound = self.data.degree_bound
 
         def sample_elem(top: int) -> SparseRow:

@@ -21,12 +21,11 @@ CheckLine = namedtuple("CheckLine", "check subject status detail", defaults=("",
 
 
 class Report:
-    """A named list of check lines."""
+    """A list of check lines."""
 
-    __slots__ = ("name", "lines")
+    __slots__ = ("lines",)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.lines: list[CheckLine] = []
 
     def add(self, check: str, subject: str, status: str, detail: str = "") -> None:

@@ -122,11 +122,18 @@ def dense_mul(algebra, u, v):
     return dense_of(algebra.mul(sparse_of(u), sparse_of(v)), algebra.dim)
 
 
-def assert_matches_dense_operators(sympy, action):
+def generator_operators(action):
+    """{generator id: the columns of its operator}, as the action holds them
+    at the generators' host positions."""
+    host = action.host
+    return {gid: action.columns(p) for gid, p in zip(host.gens.ids, host.gen_pos)}
+
+
+def assert_matches_dense_operators(sympy, action, gen_ops):
     """The operator columns and ``act`` of every host index m against the
     dense oracle: the product, in generator order, of the dense generator
     powers g^k / k! for the multiplicities k of m, computed in sympy from
-    the generator operators' columns."""
+    the columns of the given generator operators gen_ops."""
     host, n = action.host, action.algebra.dim
 
     def dense(op):
@@ -138,7 +145,7 @@ def assert_matches_dense_operators(sympy, action):
         return sympy.Matrix(n, n, entry)
 
     powers = {}
-    for gid, op in action.gen_ops.items():
+    for gid, op in gen_ops.items():
         g = dense(op)
         powers[gid, 0] = sympy.eye(n)
         for k in range(1, host.data.degree_bound + 1):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hopfcore.action import (
+    KILLED,
     ModuleAlgebraAction,
     Ideal,
     core_primeness_probe,
@@ -16,12 +17,13 @@ from hopfcore.action import (
 from hopfcore import cli
 from hopfcore.coalgebra import build_ueg
 from hopfcore.convolution import convolve
-from hopfcore.errors import ForeignGenerator, InputFormatError, TruncationError
-from hopfcore.linalg import Subspace, kernel
+from hopfcore.errors import InputFormatError, TruncationError
+from hopfcore.linalg import Subspace, combine, kernel
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
 from conftest import (
-    assert_matches_dense_operators, at, full_space, load_fixture, normal_labels,
+    assert_matches_dense_operators, at, full_space, generator_operators, load_fixture,
+    normal_labels,
     sparse_of,
 )
 
@@ -220,7 +222,7 @@ def test_module_algebra_verifies(sl2_action, dq_action):
 
 def test_action_rejects_unknown_and_missing_operators(sl2, qxy):
     zero = [{} for _ in range(qxy.dim)]
-    with pytest.raises(ForeignGenerator):
+    with pytest.raises(InputFormatError, match="^operator for unknown generator 'zz'$"):
         ModuleAlgebraAction(sl2, qxy, {"e": zero, "f": zero, "h": zero, "zz": zero})
     with pytest.raises(InputFormatError):
         ModuleAlgebraAction(sl2, qxy, {"e": zero})
@@ -232,6 +234,31 @@ def test_action_rejects_misshapen_operators(sl2, qxy):
     for bad in (zero[1:], [{qxy.dim: 1}] + zero[1:]):
         with pytest.raises(InputFormatError, match="wrong shape"):
             ModuleAlgebraAction(sl2, qxy, {"e": bad, "f": zero, "h": zero})
+
+
+@pytest.mark.parametrize("t", range(3))
+def test_generator_operators_are_held_once_in_normal_form(heis, t):
+    """The operator given for a generator is held at the generator's
+    position, once: values through ``exact`` (the int 2, not Fraction(2, 1)),
+    zeros dropped and an empty column as ``KILLED``; the operator of the
+    generator's square is composed from it as (1/2) op o op."""
+    A = PolynomialAlgebra(["x"], 3)
+    given = [{}, {0: F(2, 1), 1: 0}, {1: F(1, 2), 2: F(-3)}, {2: 1, 3: F(5, 3)}]
+    other = [{j: 1} for j in range(A.dim)]
+    ops = {gid: given if s == t else other for s, gid in enumerate(heis.gens.ids)}
+    act = ModuleAlgebraAction(heis, A, ops)
+    g = heis.gen_pos[t]
+    assert heis.indices[g] == tuple(int(s == t) for s in range(3))
+    held = act.columns(g)
+    assert held[0] is KILLED
+    assert held[1:] == [{0: 2}, {1: F(1, 2), 2: -3}, {2: 1, 3: F(5, 3)}]
+    assert type(held[1][0]) is int and type(held[2][2]) is int
+    assert act.columns(g) is held
+    square = act.columns(heis.index_pos[tuple(2 * int(s == t) for s in range(3))])
+    for col, sq in zip(held, square):
+        expected = {r: c / 2 for r, c in combine(held, col).items()}
+        assert sq == expected
+        assert sq or sq is KILLED
 
 
 def test_module_algebra_fails_on_bad_unit(sl2, qxy):
@@ -258,7 +285,7 @@ def test_module_algebra_product_law_failure_lines(sl2, qxy, sl2_action):
         qxy,
         lambda ab: [((ab[0] + 1, ab[1] - 1), F(ab[1] * (ab[1] - 1)))] if ab[1] >= 2 else [],
     )
-    act = ModuleAlgebraAction(sl2, qxy, {**sl2_action.gen_ops, "e": bad_e})
+    act = ModuleAlgebraAction(sl2, qxy, {**generator_operators(sl2_action), "e": bad_e})
     lines = [
         (l.check, l.subject, l.status, l.detail)
         for l in verify_module_algebra(act).lines
@@ -283,7 +310,7 @@ def test_module_algebra_skips_truncated_images(sl2, qxy, sl2_action):
         qxy,
         lambda ab: [((ab[0] + 2, ab[1] - 1), F(ab[1]))] if ab[1] and sum(ab) < 8 else [],
     )
-    act = ModuleAlgebraAction(sl2, qxy, {**sl2_action.gen_ops, "e": raising_e})
+    act = ModuleAlgebraAction(sl2, qxy, {**generator_operators(sl2_action), "e": raising_e})
     lines = {
         (l.check, l.subject): (l.status, l.detail)
         for l in verify_module_algebra(act).lines
@@ -303,7 +330,7 @@ def fixture_action(host, name):
         gid: cli._operator_columns(algebra, gid, op)
         for gid, op in spec["generators"].items()
     }
-    return spec, ModuleAlgebraAction(host, algebra, ops)
+    return spec, ops, ModuleAlgebraAction(host, algebra, ops)
 
 
 @pytest.mark.parametrize(
@@ -315,9 +342,9 @@ def test_act_matches_dense_oracle(host_at, action_name, host_name):
     each divided by k!, in generator order, for every index up to degree 6."""
     sympy = pytest.importorskip("sympy")
     host = host_at(host_name, 6)
-    _, action = fixture_action(host, action_name)
+    _, ops, action = fixture_action(host, action_name)
     assert host.degrees[-1] == 6
-    assert_matches_dense_operators(sympy, action)
+    assert_matches_dense_operators(sympy, action, ops)
 
 
 def test_act_divided_derivative(dq_action):
@@ -406,7 +433,7 @@ def test_bridge_lemma(host_at, action_name, host_name, degree, pairs, core_dim):
     its kernel on the columns of degree <= the core cap is the stable
     core."""
     host = host_at(host_name, degree)
-    spec, action = fixture_action(host, action_name)
+    spec, _, action = fixture_action(host, action_name)
     algebra = action.algebra
     ideal = cli._ideal_from_json(algebra, spec["ideal"])
     ring = QuotientAlgebra(ideal)

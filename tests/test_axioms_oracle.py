@@ -35,7 +35,7 @@ def _tensor3_eq(a: dict, b: dict) -> bool:
 
 
 def fraction_verify_axioms(data) -> Report:
-    rep = Report("axioms")
+    rep = Report()
     dim = data.dim
     eps = data.counit
 

@@ -20,7 +20,7 @@ from hopfcore.coalgebra import (
     verify_axioms,
     verify_gr_facts,
 )
-from hopfcore.errors import InputFormatError, NotALieAlgebra, NotExhaustive, TruncationError
+from hopfcore.errors import HopfcoreError, InputFormatError, NotExhaustive, TruncationError
 from hopfcore.report import PASS
 from hopfcore.linalg import Q1, combine, dot
 from conftest import (
@@ -64,17 +64,19 @@ def test_ueg_sl2_commutator():
 
 
 def test_ueg_rejects_non_lie():
-    with pytest.raises(NotALieAlgebra):
+    with pytest.raises(HopfcoreError, match=r"^\[a,a\] must vanish$"):
         build_ueg(["a"], {"a": {"a": {"a": "1"}}}, 2)
     # antisymmetry violation
-    with pytest.raises(NotALieAlgebra):
+    with pytest.raises(
+        HopfcoreError, match=r"^inconsistent antisymmetric pair for \[b,a\]$"
+    ):
         build_ueg(
             ["a", "b"],
             {"a": {"b": {"a": "1"}}, "b": {"a": {"a": "1"}}},
             2,
         )
     # Jacobi violation: [a,b]=c, [b,c]=a, [c,a]=a
-    with pytest.raises(NotALieAlgebra):
+    with pytest.raises(HopfcoreError, match=r"^Jacobi identity fails on \(a,b,c\)$"):
         build_ueg(
             ["a", "b", "c"],
             {

@@ -21,12 +21,10 @@ from hopfcore.convolution import (
     semiprime_witness,
 )
 from hopfcore.errors import (
-    HostMismatch,
+    HopfcoreError,
     InputFormatError,
     NoWitnessFound,
-    RingMismatch,
     TruncationError,
-    ZeroElement,
 )
 from hopfcore.table import PolynomialAlgebra
 from conftest import at
@@ -141,9 +139,9 @@ def test_mismatch_errors(qt, heis):
     q = builtin_ring("q")
     m2 = builtin_ring("m2q")
     f = counit_pullback(qt, q, q.one)
-    with pytest.raises(HostMismatch):
+    with pytest.raises(HopfcoreError, match="^operands live over different hosts$"):
         convolve(f, counit_pullback(heis, q, q.one))
-    with pytest.raises(RingMismatch):
+    with pytest.raises(HopfcoreError, match="^q vs m2q$"):
         convolve(f, counit_pullback(qt, m2, m2.one))
 
 
@@ -240,7 +238,7 @@ def test_leading_examples(qt, heis):
     assert leading(counit_pullback(qt, q, one)) == LeadingTerm(0, one)
     f = conv(qt, q, {mi(t=1): {0: F(4)}, mi(t=2): {0: F(9)}})
     assert leading(f) == LeadingTerm(at(qt, t=1), {0: F(4)})
-    with pytest.raises(ZeroElement):
+    with pytest.raises(HopfcoreError, match="^leading term of the zero element$"):
         leading(ConvElement(qt, q, {}))
     # tie at equal degree resolves at the largest differing generator
     g = conv(heis, q, {mi(x=2): {0: F(1)}, mi(x=1, y=1): {0: F(2)}})

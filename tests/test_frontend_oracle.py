@@ -322,7 +322,7 @@ def drawn_actions(draw):
     else:
         ideal = Ideal.principal(algebra, {a: Q1, b: draw(ENTRIES)})
     action = ModuleAlgebraAction(DQ, algebra, {"d": columns})
-    return action, ideal, draw(st.integers(0, bound))
+    return action, columns, ideal, draw(st.integers(0, bound))
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,8 +333,8 @@ def test_drawn_operators_match_dense_oracles(drawn):
     kills as the one shared ``KILLED`` mapping, and gives the core chain of
     the dense stacked kernel."""
     sympy = pytest.importorskip("sympy")
-    action, ideal, cap = drawn
-    assert_matches_dense_operators(sympy, action)
+    action, columns, ideal, cap = drawn
+    assert_matches_dense_operators(sympy, action, {"d": columns})
     for p in range(len(DQ.indices)):
         assert all(col is KILLED for col in action.columns(p) if not col)
     result = hcore(action, ideal, cap)

@@ -95,7 +95,7 @@ class RationalOracle:
 
     def check_span_closure(self, rng, samples):
         host = self.host
-        rep = Report("span-closure")
+        rep = Report()
         bound = host.data.degree_bound
 
         def sample_elem(top):

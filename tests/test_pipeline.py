@@ -107,11 +107,11 @@ CASES = {
          "splitting_dims": [1, 1, 0]},
     ),
     "splitting": (
-        "heis.json", ("graded_splitting", errors.NoConstrainedComplement),
+        "heis.json", ("graded_splitting", errors.HopfcoreError),
         "graded_splitting", "injected at graded_splitting", "fail", 1, HEIS_D2,
     ),
     "generators": (
-        "heis.json", ("extract_generators", errors.NotPolynomial),
+        "heis.json", ("extract_generators", errors.HopfcoreError),
         "extract_generators", "injected at extract_generators", "fail", 1,
         {**HEIS_D2, "splitting_dims": [1, 3, 6]},
     ),

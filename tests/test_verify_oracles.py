@@ -38,7 +38,7 @@ def le(p, m, n):
 
 
 def dense_span_closure(p, rng, samples):
-    rep = Report("span-closure")
+    rep = Report()
 
     def degree(m):
         return weighted_degree(m, p.gens.weights)
@@ -100,7 +100,7 @@ def dense_in_primitive_set(gr, v, n):
 
 
 def dense_level_closure(gr, rng, samples):
-    rep = Report("level-closure")
+    rep = Report()
     degrees = gr.degrees
     bound = gr.degree_bound
 

@@ -28,7 +28,7 @@ from hopfcore.convolution import (
     prime_witness,
     semiprime_witness,
 )
-from hopfcore.errors import NoWitnessFound, ProbeAnomaly, TruncationError
+from hopfcore.errors import HopfcoreError, NoWitnessFound, TruncationError
 from hopfcore.linalg import Q1
 from conftest import load_fixture
 
@@ -51,7 +51,7 @@ def reference_prime_witness(s, t):
         u = counit_pullback(host, ring, r)
         proof = leading(convolve(convolve(s, u), t))
         if proof != LeadingTerm(total, value):
-            raise ProbeAnomaly("witness product has the wrong leading term")
+            raise HopfcoreError("witness product has the wrong leading term")
         return Witness(r, u, proof)
     raise NoWitnessFound(
         f"no middle factor r with s_min r t_min != 0 over {ring.name} "
@@ -62,7 +62,7 @@ def reference_prime_witness(s, t):
 def reference_semiprime_witness(s):
     witness = reference_prime_witness(s, s)
     if convolve(convolve(s, witness.u), s).is_zero:
-        raise ProbeAnomaly("witness product vanished despite a nonzero leading term")
+        raise HopfcoreError("witness product vanished despite a nonzero leading term")
     return witness
 
 
