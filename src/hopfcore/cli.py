@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import Q0, Q1, SparseRow, exact, nonzero, rat, rat_str
 from .pbw import PBWStructure
-from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report, write
+from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
 from .table import (
     PolynomialAlgebra,
     TableAlgebra,
@@ -227,50 +227,33 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.Ideal:
 EXIT_CODES = {"ok": 0, "fail": 1, "input-error": 2, "inconclusive": 3}
 
 
-def _status(report: Report) -> str:
-    counts = report.counts
-    if counts[FAIL]:
-        return "fail"
-    if counts[INCONCLUSIVE]:
-        return "inconclusive"
-    return "ok"
+def _emit(args, report: Report, status: str, **blocks) -> int:
+    """Finish report with blocks as the rest of the report of the command
+    in args, whose status is given; the exit code of that status."""
+    report.finish({"command": args.command, "schema": SCHEMA, "status": status, **blocks})
+    return EXIT_CODES[status]
 
 
 def _error_status(exc: Exception) -> str:
     return "input-error" if isinstance(exc, InputFormatError) else "fail"
 
 
-def _emit(args, payload: dict) -> int:
-    """Write payload as the report of the command in args; the exit code of
-    its status."""
-    payload = {"command": args.command, "schema": SCHEMA, **payload}
-    target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    with target as out:
-        write(payload, out)
-    return EXIT_CODES[payload["status"]]
-
-
 def _finish(args, report: Report, error: Optional[Exception] = None, **extra) -> int:
-    """Write a command's report: its configuration (the values of its
-    options), its check lines and their status, the error that stopped it
-    if any, and the command's own blocks in extra."""
-    if error is not None:
-        extra["error"] = str(error)
-    return _emit(args, {
-        "config": {
-            key: value for key, value in vars(args).items()
-            if key not in ("command", "out", "func")
-        },
-        "checks": report.lines,
-        "summary": report.counts,
-        "status": _status(report) if error is None else _error_status(error),
-        **extra,
-    })
-
-
-def _error(args, exc: Exception) -> int:
-    """Write the bare report of a command stopped before its checks."""
-    return _emit(args, {"error": str(exc), "status": _error_status(exc)})
+    """Write the rest of a command's report: its configuration (the values
+    of its options), the counts of its check lines and their status, the
+    error that stopped it if any, and the command's own blocks in extra."""
+    counts = report.counts
+    if error is None:
+        status = "fail" if counts[FAIL] else "inconclusive" if counts[INCONCLUSIVE] else "ok"
+    else:
+        status, extra["error"] = _error_status(error), str(error)
+    if not any(counts.values()):
+        extra["checks"] = []
+    config = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "out", "func")
+    }
+    return _emit(args, report, status, config=config, summary=counts, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +467,10 @@ def cmd_conv(args, report: Report) -> int:
 # hcore
 
 
+# the probe mode of each ideal property an action or ideal file may declare
+PROBE_MODES = {"completely_prime": "domain", "prime": "prime", "semiprime": "semiprime"}
+
+
 def cmd_hcore(args, report: Report) -> int:
     data = _load_bialgebra(args, report)
     pbw = PBWStructure.from_bialgebra(data)
@@ -504,10 +491,13 @@ def cmd_hcore(args, report: Report) -> int:
             spec = json_object(_load_json(args.ideal), "the ideal file")
         ideal = _ideal_from_json(algebra, spec["ideal"])
         properties = string_list(spec.get("ideal_properties", []), '"ideal_properties"')
+        for prop in properties:
+            if prop not in PROBE_MODES:
+                raise InputFormatError(f"unknown ideal property {prop!r} in the {what}")
     except (KeyError, TypeError, ValueError) as exc:
         # a malformed file; HopfcoreError is typed by ``main``
         fault = f"missing {json.dumps(exc.args[0])}" if isinstance(exc, KeyError) else exc
-        return _error(args, InputFormatError(f"malformed {what}: {fault}"))
+        raise InputFormatError(f"malformed {what}: {fault}") from None
 
     report.extend(action_mod.verify_module_algebra(act))
 
@@ -523,13 +513,10 @@ def cmd_hcore(args, report: Report) -> int:
     report.add("hcore", ideal.text, PASS, detail)
 
     ring = action_mod.QuotientAlgebra(ideal)
-    modes = {"completely_prime": "domain", "prime": "prime", "semiprime": "semiprime"}
     for prop in properties:
-        mode = modes.get(prop)
-        if mode is None:
-            report.add("probe", prop, FAIL, "unknown ideal property")
-            continue
-        report.extend(action_mod.core_primeness_probe(act, ring, mode, args.probe_bound))
+        report.extend(
+            action_mod.core_primeness_probe(act, ring, PROBE_MODES[prop], args.probe_bound)
+        )
 
     return _finish(args, report, core=core_info)
 
@@ -584,30 +571,30 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    report = Report()
-    if args.out:
-        # an --out that cannot be opened stops the command before it runs,
-        # with the report on stdout
-        try:
-            with open(args.out, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            path, args.out = args.out, None
-            return _error(args, InputFormatError(f"cannot write {path}: {exc}"))
     try:
-        # a negative count would silently run nothing
-        for key in ("trials", "support_cap", "probe_bound"):
-            value = getattr(args, key, None)
-            if value is not None and value < 0:
-                flag = key.replace("_", "-")
-                raise InputFormatError(f"--{flag} must be >= 0, got {value}")
-        return args.func(args, report)
-    except NotABialgebra as exc:
-        # build reports it itself; the other commands stop with the axiom
-        # lines they listed as their checks
-        return _finish(args, report, exc)
-    except HopfcoreError as exc:
-        return _error(args, exc)
+        # an --out that cannot be opened stops the command before it runs,
+        # with the report on stdout; opened for appending, it is emptied at
+        # the report's first write, once the command has read its inputs
+        target = open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        error = f"cannot write {args.out}: {exc}"
+        return _emit(args, Report(sys.stdout), "input-error", error=error)
+    with target as out:
+        report = Report(out)
+        try:
+            # a negative count would silently run nothing
+            for key in ("trials", "support_cap", "probe_bound"):
+                value = getattr(args, key, None)
+                if value is not None and value < 0:
+                    flag = key.replace("_", "-")
+                    raise InputFormatError(f"--{flag} must be >= 0, got {value}")
+            return args.func(args, report)
+        except HopfcoreError as exc:
+            # a written line stands, so an error after one ends the full
+            # report; so does NotABialgebra, with the axiom lines listed
+            if isinstance(exc, NotABialgebra) or any(report.counts.values()):
+                return _finish(args, report, exc)
+            return _emit(args, report, _error_status(exc), error=str(exc))
 
 
 def entry() -> None:

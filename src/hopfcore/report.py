@@ -1,15 +1,19 @@
 """Check reports: one line per checked subject, in a stable text format.
 
-``write`` streams a command's report to its output as the JSON text that
-``json.dumps(sort_keys=True, indent=2)`` gives, one check line at a time.
+A ``Report`` given an output stream writes each check line as it is added
+and keeps only the counts by status; ``finish`` then writes the rest of
+the report.  The text is what ``json.dumps(sort_keys=True, indent=2)``
+gives for the whole report, so ``checks`` comes first.  A ``Report``
+without a stream keeps its lines, for the check functions that return one.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, TextIO
+from typing import Optional, TextIO
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -19,71 +23,65 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # one checked subject; every field is a string
 CheckLine = namedtuple("CheckLine", "check subject status detail", defaults=("",))
 
-
-class Report:
-    """A list of check lines."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self):
-        self.lines: list[CheckLine] = []
-
-    def add(self, check: str, subject: str, status: str, detail: str = "") -> None:
-        self.lines.append(CheckLine(check, subject, status, detail))
-
-    def extend(self, other: "Report") -> None:
-        self.lines.extend(other.lines)
-
-    @property
-    def passed(self) -> bool:
-        return all(line.status != FAIL for line in self.lines)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {PASS: 0, FAIL: 0, SKIP: 0, INCONCLUSIVE: 0}
-        for line in self.lines:
-            out[line.status] = out.get(line.status, 0) + 1
-        return out
-
-
-# a check line as json.dumps(indent=2) writes it one level down, keys sorted
+# the text before the first check line, and a check line as json.dumps
+# (indent=2) writes it one level down, keys sorted
+_HEAD = '{\n  "checks": [\n'
 _LINE = (
     '    {\n      "check": %s,\n      "detail": %s,\n'
     '      "status": %s,\n      "subject": %s\n    }'
 )
 
 
-def _check_lines(lines: list[CheckLine]) -> Iterator[str]:
-    """A non-empty list of check lines as json.dumps(indent=2) writes it
-    under its key, one line at a time."""
-    sep = "[\n"
-    for c, su, st, d in lines:
-        yield sep + _LINE % (_quote(c), _quote(d), _quote(st), _quote(su))
-        sep = ",\n"
-    yield "\n  ]"
+class Report:
+    """Check lines and their counts by status: kept in ``lines`` without an
+    output stream, written to it at once with one."""
 
+    __slots__ = ("lines", "counts", "_out", "_sep")
 
-def write(payload: dict, out: TextIO) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` to
-    out for a report payload with string keys, where the ``checks`` block
-    is a list of check lines written as the list of their {check, subject,
-    status, detail} objects.  The standard encoder runs in pure Python
-    once ``indent`` is set; the check lines, nearly all of a report, go
-    through one template instead, each written as soon as it is formatted,
-    so the report is never held whole.  Every other block is formatted
-    before the first write, so an unserialisable block raises with
-    nothing written."""
-    blocks = {
-        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        for key, value in payload.items()
-        if key != "checks" or not value
-    }
-    sep = "{\n"
-    for key in sorted(payload):
-        out.write(f"{sep}  {_quote(key)}: ")
-        sep = ",\n"
-        if key in blocks:
-            out.write(blocks[key])
-        else:
-            out.writelines(_check_lines(payload[key]))
-    out.write("\n}\n" if payload else "{}\n")
+    def __init__(self, out: Optional[TextIO] = None):
+        self.lines: list[CheckLine] = []
+        self.counts = {PASS: 0, FAIL: 0, SKIP: 0, INCONCLUSIVE: 0}
+        self._out, self._sep = out, _HEAD
+
+    def add(self, check: str, subject: str, status: str, detail: str = "") -> None:
+        self.counts[status] = self.counts.get(status, 0) + 1
+        if self._out is None:
+            self.lines.append(CheckLine(check, subject, status, detail))
+            return
+        self._write(self._sep + _LINE % tuple(map(_quote, (check, detail, status, subject))))
+        self._sep = ",\n"
+
+    def extend(self, other: "Report") -> None:
+        for line in other.lines:
+            self.add(*line)
+
+    @property
+    def passed(self) -> bool:
+        return not self.counts[FAIL]
+
+    def _write(self, text: str) -> None:
+        # a file opened for appending is emptied at the first write, so a
+        # command reads all its inputs before its --out file is emptied; a
+        # pipe or a device, which "w" would not empty either, stays as it is
+        if self._sep is _HEAD and getattr(self._out, "mode", "") == "a":
+            with suppress(OSError):
+                self._out.truncate(0)
+        self._out.write(text)
+
+    def finish(self, payload: dict) -> None:
+        """Write the rest of the report: the string-keyed blocks of payload,
+        after the check lines written, whose keys must then all sort after
+        ``checks`` (else ValueError), or as the whole report when no line
+        was written.  The tail is formatted before it is written, so a
+        block that cannot be serialised raises with none of it written."""
+        if self._sep is _HEAD:
+            self._write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            return
+        if payload and min(payload) <= "checks":
+            raise ValueError(f"key {min(payload)!r} does not sort after the check lines")
+        tail = "".join(
+            f",\n  {_quote(key)}: "
+            + json.dumps(payload[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+            for key in sorted(payload)
+        )
+        self._write("\n  ]" + tail + "\n}\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -1263,23 +1264,128 @@ def test_cli_integers_end_in_a_report(argv):
 
 
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
-    """A HopfcoreError other than an input error is reported with exit 1."""
+    """A HopfcoreError other than an input error ends in exit 1.  A check
+    line once written stands, so an error raised after some ends in one
+    report with those lines, their counts, the config and the error."""
+    argv = ["conv", "--instance", str(INSTANCES / "heis.json"), "--ring", "m2q",
+            "--trials", "5"]
+    _, full = run(tmp_path, *argv)
 
     def anomaly(s, t):
         raise HopfcoreError("leading term mismatch")
 
     monkeypatch.setattr(convolution, "prime_witness", anomaly)
-    code, rep = run(
-        tmp_path, "conv", "--instance", str(INSTANCES / "heis.json"),
-        "--ring", "m2q", "--trials", "5",
-    )
+    code, rep = run(tmp_path, *argv)
+    checks = full["checks"]
+    lines = checks[:[line["check"] for line in checks].index("prime-witness")]
     assert code == 1
     assert rep == {
         "command": "conv",
         "schema": 1,
+        "config": full["config"],
+        "checks": lines,
+        "summary": {s: sum(line["status"] == s for line in lines) for s in full["summary"]},
         "error": "leading term mismatch",
         "status": "fail",
     }
+
+
+def test_the_first_check_line_is_written_before_the_command_returns(monkeypatch):
+    """Each check line is written as it is added: the stream holds the
+    report's opening lines while the last check of ``verify`` runs."""
+    stdout, seen = io.StringIO(), []
+    level_closure = coalgebra.check_level_closure
+
+    def late_check(*args):
+        seen.append(stdout.getvalue())
+        return level_closure(*args)
+
+    monkeypatch.setattr(coalgebra, "check_level_closure", late_check)
+    with contextlib.redirect_stdout(stdout):
+        assert main(RUNS["verify"]) == 0
+    [early] = seen
+    assert early.startswith('{\n  "checks": [\n    {\n      "check": ')
+    assert stdout.getvalue().startswith(early)
+
+
+def test_a_commands_report_keeps_no_check_line(monkeypatch):
+    """The report of a whole ``verify`` writes its lines and keeps only
+    their counts."""
+    reports, held = [], []
+
+    class Recorded(cli.Report):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    level_closure = coalgebra.check_level_closure
+
+    def late_check(*args):
+        held.append(len(reports[0].lines))
+        return level_closure(*args)
+
+    monkeypatch.setattr(cli, "Report", Recorded)
+    monkeypatch.setattr(coalgebra, "check_level_closure", late_check)
+    code, report = assert_main_reports(
+        ["verify", "--instance", str(INSTANCES / "heis.json"), "--trials", "5"]
+    )
+    assert code == 0
+    [rep] = reports
+    assert (held, rep.lines) == ([0], [])
+    assert rep.counts == report["summary"]
+    assert sum(rep.counts.values()) == len(report["checks"]) > 100
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_out_may_name_the_commands_own_instance(tmp_path, command):
+    """--out is emptied only at the report's first write, after the command
+    has read its inputs, so it may name the --instance file itself."""
+    instance = tmp_path / "instance.json"
+    argv = list(RUNS[command])
+    at = argv.index("--instance") + 1
+    instance.write_bytes(pathlib.Path(argv[at]).read_bytes())
+    argv[at] = str(instance)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert main([*argv, "--out", str(instance)]) == code == (3 if command == "hcore" else 0)
+    assert instance.read_text(encoding="utf-8") == stdout.getvalue()
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_out_may_be_a_device(command):
+    """An --out that cannot be emptied, such as the null device, takes the
+    report as ``"w"`` would."""
+    assert main([*RUNS[command], "--out", os.devnull]) == (3 if command == "hcore" else 0)
+
+
+@pytest.mark.parametrize("where", ["action file", "ideal file"])
+def test_an_unknown_ideal_property_is_an_input_error(tmp_path, monkeypatch, where):
+    """An ideal property the probes do not know is refused while the action
+    or --ideal file is read, before any check line, naming the entry."""
+    action = json.loads((ACTIONS / "dq_qx_ix.json").read_text())
+    properties = {"ideal_properties": ["prime", "primeish"]}
+    path = tmp_path / "input.json"
+    argv = ["hcore", "--instance", str(INSTANCES / "dq.json"), "--action", str(path)]
+    if where == "action file":
+        path.write_text(json.dumps({**action, **properties}))
+    else:
+        (tmp_path / "action.json").write_text(json.dumps(action))
+        path.write_text(json.dumps({"ideal": action["ideal"], **properties}))
+        argv[-1:] = [str(tmp_path / "action.json"), "--ideal", str(path)]
+
+    def hcore(*args):
+        raise AssertionError("the core was computed")
+
+    monkeypatch.setattr(cli.action_mod, "hcore", hcore)
+    assert assert_main_reports(argv) == (2, {
+        "command": "hcore",
+        "schema": 1,
+        "error": f"unknown ideal property 'primeish' in the {where}",
+        "status": "input-error",
+    })
 
 
 JACOBI_BROKEN = {

@@ -1,10 +1,11 @@
 """The report writer against the standard encoder.
 
-``report.write`` streams check lines through one template and every other
-block through ``json.dumps``; its output must be byte for byte what
+A ``Report`` with an output stream writes each check line through one
+template as it is added, and ``finish`` writes every other block through
+``json.dumps``; the output must be byte for byte what
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes when each check
-line is the object {check, subject, status, detail}, and it must never
-hold the report whole.
+line is the object {check, subject, status, detail}, and the report must
+never be held whole.
 """
 
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hopfcore import cli
-from hopfcore.report import CheckLine, write
+from hopfcore.report import CheckLine, Report
 from conftest import FIXTURES, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
@@ -31,10 +32,6 @@ def reference_dumps(payload):
         for key, value in payload.items()
     }
     return json.dumps(plain, sort_keys=True, indent=2) + "\n"
-
-
-def reference_write(payload, out):
-    out.write(reference_dumps(payload))
 
 
 # text with what the encoder escapes: quotes, backslashes, control
@@ -85,14 +82,33 @@ payloads = st.builds(
 )
 
 
+def write(payload, out):
+    """Write payload through a Report on out: its check lines, if any, one
+    ``add`` each, then the rest of it through ``finish``."""
+    report = Report(out)
+    rest = dict(payload)
+    if payload.get("checks"):
+        for line in rest.pop("checks"):
+            report.add(*line)
+    report.finish(rest)
+
+
 @settings(max_examples=60, deadline=None)
 @given(payloads)
 @example({})
 @example({"checks": []})
 @example({"checks": [CheckLine('a"b\\c', "\x00\né", "PASS", "\ud800\U0001f600")]})
 @example({"command": "verify", "schema": 1, "error": "x", "status": "input-error"})
+@example({"checks": [CheckLine("c", "s", "PASS")], "a": 1, "status": "ok"})
 def test_write_matches_the_standard_encoder(payload):
+    """After check lines are written, a key that sorts before ``checks``
+    cannot follow them and raises ValueError; otherwise the bytes are the
+    standard encoder's."""
     out = io.StringIO()
+    if payload.get("checks") and any(key < "checks" for key in payload):
+        with pytest.raises(ValueError):
+            write(payload, out)
+        return
     write(payload, out)
     assert out.getvalue() == reference_dumps(payload)
 
@@ -124,26 +140,37 @@ def big_payload(lines=20_000):
 
 
 def test_write_holds_no_more_than_a_tenth_of_the_report():
-    """Streaming keeps the writer's peak allocation far below the text it
-    writes; building the report as one string costs about three times it."""
+    """Writing each line as it is added keeps the peak allocation far below
+    the text written; building the report as one string costs about three
+    times it."""
     payload = big_payload()
     sink = CountingSink()
     tracemalloc.start()
     try:
-        write(payload, sink)
+        report = Report(sink)
+        for line in payload["checks"]:
+            report.add(*line)
+        report.finish({key: payload[key] for key in payload if key != "checks"})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sink.chars == len(reference_dumps(payload))
     assert peak < sink.chars / 10
+    assert report.lines == []
 
 
 def test_unserialisable_block_raises_before_anything_is_written():
-    payload = {**big_payload(3), "zeta": {"bad": object()}}
-    sink = CountingSink()
-    with pytest.raises(TypeError):
-        write(payload, sink)
-    assert sink.chars == 0
+    """``finish`` formats the whole tail before it writes any of it, with
+    or without check lines before it; the lines already written stay."""
+    for lines in (0, 3):
+        sink = CountingSink()
+        report = Report(sink)
+        for line in big_payload(lines)["checks"]:
+            report.add(*line)
+        written = sink.chars
+        with pytest.raises(TypeError):
+            report.finish({"status": "ok", "zeta": {"bad": object()}})
+        assert sink.chars == written
 
 
 def jobs():
@@ -164,15 +191,13 @@ def job_id(argv):
 
 
 @pytest.mark.parametrize("argv", list(jobs()), ids=job_id)
-def test_every_command_writes_the_standard_bytes(tmp_path, monkeypatch, argv):
-    """Each command on each fixture writes the same report, and exits the
-    same way, with the template writer and with the standard encoder."""
+def test_every_command_writes_the_standard_bytes(tmp_path, argv):
+    """Each command on each fixture writes one report, in the bytes the
+    standard encoder gives for it."""
     out = tmp_path / "report.json"
-    code = cli.main([*argv, "--out", str(out)])
-    written = out.read_bytes()
-    monkeypatch.setattr(cli, "write", reference_write)
-    assert cli.main([*argv, "--out", str(out)]) == code
-    assert out.read_bytes() == written
+    cli.main([*argv, "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_out_file_and_stdout_get_the_same_bytes(tmp_path):
