@@ -210,15 +210,17 @@ class ModuleAlgebraAction:
         return combine(self.columns(p), v)
 
 
-def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
+def verify_module_algebra(rep: Report, action: ModuleAlgebraAction) -> None:
     """Unit law, the comultiplication law on products of basis elements, and
     compatibility of the generator operators with the relations among the
     generator lifts."""
-    rep = Report()
     host, alg = action.host, action.algebra
     data = host.data
     # each generator id with the host position of its index
     gens = list(zip(host.gens.ids, host.gen_pos))
+    # expanded before the first line, so that an error in an expansion or
+    # in the basis change it builds is raised before this check writes
+    deltas = [host.expand_comult(g) for _, g in gens]
     one = alg.one
     for gid, g in gens:
         eps = dot(data.counit, host.lifts[gid])
@@ -231,12 +233,9 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
             "" if image == expected else "operator does not kill 1",
         )
 
-    for gid, g in gens:
+    for (gid, g), delta in zip(gens, deltas):
         act_g = action.columns(g)
-        terms = [
-            (action.columns(i), action.columns(j), c)
-            for i, j, c in host.expand_comult(g)
-        ]
+        terms = [(action.columns(i), action.columns(j), c) for i, j, c in delta]
         coeffs = {t: c for t, (_, _, c) in enumerate(terms)}
         checked = skipped = bad = 0
         witness = ""
@@ -278,7 +277,6 @@ def verify_module_algebra(action: ModuleAlgebraAction) -> Report:
                     ok = False
                     break
             rep.add("relation-compatibility", f"{gid},{hid}", PASS if ok else FAIL)
-    return rep
 
 
 def conv_map(
@@ -343,8 +341,8 @@ def hcore(action: ModuleAlgebraAction, ideal: Ideal, core_cap: int) -> HCoreResu
 
 
 def core_primeness_probe(
-    action: ModuleAlgebraAction, ring: QuotientAlgebra, mode: str, bound: int
-) -> Report:
+    rep: Report, action: ModuleAlgebraAction, ring: QuotientAlgebra, mode: str, bound: int
+) -> None:
     """Zero-divisor / witness probes on the basis elements of degree <=
     bound outside the stable core, with values in ring = A/I.  The core is
     the kernel of ``conv_map``, so these are the elements with a nonzero
@@ -354,12 +352,11 @@ def core_primeness_probe(
     convolution products by the exact leading-term law); prime and semiprime
     modes run the witness scans over A/I.  Outcomes beyond the ambient
     truncation are reported inconclusive."""
-    rep = Report()
     if mode not in ("domain", "prime", "semiprime"):
         raise InputFormatError(f"unknown probe mode {mode!r}")
     if ring.ideal.is_unit:
         rep.add(f"probe-{mode}", ring.ideal.text, SKIP, "DegenerateIdeal")
-        return rep
+        return
     alg = action.algebra
     images = {
         i: conv_map(action, ring, {i: Q1})
@@ -372,7 +369,7 @@ def core_primeness_probe(
         for i in candidates:
             label = alg.basis_labels[i]
             add_witness_line(rep, label, images[i], inconclusive="truncated")
-        return rep
+        return
 
     for ti, i in enumerate(candidates):
         for j in candidates[ti:]:
@@ -400,4 +397,3 @@ def core_primeness_probe(
                 )
             else:
                 add_witness_line(rep, subject, images[i], images[j], "truncated")
-    return rep

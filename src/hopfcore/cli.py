@@ -15,6 +15,7 @@ Reports are byte-identical for identical configurations and seeds.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -72,17 +73,20 @@ def _load_bialgebra(args, report: Report, stage=None) -> coalgebra.FilteredBialg
     """Load --instance and decide whether the command may use it: its
     bialgebra axioms and its antipode law must hold, else NotABialgebra.
     ``build`` and ``verify`` check every instance and list the axiom lines;
-    ``conv`` and ``hcore`` check raw instances only and list the lines only
-    when they fail.  A recorder ``stage`` (see ``PBWStructure.from_bialgebra``)
-    sees the load and the axioms as steps and takes their report."""
+    ``conv`` and ``hcore`` check raw instances only, into a report of their
+    own, and list the lines, by a second run, only when they fail.  A
+    recorder ``stage`` (see ``PBWStructure.from_bialgebra``) sees the load
+    and the axioms as steps."""
     run = stage or (lambda name, step: step())
     data = run("load", lambda: load_instance(args.instance, args.degree))
-    if args.command in ("conv", "hcore") and not data.raw:
+    listed = args.command in ("build", "verify")
+    if not (listed or data.raw):
         return data
-    axioms = run("verify_axioms", lambda: coalgebra.verify_axioms(data))
-    if stage is None and (args.command == "verify" or not axioms.passed):
-        report.extend(axioms)
-    if not axioms.passed:
+    checked = report if listed else Report(io.StringIO())
+    run("verify_axioms", lambda: coalgebra.verify_axioms(checked, data))
+    if checked.counts[FAIL]:
+        if not listed:
+            coalgebra.verify_axioms(report, data)
         raise NotABialgebra("bialgebra axioms fail; see checks")
     coalgebra.check_antipode(data)
     return data
@@ -265,7 +269,7 @@ def cmd_build(args, report: Report) -> int:
     a recorder: the report's stages are the pipeline's record, with the
     checks ``verify_gr_facts`` (as soon as gr exists) and
     ``verify_all_bases`` (at the end, as ``verify_basis``) as stages too,
-    and its checks the reports those stages returned."""
+    and its checks the lines those stages added."""
     stages: list[dict] = []
     done: dict = {}
 
@@ -276,18 +280,19 @@ def cmd_build(args, report: Report) -> int:
             stages.append({"stage": name, "status": "fail", "detail": str(exc)})
             raise
         stages.append({"stage": name, "status": "ok", "detail": ""})
-        if isinstance(result, Report):
-            report.extend(result)
         done[name] = result
         if name == "gr_structure":
             data, split = done["load"], done["graded_splitting"]
-            stage("verify_gr_facts", lambda: coalgebra.verify_gr_facts(result, data, split))
+            stage(
+                "verify_gr_facts",
+                lambda: coalgebra.verify_gr_facts(report, result, data, split),
+            )
         return result
 
     error = None
     try:
         pbw = PBWStructure.from_bialgebra(_load_bialgebra(args, report, stage), stage)
-        stage("verify_basis", pbw.verify_all_bases)
+        stage("verify_basis", lambda: pbw.verify_all_bases(report))
     except HopfcoreError as exc:
         error = exc
 
@@ -332,13 +337,13 @@ def cmd_verify(args, report: Report) -> int:
         return _finish(args, report)
 
     split, gr = steps["graded_splitting"], steps["gr_structure"]
-    report.extend(coalgebra.check_primitivity_defects(data, split))
-    report.extend(coalgebra.check_delta_consistency(split))
-    report.extend(coalgebra.check_coradically_graded(gr))
-    report.extend(coalgebra.verify_gr_facts(gr, data, split))
+    coalgebra.check_primitivity_defects(report, data, split)
+    coalgebra.check_delta_consistency(report, split)
+    coalgebra.check_coradically_graded(report, gr)
+    coalgebra.verify_gr_facts(report, gr, data, split)
 
     try:
-        report.extend(pbw.verify_all_bases())
+        pbw.verify_all_bases(report)
         has_basis = True
     except BasisDefect as exc:
         report.add("basis", "-", FAIL, str(exc))
@@ -359,15 +364,15 @@ def cmd_verify(args, report: Report) -> int:
     if has_basis:
         for p, label in enumerate(pbw.labels):
             try:
-                report.extend(pbw.check_split_expansion(p))
+                pbw.check_split_expansion(report, p)
             except ExpansionViolation as exc:
                 report.add("split-expansion", label, FAIL, str(exc))
-        report.extend(pbw.check_span_closure(rng, args.trials))
+        pbw.check_span_closure(report, rng, args.trials)
     else:
         # both expand on the monomial basis, which does not exist here
         for check in ("split-expansion", "span-closure"):
             report.add(check, "-", SKIP, "no monomial basis")
-    report.extend(coalgebra.check_level_closure(gr, rng, args.trials))
+    coalgebra.check_level_closure(report, gr, rng, args.trials)
 
     return _finish(args, report)
 
@@ -384,7 +389,7 @@ def cmd_conv(args, report: Report) -> int:
         ring = convolution.ring_from_tables(_load_json(args.ring))
     pbw = PBWStructure.from_bialgebra(data)
 
-    report.extend(convolution.ring_check(ring))
+    convolution.ring_check(report, ring)
     rng = random.Random(args.seed)
     cap = args.support_cap if args.support_cap is not None else data.degree_bound // 2
 
@@ -499,7 +504,7 @@ def cmd_hcore(args, report: Report) -> int:
         fault = f"missing {json.dumps(exc.args[0])}" if isinstance(exc, KeyError) else exc
         raise InputFormatError(f"malformed {what}: {fault}") from None
 
-    report.extend(action_mod.verify_module_algebra(act))
+    action_mod.verify_module_algebra(report, act)
 
     result = action_mod.hcore(act, ideal, core_cap)
     core_info = {
@@ -514,9 +519,7 @@ def cmd_hcore(args, report: Report) -> int:
 
     ring = action_mod.QuotientAlgebra(ideal)
     for prop in properties:
-        report.extend(
-            action_mod.core_primeness_probe(act, ring, PROBE_MODES[prop], args.probe_bound)
-        )
+        action_mod.core_primeness_probe(report, act, ring, PROBE_MODES[prop], args.probe_bound)
 
     return _finish(args, report, core=core_info)
 

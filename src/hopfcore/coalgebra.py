@@ -135,10 +135,9 @@ class FilteredBialgebraData(TableAlgebra):
 # axiom verification
 
 
-def verify_axioms(data: FilteredBialgebraData) -> Report:
+def verify_axioms(rep: Report, data: FilteredBialgebraData) -> None:
     """Check counit laws, coassociativity, unit laws, and multiplicativity
     of the comultiplication and counit wherever truncation permits."""
-    rep = Report()
     dim = data.dim
     eps, comult, mult = data.counit, data.comult, data.mult
 
@@ -222,7 +221,6 @@ def verify_axioms(data: FilteredBialgebraData) -> Report:
             subject,
             FAIL if any(diff.values()) else PASS,
         )
-    return rep
 
 
 def check_antipode(data: FilteredBialgebraData) -> None:
@@ -481,8 +479,8 @@ def _illegal_bidegree(dp: int, dq: int, n: int) -> bool:
 
 
 def check_primitivity_defects(
-    data: FilteredBialgebraData, split: GradedSplitting
-) -> Report:
+    rep: Report, data: FilteredBialgebraData, split: GradedSplitting
+) -> None:
     """Primitivity defect of every basis element h in C_n lands in
     sum_{i=1}^{n-1} C_i (x) C_{n-i}.  The layer n of h is the top degree
     of its split coordinates, and its split Delta their combination of the
@@ -493,7 +491,6 @@ def check_primitivity_defects(
     1 (x) 1, so this amounts to checking the counit-normalized element
     h - eps(h) 1; both readings agree whenever eps(h) = 0, which covers
     every basis element of the shipped instances."""
-    rep = Report()
     degrees, labels = split.degrees, data.basis_labels
     for i, units in enumerate(split.to_split_units):
         n = split.max_degree(units)
@@ -515,15 +512,13 @@ def check_primitivity_defects(
                 why = f"illegal entry at bidegree ({dp},{dq}) coeff {rat_str(c)}"
                 break
         rep.add("primitivity-defect", f"{labels[i]} (n={n})", FAIL if why else PASS, why)
-    return rep
 
 
-def check_delta_consistency(split: GradedSplitting) -> Report:
+def check_delta_consistency(rep: Report, split: GradedSplitting) -> None:
     """The comultiplication agrees with its degree-preserving part modulo
     components of strictly smaller total degree: that part (gr's
     ``comult``) is exactly the part at the element's degree, so no entry
     may lie above it."""
-    rep = Report()
     degrees = split.degrees
     for k, n in enumerate(degrees):
         bad = [(p, q) for p, q in split.comult[k] if degrees[p] + degrees[q] > n]
@@ -533,22 +528,20 @@ def check_delta_consistency(split: GradedSplitting) -> Report:
             PASS if not bad else FAIL,
             "" if not bad else f"non-lower remainder at {bad[0]}",
         )
-    return rep
 
 
-def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
+def check_coradically_graded(rep: Report, gr: FilteredBialgebraData) -> None:
     """The filtration of the associated graded object is the degree
     filtration."""
-    rep = Report()
     degrees = gr.degrees
     if degrees is None:
         rep.add("coradically-graded", "-", FAIL, "missing degree labels")
-        return rep
+        return
     try:
         filt = require_connected(coradical_filtration(gr), gr.degree_bound)
     except NotExhaustive as exc:
         rep.add("coradically-graded", "-", FAIL, str(exc))
-        return rep
+        return
     for n, layer in enumerate(filt.layers):
         expected = Subspace.from_sparse(
             [{k: Q1} for k in range(gr.dim) if degrees[k] <= n], gr.dim
@@ -561,20 +554,19 @@ def check_coradically_graded(gr: FilteredBialgebraData) -> Report:
             if layer != expected
             else "",
         )
-    return rep
 
 
 def verify_gr_facts(
+    rep: Report,
     gr: FilteredBialgebraData,
     data: FilteredBialgebraData,
     split: GradedSplitting,
-) -> Report:
+) -> None:
     """Filtration is an algebra filtration, is stable under the antipode
     (when one is supplied), and the associated graded algebra is
     commutative.  ``gr`` is ``gr_structure(split)``, which multiplied every
     pair of splitting vectors within the bound and would have raised on a
     product escaping its degree, so every degree pair passes."""
-    rep = Report()
     bound = data.degree_bound
     degrees = gr.degrees
     present = sorted(set(degrees))
@@ -604,7 +596,6 @@ def verify_gr_facts(
                 )
     if commutative:
         rep.add("gr-commutative", "all pairs", PASS)
-    return rep
 
 
 def _level_table(gr: FilteredBialgebraData, n: int) -> list[Optional[tuple]]:
@@ -654,10 +645,9 @@ def _in_primitive_set(
 SAMPLE_COEFFS = (-2, -1, 0, 1, 2)
 
 
-def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
+def check_level_closure(rep: Report, gr: FilteredBialgebraData, rng, samples: int) -> None:
     """Sampled closure of the primitivity-defect levels under products and
     sums in the associated graded object."""
-    rep = Report()
     degrees = gr.degrees
     assert degrees is not None
     bound = gr.degree_bound
@@ -700,7 +690,6 @@ def check_level_closure(gr: FilteredBialgebraData, rng, samples: int) -> Report:
             PASS if not bad else FAIL,
             ",".join(bad),
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------

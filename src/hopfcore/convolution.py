@@ -115,11 +115,10 @@ def semiprime_refuter(ring: TableAlgebra) -> Optional[int]:
     return None
 
 
-def ring_check(ring: TableAlgebra) -> Report:
+def ring_check(rep: Report, ring: TableAlgebra) -> None:
     """Validate associativity and unit laws on the basis, then confirm or
     refute the declared flags by bounded scans (zero-divisor pairs, a.R.b
     annihilation, a.R.a annihilation)."""
-    rep = Report()
     dim, labels = ring.dim, ring.basis_labels
     basis = [{i: Q1} for i in range(dim)]
 
@@ -175,7 +174,6 @@ def ring_check(ring: TableAlgebra) -> Report:
         rep.add("flag-semiprime", ring.name, PASS, detail)
     else:
         rep.add("flag-semiprime", ring.name, FAIL, "declared flag contradicts scan")
-    return rep
 
 
 # ---------------------------------------------------------------------------

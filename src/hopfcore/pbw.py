@@ -230,14 +230,17 @@ class PBWStructure:
 
     # -- basis change ----------------------------------------------------------
 
-    def verify_all_bases(self) -> Report:
-        """The monomials of degree <= n form a basis of the n-th filtration
-        layer, for every n: the layer has as many monomials as its dimension
-        and holds those of degree n (the layers nest), and the inverse of
-        the matrix of all the monomials, kept as ``_raw_to_pbw``, proves
-        every prefix independent.  Raises BasisDefect on any failure, at
-        the lowest degree where it occurs."""
-        rep = Report()
+    def _basis_change(self) -> list[dict[int, Scalar]]:
+        """The inverse of the matrix of all the monomials, built on first
+        use and kept as ``_raw_to_pbw``: row j expands the raw basis vector
+        e_j on the monomials.  Building it proves that the monomials of
+        degree <= n form a basis of the n-th filtration layer, for every n:
+        the layer has as many monomials as its dimension and holds those of
+        degree n (the layers nest), and the inverse proves every prefix
+        independent.  Raises BasisDefect on any failure, at the lowest
+        degree where it occurs."""
+        if self._raw_to_pbw is not None:
+            return self._raw_to_pbw
         bound, dim = self.data.degree_bound, self.data.dim
         monomials = []
         for n in range(bound + 1):
@@ -251,7 +254,6 @@ class PBWStructure:
                 if not layer.contains(v):
                     raise BasisDefect(f"degree {n}: e_{self.labels[p]} escapes the layer")
                 monomials.append((d, v))
-            rep.add("basis", f"degree {n}", PASS, f"dim {count}")
         rows = [v for _, v in monomials]
         try:
             raw_to_pbw = inverse(rows, dim)
@@ -265,14 +267,20 @@ class PBWStructure:
             for p, c in row.items():
                 row[p] = exact(c * monomials[p][0])
         self._raw_to_pbw = raw_to_pbw
-        return rep
+        return raw_to_pbw
+
+    def verify_all_bases(self, rep: Report) -> None:
+        """One ``basis`` line per degree n: the monomials of degree <= n form
+        a basis of the n-th filtration layer (see ``_basis_change``, which
+        raises BasisDefect before any line is added)."""
+        self._basis_change()
+        for n in range(self.data.degree_bound + 1):
+            rep.add("basis", f"degree {n}", PASS, f"dim {self.count_up_to(n)}")
 
     def pbw_coords(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """Exact expansion of a sparse raw vector on the monomial basis, as
         {position: coefficient} in ascending position, zeros dropped."""
-        if self._raw_to_pbw is None:
-            self.verify_all_bases()
-        return dict(sorted(combine(self._raw_to_pbw, v).items()))
+        return dict(sorted(combine(self._basis_change(), v).items()))
 
     # -- products --------------------------------------------------------------
 
@@ -315,11 +323,10 @@ class PBWStructure:
         monomial basis, as terms (i, j, c) on positions, sorted by (i, j);
         computed on each call, since ``transposed_comult`` holds the table."""
         self._require(p)
-        if self._raw_to_pbw is None:
-            self.verify_all_bases()
+        raw_to_pbw = self._basis_change()
         # Delta(d e_m) in integers, divided by d once per term
         d, v = self.integral_monomial(p)
-        acc = _split_tensor(self._raw_to_pbw, self.data.comult_map(v))
+        acc = _split_tensor(raw_to_pbw, self.data.comult_map(v))
         out = []
         degrees, deg_m, name = self.degrees, self.degrees[p], self.labels
         for (i, j), c in sorted(acc.items()):
@@ -343,12 +350,11 @@ class PBWStructure:
             self._transposed = table
         return self._transposed
 
-    def check_split_expansion(self, p: int) -> Report:
+    def check_split_expansion(self, rep: Report, p: int) -> None:
         """Every expansion term is either a splitting of m with coefficient
         exactly 1 (each splitting occurring once) or strictly smaller; raises
-        ExpansionViolation otherwise.  A missing splitting is named by the
-        first in position order."""
-        rep = Report()
+        ExpansionViolation otherwise, before its line is added.  A missing
+        splitting is named by the first in position order."""
         name, pos = self.labels, self.index_pos
         m = name[p]
         expected = {(pos[l], pos[r]) for l, r in splittings(self.indices[p])}
@@ -377,14 +383,12 @@ class PBWStructure:
                 f"splitting e_{name[i]} (x) e_{name[j]} of e_{m} is missing"
             )
         rep.add("split-expansion", m, PASS, f"{len(seen)} splittings")
-        return rep
 
     # -- closure of spans -------------------------------------------------------
 
-    def check_span_closure(self, rng, samples: int) -> Report:
+    def check_span_closure(self, rep: Report, rng, samples: int) -> None:
         """Sampled check that products of elements supported below n and m
         expand with support below n + m."""
-        rep = Report()
         bound = self.data.degree_bound
 
         def sample_elem(top: int) -> SparseRow:
@@ -417,4 +421,3 @@ class PBWStructure:
                 PASS if not bad else FAIL,
                 f"escaped at {self.labels[bad[0]]}" if bad else "",
             )
-        return rep

@@ -1,27 +1,23 @@
 """Check reports: one line per checked subject, in a stable text format.
 
-A ``Report`` given an output stream writes each check line as it is added
+A ``Report`` writes each check line to its output stream as it is added
 and keeps only the counts by status; ``finish`` then writes the rest of
 the report.  The text is what ``json.dumps(sort_keys=True, indent=2)``
-gives for the whole report, so ``checks`` comes first.  A ``Report``
-without a stream keeps its lines, for the check functions that return one.
+gives for the whole report, so ``checks`` comes first.  Every check of the
+library takes the report it adds its lines to.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, TextIO
+from typing import TextIO
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# one checked subject; every field is a string
-CheckLine = namedtuple("CheckLine", "check subject status detail", defaults=("",))
 
 # the text before the first check line, and a check line as json.dumps
 # (indent=2) writes it one level down, keys sorted
@@ -33,31 +29,20 @@ _LINE = (
 
 
 class Report:
-    """Check lines and their counts by status: kept in ``lines`` without an
-    output stream, written to it at once with one."""
+    """Check lines, written to the output stream as they are added, and
+    their counts by status."""
 
-    __slots__ = ("lines", "counts", "_out", "_sep")
+    __slots__ = ("counts", "_out", "_sep")
 
-    def __init__(self, out: Optional[TextIO] = None):
-        self.lines: list[CheckLine] = []
+    def __init__(self, out: TextIO):
         self.counts = {PASS: 0, FAIL: 0, SKIP: 0, INCONCLUSIVE: 0}
         self._out, self._sep = out, _HEAD
 
     def add(self, check: str, subject: str, status: str, detail: str = "") -> None:
+        """One check line; every field is a string."""
         self.counts[status] = self.counts.get(status, 0) + 1
-        if self._out is None:
-            self.lines.append(CheckLine(check, subject, status, detail))
-            return
         self._write(self._sep + _LINE % tuple(map(_quote, (check, detail, status, subject))))
         self._sep = ",\n"
-
-    def extend(self, other: "Report") -> None:
-        for line in other.lines:
-            self.add(*line)
-
-    @property
-    def passed(self) -> bool:
-        return not self.counts[FAIL]
 
     def _write(self, text: str) -> None:
         # a file opened for appending is emptied at the first write, so a

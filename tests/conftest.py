@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import pathlib
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -11,11 +13,39 @@ from hopfcore.coalgebra import instance_from_json
 from hopfcore.linalg import Q0, Subspace, exact, rat, rat_str
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
+from hopfcore.report import FAIL, Report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+# one checked subject of a report; every field is a string
+CheckLine = namedtuple("CheckLine", "check subject status detail", defaults=("",))
+
+
+class Checked(namedtuple("Checked", "lines counts")):
+    """The check lines of one finished report, read back from its text, and
+    the report's counts by status."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self):
+        return all(line.status != FAIL for line in self.lines)
+
+
+def run_check(check, *args):
+    """Run ``check(rep, *args)`` into a ``Report`` on a text stream, finish
+    the report and read its ``checks`` back as ``CheckLine``s.  A report
+    without lines has no ``checks``, which reads as no lines."""
+    out = io.StringIO()
+    rep = Report(out)
+    check(rep, *args)
+    rep.finish({})
+    lines = [CheckLine(**line) for line in json.loads(out.getvalue()).get("checks", [])]
+    assert sum(rep.counts.values()) == len(lines)
+    return Checked(lines, rep.counts)
 
 
 def compare(gens, m, n):

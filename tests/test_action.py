@@ -24,6 +24,7 @@ from hopfcore.table import PolynomialAlgebra, TableAlgebra
 from conftest import (
     assert_matches_dense_operators, at, full_space, generator_operators, load_fixture,
     normal_labels,
+    run_check,
     sparse_of,
 )
 
@@ -216,8 +217,8 @@ def test_quotient_table_matches_lifted_products(make_ideal):
 
 
 def test_module_algebra_verifies(sl2_action, dq_action):
-    assert verify_module_algebra(sl2_action).passed
-    assert verify_module_algebra(dq_action).passed
+    assert run_check(verify_module_algebra, sl2_action).passed
+    assert run_check(verify_module_algebra, dq_action).passed
 
 
 def test_action_rejects_unknown_and_missing_operators(sl2, qxy):
@@ -273,7 +274,7 @@ def test_module_algebra_fails_on_bad_unit(sl2, qxy):
             "h": [{} for _ in range(qxy.dim)],
         },
     )
-    rep = verify_module_algebra(act)
+    rep = run_check(verify_module_algebra, act)
     assert any(
         (l.check, l.subject, l.status) == ("unit-law", "e", "FAIL") for l in rep.lines
     )
@@ -288,7 +289,7 @@ def test_module_algebra_product_law_failure_lines(sl2, qxy, sl2_action):
     act = ModuleAlgebraAction(sl2, qxy, {**generator_operators(sl2_action), "e": bad_e})
     lines = [
         (l.check, l.subject, l.status, l.detail)
-        for l in verify_module_algebra(act).lines
+        for l in run_check(verify_module_algebra, act).lines
         if l.check in ("product-law", "relation-compatibility")
     ]
     law = "checked 495, skipped 1530"
@@ -313,7 +314,7 @@ def test_module_algebra_skips_truncated_images(sl2, qxy, sl2_action):
     act = ModuleAlgebraAction(sl2, qxy, {**generator_operators(sl2_action), "e": raising_e})
     lines = {
         (l.check, l.subject): (l.status, l.detail)
-        for l in verify_module_algebra(act).lines
+        for l in run_check(verify_module_algebra, act).lines
     }
     assert lines["product-law", "e"] == ("PASS", "checked 355, skipped 1670")
     assert lines["product-law", "f"] == ("PASS", "checked 495, skipped 1530")
@@ -374,7 +375,7 @@ def test_xyw_action_module_law(xyw):
         lambda e: [((e[0] - 2,), F(e[0] * (e[0] - 1), 2))] if e[0] >= 2 else [],
     )
     act = ModuleAlgebraAction(xyw, A, {"x": d1, "y": d1, "w": d2})
-    assert verify_module_algebra(act).passed
+    assert run_check(verify_module_algebra, act).passed
 
 
 # -- the map into the convolution algebra ------------------------------------------
@@ -579,7 +580,7 @@ def test_core_is_ideal(sl2_action, qxy, ideal_x):
 
 def test_domain_probe_sl2(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
-    rep = core_primeness_probe(sl2_action, ring, "domain", 3)
+    rep = run_check(core_primeness_probe, sl2_action, ring, "domain", 3)
     assert rep.passed
     assert rep.counts["PASS"] > 0
 
@@ -590,19 +591,19 @@ def test_domain_probe_dq(dq_action):
     ring = QuotientAlgebra(ideal)
     core = hcore(dq_action, ideal, 4).core
     assert core.dim == 0
-    rep = core_primeness_probe(dq_action, ring, "domain", 3)
+    rep = run_check(core_primeness_probe, dq_action, ring, "domain", 3)
     assert rep.passed
 
 
 def test_prime_and_semiprime_probes(sl2_action, ideal_x):
     ring = QuotientAlgebra(ideal_x)
-    assert core_primeness_probe(sl2_action, ring, "prime", 2).passed
-    assert core_primeness_probe(sl2_action, ring, "semiprime", 2).passed
+    assert run_check(core_primeness_probe, sl2_action, ring, "prime", 2).passed
+    assert run_check(core_primeness_probe, sl2_action, ring, "semiprime", 2).passed
 
 
 def test_degenerate_ideal_skipped(sl2_action, qxy):
     unit = Ideal.monomial(qxy, [(0, 0)])
     ring = QuotientAlgebra(unit)
-    rep = core_primeness_probe(sl2_action, ring, "domain", 2)
+    rep = run_check(core_primeness_probe, sl2_action, ring, "domain", 2)
     assert rep.lines[0].status == "SKIP"
     assert "DegenerateIdeal" in rep.lines[0].detail

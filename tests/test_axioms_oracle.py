@@ -26,6 +26,7 @@ from hopfcore.report import FAIL, PASS, SKIP, Report
 from hopfcore.table import TableAlgebra
 from conftest import (
     FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, dense_of, instance_to_json, load_fixture,
+    run_check,
 )
 
 
@@ -34,8 +35,7 @@ def _tensor3_eq(a: dict, b: dict) -> bool:
     return all(a.get(k, Q0) == b.get(k, Q0) for k in keys)
 
 
-def fraction_verify_axioms(data) -> Report:
-    rep = Report()
+def fraction_verify_axioms(rep: Report, data) -> None:
     dim = data.dim
     eps = data.counit
 
@@ -127,16 +127,11 @@ def fraction_verify_axioms(data) -> Report:
                 subject,
                 PASS if lhs == rhs else FAIL,
             )
-    return rep
-
-
-def lines(rep: Report) -> list[tuple[str, str, str, str]]:
-    return [(l.check, l.subject, l.status, l.detail) for l in rep.lines]
 
 
 def assert_same_lines(data) -> list[tuple[str, str, str, str]]:
-    got = lines(verify_axioms(data))
-    assert got == lines(fraction_verify_axioms(data))
+    got = [tuple(line) for line in run_check(verify_axioms, data).lines]
+    assert got == [tuple(line) for line in run_check(fraction_verify_axioms, data).lines]
     return got
 
 

@@ -5,6 +5,7 @@ unit, the declared flags, the name and the ``ring_check`` lines."""
 import pytest
 
 from hopfcore.convolution import builtin_ring, ring_check
+from conftest import run_check
 
 # ring name -> (labels, {(a, b): product label} for the nonzero basis
 # products, unit labels, flags, ring_check details)
@@ -82,7 +83,7 @@ def test_builtin_ring_is_pinned(name):
             assert got == row, (a, b)
             assert all(type(x) is int for _, x in got)
             assert ring.mul({pos[a]: 1}, {pos[b]: 1}) == dict(row), (a, b)
-    lines = [tuple(line) for line in ring_check(ring).lines]
+    lines = [tuple(line) for line in run_check(ring_check, ring).lines]
     assert lines == [
         ("associativity", name, "PASS", ""),
         ("unit-law", name, "PASS", ""),

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from hopfcore import build_ueg, cli, coalgebra, convolution
 from hopfcore.cli import main
 from hopfcore.coalgebra import instance_from_json
-from hopfcore.errors import HopfcoreError
+from hopfcore.errors import ExpansionViolation, HopfcoreError
 from hopfcore.pbw import PBWStructure
+from hopfcore.report import Report
 from conftest import FIXTURES, instance_to_json, load_fixture, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
@@ -228,7 +229,7 @@ def test_conv_and_hcore_check_raw_instances_only(tmp_path, monkeypatch):
     checked = []
     real = coalgebra.verify_axioms
     monkeypatch.setattr(
-        coalgebra, "verify_axioms", lambda data: checked.append(data.raw) or real(data)
+        coalgebra, "verify_axioms", lambda rep, data: checked.append(data.raw) or real(rep, data)
     )
     # the check runs before hcore reads its action file, so the action's
     # generator need not belong to the instance
@@ -1266,7 +1267,10 @@ def test_cli_integers_end_in_a_report(argv):
 def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
     """A HopfcoreError other than an input error ends in exit 1.  A check
     line once written stands, so an error raised after some ends in one
-    report with those lines, their counts, the config and the error."""
+    report with those lines, their counts, the config and the error: an
+    error after a check (in the witness scan after ``ring_check``) and one
+    inside a check, after its first lines (in ``ring_check``'s prime
+    scan)."""
     argv = ["conv", "--instance", str(INSTANCES / "heis.json"), "--ring", "m2q",
             "--trials", "5"]
     _, full = run(tmp_path, *argv)
@@ -1286,6 +1290,43 @@ def test_other_errors_end_in_a_report(tmp_path, monkeypatch):
         "checks": lines,
         "summary": {s: sum(line["status"] == s for line in lines) for s in full["summary"]},
         "error": "leading term mismatch",
+        "status": "fail",
+    }
+
+    def inside(ring):
+        raise HopfcoreError("prime scan failed")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(convolution, "prime_refuter", inside)
+    code, rep = run(tmp_path, *argv)
+    lines = checks[:[line["check"] for line in checks].index("flag-prime")]
+    assert code == 1
+    assert [line["check"] for line in lines] == ["associativity", "unit-law", "flag-domain"]
+    assert rep == {
+        "command": "conv",
+        "schema": 1,
+        "config": full["config"],
+        "checks": lines,
+        "summary": {s: sum(line["status"] == s for line in lines) for s in full["summary"]},
+        "error": "prime scan failed",
+        "status": "fail",
+    }
+
+
+def test_an_expansion_error_in_hcore_ends_before_any_line(tmp_path, monkeypatch):
+    """``verify_module_algebra`` expands the generators before its first
+    line, so an error in an expansion ends ``hcore`` in the bare error
+    report, as when the check's lines were held until it returned."""
+    def broken(self, p):
+        raise ExpansionViolation("injected in expand_comult")
+
+    monkeypatch.setattr(PBWStructure, "expand_comult", broken)
+    code, rep = run(tmp_path, *RUNS["hcore"])
+    assert code == 1
+    assert rep == {
+        "command": "hcore",
+        "schema": 1,
+        "error": "injected in expand_comult",
         "status": "fail",
     }
 
@@ -1309,33 +1350,48 @@ def test_the_first_check_line_is_written_before_the_command_returns(monkeypatch)
 
 
 def test_a_commands_report_keeps_no_check_line(monkeypatch):
-    """The report of a whole ``verify`` writes its lines and keeps only
-    their counts."""
-    reports, held = [], []
+    """A whole ``verify`` constructs one ``Report``, the command's, into
+    which every check writes its lines; it keeps only their counts."""
+    reports = []
+    init = Report.__init__
 
-    class Recorded(cli.Report):
-        __slots__ = ()
+    def recorded(self, *args):
+        init(self, *args)
+        reports.append(self)
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            reports.append(self)
-
-    level_closure = coalgebra.check_level_closure
-
-    def late_check(*args):
-        held.append(len(reports[0].lines))
-        return level_closure(*args)
-
-    monkeypatch.setattr(cli, "Report", Recorded)
-    monkeypatch.setattr(coalgebra, "check_level_closure", late_check)
+    monkeypatch.setattr(Report, "__init__", recorded)
     code, report = assert_main_reports(
         ["verify", "--instance", str(INSTANCES / "heis.json"), "--trials", "5"]
     )
     assert code == 0
     [rep] = reports
-    assert (held, rep.lines) == ([0], [])
+    assert not hasattr(rep, "__dict__") and not hasattr(rep, "lines")
     assert rep.counts == report["summary"]
     assert sum(rep.counts.values()) == len(report["checks"]) > 100
+
+
+def test_a_checks_first_line_is_written_before_the_check_returns(monkeypatch):
+    """A library check adds its lines to the command's report, which writes
+    each at once: the first level-closure line is on the stream while
+    ``check_level_closure`` still runs."""
+    stdout, events = io.StringIO(), []
+    add, level_closure = Report.add, coalgebra.check_level_closure
+
+    def watched_add(self, check, *rest):
+        add(self, check, *rest)
+        if check == "level-closure" and not events:
+            events.append(("added", '"check": "level-closure"' in stdout.getvalue()))
+
+    def watched_check(*args):
+        result = level_closure(*args)
+        events.append(("returned", None))
+        return result
+
+    monkeypatch.setattr(Report, "add", watched_add)
+    monkeypatch.setattr(coalgebra, "check_level_closure", watched_check)
+    with contextlib.redirect_stdout(stdout):
+        assert main(RUNS["verify"]) == 0
+    assert events == [("added", True), ("returned", None)]
 
 
 @pytest.mark.parametrize("command", list(RUNS))

@@ -24,7 +24,7 @@ from hopfcore.errors import HopfcoreError, InputFormatError, NotExhaustive, Trun
 from hopfcore.report import PASS
 from hopfcore.linalg import Q1, combine, dot
 from conftest import (
-    HEIS_BRACKETS, SL2_BRACKETS, front_end, instance_to_json, load_fixture,
+    HEIS_BRACKETS, SL2_BRACKETS, front_end, instance_to_json, load_fixture, run_check,
 )
 
 
@@ -107,7 +107,7 @@ def test_axioms_pass_on_builtins():
         build_xyw(3),
         instance_from_json(load_fixture("instances/grouplike.json")),
     ):
-        assert verify_axioms(data).passed
+        assert run_check(verify_axioms, data).passed
 
 
 COUNIT_FAILURE = dict(
@@ -122,7 +122,7 @@ COUNIT_FAILURE = dict(
 
 def test_axioms_catch_counit_failure():
     # group-like comultiplication with a counit that vanishes
-    rep = verify_axioms(FilteredBialgebraData(**COUNIT_FAILURE))
+    rep = run_check(verify_axioms, FilteredBialgebraData(**COUNIT_FAILURE))
     failures = {(l.check, l.subject) for l in rep.lines if l.status == "FAIL"}
     assert ("counit", "t") in failures
     # the unit law holds: only the counit is wrong
@@ -227,7 +227,7 @@ def test_splitting_delta_drops_lower_terms():
     })
     split = graded_splitting(coradical_filtration(data), data)
     assert split.labels == ("1", "t", "t2", "s")
-    assert check_delta_consistency(split).passed
+    assert run_check(check_delta_consistency, split).passed
     # the check reads the stored tensors without changing them
     assert split.comult[3] == {
         (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1,
@@ -270,8 +270,8 @@ def test_gr_heisenberg_commutative(heis):
 def test_gr_facts_and_gradedness(heis, xyw, qt):
     for p in (heis, xyw, qt):
         split, gr, _ = front_end(p)
-        assert verify_gr_facts(gr, p.data, split).passed
-        assert check_coradically_graded(gr).passed
+        assert run_check(verify_gr_facts, gr, p.data, split).passed
+        assert run_check(check_coradically_graded, gr).passed
 
 
 def test_antipode_raising_the_degree_fails_stability_there_only():
@@ -282,7 +282,7 @@ def test_antipode_raising_the_degree_fails_stability_there_only():
     data.antipode[e] = ((e, -Q1), (e2, Q1))
     split = graded_splitting(require_connected(coradical_filtration(data), 4), data)
     gr = gr_structure(split)
-    lines = [line for line in verify_gr_facts(gr, data, split).lines
+    lines = [line for line in run_check(verify_gr_facts, gr, data, split).lines
              if line.check == "antipode-stability"]
     assert len(lines) == split.dim
     assert [line.subject for line in lines if line.status != PASS] == ["e"]
@@ -305,7 +305,7 @@ def test_antipode_image_computed_once_per_splitting_vector(monkeypatch):
 
     monkeypatch.setattr(FilteredBialgebraData, "antipode_of", counted)
     gr = gr_structure(split)
-    rep = verify_gr_facts(gr, data, split)
+    rep = run_check(verify_gr_facts, gr, data, split)
     assert rep.passed
     assert sum(line.check == "antipode-stability" for line in rep.lines) == split.dim
     assert len(calls) == split.dim == 35
@@ -314,7 +314,7 @@ def test_antipode_image_computed_once_per_splitting_vector(monkeypatch):
 
 def test_gr_is_a_bialgebra(heis, xyw, qt):
     for p in (heis, xyw, qt):
-        assert verify_axioms(front_end(p)[1]).passed
+        assert run_check(verify_axioms, front_end(p)[1]).passed
 
 
 # -- membership checks ------------------------------------------------------------
@@ -322,12 +322,12 @@ def test_gr_is_a_bialgebra(heis, xyw, qt):
 
 def test_primitivity_defects_on_builtins(heis, xyw, qt):
     for p in (heis, xyw, qt):
-        assert check_primitivity_defects(p.data, front_end(p)[0]).passed
+        assert run_check(check_primitivity_defects, p.data, front_end(p)[0]).passed
 
 
 def test_delta_consistency(heis, xyw):
-    assert check_delta_consistency(front_end(heis)[0]).passed
-    assert check_delta_consistency(front_end(xyw)[0]).passed
+    assert run_check(check_delta_consistency, front_end(heis)[0]).passed
+    assert run_check(check_delta_consistency, front_end(xyw)[0]).passed
 
 
 @pytest.mark.parametrize(
@@ -342,7 +342,10 @@ def test_membership_checks_name_the_first_bad_entry(request, host, square, remai
     comult = list(split.comult)
     comult[x] = {**comult[x], (y, x2): -7, (x, y): 5}
     bad = split._replace(comult=tuple(comult))
-    reports = (check_primitivity_defects(bad.data, bad), check_delta_consistency(bad))
+    reports = (
+        run_check(check_primitivity_defects, bad.data, bad),
+        run_check(check_delta_consistency, bad),
+    )
     failures = [
         (line.check, line.subject, line.detail)
         for rep in reports
@@ -354,13 +357,13 @@ def test_membership_checks_name_the_first_bad_entry(request, host, square, remai
         ("delta-consistency", "x", f"non-lower remainder at {remainder}"),
     ]
     # the shared splitting is left as it was
-    assert check_delta_consistency(split).passed
+    assert run_check(check_delta_consistency, split).passed
 
 
 def test_level_closure_sampled(heis, xyw):
     rng = random.Random(11)
-    assert check_level_closure(front_end(heis)[1], rng, 30).passed
-    assert check_level_closure(front_end(xyw)[1], rng, 30).passed
+    assert run_check(check_level_closure, front_end(heis)[1], rng, 30).passed
+    assert run_check(check_level_closure, front_end(xyw)[1], rng, 30).passed
 
 
 def test_layer_comult_containment(heis):
@@ -384,7 +387,7 @@ def test_raw_roundtrip():
     obj = instance_to_json(data)
     again = instance_from_json(obj)
     assert again.basis_labels == data.basis_labels
-    assert verify_axioms(again).passed
+    assert run_check(verify_axioms, again).passed
     assert coradical_filtration(again).dims == (1, 3, 7)
 
 

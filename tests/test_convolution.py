@@ -27,7 +27,7 @@ from hopfcore.errors import (
     TruncationError,
 )
 from hopfcore.table import PolynomialAlgebra
-from conftest import at
+from conftest import at, run_check
 
 
 def mi(**kw):
@@ -45,7 +45,7 @@ def conv(host, ring, values):
 
 def test_ring_check_builtins():
     for name in ("q", "m2q", "qxq", "qx2"):
-        assert ring_check(builtin_ring(name)).passed
+        assert run_check(ring_check, builtin_ring(name)).passed
 
 
 def test_m2q_table():
@@ -67,7 +67,7 @@ def test_ring_check_flags_correction():
             "flags": {"prime": True, "semiprime": True, "domain": False},
         }
     )
-    rep = ring_check(wrong)
+    rep = run_check(ring_check, wrong)
     assert not rep.passed
     assert any(l.check == "flag-prime" and l.status == "FAIL" for l in rep.lines)
 
@@ -82,7 +82,7 @@ def test_refuters(name, pair, nil):
     ring = builtin_ring(name)
     assert prime_refuter(ring) == pair
     assert semiprime_refuter(ring) == nil
-    details = {line.check: line.detail for line in ring_check(ring).lines}
+    details = {line.check: line.detail for line in run_check(ring_check, ring).lines}
     if pair is not None:
         a, b = ring.basis_labels[pair[0]], ring.basis_labels[pair[1]]
         assert details["flag-prime"] == f"refuted by pair {a},{b}"

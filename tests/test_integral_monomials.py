@@ -23,7 +23,7 @@ from hopfcore.errors import (
 from hopfcore.linalg import Q0, Q1, combine, exact, integral, inverse, nonzero
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
-from conftest import instance_to_json, load_fixture, rational_monomial
+from conftest import instance_to_json, load_fixture, rational_monomial, run_check
 
 
 class RationalOracle:
@@ -45,8 +45,7 @@ class RationalOracle:
         return self.monomials[p]
 
     def pbw_coords(self, v):
-        if self.host._raw_to_pbw is None:
-            self.host.verify_all_bases()
+        self.host._basis_change()  # raises BasisDefect where the library does
         if self.raw_to_pbw is None:
             rows = [self.monomial(p) for p in range(len(self.host.indices))]
             self.raw_to_pbw = inverse(rows, self.host.data.dim)
@@ -93,9 +92,8 @@ class RationalOracle:
             out.append((i, j, exact(c)))
         return out
 
-    def check_span_closure(self, rng, samples):
+    def check_span_closure(self, rep: Report, rng, samples):
         host = self.host
-        rep = Report()
         bound = host.data.degree_bound
 
         def sample_elem(top):
@@ -115,7 +113,6 @@ class RationalOracle:
                 PASS if not bad else FAIL,
                 f"escaped at {host.labels[bad[0]]}" if bad else "",
             )
-        return rep
 
 
 def outcome(fn, *args):
@@ -252,8 +249,8 @@ def test_span_closure_matches_rational_oracle(case, seed):
     oracle = RationalOracle(host)
     trials = 15 if case == ("xyw", 8) else 40
     mine, theirs = random.Random(seed), random.Random(seed)
-    expected = outcome(lambda: oracle.check_span_closure(theirs, trials).lines)
-    got = outcome(lambda: host.check_span_closure(mine, trials).lines)
+    expected = outcome(lambda: run_check(oracle.check_span_closure, theirs, trials).lines)
+    got = outcome(lambda: run_check(host.check_span_closure, mine, trials).lines)
     assert got == expected
     if got[0] == "value":
         assert mine.getstate() == theirs.getstate()
@@ -291,12 +288,12 @@ def test_span_closure_makes_no_fractions(monkeypatch):
     host.pbw_coords({})  # the expansion basis, as the checks before it leave it
     assert max(host.integral_monomial(p)[0] for p in range(len(host.indices))) > 1
     created = count_fractions(
-        monkeypatch, lambda: host.check_span_closure(random.Random(0), 200)
+        monkeypatch, lambda: run_check(host.check_span_closure, random.Random(0), 200)
     )
     assert created <= len(host.indices), created
     oracle = RationalOracle(host)
     rational = count_fractions(
-        monkeypatch, lambda: oracle.check_span_closure(random.Random(0), 200)
+        monkeypatch, lambda: run_check(oracle.check_span_closure, random.Random(0), 200)
     )
     assert rational > 100 * len(host.indices), rational
 

@@ -16,7 +16,7 @@ from hopfcore.monoid import splittings, weighted_degree
 from hopfcore.pbw import PBWStructure, extract_generators
 from conftest import (
     HEIS_BRACKETS, LESS, SL2_BRACKETS, add, at, compare, dense_mul, dense_of, exps,
-    front_end, load_fixture, rational_monomial, subprocess_env,
+    front_end, load_fixture, rational_monomial, run_check, subprocess_env,
 )
 
 
@@ -110,7 +110,7 @@ def test_verify_basis_all_instances(heis, sl2, xyw, qt):
         (xyw, [1, 3, 7, 13, 22]),
         (qt, [1, 2, 3, 4]),
     ):
-        p.verify_all_bases()
+        run_check(p.verify_all_bases)
         got = [
             rank([rational_monomial(p, q) for q in range(p.count_up_to(n))], p.data.dim)
             for n in range(p.data.degree_bound + 1)
@@ -128,7 +128,7 @@ def test_basis_count_mismatch_is_a_defect():
     layers = p.filt.layers
     p.filt = CoradicalFiltration((layers[0], layers[0], layers[2]))
     with pytest.raises(BasisDefect) as exc:
-        p.verify_all_bases()
+        run_check(p.verify_all_bases)
     assert str(exc.value) == "degree 1: 4 monomials vs layer dimension 1"
 
 
@@ -140,7 +140,7 @@ def test_basis_monomial_escaping_its_layer_is_a_defect(monkeypatch):
         p, "integral_monomial", lambda q: x_squared if q == 1 else original(q)
     )
     with pytest.raises(BasisDefect) as exc:
-        p.verify_all_bases()
+        run_check(p.verify_all_bases)
     assert str(exc.value) == "degree 1: e_x escapes the layer"
 
 
@@ -150,12 +150,12 @@ def test_basis_dependent_monomials_are_a_defect(monkeypatch):
     original, x = p.integral_monomial, p.integral_monomial(1)
     monkeypatch.setattr(p, "integral_monomial", lambda q: x if q == 2 else original(q))
     with pytest.raises(BasisDefect) as exc:
-        p.verify_all_bases()
+        run_check(p.verify_all_bases)
     assert str(exc.value) == "degree 1: monomials are dependent"
 
 
 def test_basis_change_identity_for_line(qt):
-    qt.verify_all_bases()
+    run_check(qt.verify_all_bases)
     for i in range(len(qt.indices)):
         assert rational_monomial(qt, i) == {i: 1}
 
@@ -346,9 +346,12 @@ def test_expand_comult_matches_multi_index_oracle(heis, sl2, xyw, qt):
 # The Heisenberg ueg at degree 4 with the splittings x (x) y*z and
 # y (x) x*z of x*y*z dropped from the expansion of x*y*z.
 MISSING_SPLITTINGS = """
+import io
+
 from hopfcore.coalgebra import build_ueg
 from hopfcore.errors import ExpansionViolation
 from hopfcore.pbw import PBWStructure
+from hopfcore.report import Report
 
 p = PBWStructure.from_bialgebra(build_ueg(["x", "y", "z"], {"x": {"y": {"z": "1"}}}, 4))
 
@@ -363,7 +366,7 @@ terms = [t for t in p.expand_comult(xyz) if t[:2] not in dropped]
 expand = p.expand_comult
 p.expand_comult = lambda q: terms if q == xyz else expand(q)
 try:
-    p.check_split_expansion(xyz)
+    p.check_split_expansion(Report(io.StringIO()), xyz)
 except ExpansionViolation as exc:
     print(exc)
 """
@@ -401,7 +404,7 @@ def test_split_expansion_violations(edit, message):
     terms, expand = edit(p.expand_comult(xy), y), p.expand_comult
     p.expand_comult = lambda q: terms if q == xy else expand(q)
     with pytest.raises(ExpansionViolation) as info:
-        p.check_split_expansion(xy)
+        run_check(p.check_split_expansion, xy)
     assert str(info.value) == message
 
 
@@ -415,7 +418,7 @@ def test_unit_coefficients(heis):
 def test_split_expansion_all_indices(heis, sl2, xyw, qt):
     for p in (heis, sl2, xyw, qt):
         for m in range(len(p.indices)):
-            assert p.check_split_expansion(m).passed
+            assert run_check(p.check_split_expansion, m).passed
 
 
 def test_expansion_violation_on_corrupted_tables():
@@ -425,13 +428,13 @@ def test_expansion_violation_on_corrupted_tables():
     p = PBWStructure.from_bialgebra(data)
     with pytest.raises(ExpansionViolation):
         for m in range(len(p.indices)):
-            p.check_split_expansion(m)
+            run_check(p.check_split_expansion, m)
 
 
 def test_span_closure(heis, xyw):
     rng = random.Random(23)
-    assert heis.check_span_closure(rng, 30).passed
-    assert xyw.check_span_closure(rng, 30).passed
+    assert run_check(heis.check_span_closure, rng, 30).passed
+    assert run_check(xyw.check_span_closure, rng, 30).passed
 
 
 def test_reordered_generators_same_verdicts():
@@ -441,8 +444,8 @@ def test_reordered_generators_same_verdicts():
         build_ueg(["f", "e", "h"], SL2_BRACKETS, 3)
     )
     assert p.gens.ids == ("f", "e", "h")
-    p.verify_all_bases()
+    run_check(p.verify_all_bases)
     for m in range(len(p.indices)):
-        assert p.check_split_expansion(m).passed
+        assert run_check(p.check_split_expansion, m).passed
     rng = random.Random(1)
-    assert p.check_span_closure(rng, 20).passed
+    assert run_check(p.check_span_closure, rng, 20).passed

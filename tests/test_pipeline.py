@@ -18,7 +18,7 @@ from hopfcore.coalgebra import (
     gr_structure,
     instance_from_json,
 )
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, run_check
 
 INSTANCES = FIXTURES / "instances"
 
@@ -195,6 +195,34 @@ def test_verify_reports_the_construction_failure(tmp_path, monkeypatch, case):
     assert (rep["status"], code) == ("fail", 1)
 
 
+def test_a_dependence_found_late_adds_no_basis_line(tmp_path, monkeypatch):
+    """``verify_all_bases`` adds its lines only once the whole basis change
+    is built: monomials found dependent at the top degree, after every lower
+    degree passed, leave no ``basis degree n`` line, in ``verify`` (its one
+    basis FAIL line) and in ``build`` (its failed ``verify_basis`` stage)."""
+    real = pbw.PBWStructure.integral_monomial
+
+    def collapsed(self, p):
+        # the last monomial becomes the unit, which every layer holds, so
+        # only the inverse finds the monomials dependent
+        if p == len(self.indices) - 1:
+            return 1, {self.data.unit_index: 1}
+        return real(self, p)
+
+    monkeypatch.setattr(pbw.PBWStructure, "integral_monomial", collapsed)
+    args = _instance_args(tmp_path, "heis.json")
+    defect = "degree 2: monomials are dependent"
+    code, rep = _run(tmp_path, "verify", *args)
+    assert [c for c in rep["checks"] if c["check"] == "basis"] == [
+        {"check": "basis", "subject": "-", "status": "FAIL", "detail": defect}
+    ]
+    assert code == 1
+    code, rep = _run(tmp_path, "build", *args)
+    assert rep["stages"][-1] == {"stage": "verify_basis", "status": "fail", "detail": defect}
+    assert not [c for c in rep["checks"] if c["check"] == "basis"]
+    assert (rep["error"], code) == (defect, 1)
+
+
 def test_verify_basis_defect_stops_verify(tmp_path, monkeypatch):
     # verify reports the defect as its basis line and skips the two checks
     # that expand on the monomial basis; every other line is the clean run's,
@@ -313,4 +341,4 @@ def test_construction_releases_gr():
     host = pbw.PBWStructure.from_bialgebra(data, watch)
     gc.collect()
     assert seen["gr"]() is None
-    assert host.verify_all_bases().passed
+    assert run_check(host.verify_all_bases).passed

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hopfcore import cli
-from hopfcore.report import CheckLine, Report
-from conftest import FIXTURES, subprocess_env
+from hopfcore.report import Report
+from conftest import FIXTURES, CheckLine, subprocess_env
 
 INSTANCES = FIXTURES / "instances"
 ACTIONS = FIXTURES / "actions"
@@ -156,7 +156,7 @@ def test_write_holds_no_more_than_a_tenth_of_the_report():
         tracemalloc.stop()
     assert sink.chars == len(reference_dumps(payload))
     assert peak < sink.chars / 10
-    assert report.lines == []
+    assert not hasattr(report, "__dict__") and not hasattr(report, "lines")
 
 
 def test_unserialisable_block_raises_before_anything_is_written():

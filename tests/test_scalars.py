@@ -48,7 +48,9 @@ from hopfcore.errors import HopfcoreError, InputFormatError, TruncationError
 from hopfcore.linalg import Subspace, inverse, kernel, rat
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra, sparse
-from conftest import FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, front_end, load_fixture
+from conftest import (
+    FIXTURES, HEIS_BRACKETS, SL2_BRACKETS, front_end, load_fixture, run_check,
+)
 
 INSTANCES = sorted(p.stem for p in (FIXTURES / "instances").glob("*.json"))
 ACTIONS = [("sl2_qxy_ix", "sl2", 6), ("dq_qx_ix", "dq", 8), ("xyw_qu", "xyw", 8)]
@@ -248,7 +250,7 @@ def test_pipeline_scalars_are_exact(name):
     assert_normal([pbw.integral_monomial(p) for p in positions])
     assert_normal([pbw.expand_comult(p) for p in positions])
     assert_normal(pbw.transposed_comult())
-    pbw.verify_all_bases()
+    run_check(pbw.verify_all_bases)
     assert_normal(pbw._raw_to_pbw)
     assert_exact([pbw.structure_constant(n, m) for n in positions[:4]
                   for m in positions[:4]

@@ -25,7 +25,7 @@ from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
 from conftest import (
     GREATER, add, compare, dense_mul, dense_of, front_end, rational_monomial,
-    sparse_of,
+    run_check, sparse_of,
 )
 
 # fixture instances at their own degree bounds
@@ -37,9 +37,13 @@ def le(p, m, n):
     return compare(p.gens, m, n) != GREATER
 
 
-def dense_span_closure(p, rng, samples):
-    rep = Report()
+def span_closure(rep, p, rng, samples):
+    """``PBWStructure.check_span_closure`` on p, called as the other checks
+    are: the report first, then what is checked."""
+    p.check_span_closure(rep, rng, samples)
 
+
+def dense_span_closure(rep: Report, p, rng, samples) -> None:
     def degree(m):
         return weighted_degree(m, p.gens.weights)
 
@@ -75,7 +79,6 @@ def dense_span_closure(p, rng, samples):
             PASS if not bad else FAIL,
             f"escaped at {p.gens.label(bad[0])}" if bad else "",
         )
-    return rep
 
 
 def dense_in_primitive_set(gr, v, n):
@@ -99,8 +102,7 @@ def dense_in_primitive_set(gr, v, n):
     return True
 
 
-def dense_level_closure(gr, rng, samples):
-    rep = Report()
+def dense_level_closure(rep: Report, gr, rng, samples) -> None:
     degrees = gr.degrees
     bound = gr.degree_bound
 
@@ -139,15 +141,14 @@ def dense_level_closure(gr, rng, samples):
             PASS if not bad else FAIL,
             ",".join(bad),
         )
-    return rep
 
 
 def _same_run(sparse, dense, subject, seed, samples):
     """Both samplers on equal generators: identical lines, and the
     generators end in the same state (the same draws were made)."""
     rng_s, rng_d = random.Random(seed), random.Random(seed)
-    got = sparse(subject, rng_s, samples)
-    want = dense(subject, rng_d, samples)
+    got = run_check(sparse, subject, rng_s, samples)
+    want = run_check(dense, subject, rng_d, samples)
     assert got.lines == want.lines
     assert rng_s.random() == rng_d.random()
     return got
@@ -157,7 +158,7 @@ def _same_run(sparse, dense, subject, seed, samples):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_span_closure_matches_dense_oracle(host_at, name, degree, seed):
     p = host_at(name, degree)
-    rep = _same_run(PBWStructure.check_span_closure, dense_span_closure, p, seed, 25)
+    rep = _same_run(span_closure, dense_span_closure, p, seed, 25)
     assert rep.passed
 
 
@@ -172,7 +173,7 @@ def test_span_closure_failure_lines_match_dense_oracle(host_at, monkeypatch):
         return {min(i + 1, last): c for i, c in true_coords(self, v).items()}
 
     monkeypatch.setattr(PBWStructure, "pbw_coords", shifted)
-    rep = _same_run(PBWStructure.check_span_closure, dense_span_closure, p, 4, 25)
+    rep = _same_run(span_closure, dense_span_closure, p, 4, 25)
     statuses = {line.status for line in rep.lines}
     assert FAIL in statuses and statuses != {FAIL}
 
@@ -245,7 +246,7 @@ ILLEGAL = {"x-squared": X_SQUARED, "y-squared": Y_SQUARED, "lopsided": LOPSIDED}
 
 def test_level_closure_fails_on_illegal_comult_term():
     # expected lines computed by the dense implementation (seed 0)
-    rep = check_level_closure(X_SQUARED, random.Random(0), 8)
+    rep = run_check(check_level_closure, X_SQUARED, random.Random(0), 8)
     assert [(line.subject, line.status, line.detail) for line in rep.lines] == [
         ("trial 0 (n=2, m=2)", PASS, ""),
         ("trial 1 (n=2, m=2)", PASS, ""),
@@ -256,7 +257,7 @@ def test_level_closure_fails_on_illegal_comult_term():
         ("trial 6 (n=2, m=2)", PASS, ""),
         ("trial 7 (n=1, m=1)", FAIL, "membership,sum"),
     ]
-    rep = check_level_closure(Y_SQUARED, random.Random(0), 12)
+    rep = run_check(check_level_closure, Y_SQUARED, random.Random(0), 12)
     assert [(line.subject, line.status, line.detail) for line in rep.lines] == [
         ("trial 0 (n=2, m=2)", FAIL, "membership,sum"),
         ("trial 1 (n=1, m=1)", FAIL, "membership,product,sum"),
