@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -339,9 +340,7 @@ def require_connected(
 
 
 class GradedSplitting(
-    namedtuple(
-        "GradedSplitting", "data vectors degrees labels to_split_units comult"
-    )
+    namedtuple("GradedSplitting", "data vectors degrees labels to_split_units")
 ):
     """Homogeneous components H(n) with C_n = H(0) + ... + H(n), the basis
     change onto the splitting basis, and the comultiplication of every
@@ -349,15 +348,20 @@ class GradedSplitting(
 
     One entry per splitting vector, H(0) first and then H(1), ..., H(D):
     ``vectors`` (on the basis of ``data``), ``degrees``, ``labels`` and
-    ``comult`` (a ``TensorMap`` in split coordinates); ``to_split_units[j]``
-    holds the split coordinates of basis vector j of ``data``.  Raw and
-    split coordinates are both sparse {index: coefficient} without zeros."""
-
-    __slots__ = ()
+    ``comult`` (a ``TensorMap`` in split coordinates, built on first read
+    and kept in the instance's dict, so it takes no ``__slots__``);
+    ``to_split_units[j]`` holds the split coordinates of basis vector j of
+    ``data``.  Raw and split coordinates are both sparse {index:
+    coefficient} without zeros."""
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def comult(self) -> tuple[TensorMap, ...]:
+        units = self.to_split_units
+        return tuple(_split_tensor(units, self.data.comult_map(v)) for v in self.vectors)
 
     def to_split(self, v: Mapping[int, Scalar]) -> SparseRow:
         """Split coordinates of a raw vector."""
@@ -411,18 +415,46 @@ def graded_splitting(
     # to_split_units[j] is column j of the inverse of the matrix whose
     # columns are the splitting vectors, i.e. row j of the inverse of its
     # transpose, whose rows are the splitting vectors
-    units = tuple(inverse(vectors, data.dim))
     return GradedSplitting(
         data=data,
         vectors=tuple(vectors),
         degrees=tuple(degrees),
         labels=tuple(labels),
-        to_split_units=units,
-        comult=tuple(_split_tensor(units, data.comult_map(v)) for v in vectors),
+        to_split_units=tuple(inverse(vectors, data.dim)),
     )
 
 
-def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
+class GradedBialgebra(FilteredBialgebraData):
+    """The associated graded bialgebra of a splitting, on the splitting
+    basis, with the product table ``mult`` that ``gr_structure`` computes.
+    Its ``comult``, the degree-preserving part of the splitting's, is built
+    on first read."""
+
+    def __init__(self, split: GradedSplitting, mult: Mapping[tuple[int, int], SparseVec]):
+        TableAlgebra.__init__(
+            self, split.labels, mult, {0: Q1}, split.degrees, split.data.degree_bound
+        )
+        self.unit_index = 0
+        self.counit = (Q1,) + (Q0,) * (split.dim - 1)
+        self.antipode = None
+        self.split = split
+
+    @cached_property
+    def comult(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
+        degrees = self.degrees
+        return tuple(
+            tuple(
+                sorted(
+                    (p, q, exact(c))
+                    for (p, q), c in tmap.items()
+                    if degrees[p] + degrees[q] == degrees[k]
+                )
+            )
+            for k, tmap in enumerate(self.split.comult)
+        )
+
+
+def gr_structure(split: GradedSplitting) -> GradedBialgebra:
     """The associated graded bialgebra on the splitting basis: products are
     top-degree components of products of splitting vectors, comultiplication
     is the degree-preserving part of the splitting's ``comult``."""
@@ -445,26 +477,7 @@ def gr_structure(split: GradedSplitting) -> FilteredBialgebraData:
             mult[(a, b)] = sparse(
                 (k, c) for k, c in coords.items() if degrees[k] == target
             )
-    comult = [
-        tuple(
-            sorted(
-                (p, q, exact(c))
-                for (p, q), c in tmap.items()
-                if degrees[p] + degrees[q] == degrees[k]
-            )
-        )
-        for k, tmap in enumerate(split.comult)
-    ]
-    counit = [Q1] + [Q0] * (dim - 1)
-    return FilteredBialgebraData(
-        basis_labels=split.labels,
-        degree_bound=bound,
-        mult=mult,
-        comult=comult,
-        counit=counit,
-        unit_index=0,
-        filtration_hint=degrees,
-    )
+    return GradedBialgebra(split, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +932,15 @@ def _raw_from_tables(degree_bound: int, tables: Mapping) -> FilteredBialgebraDat
                 hint[pos[a]] = json_int(d, f"degree of {a!r}", 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed raw instance tables: {exc}") from exc
+    if hint is not None:
+        # with degrees given, a product whose degrees sum within the bound
+        # is part of the table, not a truncation
+        for i, j in itertools.product(range(len(labels)), repeat=2):
+            if hint[i] + hint[j] <= degree_bound and (i, j) not in mult:
+                raise InputFormatError(
+                    f'raw "mult" leaves out {labels[i]} * {labels[j]}, of degree '
+                    f"{hint[i] + hint[j]} within the bound {degree_bound}"
+                )
     data = FilteredBialgebraData(
         basis_labels=labels,
         degree_bound=degree_bound,

@@ -159,6 +159,18 @@ def generator_operators(action):
     return {gid: action.columns(p) for gid, p in zip(host.gens.ids, host.gen_pos)}
 
 
+def held_columns(action):
+    """{(p, j): column j of the operator at host position p} for every
+    operator column the action holds so far."""
+    return {
+        (p, j): col
+        for p, cols in enumerate(action._columns)
+        if cols is not None
+        for j, col in enumerate(cols)
+        if col is not None
+    }
+
+
 def assert_matches_dense_operators(sympy, action, gen_ops):
     """The operator columns and ``act`` of every host index m against the
     dense oracle: the product, in generator order, of the dense generator

@@ -22,7 +22,8 @@ from hopfcore.linalg import Subspace, combine, kernel
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
 from conftest import (
-    assert_matches_dense_operators, at, full_space, generator_operators, load_fixture,
+    FIXTURES, assert_matches_dense_operators, at, full_space, generator_operators, held_columns,
+    load_fixture,
     normal_labels,
     run_check,
     sparse_of,
@@ -240,9 +241,10 @@ def test_action_rejects_misshapen_operators(sl2, qxy):
 @pytest.mark.parametrize("t", range(3))
 def test_generator_operators_are_held_once_in_normal_form(heis, t):
     """The operator given for a generator is held at the generator's
-    position, once: values through ``exact`` (the int 2, not Fraction(2, 1)),
-    zeros dropped and an empty column as ``KILLED``; the operator of the
-    generator's square is composed from it as (1/2) op o op."""
+    position, once, column by column: values through ``exact`` (the int 2,
+    not Fraction(2, 1)), zeros dropped and an empty column as ``KILLED``;
+    the operator of the generator's square is composed from it as
+    (1/2) op o op."""
     A = PolynomialAlgebra(["x"], 3)
     given = [{}, {0: F(2, 1), 1: 0}, {1: F(1, 2), 2: F(-3)}, {2: 1, 3: F(5, 3)}]
     other = [{j: 1} for j in range(A.dim)]
@@ -254,12 +256,43 @@ def test_generator_operators_are_held_once_in_normal_form(heis, t):
     assert held[0] is KILLED
     assert held[1:] == [{0: 2}, {1: F(1, 2), 2: -3}, {2: 1, 3: F(5, 3)}]
     assert type(held[1][0]) is int and type(held[2][2]) is int
-    assert act.columns(g) is held
+    again = act.columns(g)
+    assert all(col is kept for col, kept in zip(again, held))
+    assert all(act.columns(g, [j])[0] is held[j] for j in range(A.dim))
     square = act.columns(heis.index_pos[tuple(2 * int(s == t) for s in range(3))])
     for col, sq in zip(held, square):
         expected = {r: c / 2 for r, c in combine(held, col).items()}
         assert sq == expected
         assert sq or sq is KILLED
+
+
+def test_an_hcore_run_holds_only_the_columns_it_reads(tmp_path, monkeypatch):
+    """hcore sl2 D6 on ``sl2_qxy_ix`` composes only the columns its readers
+    ask for: 1,560 of the 84 x 45 = 3,780 of its operators, which it held
+    in full when every operator was composed whole.  Each held column
+    equals the dense oracle, and composing the other columns keeps it."""
+    sympy = pytest.importorskip("sympy")
+    made = []
+    real_init = ModuleAlgebraAction.__init__
+
+    def record(self, *args):
+        real_init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(ModuleAlgebraAction, "__init__", record)
+    code = cli.main([
+        "hcore", "--instance", str(FIXTURES / "instances/sl2.json"), "--degree", "6",
+        "--action", str(FIXTURES / "actions/sl2_qxy_ix.json"),
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    (action,) = made
+    assert len(action.host.indices) * action.algebra.dim == 3780
+    held = held_columns(action)
+    assert len(held) == 1560
+    assert_matches_dense_operators(sympy, action, generator_operators(action))
+    assert len(held_columns(action)) == 3780
+    assert all(action.columns(p, [j])[0] is col for (p, j), col in held.items())
 
 
 def test_module_algebra_fails_on_bad_unit(sl2, qxy):

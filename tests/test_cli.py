@@ -294,6 +294,37 @@ def test_every_command_refuses_tables_that_are_not_a_bialgebra(tmp_path, name, c
         }
 
 
+# the raw tables of Q[x, y] at degree 3, with their degrees, and every
+# product they hold within the bound
+RAW_XY = instance_to_json(build_ueg(["x", "y"], {}, 3))
+XY_DEGREES = RAW_XY["tables"]["degrees"]
+IN_BOUND_PRODUCTS = [
+    (a, b)
+    for a, row in RAW_XY["tables"]["mult"].items()
+    for b in row
+    if XY_DEGREES[a] + XY_DEGREES[b] <= 3
+]
+
+
+@pytest.mark.parametrize("a, b", IN_BOUND_PRODUCTS)
+def test_tables_with_degrees_that_leave_out_a_product_within_the_bound(tmp_path, a, b):
+    """Raw tables that give degrees and leave out one product whose degrees
+    sum within the bound are an input error that names the pair, under
+    verify and conv alike, before any check line."""
+    spec = json.loads(json.dumps(RAW_XY))
+    del spec["tables"]["mult"][a][b]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec))
+    message = (
+        f'raw "mult" leaves out {a} * {b}, of degree '
+        f"{XY_DEGREES[a] + XY_DEGREES[b]} within the bound 3"
+    )
+    for command in (["verify", "--trials", "3"], ["conv", "--ring", "q", "--trials", "3"]):
+        code, rep = run(tmp_path, command[0], "--instance", str(path), *command[1:])
+        assert (code, rep["status"], rep["error"]) == (2, "input-error", message)
+        assert rep.get("checks", []) == []
+
+
 def test_conv_user_ring_table(tmp_path):
     table = {
         "name": "dual-numbers",

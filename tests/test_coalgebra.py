@@ -341,7 +341,9 @@ def test_membership_checks_name_the_first_bad_entry(request, host, square, remai
     x, y, x2 = (split.labels.index(s) for s in ("x", "y", square))
     comult = list(split.comult)
     comult[x] = {**comult[x], (y, x2): -7, (x, y): 5}
-    bad = split._replace(comult=tuple(comult))
+    # comult is built on first read, not a field: set it on a copy
+    bad = split._replace()
+    bad.comult = tuple(comult)
     reports = (
         run_check(check_primitivity_defects, bad.data, bad),
         run_check(check_delta_consistency, bad),

@@ -6,10 +6,11 @@ the status and the exit code, and `verify` reports the same failure as its
 import gc
 import json
 import weakref
+from functools import cached_property
 
 import pytest
 
-from hopfcore import errors, pbw
+from hopfcore import coalgebra, errors, pbw
 from hopfcore.cli import main
 from hopfcore.coalgebra import (
     GradedSplitting,
@@ -342,3 +343,48 @@ def test_construction_releases_gr():
     gc.collect()
     assert seen["gr"]() is None
     assert run_check(host.verify_all_bases).passed
+
+
+@pytest.fixture
+def delta_builds(monkeypatch):
+    """The names of the classes whose Delta table was built, in order: the
+    splitting's (``GradedSplitting.comult``) and gr's
+    (``GradedBialgebra.comult``), each built on first read."""
+    built = []
+    for cls in (coalgebra.GradedSplitting, coalgebra.GradedBialgebra):
+        build = cls.comult.func
+
+        def counted(self, build=build, name=cls.__name__):
+            built.append(name)
+            return build(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(cls, "comult")
+        monkeypatch.setattr(cls, "comult", spy)
+    return built
+
+
+ACTIONS = FIXTURES / "actions"
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["build", "--instance", str(INSTANCES / "heis.json")], []),
+        (
+            ["verify", "--instance", str(INSTANCES / "heis.json"), "--trials", "3"],
+            ["GradedSplitting", "GradedBialgebra"],
+        ),
+        (["conv", "--instance", str(INSTANCES / "sl2.json"), "--ring", "m2q",
+          "--trials", "3"], []),
+        (["hcore", "--instance", str(INSTANCES / "sl2.json"),
+          "--action", str(ACTIONS / "sl2_qxy_ix.json")], []),
+    ],
+    ids=["build", "verify", "conv", "hcore"],
+)
+def test_only_the_checks_of_verify_build_the_delta_tables(tmp_path, delta_builds, argv, built):
+    """Neither the splitting's Delta nor gr's is built unless a command
+    reads it: only the checks of verify do, and they build each once.
+    build's stages and its gr facts read neither."""
+    main([*argv, "--out", str(tmp_path / "report.json")])
+    assert delta_builds == built
