@@ -14,13 +14,15 @@ Reports are byte-identical for identical configurations and seeds.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
+import os
 import random
+import re
 import sys
 from contextlib import nullcontext
 from math import perm
+from types import SimpleNamespace
 from typing import Mapping, Optional
 
 from . import action as action_mod
@@ -231,10 +233,10 @@ def _ideal_from_json(algebra: TableAlgebra, obj) -> action_mod.Ideal:
 EXIT_CODES = {"ok": 0, "fail": 1, "input-error": 2, "inconclusive": 3}
 
 
-def _emit(args, report: Report, status: str, **blocks) -> int:
-    """Finish report with blocks as the rest of the report of the command
-    in args, whose status is given; the exit code of that status."""
-    report.finish({"command": args.command, "schema": SCHEMA, "status": status, **blocks})
+def _emit(command: Optional[str], report: Report, status: str, **blocks) -> int:
+    """Finish report with blocks as the rest of the report of command, whose
+    status is given; the exit code of that status."""
+    report.finish({"command": command, "schema": SCHEMA, "status": status, **blocks})
     return EXIT_CODES[status]
 
 
@@ -257,7 +259,7 @@ def _finish(args, report: Report, error: Optional[Exception] = None, **extra) ->
         key: value for key, value in vars(args).items()
         if key not in ("command", "out", "func")
     }
-    return _emit(args, report, status, config=config, summary=counts, **extra)
+    return _emit(args.command, report, status, config=config, summary=counts, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -528,52 +530,108 @@ def cmd_hcore(args, report: Report) -> int:
 # entry
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopfcore",
-        description="Exact engine for connected truncated bialgebras over Q",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# the flags of each command: (flag, dest, type, default, required); a count
+# is an int that must be >= 0
+COUNT = "count"
+_COMMON = (
+    ("--instance", "instance", str, None, True),
+    ("--degree", "degree", int, None, False),
+    ("--seed", "seed", int, 0, False),
+    ("--out", "out", str, None, False),
+)
+COMMANDS = {
+    "build": _COMMON,
+    "verify": _COMMON + (("--trials", "trials", COUNT, 200, False),),
+    "conv": _COMMON + (
+        ("--ring", "ring", str, None, True),
+        ("--trials", "trials", COUNT, 200, False),
+        ("--support-cap", "support_cap", COUNT, None, False),
+    ),
+    "hcore": _COMMON + (
+        ("--action", "action", str, None, True),
+        ("--ideal", "ideal", str, None, False),
+        ("--probe-bound", "probe_bound", COUNT, 3, False),
+    ),
+}
+# a negative number, which is a value and not a flag
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    def common(p):
-        p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--degree", type=int, default=None, help="degree bound override")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="report file (default stdout)")
 
-    p_build = sub.add_parser("build", help="run the construction pipeline")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
+def _is_flag(token: str, flags) -> bool:
+    """Whether token is read as a flag, not as a value, as argparse tells
+    them apart: a lone "-", a negative number and a token with a space in
+    it are values unless they begin with a known flag."""
+    if token[:1] != "-" or token == "-":
+        return False
+    name = token.split("=", 1)[0]
+    if token.startswith("-h") or any(flag.startswith(name) for flag in flags):
+        return True
+    return not (_NEGATIVE.match(token) or " " in token)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_conv = sub.add_parser("conv", help="convolution trials and witnesses")
-    common(p_conv)
-    p_conv.add_argument("--ring", required=True, help="q | m2q | qxq | qx2 | table file")
-    p_conv.add_argument("--trials", type=int, default=200)
-    p_conv.add_argument(
-        "--support-cap",
-        dest="support_cap",
-        type=int,
-        default=None,
-        help="max support degree for random elements (default: bound // 2)",
-    )
-    p_conv.set_defaults(func=cmd_conv)
-
-    p_hcore = sub.add_parser("hcore", help="stable core of an ideal under an action")
-    common(p_hcore)
-    p_hcore.add_argument("--action", required=True, help="action JSON file")
-    p_hcore.add_argument("--ideal", default=None, help="ideal override JSON file")
-    p_hcore.add_argument("--probe-bound", dest="probe_bound", type=int, default=3)
-    p_hcore.set_defaults(func=cmd_hcore)
-    return parser
+def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would read from argv, or None when it asks
+    for help: the command first, then its flags in any order, each as
+    ``--flag VALUE`` or ``--flag=VALUE``, spelled out or as a unique prefix;
+    a repeated flag keeps its last value.  Any other line raises
+    InputFormatError."""
+    command, tokens = argv[0] if argv else None, iter(argv[1:])
+    if command in ("-h", "--h", "--he", "--hel", "--help"):
+        return None
+    if command not in COMMANDS:
+        commands = ", ".join(COMMANDS)
+        raise InputFormatError(f"the command must be one of {commands}, got {command!r}")
+    table = {flag: entry for flag, *entry in COMMANDS[command]}
+    flags = [*table, "-h", "--help"]
+    args = SimpleNamespace(command=command, func=globals()["cmd_" + command])
+    vars(args).update((dest, default) for dest, _, default, _ in table.values())
+    stray = []
+    for token in tokens:
+        if not _is_flag(token, flags):
+            stray.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        matches = [f for f in flags if f == name or name[:2] == "--" and f.startswith(name)]
+        if len(matches) != 1:
+            raise InputFormatError(f"{'ambiguous' if matches else 'unknown'} flag {name!r}")
+        flag = matches[0]
+        if flag in ("-h", "--help"):
+            if eq:
+                raise InputFormatError(f"{flag} takes no value")
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value, flags):
+                raise InputFormatError(f"{flag} needs a value")
+        dest, kind, _, _ = table[flag]
+        try:
+            setattr(args, dest, value if kind is str else int(value))
+        except ValueError:
+            raise InputFormatError(f"{flag} must be an integer, got {value!r}") from None
+    for flag, (dest, _, _, required) in table.items():
+        if required and getattr(args, dest) is None:
+            raise InputFormatError(f"{command} needs {flag}")
+    if stray:
+        raise InputFormatError(f"unexpected argument {stray[0]!r}")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _read_args(argv)
+    except InputFormatError as exc:
+        # the report of a line that cannot be read goes to stdout, whatever
+        # its --out says
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        return _emit(command, Report(sys.stdout), "input-error", error=str(exc))
+    if args is None:
+        for command, flags in COMMANDS.items():
+            print("usage: hopfcore", command, *(
+                f"{flag} {dest.upper()}" if required else f"[{flag} {dest.upper()}]"
+                for flag, dest, _, _, required in flags
+            ))
+        return 0
     try:
         # an --out that cannot be opened stops the command before it runs,
         # with the report on stdout; opened for appending, it is emptied at
@@ -581,27 +639,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         target = open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
         error = f"cannot write {args.out}: {exc}"
-        return _emit(args, Report(sys.stdout), "input-error", error=error)
+        return _emit(args.command, Report(sys.stdout), "input-error", error=error)
     with target as out:
         report = Report(out)
         try:
             # a negative count would silently run nothing
-            for key in ("trials", "support_cap", "probe_bound"):
-                value = getattr(args, key, None)
-                if value is not None and value < 0:
-                    flag = key.replace("_", "-")
-                    raise InputFormatError(f"--{flag} must be >= 0, got {value}")
+            for flag, dest, kind, _, _ in COMMANDS[args.command]:
+                value = getattr(args, dest)
+                if kind is COUNT and value is not None and value < 0:
+                    raise InputFormatError(f"{flag} must be >= 0, got {value}")
             return args.func(args, report)
         except HopfcoreError as exc:
             # a written line stands, so an error after one ends the full
             # report; so does NotABialgebra, with the axiom lines listed
             if isinstance(exc, NotABialgebra) or any(report.counts.values()):
                 return _finish(args, report, exc)
-            return _emit(args, report, _error_status(exc), error=str(exc))
+            return _emit(args.command, report, _error_status(exc), error=str(exc))
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: as a process killed by SIGPIPE, exit
+        # 141, with stdout on os.devnull so that the final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

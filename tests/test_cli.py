@@ -1558,12 +1558,34 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
 def test_import_leaves_out_dataclasses_and_inspect():
     """Every job is a fresh process, so the command line's import is paid
     per job; ``dataclasses`` would bring in ``inspect``, ``ast`` and ``dis``
-    and exec generated methods for each record."""
+    and exec generated methods for each record.  Nor does reading a line
+    and running it load ``argparse`` or the ``gettext`` it brings in."""
+    unloaded = "sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} - set(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import hopfcore.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         f"import hopfcore.cli, os, sys; before = {unloaded}; "
+         "code = hopfcore.cli.main(['build', '--instance', sys.argv[1], '--degree', '2', "
+         "'--out', os.devnull]); "
+         f"print(code, before, {unloaded})",
+         str(INSTANCES / "heis.json")],
         capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    everything = ["argparse", "dataclasses", "gettext", "inspect"]
+    assert proc.stdout == f"0 {everything} {everything}\n"
+
+
+def test_a_closed_pipe_ends_the_process_quietly():
+    """A reader that closes stdout after a few bytes ends the command with
+    exit 141, as a process killed by SIGPIPE, and no traceback.  The report
+    (about 220 KB) outgrows the pipe, so the command is still writing."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfcore.cli", "verify",
+         "--instance", str(INSTANCES / "heis.json"), "--degree", "5", "--trials", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+    )
+    assert proc.stdout.read(10) == b'{\n  "check'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err.decode()
+    assert (proc.returncode, err) == (141, b"")
