@@ -51,7 +51,7 @@ from .action import (
     conv_map,
     verify_module_algebra,
 )
-from .linalg import Subspace, complement, rat, rat_str
+from .linalg import Rational, Subspace, complement, rat, rat_str
 from .monoid import GeneratorSet
 from .pbw import PBWStructure, extract_generators, lift_generators
 from .table import PolynomialAlgebra, TableAlgebra

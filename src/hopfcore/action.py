@@ -17,7 +17,6 @@ module.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -25,12 +24,12 @@ from .convolution import ConvElement, add_witness_line, leading
 from .errors import InputFormatError, TruncationError
 from .linalg import (
     Q1,
+    Rational,
     Scalar,
     SparseRow,
     Subspace,
     combine,
     dot,
-    exact,
     kernel,
     nonzero,
 )
@@ -188,7 +187,7 @@ class ModuleAlgebraAction:
         self._columns[0] = [{j: Q1} for j in range(algebra.dim)]
         for gid, g in zip(host.gens.ids, host.gen_pos):
             self._columns[g] = [
-                {r: exact(c) for r, c in col.items() if c} or KILLED
+                {r: c for r, c in col.items() if c} or KILLED
                 for col in gen_ops[gid]
             ]
 
@@ -201,7 +200,7 @@ class ModuleAlgebraAction:
         held = self._columns[p]
         if held is None:
             t, k, rest = self.host.first_factor(p)
-            self._steps[p] = self._columns[self.host.gen_pos[t]], Fraction(1, k), rest
+            self._steps[p] = self._columns[self.host.gen_pos[t]], Rational(1, k), rest
             held = self._columns[p] = [None] * self.algebra.dim
         if js is None:
             js = range(self.algebra.dim)
@@ -210,7 +209,7 @@ class ModuleAlgebraAction:
             op, scale, rest = self._steps[p]
             for j, col in zip(todo, self.columns(rest, todo)):
                 held[j] = {
-                    r: exact(c * scale) for r, c in combine(op, col).items()
+                    r: c * scale for r, c in combine(op, col).items()
                 } or KILLED
         return [held[j] for j in js]
 

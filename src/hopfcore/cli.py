@@ -36,7 +36,7 @@ from .errors import (
     ExpansionViolation,
     TruncationError,
 )
-from .linalg import Q0, Q1, SparseRow, exact, nonzero, rat, rat_str
+from .linalg import Q0, Q1, SparseRow, nonzero, rat, rat_str
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, SKIP, Report
 from .table import (
@@ -160,7 +160,7 @@ def _operator_columns(algebra: TableAlgebra, gid: str, spec) -> list[SparseRow]:
                 )
             t = algebra.index[target]
             image[t] = image.get(t, Q0) + scale
-        columns.append({t: exact(c) for t, c in sorted(image.items()) if c})
+        columns.append({t: c for t, c in sorted(image.items()) if c})
     return columns
 
 

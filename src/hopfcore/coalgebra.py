@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
@@ -38,12 +37,12 @@ from .errors import (
 from .linalg import (
     Q0,
     Q1,
+    Rational,
     Scalar,
     SparseRow,
     Subspace,
     combine,
     complement,
-    exact,
     inverse,
     kernel,
     nonzero,
@@ -445,7 +444,7 @@ class GradedBialgebra(FilteredBialgebraData):
         return tuple(
             tuple(
                 sorted(
-                    (p, q, exact(c))
+                    (p, q, c)
                     for (p, q), c in tmap.items()
                     if degrees[p] + degrees[q] == degrees[k]
                 )
@@ -779,11 +778,7 @@ def build_ueg(
         entry: dict[int, Scalar] = {}
         for k, c in terms:
             entry[k] = entry.get(k, Q0) + c
-        return tuple(
-            (k, c // d if not c % d else Fraction(c, d))
-            for k, c in sorted(entry.items())
-            if c
-        )
+        return tuple((k, Rational(c, d)) for k, c in sorted(entry.items()) if c)
 
     # left[f][t] = x_f e_t below the bound, filled degree by degree with f
     # ascending within a degree.  With h the first generator of e_t (g for

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .coalgebra import SAMPLE_COEFFS
 from .errors import HopfcoreError, InputFormatError, NoWitnessFound, TruncationError
-from .linalg import Q0, Q1, Scalar, SparseRow, exact, rat
+from .linalg import Q0, Q1, Scalar, SparseRow, rat
 from .pbw import PBWStructure
 from .report import FAIL, INCONCLUSIVE, PASS, Report
 from .table import TableAlgebra, json_object, parse_table, string_list
@@ -210,7 +210,7 @@ class ConvElement:
                 raise InputFormatError(f"index position {p} does not live on this host")
         self._map = {}
         for p in sorted(values):
-            value = {k: exact(c) for k, c in values[p].items() if c}
+            value = {k: c for k, c in values[p].items() if c}
             if value:
                 self._map[p] = value
 
@@ -293,7 +293,7 @@ def convolve(f: ConvElement, g: ConvElement) -> ConvElement:
                         value[k] = value.get(k, Q0) + c * x
     values = {}
     for n in sorted(acc):
-        v = {k: exact(x) for k, x in acc[n].items() if x}
+        v = {k: x for k, x in acc[n].items() if x}
         if v:
             values[n] = v
     return ConvElement._at_positions(host, ring, values)

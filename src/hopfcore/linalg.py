@@ -1,58 +1,228 @@
 """Exact linear algebra over the rationals.
 
-Scalars are exact: ``int`` when integral, ``fractions.Fraction`` otherwise.
-The two mix exactly, compare and hash equal, and integral arithmetic stays
-in ``int``.  Every place that creates a scalar by division or parsing
-passes it through ``exact``, and division is always by a ``Fraction`` or
-an exact ``//`` of integers, so no floating point enters anywhere.  There
-is one vector format, the sparse dict {index: coefficient} without zeros,
-for the vectors of every algebra and the values of every coefficient ring
-alike; only a functional, such as the counit, is a tuple of its values on
-the basis.  Matrices exist only as lists of sparse rows.  Row reduction is
-sparse: ``rank``, ``kernel`` and ``inverse`` take sparse rows, and one
-echelon keyed by pivot column reduces them, so the work follows the nonzero
-entries rather than the matrix shape.  A ``Subspace`` is kept in reduced
-row echelon form for a column order (ascending unless given), canonical for
-that order.  The one echelon also decides the quotient: ``reduce`` gives a
-vector's normal form on the non-pivot columns (``normal``),
-``quotient_coords`` keys it by position in ``normal`` and ``lift`` maps it
-back.  An ideal is such a subspace in the order of descending degree.
+Scalars are exact: an ``int`` when integral and a ``Rational`` otherwise.
+``Rational`` is the package's own type, p/q in lowest terms with q > 1; its
+constructor and its arithmetic with ``int`` and with itself return an
+``int`` whenever the value is integral, so every result is in this normal
+form without being normalised again.  Every division goes through
+``Rational``, never through ``int / int``, so no floating point enters
+anywhere.  There is one vector format, the sparse dict {index: coefficient}
+without zeros, for the vectors of every algebra and the values of every
+coefficient ring alike; only a functional, such as the counit, is a tuple
+of its values on the basis.  Matrices exist only as lists of sparse rows.
+Row reduction is sparse: ``rank``, ``kernel`` and ``inverse`` take sparse
+rows, and one echelon keyed by pivot column reduces them, so the work
+follows the nonzero entries rather than the matrix shape.  A ``Subspace``
+is kept in reduced row echelon form for a column order (ascending unless
+given), canonical for that order.  The one echelon also decides the
+quotient: ``reduce`` gives a vector's normal form on the non-pivot columns
+(``normal``), ``quotient_coords`` keys it by position in ``normal`` and
+``lift`` maps it back.  An ideal is such a subspace in the order of
+descending degree.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import HopfcoreError, InputFormatError
 
-Scalar = int | Fraction
+
+@total_ordering
+class Rational:
+    """An exact rational number that is not an integer: ``numerator`` over
+    ``denominator``, in lowest terms with ``denominator`` > 1.
+
+    ``Rational(p, q)`` is the scalar p / q for scalars p and q, q nonzero:
+    an ``int`` when it is integral.  Sums, differences, products and
+    quotients with an ``int`` or a ``Rational`` are in the same normal
+    form.  A ``Rational`` is never zero, so it is true; it equals, orders
+    and hashes as the ``fractions.Fraction`` of the same value.  Instances
+    are not changed once made."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator, denominator=1):
+        if type(numerator) is not int or type(denominator) is not int:
+            numerator, denominator = (
+                numerator.numerator * denominator.denominator,
+                numerator.denominator * denominator.numerator,
+            )
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        elif not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        return _reduced(numerator, denominator)
+
+    def __repr__(self):
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __reduce__(self):  # copy and pickle rebuild it by its terms
+        return Rational, (self.numerator, self.denominator)
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _make(a.numerator + b * a.denominator, a.denominator)
+        if type(b) is Rational:
+            return _sum(a.numerator, a.denominator, b.numerator, b.denominator)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _make(a.numerator - b * a.denominator, a.denominator)
+        if type(b) is Rational:
+            return _sum(a.numerator, a.denominator, -b.numerator, b.denominator)
+        return NotImplemented
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _make(b * a.denominator - a.numerator, a.denominator)
+        return NotImplemented
+
+    def __neg__(a):
+        return _make(-a.numerator, a.denominator)
+
+    def __mul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a.denominator)
+            return _normal(a.numerator * (b // g), a.denominator // g)
+        if type(b) is Rational:
+            g, h = gcd(a.numerator, b.denominator), gcd(b.numerator, a.denominator)
+            return _normal(
+                (a.numerator // g) * (b.numerator // h),
+                (a.denominator // h) * (b.denominator // g),
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is int or type(b) is Rational:
+            return Rational(a, b)
+        return NotImplemented
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return Rational(b * a.denominator, a.numerator)
+        return NotImplemented
+
+    def __eq__(a, b):
+        # an int, a Rational or a fractions.Fraction: equal values have
+        # equal terms
+        try:
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __lt__(a, b):
+        try:
+            return a.numerator * b.denominator < b.numerator * a.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self):
+        # the numeric hash of p/q, which Fraction(p, q) has as well
+        try:
+            h = hash(hash(abs(self.numerator)) * pow(self.denominator, -1, _HASH.modulus))
+        except ValueError:
+            h = _HASH.inf
+        if self.numerator < 0:
+            h = -h
+        return -2 if h == -1 else h
+
+
+_HASH = sys.hash_info
+
+
+def _make(numerator: int, denominator: int) -> Rational:
+    """The Rational numerator / denominator, given in lowest terms with
+    denominator > 1."""
+    r = object.__new__(Rational)
+    r.numerator = numerator
+    r.denominator = denominator
+    return r
+
+
+def _normal(numerator: int, denominator: int) -> Scalar:
+    """numerator / denominator, given in lowest terms with denominator > 0."""
+    return numerator if denominator == 1 else _make(numerator, denominator)
+
+
+def _reduced(numerator: int, denominator: int) -> Scalar:
+    """numerator / denominator in normal form, for denominator > 0."""
+    g = gcd(numerator, denominator)
+    return _normal(numerator // g, denominator // g)
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Scalar:
+    """na / da + nb / db for two Rationals' terms."""
+    g = gcd(da, db)
+    if g == 1:
+        return _make(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    h = gcd(t, g)
+    return _normal(t // h, s * (db // h))
+
+
+Scalar = int | Rational
 SparseRow = dict[int, Scalar]
 
 Q0 = 0
 Q1 = 1
 
+# the grammar of ``rat``
+_DIGITS = r"\d+(?:_\d+)*"
+_SCALAR = re.compile(
+    rf"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>{_DIGITS}|)"
+    rf"(?:/(?P<den>{_DIGITS})|(?:\.(?P<dec>{_DIGITS}|))?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)"
+    r"\s*"
+)
 
-def exact(x: Scalar) -> Scalar:
-    """x in normal form: an integral value as its ``int``."""
-    return x.numerator if x.denominator == 1 else x
 
+def rat(value) -> Scalar:
+    """Coerce a value to an exact scalar: an int, a ``Rational``, an object
+    with integral ``numerator`` and ``denominator`` (a
+    ``fractions.Fraction``), or a string of the grammar that
+    ``fractions.Fraction`` reads on Python 3.11, whitespace around allowed:
 
-def rat(value: int | str | Fraction) -> Scalar:
-    """Coerce an int, Fraction, or "p/q" string to an exact scalar; any
-    other value, a bool among them, is an input error that names it."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return exact(value)
+        [+-] ( digits "/" digits
+             | digits ["." [digits]] [exponent]
+             | "." digits [exponent] )
+
+    where digits are decimal digits, single underscores between them, and
+    an exponent is "e" or "E", an optional sign and digits.  "p/0" is an
+    input error that names a zero denominator; any other value, a bool or
+    a float among them, is an input error that names it."""
     if isinstance(value, str):
-        try:
-            return exact(Fraction(value.strip()))
-        except ZeroDivisionError:
-            raise InputFormatError(f"zero denominator in {value!r}") from None
-        except ValueError:
-            pass
+        m = _SCALAR.fullmatch(value)
+        if m is not None:
+            sign, num, den, dec, exp = m.groups()
+            dec = (dec or "").replace("_", "")
+            # int() refuses more digits than sys.get_int_max_str_digits(), in
+            # the integer and the decimal part each, as Fraction does
+            try:
+                p = int(num or "0") * 10 ** len(dec) + int(dec or "0")
+                q, e = int(den or "1"), int(exp or "0") - len(dec)
+            except ValueError:
+                pass
+            else:
+                if not q:
+                    raise InputFormatError(f"zero denominator in {value!r}")
+                if sign == "-":
+                    p = -p
+                return _reduced(p * 10**e, q) if e >= 0 else _reduced(p, q * 10**-e)
+    elif not isinstance(value, bool):  # a float has no numerator
+        p, q = getattr(value, "numerator", None), getattr(value, "denominator", None)
+        if type(p) is int and type(q) is int and q > 0:
+            return _reduced(p, q)
     raise InputFormatError(f"cannot interpret {value!r} as a rational")
 
 
@@ -70,7 +240,7 @@ def integral(v: SparseRow, den: int = 1) -> tuple[int, SparseRow]:
     returned itself."""
     scale = lcm(*(x.denominator for x in v.values()))
     if scale > 1:
-        v = {i: (x * scale).numerator for i, x in v.items()}
+        v = {i: x * scale for i, x in v.items()}
         den *= scale
     if den > 1:
         g = gcd(den, *v.values())
@@ -103,7 +273,7 @@ def _sub_scaled(row: SparseRow, f: Scalar, other: Mapping[int, Scalar]) -> None:
     for c, x in other.items():
         v = row.get(c, Q0) - f * x
         if v:
-            row[c] = exact(v)
+            row[c] = v
         else:
             del row[c]
 
@@ -127,15 +297,15 @@ def _rref_rows(rows: Sequence[Mapping[int, Scalar]], ncols: int):
     for given in rows:
         if len(echelon) == full:
             break
-        row = {c: exact(x) for c, x in given.items() if x}
+        row = {c: x for c, x in given.items() if x}
         while row:
             lead = min(row)
             stored = echelon.get(lead)
             if stored is None:
                 a = row[lead]
                 if a != 1:
-                    inv = Fraction(1) / a
-                    row = {c: exact(x * inv) for c, x in row.items()}
+                    inv = Rational(1, a)
+                    row = {c: x * inv for c, x in row.items()}
                 echelon[lead] = row
                 break
             _sub_scaled(row, row[lead], stored)
@@ -303,7 +473,7 @@ def complement(
             )
         denom = dot(constraint, adjuster)
         for r in rows:
-            f = exact(Fraction(dot(constraint, r)) / denom)
+            f = Rational(dot(constraint, r), denom)
             if f:
                 _sub_scaled(r, f, adjuster)
     return Subspace.from_sparse(rows, outer.ambient_dim)

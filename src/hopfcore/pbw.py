@@ -11,13 +11,13 @@ every splitting of the index plus strictly smaller terms; all of that is
 machine-checked here, with sums and splittings of indices taken on their
 exponent vectors.  Each monomial is kept as an integral vector over one
 positive denominator, so on integral tables the checks run in ``int``
-arithmetic and divide once per value they return.
+arithmetic and divide once per value they return, by ``Rational(a, d)``,
+which is an ``int`` wherever d divides a.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Mapping, Optional
@@ -37,11 +37,11 @@ from .errors import BasisDefect, ExpansionViolation, HopfcoreError, TruncationEr
 from .linalg import (
     Q0,
     Q1,
+    Rational,
     Scalar,
     SparseRow,
     Subspace,
     combine,
-    exact,
     integral,
     inverse,
     nonzero,
@@ -265,7 +265,7 @@ class PBWStructure:
         # entries p are 1/d_p times those wanted
         for row in raw_to_pbw:
             for p, c in row.items():
-                row[p] = exact(c * monomials[p][0])
+                row[p] = c * monomials[p][0]
         self._raw_to_pbw = raw_to_pbw
         return raw_to_pbw
 
@@ -314,7 +314,7 @@ class PBWStructure:
             raise BasisDefect(f"defect of e_{name[p]} e_{name[q]} escapes layer {deg - 1}")
         if l == 1:
             return c, nonzero(defect)
-        return c, {k: exact(Fraction(a, l)) for k, a in defect.items() if a}
+        return c, {k: Rational(a, l) for k, a in defect.items() if a}
 
     # -- comultiplication --------------------------------------------------------
 
@@ -335,7 +335,7 @@ class PBWStructure:
                     f"term e_{name[i]} (x) e_{name[j]} of "
                     f"Delta(e_{name[p]}) exceeds degree {deg_m}"
                 )
-            out.append((i, j, exact(c if d == 1 else Fraction(c, d))))
+            out.append((i, j, c if d == 1 else Rational(c, d)))
         return out
 
     def transposed_comult(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:

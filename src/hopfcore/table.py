@@ -21,7 +21,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputFormatError, TruncationError
-from .linalg import Q0, Q1, Scalar, SparseRow, exact, rat, rat_str
+from .linalg import Q0, Q1, Scalar, SparseRow, rat, rat_str
 from .monoid import exponent_vectors, monomial_label, weighted_degree
 
 SparseVec = tuple[tuple[int, Scalar], ...]
@@ -29,12 +29,11 @@ Table = Mapping[tuple[int, int], Iterable[tuple[int, Scalar]]]
 
 
 def sparse(entries: Iterable[tuple[int, Scalar]]) -> SparseVec:
-    """Merge repeated keys, drop zeros, sort by key; integral values
-    become ``int``."""
+    """Merge repeated keys, drop zeros, sort by key."""
     merged: dict[int, Scalar] = {}
     for k, c in entries:
         merged[k] = merged.get(k, Q0) + c
-    return tuple((k, exact(c)) for k, c in sorted(merged.items()) if c)
+    return tuple((k, c) for k, c in sorted(merged.items()) if c)
 
 
 def string_list(value, field: str) -> list[str]:
@@ -142,7 +141,7 @@ class TableAlgebra:
                     f"got {type(terms).__name__}"
                 )
         self.mult = table
-        self.one = {i: exact(c) for i, c in sorted(one.items()) if c}
+        self.one = {i: c for i, c in sorted(one.items()) if c}
         self.degrees = tuple(int(d) for d in degrees) if degrees is not None else None
         self.degree_bound = degree_bound
         self.name = name
@@ -184,7 +183,7 @@ class TableAlgebra:
                 ab = a * b
                 for k, c in terms:
                     out[k] = out.get(k, Q0) + ab * c
-        return {k: exact(c) for k, c in out.items() if c}
+        return {k: c for k, c in out.items() if c}
 
     def first_nonassociative(self) -> Optional[tuple[int, int, int]]:
         """The first basis triple (i, j, k), with (i, j) in the table and in

@@ -10,7 +10,7 @@ import pytest
 
 from hopfcore import build_ueg, build_xyw
 from hopfcore.coalgebra import instance_from_json
-from hopfcore.linalg import Q0, Subspace, exact, rat, rat_str
+from hopfcore.linalg import Q0, Rational, Subspace, rat, rat_str
 from hopfcore.monoid import weighted_degree
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, Report
@@ -128,7 +128,7 @@ def rational_monomial(pbw, p):
     """e_m for the index m at position p as its nonzero raw coordinates:
     the vector of ``PBWStructure.integral_monomial`` over its denominator."""
     d, v = pbw.integral_monomial(p)
-    return {i: exact(Fraction(a, d)) for i, a in v.items()}
+    return {i: Rational(a, d) for i, a in v.items()}
 
 
 def normal_labels(ideal):

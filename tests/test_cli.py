@@ -777,6 +777,47 @@ def test_malformed_input_reports(tmp_path, kind, payload, message):
             ), command
 
 
+# coefficient strings and how the command line reads them, on every Python
+# as Fraction reads them on 3.11: the principal ideal c*x + x^2 of Q[x],
+# whose name the hcore report prints
+COEFF_STRINGS = [
+    (" 3 ", 0, "(3*x + x^2)"),
+    ("+3", 0, "(3*x + x^2)"),
+    ("-4/6", 0, "(-2/3*x + x^2)"),
+    (".5", 0, "(1/2*x + x^2)"),
+    ("1.5e-3", 0, "(3/2000*x + x^2)"),
+    ("1_000", 0, "(1000*x + x^2)"),
+    ("1/0", 2, "zero denominator in '1/0'"),
+    ("abc", 2, "cannot interpret 'abc' as a rational"),
+    ("1//2", 2, "cannot interpret '1//2' as a rational"),
+    ("", 2, "cannot interpret '' as a rational"),
+    ("0x10", 2, "cannot interpret '0x10' as a rational"),
+    ("1e2/3", 2, "cannot interpret '1e2/3' as a rational"),
+    ("1 / 2", 2, "cannot interpret '1 / 2' as a rational"),
+]
+
+
+@pytest.mark.parametrize("coeff, code, text", COEFF_STRINGS,
+                         ids=[repr(c) for c, _, _ in COEFF_STRINGS])
+def test_coefficient_strings(tmp_path, coeff, code, text):
+    """The grammar of a coefficient string, end to end: an accepted string
+    gives the ideal its value in lowest terms, a refused one ends in exit 2
+    with an input-error report that names it."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"ideal": {"kind": "principal", "element": [
+        {"coeff": coeff, "monomial": {"x": 1}}, {"coeff": "1", "monomial": {"x": 2}},
+    ]}}))
+    got, rep = run(
+        tmp_path, "hcore", "--instance", str(INSTANCES / "dq.json"), "--degree", "4",
+        "--action", str(ACTIONS / "dq_qx_ix.json"), "--ideal", str(path),
+    )
+    assert got == code
+    if code == 2:
+        assert (rep["status"], rep["error"]) == ("input-error", text)
+    else:
+        assert rep["core"]["ideal"] == text
+
+
 @pytest.mark.parametrize(
     "coeff", MALFORMED_COEFFS, ids=["string", "float", "list", "null", "bool"]
 )
@@ -1559,20 +1600,41 @@ def test_import_leaves_out_dataclasses_and_inspect():
     """Every job is a fresh process, so the command line's import is paid
     per job; ``dataclasses`` would bring in ``inspect``, ``ast`` and ``dis``
     and exec generated methods for each record.  Nor does reading a line
-    and running it load ``argparse`` or the ``gettext`` it brings in."""
-    unloaded = "sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} - set(sys.modules))"
+    and running it load ``argparse`` or the ``gettext`` it brings in, nor
+    ``fractions``, which would bring in ``decimal`` and ``numbers``: the
+    exact scalars are the package's own.  One line of each command runs,
+    so that no code path loads them late."""
+    left_out = ["argparse", "dataclasses", "decimal", "fractions", "gettext",
+                "inspect", "numbers"]
+    heis, dq = str(INSTANCES / "heis.json"), str(INSTANCES / "dq.json")
+    lines = [
+        ["build", "--instance", heis, "--degree", "2"],
+        ["verify", "--instance", heis, "--degree", "3", "--trials", "5"],
+        ["conv", "--instance", heis, "--degree", "4", "--ring", "m2q", "--trials", "5"],
+        ["hcore", "--instance", dq, "--degree", "4",
+         "--action", str(ACTIONS / "dq_qx_ix.json")],
+    ]
+    script = (
+        "import hopfcore.cli, json, os, sys\n"
+        f"unloaded = lambda: sorted(set({left_out!r}) - set(sys.modules))\n"
+        "seen = [unloaded()]\n"
+        "for line in json.loads(sys.argv[1]):\n"
+        "    code = hopfcore.cli.main(line + ['--out', os.devnull])\n"
+        "    seen.append([line[0], code, unloaded()])\n"
+        "print(json.dumps(seen))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import hopfcore.cli, os, sys; before = {unloaded}; "
-         "code = hopfcore.cli.main(['build', '--instance', sys.argv[1], '--degree', '2', "
-         "'--out', os.devnull]); "
-         f"print(code, before, {unloaded})",
-         str(INSTANCES / "heis.json")],
+        [sys.executable, "-c", script, json.dumps(lines)],
         capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    everything = ["argparse", "dataclasses", "gettext", "inspect"]
-    assert proc.stdout == f"0 {everything} {everything}\n"
+    assert json.loads(proc.stdout) == [
+        left_out,
+        ["build", 0, left_out],
+        ["verify", 0, left_out],
+        ["conv", 0, left_out],
+        ["hcore", 3, left_out],
+    ]
 
 
 def test_a_closed_pipe_ends_the_process_quietly():

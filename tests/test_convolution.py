@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 
 import pytest
 
@@ -104,35 +103,35 @@ def test_unit_convolution_identity(qt):
     assert u.value(0) == q.one
     assert u.value(at(qt, t=1)) == {}
     assert convolve(u, u) == u
-    f = conv(qt, q, {mi(t=1): {0: F(3)}, mi(t=2): {0: F(-1)}})
+    f = conv(qt, q, {mi(t=1): {0: 3}, mi(t=2): {0: -1}})
     assert convolve(f, u) == f
     assert convolve(u, f) == f
 
 
 def test_convolution_divided_line(qt):
     q = builtin_ring("q")
-    f = conv(qt, q, {mi(t=1): {0: F(2)}})
-    g = conv(qt, q, {mi(t=1): {0: F(7)}})
+    f = conv(qt, q, {mi(t=1): {0: 2}})
+    g = conv(qt, q, {mi(t=1): {0: 7}})
     fg = convolve(f, g)
     assert fg.value(0) == {}
     assert fg.value(at(qt, t=1)) == {}
-    assert fg.value(at(qt, t=2)) == {0: F(14)}
+    assert fg.value(at(qt, t=2)) == {0: 14}
 
 
 def test_counit_pullback_scales(qt):
     q = builtin_ring("q")
-    f = counit_pullback(qt, q, {0: F(5)})
-    g = conv(qt, q, {mi(t=1): {0: F(2)}, mi(t=3): {0: F(1)}})
+    f = counit_pullback(qt, q, {0: 5})
+    g = conv(qt, q, {mi(t=1): {0: 2}, mi(t=3): {0: 1}})
     fg = convolve(f, g)
     for p in range(len(qt.indices)):
-        assert fg.value(p) == {k: F(5) * x for k, x in g.value(p).items()}
+        assert fg.value(p) == {k: 5 * x for k, x in g.value(p).items()}
 
 
 def test_positions_outside_the_host(qt):
     q = builtin_ring("q")
     for p in (-1, len(qt.indices)):
         with pytest.raises(InputFormatError, match="does not live on this host"):
-            ConvElement(qt, q, {p: {0: F(1)}})
+            ConvElement(qt, q, {p: {0: 1}})
 
 
 def test_mismatch_errors(qt, heis):
@@ -236,12 +235,12 @@ def test_leading_examples(qt, heis):
     q = builtin_ring("q")
     one = q.one
     assert leading(counit_pullback(qt, q, one)) == LeadingTerm(0, one)
-    f = conv(qt, q, {mi(t=1): {0: F(4)}, mi(t=2): {0: F(9)}})
-    assert leading(f) == LeadingTerm(at(qt, t=1), {0: F(4)})
+    f = conv(qt, q, {mi(t=1): {0: 4}, mi(t=2): {0: 9}})
+    assert leading(f) == LeadingTerm(at(qt, t=1), {0: 4})
     with pytest.raises(HopfcoreError, match="^leading term of the zero element$"):
         leading(ConvElement(qt, q, {}))
     # tie at equal degree resolves at the largest differing generator
-    g = conv(heis, q, {mi(x=2): {0: F(1)}, mi(x=1, y=1): {0: F(2)}})
+    g = conv(heis, q, {mi(x=2): {0: 1}, mi(x=1, y=1): {0: 2}})
     assert leading(g).index == at(heis, x=2)
 
 
@@ -250,8 +249,8 @@ def test_leading_examples(qt, heis):
 
 def test_leading_law_line_pair(qt):
     q = builtin_ring("q")
-    f = conv(qt, q, {mi(t=1): {0: F(2)}})
-    g = conv(qt, q, {mi(t=1): {0: F(7)}})
+    f = conv(qt, q, {mi(t=1): {0: 2}})
+    g = conv(qt, q, {mi(t=1): {0: 7}})
     out = check_leading_law(f, g)
     assert out.passed and out.product_nonzero and out.leading_term_ok
 
@@ -281,8 +280,8 @@ def test_leading_law_with_unit(heis):
 
 def test_leading_law_truncation(heis):
     q = builtin_ring("q")
-    f = conv(heis, q, {mi(x=3): {0: F(1)}})
-    g = conv(heis, q, {mi(y=3): {0: F(1)}})
+    f = conv(heis, q, {mi(x=3): {0: 1}})
+    g = conv(heis, q, {mi(y=3): {0: 1}})
     with pytest.raises(TruncationError):
         check_leading_law(f, g)
 
@@ -293,14 +292,14 @@ def test_leading_law_flags_a_broken_product(heis, monkeypatch):
     from hopfcore import convolution
 
     q = builtin_ring("q")
-    f = conv(heis, q, {mi(x=1): {0: F(2)}})
-    g = conv(heis, q, {mi(y=1): {0: F(3)}})
+    f = conv(heis, q, {mi(x=1): {0: 2}})
+    g = conv(heis, q, {mi(y=1): {0: 3}})
     real = convolution.convolve
     # the position just below the leading sum x + y
     below = at(heis, x=1, y=1) - 1
     for extra, clauses in (
-        ({below: {0: F(1)}}, (False, True, False)),
-        ({at(heis, x=1, y=1): {0: F(5)}}, (True, False, False)),
+        ({below: {0: 1}}, (False, True, False)),
+        ({at(heis, x=1, y=1): {0: 5}}, (True, False, False)),
     ):
         monkeypatch.setattr(
             convolution,

@@ -4,7 +4,6 @@ apart: each site below raises a bare ``HopfcoreError`` or an
 class alone decides the exit code."""
 
 import json
-from fractions import Fraction as F
 
 import pytest
 
@@ -31,7 +30,7 @@ def _line(filtration_hint):
         degree_bound=2,
         mult={(0, 0): ((0, Q1),), (0, 1): ((1, Q1),), (1, 0): ((1, Q1),), (1, 1): ()},
         comult=[((0, 0, Q1),), ((0, 1, Q1), (1, 0, Q1))],
-        counit=(Q1, F(0)),
+        counit=(Q1, 0),
         unit_index=0,
         filtration_hint=filtration_hint,
     )

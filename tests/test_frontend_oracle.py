@@ -7,11 +7,10 @@ way the earlier code did: every condition row, matrix and product densified
 first.  The sparse pipeline must give the same layers, splitting vectors,
 split coordinates, gr tables and core chains, and ``Subspace.reduce`` the
 same residuals as the earlier dense ``dense_reduce``.  Division goes
-through ``Fraction``, since the pipeline hands over ``int`` scalars.
+through ``Rational``, since the pipeline hands over ``int`` scalars.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,7 @@ from hopfcore.coalgebra import (
     graded_splitting,
     instance_from_json,
 )
-from hopfcore.linalg import Q0, Q1
+from hopfcore.linalg import Q0, Q1, Rational
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, SparseVec
 from conftest import assert_matches_dense_operators, dense_mul, dense_of, load_fixture
@@ -55,7 +54,7 @@ def dense_rref_rows(rows, ncols):
         work[piv_r], work[pr] = work[pr], work[piv_r]
         lead = work[piv_r][col]
         if lead != 1:
-            work[piv_r] = [Fraction(x) / lead for x in work[piv_r]]
+            work[piv_r] = [Rational(x, lead) for x in work[piv_r]]
         prow = work[piv_r]
         for r in range(len(work)):
             if r == piv_r:
@@ -131,7 +130,7 @@ def dense_complement(inner, outer, constraint):
         adjuster = next(r for r in inner[0] if dot(constraint, r))
         denom = dot(constraint, adjuster)
         rows = [
-            tuple(a - Fraction(dot(constraint, r)) / denom * b
+            tuple(a - Rational(dot(constraint, r), denom) * b
                   for a, b in zip(r, adjuster))
             for r in rows
         ]
@@ -235,7 +234,7 @@ def sample_vectors(dim, seed):
     rng = random.Random(seed)
     out = [dense_of({j: Q1}, dim) for j in range(dim)]
     for _ in range(6):
-        out.append(tuple(rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(dim)))
+        out.append(tuple(rng.choice((0, 0, 1, -2, Rational(1, 3))) for _ in range(dim)))
     return out
 
 
@@ -300,7 +299,7 @@ def test_hcore_chain_matches_dense_oracle(host_at, action_name, host_name, degre
 DQ_BOUND = 4
 # the host U(Q d) truncated at degree 4: one generator, indices d^(k)
 DQ = PBWStructure.from_bialgebra(build_ueg(["d"], {}, DQ_BOUND))
-ENTRIES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+ENTRIES = st.sampled_from([1, -1, 2, Rational(1, 2), Rational(-2, 3), Rational(5, 4)])
 
 
 @st.composite

@@ -14,7 +14,6 @@ sparse vectors that hold explicit zeros.
 """
 
 import functools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcore import cli
 from hopfcore.action import Ideal, QuotientAlgebra
 from hopfcore.errors import TruncationError
-from hopfcore.linalg import Q0, complement, exact
+from hopfcore.linalg import Q0, Rational, complement, rat
 from hopfcore.table import PolynomialAlgebra, TableAlgebra
 from conftest import (
     dense_mul, dense_of, full_space, load_fixture, normal_labels, sparse_of, span,
@@ -97,7 +96,7 @@ class DensePrincipalIdeal:
             exps = alg.monomials[t]
             if all(x >= y for x, y in zip(exps, self._lt_exps)):
                 q = tuple(x - y for x, y in zip(exps, self._lt_exps))
-                scale = exact(Fraction(c) / self._lt_coeff)
+                scale = Rational(c, self._lt_coeff)
                 for s, gc in enumerate(self.generator):
                     if not gc:
                         continue
@@ -259,7 +258,7 @@ IDEALS = {
     # the constant term is the least column: an echelon that pivots there
     # puts xy, not 1, in the normal basis
     "principal-1+2y-xy/3": lambda: _principal_xy(
-        6, [(1, (0, 0)), (2, (0, 1)), (Fraction(-1, 3), (1, 1))]
+        6, [(1, (0, 0)), (2, (0, 1)), (Rational(-1, 3), (1, 1))]
     ),
     "monomial-x^2,y^3": lambda: monomial_case(
         PolynomialAlgebra(["x", "y"], 5), [(2, 0), (0, 3)]
@@ -284,7 +283,7 @@ def case_named(name):
 
 scalars = st.integers(-3, 3) | st.fractions(
     min_value=-3, max_value=3, max_denominator=4
-).map(exact)
+).map(rat)
 
 
 def assert_matches_oracle(ideal, oracle, v):

@@ -2,7 +2,7 @@
 against the rational arithmetic they replace.
 
 ``RationalOracle`` is the rational form of the checks: every monomial
-built as (1/k) lift_g e_(m - g) in ``Fraction`` coordinates, the expansion
+built as (1/k) lift_g e_(m - g) in ``Rational`` coordinates, the expansion
 by the inverse of the matrix of those coordinates, and ``structure_constant``,
 ``expand_comult`` and ``check_span_closure`` computed on them as they were
 before the monomials became integral."""
@@ -20,7 +20,8 @@ from hopfcore.errors import (
     HopfcoreError,
     TruncationError,
 )
-from hopfcore.linalg import Q0, Q1, combine, exact, integral, inverse, nonzero
+from hopfcore import linalg
+from hopfcore.linalg import Q0, Q1, Rational, combine, integral, inverse, nonzero
 from hopfcore.pbw import PBWStructure
 from hopfcore.report import FAIL, PASS, Report
 from conftest import instance_to_json, load_fixture, rational_monomial, run_check
@@ -40,7 +41,7 @@ class RationalOracle:
             else:
                 t, k, rest = host.first_factor(p)
                 v = host.data.mul(host.lifts[host.gens.ids[t]], self.monomial(rest))
-                v = {i: exact(a * F(1, k)) for i, a in v.items()}
+                v = {i: a * Rational(1, k) for i, a in v.items()}
             self.monomials[p] = v
         return self.monomials[p]
 
@@ -89,7 +90,7 @@ class RationalOracle:
                     f"term e_{name[i]} (x) e_{name[j]} of "
                     f"Delta(e_{name[p]}) exceeds degree {degrees[p]}"
                 )
-            out.append((i, j, exact(c)))
+            out.append((i, j, c))
         return out
 
     def check_span_closure(self, rep: Report, rng, samples):
@@ -135,23 +136,20 @@ def rescaled_xyw(degree, scales):
     tables = obj["tables"]
     s = {label: F(scales.get(label, 1)) for label in tables["basis"]}
 
-    def text(x):
-        return str(exact(x))
-
     tables["mult"] = {
         a: {
-            b: {k: text(s[a] * s[b] * F(c) / s[k]) for k, c in terms.items()}
+            b: {k: str(s[a] * s[b] * F(c) / s[k]) for k, c in terms.items()}
             for b, terms in row.items()
         }
         for a, row in tables["mult"].items()
     }
     tables["comult"] = {
-        a: [[j, k, text(s[a] * F(c) / (s[j] * s[k]))] for j, k, c in row]
+        a: [[j, k, str(s[a] * F(c) / (s[j] * s[k]))] for j, k, c in row]
         for a, row in tables["comult"].items()
     }
-    tables["counit"] = {a: text(s[a] * F(c)) for a, c in tables["counit"].items()}
+    tables["counit"] = {a: str(s[a] * F(c)) for a, c in tables["counit"].items()}
     tables["antipode"] = {
-        a: {k: text(s[a] * F(c) / s[k]) for k, c in terms.items()}
+        a: {k: str(s[a] * F(c) / s[k]) for k, c in terms.items()}
         for a, terms in tables["antipode"].items()
     }
     return instance_from_json(obj)
@@ -256,53 +254,47 @@ def test_span_closure_matches_rational_oracle(case, seed):
         assert mine.getstate() == theirs.getstate()
 
 
-def count_fractions(monkeypatch, fn):
-    """The number of ``Fraction`` objects fn() creates."""
+def count_rationals(monkeypatch, fn):
+    """The number of ``Rational`` objects fn() creates: each is made by
+    ``linalg._make``."""
     created = 0
+    make = linalg._make
 
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            nonlocal created
-            created += 1
-            return original(*args, **kwargs)
+    def counting(numerator, denominator):
+        nonlocal created
+        created += 1
+        return make(numerator, denominator)
 
-        return wrapper
-
-    monkeypatch.setattr(F, "__new__", counting(F.__new__))
-    if hasattr(F, "_from_coprime_ints"):  # arithmetic bypasses __new__ here
-        original = F._from_coprime_ints.__func__
-        monkeypatch.setattr(
-            F, "_from_coprime_ints", classmethod(counting(original))
-        )
+    monkeypatch.setattr(linalg, "_make", counting)
     fn()
     monkeypatch.undo()
     return created
 
 
 def test_span_closure_makes_no_fractions(monkeypatch):
-    """On xyw D5, 200 trials of the span closure made 11,575 ``Fraction``
-    objects when the monomials were rational; integral monomials leave at
+    """On xyw D5, 200 trials of the span closure made 11,575 rational
+    objects (then ``Fraction``) when the monomials were rational; integral monomials leave at
     most one per monomial (their first rational views), so a return to
     rational inner loops fails here without a timer."""
     host = PBWStructure.from_bialgebra(build_xyw(5))
     host.pbw_coords({})  # the expansion basis, as the checks before it leave it
     assert max(host.integral_monomial(p)[0] for p in range(len(host.indices))) > 1
-    created = count_fractions(
+    created = count_rationals(
         monkeypatch, lambda: run_check(host.check_span_closure, random.Random(0), 200)
     )
     assert created <= len(host.indices), created
     oracle = RationalOracle(host)
-    rational = count_fractions(
+    rational = count_rationals(
         monkeypatch, lambda: run_check(oracle.check_span_closure, random.Random(0), 200)
     )
     assert rational > 100 * len(host.indices), rational
 
 
 def test_integral_lowest_terms():
-    assert integral({0: F(1, 2), 3: F(-1, 3)}) == (6, {0: 3, 3: -2})
-    assert integral({0: F(3, 2), 1: 1}) == (2, {0: 3, 1: 2})
+    assert integral({0: Rational(1, 2), 3: Rational(-1, 3)}) == (6, {0: 3, 3: -2})
+    assert integral({0: Rational(3, 2), 1: 1}) == (2, {0: 3, 1: 2})
     assert integral({0: 4, 1: -6}, 4) == (2, {0: 2, 1: -3})
-    assert integral({0: F(2, 3)}, 4) == (6, {0: 1})
+    assert integral({0: Rational(2, 3)}, 4) == (6, {0: 1})
     v = {0: 3, 2: 5}
     d, w = integral(v, 2)
     assert (d, w) == (2, v) and w is v

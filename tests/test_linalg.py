@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hopfcore.errors import HopfcoreError
 from hopfcore.linalg import (
+    Rational,
     Subspace,
     _rref_rows,
     complement,
@@ -22,8 +23,8 @@ from conftest import dense_of, full_space, sparse_of, span
 
 
 def M(rows):
-    """Dense integer rows as sparse Fraction rows."""
-    return [{c: F(x) for c, x in enumerate(r) if x} for r in rows]
+    """Dense integer rows as sparse rows."""
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
 
 def dot(u, v):
@@ -210,7 +211,7 @@ def test_complement_dimensions(rows_a, rows_b):
         assert not inner.contains(row)
 
 
-# -- int rows against Fraction rows -------------------------------------------
+# -- int rows against rational rows -------------------------------------------
 
 int_matrix = st.integers(min_value=1, max_value=6).flatmap(
     lambda cols: st.lists(
@@ -230,25 +231,28 @@ def _typed(rows):
 @settings(max_examples=60, deadline=None)
 @given(int_matrix)
 def test_int_and_fraction_rows_agree(rows):
-    """The echelon normalises its input, so int and Fraction rows give the
-    same results down to the type of every scalar, and no float."""
+    """Integer rows and the same rows halved, whose odd entries are
+    ``Rational``, span the same space: the echelon and the kernel agree
+    down to the type of every scalar, the inverse of the halved matrix is
+    twice the inverse, and no float appears."""
     ncols = len(rows[0])
     as_int = [{c: x for c, x in enumerate(r) if x} for r in rows]
-    as_frac = [{c: F(x) for c, x in r.items()} for r in as_int]
-    assert rank(as_int, ncols) == rank(as_frac, ncols)
+    halved = [{c: Rational(x, 2) for c, x in r.items()} for r in as_int]
+    assert rank(as_int, ncols) == rank(halved, ncols)
     for build in (kernel, Subspace.from_sparse):
-        a, b = build(as_int, ncols), build(as_frac, ncols)
+        a, b = build(as_int, ncols), build(halved, ncols)
         assert a == b and _typed(a.rows) == _typed(b.rows)
-        assert {t for _, t in _typed(a.rows)} <= {int, F}
+        assert {t for _, t in _typed(a.rows)} <= {int, Rational}
     if len(rows) == ncols:
         try:
             inv = inverse(as_int, ncols)
         except ValueError:
             with pytest.raises(ValueError):
-                inverse(as_frac, ncols)
+                inverse(halved, ncols)
             return
-        assert _typed(inv) == _typed(inverse(as_frac, ncols))
-        assert {t for _, t in _typed(inv)} <= {int, F}
+        doubled = [{c: 2 * x for c, x in row.items()} for row in inv]
+        assert _typed(doubled) == _typed(inverse(halved, ncols))
+        assert {t for _, t in _typed(inv)} <= {int, Rational}
 
 
 def test_quotient_units_membership():
@@ -260,7 +264,7 @@ def test_quotient_units_membership():
         for j, x in enumerate(v):
             if x:
                 for k, c in q[j].items():
-                    acc[k] = acc.get(k, F(0)) + x * c
+                    acc[k] = acc.get(k, 0) + x * c
         return all(value == 0 for value in acc.values())
 
     assert in_s((1, 0, 2))
@@ -272,7 +276,7 @@ def test_quotient_units_membership():
 def ordered_spans(draw):
     """Sparse rows, a column order and a vector on up to six columns."""
     n = draw(st.integers(1, 6))
-    scalars = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    scalars = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3).map(rat)
     vectors = st.dictionaries(st.integers(0, n - 1), scalars, max_size=n)
     rows = draw(st.lists(vectors, max_size=5))
     return n, rows, draw(st.permutations(range(n))), draw(vectors)
@@ -412,8 +416,8 @@ class CountingRow(dict):
 def test_rref_stops_once_every_column_holds_a_pivot():
     """Rows after full rank on the columns that occur are read once, for
     their columns, and never reduced."""
-    base = [{0: F(1)}, {1: F(2)}, {0: F(1), 2: F(3)}]
-    redundant = [CountingRow({0: F(a), 1: F(1), 2: F(-a)}) for a in range(1, 9)]
+    base = [{0: 1}, {1: 2}, {0: 1, 2: 3}]
+    redundant = [CountingRow({0: a, 1: 1, 2: -a}) for a in range(1, 9)]
     reduced, pivots = _rref_rows(base + redundant, 4)
     assert pivots == (0, 1, 2)
     assert reduced == [{0: 1}, {1: 1}, {2: 1}]
@@ -473,7 +477,7 @@ def test_complement_against_sympy(name, rows):
     chosen = [r for r, p in zip(out_basis, out_piv) if p not in in_piv]
     assert tuple(dense(complement(inner, outer).rows, ncols)) == _sym_rref(chosen, ncols)[0]
 
-    constraint = tuple(F(rng.randint(-2, 2)) for _ in range(ncols))
+    constraint = tuple(rng.randint(-2, 2) for _ in range(ncols))
     adjuster = next((r for r in in_basis if dot(constraint, r)), None)
     if adjuster is None and any(dot(constraint, r) for r in chosen):
         message = no_constrained_complement(inner.dim, outer.dim)

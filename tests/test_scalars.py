@@ -1,12 +1,13 @@
 """The scalar convention: an exact scalar is an ``int`` when it is integral
-and a ``Fraction`` otherwise, and no float appears anywhere.
+and the package's ``Rational`` otherwise, and no float appears anywhere.
 
 Every stored scalar of the pipeline, from the input tables through the
 filtration, splitting, associated graded algebra, divided-power monomials,
 comultiplication expansions, coefficient rings, convolutions and stable
-cores, is walked and checked to be an ``int`` or a ``Fraction``.  At the
-places that create scalars (``rat``, ``table.sparse``, the echelon and
-``expand_comult``) an integral value is moreover an ``int``.  A value of a
+cores, is walked and checked to be an ``int`` or a ``Rational``; a float or
+a ``fractions.Fraction`` fails the walk.  At the places that create scalars
+(``rat``, ``table.sparse``, the echelon and ``expand_comult``) an integral
+value is moreover an ``int``.  A value of a
 coefficient ring, like every other vector, is a sparse dict without zeros
 whose integral values are ``int``.
 """
@@ -45,7 +46,7 @@ from hopfcore.convolution import (
     ring_from_tables,
 )
 from hopfcore.errors import HopfcoreError, InputFormatError, TruncationError
-from hopfcore.linalg import Subspace, inverse, kernel, rat
+from hopfcore.linalg import Rational, Subspace, inverse, kernel, rat
 from hopfcore.pbw import PBWStructure
 from hopfcore.table import PolynomialAlgebra, TableAlgebra, sparse
 from conftest import (
@@ -66,7 +67,7 @@ HALF_RING = {
 def scalars(obj):
     """Every scalar held in obj: the values of mappings and the entries of
     tuples and lists, through the sparse rows of Subspaces."""
-    if isinstance(obj, (int, Fraction, float)):
+    if isinstance(obj, (int, Rational, Fraction, float)):
         yield obj
     elif isinstance(obj, Mapping):
         for value in obj.values():
@@ -81,16 +82,25 @@ def scalars(obj):
 
 
 def assert_exact(obj):
-    """No float: every scalar is an int or a Fraction."""
+    """No float and no stdlib Fraction: every scalar is an int or a
+    Rational."""
     kinds = {type(x) for x in scalars(obj)}
-    assert kinds <= {int, Fraction}, kinds
+    assert kinds <= {int, Rational}, kinds
 
 
 def assert_normal(obj):
-    """Exact and in normal form: no Fraction with denominator 1."""
+    """Exact and in normal form: no Rational with denominator 1."""
     assert_exact(obj)
-    bad = [x for x in scalars(obj) if type(x) is Fraction and x.denominator == 1]
+    bad = [x for x in scalars(obj) if type(x) is Rational and x.denominator == 1]
     assert not bad, bad[:3]
+
+
+def test_the_walk_refuses_floats_and_fractions():
+    for stray in (0.5, Fraction(1, 2), Fraction(2, 1)):
+        with pytest.raises(AssertionError):
+            assert_exact({0: 1, 1: stray})
+    with pytest.raises(AssertionError):
+        assert_normal([(0, Rational(1, 2)), (1, 2.0)])
 
 
 def _data(name):
@@ -105,7 +115,8 @@ def test_rat_normal_form():
     assert type(rat("6/3")) is int and rat("6/3") == 2
     assert type(rat(Fraction(4, 2))) is int and rat(Fraction(4, 2)) == 2
     assert type(rat(7)) is int
-    assert rat("1/2") == Fraction(1, 2) and type(rat("1/2")) is Fraction
+    assert rat("1/2") == Fraction(1, 2) and type(rat("1/2")) is Rational
+    assert type(rat(Fraction(1, 2))) is Rational
     for value in (0.5, True, None, [2], "zz"):
         with pytest.raises(InputFormatError, match="as a rational"):
             rat(value)
@@ -114,14 +125,14 @@ def test_rat_normal_form():
 def test_echelon_divides_exactly():
     space = Subspace.from_sparse([{0: 2, 1: 1}], 2)
     assert space.rows == ({0: 1, 1: Fraction(1, 2)},)
-    assert [type(x) for x in space.rows[0].values()] == [int, Fraction]
+    assert [type(x) for x in space.rows[0].values()] == [int, Rational]
     assert inverse([{0: 2}], 1) == [{0: Fraction(1, 2)}]
-    assert_normal(Subspace.from_sparse([{0: Fraction(2), 1: Fraction(4)}], 2).rows)
-    assert_normal(kernel([{0: 3, 1: 6}, {1: Fraction(3, 3)}], 3).rows)
+    assert_normal(Subspace.from_sparse([{0: Rational(2, 3), 1: Rational(4, 3)}], 2).rows)
+    assert_normal(kernel([{0: 3, 1: 6}, {1: Rational(3, 3)}], 3).rows)
 
 
 def test_sparse_normal_form():
-    merged = sparse([(1, Fraction(1, 2)), (0, Fraction(6, 3)), (1, Fraction(1, 2))])
+    merged = sparse([(1, Rational(1, 2)), (0, Rational(6, 3)), (1, Rational(1, 2))])
     assert merged == ((0, 2), (1, 1))
     assert_normal(merged)
 
@@ -357,10 +368,10 @@ def test_quotient_tables_and_units_are_normal():
 
 def test_products_are_normal_ring_values():
     """mul drops the terms that cancel and gives an integral product of
-    Fractions as an int."""
+    Rationals as an int."""
     for ring in _value_rings():
-        values = [{i: Fraction(2, 1 + i % 2)} for i in range(ring.dim)]
-        values.append({i: Fraction(1, 2) for i in range(ring.dim)})
+        values = [{i: Rational(2, 1 + i % 2)} for i in range(ring.dim)]
+        values.append({i: Rational(1, 2) for i in range(ring.dim)})
         values.append({i: (-1) ** i * 2 for i in range(ring.dim)})
         products = 0
         for u in values:
@@ -372,8 +383,8 @@ def test_products_are_normal_ring_values():
                     pass
         assert products
     half = ring_from_tables(HALF_RING)
-    assert half.mul({1: Fraction(2)}, {1: 2}) == {0: 1}
-    assert type(half.mul({1: Fraction(2)}, {1: 2})[0]) is int
+    assert half.mul({1: Rational(2, 3)}, {1: 6}) == {0: 1}
+    assert type(half.mul({1: Rational(2, 3)}, {1: 6})[0]) is int
     # (1 + h)(1 - h) = 1 - h^2 = 3/4: the h terms cancel and are dropped
     assert half.mul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: Fraction(3, 4)}
 
@@ -385,12 +396,12 @@ def test_convolution_values_are_normal_ring_values(name):
     bound = pbw.data.degree_bound // 2
     for ring in _value_rings():
         elements = [random_conv_element(pbw, ring, rng, bound) for _ in range(6)]
-        # explicit zeros, and integral Fractions
+        # explicit zeros, and integral quotients
         zeros = {k: 0 for k in range(ring.dim)}
-        pullback = counit_pullback(pbw, ring, {**zeros, 0: Fraction(4, 2)})
+        pullback = counit_pullback(pbw, ring, {**zeros, 0: Rational(4, 2)})
         assert pullback._map == {0: {0: 2}}
         elements.append(pullback)
-        elements.append(ConvElement(pbw, ring, {1: {**zeros, 0: Fraction(3, 3)}}))
+        elements.append(ConvElement(pbw, ring, {1: {**zeros, 0: Rational(3, 3)}}))
         for f in elements:
             for g in elements:
                 try:

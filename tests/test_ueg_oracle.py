@@ -5,9 +5,9 @@ product of monomials with ``straighten`` (x_j x_i = x_i x_j + [x_j, x_i]
 for j > i) and adds ``c * Fraction(1, divfact(ei) * divfact(ej)) *
 divfact(e)`` to its product entry, and ``sign * c * Fraction(1, divfact(e))
 * divfact(ew)`` to its antipode entry.  The builder instead recurses on the
-divided powers and divides once per entry; after the table normal form
-(``table.sparse``) both must hold the same values with the same scalar
-types.
+divided powers and divides once per entry; with the model's values read
+by ``rat`` (an integral value as ``int``, any other as ``Rational``) both
+must hold the same values with the same scalar types.
 """
 
 import itertools
@@ -17,8 +17,8 @@ from math import factorial
 import pytest
 
 from hopfcore.coalgebra import build_ueg
-from hopfcore.linalg import Q0, Q1, rat
-from hopfcore.table import graded_monomials, sparse
+from hopfcore.linalg import Q0, Q1, Rational, rat
+from hopfcore.table import graded_monomials
 from conftest import HEIS_BRACKETS, SL2_BRACKETS
 
 HALF_BRACKETS = {
@@ -68,7 +68,7 @@ def fraction_ueg_tables(names, brackets, degree_bound):
     bracket = {}
     for a, row in brackets.items():
         for b, combo in row.items():
-            entry = {pos[k]: rat(c) for k, c in combo.items() if rat(c)}
+            entry = {pos[k]: Fraction(c) for k, c in combo.items() if Fraction(c)}
             bracket[(pos[a], pos[b])] = entry
             bracket[(pos[b], pos[a])] = {t: -c for t, c in entry.items()}
     monos, _ = graded_monomials(names, degree_bound, divided=True)
@@ -100,7 +100,7 @@ def fraction_ueg_tables(names, brackets, degree_bound):
             for w, c in straighten(word_of(ei) + word_of(ej), bracket, memo).items():
                 e = exps_of(w)
                 entry[index[e]] = entry.get(index[e], Q0) + c * scale * divfact(e)
-            mult[(ti, tj)] = sparse((k, c) for k, c in sorted(entry.items()) if c)
+            mult[(ti, tj)] = tuple((k, rat(c)) for k, c in sorted(entry.items()) if c)
     antipode = {}
     for t, e in enumerate(monos):
         sign = Q1 if sum(e) % 2 == 0 else -Q1
@@ -109,7 +109,7 @@ def fraction_ueg_tables(names, brackets, degree_bound):
         for w, c in straighten(tuple(reversed(word_of(e))), bracket, memo).items():
             ew = exps_of(w)
             entry[index[ew]] = entry.get(index[ew], Q0) + sign * c * scale * divfact(ew)
-        antipode[t] = sparse((k, c) for k, c in sorted(entry.items()) if c)
+        antipode[t] = tuple((k, rat(c)) for k, c in sorted(entry.items()) if c)
     return mult, antipode
 
 
@@ -129,4 +129,4 @@ def test_ueg_tables_match_fraction_builder(case, degree):
     assert typed(data.antipode) == typed(antipode)
     if case in RATIONAL and degree >= 2:
         scalars = [c for terms in mult.values() for _, c in terms]
-        assert any(type(c) is Fraction for c in scalars)
+        assert any(type(c) is Rational for c in scalars)

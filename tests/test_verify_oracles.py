@@ -9,7 +9,6 @@ lines from the same random draws.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -62,7 +61,7 @@ def dense_span_closure(rep: Report, p, rng, samples) -> None:
                 c = rng.randint(-2, 2)
                 if c:
                     v = tuple(
-                        x + Fraction(c) * y
+                        x + c * y
                         for x, y in zip(
                             v, dense_of(rational_monomial(p, p.index_pos[i]), p.data.dim)
                         )
@@ -113,7 +112,7 @@ def dense_level_closure(rep: Report, gr, rng, samples) -> None:
             if degrees[k] <= n:
                 c = rng.randint(-2, 2)
                 if c:
-                    coords[k] = Fraction(c)
+                    coords[k] = c
                     nonzero = True
         if not nonzero:
             coords[0] = Q1
@@ -209,7 +208,7 @@ def _unit_products(dim):
 X_SQUARED = _table(
     ("1", "x", "x2"),
     (0, 1, 2),
-    {**_unit_products(3), (1, 1): [(2, Fraction(2))]},
+    {**_unit_products(3), (1, 1): [(2, 2)]},
     [
         [(0, 0, Q1)],
         [(1, 0, Q1), (0, 1, Q1), (1, 1, Q1)],
@@ -238,7 +237,7 @@ LOPSIDED = _table(
     ("1", "w"),
     (0, 1),
     {**_unit_products(2), (1, 1): []},
-    [[(0, 0, Q1)], [(1, 0, Fraction(2)), (0, 1, Q1)]],
+    [[(0, 0, Q1)], [(1, 0, 2), (0, 1, Q1)]],
 )
 
 ILLEGAL = {"x-squared": X_SQUARED, "y-squared": Y_SQUARED, "lopsided": LOPSIDED}
@@ -289,7 +288,7 @@ def test_in_primitive_set_matches_full_defect(sl2, table):
     for _ in range(300):
         size = rng.randint(1, min(gr.dim, 6))
         # explicit zeros included: the verdict must ignore them
-        v = {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(range(gr.dim), size)}
+        v = {k: rng.randint(-2, 2) for k in rng.sample(range(gr.dim), size)}
         n = rng.randint(1, gr.degree_bound)
         verdict = _in_primitive_set(_level_table(gr, n), v)
         assert verdict == dense_in_primitive_set(gr, dense_of(v, gr.dim), n)
